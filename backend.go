@@ -160,7 +160,16 @@ type dartHashable interface {
 // per-candidate scorer, bit-identically.
 type columnarScorer interface {
 	newColumnarPack() columnarPack
+	// prepareQuery pre-decodes one query bundle (key, value, squared-value
+	// payloads of the query column) once per search, independent of any
+	// pack, so a search over many index snapshots decodes its query once.
+	// nil means the payloads do not belong to this family.
+	prepareQuery(qKey, qVal, qSq payload) columnarQuery
 }
+
+// columnarQuery is a family's pre-decoded query bundle; only the packs of
+// the family that prepared it look inside.
+type columnarQuery any
 
 // columnarPack accumulates table-sketch bundles of one family into flat
 // arrays at index build time. The first accepted payload pins the
@@ -172,24 +181,18 @@ type columnarPack interface {
 	// value and squared-value payloads (parallel slices), reporting
 	// whether the bundle was packed.
 	addTable(key payload, vals, sqs []payload) bool
-	// prepare pre-decodes one query bundle (key, value, squared-value
-	// payloads of the query column) against the pack. A nil result means
-	// the query is incompatible with the packed parameters and the whole
-	// scan falls back to the decoded scorer.
-	prepare(qKey, qVal, qSq payload) columnarScan
-}
-
-// columnarScan scores packed candidates against one prepared query. Both
-// methods fill strided output rows with raw pairwise estimates; the
-// caller assembles JoinStats from them, so there is exactly one indirect
-// call per worker per scan — none per candidate.
-type columnarScan interface {
-	// scanTables fills out[3(t−lo)+{0,1,2}] = (join size, Σ V_A, Σ V_A²)
-	// against the key sketch of each packed table t in [lo, hi).
-	scanTables(lo, hi int, out []float64)
-	// scanColumns fills out[3(c−lo)+{0,1,2}] = (Σ V_B, Σ V_B², ⟨V_A,V_B⟩)
-	// for each packed column c in [lo, hi) (pack-wide column ordinals).
-	scanColumns(lo, hi int, out []float64)
+	// accepts reports whether q can be scored against the packed
+	// parameters. When it cannot, the whole scan of this pack's index
+	// falls back to the decoded scorer. It allocates nothing.
+	accepts(q columnarQuery) bool
+	// scan fills the estimates pl names for packed tables [tLo, tHi) into
+	// tbl and for packed columns [cLo, cHi) (pack-wide ordinals) into col:
+	// estimate e of table t lands in tbl[(t−tLo)·pl.tblStride+pl.slot[e]],
+	// and likewise for columns. The caller assembles JoinStats from the
+	// rows, so there is one indirect call per range — none per candidate.
+	// q must have been accepted; concurrent scans of disjoint or
+	// overlapping ranges are safe (the pack is read-only).
+	scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64)
 }
 
 // backends is the registry, indexed by Method. Each backend file populates

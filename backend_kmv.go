@@ -207,35 +207,50 @@ func (p *kmvPack) addTable(key payload, vals, sqs []payload) bool {
 	return true
 }
 
-func (p *kmvPack) prepare(qKey, qVal, qSq payload) columnarScan {
-	if p.ref == nil {
-		return nil
-	}
-	qs := kmvSketches(p.ref, qKey, qVal, qSq)
+// kmvQuery is the pre-decoded query bundle: key, value, squared value.
+type kmvQuery [3]*kmv.Sketch
+
+func (kmvBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	qs := kmvSketches(nil, qKey, qVal, qSq)
 	if qs == nil {
 		return nil
 	}
-	return &kmvScan{p: p, qKey: qs[0], tblQ: qs[1:], colQ: qs[:2], sqQ: qs[:1]}
+	return (*kmvQuery)(qs)
 }
 
-// kmvScan is read-only after prepare; workers scan disjoint ranges of the
-// pack concurrently through it.
-type kmvScan struct {
-	p    *kmvPack
-	qKey *kmv.Sketch   // join-size threshold estimate vs key sketches
-	tblQ []*kmv.Sketch // qVal, qSq vs key sketches
-	colQ []*kmv.Sketch // qKey, qVal vs value sketches
-	sqQ  []*kmv.Sketch // qKey vs squared-value sketches
+func (p *kmvPack) accepts(q columnarQuery) bool {
+	qs, ok := q.(*kmvQuery)
+	if !ok || p.ref == nil {
+		return false
+	}
+	for _, s := range qs {
+		if kmv.Compatible(p.ref, s) != nil {
+			return false
+		}
+	}
+	return true
 }
 
-// scanTables: KMV registers joinSizeEstimator, so the size slot carries
-// the threshold |A∩B| estimate, not the inner-product reduction.
-func (s *kmvScan) scanTables(lo, hi int, out []float64) {
-	s.p.keys.ScanJoinSize(s.qKey, lo, hi, out, 3, 0)
-	s.p.keys.Scan(s.tblQ, lo, hi, out, 3, colsOffTblTail)
-}
-
-func (s *kmvScan) scanColumns(lo, hi int, out []float64) {
-	s.p.vals.Scan(s.colQ, lo, hi, out, 3, colsOffSumIP)
-	s.p.sqs.Scan(s.sqQ, lo, hi, out, 3, colsOffSumSq)
+// scan: KMV registers joinSizeEstimator, so the size slot carries the
+// threshold |A∩B| estimate, not the inner-product reduction — it is the
+// key pack's first selected operand whenever the plan wants it.
+func (p *kmvPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	qs := (*[3]*kmv.Sketch)(q.(*kmvQuery))
+	var buf [3]*kmv.Sketch
+	if sel := &pl.key; sel.n > 0 {
+		ops, offs := pick(sel, qs, &buf), sel.off[:sel.n]
+		if pl.slot[slotSize] >= 0 {
+			p.keys.ScanJoinSize(ops[0], tLo, tHi, tbl, pl.tblStride, offs[0])
+			ops, offs = ops[1:], offs[1:]
+		}
+		if len(ops) > 0 {
+			p.keys.Scan(ops, tLo, tHi, tbl, pl.tblStride, offs)
+		}
+	}
+	if sel := &pl.val; sel.n > 0 {
+		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
+	if sel := &pl.sq; sel.n > 0 {
+		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
 }

@@ -192,35 +192,42 @@ func (p *mhPack) addTable(key payload, vals, sqs []payload) bool {
 	return true
 }
 
-func (p *mhPack) prepare(qKey, qVal, qSq payload) columnarScan {
-	if p.ref == nil {
-		return nil
-	}
-	qs := mhSketches(p.ref, qKey, qVal, qSq)
+// mhQuery is the pre-decoded query bundle: key, value, squared value.
+type mhQuery [3]*minhash.Sketch
+
+func (mhBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	qs := mhSketches(nil, qKey, qVal, qSq)
 	if qs == nil {
 		return nil
 	}
-	return &mhScan{p: p, tblQ: qs, colQ: qs[:2], sqQ: qs[:1]}
+	return (*mhQuery)(qs)
 }
 
-// mhScan is read-only after prepare; workers scan disjoint ranges of the
-// pack concurrently through it.
-type mhScan struct {
-	p    *mhPack
-	tblQ []*minhash.Sketch // qKey, qVal, qSq vs key sketches
-	colQ []*minhash.Sketch // qKey, qVal vs value sketches
-	sqQ  []*minhash.Sketch // qKey vs squared-value sketches
+func (p *mhPack) accepts(q columnarQuery) bool {
+	qs, ok := q.(*mhQuery)
+	if !ok || p.ref == nil {
+		return false
+	}
+	for _, s := range qs {
+		if minhash.Compatible(p.ref, s) != nil {
+			return false
+		}
+	}
+	return true
 }
 
-// scanTables: size (MH has no dedicated join-size estimator, so
-// EstimateJoinSize reduces to Estimate), ΣV_A, ΣV_A² against each key.
-func (s *mhScan) scanTables(lo, hi int, out []float64) {
-	s.p.keys.Scan(s.tblQ, lo, hi, out, 3, colsOffTables)
-}
-
-// scanColumns: ΣV_B and ⟨V_A,V_B⟩ from the value pack, ΣV_B² from the
-// squared-value pack.
-func (s *mhScan) scanColumns(lo, hi int, out []float64) {
-	s.p.vals.Scan(s.colQ, lo, hi, out, 3, colsOffSumIP)
-	s.p.sqs.Scan(s.sqQ, lo, hi, out, 3, colsOffSumSq)
+// scan: MH has no dedicated join-size estimator (EstimateJoinSize reduces
+// to Estimate), so the size is one more operand of the key-pack kernel.
+func (p *mhPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	qs := (*[3]*minhash.Sketch)(q.(*mhQuery))
+	var buf [3]*minhash.Sketch
+	if sel := &pl.key; sel.n > 0 {
+		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
+	}
+	if sel := &pl.val; sel.n > 0 {
+		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
+	if sel := &pl.sq; sel.n > 0 {
+		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
 }

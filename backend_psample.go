@@ -162,41 +162,50 @@ func (p *psPack) addTable(key payload, vals, sqs []payload) bool {
 	return true
 }
 
-func (p *psPack) prepare(qKey, qVal, qSq payload) columnarScan {
-	if p.ref == nil {
-		return nil
-	}
-	qs := psSketches(p.ref, qKey, qVal, qSq)
+// psQuery is the pre-decoded query bundle (key, value, squared value):
+// each sample's inclusion probability is computed once per search here,
+// not once per match per candidate. The sketches stay beside the decoded
+// form for the per-pack compatibility check.
+type psQuery struct {
+	sk [3]*psample.Sketch
+	q  [3]*psample.Query
+}
+
+func (psampleBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	qs := psSketches(nil, qKey, qVal, qSq)
 	if qs == nil {
 		return nil
 	}
-	// Pre-decode: each query sample's inclusion probability is computed
-	// once per search here, not once per match per candidate.
-	qKeyQ := psample.NewQuery(qs[0])
-	qValQ := psample.NewQuery(qs[1])
-	qSqQ := psample.NewQuery(qs[2])
-	return &psScan{
-		p:    p,
-		tblQ: []*psample.Query{qKeyQ, qValQ, qSqQ},
-		colQ: []*psample.Query{qKeyQ, qValQ},
-		sqQ:  []*psample.Query{qKeyQ},
+	pq := &psQuery{sk: [3]*psample.Sketch(qs)}
+	for i, s := range qs {
+		pq.q[i] = psample.NewQuery(s)
 	}
+	return pq
 }
 
-// psScan is read-only after prepare; workers scan disjoint ranges of the
-// pack concurrently through it.
-type psScan struct {
-	p    *psPack
-	tblQ []*psample.Query // qKey, qVal, qSq vs key samples
-	colQ []*psample.Query // qKey, qVal vs value samples
-	sqQ  []*psample.Query // qKey vs squared-value samples
+func (p *psPack) accepts(q columnarQuery) bool {
+	pq, ok := q.(*psQuery)
+	if !ok || p.ref == nil {
+		return false
+	}
+	for _, s := range pq.sk {
+		if psample.Compatible(p.ref, s) != nil {
+			return false
+		}
+	}
+	return true
 }
 
-func (s *psScan) scanTables(lo, hi int, out []float64) {
-	s.p.keys.Scan(s.tblQ, lo, hi, out, 3, colsOffTables)
-}
-
-func (s *psScan) scanColumns(lo, hi int, out []float64) {
-	s.p.vals.Scan(s.colQ, lo, hi, out, 3, colsOffSumIP)
-	s.p.sqs.Scan(s.sqQ, lo, hi, out, 3, colsOffSumSq)
+func (p *psPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	qs := &q.(*psQuery).q
+	var buf [3]*psample.Query
+	if sel := &pl.key; sel.n > 0 {
+		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
+	}
+	if sel := &pl.val; sel.n > 0 {
+		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
+	if sel := &pl.sq; sel.n > 0 {
+		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
 }

@@ -205,33 +205,42 @@ func (p *wmhPack) addTable(key payload, vals, sqs []payload) bool {
 	return true
 }
 
-func (p *wmhPack) prepare(qKey, qVal, qSq payload) columnarScan {
-	if p.ref == nil {
-		return nil
-	}
-	qs := wmhSketches(p.ref, qKey, qVal, qSq)
+// wmhQuery is the pre-decoded query bundle: key, value, squared value.
+type wmhQuery [3]*wmh.Sketch
+
+func (wmhBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	qs := wmhSketches(nil, qKey, qVal, qSq)
 	if qs == nil {
 		return nil
 	}
-	return &wmhScan{p: p, tblQ: qs, colQ: qs[:2], sqQ: qs[:1]}
+	return (*wmhQuery)(qs)
 }
 
-// wmhScan is read-only after prepare; workers scan disjoint ranges of the
-// pack concurrently through it.
-type wmhScan struct {
-	p    *wmhPack
-	tblQ []*wmh.Sketch // qKey, qVal, qSq vs key sketches
-	colQ []*wmh.Sketch // qKey, qVal vs value sketches
-	sqQ  []*wmh.Sketch // qKey vs squared-value sketches
+func (p *wmhPack) accepts(q columnarQuery) bool {
+	qs, ok := q.(*wmhQuery)
+	if !ok || p.ref == nil {
+		return false
+	}
+	for _, s := range qs {
+		if wmh.Compatible(p.ref, s) != nil {
+			return false
+		}
+	}
+	return true
 }
 
-func (s *wmhScan) scanTables(lo, hi int, out []float64) {
-	s.p.keys.Scan(s.tblQ, lo, hi, out, 3, colsOffTables)
-}
-
-func (s *wmhScan) scanColumns(lo, hi int, out []float64) {
-	s.p.vals.Scan(s.colQ, lo, hi, out, 3, colsOffSumIP)
-	s.p.sqs.Scan(s.sqQ, lo, hi, out, 3, colsOffSumSq)
+func (p *wmhPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	qs := (*[3]*wmh.Sketch)(q.(*wmhQuery))
+	var buf [3]*wmh.Sketch
+	if sel := &pl.key; sel.n > 0 {
+		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
+	}
+	if sel := &pl.val; sel.n > 0 {
+		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
+	if sel := &pl.sq; sel.n > 0 {
+		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
 }
 
 // quantizable marks that Config.Quantize is honored.

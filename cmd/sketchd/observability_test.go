@@ -163,7 +163,7 @@ func TestSketchdObservability(t *testing.T) {
 		t.Fatalf("slowlog entries = %d, want 4", len(slow.Entries))
 	}
 	for i, e := range slow.Entries {
-		if sum := e.SnapshotNanos + e.ScanNanos + e.MergeNanos + e.OtherNanos; sum != e.TotalNanos {
+		if sum := e.SnapshotNanos + e.ScanNanos + e.MergeNanos + e.FillNanos + e.OtherNanos; sum != e.TotalNanos {
 			t.Fatalf("entry %d: stages sum to %d, total %d", i, sum, e.TotalNanos)
 		}
 		if e.RequestID == "" || e.Column != "v" {

@@ -14,14 +14,97 @@ import "sort"
 // and both paths assemble JoinStats through the same helper, so rankings
 // are bit-identical either way.
 
-// Strided output offsets shared by every family's columnarScan: table
-// rows are (size, ΣV_A, ΣV_A²), column rows are (ΣV_B, ΣV_B², ⟨V_A,V_B⟩).
-var (
-	colsOffTables  = []int{0, 1, 2} // qKey, qVal, qSq vs key sketches
-	colsOffTblTail = []int{1, 2}    // qVal, qSq when the size slot is scanned separately
-	colsOffSumIP   = []int{0, 2}    // qKey → ΣV_B, qVal → ⟨V_A,V_B⟩ vs value sketches
-	colsOffSumSq   = []int{1}       // qKey → ΣV_B² vs squared-value sketches
+// The six raw pairwise estimates JoinStats is assembled from, ordered by
+// the pack they scan — three query operands against the key sketches, two
+// against the value sketches, one against the squared-value sketches —
+// which is the order estPlan lays rows out in.
+const (
+	slotSize   = iota // qKey vs key: join size
+	slotSumA          // qVal vs key: Σ V_A
+	slotSumSqA        // qSq vs key: Σ V_A²
+	slotSumB          // qKey vs value: Σ V_B
+	slotIP            // qVal vs value: ⟨V_A, V_B⟩
+	slotSumSqB        // qKey vs squared value: Σ V_B²
 )
+
+// estSet names a subset of the six estimates, one bit per slot.
+type estSet uint8
+
+const estAll estSet = 1<<(slotSumSqB+1) - 1
+
+// rankEstimates returns the estimates the rank phase of a search reads:
+// the minJoinSize filter always reads the size, and the score reads the
+// size, the inner product, or (for the correlation) all six. An unbounded
+// search keeps every candidate, so it ranks on all six and has nothing
+// left to fill.
+func rankEstimates(by RankBy, k int) estSet {
+	switch {
+	case k < 0 || by == RankByAbsCorrelation:
+		return estAll
+	case by == RankByAbsInnerProduct:
+		return 1<<slotSize | 1<<slotIP
+	default:
+		return 1 << slotSize
+	}
+}
+
+// packSel is the part of an estPlan one pack runs: n query operands
+// (indices into the bundle's key, value, squared-value order) and the
+// output slot each fills.
+type packSel struct {
+	n   int
+	op  [3]int
+	off [3]int
+}
+
+func (s *packSel) add(op, off int) {
+	s.op[s.n], s.off[s.n] = op, off
+	s.n++
+}
+
+// pick gathers the selected operands of q into buf for a kernel call.
+func pick[Q any](s *packSel, q *[3]Q, buf *[3]Q) []Q {
+	for i := 0; i < s.n; i++ {
+		buf[i] = q[s.op[i]]
+	}
+	return buf[:s.n]
+}
+
+// estPlan lays out one subset of the six estimates as compact strided
+// rows — table rows hold the wanted key-pack estimates, column rows the
+// wanted value- and squared-value-pack ones — so scratch is sized for
+// what a phase computes (one float per table when ranking by join size).
+type estPlan struct {
+	want                 estSet
+	tblStride, colStride int
+	slot                 [6]int // row slot of each estimate, −1 when not wanted
+	key, val, sq         packSel
+}
+
+func newEstPlan(want estSet) estPlan {
+	pl := estPlan{want: want}
+	for e := range pl.slot {
+		pl.slot[e] = -1
+		if want&(1<<e) == 0 {
+			continue
+		}
+		switch {
+		case e <= slotSumSqA:
+			pl.slot[e] = pl.tblStride
+			pl.key.add(e, pl.tblStride)
+			pl.tblStride++
+		case e <= slotIP:
+			pl.slot[e] = pl.colStride
+			pl.val.add(e-slotSumB, pl.colStride)
+			pl.colStride++
+		default:
+			pl.slot[e] = pl.colStride
+			pl.sq.add(0, pl.colStride)
+			pl.colStride++
+		}
+	}
+	return pl
+}
 
 // columnarView is the packed form of one index snapshot. It is immutable
 // after buildColumnarView returns; concurrent searches share it freely.
@@ -102,27 +185,42 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	return v
 }
 
-// prepare pre-decodes the query against the pack. nil means the query
-// cannot use the packed path (missing column, key-space/method/parameter
-// mismatch) and the whole search falls back to the decoded scorer —
-// including its error semantics, which is why prepare never errors.
-func (v *columnarView) prepare(query *TableSketch, queryCol string) columnarScan {
-	if query.keySpace != v.keySpace || query.key == nil || query.key.payload == nil {
+// prepareColumnarQuery pre-decodes the query column's bundle for the
+// packed path, once per search. nil means the query cannot use it
+// (missing column, mixed or unpackable methods) and every index scans
+// decoded — including the decoded scorer's error semantics, which is why
+// this never errors.
+func prepareColumnarQuery(query *TableSketch, queryCol string) columnarQuery {
+	if query.key == nil || query.key.payload == nil {
 		return nil
 	}
-	qVal, ok := query.val[queryCol]
-	qSq := query.sqVal[queryCol]
-	if !ok || qVal == nil || qSq == nil || qVal.payload == nil || qSq.payload == nil {
+	qVal, qSq := query.val[queryCol], query.sqVal[queryCol]
+	if qVal == nil || qSq == nil || qVal.payload == nil || qSq.payload == nil {
 		return nil
 	}
-	if query.key.method != v.method || qVal.method != v.method || qSq.method != v.method {
+	m := query.key.method
+	if qVal.method != m || qSq.method != m {
 		return nil
 	}
-	return v.pk.prepare(query.key.payload, qVal.payload, qSq.payload)
+	be, err := backendFor(m)
+	if err != nil {
+		return nil
+	}
+	cs, ok := be.(columnarScorer)
+	if !ok {
+		return nil
+	}
+	return cs.prepareQuery(query.key.payload, qVal.payload, qSq.payload)
 }
 
-// tableRange maps a worker's entry range [lo, hi) to the packed table
-// range whose entries fall inside it.
+// accepts reports whether the prepared query can be scored against this
+// view's pack (same key space, family and construction parameters).
+func (v *columnarView) accepts(query *TableSketch, q columnarQuery) bool {
+	return q != nil && query.keySpace == v.keySpace && query.key.method == v.method && v.pk.accepts(q)
+}
+
+// tableRange maps an entry range [lo, hi) to the packed table range whose
+// entries fall inside it.
 func (v *columnarView) tableRange(lo, hi int) (tLo, tHi int) {
 	return sort.SearchInts(v.ents, lo), sort.SearchInts(v.ents, hi)
 }
@@ -165,16 +263,18 @@ type ScanStats struct {
 	// CPU-additive (summed across the scan's parallel workers, so they
 	// can exceed ScanNanos on multi-core scans) and accumulate through
 	// Add. The wall-clock stages — SnapshotNanos (catalog shard-view
-	// acquisition), ScanNanos (the scoring fan-out, start to join), and
-	// MergeNanos (the final heap merge and rank) — are set by whichever
-	// coordinator ran the search and deliberately NOT summed by Add:
-	// adding the wall times of concurrent shard scans would double-count
-	// overlapping time.
+	// acquisition), ScanNanos (the rank-phase fan-out, start to join),
+	// MergeNanos (the final heap merge and rank), and FillNanos (the
+	// remaining estimates and JoinStats assembly of the final k results)
+	// — are set by whichever coordinator ran the search and deliberately
+	// NOT summed by Add: adding the wall times of concurrent scans would
+	// double-count overlapping time.
 	SnapshotNanos int64
 	ScanNanos     int64
 	ColumnarNanos int64
 	FallbackNanos int64
 	MergeNanos    int64
+	FillNanos     int64
 }
 
 // Add accumulates o's counters and CPU-additive stage times into s (see

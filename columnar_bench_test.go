@@ -18,10 +18,22 @@ func procsSweep() []int {
 	return append(out, max)
 }
 
-// BenchmarkScan measures search scan throughput — candidate columns
-// scored per second — for every packable family, decoded vs columnar,
-// across the GOMAXPROCS ladder. benchreport turns the cols/s metric into
-// the BENCH_7.json scan table.
+// scanRanks is BenchmarkScan's rank dimension: the three rank phases of
+// the packed search — one, two, or all six estimates per candidate.
+var scanRanks = []struct {
+	name string
+	by   RankBy
+}{
+	{"join_size", RankByJoinSize},
+	{"abs_ip", RankByAbsInnerProduct},
+	{"abs_corr", RankByAbsCorrelation},
+}
+
+// BenchmarkScan measures search scan throughput at k = 10 — candidate
+// columns scored per second — for every packable family, decoded vs
+// columnar, by ranking statistic (the packed rank phase computes only
+// what the ranking reads; the decoded path always computes all six),
+// across the GOMAXPROCS ladder.
 func BenchmarkScan(b *testing.B) {
 	for _, fam := range columnarFamilies {
 		b.Run(fam.name, func(b *testing.B) {
@@ -41,24 +53,83 @@ func BenchmarkScan(b *testing.B) {
 					} else {
 						ix.view = nil
 					}
-					for _, procs := range procsSweep() {
-						procs := procs
-						b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-							prev := runtime.GOMAXPROCS(procs)
-							defer runtime.GOMAXPROCS(prev)
-							b.ResetTimer()
-							for i := 0; i < b.N; i++ {
-								if _, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10); err != nil {
-									b.Fatal(err)
+					for _, rank := range scanRanks {
+						for _, procs := range procsSweep() {
+							b.Run(fmt.Sprintf("rank=%s/procs=%d", rank.name, procs), func(b *testing.B) {
+								prev := runtime.GOMAXPROCS(procs)
+								defer runtime.GOMAXPROCS(prev)
+								b.ResetTimer()
+								for i := 0; i < b.N; i++ {
+									if _, _, err := ix.SearchTopKStats(qSk, "v", rank.by, 0, 10); err != nil {
+										b.Fatal(err)
+									}
 								}
-							}
-							b.StopTimer()
-							b.ReportMetric(cols*float64(b.N)/b.Elapsed().Seconds(), "cols/s")
-						})
+								b.StopTimer()
+								b.ReportMetric(cols*float64(b.N)/b.Elapsed().Seconds(), "cols/s")
+							})
+						}
 					}
 				})
 			}
 		})
+	}
+}
+
+// bestOf times reps batches of searches and returns the fastest batch,
+// after one warm pass that faults in the working set.
+func bestOf(t *testing.T, search func() error) time.Duration {
+	t.Helper()
+	const searches, reps = 10, 3
+	if err := search(); err != nil {
+		t.Fatal(err)
+	}
+	best := time.Duration(1<<63 - 1)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		for i := 0; i < searches; i++ {
+			if err := search(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestRankFirstScanSpeedupSmoke is the CI perf gate for rank-then-fill:
+// on the packed dart-WMH index at k = 10, ranking by join size (one
+// estimate per table, five more for each of the ten results) must scan
+// ≥3× the columns per second of ranking by correlation (all six for every
+// candidate; ≈6× measured at 160 tables of two columns on average). Both
+// sides run on the same host back to back, so the ratio needs no quiet
+// machine and no minimum core count. Opt-in via IPSKETCH_BENCH_SMOKE=1
+// like the other wall-clock gates.
+func TestRankFirstScanSpeedupSmoke(t *testing.T) {
+	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
+		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the rank-first scan gate")
+	}
+	cfg := Config{Method: MethodWMH, StorageWords: 300, Seed: 13, Dart: true}
+	qSk, ix := buildColumnarFixture(t, cfg, 8100, 160)
+	if ix.BuildColumnar() != ix.Len() {
+		t.Fatal("fixture not fully packed")
+	}
+	run := func(by RankBy) time.Duration {
+		return bestOf(t, func() error {
+			_, st, err := ix.SearchTopKStats(qSk, "v", by, 0, 10)
+			if err == nil && st.Fallback != 0 {
+				err = fmt.Errorf("scan fell back to the decoded path: %+v", st)
+			}
+			return err
+		})
+	}
+	corr := run(RankByAbsCorrelation)
+	size := run(RankByJoinSize)
+	ratio := float64(corr) / float64(size)
+	t.Logf("abs_corr %v, join_size %v per 10 searches: join_size scans %.1f× the columns/s", corr, size, ratio)
+	if ratio < 3 {
+		t.Errorf("join_size scans only %.2f× the columns/s of abs_corr, want ≥3×", ratio)
 	}
 }
 
@@ -88,24 +159,10 @@ func TestColumnarScanSpeedupSmoke(t *testing.T) {
 		}
 		qSk, ix := buildColumnarFixture(t, fam.cfg, 8000+fam.cfg.Seed, 96)
 		run := func() time.Duration {
-			const searches, reps = 10, 3
-			// One warm pass faults in the working set.
-			if _, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10); err != nil {
-				t.Fatal(err)
-			}
-			best := time.Duration(1<<63 - 1)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				for i := 0; i < searches; i++ {
-					if _, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if d := time.Since(start); d < best {
-					best = d
-				}
-			}
-			return best
+			return bestOf(t, func() error {
+				_, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10)
+				return err
+			})
 		}
 		ix.view = nil
 		decoded := run()

@@ -2,6 +2,7 @@ package ipsketch
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/hashing"
@@ -98,59 +99,180 @@ func buildColumnarFixture(t testing.TB, cfg Config, seed uint64, nTables int) (*
 	return qSk, ix
 }
 
-// TestColumnarSearchEquivalence: for every packable family, rankings from
-// the packed kernel must be byte-identical to the decoded path — same
-// results, same tie order, same NaN statistics — across every RankBy,
-// minJoinSize, and k shape (0, 1, mid, exact, beyond, unbounded).
+// buildTieFixture sketches a catalog built to tie: groups of tables share
+// one key set each, so every table of a group has a bit-equal join-size
+// estimate and — under RankByJoinSize — every column of every table of
+// the group ties, which makes the k boundary cut through tables and tie
+// groups. One group is disjoint from the query (size ≤ 0: NaN ratio
+// statistics, score 0 under join_size), tables carry 1–3 columns, and a
+// table named like the query sits in the index to be self-excluded. The
+// returned index has NOT had BuildColumnar called.
+func buildTieFixture(t testing.TB, cfg Config, seed uint64) (*TableSketch, *SketchIndex) {
+	t.Helper()
+	rng := hashing.NewSplitMix64(seed)
+	const n = 200
+	ts, err := NewTableSketcher(cfg, 1<<18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketch := func(name string, keys []uint64, cols map[string][]float64) *TableSketch {
+		tab, err := NewTable(name, keys, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := ts.SketchTable(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	qKeys := make([]uint64, n)
+	qVals := make([]float64, n)
+	for i := range qKeys {
+		qKeys[i] = uint64(i)
+		qVals[i] = rng.Norm()
+	}
+	qSk := sketch("query", qKeys, map[string][]float64{"v": qVals})
+
+	groups := [][]uint64{make([]uint64, 120), make([]uint64, 100), make([]uint64, 60), make([]uint64, 80)}
+	for j := range groups[0] {
+		groups[0][j] = uint64(j) // 120 of the query's keys
+	}
+	for j := range groups[1] {
+		groups[1][j] = uint64(2 * j) // 100 of them
+	}
+	for j := range groups[2] {
+		groups[2][j] = uint64(3*j + 1) // 60 of them
+	}
+	for j := range groups[3] {
+		groups[3][j] = uint64(50000 + j) // none: estimated size ≤ 0
+	}
+	ix := NewSketchIndex()
+	for i := 0; i < 20; i++ {
+		keys := groups[i%len(groups)]
+		cols := map[string][]float64{}
+		for c := 0; c <= i%3; c++ {
+			vals := make([]float64, len(keys))
+			for j := range vals {
+				if int(keys[j]) < n && c == 0 {
+					vals[j] = 0.1*float64(i)*qVals[keys[j]] + rng.Norm()
+				} else {
+					vals[j] = rng.Norm()
+				}
+			}
+			cols[fmt.Sprintf("c%d", c)] = vals
+		}
+		// Names whose sort order differs from insertion order.
+		name := fmt.Sprintf("%c%02d", 'a'+(i*11)%26, i)
+		if i == 9 {
+			name = "query" // present in the index: must be self-excluded
+		}
+		if err := ix.Add(sketch(name, keys, cols)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return qSk, ix
+}
+
+// tieMinJoins returns minJoinSize values around the largest tied join
+// size of a ranking: none pruned, the tie value itself (kept — the filter
+// is a strict <), and the next float above it (the whole tie group goes).
+func tieMinJoins(full []SearchResult) []float64 {
+	top := 0.0
+	for _, r := range full {
+		top = max(top, r.Stats.Size)
+	}
+	return []float64{0, top, math.Nextafter(top, math.Inf(1))}
+}
+
+// requireSameSearch compares two searches' results bit for bit (table,
+// column, Float64bits of the score and of every Stats field).
+func requireSameSearch(t *testing.T, label string, got, want []SearchResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if !resultsIdentical(got[i], want[i]) {
+			t.Fatalf("%s: result %d differs:\n got %+v\nwant %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestColumnarSearchEquivalence: for every packable family, the packed
+// rank-then-fill search must be byte-identical to the decoded all-six
+// path — same results, same tie order, same NaN statistics, same scan
+// counters — across every RankBy, minJoinSize, and k shape (0, 1, odd,
+// exact, beyond, unbounded), on a randomized corpus and on one built to
+// tie.
 func TestColumnarSearchEquivalence(t *testing.T) {
 	for _, fam := range columnarFamilies {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			t.Parallel()
-			qSk, ix := buildColumnarFixture(t, fam.cfg, 1000+fam.cfg.Seed, 18)
-			for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
-				for _, minJoin := range []float64{0, 25} {
-					decoded, dStats, err := ix.SearchTopKStats(qSk, "v", by, minJoin, -1)
-					if err != nil {
-						t.Fatal(err)
+			qSk, random := buildColumnarFixture(t, fam.cfg, 1000+fam.cfg.Seed, 18)
+			qTie, tied := buildTieFixture(t, fam.cfg, 1500+fam.cfg.Seed)
+			for _, fx := range []struct {
+				name string
+				q    *TableSketch
+				ix   *SketchIndex
+			}{{"random", qSk, random}, {"tied", qTie, tied}} {
+				ix := fx.ix
+				full, _, err := ix.SearchTopKStats(fx.q, "v", RankByJoinSize, 0, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				minJoins := []float64{0, 25}
+				if fx.name == "tied" {
+					minJoins = tieMinJoins(full)
+					sizes := map[uint64]int{}
+					for _, r := range full {
+						sizes[math.Float64bits(r.Stats.Size)]++
 					}
-					if dStats.Columnar != 0 || dStats.Fallback != dStats.Candidates {
-						t.Fatalf("pre-build stats claim columnar scoring: %+v", dStats)
+					if len(sizes) > 4 || len(full) < 30 {
+						t.Fatalf("tie fixture does not tie: %d candidates over %d distinct sizes", len(full), len(sizes))
 					}
-					packed := ix.BuildColumnar()
-					if packed != ix.Len() {
-						t.Fatalf("packed %d of %d entries", packed, ix.Len())
-					}
-					n := len(decoded)
-					for _, k := range []int{0, 1, n / 2, n, n + 7, -1} {
-						got, cStats, err := ix.SearchTopKStats(qSk, "v", by, minJoin, k)
+				}
+				n := len(full)
+				for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
+					for _, minJoin := range minJoins {
+						ix.view = nil
+						decoded, dStats, err := ix.SearchTopKStats(fx.q, "v", by, minJoin, -1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if k != 0 {
-							if cStats.Fallback != 0 || cStats.Columnar != cStats.Candidates {
-								t.Fatalf("post-build stats claim fallback scoring: %+v", cStats)
+						if dStats.Columnar != 0 || dStats.Fallback != dStats.Candidates {
+							t.Fatalf("pre-build stats claim columnar scoring: %+v", dStats)
+						}
+						if packed := ix.BuildColumnar(); packed != ix.Len() {
+							t.Fatalf("packed %d of %d entries", packed, ix.Len())
+						}
+						for _, k := range []int{0, 1, 7, n / 2, n, n + 7, -1} {
+							label := fmt.Sprintf("%s by=%d minJoin=%v k=%d", fx.name, by, minJoin, k)
+							got, cStats, err := ix.SearchTopKStats(fx.q, "v", by, minJoin, k)
+							if err != nil {
+								t.Fatal(err)
 							}
-							if cStats.Candidates != dStats.Candidates || cStats.Pruned != dStats.Pruned {
-								t.Fatalf("counters diverge: columnar %+v decoded %+v", cStats, dStats)
+							if k != 0 {
+								if cStats.Fallback != 0 || cStats.Columnar != cStats.Candidates {
+									t.Fatalf("%s: post-build stats claim fallback scoring: %+v", label, cStats)
+								}
+								if cStats.Candidates != dStats.Candidates || cStats.Pruned != dStats.Pruned {
+									t.Fatalf("%s: counters diverge: columnar %+v decoded %+v", label, cStats, dStats)
+								}
 							}
-						}
-						want := decoded
-						if k >= 0 && len(want) > k {
-							want = want[:k]
-						}
-						if len(got) != len(want) {
-							t.Fatalf("by=%d minJoin=%v k=%d: %d results, want %d", by, minJoin, k, len(got), len(want))
-						}
-						for i := range got {
-							if !resultsIdentical(got[i], want[i]) {
-								t.Fatalf("by=%d minJoin=%v k=%d: result %d differs:\ncolumnar %+v\ndecoded  %+v",
-									by, minJoin, k, i, got[i], want[i])
+							want := decoded
+							if k >= 0 && len(want) > k {
+								want = want[:k]
+							}
+							requireSameSearch(t, label, got, want)
+							for _, r := range got {
+								if r.Table == fx.q.Name {
+									t.Fatalf("%s: the query's own table was ranked", label)
+								}
 							}
 						}
 					}
-					// Invalidate for the next decoded baseline.
-					ix.view = nil
 				}
 			}
 		})

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hashing"
@@ -179,20 +182,119 @@ type SearchResult struct {
 	Stats JoinStats
 }
 
-// scored pairs a result with its scan ordinal (entry position, column
-// position). Candidates are ordered by descending score with ties broken
-// by scan order, which makes the parallel search deterministic and
-// identical to the sequential stable sort it replaced.
+// scored is one candidate the rank phase retained: its score, its scan
+// ordinal (source index of the request, entry position, column position)
+// and the statistics known so far — complete for decoded candidates and
+// all-six rank phases, otherwise just the raw Size (and InnerProduct) the
+// ranking read, until fill computes the rest. It holds no pointers, so a
+// pooled heap keeps nothing alive.
 type scored struct {
-	res SearchResult
-	ent int
-	col int
+	score         float64
+	src, ent, col int
+	full          bool
+	st            JoinStats
 }
 
-// better reports whether a ranks strictly ahead of b.
-func (a scored) better(b scored) bool {
-	if a.res.Score != b.res.Score {
-		return a.res.Score > b.res.Score
+// searchSource is one index snapshot of a search.
+type searchSource struct {
+	ix *SketchIndex
+	// view is non-nil when the index scans packed: it has a columnar view
+	// and the view's pack accepted the prepared query.
+	view       *columnarView
+	prechecked bool
+	// The scan list: every entry position in [0, n) when ents is nil (full
+	// scan), else the n ascending candidate positions ents (lsh mode).
+	ents []int
+	n    int
+	buf  []int // ents' backing array, kept across searches
+}
+
+// scanUnit is a contiguous piece of one source's scan list; workers pull
+// units until none are left.
+type scanUnit struct{ src, lo, hi int }
+
+const (
+	unitsPerWorker = 4  // target units per worker, for load balance
+	minUnit        = 16 // smallest scan-list piece worth a unit of its own
+)
+
+// rankWorker is one worker's share of the rank phase: a bounded
+// worst-at-root heap of the best k candidates seen (every candidate when
+// k < 0), kernel output rows, the first error in scan order, and the
+// worker's scan counters.
+type rankWorker struct {
+	items                  []scored
+	tbl, col               []float64
+	err                    error
+	errSrc, errEnt, errCol int
+	stats                  ScanStats
+}
+
+// fail records the first error in scan order.
+func (w *rankWorker) fail(err error, src, ent, col int) {
+	if w.err == nil || src < w.errSrc || (src == w.errSrc && (ent < w.errEnt || (ent == w.errEnt && col < w.errCol))) {
+		w.err, w.errSrc, w.errEnt, w.errCol = err, src, ent, col
+	}
+}
+
+// searcher is the state of one search. Everything a search allocates
+// besides its result slice lives here and is reused through searchers, so
+// a search's allocation count does not depend on how many index snapshots
+// it covers.
+type searcher struct {
+	query       *TableSketch
+	queryCol    string
+	by          RankBy
+	minJoinSize float64
+	k           int
+	q           columnarQuery
+	rank, fill  estPlan
+
+	srcs    []searchSource
+	units   []scanUnit
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	workers []rankWorker
+	merged  []scored
+}
+
+var searchers = sync.Pool{New: func() any { return new(searcher) }}
+
+// release drops every reference the search held and returns the scratch.
+func (s *searcher) release() {
+	s.query, s.q = nil, nil
+	for i := range s.srcs {
+		src := &s.srcs[i]
+		*src = searchSource{buf: src.buf}
+	}
+	for i := range s.workers {
+		w := &s.workers[i]
+		*w = rankWorker{items: w.items[:0], tbl: w.tbl, col: w.col}
+	}
+	searchers.Put(s)
+}
+
+// resize returns buf with length n, keeping its backing array (and, for
+// pooled scratch, whatever the elements beyond the old length still hold)
+// when that is large enough.
+func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// better reports whether a ranks strictly ahead of b: descending score,
+// ties broken by scan order — (entry, column) position within an index,
+// which makes the parallel search deterministic and identical to a
+// sequential stable sort, and (table, column) name across indexes, which
+// is the scan order of one name-sorted index over their union (the
+// catalog's shards are name-sorted, so the two agree).
+func (s *searcher) better(a, b *scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if a.src != b.src {
+		ta, tb := s.srcs[a.src].ix.entries[a.ent], s.srcs[b.src].ix.entries[b.ent]
+		if ta.Name != tb.Name {
+			return ta.Name < tb.Name
+		}
+		return ta.Columns()[a.col] < tb.Columns()[b.col]
 	}
 	if a.ent != b.ent {
 		return a.ent < b.ent
@@ -200,68 +302,184 @@ func (a scored) better(b scored) bool {
 	return a.col < b.col
 }
 
-// searchShard is one worker's share of a search: a bounded worst-at-root
-// heap of the best k candidates seen (or every candidate when k < 0),
-// plus the first error in scan order and the worker's scan counters.
-type searchShard struct {
-	k      int
-	items  []scored
-	err    error
-	errEnt int
-	errCol int
-	stats  ScanStats
+// rankScore derives the ranking statistic from what the rank phase
+// computed; by is validated by the caller.
+func rankScore(by RankBy, st *JoinStats) float64 {
+	switch by {
+	case RankByJoinSize:
+		return st.Size
+	case RankByAbsCorrelation:
+		return math.Abs(st.Correlation)
+	default: // RankByAbsInnerProduct
+		return math.Abs(st.InnerProduct)
+	}
 }
 
-// add offers one candidate to the shard.
-func (sh *searchShard) add(c scored) {
-	if sh.k < 0 {
-		sh.items = append(sh.items, c)
+// offer is the one scoring routine every candidate goes through, packed
+// or decoded, full scan or lsh rescore: minJoinSize prune, score, NaN
+// skip, bounded heap under better.
+func (s *searcher) offer(w *rankWorker, c *scored) {
+	w.stats.Candidates++
+	if c.st.Size < s.minJoinSize {
+		w.stats.Pruned++
 		return
 	}
-	if len(sh.items) < sh.k {
-		sh.items = append(sh.items, c)
+	c.score = rankScore(s.by, &c.st)
+	if math.IsNaN(c.score) {
+		return
+	}
+	h := w.items
+	if s.k < 0 || len(h) < s.k {
+		h = append(h, *c)
+		w.items = h
+		if s.k < 0 {
+			return
+		}
 		// Sift up: parents hold *worse* candidates.
-		i := len(sh.items) - 1
-		for i > 0 {
+		for i := len(h) - 1; i > 0; {
 			parent := (i - 1) / 2
-			if !sh.items[parent].better(sh.items[i]) {
+			if !s.better(&h[parent], &h[i]) {
 				break
 			}
-			sh.items[parent], sh.items[i] = sh.items[i], sh.items[parent]
+			h[parent], h[i] = h[i], h[parent]
 			i = parent
 		}
 		return
 	}
-	if !c.better(sh.items[0]) {
+	if !s.better(c, &h[0]) {
 		return // not better than the worst retained candidate
 	}
-	sh.items[0] = c
+	h[0] = *c
 	// Sift down toward the worse child.
-	i := 0
-	for {
+	for i := 0; ; {
 		l := 2*i + 1
-		if l >= len(sh.items) {
+		if l >= len(h) {
 			return
 		}
 		worst := l
-		if r := l + 1; r < len(sh.items) && sh.items[l].better(sh.items[r]) {
+		if r := l + 1; r < len(h) && s.better(&h[l], &h[r]) {
 			worst = r
 		}
-		if sh.items[worst].better(sh.items[i]) {
+		if s.better(&h[worst], &h[i]) {
 			return
 		}
-		sh.items[i], sh.items[worst] = sh.items[worst], sh.items[i]
+		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
 }
 
-// fail records the first error in scan order.
-func (sh *searchShard) fail(err error, ent, col int) {
-	if sh.err == nil || ent < sh.errEnt || (ent == sh.errEnt && col < sh.errCol) {
-		sh.err = err
-		sh.errEnt = ent
-		sh.errCol = col
+// rankPacked scores the packed tables whose entries fall in [lo, hi) of
+// source si: one kernel call computes the rank plan's estimates for the
+// whole range, then every column is offered with what the plan computed.
+func (s *searcher) rankPacked(w *rankWorker, si, lo, hi int) {
+	src := &s.srcs[si]
+	v, pl := src.view, &s.rank
+	tLo, tHi := v.tableRange(lo, hi)
+	if tHi == tLo {
+		return
 	}
+	cLo, cHi := v.colOff[tLo], v.colOff[tHi]
+	w.tbl = resize(w.tbl, pl.tblStride*(tHi-tLo))
+	w.col = resize(w.col, pl.colStride*(cHi-cLo))
+	v.pk.scan(s.q, pl, tLo, tHi, w.tbl, cLo, cHi, w.col)
+	for t := tLo; t < tHi; t++ {
+		ent := v.ents[t]
+		if src.ix.entries[ent].Name == s.query.Name {
+			continue
+		}
+		tr := w.tbl[pl.tblStride*(t-tLo):]
+		for c := v.colOff[t]; c < v.colOff[t+1]; c++ {
+			cr := w.col[pl.colStride*(c-cLo):]
+			cand := scored{src: si, ent: ent, col: c - v.colOff[t]}
+			if pl.want == estAll {
+				cand.st = assembleJoinStats(tr[pl.slot[slotSize]], tr[pl.slot[slotSumA]], cr[pl.slot[slotSumB]],
+					tr[pl.slot[slotSumSqA]], cr[pl.slot[slotSumSqB]], cr[pl.slot[slotIP]])
+				cand.full = true
+			} else {
+				cand.st.Size = tr[pl.slot[slotSize]]
+				if pl.slot[slotIP] >= 0 {
+					cand.st.InnerProduct = cr[pl.slot[slotIP]]
+				}
+			}
+			w.stats.Columnar++
+			s.offer(w, &cand)
+		}
+	}
+}
+
+// rankDecoded scores one entry through the decoded all-six estimator —
+// the reference path, and the only one for entries no pack holds.
+func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
+	src := &s.srcs[si]
+	cand := src.ix.entries[ent]
+	if cand.Name == s.query.Name {
+		return
+	}
+	for col, colName := range cand.Columns() {
+		st, err := estimateJoinStats(s.query, s.queryCol, cand, colName, src.prechecked)
+		if err != nil {
+			w.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), si, ent, col)
+			continue
+		}
+		w.stats.Fallback++
+		s.offer(w, &scored{src: si, ent: ent, col: col, full: true, st: st})
+	}
+}
+
+// rankUnit runs the rank phase over one unit: the packed entries of its
+// piece of the scan list first, then the rest decoded. Stage timers are a
+// few clock reads per unit, nothing per candidate.
+func (s *searcher) rankUnit(w *rankWorker, u scanUnit) {
+	src := &s.srcs[u.src]
+	start := time.Now()
+	if src.view != nil {
+		if src.ents == nil {
+			s.rankPacked(w, u.src, u.lo, u.hi)
+		} else {
+			// Each candidate's estimates depend only on its own slice of
+			// the pack, so single-table kernel calls produce the same
+			// floats as the full range scan.
+			for _, ent := range src.ents[u.lo:u.hi] {
+				s.rankPacked(w, u.src, ent, ent+1)
+			}
+		}
+		now := time.Now()
+		w.stats.ColumnarNanos += now.Sub(start).Nanoseconds()
+		start = now
+	}
+	for i := u.lo; i < u.hi; i++ {
+		ent := i
+		if src.ents != nil {
+			ent = src.ents[i]
+		}
+		if src.view == nil || !src.view.packed[ent] {
+			s.rankDecoded(w, u.src, ent)
+		}
+	}
+	w.stats.FallbackNanos += time.Since(start).Nanoseconds()
+}
+
+// fillStats completes a retained candidate's statistics: the estimates the
+// rank phase skipped run through single-table, single-column kernel calls,
+// and the six assemble exactly as the decoded path assembles them. Every
+// raw estimate is a pure function of (query sketch, candidate sketch), so
+// computing it now instead of during the scan cannot change a bit.
+func (s *searcher) fillStats(w *rankWorker, c *scored) {
+	if c.full {
+		return
+	}
+	v, pl := s.srcs[c.src].view, &s.fill
+	t := sort.SearchInts(v.ents, c.ent)
+	at := v.colOff[t] + c.col
+	w.tbl, w.col = resize(w.tbl, pl.tblStride), resize(w.col, pl.colStride)
+	v.pk.scan(s.q, pl, t, t+1, w.tbl, at, at+1, w.col)
+	ip := c.st.InnerProduct
+	if pl.slot[slotIP] >= 0 {
+		ip = w.col[pl.slot[slotIP]]
+	}
+	c.st = assembleJoinStats(c.st.Size, w.tbl[pl.slot[slotSumA]], w.col[pl.slot[slotSumB]],
+		w.tbl[pl.slot[slotSumSqA]], w.col[pl.slot[slotSumSqB]], ip)
+	c.full = true
 }
 
 // Search ranks every (table, column) in the index against the query
@@ -273,7 +491,7 @@ func (ix *SketchIndex) Search(query *TableSketch, queryCol string, by RankBy, mi
 }
 
 // SearchTopK is Search returning only the k best candidates. Each worker
-// scores its shard of the catalog into a bounded heap, so the search costs
+// scores its share of the catalog into a bounded heap, so the search costs
 // O(n·m) estimation plus O(n log k) ranking instead of the O(n log n)
 // full sort — the right shape when callers display a short result list
 // over a large catalog. k < 0 means no bound (full ranking); k == 0
@@ -283,23 +501,33 @@ func (ix *SketchIndex) SearchTopK(query *TableSketch, queryCol string, by RankBy
 	return res, err
 }
 
-// rankScore derives the ranking statistic; by is validated by the caller.
-func rankScore(by RankBy, st JoinStats) float64 {
-	switch by {
-	case RankByJoinSize:
-		return st.Size
-	case RankByAbsCorrelation:
-		return math.Abs(st.Correlation)
-	default: // RankByAbsInnerProduct
-		return math.Abs(st.InnerProduct)
-	}
-}
-
 // SearchTopKStats is SearchTopK that also reports the scan's counters:
 // how many candidate columns were scored, how many the minJoinSize filter
 // pruned, and how the scoring split between the columnar kernel and the
 // decoded fallback.
 func (ix *SketchIndex) SearchTopKStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int) ([]SearchResult, ScanStats, error) {
+	return SearchIndexes([]*SketchIndex{ix}, query, queryCol, by, minJoinSize, k, false, 0)
+}
+
+// SearchIndexes ranks the (table, column) candidates of several index
+// snapshots against the query column as one search: a full scan of every
+// entry, or with lsh set the band candidates of the query (probes as in
+// SearchTopKLSH; every index needs an LSH view) — the same scoring
+// either way. It is what SketchIndex's search methods and the sharded
+// catalog run on.
+//
+// The search is rank first, fill in later. The rank phase computes, for
+// every candidate, only the raw estimates the minJoinSize filter and the
+// ranking read (the join size; plus the inner product, or all six, by
+// RankBy) and keeps the k best per worker; the per-worker heaps merge
+// under (score desc, scan order) into the final k; only those get their
+// remaining estimates computed and their JoinStats assembled. Results
+// are bit-identical to scoring every candidate in full.
+//
+// Ties across indexes break by (table, column) name, so name-sorted
+// indexes with disjoint tables rank exactly like one name-sorted index
+// over their union. k < 0 means no bound; k == 0 returns nil.
+func SearchIndexes(ixs []*SketchIndex, query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int, lsh bool, probes int) ([]SearchResult, ScanStats, error) {
 	var stats ScanStats
 	if query == nil {
 		return nil, stats, errors.New("ipsketch: nil query sketch")
@@ -309,156 +537,163 @@ func (ix *SketchIndex) SearchTopKStats(query *TableSketch, queryCol string, by R
 	default:
 		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(by))
 	}
+	if lsh {
+		for _, ix := range ixs {
+			if ix.lshView == nil {
+				return nil, stats, ErrNoLSHIndex
+			}
+		}
+	}
 	if k == 0 {
 		return nil, stats, nil
 	}
-	n := len(ix.entries)
 
-	// Strict indexes hold mutually compatible bundles, so one query-vs-pin
-	// check covers every candidate and the scan skips the dispatch-level
-	// Compatible re-run per estimate. When the check fails the scan runs
-	// un-prechecked and surfaces the per-candidate error exactly as before.
-	prechecked := ix.strict && ix.pin != nil && query.CompatibleWith(ix.pin) == nil
+	s := searchers.Get().(*searcher)
+	defer s.release()
+	s.query, s.queryCol, s.by, s.minJoinSize, s.k = query, queryCol, by, minJoinSize, k
+	want := rankEstimates(by, k)
+	s.rank, s.fill = newEstPlan(want), newEstPlan(estAll&^want)
 
-	// Pre-decode the query against the columnar pack once per search; a
-	// nil scan sends everything down the decoded path.
-	view := ix.view
-	var scan columnarScan
-	if view != nil {
-		scan = view.prepare(query, queryCol)
-	}
-
-	// One worker count sizes the shard slots AND drives the fan-out, so
-	// the two can never disagree (GOMAXPROCS may change between calls).
-	workers := hashing.WorkerCount(n)
-	shards := make([]searchShard, workers)
 	scanStart := time.Now()
-	hashing.ParallelWorkers(n, workers, func(w, lo, hi int) {
-		sh := &shards[w]
-		sh.k = k
-		// Stage timers: a handful of clock reads per worker per search,
-		// nothing per candidate — the kernel loops stay untouched.
-		stageStart := time.Now()
-
-		if scan != nil {
-			// Columnar sub-range: the kernel fills flat stat rows for every
-			// packed table and column in [lo, hi), then the emit loop below
-			// assembles JoinStats and feeds the same bounded heap under the
-			// same (score, ent, col) order as the decoded path.
-			tLo, tHi := view.tableRange(lo, hi)
-			if tHi > tLo {
-				tstats := make([]float64, 3*(tHi-tLo))
-				scan.scanTables(tLo, tHi, tstats)
-				cLo, cHi := view.colOff[tLo], view.colOff[tHi]
-				cstats := make([]float64, 3*(cHi-cLo))
-				scan.scanColumns(cLo, cHi, cstats)
-				for t := tLo; t < tHi; t++ {
-					ent := view.ents[t]
-					cand := ix.entries[ent]
-					if cand.Name == query.Name {
-						continue
-					}
-					size := tstats[3*(t-tLo)]
-					sumA := tstats[3*(t-tLo)+1]
-					sumSqA := tstats[3*(t-tLo)+2]
-					base := view.colOff[t] - cLo
-					for col, colName := range cand.Columns() {
-						row := 3 * (base + col)
-						st := assembleJoinStats(size, sumA, cstats[row], sumSqA, cstats[row+1], cstats[row+2])
-						sh.stats.Candidates++
-						sh.stats.Columnar++
-						if st.Size < minJoinSize {
-							sh.stats.Pruned++
-							continue
-						}
-						score := rankScore(by, st)
-						if math.IsNaN(score) {
-							continue
-						}
-						sh.add(scored{
-							res: SearchResult{Table: cand.Name, Column: colName, Score: score, Stats: st},
-							ent: ent, col: col,
-						})
-					}
-				}
-			}
-			now := time.Now()
-			sh.stats.ColumnarNanos += now.Sub(stageStart).Nanoseconds()
-			stageStart = now
-		}
-
-		for ent := lo; ent < hi; ent++ {
-			if scan != nil && view.packed[ent] {
-				continue // scored by the kernel above
-			}
-			cand := ix.entries[ent]
-			if cand.Name == query.Name {
-				continue
-			}
-			for col, colName := range cand.Columns() {
-				st, err := estimateJoinStats(query, queryCol, cand, colName, prechecked)
-				if err != nil {
-					sh.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), ent, col)
-					continue
-				}
-				sh.stats.Candidates++
-				sh.stats.Fallback++
-				if st.Size < minJoinSize {
-					sh.stats.Pruned++
-					continue
-				}
-				score := rankScore(by, st)
-				if math.IsNaN(score) {
-					continue
-				}
-				sh.add(scored{
-					res: SearchResult{Table: cand.Name, Column: colName, Score: score, Stats: st},
-					ent: ent, col: col,
-				})
-			}
-		}
-		sh.stats.FallbackNanos += time.Since(stageStart).Nanoseconds()
-	})
+	if err := s.plan(ixs, lsh, probes, &stats); err != nil {
+		return nil, stats, err
+	}
+	s.run()
 	stats.ScanNanos = time.Since(scanStart).Nanoseconds()
 
-	// Surface the first error in scan order, matching the sequential scan.
-	var firstErr *searchShard
-	total := 0
-	for i := range shards {
-		sh := &shards[i]
-		stats.Add(sh.stats)
-		total += len(sh.items)
-		if sh.err == nil {
-			continue
-		}
-		if firstErr == nil || sh.errEnt < firstErr.errEnt ||
-			(sh.errEnt == firstErr.errEnt && sh.errCol < firstErr.errCol) {
-			firstErr = sh
+	// Surface the first error in scan order, matching a sequential scan.
+	first := &s.workers[0]
+	for i := range s.workers {
+		w := &s.workers[i]
+		stats.Add(w.stats)
+		if w.err != nil {
+			first.fail(w.err, w.errSrc, w.errEnt, w.errCol)
 		}
 	}
-	if firstErr != nil {
-		return nil, stats, firstErr.err
+	if first.err != nil {
+		return nil, stats, first.err
 	}
 
-	// Merge the shards and rank: descending score, scan order on ties —
-	// exactly the order the sequential stable sort produced.
+	// Merge the workers' heaps and rank: descending score, scan order on
+	// ties — exactly the order a sequential stable sort would produce.
 	mergeStart := time.Now()
-	merged := make([]scored, 0, total)
-	for i := range shards {
-		merged = append(merged, shards[i].items...)
+	merged := s.merged[:0]
+	for i := range s.workers {
+		merged = append(merged, s.workers[i].items...)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].better(merged[j]) })
+	s.merged = merged
+	slices.SortFunc(merged, func(a, b scored) int {
+		switch {
+		case s.better(&a, &b):
+			return -1
+		case s.better(&b, &a):
+			return 1
+		}
+		return 0
+	})
 	if k >= 0 && len(merged) > k {
 		merged = merged[:k]
 	}
+	fillStart := time.Now()
+	stats.MergeNanos = fillStart.Sub(mergeStart).Nanoseconds()
 	if len(merged) == 0 {
-		stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
 		return nil, stats, nil
 	}
+
+	// Fill: only the request's final results, after the last merge.
 	out := make([]SearchResult, len(merged))
-	for i, c := range merged {
-		out[i] = c.res
-	}
-	stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
+	fillers := hashing.WorkerCount(len(merged))
+	s.workers = resize(s.workers, max(fillers, len(s.workers)))
+	hashing.ParallelWorkers(len(merged), fillers, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := &merged[i]
+			s.fillStats(&s.workers[w], c)
+			e := s.srcs[c.src].ix.entries[c.ent]
+			out[i] = SearchResult{Table: e.Name, Column: e.Columns()[c.col], Score: c.score, Stats: c.st}
+		}
+	})
+	stats.FillNanos = time.Since(fillStart).Nanoseconds()
 	return out, stats, nil
+}
+
+// plan resolves each index into a source (packed or decoded, and in lsh
+// mode its candidate scan list) and cuts the scan lists into units.
+func (s *searcher) plan(ixs []*SketchIndex, lsh bool, probes int, stats *ScanStats) error {
+	var qsig []uint64
+	if lsh {
+		if s.query.key == nil {
+			return errors.New("ipsketch: lsh search: query has no key sketch")
+		}
+		var err error
+		if qsig, err = s.query.key.LSHSignature(); err != nil {
+			return fmt.Errorf("ipsketch: lsh search: %w", err)
+		}
+	}
+	s.srcs = resize(s.srcs, len(ixs))
+	total, prepared := 0, false
+	for i, ix := range ixs {
+		src := &s.srcs[i]
+		src.ix, src.n = ix, len(ix.entries)
+		// Strict indexes hold mutually compatible bundles, so one
+		// query-vs-pin check covers every candidate and the decoded scorer
+		// skips the dispatch-level Compatible re-run per estimate. When the
+		// check fails the scan runs un-prechecked and surfaces the
+		// per-candidate error exactly as before.
+		src.prechecked = ix.strict && ix.pin != nil && s.query.CompatibleWith(ix.pin) == nil
+		if ix.view != nil {
+			// Pre-decode the query once per search, for whichever packs
+			// accept it; the rest scan decoded.
+			if !prepared {
+				s.q, prepared = prepareColumnarQuery(s.query, s.queryCol), true
+			}
+			if ix.view.accepts(s.query, s.q) {
+				src.view = ix.view
+			}
+		}
+		if lsh {
+			if err := src.gather(qsig, probes, stats); err != nil {
+				return err
+			}
+		}
+		total += src.n
+	}
+
+	// One worker count sizes the worker slots AND drives the fan-out, so
+	// the two can never disagree (GOMAXPROCS may change between calls).
+	workers := hashing.WorkerCount(total)
+	s.workers, s.units = resize(s.workers, workers), s.units[:0]
+	// Units are a few per worker (but not so small that the per-unit
+	// kernel call and clock reads show), so workers that start late or
+	// draw slow shards even out by pulling.
+	chunk := max((total+unitsPerWorker*workers-1)/(unitsPerWorker*workers), minUnit)
+	for i := range s.srcs {
+		for lo := 0; lo < s.srcs[i].n; lo += chunk {
+			s.units = append(s.units, scanUnit{src: i, lo: lo, hi: min(lo+chunk, s.srcs[i].n)})
+		}
+	}
+	return nil
+}
+
+// run fans the units across the workers: one pool for the whole search,
+// however many indexes it covers. The calling goroutine is worker 0, so a
+// search makes progress from its first instruction and a helper that
+// wakes late simply finds fewer units left.
+func (s *searcher) run() {
+	s.next.Store(0)
+	for i := 1; i < len(s.workers); i++ {
+		s.wg.Add(1)
+		go func(w *rankWorker) {
+			defer s.wg.Done()
+			s.pull(w)
+		}(&s.workers[i])
+	}
+	s.pull(&s.workers[0])
+	s.wg.Wait()
+}
+
+// pull ranks units until none are left.
+func (s *searcher) pull(w *rankWorker) {
+	for u := int(s.next.Add(1)) - 1; u < len(s.units); u = int(s.next.Add(1)) - 1 {
+		s.rankUnit(w, s.units[u])
+	}
 }

@@ -20,11 +20,11 @@
 // Per-shard indexes keep their entries sorted by table name, so every
 // shard ranks with the same total order — score descending, then table
 // name, then column name — that a single name-sorted SketchIndex uses.
-// SearchTopK fans the library's bounded-heap SearchTopK across shards and
-// merges under that order, which makes the sharded ranking bit-exact with
-// Snapshot().SearchTopK: the union of per-shard top-k sets always
-// contains the global top k, and ties (even across shard boundaries)
-// break identically.
+// SearchTopK runs the library's bounded-heap search over every shard
+// snapshot at once (ipsketch.SearchIndexes) and merges under that order,
+// which makes the sharded ranking bit-exact with Snapshot().SearchTopK:
+// the union of per-worker top-k sets always contains the global top k,
+// and ties (even across shard boundaries) break identically.
 package catalog
 
 import (
@@ -462,10 +462,9 @@ func (c *Catalog) Search(query *ipsketch.TableSketch, queryCol string, by ipsket
 }
 
 // SearchTopK ranks every cataloged (table, column) against the query
-// column and returns the k best (k < 0 = all, k == 0 = none). Each shard
-// runs the library's bounded-heap SearchTopK over its snapshot
-// concurrently; the merged ranking is bit-exact with
-// Snapshot().SearchTopK on the same catalog state.
+// column and returns the k best (k < 0 = all, k == 0 = none). The
+// ranking is bit-exact with Snapshot().SearchTopK on the same catalog
+// state.
 func (c *Catalog) SearchTopK(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, error) {
 	res, _, err := c.SearchTopKStats(query, queryCol, by, minJoinSize, k)
 	return res, err
@@ -475,65 +474,23 @@ func (c *Catalog) SearchTopK(query *ipsketch.TableSketch, queryCol string, by ip
 // summed over every shard's scan (candidates scored, minJoinSize prunes,
 // and the columnar-kernel vs decoded-fallback split).
 func (c *Catalog) SearchTopKStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
-	var stats ipsketch.ScanStats
-	// Take all shard snapshots first so one search observes one state.
+	return c.search(query, queryCol, by, minJoinSize, k, false, 0)
+}
+
+// search takes every shard's snapshot first, so one search observes one
+// state, and runs them as ONE library search: one worker pool pulls the
+// shard snapshots, the per-worker heaps merge under (score, table,
+// column), and only the merged top k are filled in — never per shard.
+func (c *Catalog) search(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int, lsh bool, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
 	snapStart := time.Now()
 	ixs := make([]*ipsketch.SketchIndex, len(c.shards))
 	for i := range c.shards {
 		_, ixs[i] = c.shards[i].view()
 	}
-	stats.SnapshotNanos = time.Since(snapStart).Nanoseconds()
-	scanStart := time.Now()
-	results := make([][]ipsketch.SearchResult, len(ixs))
-	shardStats := make([]ipsketch.ScanStats, len(ixs))
-	errs := make([]error, len(ixs))
-	var wg sync.WaitGroup
-	for i, ix := range ixs {
-		wg.Add(1)
-		go func(i int, ix *ipsketch.SketchIndex) {
-			defer wg.Done()
-			results[i], shardStats[i], errs[i] = ix.SearchTopKStats(query, queryCol, by, minJoinSize, k)
-		}(i, ix)
-	}
-	wg.Wait()
-	for i := range shardStats {
-		stats.Add(shardStats[i])
-	}
-	// Add skips the wall-clock stages; the catalog's fan-out wall time is
-	// the scan stage as this coordinator saw it.
-	stats.ScanNanos = time.Since(scanStart).Nanoseconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	mergeStart := time.Now()
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	merged := make([]ipsketch.SearchResult, 0, total)
-	for _, rs := range results {
-		merged = append(merged, rs...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		return a.Column < b.Column
-	})
-	if k >= 0 && len(merged) > k {
-		merged = merged[:k]
-	}
-	stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
-	if len(merged) == 0 {
-		return nil, stats, nil
-	}
-	return merged, stats, nil
+	snapNanos := time.Since(snapStart).Nanoseconds()
+	res, stats, err := ipsketch.SearchIndexes(ixs, query, queryCol, by, minJoinSize, k, lsh, probes)
+	stats.SnapshotNanos = snapNanos
+	return res, stats, err
 }
 
 // LSH returns the banding parameters the catalog maintains its candidate
@@ -560,66 +517,10 @@ func (c *Catalog) SearchTopKLSH(query *ipsketch.TableSketch, queryCol string, by
 // counters summed over every shard's scan, including the banded stage's
 // probe and candidate counts.
 func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
-	var stats ipsketch.ScanStats
 	if c.lsh == nil {
-		return nil, stats, ipsketch.ErrNoLSHIndex
+		return nil, ipsketch.ScanStats{}, ipsketch.ErrNoLSHIndex
 	}
-	// Take all shard snapshots first so one search observes one state.
-	snapStart := time.Now()
-	ixs := make([]*ipsketch.SketchIndex, len(c.shards))
-	for i := range c.shards {
-		_, ixs[i] = c.shards[i].view()
-	}
-	stats.SnapshotNanos = time.Since(snapStart).Nanoseconds()
-	scanStart := time.Now()
-	results := make([][]ipsketch.SearchResult, len(ixs))
-	shardStats := make([]ipsketch.ScanStats, len(ixs))
-	errs := make([]error, len(ixs))
-	var wg sync.WaitGroup
-	for i, ix := range ixs {
-		wg.Add(1)
-		go func(i int, ix *ipsketch.SketchIndex) {
-			defer wg.Done()
-			results[i], shardStats[i], errs[i] = ix.SearchTopKLSHStats(query, queryCol, by, minJoinSize, k, probes)
-		}(i, ix)
-	}
-	wg.Wait()
-	for i := range shardStats {
-		stats.Add(shardStats[i])
-	}
-	stats.ScanNanos = time.Since(scanStart).Nanoseconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	mergeStart := time.Now()
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	merged := make([]ipsketch.SearchResult, 0, total)
-	for _, rs := range results {
-		merged = append(merged, rs...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		return a.Column < b.Column
-	})
-	if k >= 0 && len(merged) > k {
-		merged = merged[:k]
-	}
-	stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
-	if len(merged) == 0 {
-		return nil, stats, nil
-	}
-	return merged, stats, nil
+	return c.search(query, queryCol, by, minJoinSize, k, true, probes)
 }
 
 // Save writes a snapshot of the catalog to path atomically and durably

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -633,5 +634,205 @@ func TestCatalogMergeRespectsPin(t *testing.T) {
 	}
 	if _, err := c.Merge(partials[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatalogSearchAllocsFlatInShards pins the per-search scratch: every
+// per-worker and per-shard buffer of a search comes from the library's
+// pooled searcher, so what a search allocates — its result, the snapshot
+// slice, the decoded query — does not grow with the shard count.
+func TestCatalogSearchAllocsFlatInShards(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	qSk, sks := fixtureSketches(t, 64)
+	allocs := func(shards int) float64 {
+		c := New(Options{Shards: shards})
+		for _, sk := range sks {
+			if err := c.Put(sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search := func() {
+			res, stats, err := c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+			if err != nil || len(res) != 10 || stats.Fallback != 0 {
+				t.Fatalf("shards=%d: %d results, stats %+v, err %v", shards, len(res), stats, err)
+			}
+		}
+		search() // size the pooled scratch for this shard count
+		return testing.AllocsPerRun(100, search)
+	}
+	one, sixteen := allocs(1), allocs(16)
+	t.Logf("allocs per search: 1 shard %.0f, 16 shards %.0f", one, sixteen)
+	if sixteen > one {
+		t.Fatalf("allocations per search grow with the shard count: %.0f at 1 shard, %.0f at 16", one, sixteen)
+	}
+	if one > 8 {
+		t.Fatalf("%.0f allocations per search, want a handful (result, snapshot slice, decoded query)", one)
+	}
+}
+
+// tieSketches sketches a corpus built to tie: groups of tables share one
+// key set each, so all their columns have bit-equal join-size estimates
+// and the k boundary under RankByJoinSize cuts through tables, tie groups
+// and shards. One group is disjoint from the query (size ≤ 0, NaN ratio
+// statistics), tables carry 1–3 columns, and one table is named like the
+// query (self-excluded wherever it lands).
+func tieSketches(t testing.TB) (*ipsketch.TableSketch, []*ipsketch.TableSketch) {
+	t.Helper()
+	ts := fixtureSketcher(t)
+	rng := hashing.NewSplitMix64(7)
+	const rows = 160
+	sketch := func(name string, keys []uint64, cols map[string][]float64) *ipsketch.TableSketch {
+		tab, err := ipsketch.NewTable(name, keys, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := ts.SketchTable(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	qKeys := make([]uint64, rows)
+	qVals := make([]float64, rows)
+	for i := range qKeys {
+		qKeys[i], qVals[i] = uint64(i), rng.Norm()
+	}
+	qSk := sketch("query", qKeys, map[string][]float64{"v": qVals})
+	groups := [][]uint64{make([]uint64, 100), make([]uint64, 80), make([]uint64, 50), make([]uint64, 60)}
+	for g, stride := range []uint64{1, 2, 3} { // 100, 80 and 50 of the query's keys
+		for j := range groups[g] {
+			groups[g][j] = stride * uint64(j)
+		}
+	}
+	for j := range groups[3] {
+		groups[3][j] = 70000 + uint64(j) // none of them
+	}
+	var sks []*ipsketch.TableSketch
+	for i := 0; i < 36; i++ {
+		keys := groups[i%len(groups)]
+		cols := map[string][]float64{}
+		for c := 0; c <= i%3; c++ {
+			vals := make([]float64, len(keys))
+			for j := range vals {
+				vals[j] = rng.Norm()
+				if c == 0 && keys[j] < rows {
+					vals[j] += 0.1 * float64(i) * qVals[keys[j]]
+				}
+			}
+			cols[fmt.Sprintf("c%d", c)] = vals
+		}
+		name := fmt.Sprintf("%c%02d", 'a'+(i*11)%26, i)
+		if i == 13 {
+			name = "query"
+		}
+		sks = append(sks, sketch(name, keys, cols))
+	}
+	return qSk, sks
+}
+
+// requireSameCounters compares the scan counters two equivalent searches
+// must agree on.
+func requireSameCounters(t *testing.T, label string, got, want ipsketch.ScanStats) {
+	t.Helper()
+	if got.Candidates != want.Candidates || got.Pruned != want.Pruned {
+		t.Fatalf("%s: counters diverge: got %+v want %+v", label, got, want)
+	}
+}
+
+// TestCatalogTieHeavyMatchesDecodedReference: on the tie corpus, the
+// sharded rank-then-fill search (fill after the cross-shard merge) must
+// equal the packed single-index snapshot AND the decoded all-six
+// reference bit for bit — every Stats field and the scan counters — for
+// every RankBy, k shape, minJoinSize around the tie value and shard
+// count, on the full scan and in lsh mode.
+func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
+	qSk, sks := tieSketches(t)
+	// The decoded reference: a name-sorted index that never packs.
+	ref := ipsketch.NewSketchIndex()
+	byName := map[string]*ipsketch.TableSketch{}
+	for _, sk := range sks {
+		byName[sk.Name] = sk
+	}
+	names := make([]string, 0, len(byName))
+	for name := range byName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := ref.Add(byName[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.BuildLSH(strongLSH); err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := ref.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, sizes := 0.0, map[uint64]bool{}
+	for _, r := range all {
+		top = max(top, r.Stats.Size)
+		sizes[math.Float64bits(r.Stats.Size)] = true
+	}
+	if len(sizes) > 4 || len(all) < 60 {
+		t.Fatalf("tie corpus does not tie: %d candidates over %d distinct sizes", len(all), len(sizes))
+	}
+	n := len(all)
+	for _, shards := range []int{1, 4, 16} {
+		c := New(Options{Shards: shards, LSH: &strongLSH})
+		for _, sk := range sks {
+			if err := c.Put(sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := c.Snapshot()
+		for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsCorrelation, ipsketch.RankByAbsInnerProduct} {
+			for _, minJoin := range []float64{0, top, math.Nextafter(top, math.Inf(1))} {
+				for _, k := range []int{1, 7, n, n + 5, -1} {
+					label := fmt.Sprintf("shards=%d by=%d minJoin=%v k=%d", shards, by, minJoin, k)
+					want, wStats, err := ref.SearchTopKStats(qSk, "v", by, minJoin, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wStats.Columnar != 0 {
+						t.Fatalf("%s: reference scored packed: %+v", label, wStats)
+					}
+					got, gStats, err := c.SearchTopKStats(qSk, "v", by, minJoin, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRanking(t, got, want, "catalog vs decoded "+label)
+					requireSameCounters(t, "catalog vs decoded "+label, gStats, wStats)
+					if gStats.Fallback != 0 || gStats.Columnar != gStats.Candidates {
+						t.Fatalf("%s: catalog scan not fully columnar: %+v", label, gStats)
+					}
+					sGot, sStats, err := snap.SearchTopKStats(qSk, "v", by, minJoin, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRanking(t, sGot, want, "snapshot vs decoded "+label)
+					requireSameCounters(t, "snapshot vs decoded "+label, sStats, wStats)
+
+					// lsh mode: the same candidates (all bands probed) rescored
+					// by the same routine, sharded or not, packed or decoded.
+					lWant, lwStats, err := ref.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lGot, lgStats, err := c.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRanking(t, lGot, lWant, "catalog lsh vs decoded lsh "+label)
+					requireSameCounters(t, "catalog lsh vs decoded lsh "+label, lgStats, lwStats)
+					if lgStats.LSHCandidates != lwStats.LSHCandidates || lgStats.Fallback != 0 {
+						t.Fatalf("%s: lsh counters diverge: catalog %+v decoded %+v", label, lgStats, lwStats)
+					}
+				}
+			}
+		}
 	}
 }

@@ -3,11 +3,8 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
-	"time"
 
-	"repro/internal/hashing"
 	"repro/internal/lsh"
 )
 
@@ -15,9 +12,9 @@ import (
 // bands every entry's key-sketch signature into an internal/lsh index at
 // the same time the columnar view is built (the catalog does both per
 // copy-on-write publish), and SearchTopKLSH gathers band candidates for a
-// query and exact-rescores only those entries with the same columnar
-// kernel / decoded scorers, heap, and (score, ent, col) tie-break order
-// as the full scan. Whenever the candidate set contains the true top k
+// query and runs SearchIndexes' scoring routine over only those entries —
+// the same kernels, heap, and (score, ent, col) tie-break order as the
+// full scan. Whenever the candidate set contains the true top k
 // (recall@k = 1) the ranking is therefore bit-identical to
 // SearchTopKStats — approximation only ever drops candidates, it never
 // perturbs a score.
@@ -143,189 +140,46 @@ func (ix *SketchIndex) SearchTopKLSH(query *TableSketch, queryCol string, by Ran
 
 // SearchTopKLSHStats is SearchTopKLSH that also reports scan counters,
 // including the banded stage's probe and candidate counts. The rescoring
-// reuses the full scan's kernels and ordering, so results are
-// bit-identical to SearchTopKStats whenever the candidate set contains
-// the true top k. An empty query sketch yields zero band candidates (the
-// unindexed entries are still scored).
+// is the full scan's scoring routine over the candidate entries, so
+// results are bit-identical to SearchTopKStats whenever the candidate
+// set contains the true top k. An empty query sketch yields zero band
+// candidates (the unindexed entries are still scored).
 func (ix *SketchIndex) SearchTopKLSHStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k, probes int) ([]SearchResult, ScanStats, error) {
-	var stats ScanStats
-	if query == nil {
-		return nil, stats, errors.New("ipsketch: nil query sketch")
-	}
-	switch by {
-	case RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct:
-	default:
-		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(by))
-	}
-	lv := ix.lshView
-	if lv == nil {
-		return nil, stats, ErrNoLSHIndex
-	}
-	if k == 0 {
-		return nil, stats, nil
-	}
-	if query.key == nil {
-		return nil, stats, errors.New("ipsketch: lsh search: query has no key sketch")
-	}
-	qsig, err := query.key.LSHSignature()
-	if err != nil {
-		return nil, stats, fmt.Errorf("ipsketch: lsh search: %w", err)
-	}
+	return SearchIndexes([]*SketchIndex{ix}, query, queryCol, by, minJoinSize, k, true, probes)
+}
 
-	// Gather band candidates. A nil query signature (empty key sketch)
-	// matches nothing — the scan covers only the unindexed entries.
+// gather builds the source's lsh scan list: the band candidates of qsig
+// merged with the always-rescored unindexed entries, ascending, so unit
+// cuts and tie-breaking see entry positions in full-scan order. A nil
+// signature (empty key sketch) matches nothing — the list covers only the
+// unindexed entries.
+func (src *searchSource) gather(qsig []uint64, probes int, stats *ScanStats) error {
+	lv := src.ix.lshView
 	var cands []int
-	sigLen := lv.params.SignatureLen()
 	if qsig != nil {
-		stats.LSHProbes = int64(lv.params.ClampProbes(probes))
+		sigLen := lv.params.SignatureLen()
+		stats.LSHProbes += int64(lv.params.ClampProbes(probes))
 		if len(qsig) < sigLen {
-			return nil, stats, fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), sigLen)
+			return fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), sigLen)
 		}
 		got, err := lv.index.NewQuerier().Candidates(qsig[:sigLen], probes)
 		if err != nil {
-			return nil, stats, fmt.Errorf("ipsketch: lsh search: %w", err)
+			return fmt.Errorf("ipsketch: lsh search: %w", err)
 		}
 		cands = got // owned: the Querier is local and issues no further queries
 		sort.Ints(cands)
 	}
-	stats.LSHCandidates = int64(len(cands))
-
-	// Merge the sorted candidate and unindexed entry lists into one
-	// ascending scan list, so worker sharding and tie-breaking see entry
-	// positions in the same order as the full scan.
-	ents := make([]int, 0, len(cands)+len(lv.unindexed))
+	stats.LSHCandidates += int64(len(cands))
+	ents := src.buf[:0] // nil only when empty, and an empty list yields no units
 	for i, j := 0, 0; i < len(cands) || j < len(lv.unindexed); {
-		switch {
-		case j == len(lv.unindexed) || (i < len(cands) && cands[i] < lv.unindexed[j]):
+		if j == len(lv.unindexed) || (i < len(cands) && cands[i] < lv.unindexed[j]) {
 			ents = append(ents, cands[i])
 			i++
-		default:
+		} else {
 			ents = append(ents, lv.unindexed[j])
 			j++
 		}
 	}
-
-	prechecked := ix.strict && ix.pin != nil && query.CompatibleWith(ix.pin) == nil
-	view := ix.view
-	var scan columnarScan
-	if view != nil {
-		scan = view.prepare(query, queryCol)
-	}
-
-	workers := hashing.WorkerCount(len(ents))
-	shards := make([]searchShard, workers)
-	scanStart := time.Now()
-	hashing.ParallelWorkers(len(ents), workers, func(w, lo, hi int) {
-		sh := &shards[w]
-		sh.k = k
-		stageStart := time.Now()
-		var tstats [3]float64
-		var cstats []float64
-		for _, ent := range ents[lo:hi] {
-			cand := ix.entries[ent]
-			if cand.Name == query.Name {
-				continue
-			}
-			if scan != nil && view.packed[ent] {
-				// Packed rescore: the kernels over a single table's range
-				// produce the same floats as the full range scan (each
-				// table's stats depend only on its own slice), so scores
-				// stay bit-identical to SearchTopKStats.
-				t := sort.SearchInts(view.ents, ent)
-				scan.scanTables(t, t+1, tstats[:])
-				cLo, cHi := view.colOff[t], view.colOff[t+1]
-				if need := 3 * (cHi - cLo); cap(cstats) < need {
-					cstats = make([]float64, need)
-				}
-				cstats = cstats[:3*(cHi-cLo)]
-				scan.scanColumns(cLo, cHi, cstats)
-				for col, colName := range cand.Columns() {
-					row := 3 * col
-					st := assembleJoinStats(tstats[0], tstats[1], cstats[row], tstats[2], cstats[row+1], cstats[row+2])
-					sh.stats.Candidates++
-					sh.stats.Columnar++
-					if st.Size < minJoinSize {
-						sh.stats.Pruned++
-						continue
-					}
-					score := rankScore(by, st)
-					if math.IsNaN(score) {
-						continue
-					}
-					sh.add(scored{
-						res: SearchResult{Table: cand.Name, Column: colName, Score: score, Stats: st},
-						ent: ent, col: col,
-					})
-				}
-				continue
-			}
-			for col, colName := range cand.Columns() {
-				st, err := estimateJoinStats(query, queryCol, cand, colName, prechecked)
-				if err != nil {
-					sh.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), ent, col)
-					continue
-				}
-				sh.stats.Candidates++
-				sh.stats.Fallback++
-				if st.Size < minJoinSize {
-					sh.stats.Pruned++
-					continue
-				}
-				score := rankScore(by, st)
-				if math.IsNaN(score) {
-					continue
-				}
-				sh.add(scored{
-					res: SearchResult{Table: cand.Name, Column: colName, Score: score, Stats: st},
-					ent: ent, col: col,
-				})
-			}
-		}
-		// Rescoring is one stage; attribute it to the path that ran it.
-		elapsed := time.Since(stageStart).Nanoseconds()
-		if scan != nil {
-			sh.stats.ColumnarNanos += elapsed
-		} else {
-			sh.stats.FallbackNanos += elapsed
-		}
-	})
-	stats.ScanNanos = time.Since(scanStart).Nanoseconds()
-
-	var firstErr *searchShard
-	total := 0
-	for i := range shards {
-		sh := &shards[i]
-		stats.Add(sh.stats)
-		total += len(sh.items)
-		if sh.err == nil {
-			continue
-		}
-		if firstErr == nil || sh.errEnt < firstErr.errEnt ||
-			(sh.errEnt == firstErr.errEnt && sh.errCol < firstErr.errCol) {
-			firstErr = sh
-		}
-	}
-	if firstErr != nil {
-		return nil, stats, firstErr.err
-	}
-
-	mergeStart := time.Now()
-	merged := make([]scored, 0, total)
-	for i := range shards {
-		merged = append(merged, shards[i].items...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].better(merged[j]) })
-	if k >= 0 && len(merged) > k {
-		merged = merged[:k]
-	}
-	if len(merged) == 0 {
-		stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
-		return nil, stats, nil
-	}
-	out := make([]SearchResult, len(merged))
-	for i, c := range merged {
-		out[i] = c.res
-	}
-	stats.MergeNanos = time.Since(mergeStart).Nanoseconds()
-	return out, stats, nil
+	src.ents, src.buf, src.n = ents, ents, len(ents)
+	return nil
 }

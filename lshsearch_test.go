@@ -94,6 +94,64 @@ func TestLSHSearchBitExactAtRecallOne(t *testing.T) {
 	}
 }
 
+// TestLSHSearchTieHeavyEquivalence: on a corpus built to tie, the packed
+// lsh rescore (rank over the candidates, fill the final k) must match the
+// decoded lsh rescore bit for bit — results and scan counters — for
+// every RankBy, k shape and minJoinSize around the tie value; and with
+// aggressive banding and a positive minJoinSize (so the full scan's
+// size ≤ 0 tail, which banding never retrieves, is pruned there too) it
+// must match the full scan.
+func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
+	for _, fam := range lshFamilies {
+		fam := fam
+		t.Run(fam.name, func(t *testing.T) {
+			t.Parallel()
+			qSk, ix := buildTieFixture(t, fam.cfg, 2500+fam.cfg.Seed)
+			all, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(all)
+			for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
+				for _, minJoin := range tieMinJoins(all) {
+					for _, k := range []int{1, 7, n, n + 5, -1} {
+						label := fmt.Sprintf("by=%d minJoin=%v k=%d", by, minJoin, k)
+						ix.view = nil
+						if _, err := ix.BuildLSH(strongLSH); err != nil {
+							t.Fatal(err)
+						}
+						want, dStats, err := ix.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if dStats.Columnar != 0 {
+							t.Fatalf("%s: decoded rescore claims columnar scoring: %+v", label, dStats)
+						}
+						ix.BuildColumnar()
+						got, cStats, err := ix.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameSearch(t, "lsh packed vs decoded "+label, got, want)
+						if cStats.Fallback != 0 || cStats.Columnar != cStats.Candidates ||
+							cStats.Candidates != dStats.Candidates || cStats.Pruned != dStats.Pruned ||
+							cStats.LSHCandidates != dStats.LSHCandidates || cStats.LSHProbes != dStats.LSHProbes {
+							t.Fatalf("%s: counters diverge: packed %+v decoded %+v", label, cStats, dStats)
+						}
+						if minJoin > 0 {
+							full, _, err := ix.SearchTopKStats(qSk, "v", by, minJoin, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireSameSearch(t, "lsh vs full "+label, got, full)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestLSHCandidatesSubsetAndProbeMonotone: the lsh scan scores only band
 // candidates (a subset of the catalog) and fewer probes can only shrink
 // the candidate count; the stats expose both knobs.

@@ -341,9 +341,11 @@ type ErrorResponse struct {
 
 // SlowLogEntry is one recorded slow /search. Durations are nanoseconds;
 // the wall-clock stages partition the total exactly: SnapshotNanos +
-// ScanNanos + MergeNanos + OtherNanos == TotalNanos (OtherNanos is the
-// request work outside the catalog search — body decode, query
-// sketching, slot queueing). ColumnarCPUNanos and FallbackCPUNanos are
+// ScanNanos + MergeNanos + FillNanos + OtherNanos == TotalNanos (ScanNanos
+// is the rank phase over every candidate, FillNanos the remaining
+// estimates of the final k results; OtherNanos is the request work
+// outside the catalog search — body decode, query sketching, slot
+// queueing). ColumnarCPUNanos and FallbackCPUNanos are
 // CPU time summed across the scan's parallel workers, so they can exceed
 // ScanNanos on multi-core scans.
 type SlowLogEntry struct {
@@ -358,6 +360,7 @@ type SlowLogEntry struct {
 	SnapshotNanos int64 `json:"snapshot_ns"`
 	ScanNanos     int64 `json:"scan_ns"`
 	MergeNanos    int64 `json:"merge_ns"`
+	FillNanos     int64 `json:"fill_ns"`
 	OtherNanos    int64 `json:"other_ns"`
 
 	ColumnarCPUNanos int64 `json:"columnar_cpu_ns"`

@@ -456,6 +456,7 @@ func (s *Server) scatterSearch(ctx context.Context, qSk *ipsketch.TableSketch, r
 				scan.SnapshotNanos += localScan.SnapshotNanos
 				scan.ScanNanos += localScan.ScanNanos
 				scan.MergeNanos += localScan.MergeNanos
+				scan.FillNanos += localScan.FillNanos
 				scanMu.Unlock()
 			}(i)
 			continue

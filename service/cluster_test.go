@@ -261,6 +261,100 @@ func TestClusterSearchBitExact(t *testing.T) {
 	}
 }
 
+// tiedLakePayloads is a lake built to tie: groups of tables share one key
+// set each (bit-equal join-size estimates for every column of the group),
+// with two columns per table, so a top-k under join_size cuts through
+// tables, tie groups, shards and nodes.
+func tiedLakePayloads(t testing.TB) (service.TablePayload, map[string]service.TablePayload) {
+	t.Helper()
+	query, _ := lakePayloads(t, 0)
+	rows := len(query.Keys)
+	lake := map[string]service.TablePayload{}
+	for j := 0; j < 18; j++ {
+		stride := uint64(j%3 + 1)
+		keys := make([]uint64, rows/2)
+		v := make([]float64, len(keys))
+		w := make([]float64, len(keys))
+		for i := range keys {
+			keys[i] = stride * uint64(i)
+			v[i] = float64((i*7+j)%11) - 5
+			w[i] = float64((i*3+2*j)%13) - 6
+		}
+		lake[fmt.Sprintf("%c%02d", 'a'+(j*11)%26, j)] = service.TablePayload{Keys: keys, Columns: map[string][]float64{"v": v, "w": w}}
+	}
+	return query, lake
+}
+
+// TestClusterSearchTieHeavy: on a lake built to tie, a 2-node cluster
+// (each node fills only its own top k, the coordinator merges) must
+// answer bit-identically to a single node and to the in-process
+// name-sorted single index, for every rank_by and k shape.
+func TestClusterSearchTieHeavy(t *testing.T) {
+	ctx := context.Background()
+	tc := startTestCluster(t, 2, -1)
+	query, lake := tiedLakePayloads(t)
+	clCluster, err := client.New(tc.urls[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clSolo := newTestServer(t, service.Config{})
+	for name, p := range lake {
+		if _, err := clCluster.PutTable(ctx, name, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clSolo.PutTable(ctx, name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, ref := referenceIndex(t, lake)
+	qTab, err := ipsketch.NewTable("", query.Keys, query.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qSk, err := ts.SketchTable(qTab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns := 2 * len(lake)
+	for _, rankBy := range []string{"join_size", "abs_correlation", "abs_inner_product"} {
+		by, err := service.ParseRankBy(rankBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 7, columns, columns + 5, -1} {
+			label := fmt.Sprintf("by=%s k=%d", rankBy, k)
+			want, err := ref.SearchTopK(qSk, "v", by, 0, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rankBy == "join_size" && k < 0 {
+				scores := map[float64]bool{}
+				for _, r := range want {
+					scores[r.Score] = true
+				}
+				if len(want) != columns || len(scores) > 3 {
+					t.Fatalf("lake does not tie: %d results over %d distinct scores", len(want), len(scores))
+				}
+			}
+			req := service.SearchRequest{Table: &query, Column: "v", RankBy: rankBy}
+			if k >= 0 {
+				kk := k
+				req.K = &kk
+			}
+			solo, err := clSolo.Search(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRanking(t, solo, want, "single node "+label)
+			got, err := clCluster.Search(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRanking(t, got, want, "cluster "+label)
+		}
+	}
+}
+
 // TestClusterDegradation: with one node dead, the default mode answers
 // partial (header + envelope counts), and a strict node answers a typed
 // 503 instead.

@@ -833,14 +833,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			probes = s.cfg.LSHProbes // 0 = every band
 		}
 	}
+	// An omitted k asks for the full ranking — the one search shape that
+	// estimates everything for every candidate. An explicit negative k is
+	// a client bug, not a request for that.
+	k := -1
+	if req.K != nil {
+		if k = *req.K; k < 0 {
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("service: k %d is negative (omit k for the full ranking)", k))
+			return
+		}
+	}
 	qSk, err := s.querySketch(&req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	k := -1
-	if req.K != nil {
-		k = *req.K
 	}
 	if s.cluster != nil && !req.LocalOnly {
 		resp, scan, serr, status := s.scatterSearch(r.Context(), qSk, &req, by, k, mode, probes)

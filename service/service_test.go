@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -184,6 +186,37 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameRanking(t, got2, want, fmt.Sprintf("sketch query by=%s k=%d", rankBy, k))
+		}
+	}
+}
+
+// TestServiceSearchRejectsNegativeK: an explicit negative k is a 400 — on
+// the plain path and on a coordinator's local_only sub-query alike — while
+// an omitted k still returns the full ranking.
+func TestServiceSearchRejectsNegativeK(t *testing.T) {
+	ctx := context.Background()
+	_, cl := newTestServer(t, service.Config{})
+	query, lake := lakePayloads(t, 4)
+	for name, p := range lake {
+		if _, err := cl.PutTable(ctx, name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, localOnly := range []bool{false, true} {
+		k := -7
+		req := service.SearchRequest{Table: &query, Column: "v", RankBy: "join_size", K: &k, LocalOnly: localOnly}
+		_, err := cl.Search(ctx, req)
+		var ce *client.Error
+		if !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+			t.Fatalf("local_only=%v k=-7: err = %v, want a 400", localOnly, err)
+		}
+		req.K = nil
+		got, err := cl.Search(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(lake) {
+			t.Fatalf("local_only=%v omitted k: %d results, want all %d", localOnly, len(got), len(lake))
 		}
 	}
 }

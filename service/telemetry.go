@@ -63,6 +63,7 @@ type serverMetrics struct {
 	stageColumnar *telemetry.Histogram
 	stageFallback *telemetry.Histogram
 	stageMerge    *telemetry.Histogram
+	stageFill     *telemetry.Histogram
 
 	scanCandidates    *telemetry.Counter
 	scanPruned        *telemetry.Counter
@@ -89,7 +90,7 @@ func (s *Server) initMetrics() {
 
 	stage := func(name string) *telemetry.Histogram {
 		return reg.Histogram("sketchd_search_stage_seconds",
-			"Per-stage /search time: wall-clock for snapshot/scan/merge, CPU summed across workers for columnar/fallback.",
+			"Per-stage /search time: wall-clock for snapshot/scan/merge/fill, CPU summed across workers for columnar/fallback.",
 			nil, telemetry.L("stage", name))
 	}
 	m.stageSnapshot = stage("snapshot")
@@ -97,6 +98,7 @@ func (s *Server) initMetrics() {
 	m.stageColumnar = stage("columnar")
 	m.stageFallback = stage("fallback")
 	m.stageMerge = stage("merge")
+	m.stageFill = stage("fill")
 
 	m.scanCandidates = reg.Counter("sketchd_scan_candidates_total", "Candidate columns scored across every /search.")
 	m.scanPruned = reg.Counter("sketchd_scan_pruned_total", "Scored candidates dropped by the min_join_size filter.")
@@ -244,6 +246,7 @@ func (s *Server) observeSearch(ctx context.Context, start time.Time, req *Search
 	m.stageColumnar.Observe(float64(scan.ColumnarNanos) / 1e9)
 	m.stageFallback.Observe(float64(scan.FallbackNanos) / 1e9)
 	m.stageMerge.Observe(float64(scan.MergeNanos) / 1e9)
+	m.stageFill.Observe(float64(scan.FillNanos) / 1e9)
 	m.scanCandidates.Add(scan.Candidates)
 	m.scanPruned.Add(scan.Pruned)
 	m.scanColumnar.Add(scan.Columnar)
@@ -255,7 +258,7 @@ func (s *Server) observeSearch(ctx context.Context, start time.Time, req *Search
 	if total < sl.thresholdNanos() {
 		return
 	}
-	other := total - scan.SnapshotNanos - scan.ScanNanos - scan.MergeNanos
+	other := total - scan.SnapshotNanos - scan.ScanNanos - scan.MergeNanos - scan.FillNanos
 	if other < 0 {
 		other = 0
 	}
@@ -266,10 +269,11 @@ func (s *Server) observeSearch(ctx context.Context, start time.Time, req *Search
 		RankBy:           req.RankBy,
 		K:                k,
 		Results:          results,
-		TotalNanos:       scan.SnapshotNanos + scan.ScanNanos + scan.MergeNanos + other,
+		TotalNanos:       scan.SnapshotNanos + scan.ScanNanos + scan.MergeNanos + scan.FillNanos + other,
 		SnapshotNanos:    scan.SnapshotNanos,
 		ScanNanos:        scan.ScanNanos,
 		MergeNanos:       scan.MergeNanos,
+		FillNanos:        scan.FillNanos,
 		OtherNanos:       other,
 		ColumnarCPUNanos: scan.ColumnarNanos,
 		FallbackCPUNanos: scan.FallbackNanos,

@@ -94,6 +94,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Stage histograms observed once per successful search.
 	metricLine(t, body, `sketchd_search_stage_seconds_count{stage="scan"} 2`)
 	metricLine(t, body, `sketchd_search_stage_seconds_count{stage="merge"} 2`)
+	metricLine(t, body, `sketchd_search_stage_seconds_count{stage="fill"} 2`)
 	// Catalog publish latency: one observation per put.
 	metricLine(t, body, `sketchd_catalog_publish_seconds_count 3`)
 	if !bytes.Contains(body, []byte("sketchd_go_goroutines")) ||
@@ -311,7 +312,15 @@ func TestSlowLog(t *testing.T) {
 	}
 	const searches = 6
 	for i := 0; i < searches; i++ {
-		if _, err := cl.Search(ctx, service.SearchRequest{Table: &query, Column: "v", RankBy: "abs_correlation"}); err != nil {
+		// Alternate the two fill shapes: an unbounded correlation ranking
+		// (every estimate in the scan, fill only builds results) and a
+		// bounded join-size one (fill computes five estimates per result).
+		req := service.SearchRequest{Table: &query, Column: "v", RankBy: "abs_correlation"}
+		if i%2 == 1 {
+			k := 2
+			req.RankBy, req.K = "join_size", &k
+		}
+		if _, err := cl.Search(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,16 +345,19 @@ func TestSlowLog(t *testing.T) {
 		if e.TotalNanos <= 0 {
 			t.Fatalf("entry %d total %d", i, e.TotalNanos)
 		}
-		if sum := e.SnapshotNanos + e.ScanNanos + e.MergeNanos + e.OtherNanos; sum != e.TotalNanos {
+		if sum := e.SnapshotNanos + e.ScanNanos + e.MergeNanos + e.FillNanos + e.OtherNanos; sum != e.TotalNanos {
 			t.Fatalf("entry %d stages sum to %d, total %d", i, sum, e.TotalNanos)
 		}
 		if e.Candidates == 0 {
 			t.Fatalf("entry %d has no candidates", i)
 		}
+		if e.FillNanos <= 0 {
+			t.Fatalf("entry %d has no fill stage: %+v", i, e)
+		}
 		if e.RequestID == "" {
 			t.Fatalf("entry %d has no request ID", i)
 		}
-		if e.RankBy != "abs_correlation" || e.Column != "v" {
+		if (e.RankBy != "abs_correlation" && e.RankBy != "join_size") || e.Column != "v" {
 			t.Fatalf("entry %d query fields: rank_by=%q column=%q", i, e.RankBy, e.Column)
 		}
 	}
