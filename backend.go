@@ -139,13 +139,6 @@ type quantizable interface {
 	quantizable()
 }
 
-// fastHashable is implemented by backends that honor Config.FastHash;
-// Config.Validate rejects the flag for any other method instead of
-// silently ignoring it.
-type fastHashable interface {
-	fastHashable()
-}
-
 // dartHashable is implemented by backends that honor Config.Dart;
 // Config.Validate rejects the flag for any other method instead of
 // silently ignoring it.

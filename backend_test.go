@@ -65,7 +65,6 @@ func TestEstimateRejectsIncompatibleSketchers(t *testing.T) {
 				"size": {Method: m, StorageWords: budget * 2, Seed: 1},
 			}
 			if m == MethodWMH {
-				bad["fasthash variant"] = Config{Method: m, StorageWords: budget, Seed: 1, FastHash: true}
 				bad["dart variant"] = Config{Method: m, StorageWords: budget, Seed: 1, Dart: true}
 				bad["quantize variant"] = Config{Method: m, StorageWords: budget, Seed: 1, Quantize: true}
 				bad["discretization"] = Config{Method: m, StorageWords: budget, Seed: 1, L: 1 << 20}
@@ -162,7 +161,7 @@ func TestCapabilitySurfaces(t *testing.T) {
 	}
 }
 
-// TestQuantizableCapability: Config.Quantize / Config.FastHash are honored
+// TestQuantizableCapability: Config.Quantize / Config.Dart are honored
 // exactly by the backends implementing the capability, and Validate
 // rejects the flags everywhere else instead of silently ignoring them.
 func TestQuantizableCapability(t *testing.T) {
@@ -175,9 +174,6 @@ func TestQuantizableCapability(t *testing.T) {
 		if _, ok := be.(quantizable); ok != want {
 			t.Errorf("%v: quantizable=%v, want %v", m, ok, want)
 		}
-		if _, ok := be.(fastHashable); ok != want {
-			t.Errorf("%v: fastHashable=%v, want %v", m, ok, want)
-		}
 		budget := 60
 		if m == MethodSimHash {
 			budget = 3
@@ -186,10 +182,6 @@ func TestQuantizableCapability(t *testing.T) {
 		if gotOK := errQ == nil; gotOK != want {
 			t.Errorf("%v: Validate(Quantize) error=%v, want accepted=%v", m, errQ, want)
 		}
-		errF := Config{Method: m, StorageWords: budget, FastHash: true}.Validate()
-		if gotOK := errF == nil; gotOK != want {
-			t.Errorf("%v: Validate(FastHash) error=%v, want accepted=%v", m, errF, want)
-		}
 		if _, ok := be.(dartHashable); ok != want {
 			t.Errorf("%v: dartHashable=%v, want %v", m, ok, want)
 		}
@@ -197,12 +189,6 @@ func TestQuantizableCapability(t *testing.T) {
 		if gotOK := errD == nil; gotOK != want {
 			t.Errorf("%v: Validate(Dart) error=%v, want accepted=%v", m, errD, want)
 		}
-	}
-	// The two construction-variant flags select different randomness; a
-	// config asking for both is rejected rather than silently picking one.
-	err := Config{Method: MethodWMH, StorageWords: 60, Dart: true, FastHash: true}.Validate()
-	if err == nil {
-		t.Error("Validate accepted Dart+FastHash")
 	}
 }
 

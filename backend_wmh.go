@@ -246,8 +246,5 @@ func (p *wmhPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64
 // quantizable marks that Config.Quantize is honored.
 func (wmhBackend) quantizable() {}
 
-// fastHashable marks that Config.FastHash is honored.
-func (wmhBackend) fastHashable() {}
-
 // dartHashable marks that Config.Dart is honored.
 func (wmhBackend) dartHashable() {}

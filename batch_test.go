@@ -74,38 +74,6 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 	}
 }
 
-// TestSketchAllFastHash: the FastHash config flows through the batch path
-// and produces sketches incompatible with exact-log sketches.
-func TestSketchAllFastHash(t *testing.T) {
-	vs := batchTestVectors(t, 4)
-	fast, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 120, Seed: 7, FastHash: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 120, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := fast.SketchAll(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := fast.Sketch(vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Estimate(fb[0], fs); err != nil {
-		t.Fatalf("fast batch vs fast single: %v", err)
-	}
-	es, err := exact.Sketch(vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Estimate(fb[0], es); err == nil {
-		t.Fatal("fast sketch comparable with exact sketch")
-	}
-}
-
 // TestSketchAllDart: the Dart config flows through the batch path
 // (bitwise identical to one-at-a-time dart sketches) and produces
 // sketches incompatible with record-process sketches.

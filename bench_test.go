@@ -20,7 +20,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/hashing"
-	"repro/internal/minhash"
 	"repro/internal/vector"
 	"repro/internal/wmh"
 )
@@ -144,7 +143,7 @@ func benchSketch(b *testing.B, m ipsketch.Method, storage int) {
 func BenchmarkSketch_WMH(b *testing.B) { benchSketch(b, ipsketch.MethodWMH, 400) }
 
 // BenchmarkSketch_WMH_Dart is the dart-throwing construction at the same
-// Params as BenchmarkSketch_WMH — the tentpole speedup of BENCH_4.
+// Params as BenchmarkSketch_WMH — the speedup PR 4 measured (DESIGN.md §9.3).
 func BenchmarkSketch_WMH_Dart(b *testing.B) {
 	a, _ := paperVectors(b, 0.1)
 	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1, Dart: true})
@@ -203,7 +202,6 @@ func BenchmarkEstimate_TS(b *testing.B)          { benchEstimate(b, ipsketch.Met
 //
 // Paper-scale parameters for the sketching engine: m = 400 samples
 // (StorageWords 601 ⇒ (601−1)/1.5 = 400) over vectors with |A| ≈ 1000.
-// These seed the perf trajectory in BENCH_1.json (cmd/benchreport).
 
 const engineStorage = 601 // ⇒ exactly 400 WMH samples
 
@@ -222,10 +220,10 @@ func engineVectors(b *testing.B, n int) []ipsketch.Vector {
 	return out
 }
 
-func benchSketchWMHBatch(b *testing.B, fastHash, dart bool) {
+func benchSketchWMHBatch(b *testing.B, dart bool) {
 	vs := engineVectors(b, 8)
 	s, err := ipsketch.NewSketcher(ipsketch.Config{
-		Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1, FastHash: fastHash, Dart: dart,
+		Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1, Dart: dart,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -257,9 +255,8 @@ func BenchmarkSketchWMH_Single(b *testing.B) {
 	}
 }
 
-func BenchmarkSketchWMH_Batch(b *testing.B)         { benchSketchWMHBatch(b, false, false) }
-func BenchmarkSketchWMH_BatchFastHash(b *testing.B) { benchSketchWMHBatch(b, true, false) }
-func BenchmarkSketchWMH_BatchDart(b *testing.B)     { benchSketchWMHBatch(b, false, true) }
+func BenchmarkSketchWMH_Batch(b *testing.B)     { benchSketchWMHBatch(b, false) }
+func BenchmarkSketchWMH_BatchDart(b *testing.B) { benchSketchWMHBatch(b, true) }
 
 // BenchmarkSketchWMH_Builder is the zero-allocation steady state: one
 // reused builder and destination sketch.
@@ -593,64 +590,6 @@ func BenchmarkAblation_Quantization(b *testing.B) {
 	b.ReportMetric(errQuant/float64(n), "errQuant32/op")
 }
 
-// A7: one-permutation hashing vs m independent hashes — OPH sketches in
-// one pass over the support (the Li–Owen–Zhang speedup, cited in §2).
-func BenchmarkAblation_OPHvsMH(b *testing.B) {
-	av, _ := paperVectors(b, 0.1)
-	const m = 256
-	b.Run("MH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := minhash.New(av, minhash.Params{M: m, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("OPH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := minhash.NewOPH(av, minhash.OPHParams{M: m, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// A8: b-bit truncation — Jaccard estimation error at equal *storage*
-// (1-bit sketches pack 96× more samples per word than full sketches).
-func BenchmarkAblation_BBitJaccard(b *testing.B) {
-	a1, a2, err := datagen.BinaryPair(datagen.PaperPairParams(0.3, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	trueJ := vector.Jaccard(a1, a2)
-	const words = 32 // budget: 32 words
-	var errFull, errBBit float64
-	n := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Full sketch: 32 words / 1.5 ≈ 21 samples.
-		pf := minhash.Params{M: 21, Seed: uint64(i)}
-		f1, _ := minhash.New(a1, pf)
-		f2, _ := minhash.New(a2, pf)
-		jf, err := minhash.JaccardEstimate(f1, f2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// 1-bit sketch: 32 words × 64 = 2048 samples.
-		pb := minhash.BBitParams{M: 2048, B: 1, Seed: uint64(i)}
-		b1, _ := minhash.NewBBit(a1, pb)
-		b2, _ := minhash.NewBBit(a2, pb)
-		jb, err := minhash.BBitJaccardEstimate(b1, b2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		errFull += math.Abs(jf - trueJ)
-		errBBit += math.Abs(jb - trueJ)
-		n++
-	}
-	b.ReportMetric(errFull/float64(n), "errFull/op")
-	b.ReportMetric(errBBit/float64(n), "err1bit/op")
-}
-
 // A5: single sketch vs median-of-9 boosting at 9× the storage.
 func BenchmarkAblation_MedianBoost(b *testing.B) {
 	av, bv := paperVectors(b, 0.1)
@@ -699,7 +638,7 @@ func log2(x uint64) int {
 	return n
 }
 
-// --- Merge and chunked-ingest micro-benchmarks (BENCH_5) ---
+// --- Merge and chunked-ingest micro-benchmarks ---
 //
 // benchMerge times the merge hot path per method family: two partial
 // sketches of disjoint halves of the paper workload folded into one.
@@ -768,8 +707,8 @@ func BenchmarkMerge_CountSketch(b *testing.B) {
 // benchChunkedIngest times the bulk-ingest front end on a batch of paper
 // vectors. The serial baseline is the same batch through one pooled
 // builder (hi/lo pair: BenchmarkChunkedIngest vs
-// BenchmarkChunkedIngest_Serial shows the end-to-end core scaling in
-// BENCH_5.json; on multi-core hosts the CI gate asserts ≥2×).
+// BenchmarkChunkedIngest_Serial shows the end-to-end core scaling; on
+// multi-core hosts the CI gate asserts ≥2×).
 func chunkedIngestBatch(b *testing.B) []ipsketch.Vector {
 	b.Helper()
 	vs := make([]ipsketch.Vector, 32)

@@ -82,7 +82,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		l             = fs.Uint64("l", 0, "WMH discretization parameter (0 = automatic)")
 		reps          = fs.Int("reps", 0, "CountSketch repetitions (0 = paper default)")
 		quantize      = fs.Bool("quantize", false, "store sample values in 32 bits (supported methods)")
-		fastHash      = fs.Bool("fasthash", false, "polynomial-log record process (supported methods)")
 		dart          = fs.Bool("dart", false, "one-pass dart-throwing construction (supported methods)")
 		shards        = fs.Int("shards", 0, "catalog shard count (0 = default)")
 		snapshot      = fs.String("snapshot", "", "snapshot file (load on boot, save on shutdown)")
@@ -174,7 +173,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	srv, err := service.New(service.Config{
 		Sketch: ipsketch.Config{
 			Method: method, StorageWords: *storage, Seed: *seed,
-			L: *l, Reps: *reps, Quantize: *quantize, FastHash: *fastHash, Dart: *dart,
+			L: *l, Reps: *reps, Quantize: *quantize, Dart: *dart,
 		},
 		KeySpace:         *keySpace,
 		Shards:           *shards,

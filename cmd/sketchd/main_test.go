@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +223,31 @@ func TestSketchdRejectsBadFlags(t *testing.T) {
 	err = run(context.Background(), []string{"-storage", "0"}, testWriter{t}, nil)
 	if err == nil {
 		t.Fatal("zero storage accepted")
+	}
+	// The polynomial-log record process and its flag were removed; the
+	// flag package must say so rather than the daemon ignoring it.
+	err = run(context.Background(), []string{"-fasthash"}, testWriter{t}, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-fasthash: err = %v, want the flag package's undefined-flag error", err)
+	}
+}
+
+// TestSketchdDartBoots: the one remaining construction flag still selects
+// the dart WMH construction end to end.
+func TestSketchdDartBoots(t *testing.T) {
+	cl, stop := startDaemon(t, "-dart", "-storage", "60")
+	defer stop()
+	ctx := context.Background()
+	tbl := service.TablePayload{Keys: []uint64{1, 2, 3, 5}, Columns: map[string][]float64{"v": {1, -2, 3, 4}}}
+	if _, err := cl.PutTable(ctx, "t", tbl); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Search(ctx, service.SearchRequest{Table: &tbl, Column: "v", RankBy: "join_size"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Table != "t" {
+		t.Fatalf("search over the dart catalog: %+v", res)
 	}
 }
 

@@ -15,57 +15,19 @@ import (
 
 func FuzzUnmarshalSketch(f *testing.F) {
 	// Seed with valid encodings of every method plus structured garbage.
-	mk := func(m Method, budget int) []byte {
-		v, err := VectorFromMap(1000, map[uint64]float64{1: 2, 30: -4, 999: 0.5})
-		if err != nil {
-			f.Fatal(err)
-		}
-		s, err := NewSketcher(Config{Method: m, StorageWords: budget, Seed: 7})
-		if err != nil {
-			f.Fatal(err)
-		}
-		sk, err := s.Sketch(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := sk.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
-	}
 	for _, m := range Methods() {
 		budget := 32
 		if m == MethodSimHash {
 			budget = 3
 		}
-		f.Add(mk(m, budget))
+		f.Add(marshalFixture(f, Config{Method: m, StorageWords: budget, Seed: 7}))
 	}
-	// The WMH construction variants carry a variant byte; seed one
-	// encoding per variant so mutations explore the byte's neighborhood
-	// (unknown values must reject, known ones must round-trip).
-	for _, cfg := range []Config{
-		{Method: MethodWMH, StorageWords: 32, Seed: 7, FastHash: true},
-		{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true},
-	} {
-		v, err := VectorFromMap(1000, map[uint64]float64{1: 2, 30: -4, 999: 0.5})
-		if err != nil {
-			f.Fatal(err)
-		}
-		s, err := NewSketcher(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sk, err := s.Sketch(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := sk.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	// WMH payloads carry a construction-variant byte; seed the dart
+	// encoding and the retired value 2 so mutations explore the byte's
+	// neighborhood (retired and unknown values must reject, known ones
+	// must round-trip).
+	f.Add(marshalFixture(f, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}))
+	f.Add(retiredVariantBlob(f))
 	f.Add([]byte{})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 0})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 200, 1, 2, 3})
@@ -116,6 +78,12 @@ func FuzzMerge(f *testing.F) {
 	for i := 1; i < len(blobs); i++ {
 		f.Add(blobs[i-1], blobs[i]) // cross-method / cross-variant pairs
 	}
+	// The retired WMH variant byte, in place of the golden file the
+	// removed construction used to contribute: it must fail to decode on
+	// either side of a merge, never reach it.
+	retired := retiredVariantBlob(f)
+	f.Add(retired, retired)
+	f.Add(blobs[0], retired)
 	f.Add([]byte{}, blobs[0])
 	f.Add(blobs[0][:len(blobs[0])/2], blobs[0])
 

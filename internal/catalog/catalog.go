@@ -332,14 +332,6 @@ func (sh *shard) replaceLocked(ts *ipsketch.TableSketch, lshp *ipsketch.LSHParam
 	return nil
 }
 
-// Remove deletes the table and reports whether it was present. A
-// mutation-hook failure (an unloggable delete) leaves the table in place
-// and reports false; use Delete for the error.
-func (c *Catalog) Remove(name string) bool {
-	ok, _ := c.Delete(name)
-	return ok
-}
-
 // Delete deletes the table, reporting whether it was present and any
 // mutation-hook failure (in which case nothing was removed).
 func (c *Catalog) Delete(name string) (bool, error) {
@@ -369,14 +361,10 @@ func (c *Catalog) Delete(name string) (bool, error) {
 	return true, nil
 }
 
-// sortedIndex builds the published per-shard index: entries added in
-// name-sorted order, so the index's scan-order tiebreak is the catalog's
-// canonical (table, column) order. The columnar scan view is packed here,
-// at copy-on-write publish time, so every reader of the published index
-// scans structure-of-arrays for free and no search ever pays the pack
-// cost. When lshp is set the banded candidate index is built the same
-// way — a build failure (invalid banding parameters) fails the publish.
-func sortedIndex(m map[string]*ipsketch.TableSketch, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
+// bareIndex registers the tables of m in name-sorted order, so the index's
+// scan-order tiebreak is the catalog's canonical (table, column) order. It
+// packs no scan view: this is all the snapshot encoder reads.
+func bareIndex(m map[string]*ipsketch.TableSketch) (*ipsketch.SketchIndex, error) {
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
@@ -387,6 +375,20 @@ func sortedIndex(m map[string]*ipsketch.TableSketch, lshp *ipsketch.LSHParams) (
 		if err := ix.Add(m[name]); err != nil {
 			return nil, err
 		}
+	}
+	return ix, nil
+}
+
+// sortedIndex builds the published per-shard index: bareIndex plus the
+// columnar scan view, packed here, at copy-on-write publish time, so every
+// reader of the published index scans structure-of-arrays for free and no
+// search ever pays the pack cost. When lshp is set the banded candidate
+// index is built the same way — a build failure (invalid banding
+// parameters) fails the publish.
+func sortedIndex(m map[string]*ipsketch.TableSketch, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
+	ix, err := bareIndex(m)
+	if err != nil {
+		return nil, err
 	}
 	ix.BuildColumnar()
 	if lshp != nil {
@@ -437,11 +439,8 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// Snapshot returns a single name-sorted SketchIndex over a copy-on-read
-// snapshot of the whole catalog. The result is immutable with respect to
-// later catalog mutations and ranks searches exactly like the sharded
-// SearchTopK.
-func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
+// allTables returns one map over every shard's current view.
+func (c *Catalog) allTables() map[string]*ipsketch.TableSketch {
 	merged := map[string]*ipsketch.TableSketch{}
 	for i := range c.shards {
 		m, _ := c.shards[i].view()
@@ -449,16 +448,19 @@ func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
 			merged[name] = sk
 		}
 	}
-	ix, err := sortedIndex(merged, c.lsh)
+	return merged
+}
+
+// Snapshot returns a single name-sorted SketchIndex over a copy-on-read
+// snapshot of the whole catalog. The result is immutable with respect to
+// later catalog mutations and ranks searches exactly like the sharded
+// SearchTopK.
+func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
+	ix, err := sortedIndex(c.allTables(), c.lsh)
 	if err != nil {
 		panic(fmt.Sprintf("catalog: building snapshot index: %v", err))
 	}
 	return ix
-}
-
-// Search is SearchTopK without a bound: the full ranking.
-func (c *Catalog) Search(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64) ([]ipsketch.SearchResult, error) {
-	return c.SearchTopK(query, queryCol, by, minJoinSize, -1)
 }
 
 // SearchTopK ranks every cataloged (table, column) against the query
@@ -502,20 +504,13 @@ func (c *Catalog) LSH() (ipsketch.LSHParams, bool) {
 	return *c.lsh, true
 }
 
-// SearchTopKLSH is SearchTopK routed through the per-shard banded
-// candidate indexes: each shard gathers band candidates for the query
-// and exact-rescores only those, so rankings are bit-exact with
+// SearchTopKLSHStats is SearchTopKStats routed through the per-shard
+// banded candidate indexes: each shard gathers band candidates for the
+// query and exact-rescores only those, so rankings are bit-exact with
 // SearchTopK whenever every shard's candidate set contains its true top
-// k. probes ≤ 0 probes every band. Fails with ipsketch.ErrNoLSHIndex
+// k. probes ≤ 0 probes every band. The scan counters include the banded
+// stage's probe and candidate counts. Fails with ipsketch.ErrNoLSHIndex
 // when the catalog was built without Options.LSH.
-func (c *Catalog) SearchTopKLSH(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, error) {
-	res, _, err := c.SearchTopKLSHStats(query, queryCol, by, minJoinSize, k, probes)
-	return res, err
-}
-
-// SearchTopKLSHStats is SearchTopKLSH that also returns the scan
-// counters summed over every shard's scan, including the banded stage's
-// probe and candidate counts.
 func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
 	if c.lsh == nil {
 		return nil, ipsketch.ScanStats{}, ipsketch.ErrNoLSHIndex
@@ -528,7 +523,11 @@ func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol strin
 // crash — or a power loss — mid-save never corrupts or loses the
 // previous snapshot.
 func (c *Catalog) Save(path string) error {
-	return SaveIndex(c.Snapshot(), path)
+	ix, err := bareIndex(c.allTables())
+	if err != nil {
+		return fmt.Errorf("catalog: capturing snapshot: %w", err)
+	}
+	return SaveIndex(ix, path)
 }
 
 // SaveIndex writes an already-captured index snapshot to path with the

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -118,11 +119,11 @@ func TestCatalogPutGetRemoveLen(t *testing.T) {
 		if _, ok := c.Get("nope"); ok {
 			t.Fatal("phantom table")
 		}
-		if c.Remove("nope") {
-			t.Fatal("removed a missing table")
+		if ok, err := c.Delete("nope"); err != nil || ok {
+			t.Fatalf("deleting a missing table: removed=%v err=%v", ok, err)
 		}
-		if !c.Remove("t003") {
-			t.Fatal("failed to remove t003")
+		if ok, err := c.Delete("t003"); err != nil || !ok {
+			t.Fatalf("failed to delete t003: removed=%v err=%v", ok, err)
 		}
 		if _, ok := c.Get("t003"); ok {
 			t.Fatal("t003 still resolvable")
@@ -213,7 +214,7 @@ func TestCatalogAllTiedAcrossShards(t *testing.T) {
 		}
 	}
 
-	full, err := c.Search(qSk, "v", ipsketch.RankByJoinSize, 0)
+	full, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +278,11 @@ func TestCatalogStrictPinsConfig(t *testing.T) {
 		t.Fatal("key-space mismatch accepted")
 	}
 	// Pin survives emptying the catalog.
-	c.Remove("a")
-	c.Remove("b")
+	for _, name := range []string{"a", "b"} {
+		if ok, err := c.Delete(name); err != nil || !ok {
+			t.Fatalf("deleting %s: removed=%v err=%v", name, ok, err)
+		}
+	}
 	if err := c.Put(mk(bad, 1<<16, "c")); err == nil {
 		t.Fatal("pin forgotten after catalog emptied")
 	}
@@ -318,8 +322,8 @@ func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 				}
 			}
 			for i := w * 10; i < w*10+5; i++ {
-				if !c.Remove(sks[i].Name) {
-					errCh <- fmt.Errorf("writer %d: lost table %s", w, sks[i].Name)
+				if ok, err := c.Delete(sks[i].Name); err != nil || !ok {
+					errCh <- fmt.Errorf("writer %d: lost table %s (err %v)", w, sks[i].Name, err)
 					return
 				}
 			}
@@ -376,6 +380,49 @@ func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 	requireSameRanking(t, got, want, "post-churn")
 }
 
+// TestSaveEncodesBareIndex: Save captures a name-sorted index without
+// packing the columnar or LSH views; the file must equal, byte for byte,
+// the one written from the packed Snapshot() of the same catalog state.
+func TestSaveEncodesBareIndex(t *testing.T) {
+	_, sks := fixtureSketches(t, 15)
+	for name, opts := range map[string]Options{
+		"plain": {Shards: 4},
+		"lsh":   {Shards: 4, LSH: &strongLSH},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New(opts)
+			for _, sk := range sks {
+				if err := c.Put(sk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := t.TempDir()
+			bare, packed := filepath.Join(dir, "bare.ipsx"), filepath.Join(dir, "packed.ipsx")
+			if err := c.Save(bare); err != nil {
+				t.Fatal(err)
+			}
+			snap := c.Snapshot()
+			if snap.HasLSH() != (opts.LSH != nil) {
+				t.Fatalf("Snapshot() carries an LSH view: %v, want %v", snap.HasLSH(), opts.LSH != nil)
+			}
+			if err := SaveIndex(snap, packed); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(bare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !bytes.Equal(got, want) {
+				t.Fatalf("Save wrote %d bytes, SaveIndex(Snapshot()) wrote %d; files differ", len(got), len(want))
+			}
+		})
+	}
+}
+
 func TestCatalogSaveLoadRoundTrip(t *testing.T) {
 	qSk, sks := fixtureSketches(t, 15)
 	c := New(Options{Shards: 4})
@@ -399,11 +446,11 @@ func TestCatalogSaveLoadRoundTrip(t *testing.T) {
 	if n != len(sks) || c2.Len() != len(sks) {
 		t.Fatalf("loaded %d tables, Len %d, want %d", n, c2.Len(), len(sks))
 	}
-	want, err := c.Search(qSk, "v", ipsketch.RankByAbsCorrelation, 1)
+	want, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsCorrelation, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Search(qSk, "v", ipsketch.RankByAbsCorrelation, 1)
+	got, err := c2.SearchTopK(qSk, "v", ipsketch.RankByAbsCorrelation, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

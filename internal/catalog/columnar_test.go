@@ -34,8 +34,8 @@ func TestCatalogColumnarPublish(t *testing.T) {
 		requireSameRanking(t, got, want, fmt.Sprintf("shards=%d", shards))
 
 		// Removal republishes: the rebuilt views must still cover everything.
-		if !c.Remove(sks[0].Name) {
-			t.Fatal("remove failed")
+		if ok, err := c.Delete(sks[0].Name); err != nil || !ok {
+			t.Fatalf("delete failed: removed=%v err=%v", ok, err)
 		}
 		_, stats, err = c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
 		if err != nil {
@@ -73,7 +73,10 @@ func TestCatalogConcurrentPublishWhileColumnarScan(t *testing.T) {
 					}
 				}
 				for i := w * 12; i < w*12+6; i++ {
-					c.Remove(sks[i].Name)
+					if _, err := c.Delete(sks[i].Name); err != nil {
+						errCh <- err
+						return
+					}
 				}
 			}
 		}(w)

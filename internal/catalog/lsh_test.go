@@ -48,14 +48,14 @@ func TestCatalogLSHSearchBitExact(t *testing.T) {
 		}
 	}
 	// Mutations republish the candidate index; search stays exact.
-	if !c.Remove(sks[0].Name) {
-		t.Fatal("remove failed")
+	if ok, err := c.Delete(sks[0].Name); err != nil || !ok {
+		t.Fatalf("delete failed: removed=%v err=%v", ok, err)
 	}
 	full, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SearchTopKLSH(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10, 0)
+	got, _, err := c.SearchTopKLSHStats(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

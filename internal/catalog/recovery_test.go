@@ -250,11 +250,11 @@ func TestMutationHookReplayReconstructs(t *testing.T) {
 			}
 		}
 	}
-	want, err := c.Search(qSk, "v", ipsketch.RankByAbsInnerProduct, 0)
+	want, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayed.Search(qSk, "v", ipsketch.RankByAbsInnerProduct, 0)
+	got, err := replayed.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	ipsketch "repro"
-	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -42,20 +41,6 @@ func ScaledError(m ipsketch.Method, storage int, seed uint64, a, b vector.Sparse
 		return 0, fmt.Errorf("experiments: zero-norm vector in error computation")
 	}
 	return math.Abs(est-vector.Dot(a, b)) / scale, nil
-}
-
-// MeanScaledError averages ScaledError over `trials` independent sketch
-// seeds derived from seed.
-func MeanScaledError(m ipsketch.Method, storage, trials int, seed uint64, a, b vector.Sparse) (float64, error) {
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		e, err := ScaledError(m, storage, hashing.Mix(seed, uint64(t)), a, b)
-		if err != nil {
-			return 0, err
-		}
-		sum += e
-	}
-	return sum / float64(trials), nil
 }
 
 // SketchAll sketches every vector with one configuration — the catalog

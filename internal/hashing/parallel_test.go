@@ -33,3 +33,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+func TestParallelWorkersCoversRangeOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 16, 100, 1001} {
+		var hits []int32
+		if n > 0 {
+			hits = make([]int32, n)
+		}
+		workers := WorkerCount(n)
+		seen := make([]int32, workers+1)
+		ParallelWorkers(n, workers, func(w, lo, hi int) {
+			if w < 0 || w >= workers {
+				t.Errorf("n=%d: worker ordinal %d out of [0,%d)", n, w, workers)
+			}
+			atomic.AddInt32(&seen[min(w, workers)], 1)
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+		for i := range hits {
+			if hits[i] != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i])
+			}
+		}
+	}
+}

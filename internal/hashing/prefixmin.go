@@ -60,43 +60,6 @@ func PrefixMin(key uint64, w uint64) float64 {
 	return z
 }
 
-// PrefixMinFastLog is PrefixMin with the polynomial logarithms of
-// fastlog.go in place of math.Log/math.Log1p, fused into a single loop.
-// It simulates the same record process — deterministic given key, so every
-// coordination property (prefix consistency, min composition, collision
-// law) holds exactly by construction — but draws its geometric gaps from a
-// distribution perturbed by the ~1e-8 relative error of the fast logs, so
-// its output stream is NOT interchangeable with PrefixMin's. Sketches must
-// commit to one process; see wmh.Params.FastLog.
-func PrefixMinFastLog(key uint64, w uint64) float64 {
-	if w == 0 {
-		panic("hashing: PrefixMinFastLog of an empty block")
-	}
-	state := key + golden
-	z := UnitFromBits(mix64(state)) // == SplitMix64.Float64, inlined
-	pos := uint64(1)
-	for pos < w {
-		state += golden
-		u := UnitFromBits(mix64(state))
-		limit := w - pos
-		f := fastLog(u) / fastLog1pNeg(z)
-		if f >= float64(limit) {
-			break
-		}
-		g := uint64(f) + 1
-		if g > limit {
-			break
-		}
-		pos += g
-		state += golden
-		z *= UnitFromBits(mix64(state))
-		if z == 0 {
-			z = math.SmallestNonzeroFloat64
-		}
-	}
-	return z
-}
-
 // geometricGap draws G ~ Geometric(z) (support 1, 2, ...; P(G=g) =
 // (1−z)^{g−1}·z) by inversion, returning (G, true) if G ≤ limit and
 // (0, false) otherwise. Working in floats first avoids uint64 overflow when

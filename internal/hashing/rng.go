@@ -1,8 +1,8 @@
 // Package hashing provides the random primitives shared by every sketch in
-// this repository: a small deterministic PRNG (splitmix64), 2-wise
-// independent hash families over Mersenne-prime fields, sign and bucket
-// hashes for linear sketches, and the prefix-minimum "record process" that
-// implements the active-index technique for Weighted MinHash.
+// this repository: a small deterministic PRNG (splitmix64) with its Mix /
+// Extend key-derivation chain, the prefix-minimum "record process" that
+// implements the active-index technique for Weighted MinHash, the dart
+// process behind the one-pass construction, and the worker-pool helpers.
 //
 // Everything here is deterministic given a seed. Two sketches built from the
 // same seed on different machines (or different processes) produce bitwise

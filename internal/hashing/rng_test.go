@@ -3,6 +3,7 @@ package hashing
 import (
 	"math"
 	"testing"
+	"testing/quick"
 )
 
 func TestSplitMix64Deterministic(t *testing.T) {
@@ -190,5 +191,15 @@ func TestMixProperties(t *testing.T) {
 	}
 	if pop < 16 || pop > 48 {
 		t.Fatalf("Mix avalanche popcount = %d, want near 32", pop)
+	}
+}
+
+func TestExtendMatchesMix(t *testing.T) {
+	f := func(a, b, c uint64) bool {
+		return Mix(a, b, c) == Extend(Extend(Mix(a), b), c) &&
+			Mix(a) == Extend(Mix(), a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -63,14 +63,18 @@ func New(v vector.Sparse, p Params) (*Sketch, error) {
 // BatchBuilder sketches many vectors under one fixed Params, keeping the k
 // smallest hashes in a bounded max-heap (O(|A|·log k) instead of sorting
 // the whole support) and reusing the heap scratch across vectors; with
-// SketchInto the steady-state sketch loop is allocation-free. It is the
-// many-vector counterpart of the streaming single-vector Builder
-// (builder.go). A BatchBuilder is single-goroutine; run one per worker to
-// use every core.
+// SketchInto the steady-state sketch loop is allocation-free. A
+// BatchBuilder is single-goroutine; run one per worker to use every core.
 type BatchBuilder struct {
 	p    Params
 	key  uint64  // per-index hash chain prefix, fixed for the lifetime
 	heap []entry // scratch: max-heap while collecting, sorted ascending after
+}
+
+// entry pairs a hash with the vector value at its index.
+type entry struct {
+	hash uint64
+	val  float64
 }
 
 // NewBatchBuilder validates p and returns a reusable sketch builder.

@@ -113,9 +113,6 @@ func (m *Moments) Kurtosis() float64 {
 	return float64(m.n) * m.m4 / (m.m2 * m.m2)
 }
 
-// ExcessKurtosis returns Kurtosis() − 3.
-func (m *Moments) ExcessKurtosis() float64 { return m.Kurtosis() - 3 }
-
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -138,19 +135,11 @@ func Variance(xs []float64) float64 {
 	return m.Variance()
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Kurtosis returns the population kurtosis of xs (see Moments.Kurtosis).
 func Kurtosis(xs []float64) float64 {
 	var m Moments
 	m.AddAll(xs)
 	return m.Kurtosis()
-}
-
-// Median returns the median of xs (NaN for empty input). xs is not modified.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
@@ -217,29 +206,4 @@ func Covariance(xs, ys []float64) float64 {
 		sum += (xs[i] - mx) * (ys[i] - my)
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanAbs returns the mean of |xs[i]| — the aggregation used for the
-// paper's estimation-error plots.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Abs(x)
-	}
-	return sum / float64(len(xs))
-}
-
-// RMSE returns the root mean squared value of xs.
-func RMSE(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x * x
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }

@@ -133,15 +133,12 @@ func TestMeanVarianceHelpers(t *testing.T) {
 	if !almost(Variance([]float64{1, 2, 3}), 2.0/3.0, 1e-12) {
 		t.Fatal("Variance wrong")
 	}
-	if !almost(StdDev([]float64{1, 2, 3}), math.Sqrt(2.0/3.0), 1e-12) {
-		t.Fatal("StdDev wrong")
-	}
 }
 
 func TestMedianAndQuantiles(t *testing.T) {
 	xs := []float64{9, 1, 8, 2, 7, 3}
-	if Median(xs) != 5 { // (3+7)/2 after sorting 1,2,3,7,8,9
-		t.Fatalf("Median = %v, want 5", Median(xs))
+	if got := Quantile(xs, 0.5); got != 5 { // (3+7)/2 after sorting 1,2,3,7,8,9
+		t.Fatalf("median = %v, want 5", got)
 	}
 	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 9 {
 		t.Fatal("extreme quantiles wrong")
@@ -149,10 +146,10 @@ func TestMedianAndQuantiles(t *testing.T) {
 	if xs[0] != 9 {
 		t.Fatal("Quantile modified its input")
 	}
-	if Median([]float64{42}) != 42 {
+	if Quantile([]float64{42}, 0.5) != 42 {
 		t.Fatal("singleton median wrong")
 	}
-	if !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Fatal("empty median should be NaN")
 	}
 }
@@ -267,19 +264,6 @@ func TestCovariancePanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Covariance([]float64{1}, []float64{1, 2})
-}
-
-func TestMeanAbsAndRMSE(t *testing.T) {
-	xs := []float64{-3, 4}
-	if MeanAbs(xs) != 3.5 {
-		t.Fatalf("MeanAbs = %v, want 3.5", MeanAbs(xs))
-	}
-	if !almost(RMSE(xs), math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE = %v", RMSE(xs))
-	}
-	if !math.IsNaN(MeanAbs(nil)) || !math.IsNaN(RMSE(nil)) {
-		t.Fatal("empty MeanAbs/RMSE should be NaN")
-	}
 }
 
 func TestCorrelationScaleInvariance(t *testing.T) {

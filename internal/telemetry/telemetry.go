@@ -358,9 +358,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveSince observes the seconds elapsed since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
 
-// ObserveDuration observes d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // snapshot folds the stripes into cumulative bucket counts, the total
 // count, and the sum.
 func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {

@@ -218,16 +218,6 @@ func IntersectionNorms(a, b Sparse) (normAI, normBI float64) {
 	return math.Sqrt(sa), math.Sqrt(sb)
 }
 
-// Overlap returns the fraction of a's non-zero entries whose index is also
-// non-zero in b: |A∩B| / |A|. This is the "overlap ratio" knob of the
-// paper's synthetic experiments (Figure 4). Returns 0 for empty a.
-func Overlap(a, b Sparse) float64 {
-	if len(a.idx) == 0 {
-		return 0
-	}
-	return float64(SupportIntersectionSize(a, b)) / float64(len(a.idx))
-}
-
 // LinearSketchBound returns ‖a‖·‖b‖, the scale of the Fact 1 error
 // guarantee ε‖a‖‖b‖ for JL/AMS/CountSketch.
 func LinearSketchBound(a, b Sparse) float64 {

@@ -205,18 +205,6 @@ func TestIntersectionNormsMatchRestrict(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	a := MustNew(10, []uint64{1, 2, 3, 4}, []float64{1, 1, 1, 1})
-	b := MustNew(10, []uint64{3, 4, 5}, []float64{1, 1, 1})
-	if got := Overlap(a, b); got != 0.5 {
-		t.Fatalf("Overlap = %v, want 0.5", got)
-	}
-	empty := MustNew(10, nil, nil)
-	if Overlap(empty, a) != 0 {
-		t.Fatal("Overlap of empty should be 0")
-	}
-}
-
 // TestBoundOrdering verifies the paper's Table 1 ordering:
 // WMHBound ≤ LinearSketchBound always, and both are ≥ |⟨a,b⟩|.
 func TestBoundOrdering(t *testing.T) {

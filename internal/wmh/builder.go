@@ -65,7 +65,7 @@ func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
 	if dst == nil {
 		return errors.New("wmh: nil destination sketch")
 	}
-	vr := b.p.variantFor(false)
+	vr := b.p.variant()
 	l := b.p.effectiveL(v.Dim())
 	hashes, vals := dst.hashes[:0], dst.vals[:0]
 	*dst = Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm(), variant: vr}

@@ -41,8 +41,6 @@ func buildSampleMajor(v vector.Sparse, p Params, vr variant) *Sketch {
 			switch vr {
 			case variantFast:
 				h = hashing.PrefixMin(key, weights[k])
-			case variantFastLog:
-				h = hashing.PrefixMinFastLog(key, weights[k])
 			default:
 				h = hashing.BlockMinNaive(key, weights[k])
 			}
@@ -109,30 +107,28 @@ func sketchesEqual(t *testing.T, a, b *Sketch, what string) {
 // variants, quantization, and vector shapes.
 func TestBlockMajorMatchesSampleMajor(t *testing.T) {
 	for _, v := range testVectors(t) {
-		for _, fastLog := range []bool{false, true} {
-			for _, quant := range []bool{false, true} {
-				p := Params{M: 33, Seed: 0xfeed, L: 1 << 18, QuantizeValues: quant, FastLog: fastLog}
-				want := buildSampleMajor(v, p, p.variantFor(false))
-				got, err := New(v, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sketchesEqual(t, got, want, "New")
-
-				b, err := NewBuilder(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Run the builder twice to exercise scratch reuse.
-				if _, err := b.Sketch(v); err != nil {
-					t.Fatal(err)
-				}
-				fromBuilder, err := b.Sketch(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sketchesEqual(t, fromBuilder, want, "Builder")
+		for _, quant := range []bool{false, true} {
+			p := Params{M: 33, Seed: 0xfeed, L: 1 << 18, QuantizeValues: quant}
+			want := buildSampleMajor(v, p, p.variant())
+			got, err := New(v, p)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sketchesEqual(t, got, want, "New")
+
+			b, err := NewBuilder(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Run the builder twice to exercise scratch reuse.
+			if _, err := b.Sketch(v); err != nil {
+				t.Fatal(err)
+			}
+			fromBuilder, err := b.Sketch(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sketchesEqual(t, fromBuilder, want, "Builder")
 		}
 	}
 	// Naive variant too.
@@ -182,7 +178,6 @@ func TestSketchIntoZeroAllocs(t *testing.T) {
 		p    Params
 	}{
 		{"fast", Params{M: 64, Seed: 5, L: 1 << 20}},
-		{"fastlog", Params{M: 64, Seed: 5, L: 1 << 20, FastLog: true}},
 		{"dart", Params{M: 64, Seed: 5, L: 1 << 20, Dart: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,87 +220,5 @@ func TestEstimateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Estimate allocates %v times per run, want 0", allocs)
-	}
-}
-
-// TestFastLogIncompatibleWithExact: the two record processes must refuse to
-// be compared (different randomness).
-func TestFastLogIncompatibleWithExact(t *testing.T) {
-	v := testVectors(t)[2]
-	exact, err := New(v, Params{M: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := New(v, Params{M: 8, Seed: 1, FastLog: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Estimate(exact, fast); err == nil {
-		t.Fatal("Estimate accepted mixed exact/fastlog sketches")
-	}
-	if _, err := NewNaive(v, Params{M: 8, Seed: 1, FastLog: true}); err == nil {
-		t.Fatal("NewNaive accepted FastLog params")
-	}
-}
-
-// TestFastLogEstimateQuality: FastLog sketches must estimate inner products
-// with accuracy comparable to the exact process (the 1e-8 gap perturbation
-// is far below sampling noise).
-func TestFastLogEstimateQuality(t *testing.T) {
-	vs := testVectors(t)
-	a, b := vs[3], vs[4]
-	truth := vector.Dot(a, b)
-	scale := a.Norm() * b.Norm()
-	const trials = 40
-	var errExact, errFast float64
-	for i := 0; i < trials; i++ {
-		for _, fastLog := range []bool{false, true} {
-			p := Params{M: 200, Seed: uint64(i), L: 1 << 20, FastLog: fastLog}
-			sa, err := New(a, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := New(b, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := Estimate(sa, sb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := math.Abs(est-truth) / scale
-			if fastLog {
-				errFast += e
-			} else {
-				errExact += e
-			}
-		}
-	}
-	errExact /= trials
-	errFast /= trials
-	if errFast > 2*errExact+0.05 {
-		t.Fatalf("fastlog mean error %.4f much worse than exact %.4f", errFast, errExact)
-	}
-}
-
-// TestFastLogSerializeRoundTrip: the FastLog variant survives encoding.
-func TestFastLogSerializeRoundTrip(t *testing.T) {
-	v := testVectors(t)[2]
-	p := Params{M: 16, Seed: 9, FastLog: true}
-	s, err := New(v, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	sketchesEqual(t, &back, s, "round-trip")
-	if !back.Params().FastLog {
-		t.Fatal("FastLog lost in round-trip")
 	}
 }

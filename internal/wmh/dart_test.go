@@ -65,12 +65,9 @@ func TestDartSamplesAlwaysPopulated(t *testing.T) {
 }
 
 // TestDartIncompatibleAcrossVariants: dart sketches must refuse comparison
-// with every other construction variant, and the flag combinations that
-// cannot coexist must be rejected up front.
+// with the record-process variant, and the naive reference rejects the
+// flag up front.
 func TestDartIncompatibleAcrossVariants(t *testing.T) {
-	if err := (Params{M: 8, Dart: true, FastLog: true}).Validate(); err == nil {
-		t.Fatal("Validate accepted Dart+FastLog")
-	}
 	if _, err := NewNaive(testVectors(t)[2], Params{M: 8, Seed: 1, Dart: true}); err == nil {
 		t.Fatal("NewNaive accepted Dart params")
 	}
@@ -79,17 +76,12 @@ func TestDartIncompatibleAcrossVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, other := range []Params{
-		{M: 8, Seed: 1},
-		{M: 8, Seed: 1, FastLog: true},
-	} {
-		o, err := New(v, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Estimate(dart, o); err == nil {
-			t.Fatalf("Estimate accepted dart vs %+v", other)
-		}
+	record, err := New(v, Params{M: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Estimate(dart, record); err == nil {
+		t.Fatal("Estimate accepted dart vs record-process sketch")
 	}
 }
 

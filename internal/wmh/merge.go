@@ -82,23 +82,7 @@ func cloneSketch(s *Sketch) *Sketch {
 // streams superpose. Shards beyond the block count come back empty (the
 // merge identity). Partials are built concurrently across the worker pool.
 func Shards(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
-	return shards(v, p, n, p.variantFor(false))
-}
-
-// ShardsNaive is Shards for the naive reference construction (NewNaive);
-// it exists so the merge-vs-rebuild property can be checked against the
-// literal Algorithm 3 as well. FastLog and Dart do not apply.
-func ShardsNaive(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
-	if p.FastLog {
-		return nil, errors.New("wmh: FastLog does not apply to the naive construction")
-	}
-	if p.Dart {
-		return nil, errors.New("wmh: Dart does not apply to the naive construction")
-	}
-	return shards(v, p, n, variantNaive)
-}
-
-func shards(v vector.Sparse, p Params, n int, vr variant) ([]*Sketch, error) {
+	vr := p.variant()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -28,26 +28,17 @@ func TestMergeVsRebuildAllVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The naive reference hashes every active slot (O(L) per sample), so
-	// it gets a small vector with a small explicit L.
-	small := vector.MustNew(64, []uint64{2, 5, 11, 17, 23, 40, 41, 60}, []float64{1, -2, 0.5, 3, -1, 2, 0.25, -4})
 	cases := []struct {
-		name  string
-		v     vector.Sparse
-		p     Params
-		build func(vector.Sparse, Params) (*Sketch, error)
-		shard func(vector.Sparse, Params, int) ([]*Sketch, error)
+		name string
+		p    Params
 	}{
-		{"fast", v, Params{M: 64, Seed: 3}, New, Shards},
-		{"fastlog", v, Params{M: 64, Seed: 3, FastLog: true}, New, Shards},
-		{"dart", v, Params{M: 64, Seed: 3, Dart: true}, New, Shards},
-		{"quantize", v, Params{M: 64, Seed: 3, QuantizeValues: true}, New, Shards},
-		{"naive", small, Params{M: 16, Seed: 3, L: 1 << 12}, NewNaive, ShardsNaive},
+		{"fast", Params{M: 64, Seed: 3}},
+		{"dart", Params{M: 64, Seed: 3, Dart: true}},
+		{"quantize", Params{M: 64, Seed: 3, QuantizeValues: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := tc.v
-			direct, err := tc.build(v, tc.p)
+			direct, err := New(v, tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +46,7 @@ func TestMergeVsRebuildAllVariants(t *testing.T) {
 			// Shard counts below, at, and above the block count (the
 			// rounded support has ~nnz blocks; 1000 forces empty shards).
 			for _, n := range []int{1, 2, 3, 7, 1000} {
-				shards, err := tc.shard(v, tc.p, n)
+				shards, err := Shards(v, tc.p, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +138,6 @@ func TestMergeRejectsVariantAndParamMismatches(t *testing.T) {
 		"seed":    {M: 16, Seed: 2},
 		"samples": {M: 8, Seed: 1},
 		"dart":    {M: 16, Seed: 1, Dart: true},
-		"fastlog": {M: 16, Seed: 1, FastLog: true},
 	} {
 		other, err := New(v, p)
 		if err != nil {

@@ -43,14 +43,16 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("wmh: decoding sketch: %w", err)
 	}
-	if vr != variantFast && vr != variantNaive && vr != variantFastLog && vr != variantDart {
+	if vr == variantRemoved {
+		return errors.New("wmh: sketch variant 2: the FastLog variant was removed; re-sketch the source data")
+	}
+	if vr != variantFast && vr != variantNaive && vr != variantDart {
 		return fmt.Errorf("wmh: unknown sketch variant %d", vr)
 	}
-	// Params.FastLog and Params.Dart are implied by (and encoded as) the
-	// variant byte.
+	// Params.Dart is implied by (and encoded as) the variant byte.
 	p := Params{
 		M: int(m), Seed: seed, L: lParam, QuantizeValues: quantized,
-		FastLog: vr == variantFastLog, Dart: vr == variantDart,
+		Dart: vr == variantDart,
 	}
 	if err := p.Validate(); err != nil {
 		return err

@@ -62,14 +62,6 @@ type Params struct {
 	// sign·sqrt(w/L) ∈ [−1, 1], float32's 24-bit mantissa costs at most
 	// ~6·10⁻⁸ relative error per matched term.
 	QuantizeValues bool
-	// FastLog selects the polynomial-logarithm record process
-	// (hashing.PrefixMinFastLog) instead of the exact-log process. It
-	// trades a ~1e-8 relative perturbation of the record-gap distribution
-	// — six orders of magnitude below sampling noise — for a measurably
-	// faster sketch construction. Like the fast/naive split, the choice
-	// is part of sketch compatibility: FastLog sketches use different
-	// randomness and cannot be compared with exact-log sketches.
-	FastLog bool
 	// Dart selects the dart-throwing construction (DartMinHash-style; see
 	// dart.go): all M samples are filled in one pass over the rounded
 	// blocks at expected O(nnz + M log M) cost, instead of one record
@@ -77,7 +69,6 @@ type Params struct {
 	// law is identical to the default construction — same marginals, same
 	// collision probabilities, same estimator — but the randomness is
 	// different, so dart sketches are comparable only with dart sketches.
-	// Mutually exclusive with FastLog.
 	Dart bool
 }
 
@@ -88,9 +79,6 @@ func (p Params) Validate() error {
 	}
 	if p.L > MaxL {
 		return fmt.Errorf("wmh: L=%d exceeds MaxL=%d", p.L, MaxL)
-	}
-	if p.Dart && p.FastLog {
-		return errors.New("wmh: Dart and FastLog are mutually exclusive")
 	}
 	return nil
 }
@@ -108,26 +96,23 @@ func (p Params) effectiveL(dim uint64) uint64 {
 type variant uint8
 
 const (
-	// variantFast is the exact-log active-index record process.
-	variantFast variant = iota
+	// variantFast is the active-index record process.
+	variantFast variant = 0
 	// variantNaive hashes every active slot explicitly (tests/ablations).
-	variantNaive
-	// variantFastLog is the polynomial-log record process (Params.FastLog).
-	variantFastLog
+	variantNaive variant = 1
+	// variantRemoved was a polynomial-log record process. The value stays
+	// reserved — blockKey and dartBlockKey mix the variant into the stream
+	// key, so renumbering would change every dart sketch — and
+	// UnmarshalBinary rejects it.
+	variantRemoved variant = 2
 	// variantDart is the one-pass dart-throwing construction (Params.Dart).
-	variantDart
+	variantDart variant = 3
 )
 
-// variantFor resolves the construction variant implied by p.
-func (p Params) variantFor(naive bool) variant {
-	if naive {
-		return variantNaive
-	}
+// variant resolves the construction variant New builds under p.
+func (p Params) variant() variant {
 	if p.Dart {
 		return variantDart
-	}
-	if p.FastLog {
-		return variantFastLog
 	}
 	return variantFast
 }
@@ -147,9 +132,9 @@ type Sketch struct {
 }
 
 // New sketches the vector v (paper Algorithm 3) using the fast
-// active-index construction (or its FastLog variant when p.FastLog).
+// active-index construction (or the dart construction when p.Dart).
 func New(v vector.Sparse, p Params) (*Sketch, error) {
-	return build(v, p, p.variantFor(false))
+	return build(v, p, p.variant())
 }
 
 // NewNaive sketches v by explicitly hashing every active slot of every
@@ -158,9 +143,6 @@ func New(v vector.Sparse, p Params) (*Sketch, error) {
 // ablation; use New for anything else. Fast and naive sketches cannot be
 // compared with each other (different randomness).
 func NewNaive(v vector.Sparse, p Params) (*Sketch, error) {
-	if p.FastLog {
-		return nil, errors.New("wmh: FastLog does not apply to the naive construction")
-	}
 	if p.Dart {
 		return nil, errors.New("wmh: Dart does not apply to the naive construction")
 	}
@@ -267,14 +249,6 @@ func fillBlockMajor(hashes, vals []float64, skeys []uint64, idx, weights []uint6
 			for i := range skeys {
 				key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
 				if h := hashing.PrefixMin(key, w); h < hashes[i] {
-					hashes[i] = h
-					vals[i] = bv
-				}
-			}
-		case variantFastLog:
-			for i := range skeys {
-				key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
-				if h := hashing.PrefixMinFastLog(key, w); h < hashes[i] {
 					hashes[i] = h
 					vals[i] = bv
 				}

@@ -17,8 +17,8 @@
 //	est, _ := ipsketch.Estimate(sa, sb) // ≈ ⟨a, b⟩
 //
 // Sketches are comparable only when produced by sketchers with identical
-// configurations (method, size, seed, variant flags); Estimate rejects
-// incompatible pairs. They can be computed on different machines at
+// configurations (method, size, seed, L, and the Quantize and Dart
+// flags); Estimate rejects incompatible pairs. They can be computed on different machines at
 // different times: all randomness is derived from the seed.
 //
 // # Methods and guarantees
@@ -171,14 +171,6 @@ type Config struct {
 	// discussion names this as the natural next optimization. Validate
 	// rejects the flag for methods without the capability.
 	Quantize bool
-	// FastHash selects the polynomial-logarithm record process for
-	// methods that support it (currently WMH): measurably faster sketch
-	// construction at a ~1e-8 relative perturbation of the sampling
-	// distribution, far below sampling noise (see DESIGN.md). Sketches
-	// built with and without FastHash use different randomness and are
-	// not comparable with each other. Validate rejects the flag for
-	// methods without the capability.
-	FastHash bool
 	// Dart selects the dart-throwing construction for methods that
 	// support it (currently WMH): all samples are computed in one pass
 	// over the vector's support at expected O(nnz + m·log m) cost instead
@@ -186,8 +178,7 @@ type Config struct {
 	// production sample counts, with an estimate distribution identical
 	// to the default construction (see DESIGN.md §9). Dart sketches use
 	// different randomness and are comparable only with dart sketches.
-	// Mutually exclusive with FastHash; Validate rejects the flag for
-	// methods without the capability.
+	// Validate rejects the flag for methods without the capability.
 	Dart bool
 }
 
@@ -206,7 +197,7 @@ func (c Config) countSketchReps() int {
 func (c Config) wmhParams(samples int) wmh.Params {
 	return wmh.Params{
 		M: samples, Seed: c.Seed, L: c.L,
-		QuantizeValues: c.Quantize, FastLog: c.FastHash, Dart: c.Dart,
+		QuantizeValues: c.Quantize, Dart: c.Dart,
 	}
 }
 
@@ -224,17 +215,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("ipsketch: %v does not support Quantize", c.Method)
 		}
 	}
-	if c.FastHash {
-		if _, ok := be.(fastHashable); !ok {
-			return fmt.Errorf("ipsketch: %v does not support FastHash", c.Method)
-		}
-	}
 	if c.Dart {
 		if _, ok := be.(dartHashable); !ok {
 			return fmt.Errorf("ipsketch: %v does not support Dart", c.Method)
-		}
-		if c.FastHash {
-			return errors.New("ipsketch: Dart and FastHash are mutually exclusive")
 		}
 	}
 	if _, err := be.size(c); err != nil {

@@ -73,8 +73,7 @@ func lshBenchQueries(t testing.TB, cfg Config, nQ int, seed uint64) []*TableSket
 // index's columns the banded stage admitted for rescoring. Recall and
 // cand_frac are averaged over a seeded panel of queries (one query's
 // sweep is a step function of its own band collisions); the timing loop
-// uses the fixture's primary query. benchreport turns these into the
-// BENCH_9.json recall-vs-probes table: cand_frac well below 1 is the
+// uses the fixture's primary query. cand_frac well below 1 is the
 // sublinear-candidates claim, recall@10 climbing to 1 with probes is
 // the S-curve trade.
 func BenchmarkSearchLSH(b *testing.B) {

@@ -21,7 +21,6 @@ func mergeableConfigs(budget int) []struct {
 		cfg  Config
 	}{
 		{"wmh", Config{Method: MethodWMH, StorageWords: budget, Seed: 7}},
-		{"wmh-fasthash", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, FastHash: true}},
 		{"wmh-dart", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, Dart: true}},
 		{"wmh-quantize", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, Quantize: true}},
 		{"mh", Config{Method: MethodMH, StorageWords: budget, Seed: 7}},
@@ -213,12 +212,12 @@ func TestMergeStatisticalConformance(t *testing.T) {
 	const trials = 30
 	const parts = 3
 	configs := mergeableConfigs(200)
-	// The FastHash/Quantize variants share WMH's estimator law and are
-	// pinned bitwise by TestMergeVsRebuildEquivalence; skip their (slow)
+	// The Quantize variant shares WMH's estimator law and is pinned
+	// bitwise by TestMergeVsRebuildEquivalence; skip its (slow)
 	// record-process trials here.
 	kept := configs[:0]
 	for _, tc := range configs {
-		if tc.name == "wmh-fasthash" || tc.name == "wmh-quantize" {
+		if tc.name == "wmh-quantize" {
 			continue
 		}
 		kept = append(kept, tc)

@@ -88,10 +88,6 @@ func goldenCases() []struct {
 		struct {
 			name string
 			cfg  Config
-		}{"wmh-fasthash", Config{Method: MethodWMH, StorageWords: 64, Seed: 12345, FastHash: true}},
-		struct {
-			name string
-			cfg  Config
 		}{"wmh-dart", Config{Method: MethodWMH, StorageWords: 64, Seed: 12345, Dart: true}},
 	)
 	return cases

@@ -1,6 +1,7 @@
 package ipsketch
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -132,5 +133,66 @@ func TestUnmarshalRejectsCorruptCounts(t *testing.T) {
 	}
 	if _, err := UnmarshalSketch(corrupt); err == nil {
 		t.Fatal("corrupt M accepted")
+	}
+}
+
+// marshalFixture encodes the sketch of a small fixed vector under cfg.
+func marshalFixture(tb testing.TB, cfg Config) []byte {
+	tb.Helper()
+	v, err := VectorFromMap(1000, map[uint64]float64{1: 2, 30: -4, 999: 0.5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewSketcher(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sk, err := s.Sketch(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// wmhVariantOffset is where the construction-variant byte sits in an
+// enveloped WMH sketch: the 6-byte envelope, then M, Seed, L (8 each),
+// quantized (1), resolved L, dim, norm (8 each) and empty (1).
+const wmhVariantOffset = 6 + 3*8 + 1 + 3*8 + 1
+
+// retiredVariantBlob is a well-formed WMH encoding whose variant byte is
+// 2, the value the removed polynomial-log record process used to write.
+func retiredVariantBlob(tb testing.TB) []byte {
+	tb.Helper()
+	data := marshalFixture(tb, Config{Method: MethodWMH, StorageWords: 32, Seed: 7})
+	if data[wmhVariantOffset] != 0 {
+		tb.Fatalf("variant byte of a record-process sketch is %d, want 0 (layout moved?)", data[wmhVariantOffset])
+	}
+	data[wmhVariantOffset] = 2
+	return data
+}
+
+// TestUnmarshalRejectsRetiredWMHVariant: blobs written by the removed
+// construction must fail to decode with an error that says so, and the
+// surviving variant bytes (0 record process, 3 dart) must keep decoding.
+func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
+	_, err := UnmarshalSketch(retiredVariantBlob(t))
+	if err == nil || !strings.Contains(err.Error(), "FastLog variant was removed") {
+		t.Fatalf("variant byte 2: err = %v, want the \"removed\" error", err)
+	}
+	for want, cfg := range map[byte]Config{
+		0: {Method: MethodWMH, StorageWords: 32, Seed: 7},
+		3: {Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true},
+	} {
+		data := marshalFixture(t, cfg)
+		if data[wmhVariantOffset] != want {
+			t.Errorf("%+v: variant byte %d, want %d", cfg, data[wmhVariantOffset], want)
+		}
+		if _, err := UnmarshalSketch(data); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
 	}
 }

@@ -136,6 +136,65 @@ func TestServiceLSHMetrics(t *testing.T) {
 	}
 }
 
+// TestStatszScanMatchesMetrics: the /statsz scan block is read from the
+// registry counters /metrics exports, so after a mix of full and
+// mode=lsh searches the two surfaces agree field by field.
+func TestStatszScanMatchesMetrics(t *testing.T) {
+	ctx := context.Background()
+	srv, err := service.New(lshTestCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cl, err := client.New(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, lake := lakePayloads(t, 8)
+	for name, p := range lake {
+		if _, err := cl.PutTable(ctx, name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		for _, req := range []service.SearchRequest{
+			{Table: &query, Column: "v", RankBy: "join_size"},
+			{Table: &query, Column: "v", RankBy: "abs_correlation", MinJoin: 1e9},
+			{Table: &query, Column: "v", RankBy: "join_size", Mode: "lsh"},
+			{Table: &query, Column: "v", RankBy: "abs_inner_product", Mode: "lsh", Probes: 4},
+		} {
+			if _, err := cl.Search(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stats, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Searches != 4*rounds || stats.Scan == nil {
+		t.Fatalf("statsz after %d searches: searches=%d scan=%+v", 4*rounds, stats.Searches, stats.Scan)
+	}
+	_, _, body := scrape(t, hs.URL, "/metrics")
+	for name, got := range map[string]int64{
+		"sketchd_scan_candidates_total":     stats.Scan.Candidates,
+		"sketchd_scan_pruned_total":         stats.Scan.Pruned,
+		"sketchd_scan_columnar_total":       stats.Scan.Columnar,
+		"sketchd_scan_fallback_total":       stats.Scan.Fallback,
+		"sketchd_scan_lsh_probes_total":     stats.Scan.LSHProbes,
+		"sketchd_scan_lsh_candidates_total": stats.Scan.LSHCandidates,
+	} {
+		if want := int64(sampleValue(body, name)); got != want {
+			t.Errorf("/statsz %s = %d, /metrics says %d", name, got, want)
+		}
+	}
+	if stats.Scan.Candidates == 0 || stats.Scan.Pruned == 0 || stats.Scan.LSHProbes == 0 {
+		t.Errorf("scan counters did not move: %+v", stats.Scan)
+	}
+}
+
 // TestServiceLSHValidation: mode/probes validation surfaces as 400s, and
 // a server without LSH enabled refuses mode=lsh outright.
 func TestServiceLSHValidation(t *testing.T) {

@@ -114,10 +114,6 @@ type Server struct {
 	puts, merges, deletes, searches, estimates, snapshots, errs, replayed atomic.Int64
 	lastSnapshotUnixNano                                                  atomic.Int64
 
-	// Scan counters summed over every /search (see ScanSearchStats).
-	scanCandidates, scanPruned, scanColumnar, scanFallback atomic.Int64
-	scanLSHProbes, scanLSHCandidates                       atomic.Int64
-
 	// lsh is the banding configuration (nil when mode=lsh is disabled).
 	lsh *ipsketch.LSHParams
 
@@ -376,10 +372,16 @@ func (s *Server) SaveSnapshot() error {
 			return err
 		}
 	} else {
+		// Under the barrier only the name-sorted entry list is captured
+		// (all the encoder reads); packing scan views here would stall
+		// every mutation for the length of a whole-catalog rebuild.
 		s.snapMu.Lock()
-		ix := s.cat.Snapshot()
+		ix, err := s.bareIndex()
 		lsn := s.cfg.WAL.LSN()
 		s.snapMu.Unlock()
+		if err != nil {
+			return err
+		}
 		if err := catalog.SaveIndex(ix, s.cfg.SnapshotPath); err != nil {
 			return err
 		}
@@ -392,6 +394,23 @@ func (s *Server) SaveSnapshot() error {
 	s.snapshots.Add(1)
 	s.lastSnapshotUnixNano.Store(time.Now().UnixNano())
 	return nil
+}
+
+// bareIndex registers every cataloged table in name order — the order
+// catalog.Save encodes — without building a scan view. The caller holds
+// snapMu exclusively, so the table list and the lookups see one state.
+func (s *Server) bareIndex() (*ipsketch.SketchIndex, error) {
+	ix := ipsketch.NewSketchIndex()
+	for _, name := range s.cat.Tables() {
+		ts, ok := s.cat.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("service: table %q vanished under the snapshot barrier", name)
+		}
+		if err := ix.Add(ts); err != nil {
+			return nil, fmt.Errorf("service: capturing snapshot: %w", err)
+		}
+	}
+	return ix, nil
 }
 
 // LoadSnapshot restores the catalog from the configured snapshot path,
@@ -861,7 +880,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.searches.Add(1)
-		s.addScanCounters(scan)
 		s.observeSearch(r.Context(), start, &req, k, len(resp.Results), scan)
 		if resp.NodesFailed > 0 {
 			w.Header().Set(HeaderPartialResults, "true")
@@ -875,20 +893,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.searches.Add(1)
-	s.addScanCounters(scan)
 	s.observeSearch(r.Context(), start, &req, k, len(hits), scan)
 	s.writeJSON(w, SearchResponse{Results: hits})
-}
-
-// addScanCounters folds one search's scan stats into the /statsz
-// aggregates.
-func (s *Server) addScanCounters(scan ipsketch.ScanStats) {
-	s.scanCandidates.Add(scan.Candidates)
-	s.scanPruned.Add(scan.Pruned)
-	s.scanColumnar.Add(scan.Columnar)
-	s.scanFallback.Add(scan.Fallback)
-	s.scanLSHProbes.Add(scan.LSHProbes)
-	s.scanLSHCandidates.Add(scan.LSHCandidates)
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -997,13 +1003,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		resp.LastSnapshot = time.Unix(0, ns).UTC().Format(time.RFC3339)
 	}
 	if resp.Searches > 0 {
+		// The same counters /metrics exports as sketchd_scan_*_total.
+		m := s.metrics
 		resp.Scan = &ScanSearchStats{
-			Candidates:    s.scanCandidates.Load(),
-			Pruned:        s.scanPruned.Load(),
-			Columnar:      s.scanColumnar.Load(),
-			Fallback:      s.scanFallback.Load(),
-			LSHProbes:     s.scanLSHProbes.Load(),
-			LSHCandidates: s.scanLSHCandidates.Load(),
+			Candidates:    int64(m.scanCandidates.Value()),
+			Pruned:        int64(m.scanPruned.Value()),
+			Columnar:      int64(m.scanColumnar.Value()),
+			Fallback:      int64(m.scanFallback.Value()),
+			LSHProbes:     int64(m.scanLSHProbes.Value()),
+			LSHCandidates: int64(m.scanLSHCandidates.Value()),
 		}
 	}
 	if w := s.cfg.WAL; w != nil {

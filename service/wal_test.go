@@ -1,14 +1,17 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	ipsketch "repro"
+	"repro/internal/catalog"
 	"repro/internal/wal"
 	"repro/service"
 	"repro/service/client"
@@ -218,6 +221,23 @@ func TestWALSnapshotCheckpointTruncates(t *testing.T) {
 	}
 	if log.CheckpointLSN() != 3 {
 		t.Fatalf("checkpoint = %d", log.CheckpointLSN())
+	}
+	// The barrier captures a bare name-sorted index; the file must be
+	// the one the packed catalog snapshot encodes to.
+	packed := filepath.Join(t.TempDir(), "packed.ipsx")
+	if err := catalog.SaveIndex(srv.Catalog().Snapshot(), packed); err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, err := os.ReadFile(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantSnap) == 0 || !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatalf("SaveSnapshot wrote %d bytes, SaveIndex(Snapshot()) %d; files differ", len(gotSnap), len(wantSnap))
 	}
 	// Three more mutations after the checkpoint: the tail.
 	for _, name := range []string{"t03", "t04", "t05"} {
