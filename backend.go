@@ -150,7 +150,8 @@ type dartHashable interface {
 // into contiguous structure-of-arrays storage and score them against a
 // pre-decoded query with a flat-array kernel — the search-side hot path.
 // Families without the capability transparently fall back to the decoded
-// per-candidate scorer, bit-identically.
+// per-candidate scorer, bit-identically. Every implementation is a
+// packFamily descriptor (columnar.go) behind these two methods.
 type columnarScorer interface {
 	newColumnarPack() columnarPack
 	// prepareQuery pre-decodes one query bundle (key, value, squared-value
@@ -166,9 +167,8 @@ type columnarQuery any
 
 // columnarPack accumulates table-sketch bundles of one family into flat
 // arrays at index build time. The first accepted payload pins the
-// construction parameters; addTable rejects (without mutating the pack)
-// any bundle that the pinned parameters cannot score, and those bundles
-// stay on the decoded path.
+// construction parameters; addTable rejects any bundle that the pinned
+// parameters cannot score, and an index holding one gets no view.
 type columnarPack interface {
 	// addTable appends one table's key-sketch payload plus the per-column
 	// value and squared-value payloads (parallel slices), reporting

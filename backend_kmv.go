@@ -151,106 +151,21 @@ func (kmvBackend) estimateUnionSize(a, b payload) (float64, error) {
 	return kmv.UnionEstimate(pa, pb)
 }
 
-// newColumnarPack implements columnarScorer: three kmv.Cols (key, value,
-// and squared-value sketches) sharing one reference sketch for
-// compatibility checks. KMV is the family that gains the most from the
-// packed kernel — the decoded estimator allocates union and matched
-// slices for every pair, the kernel allocates nothing.
-func (kmvBackend) newColumnarPack() columnarPack { return &kmvPack{} }
-
-type kmvPack struct {
-	ref  *kmv.Sketch
-	keys *kmv.Cols
-	vals *kmv.Cols
-	sqs  *kmv.Cols
+// kmvPacks is the KMV columnar family — the one that gains the most from
+// the packed kernel: the decoded estimator allocates union and matched
+// slices for every pair, the kernel allocates nothing. KMV registers
+// joinSizeEstimator, so the size slot carries the threshold |A∩B|
+// estimate, not the inner-product reduction.
+var kmvPacks = packFamily[*kmv.Sketch, *kmv.Sketch, *kmv.Cols]{
+	compatible:   kmv.Compatible,
+	newCols:      func(ref *kmv.Sketch) *kmv.Cols { return kmv.NewCols(ref.Params()) },
+	operand:      func(s *kmv.Sketch) *kmv.Sketch { return s },
+	scanJoinSize: (*kmv.Cols).ScanJoinSize,
 }
 
-// kmvSketches asserts and compatibility-checks a bundle's payloads
-// against ref, returning nil on any mismatch.
-func kmvSketches(ref *kmv.Sketch, ps ...payload) []*kmv.Sketch {
-	out := make([]*kmv.Sketch, len(ps))
-	for i, p := range ps {
-		s, ok := p.(*kmv.Sketch)
-		if !ok || (ref != nil && kmv.Compatible(ref, s) != nil) {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func (p *kmvPack) addTable(key payload, vals, sqs []payload) bool {
-	ks := kmvSketches(p.ref, key)
-	if ks == nil {
-		return false
-	}
-	ref := p.ref
-	if ref == nil {
-		ref = ks[0]
-	}
-	vs := kmvSketches(ref, vals...)
-	ss := kmvSketches(ref, sqs...)
-	if vs == nil || ss == nil {
-		return false
-	}
-	if p.ref == nil {
-		p.ref = ref
-		p.keys = kmv.NewCols(ref.Params())
-		p.vals = kmv.NewCols(ref.Params())
-		p.sqs = kmv.NewCols(ref.Params())
-	}
-	p.keys.Append(ks[0])
-	for i := range vs {
-		p.vals.Append(vs[i])
-		p.sqs.Append(ss[i])
-	}
-	return true
-}
-
-// kmvQuery is the pre-decoded query bundle: key, value, squared value.
-type kmvQuery [3]*kmv.Sketch
+// newColumnarPack and prepareQuery implement columnarScorer.
+func (kmvBackend) newColumnarPack() columnarPack { return kmvPacks.newPack() }
 
 func (kmvBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	qs := kmvSketches(nil, qKey, qVal, qSq)
-	if qs == nil {
-		return nil
-	}
-	return (*kmvQuery)(qs)
-}
-
-func (p *kmvPack) accepts(q columnarQuery) bool {
-	qs, ok := q.(*kmvQuery)
-	if !ok || p.ref == nil {
-		return false
-	}
-	for _, s := range qs {
-		if kmv.Compatible(p.ref, s) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// scan: KMV registers joinSizeEstimator, so the size slot carries the
-// threshold |A∩B| estimate, not the inner-product reduction — it is the
-// key pack's first selected operand whenever the plan wants it.
-func (p *kmvPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs := (*[3]*kmv.Sketch)(q.(*kmvQuery))
-	var buf [3]*kmv.Sketch
-	if sel := &pl.key; sel.n > 0 {
-		ops, offs := pick(sel, qs, &buf), sel.off[:sel.n]
-		if pl.slot[slotSize] >= 0 {
-			p.keys.ScanJoinSize(ops[0], tLo, tHi, tbl, pl.tblStride, offs[0])
-			ops, offs = ops[1:], offs[1:]
-		}
-		if len(ops) > 0 {
-			p.keys.Scan(ops, tLo, tHi, tbl, pl.tblStride, offs)
-		}
-	}
-	if sel := &pl.val; sel.n > 0 {
-		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
-	if sel := &pl.sq; sel.n > 0 {
-		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
+	return kmvPacks.prepareQuery(qKey, qVal, qSq)
 }

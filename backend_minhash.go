@@ -136,98 +136,18 @@ func (mhBackend) signature(p payload) ([]uint64, error) {
 	return sk.Signature(), nil
 }
 
-// newColumnarPack implements columnarScorer: three minhash.Cols (key,
-// value, and squared-value sketches) sharing one reference sketch for
-// compatibility checks.
-func (mhBackend) newColumnarPack() columnarPack { return &mhPack{} }
-
-type mhPack struct {
-	ref  *minhash.Sketch
-	keys *minhash.Cols
-	vals *minhash.Cols
-	sqs  *minhash.Cols
+// mhPacks is the MH columnar family. MH has no dedicated join-size
+// estimator (EstimateJoinSize reduces to Estimate), so the size is one more
+// operand of the key-pack kernel.
+var mhPacks = packFamily[*minhash.Sketch, *minhash.Sketch, *minhash.Cols]{
+	compatible: minhash.Compatible,
+	newCols:    func(ref *minhash.Sketch) *minhash.Cols { return minhash.NewCols(ref.Params()) },
+	operand:    func(s *minhash.Sketch) *minhash.Sketch { return s },
 }
 
-// mhSketches asserts and compatibility-checks a bundle's payloads against
-// ref, returning nil on any mismatch (the bundle then stays decoded).
-func mhSketches(ref *minhash.Sketch, ps ...payload) []*minhash.Sketch {
-	out := make([]*minhash.Sketch, len(ps))
-	for i, p := range ps {
-		s, ok := p.(*minhash.Sketch)
-		if !ok || (ref != nil && minhash.Compatible(ref, s) != nil) {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func (p *mhPack) addTable(key payload, vals, sqs []payload) bool {
-	ks := mhSketches(p.ref, key)
-	if ks == nil {
-		return false
-	}
-	ref := p.ref
-	if ref == nil {
-		ref = ks[0]
-	}
-	vs := mhSketches(ref, vals...)
-	ss := mhSketches(ref, sqs...)
-	if vs == nil || ss == nil {
-		return false
-	}
-	if p.ref == nil {
-		// Pin the reference only once a bundle actually packs, so a
-		// rejected first bundle cannot poison the pack's parameters.
-		p.ref = ref
-		p.keys = minhash.NewCols(ref.Params())
-		p.vals = minhash.NewCols(ref.Params())
-		p.sqs = minhash.NewCols(ref.Params())
-	}
-	p.keys.Append(ks[0])
-	for i := range vs {
-		p.vals.Append(vs[i])
-		p.sqs.Append(ss[i])
-	}
-	return true
-}
-
-// mhQuery is the pre-decoded query bundle: key, value, squared value.
-type mhQuery [3]*minhash.Sketch
+// newColumnarPack and prepareQuery implement columnarScorer.
+func (mhBackend) newColumnarPack() columnarPack { return mhPacks.newPack() }
 
 func (mhBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	qs := mhSketches(nil, qKey, qVal, qSq)
-	if qs == nil {
-		return nil
-	}
-	return (*mhQuery)(qs)
-}
-
-func (p *mhPack) accepts(q columnarQuery) bool {
-	qs, ok := q.(*mhQuery)
-	if !ok || p.ref == nil {
-		return false
-	}
-	for _, s := range qs {
-		if minhash.Compatible(p.ref, s) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// scan: MH has no dedicated join-size estimator (EstimateJoinSize reduces
-// to Estimate), so the size is one more operand of the key-pack kernel.
-func (p *mhPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs := (*[3]*minhash.Sketch)(q.(*mhQuery))
-	var buf [3]*minhash.Sketch
-	if sel := &pl.key; sel.n > 0 {
-		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
-	}
-	if sel := &pl.val; sel.n > 0 {
-		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
-	if sel := &pl.sq; sel.n > 0 {
-		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
+	return mhPacks.prepareQuery(qKey, qVal, qSq)
 }

@@ -107,105 +107,19 @@ func (be psampleBackend) unmarshal(data []byte) (payload, error) {
 	return s, nil
 }
 
-// newColumnarPack implements columnarScorer: three psample.Cols (key,
-// value, and squared-value samples) sharing one reference sketch for
-// compatibility checks; Mode is part of Params, so one pack never mixes
-// priority and threshold samples.
-func (be psampleBackend) newColumnarPack() columnarPack { return &psPack{} }
-
-type psPack struct {
-	ref  *psample.Sketch
-	keys *psample.Cols
-	vals *psample.Cols
-	sqs  *psample.Cols
+// psPacks is the PS/TS columnar family; Mode is part of Params, so one
+// pack never mixes priority and threshold samples. The query operand is
+// psample.Query: each sample's inclusion probability is computed once per
+// search, not once per match per candidate.
+var psPacks = packFamily[*psample.Sketch, *psample.Query, *psample.Cols]{
+	compatible: psample.Compatible,
+	newCols:    func(ref *psample.Sketch) *psample.Cols { return psample.NewCols(ref.Params()) },
+	operand:    psample.NewQuery,
 }
 
-// psSketches asserts and compatibility-checks a bundle's payloads against
-// ref, returning nil on any mismatch.
-func psSketches(ref *psample.Sketch, ps ...payload) []*psample.Sketch {
-	out := make([]*psample.Sketch, len(ps))
-	for i, p := range ps {
-		s, ok := p.(*psample.Sketch)
-		if !ok || (ref != nil && psample.Compatible(ref, s) != nil) {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func (p *psPack) addTable(key payload, vals, sqs []payload) bool {
-	ks := psSketches(p.ref, key)
-	if ks == nil {
-		return false
-	}
-	ref := p.ref
-	if ref == nil {
-		ref = ks[0]
-	}
-	vs := psSketches(ref, vals...)
-	ss := psSketches(ref, sqs...)
-	if vs == nil || ss == nil {
-		return false
-	}
-	if p.ref == nil {
-		p.ref = ref
-		p.keys = psample.NewCols(ref.Params())
-		p.vals = psample.NewCols(ref.Params())
-		p.sqs = psample.NewCols(ref.Params())
-	}
-	p.keys.Append(ks[0])
-	for i := range vs {
-		p.vals.Append(vs[i])
-		p.sqs.Append(ss[i])
-	}
-	return true
-}
-
-// psQuery is the pre-decoded query bundle (key, value, squared value):
-// each sample's inclusion probability is computed once per search here,
-// not once per match per candidate. The sketches stay beside the decoded
-// form for the per-pack compatibility check.
-type psQuery struct {
-	sk [3]*psample.Sketch
-	q  [3]*psample.Query
-}
+// newColumnarPack and prepareQuery implement columnarScorer.
+func (psampleBackend) newColumnarPack() columnarPack { return psPacks.newPack() }
 
 func (psampleBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	qs := psSketches(nil, qKey, qVal, qSq)
-	if qs == nil {
-		return nil
-	}
-	pq := &psQuery{sk: [3]*psample.Sketch(qs)}
-	for i, s := range qs {
-		pq.q[i] = psample.NewQuery(s)
-	}
-	return pq
-}
-
-func (p *psPack) accepts(q columnarQuery) bool {
-	pq, ok := q.(*psQuery)
-	if !ok || p.ref == nil {
-		return false
-	}
-	for _, s := range pq.sk {
-		if psample.Compatible(p.ref, s) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *psPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs := &q.(*psQuery).q
-	var buf [3]*psample.Query
-	if sel := &pl.key; sel.n > 0 {
-		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
-	}
-	if sel := &pl.val; sel.n > 0 {
-		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
-	if sel := &pl.sq; sel.n > 0 {
-		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
+	return psPacks.prepareQuery(qKey, qVal, qSq)
 }

@@ -149,98 +149,20 @@ func (wmhBackend) signature(p payload) ([]uint64, error) {
 	return sk.Signature(), nil
 }
 
-// newColumnarPack implements columnarScorer: three wmh.Cols (key, value,
-// and squared-value sketches) sharing one reference sketch for
-// compatibility checks (params, resolved L, and construction variant all
-// pin through wmh.Compatible, so dart and record-process sketches never
-// mix in one pack).
-func (wmhBackend) newColumnarPack() columnarPack { return &wmhPack{} }
-
-type wmhPack struct {
-	ref  *wmh.Sketch
-	keys *wmh.Cols
-	vals *wmh.Cols
-	sqs  *wmh.Cols
+// wmhPacks is the WMH columnar family: params, resolved L, and
+// construction variant all pin through wmh.Compatible, so dart and
+// record-process sketches never mix in one pack.
+var wmhPacks = packFamily[*wmh.Sketch, *wmh.Sketch, *wmh.Cols]{
+	compatible: wmh.Compatible,
+	newCols:    wmh.NewCols,
+	operand:    func(s *wmh.Sketch) *wmh.Sketch { return s },
 }
 
-// wmhSketches asserts and compatibility-checks a bundle's payloads
-// against ref, returning nil on any mismatch.
-func wmhSketches(ref *wmh.Sketch, ps ...payload) []*wmh.Sketch {
-	out := make([]*wmh.Sketch, len(ps))
-	for i, p := range ps {
-		s, ok := p.(*wmh.Sketch)
-		if !ok || (ref != nil && wmh.Compatible(ref, s) != nil) {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func (p *wmhPack) addTable(key payload, vals, sqs []payload) bool {
-	ks := wmhSketches(p.ref, key)
-	if ks == nil {
-		return false
-	}
-	ref := p.ref
-	if ref == nil {
-		ref = ks[0]
-	}
-	vs := wmhSketches(ref, vals...)
-	ss := wmhSketches(ref, sqs...)
-	if vs == nil || ss == nil {
-		return false
-	}
-	if p.ref == nil {
-		p.ref = ref
-		p.keys = wmh.NewCols(ref)
-		p.vals = wmh.NewCols(ref)
-		p.sqs = wmh.NewCols(ref)
-	}
-	p.keys.Append(ks[0])
-	for i := range vs {
-		p.vals.Append(vs[i])
-		p.sqs.Append(ss[i])
-	}
-	return true
-}
-
-// wmhQuery is the pre-decoded query bundle: key, value, squared value.
-type wmhQuery [3]*wmh.Sketch
+// newColumnarPack and prepareQuery implement columnarScorer.
+func (wmhBackend) newColumnarPack() columnarPack { return wmhPacks.newPack() }
 
 func (wmhBackend) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	qs := wmhSketches(nil, qKey, qVal, qSq)
-	if qs == nil {
-		return nil
-	}
-	return (*wmhQuery)(qs)
-}
-
-func (p *wmhPack) accepts(q columnarQuery) bool {
-	qs, ok := q.(*wmhQuery)
-	if !ok || p.ref == nil {
-		return false
-	}
-	for _, s := range qs {
-		if wmh.Compatible(p.ref, s) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *wmhPack) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs := (*[3]*wmh.Sketch)(q.(*wmhQuery))
-	var buf [3]*wmh.Sketch
-	if sel := &pl.key; sel.n > 0 {
-		p.keys.Scan(pick(sel, qs, &buf), tLo, tHi, tbl, pl.tblStride, sel.off[:sel.n])
-	}
-	if sel := &pl.val; sel.n > 0 {
-		p.vals.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
-	if sel := &pl.sq; sel.n > 0 {
-		p.sqs.Scan(pick(sel, qs, &buf), cLo, cHi, col, pl.colStride, sel.off[:sel.n])
-	}
+	return wmhPacks.prepareQuery(qKey, qVal, qSq)
 }
 
 // quantizable marks that Config.Quantize is honored.

@@ -95,7 +95,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests")
 		ingestLimit   = fs.Int("ingest-limit", 0, "max in-flight ingest requests (0 = 2×GOMAXPROCS)")
 		searchLimit   = fs.Int("search-limit", 0, "max in-flight search requests (0 = 2×GOMAXPROCS)")
-		lax           = fs.Bool("lax", false, "disable the eager sketch-compatibility check")
 		pprofOn       = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (alongside /metrics)")
 		slowlogN      = fs.Int("slowlog-n", service.DefaultSlowLogSize, "slow-query log capacity (N slowest searches)")
 		slowThreshold = fs.Duration("slow-threshold", 0, "only record searches at least this slow (0 = keep the N slowest regardless)")
@@ -177,7 +176,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		},
 		KeySpace:         *keySpace,
 		Shards:           *shards,
-		Lax:              *lax,
 		SnapshotPath:     *snapshot,
 		IngestLimit:      *ingestLimit,
 		SearchLimit:      *searchLimit,

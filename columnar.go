@@ -1,18 +1,16 @@
 package ipsketch
 
-import "sort"
-
 // This file is the structure-of-arrays scan path of SketchIndex: at build
-// time every packable entry's sketch bundle is appended to one
-// family-specific columnar pack (contiguous hash/value arrays plus
-// per-sketch aux words), and at search time the pre-decoded query streams
-// those flat arrays with zero per-candidate decoding, map lookups, or
-// interface dispatch — the numba-kernel shape of the related sampling
-// repos, specialized per family behind the columnarScorer capability.
-// Entries the pack rejects (different method, key space, or construction
-// parameters) transparently stay on the decoded EstimateJoinStats path,
-// and both paths assemble JoinStats through the same helper, so rankings
-// are bit-identical either way.
+// time every entry's sketch bundle is appended to one family-specific
+// columnar pack (contiguous hash/value arrays plus per-sketch aux words),
+// and at search time the pre-decoded query streams those flat arrays with
+// zero per-candidate decoding, map lookups, or interface dispatch — the
+// numba-kernel shape of the related sampling repos, specialized per family
+// behind the columnarScorer capability. A view covers every entry of its
+// index or is not built: an index holding one bundle the pack rejects
+// (different method, key space, or construction parameters) scans decoded
+// through EstimateJoinStats. Both paths assemble JoinStats through the
+// same helper, so rankings are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, ordered by
 // the pack they scan — three query operands against the key sketches, two
@@ -48,26 +46,25 @@ func rankEstimates(by RankBy, k int) estSet {
 	}
 }
 
-// packSel is the part of an estPlan one pack runs: n query operands
-// (indices into the bundle's key, value, squared-value order) and the
-// output slot each fills.
+// packSel is the part of an estPlan one pack runs: the n consecutive query
+// operands [lo, lo+n) of the bundle's key, value, squared-value order, and
+// the output slot each fills. Every plan a search builds (rankEstimates and
+// its complement) selects consecutive operands per pack, so a kernel call
+// takes a sub-slice of the prepared query instead of a gathered copy; add
+// panics on a selection that would not be one.
 type packSel struct {
-	n   int
-	op  [3]int
-	off [3]int
+	lo, n int
+	off   [3]int
 }
 
 func (s *packSel) add(op, off int) {
-	s.op[s.n], s.off[s.n] = op, off
-	s.n++
-}
-
-// pick gathers the selected operands of q into buf for a kernel call.
-func pick[Q any](s *packSel, q *[3]Q, buf *[3]Q) []Q {
-	for i := 0; i < s.n; i++ {
-		buf[i] = q[s.op[i]]
+	if s.n == 0 {
+		s.lo = op
+	} else if op != s.lo+s.n {
+		panic("ipsketch: estimate plan selects non-consecutive query operands")
 	}
-	return buf[:s.n]
+	s.off[s.n] = off
+	s.n++
 }
 
 // estPlan lays out one subset of the six estimates as compact strided
@@ -106,81 +103,67 @@ func newEstPlan(want estSet) estPlan {
 	return pl
 }
 
-// columnarView is the packed form of one index snapshot. It is immutable
-// after buildColumnarView returns; concurrent searches share it freely.
+// columnarView is the packed form of one index snapshot: packed table t is
+// index entry t. It is immutable after buildColumnarView returns;
+// concurrent searches share it freely.
 type columnarView struct {
 	method   Method
 	keySpace uint64
 	pk       columnarPack
-	// ents lists the packed entry positions in ascending scan order;
-	// packed table t corresponds to index entry ents[t].
-	ents []int
-	// colOff is a len(ents)+1 prefix-sum: packed table t's columns occupy
+	// colOff is a len(entries)+1 prefix-sum: entry t's columns occupy
 	// pack-wide column ordinals [colOff[t], colOff[t+1]), in the entry's
-	// sorted Columns() order.
+	// sorted Columns() order (none for a table without value columns).
 	colOff []int
-	// packed flags every index entry position the pack accepted, so the
-	// fallback loop can skip them.
-	packed []bool
 }
 
-// buildColumnarView packs entries into a fresh view, or returns nil when
-// nothing is packable. The family is chosen by the first entry whose
-// backend implements columnarScorer; entries of other methods (or
-// incompatible parameters) stay decoded.
+// buildColumnarView packs entries into a fresh view, or returns nil as
+// soon as one entry does not pack. The family is that of the first entry.
+// All or nothing loses no packed search: every packed family's Compatible
+// is field equality, hence transitive, so an entry the pack rejects is
+// incompatible with any query the pack accepts — the decoded scorer fails
+// on it and the search returns that error, view or no view.
 func buildColumnarView(entries []*TableSketch) *columnarView {
 	var v *columnarView
-	for ent, e := range entries {
+	var vals, sqs []payload
+	for _, e := range entries {
 		if e == nil || e.key == nil || e.key.payload == nil {
-			continue
-		}
-		cols := e.Columns()
-		if len(cols) == 0 {
-			continue // nothing to score; keep it off the pack
+			return nil
 		}
 		if v == nil {
 			be, err := backendFor(e.key.method)
 			if err != nil {
-				continue
+				return nil
 			}
 			cs, ok := be.(columnarScorer)
 			if !ok {
-				continue
+				return nil
 			}
 			v = &columnarView{
 				method:   e.key.method,
 				keySpace: e.keySpace,
 				pk:       cs.newColumnarPack(),
-				colOff:   []int{0},
-				packed:   make([]bool, len(entries)),
+				colOff:   make([]int, 1, len(entries)+1),
 			}
 		}
 		if e.key.method != v.method || e.keySpace != v.keySpace {
-			continue
+			return nil
 		}
-		vals := make([]payload, 0, len(cols))
-		sqs := make([]payload, 0, len(cols))
-		ok := true
+		cols := e.Columns()
+		vals, sqs = vals[:0], sqs[:0]
 		for _, c := range cols {
 			vsk, ssk := e.val[c], e.sqVal[c]
 			if vsk == nil || ssk == nil ||
 				vsk.method != v.method || ssk.method != v.method ||
 				vsk.payload == nil || ssk.payload == nil {
-				ok = false
-				break
+				return nil
 			}
 			vals = append(vals, vsk.payload)
 			sqs = append(sqs, ssk.payload)
 		}
-		if !ok || !v.pk.addTable(e.key.payload, vals, sqs) {
-			continue
+		if !v.pk.addTable(e.key.payload, vals, sqs) {
+			return nil
 		}
-		v.ents = append(v.ents, ent)
 		v.colOff = append(v.colOff, v.colOff[len(v.colOff)-1]+len(cols))
-		v.packed[ent] = true
-	}
-	if v == nil || len(v.ents) == 0 {
-		return nil
 	}
 	return v
 }
@@ -219,23 +202,146 @@ func (v *columnarView) accepts(query *TableSketch, q columnarQuery) bool {
 	return q != nil && query.keySpace == v.keySpace && query.key.method == v.method && v.pk.accepts(q)
 }
 
-// tableRange maps an entry range [lo, hi) to the packed table range whose
-// entries fall inside it.
-func (v *columnarView) tableRange(lo, hi int) (tLo, tHi int) {
-	return sort.SearchInts(v.ents, lo), sort.SearchInts(v.ents, hi)
+// packCols is what the shared pack adapter needs of a family's packed
+// columns (the Cols type of internal/{wmh,minhash,kmv,psample}): append a
+// decoded sketch S, and score query operands Q against a range.
+type packCols[S, Q any] interface {
+	Append(s S)
+	Scan(qs []Q, lo, hi int, out []float64, stride int, offs []int)
+}
+
+// packFamily is everything family-specific about a columnar pack; the
+// backend files each declare one and route their columnarScorer methods
+// through it. S is the decoded sketch, Q the pre-decoded query operand
+// the kernel takes, C the family's packed columns.
+type packFamily[S payload, Q any, C packCols[S, Q]] struct {
+	compatible func(a, b S) error
+	newCols    func(ref S) C
+	// operand pre-decodes one query sketch, once per search.
+	operand func(S) Q
+	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
+	// size slot carries its estimate instead of the inner-product
+	// reduction, as the decoded joinSizeEstimator path does.
+	scanJoinSize func(c C, q Q, lo, hi int, out []float64, stride, off int)
+}
+
+// pack is the one columnarPack implementation: three packed columns (key,
+// value and squared-value sketches) sharing the first bundle's key sketch
+// as the reference every other sketch — packed or query — must be
+// compatible with.
+type pack[S payload, Q any, C packCols[S, Q]] struct {
+	fam             *packFamily[S, Q, C]
+	ref             S
+	pinned          bool
+	keys, vals, sqs C
+}
+
+// packQuery is a family's pre-decoded query bundle (key, value, squared
+// value): the operands the kernels take, beside the sketches they came
+// from for the per-pack compatibility check.
+type packQuery[S, Q any] struct {
+	sk [3]S
+	q  [3]Q
+}
+
+func (f *packFamily[S, Q, C]) newPack() columnarPack { return &pack[S, Q, C]{fam: f} }
+
+func (f *packFamily[S, Q, C]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	pq := new(packQuery[S, Q])
+	for i, p := range [3]payload{qKey, qVal, qSq} {
+		s, ok := p.(S)
+		if !ok {
+			return nil
+		}
+		pq.sk[i], pq.q[i] = s, f.operand(s)
+	}
+	return pq
+}
+
+// member reports whether p is a sketch of the family that ref can be
+// scored against.
+func (f *packFamily[S, Q, C]) member(ref S, p payload) bool {
+	s, ok := p.(S)
+	return ok && f.compatible(ref, s) == nil
+}
+
+func (p *pack[S, Q, C]) addTable(key payload, vals, sqs []payload) bool {
+	k, ok := key.(S)
+	if !ok {
+		return false
+	}
+	ref := p.ref
+	if !p.pinned {
+		ref = k
+	}
+	if p.fam.compatible(ref, k) != nil {
+		return false
+	}
+	for i := range vals {
+		if !p.fam.member(ref, vals[i]) || !p.fam.member(ref, sqs[i]) {
+			return false
+		}
+	}
+	if !p.pinned {
+		p.ref, p.pinned = ref, true
+		p.keys, p.vals, p.sqs = p.fam.newCols(ref), p.fam.newCols(ref), p.fam.newCols(ref)
+	}
+	p.keys.Append(k)
+	for i := range vals {
+		p.vals.Append(vals[i].(S))
+		p.sqs.Append(sqs[i].(S))
+	}
+	return true
+}
+
+func (p *pack[S, Q, C]) accepts(q columnarQuery) bool {
+	pq, ok := q.(*packQuery[S, Q])
+	if !ok || !p.pinned {
+		return false
+	}
+	for _, s := range pq.sk {
+		if p.fam.compatible(p.ref, s) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+func (p *pack[S, Q, C]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	ops := &q.(*packQuery[S, Q]).q
+	if sel := &pl.key; sel.n > 0 {
+		qs, offs := ops[sel.lo:sel.lo+sel.n], sel.off[:sel.n]
+		// The size is the key pack's first selected operand whenever the
+		// plan wants it.
+		if p.fam.scanJoinSize != nil && pl.slot[slotSize] >= 0 {
+			p.fam.scanJoinSize(p.keys, qs[0], tLo, tHi, tbl, pl.tblStride, offs[0])
+			qs, offs = qs[1:], offs[1:]
+		}
+		if len(qs) > 0 {
+			p.keys.Scan(qs, tLo, tHi, tbl, pl.tblStride, offs)
+		}
+	}
+	if sel := &pl.val; sel.n > 0 {
+		p.vals.Scan(ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
+	if sel := &pl.sq; sel.n > 0 {
+		p.sqs.Scan(ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	}
 }
 
 // BuildColumnar packs the index's entries into the columnar scan view and
-// returns the number of entries packed. The catalog calls this once per
-// copy-on-write publish, so every reader scans packed; library users call
-// it after loading a static index. Add and Remove invalidate the view
-// (searches fall back to the decoded scorer until the next build).
+// returns the number of entries packed: all of them, or 0 when no view
+// was built (an empty index, an unpackable family, or one entry the pack
+// rejects). The catalog calls this once per copy-on-write publish, so
+// every reader scans packed; library users call it after loading a static
+// index. Add and Remove invalidate the view (searches fall back to the
+// decoded scorer until the next build).
 func (ix *SketchIndex) BuildColumnar() int {
 	ix.view = buildColumnarView(ix.entries)
 	if ix.view == nil {
 		return 0
 	}
-	return len(ix.view.ents)
+	return len(ix.entries)
 }
 
 // ScanStats counts what one search's scan did, for observability: how

@@ -389,10 +389,9 @@ func TestColumnarErrorOrderMixedSeed(t *testing.T) {
 	}
 }
 
-// TestColumnarMixedMethodLaxIndex: a lax index mixing a packable family
-// with a linear method packs only the former; the other method's entries
-// stay decoded and fail exactly as before.
-func TestColumnarMixedMethodLaxIndex(t *testing.T) {
+// mixedMethodIndex builds a lax WMH/JL/WMH index and a WMH query.
+func mixedMethodIndex(t *testing.T) (*TableSketch, *SketchIndex) {
+	t.Helper()
 	keys := make([]uint64, 60)
 	vals := make([]float64, 60)
 	rng := hashing.NewSplitMix64(6)
@@ -430,12 +429,20 @@ func TestColumnarMixedMethodLaxIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
+	return qSk, ix
+}
+
+// TestColumnarMixedMethodLaxIndex: a lax index mixing a packable family
+// with a linear method builds no view, and its searches fail exactly as
+// before.
+func TestColumnarMixedMethodLaxIndex(t *testing.T) {
+	qSk, ix := mixedMethodIndex(t)
+	_, err := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
 	if err == nil {
 		t.Fatal("decoded search accepted cross-method estimate")
 	}
-	if got := ix.BuildColumnar(); got != 2 {
-		t.Fatalf("packed %d entries, want the 2 WMH ones", got)
+	if got := ix.BuildColumnar(); got != 0 {
+		t.Fatalf("packed %d entries of an index the pack cannot cover", got)
 	}
 	_, err2 := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
 	if err2 == nil {
@@ -443,6 +450,91 @@ func TestColumnarMixedMethodLaxIndex(t *testing.T) {
 	}
 	if err.Error() != err2.Error() {
 		t.Fatalf("error diverges:\ndecoded: %v\npacked:  %v", err, err2)
+	}
+}
+
+// TestColumnarViewAllOrNothing: a view covers every entry of its index or
+// is not built. Tables without value columns are entries like any other —
+// packed key-only, so packed table t is entry t — and every candidate of
+// such an index scores through the kernel, bit-identically to the decoded
+// scan. An index holding one entry the pack rejects gets no view at all
+// and fails with the decoded scorer's error.
+func TestColumnarViewAllOrNothing(t *testing.T) {
+	for _, fam := range columnarFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			qSk, fixture := buildColumnarFixture(t, fam.cfg, 7100, 9)
+			ts, err := NewTableSketcher(fam.cfg, 1<<18)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := func(name string) *TableSketch {
+				tab, err := NewTable(name, []uint64{1, 2, 3, 5, 8}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sk, err := ts.SketchTable(tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sk
+			}
+			// Key-only tables first, in the middle and last in scan order.
+			ix := NewSketchIndex()
+			add := func(e *TableSketch) {
+				if err := ix.Add(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			add(bare("bare-first"))
+			for i, e := range fixture.entries {
+				if i == 4 {
+					add(bare("bare-mid"))
+				}
+				add(e)
+			}
+			add(bare("bare-last"))
+			decoded := ix.Clone()
+			if got := ix.BuildColumnar(); got != ix.Len() {
+				t.Fatalf("packed %d of %d entries", got, ix.Len())
+			}
+			for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
+				for _, k := range []int{-1, 3} {
+					label := fmt.Sprintf("by=%d k=%d", by, k)
+					want, wantStats, err := decoded.SearchTopKStats(qSk, "v", by, 0, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, stats, err := ix.SearchTopKStats(qSk, "v", by, 0, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameSearch(t, label, got, want)
+					if stats.Candidates != wantStats.Candidates || stats.Columnar != stats.Candidates || stats.Fallback != 0 {
+						t.Fatalf("%s: packed scan counters %+v, decoded scored %d", label, stats, wantStats.Candidates)
+					}
+				}
+			}
+		})
+	}
+
+	qMethod, mixedMethod := mixedMethodIndex(t)
+	qSeed, mixedSeed := mixedSeedIndex(t, 3)
+	for _, tc := range []struct {
+		name  string
+		query *TableSketch
+		ix    *SketchIndex
+	}{{"mixed-method", qMethod, mixedMethod}, {"mixed-seed", qSeed, mixedSeed}} {
+		_, want := tc.ix.SearchTopK(tc.query, "v", RankByJoinSize, 0, -1)
+		if got := tc.ix.BuildColumnar(); got != 0 || tc.ix.view != nil {
+			t.Fatalf("%s: BuildColumnar = %d, view built = %v; want no view", tc.name, got, tc.ix.view != nil)
+		}
+		_, stats, err := tc.ix.SearchTopKStats(tc.query, "v", RankByJoinSize, 0, -1)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: error after BuildColumnar %v, decoded error %v", tc.name, err, want)
+		}
+		if stats.Columnar != 0 {
+			t.Fatalf("%s: %d candidates scored packed without a view", tc.name, stats.Columnar)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,29 +367,24 @@ func (s *searcher) offer(w *rankWorker, c *scored) {
 	}
 }
 
-// rankPacked scores the packed tables whose entries fall in [lo, hi) of
-// source si: one kernel call computes the rank plan's estimates for the
-// whole range, then every column is offered with what the plan computed.
-func (s *searcher) rankPacked(w *rankWorker, si, lo, hi int) {
+// rankPacked scores the entries [tLo, tHi) of packed source si: one kernel
+// call computes the rank plan's estimates for the whole range, then every
+// column is offered with what the plan computed.
+func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
 	src := &s.srcs[si]
 	v, pl := src.view, &s.rank
-	tLo, tHi := v.tableRange(lo, hi)
-	if tHi == tLo {
-		return
-	}
 	cLo, cHi := v.colOff[tLo], v.colOff[tHi]
 	w.tbl = resize(w.tbl, pl.tblStride*(tHi-tLo))
 	w.col = resize(w.col, pl.colStride*(cHi-cLo))
 	v.pk.scan(s.q, pl, tLo, tHi, w.tbl, cLo, cHi, w.col)
 	for t := tLo; t < tHi; t++ {
-		ent := v.ents[t]
-		if src.ix.entries[ent].Name == s.query.Name {
+		if src.ix.entries[t].Name == s.query.Name {
 			continue
 		}
 		tr := w.tbl[pl.tblStride*(t-tLo):]
 		for c := v.colOff[t]; c < v.colOff[t+1]; c++ {
 			cr := w.col[pl.colStride*(c-cLo):]
-			cand := scored{src: si, ent: ent, col: c - v.colOff[t]}
+			cand := scored{src: si, ent: t, col: c - v.colOff[t]}
 			if pl.want == estAll {
 				cand.st = assembleJoinStats(tr[pl.slot[slotSize]], tr[pl.slot[slotSumA]], cr[pl.slot[slotSumB]],
 					tr[pl.slot[slotSumSqA]], cr[pl.slot[slotSumSqB]], cr[pl.slot[slotIP]])
@@ -408,7 +402,7 @@ func (s *searcher) rankPacked(w *rankWorker, si, lo, hi int) {
 }
 
 // rankDecoded scores one entry through the decoded all-six estimator —
-// the reference path, and the only one for entries no pack holds.
+// the reference path, and the only one for an index without a view.
 func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 	src := &s.srcs[si]
 	cand := src.ix.entries[ent]
@@ -426,37 +420,34 @@ func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 	}
 }
 
-// rankUnit runs the rank phase over one unit: the packed entries of its
-// piece of the scan list first, then the rest decoded. Stage timers are a
-// few clock reads per unit, nothing per candidate.
+// rankUnit runs the rank phase over one unit of a source's scan list,
+// packed or decoded as the source is. Stage timers are two clock reads per
+// unit, nothing per candidate.
 func (s *searcher) rankUnit(w *rankWorker, u scanUnit) {
 	src := &s.srcs[u.src]
 	start := time.Now()
-	if src.view != nil {
-		if src.ents == nil {
-			s.rankPacked(w, u.src, u.lo, u.hi)
-		} else {
-			// Each candidate's estimates depend only on its own slice of
-			// the pack, so single-table kernel calls produce the same
-			// floats as the full range scan.
-			for _, ent := range src.ents[u.lo:u.hi] {
-				s.rankPacked(w, u.src, ent, ent+1)
+	switch {
+	case src.view == nil:
+		for i := u.lo; i < u.hi; i++ {
+			ent := i
+			if src.ents != nil {
+				ent = src.ents[i]
 			}
-		}
-		now := time.Now()
-		w.stats.ColumnarNanos += now.Sub(start).Nanoseconds()
-		start = now
-	}
-	for i := u.lo; i < u.hi; i++ {
-		ent := i
-		if src.ents != nil {
-			ent = src.ents[i]
-		}
-		if src.view == nil || !src.view.packed[ent] {
 			s.rankDecoded(w, u.src, ent)
 		}
+		w.stats.FallbackNanos += time.Since(start).Nanoseconds()
+		return
+	case src.ents == nil:
+		s.rankPacked(w, u.src, u.lo, u.hi)
+	default:
+		// Each candidate's estimates depend only on its own slice of the
+		// pack, so single-table kernel calls produce the same floats as
+		// the full range scan.
+		for _, ent := range src.ents[u.lo:u.hi] {
+			s.rankPacked(w, u.src, ent, ent+1)
+		}
 	}
-	w.stats.FallbackNanos += time.Since(start).Nanoseconds()
+	w.stats.ColumnarNanos += time.Since(start).Nanoseconds()
 }
 
 // fillStats completes a retained candidate's statistics: the estimates the
@@ -469,10 +460,9 @@ func (s *searcher) fillStats(w *rankWorker, c *scored) {
 		return
 	}
 	v, pl := s.srcs[c.src].view, &s.fill
-	t := sort.SearchInts(v.ents, c.ent)
-	at := v.colOff[t] + c.col
+	at := v.colOff[c.ent] + c.col
 	w.tbl, w.col = resize(w.tbl, pl.tblStride), resize(w.col, pl.colStride)
-	v.pk.scan(s.q, pl, t, t+1, w.tbl, at, at+1, w.col)
+	v.pk.scan(s.q, pl, c.ent, c.ent+1, w.tbl, at, at+1, w.col)
 	ip := c.st.InnerProduct
 	if pl.slot[slotIP] >= 0 {
 		ip = w.col[pl.slot[slotIP]]

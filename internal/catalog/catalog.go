@@ -6,14 +6,15 @@
 // # Concurrency model
 //
 // Tables are striped across shards by a hash of their name. Each shard
-// publishes an immutable pair (name→sketch map, name-sorted SketchIndex)
-// behind an RWMutex: writers serialize on a separate mutex, build the
-// replacement copies off-lock, and swap the published pointers under the
-// write lock, so a reader is only ever blocked for the duration of a
-// pointer swap — queries never wait on sketching or index rebuilding.
-// Readers take a copy-on-read snapshot (the published pointers) and work
-// lock-free from there; a snapshot observes a consistent shard state that
-// concurrent ingest can never mutate.
+// publishes ONE immutable object — a name-sorted SketchIndex, packed for
+// the columnar scan and banded for LSH — behind an atomic pointer:
+// writers serialize on the shard's mutex, stage the shard's table set,
+// edit it, build the replacement index and store the pointer, so readers
+// never block — queries never wait on sketching or index rebuilding. A
+// reader loads the pointer and works lock-free from there; what it holds
+// is a consistent shard state that concurrent ingest can never mutate.
+// Every published index is built by one function (publish), whether the
+// staged edits came from a live Put/Merge/Delete or from a Restore.
 //
 // # Search determinism
 //
@@ -34,6 +35,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	ipsketch "repro"
@@ -89,10 +91,11 @@ type Options struct {
 	// exactly the publish order, so replaying the hooked mutations
 	// reconstructs the catalog.
 	OnMutate func(Mutation) error
-	// PublishObserver, when set, receives the seconds each mutation spent
-	// rebuilding and publishing its shard's copy-on-write state (index
-	// rebuild + columnar pack + pointer swap) — the write-side latency a
-	// reader never sees but every ingest pays.
+	// PublishObserver, when set, receives the seconds each publish spent
+	// rebuilding a shard's copy-on-write state (index rebuild + columnar
+	// pack + pointer store) — the write-side latency a reader never sees
+	// but every ingest pays. A live mutation publishes once; a Restore
+	// publishes once per shard it touched, however many tables it staged.
 	PublishObserver Observer
 	// LSH, when set, maintains a banded candidate index alongside every
 	// published shard index (rebuilt at publish time exactly like the
@@ -101,29 +104,60 @@ type Options struct {
 	LSH *ipsketch.LSHParams
 }
 
-// shard is one stripe. tables and ix are immutable once published:
-// writers clone, rebuild, and swap under mu; readers copy the pointers
-// under RLock and then work without any lock.
+// shard is one stripe: its published index, immutable once stored, and
+// the mutex that serializes whoever builds the next one.
 type shard struct {
-	writeMu sync.Mutex // serializes writers; held across clone + rebuild
-	mu      sync.RWMutex
-	tables  map[string]*ipsketch.TableSketch
-	ix      *ipsketch.SketchIndex
+	writeMu sync.Mutex // held across stage + edit + hook + publish
+	ix      atomic.Pointer[ipsketch.SketchIndex]
 }
 
-// view returns the shard's published state.
-func (sh *shard) view() (map[string]*ipsketch.TableSketch, *ipsketch.SketchIndex) {
-	sh.mu.RLock()
-	m, ix := sh.tables, sh.ix
-	sh.mu.RUnlock()
-	return m, ix
+// staged is a shard's table set under edit: the published entries plus
+// the edits applied so far. Only the holder of the shard's writeMu has
+// one; nothing is visible to readers until publish.
+type staged map[string]*ipsketch.TableSketch
+
+// absorb registers every entry of ix in m.
+func (m staged) absorb(ix *ipsketch.SketchIndex) {
+	for _, name := range ix.Tables() {
+		m[name], _ = ix.Get(name)
+	}
 }
 
-// publish swaps in a new published state.
-func (sh *shard) publish(m map[string]*ipsketch.TableSketch, ix *ipsketch.SketchIndex) {
-	sh.mu.Lock()
-	sh.tables, sh.ix = m, ix
-	sh.mu.Unlock()
+// stage copies the shard's published table set (the caller holds writeMu).
+func (sh *shard) stage() staged {
+	ix := sh.ix.Load()
+	m := make(staged, ix.Len()+1)
+	m.absorb(ix)
+	return m
+}
+
+// merge folds ts into the staged table of its name, or registers it when
+// there is none, and returns the resulting table and whether a merge
+// happened.
+func (m staged) merge(ts *ipsketch.TableSketch) (*ipsketch.TableSketch, bool, error) {
+	prev, existed := m[ts.Name]
+	if existed {
+		merged, err := prev.Merge(ts)
+		if err != nil {
+			return nil, false, fmt.Errorf("catalog: merging into %q: %w", ts.Name, err)
+		}
+		ts = merged
+	}
+	m[ts.Name] = ts
+	return ts, existed, nil
+}
+
+// publish builds the index over m and makes it the shard's published
+// state — the one place that state is derived. The caller holds the
+// shard's writeMu.
+func (c *Catalog) publish(sh *shard, m staged) error {
+	defer c.observePublish(time.Now())
+	ix, err := sortedIndex(m, c.lsh)
+	if err != nil {
+		return err
+	}
+	sh.ix.Store(ix)
+	return nil
 }
 
 // Catalog is a sharded concurrent table-sketch catalog.
@@ -138,6 +172,10 @@ type Catalog struct {
 	// removal so an emptied catalog keeps rejecting the same mismatches.
 	pinMu sync.Mutex
 	pin   *ipsketch.TableSketch
+
+	// restoreMu serializes Restores: each holds several shard mutexes at
+	// once, taken in the order its edits arrive.
+	restoreMu sync.Mutex
 }
 
 // New returns an empty catalog.
@@ -148,14 +186,14 @@ func New(opts Options) *Catalog {
 	}
 	c := &Catalog{shards: make([]shard, n), strict: opts.Strict, onMutate: opts.OnMutate, publishObs: opts.PublishObserver, lsh: opts.LSH}
 	for i := range c.shards {
-		c.shards[i].tables = map[string]*ipsketch.TableSketch{}
-		c.shards[i].ix = ipsketch.NewSketchIndex()
+		ix := ipsketch.NewSketchIndex()
 		if c.lsh != nil {
 			// Empty shards must answer lsh-mode searches too. Invalid
 			// banding parameters are reported by the first mutation
 			// instead (New has no error return).
-			_, _ = c.shards[i].ix.BuildLSH(*c.lsh)
+			_, _ = ix.BuildLSH(*c.lsh)
 		}
+		c.shards[i].ix.Store(ix)
 	}
 	return c
 }
@@ -163,15 +201,17 @@ func New(opts Options) *Catalog {
 // Shards returns the stripe count.
 func (c *Catalog) Shards() int { return len(c.shards) }
 
-// shardFor stripes a table name (FNV-1a 64).
-func (c *Catalog) shardFor(name string) *shard {
+// shardOf stripes a table name (FNV-1a 64).
+func (c *Catalog) shardOf(name string) int {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 0x100000001b3
 	}
-	return &c.shards[h%uint64(len(c.shards))]
+	return int(h % uint64(len(c.shards)))
 }
+
+func (c *Catalog) shardFor(name string) *shard { return &c.shards[c.shardOf(name)] }
 
 // Pin fixes a strict catalog's configuration to the given reference
 // sketch before any table arrives, so even the very first Put is
@@ -215,9 +255,10 @@ func (c *Catalog) checkPin(ts *ipsketch.TableSketch) error {
 	return nil
 }
 
-// admit runs the checks shared by Put and Merge: a usable name, envelope
-// serializability (so a catalog that accepted a sketch can always be
-// saved and restored), and the strict configuration pin.
+// admit runs the checks every sketch entering the catalog passes, live or
+// restored: a usable name, envelope serializability (so a catalog that
+// accepted a sketch can always be saved and restored), and the strict
+// configuration pin.
 func (c *Catalog) admit(ts *ipsketch.TableSketch) error {
 	if ts == nil {
 		return errors.New("catalog: nil table sketch")
@@ -246,15 +287,16 @@ func (c *Catalog) Put(ts *ipsketch.TableSketch) error {
 	sh := c.shardFor(ts.Name)
 	sh.writeMu.Lock()
 	defer sh.writeMu.Unlock()
+	m := sh.stage()
+	m[ts.Name] = ts
 	if err := c.hook(Mutation{Op: MutationPut, Name: ts.Name, Sketch: ts}); err != nil {
 		return err
 	}
-	defer c.observePublish(time.Now())
-	return sh.replaceLocked(ts, c.lsh)
+	return c.publish(sh, m)
 }
 
 // observePublish reports a publish latency (call with the publish start
-// time deferred around the rebuild+swap).
+// time deferred around the rebuild+store).
 func (c *Catalog) observePublish(t0 time.Time) {
 	if c.publishObs != nil {
 		c.publishObs.Observe(time.Since(t0).Seconds())
@@ -295,41 +337,18 @@ func (c *Catalog) MergeTagged(ts *ipsketch.TableSketch, tag string) (bool, error
 	sh := c.shardFor(ts.Name)
 	sh.writeMu.Lock()
 	defer sh.writeMu.Unlock()
-	old, _ := sh.view()
-	prev, existed := old[ts.Name]
-	result := ts
-	if existed {
-		merged, err := prev.Merge(ts)
-		if err != nil {
-			return false, fmt.Errorf("catalog: merging into %q: %w", ts.Name, err)
-		}
-		result = merged
+	m := sh.stage()
+	_, existed, err := m.merge(ts)
+	if err != nil {
+		return false, err
 	}
 	if err := c.hook(Mutation{Op: MutationMerge, Name: ts.Name, Sketch: ts, Tag: tag}); err != nil {
 		return false, err
 	}
-	defer c.observePublish(time.Now())
-	if err := sh.replaceLocked(result, c.lsh); err != nil {
+	if err := c.publish(sh, m); err != nil {
 		return false, err
 	}
 	return existed, nil
-}
-
-// replaceLocked publishes a shard state with ts registered under its
-// name; the caller holds the shard's write mutex.
-func (sh *shard) replaceLocked(ts *ipsketch.TableSketch, lshp *ipsketch.LSHParams) error {
-	old, _ := sh.view()
-	next := make(map[string]*ipsketch.TableSketch, len(old)+1)
-	for name, sk := range old {
-		next[name] = sk
-	}
-	next[ts.Name] = ts
-	ix, err := sortedIndex(next, lshp)
-	if err != nil {
-		return err
-	}
-	sh.publish(next, ix)
-	return nil
 }
 
 // Delete deletes the table, reporting whether it was present and any
@@ -338,33 +357,108 @@ func (c *Catalog) Delete(name string) (bool, error) {
 	sh := c.shardFor(name)
 	sh.writeMu.Lock()
 	defer sh.writeMu.Unlock()
-	old, _ := sh.view()
-	if _, ok := old[name]; !ok {
+	if _, ok := sh.ix.Load().Get(name); !ok {
 		return false, nil
 	}
+	m := sh.stage()
+	delete(m, name)
 	if err := c.hook(Mutation{Op: MutationDelete, Name: name}); err != nil {
 		return false, err
 	}
-	defer c.observePublish(time.Now())
-	next := make(map[string]*ipsketch.TableSketch, len(old)-1)
-	for n, sk := range old {
-		if n != name {
-			next[n] = sk
-		}
-	}
-	ix, err := sortedIndex(next, c.lsh)
-	if err != nil {
-		// Unreachable: every sketch in the shard was accepted by Add once.
+	if err := c.publish(sh, m); err != nil {
+		// Unreachable: only invalid banding parameters fail a build, and
+		// the publish that put this table here built with the same ones.
 		panic(fmt.Sprintf("catalog: rebuilding shard after remove: %v", err))
 	}
-	sh.publish(next, ix)
 	return true, nil
+}
+
+// Restore stages mutations read back from durable storage — a snapshot's
+// tables, a write-ahead log's records — and publishes them in bulk. See
+// Catalog.Restore.
+type Restore struct {
+	c    *Catalog
+	sets []staged // by shard; nil until the shard is first touched
+}
+
+// Restore runs fn against a staging area over the catalog. Every sketch
+// fn hands it is admitted exactly as the live path admits it, and every
+// edit lands in the staged table set of its shard, whose write mutex the
+// restore takes on first touch and holds to the end — so edits of one
+// table apply in the order fn issues them, and a merge reads the table as
+// the edits before it left it. When fn returns nil each touched shard is
+// built and published once; when fn fails nothing is published. Either
+// way the OnMutate hook never runs: what is restored is already durable.
+// The *Restore is valid only inside fn, and fn must not call the
+// catalog's own Put/Merge/Delete (the restore may hold their shard).
+func (c *Catalog) Restore(fn func(*Restore) error) error {
+	c.restoreMu.Lock()
+	defer c.restoreMu.Unlock()
+	r := &Restore{c: c, sets: make([]staged, len(c.shards))}
+	defer func() {
+		for i, m := range r.sets {
+			if m != nil {
+				c.shards[i].writeMu.Unlock()
+			}
+		}
+	}()
+	if err := fn(r); err != nil {
+		return err
+	}
+	for i, m := range r.sets {
+		if m == nil {
+			continue
+		}
+		if err := c.publish(&c.shards[i], m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// set returns the staged table set of name's shard, locking and staging
+// the shard on first touch.
+func (r *Restore) set(name string) staged {
+	i := r.c.shardOf(name)
+	if r.sets[i] == nil {
+		r.c.shards[i].writeMu.Lock()
+		r.sets[i] = r.c.shards[i].stage()
+	}
+	return r.sets[i]
+}
+
+// Put stages ts under its name, replacing any staged table of that name.
+func (r *Restore) Put(ts *ipsketch.TableSketch) error {
+	if err := r.c.admit(ts); err != nil {
+		return err
+	}
+	r.set(ts.Name)[ts.Name] = ts
+	return nil
+}
+
+// Merge stages the merge of ts into the staged table of its name (or
+// registers it when there is none) and returns the table as that leaves
+// it, with whether a merge happened.
+func (r *Restore) Merge(ts *ipsketch.TableSketch) (*ipsketch.TableSketch, bool, error) {
+	if err := r.c.admit(ts); err != nil {
+		return nil, false, err
+	}
+	return r.set(ts.Name).merge(ts)
+}
+
+// Delete drops the staged table of that name, reporting whether there
+// was one.
+func (r *Restore) Delete(name string) bool {
+	m := r.set(name)
+	_, ok := m[name]
+	delete(m, name)
+	return ok
 }
 
 // bareIndex registers the tables of m in name-sorted order, so the index's
 // scan-order tiebreak is the catalog's canonical (table, column) order. It
 // packs no scan view: this is all the snapshot encoder reads.
-func bareIndex(m map[string]*ipsketch.TableSketch) (*ipsketch.SketchIndex, error) {
+func bareIndex(m staged) *ipsketch.SketchIndex {
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
@@ -373,10 +467,12 @@ func bareIndex(m map[string]*ipsketch.TableSketch) (*ipsketch.SketchIndex, error
 	ix := ipsketch.NewSketchIndex()
 	for _, name := range names {
 		if err := ix.Add(m[name]); err != nil {
-			return nil, err
+			// Unreachable: a lax index rejects only nil sketches, and
+			// admit lets none into a staged set.
+			panic(fmt.Sprintf("catalog: indexing %q: %v", name, err))
 		}
 	}
-	return ix, nil
+	return ix
 }
 
 // sortedIndex builds the published per-shard index: bareIndex plus the
@@ -385,11 +481,8 @@ func bareIndex(m map[string]*ipsketch.TableSketch) (*ipsketch.SketchIndex, error
 // search ever pays the pack cost. When lshp is set the banded candidate
 // index is built the same way — a build failure (invalid banding
 // parameters) fails the publish.
-func sortedIndex(m map[string]*ipsketch.TableSketch, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
-	ix, err := bareIndex(m)
-	if err != nil {
-		return nil, err
-	}
+func sortedIndex(m staged, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
+	ix := bareIndex(m)
 	ix.BuildColumnar()
 	if lshp != nil {
 		if _, err := ix.BuildLSH(*lshp); err != nil {
@@ -401,17 +494,14 @@ func sortedIndex(m map[string]*ipsketch.TableSketch, lshp *ipsketch.LSHParams) (
 
 // Get returns the sketch registered under name.
 func (c *Catalog) Get(name string) (*ipsketch.TableSketch, bool) {
-	m, _ := c.shardFor(name).view()
-	ts, ok := m[name]
-	return ts, ok
+	return c.shardFor(name).ix.Load().Get(name)
 }
 
 // Len returns the number of cataloged tables.
 func (c *Catalog) Len() int {
 	total := 0
 	for i := range c.shards {
-		m, _ := c.shards[i].view()
-		total += len(m)
+		total += c.shards[i].ix.Load().Len()
 	}
 	return total
 }
@@ -420,8 +510,7 @@ func (c *Catalog) Len() int {
 func (c *Catalog) ShardSizes() []int {
 	out := make([]int, len(c.shards))
 	for i := range c.shards {
-		m, _ := c.shards[i].view()
-		out[i] = len(m)
+		out[i] = c.shards[i].ix.Load().Len()
 	}
 	return out
 }
@@ -430,26 +519,26 @@ func (c *Catalog) ShardSizes() []int {
 func (c *Catalog) Tables() []string {
 	var out []string
 	for i := range c.shards {
-		m, _ := c.shards[i].view()
-		for name := range m {
-			out = append(out, name)
-		}
+		out = append(out, c.shards[i].ix.Load().Tables()...)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// allTables returns one map over every shard's current view.
-func (c *Catalog) allTables() map[string]*ipsketch.TableSketch {
-	merged := map[string]*ipsketch.TableSketch{}
+// allTables returns one table set over every shard's published index.
+func (c *Catalog) allTables() staged {
+	merged := staged{}
 	for i := range c.shards {
-		m, _ := c.shards[i].view()
-		for name, sk := range m {
-			merged[name] = sk
-		}
+		merged.absorb(c.shards[i].ix.Load())
 	}
 	return merged
 }
+
+// Capture returns the bare name-sorted index over every shard's published
+// entries — what a snapshot encodes. It packs no scan view, so it is cheap
+// enough to take under a barrier that stalls mutations; the slow encode
+// (SaveIndex) can then run outside it.
+func (c *Catalog) Capture() *ipsketch.SketchIndex { return bareIndex(c.allTables()) }
 
 // Snapshot returns a single name-sorted SketchIndex over a copy-on-read
 // snapshot of the whole catalog. The result is immutable with respect to
@@ -487,7 +576,7 @@ func (c *Catalog) search(query *ipsketch.TableSketch, queryCol string, by ipsket
 	snapStart := time.Now()
 	ixs := make([]*ipsketch.SketchIndex, len(c.shards))
 	for i := range c.shards {
-		_, ixs[i] = c.shards[i].view()
+		ixs[i] = c.shards[i].ix.Load()
 	}
 	snapNanos := time.Since(snapStart).Nanoseconds()
 	res, stats, err := ipsketch.SearchIndexes(ixs, query, queryCol, by, minJoinSize, k, lsh, probes)
@@ -522,18 +611,12 @@ func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol strin
 // (temp file + fsync of both the file and its directory + rename), so a
 // crash — or a power loss — mid-save never corrupts or loses the
 // previous snapshot.
-func (c *Catalog) Save(path string) error {
-	ix, err := bareIndex(c.allTables())
-	if err != nil {
-		return fmt.Errorf("catalog: capturing snapshot: %w", err)
-	}
-	return SaveIndex(ix, path)
-}
+func (c *Catalog) Save(path string) error { return SaveIndex(c.Capture(), path) }
 
 // SaveIndex writes an already-captured index snapshot to path with the
 // same atomicity and durability as Save. The serving layer uses the
-// split form to capture the index under its snapshot barrier and do the
-// slow encode outside it.
+// split form to Capture under its snapshot barrier and do the slow
+// encode outside it.
 func SaveIndex(ix *ipsketch.SketchIndex, path string) error {
 	err := fsx.AtomicWrite(path, func(w io.Writer) error {
 		return ipsketch.EncodeIndex(w, ix)
@@ -561,9 +644,10 @@ func (e *SnapshotError) Error() string {
 // Unwrap exposes the decode failure.
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// Load reads a snapshot written by Save and puts every table into the
-// catalog (replacing same-named tables). It returns the number of tables
-// loaded. Strict catalogs validate every loaded sketch against the pin.
+// Load reads a snapshot written by Save and restores every table into the
+// catalog (replacing same-named tables), publishing each shard once. It
+// returns the number of tables loaded; when a table is rejected — strict
+// catalogs validate every loaded sketch against the pin — none is.
 // A file that exists but will not decode returns a *SnapshotError.
 func (c *Catalog) Load(path string) (int, error) {
 	f, err := os.Open(path)
@@ -575,11 +659,17 @@ func (c *Catalog) Load(path string) (int, error) {
 	if err != nil {
 		return 0, &SnapshotError{Path: path, Err: err}
 	}
-	for _, name := range ix.Tables() {
-		ts, _ := ix.Get(name)
-		if err := c.Put(ts); err != nil {
-			return 0, err
+	err = c.Restore(func(r *Restore) error {
+		for _, name := range ix.Tables() {
+			ts, _ := ix.Get(name)
+			if err := r.Put(ts); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return ix.Len(), nil
 }

@@ -1,13 +1,17 @@
 package catalog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	ipsketch "repro"
+	"repro/internal/hashing"
 )
 
 // snapshotFixture saves a small catalog and returns the snapshot bytes.
@@ -45,6 +49,24 @@ func loadBytes(t testing.TB, data []byte) (int, error) {
 		}
 	}()
 	return New(Options{}).Load(path)
+}
+
+// TestLoadPublishesOncePerShard: Load stages the whole snapshot and builds
+// each shard once — recovery costs one index build per shard, not one per
+// table.
+func TestLoadPublishesOncePerShard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.ipsx")
+	if err := os.WriteFile(path, snapshotFixture(t, 40), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var publishes countingObserver
+	c := New(Options{Shards: 4, PublishObserver: &publishes})
+	if n, err := c.Load(path); err != nil || n != 40 || c.Len() != 40 {
+		t.Fatalf("Load = %d, %v; Len %d", n, err, c.Len())
+	}
+	if publishes.n < 1 || publishes.n > c.Shards() {
+		t.Fatalf("loading 40 tables into %d shards published %d times", c.Shards(), publishes.n)
+	}
 }
 
 // TestLoadTruncatedSnapshot: every truncation point of a valid snapshot
@@ -259,4 +281,239 @@ func TestMutationHookReplayReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRanking(t, got, want, "hook replay")
+}
+
+// countingObserver counts publishes.
+type countingObserver struct{ n int }
+
+func (o *countingObserver) Observe(float64) { o.n++ }
+
+// restoreOps builds a seeded random sequence of Put/Merge/Delete over a
+// dozen names — few enough that they collide within a shard at every
+// stripe count below — with MH sketches (any two merge exactly) of one or
+// two columns, plus a query sketch that overlaps them all.
+func restoreOps(t *testing.T, n int) (*ipsketch.TableSketch, []Mutation) {
+	t.Helper()
+	ts, err := ipsketch.NewTableSketcher(
+		ipsketch.Config{Method: ipsketch.MethodMH, StorageWords: 120, Seed: 5}, fixtureKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := hashing.NewSplitMix64(2024)
+	sketch := func(name string, rows int) *ipsketch.TableSketch {
+		keys := make([]uint64, rows)
+		cols := map[string][]float64{"v": make([]float64, rows)}
+		if rng.Intn(3) == 0 {
+			cols["w"] = make([]float64, rows)
+		}
+		next := uint64(0)
+		for i := range keys {
+			next += 1 + uint64(rng.Intn(4))
+			keys[i] = next
+			for _, vals := range cols {
+				vals[i] = rng.Norm()
+			}
+		}
+		tab, err := ipsketch.NewTable(name, keys, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := ts.SketchTable(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	ops := make([]Mutation, n)
+	for i := range ops {
+		name := fmt.Sprintf("n%02d", rng.Intn(12))
+		switch rng.Intn(5) {
+		case 0:
+			ops[i] = Mutation{Op: MutationDelete, Name: name}
+		case 1, 2:
+			ops[i] = Mutation{Op: MutationPut, Name: name, Sketch: sketch(name, 40+rng.Intn(60))}
+		default:
+			ops[i] = Mutation{Op: MutationMerge, Name: name, Sketch: sketch(name, 40+rng.Intn(60))}
+		}
+	}
+	return sketch("query", 150), ops
+}
+
+// TestRestoreMatchesLive: a mutation sequence staged through Restore
+// leaves the catalog exactly where applying it live does — same tables,
+// same sketch bytes, same rankings bit for bit, full scan and lsh — while
+// never running the mutation hook and publishing each touched shard once
+// per restore, not once per record. A restore that fails midway publishes
+// nothing and leaves no shard locked.
+func TestRestoreMatchesLive(t *testing.T) {
+	query, ops := restoreOps(t, 80)
+	lsh := ipsketch.LSHParams{Bands: 16, Rows: 2}
+	for _, shards := range []int{1, 4, 16} {
+		for _, lshp := range []*ipsketch.LSHParams{nil, &lsh} {
+			label := fmt.Sprintf("shards=%d lsh=%v", shards, lshp != nil)
+			var log []Mutation
+			var liveMerged []bool
+			live := New(Options{Shards: shards, Strict: true, LSH: lshp, OnMutate: func(m Mutation) error {
+				log = append(log, m)
+				return nil
+			}})
+			for _, op := range ops {
+				var err error
+				switch op.Op {
+				case MutationPut:
+					err = live.Put(op.Sketch)
+				case MutationMerge:
+					var merged bool
+					merged, err = live.Merge(op.Sketch)
+					liveMerged = append(liveMerged, merged)
+				case MutationDelete:
+					_, err = live.Delete(op.Name)
+				}
+				if err != nil {
+					t.Fatalf("%s: live %v %s: %v", label, op.Op, op.Name, err)
+				}
+			}
+			deleted := slices.ContainsFunc(log, func(m Mutation) bool { return m.Op == MutationDelete })
+			if !deleted || !slices.Contains(liveMerged, true) || !slices.Contains(liveMerged, false) || live.Len() < 4 {
+				t.Fatalf("%s: fixture exercises too little: deleted=%v merges=%v tables=%d", label, deleted, liveMerged, live.Len())
+			}
+
+			var publishes countingObserver
+			hooked := 0
+			restored := New(Options{Shards: shards, Strict: true, LSH: lshp, PublishObserver: &publishes,
+				OnMutate: func(Mutation) error {
+					hooked++
+					return nil
+				}})
+			var restoredMerged []bool
+			stage := func(log []Mutation) func(*Restore) error {
+				return func(r *Restore) error {
+					for _, m := range log {
+						switch m.Op {
+						case MutationPut:
+							if err := r.Put(m.Sketch); err != nil {
+								return err
+							}
+						case MutationMerge:
+							out, merged, err := r.Merge(m.Sketch)
+							if err != nil {
+								return err
+							}
+							if out.Name != m.Name {
+								return fmt.Errorf("staged merge returned table %q for %q", out.Name, m.Name)
+							}
+							restoredMerged = append(restoredMerged, merged)
+						case MutationDelete:
+							if !r.Delete(m.Name) {
+								return fmt.Errorf("logged delete of %q found nothing staged", m.Name)
+							}
+						}
+					}
+					return nil
+				}
+			}
+			// Two restores, as boot runs them (snapshot, then log tail): the
+			// second stages over what the first published.
+			for _, part := range [][]Mutation{log[:len(log)/2], log[len(log)/2:]} {
+				publishes.n = 0
+				if err := restored.Restore(stage(part)); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if publishes.n > restored.Shards() {
+					t.Fatalf("%s: restore of %d records published %d times over %d shards", label, len(part), publishes.n, restored.Shards())
+				}
+			}
+			if fmt.Sprint(restoredMerged) != fmt.Sprint(liveMerged) {
+				t.Fatalf("%s: merge outcomes differ:\nrestored %v\n    live %v", label, restoredMerged, liveMerged)
+			}
+			requireSameCatalog(t, label, restored, live, query)
+
+			// A failing restore: edits staged on two shards' worth of names,
+			// then an error. Nothing may show, and nothing may stay locked.
+			before := fmt.Sprint(restored.Tables())
+			boom := errors.New("boom")
+			err := restored.Restore(func(r *Restore) error {
+				for _, op := range ops[:10] {
+					if op.Sketch != nil {
+						if err := r.Put(op.Sketch); err != nil {
+							return err
+						}
+					}
+					r.Delete(op.Name)
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s: failed restore returned %v", label, err)
+			}
+			if after := fmt.Sprint(restored.Tables()); after != before {
+				t.Fatalf("%s: failed restore published:\nbefore %s\n after %s", label, before, after)
+			}
+			requireSameCatalog(t, label+" after failed restore", restored, live, query)
+			if hooked != 0 {
+				t.Fatalf("%s: restores ran the mutation hook %d times", label, hooked)
+			}
+			done := make(chan error, 1)
+			go func() { _, err := restored.Delete(ops[0].Name); done <- err }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: delete after failed restore: %v", label, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: failed restore left a shard locked", label)
+			}
+		}
+	}
+}
+
+// requireSameCatalog compares two catalogs table for table (marshaled
+// bytes) and search for search (Float64bits), lsh mode included when both
+// maintain candidate indexes.
+func requireSameCatalog(t *testing.T, label string, got, want *Catalog, query *ipsketch.TableSketch) {
+	t.Helper()
+	if g, w := fmt.Sprint(got.Tables()), fmt.Sprint(want.Tables()); g != w {
+		t.Fatalf("%s: tables differ:\n got %s\nwant %s", label, g, w)
+	}
+	for _, name := range want.Tables() {
+		g, _ := got.Get(name)
+		w, _ := want.Get(name)
+		gb, err := g.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := w.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: table %s differs", label, name)
+		}
+	}
+	_, lsh := want.LSH()
+	for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsInnerProduct} {
+		for _, k := range []int{-1, 4} {
+			w, err := want.SearchTopK(query, "v", by, 0, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := got.SearchTopK(query, "v", by, 0, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRanking(t, g, w, fmt.Sprintf("%s: by=%d k=%d", label, by, k))
+			if !lsh {
+				continue
+			}
+			w, _, err = want.SearchTopKLSHStats(query, "v", by, 0, k, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err = got.SearchTopKLSHStats(query, "v", by, 0, k, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRanking(t, g, w, fmt.Sprintf("%s: lsh by=%d k=%d", label, by, k))
+		}
+	}
 }

@@ -280,7 +280,6 @@ type StatsResponse struct {
 	Method        string  `json:"method"`
 	StorageWords  int     `json:"storage_words"`
 	KeySpace      uint64  `json:"key_space"`
-	Strict        bool    `json:"strict"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Puts          int64   `json:"puts"`
 	Merges        int64   `json:"merges"`

@@ -15,7 +15,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -23,12 +22,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	ipsketch "repro"
+	"repro/internal/httpretry"
 	"repro/service"
 )
 
@@ -158,10 +157,10 @@ func WithAttemptTimeout(d time.Duration) Option {
 func WithRetry(maxAttempts int, base time.Duration) Option {
 	return func(c *Client) {
 		if maxAttempts >= 1 {
-			c.maxAttempts = maxAttempts
+			c.retry.MaxAttempts = maxAttempts
 		}
 		if base > 0 {
-			c.backoffBase = base
+			c.retry.Base = base
 		}
 	}
 }
@@ -174,10 +173,9 @@ type Client struct {
 	cur         atomic.Uint32 // index of the endpoint new calls start on
 	hc          *http.Client
 	callTimeout time.Duration
-	maxAttempts int
-	backoffBase time.Duration
-	backoffCap  time.Duration
-	jitterSeed  atomic.Uint64
+	// retry is the attempt budget and backoff schedule — the policy the
+	// cluster coordinator's peer fan-out uses too.
+	retry *httpretry.Policy
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -213,13 +211,7 @@ func NewMulti(baseURLs []string, opts ...Option) (*Client, error) {
 		bases:       bases,
 		hc:          &http.Client{Timeout: DefaultAttemptTimeout},
 		callTimeout: DefaultTimeout,
-		maxAttempts: DefaultMaxAttempts,
-		backoffBase: DefaultBackoffBase,
-		backoffCap:  DefaultBackoffCap,
-	}
-	var seed [8]byte
-	if _, err := rand.Read(seed[:]); err == nil {
-		c.jitterSeed.Store(binary.LittleEndian.Uint64(seed[:]))
+		retry:       httpretry.NewPolicy(DefaultMaxAttempts, DefaultBackoffBase, DefaultBackoffCap),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -264,53 +256,6 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// retryable classifies a transport error. Connection failures and
-// timeouts are safe to retry; an explicit context cancellation is not.
-func retryableTransport(err error) bool {
-	if errors.Is(err, context.Canceled) {
-		return false
-	}
-	// Timeouts — the per-attempt client timeout or a context deadline —
-	// and connection errors (refused, reset, DNS) are all transient from
-	// the caller's point of view.
-	return true
-}
-
-// retryableStatus classifies an HTTP status.
-func retryableStatus(code int) bool {
-	return code == http.StatusTooManyRequests || code/100 == 5
-}
-
-// backoff returns the sleep before attempt n (0-based), exponential
-// with full jitter, honoring a server-provided Retry-After (seconds)
-// as a floor when present.
-func (c *Client) backoff(n int, retryAfter string) time.Duration {
-	d := c.backoffBase << uint(n)
-	if d > c.backoffCap || d <= 0 {
-		d = c.backoffCap
-	}
-	// xorshift on a per-client seed: cheap, lock-free jitter.
-	for {
-		s := c.jitterSeed.Load()
-		x := s
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if c.jitterSeed.CompareAndSwap(s, x) {
-			d = d/2 + time.Duration(x%uint64(d/2+1))
-			break
-		}
-	}
-	if retryAfter != "" {
-		if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
-			if floor := time.Duration(secs) * time.Second; floor > d && floor <= 10*time.Second {
-				d = floor
-			}
-		}
-	}
-	return d
-}
-
 // do issues one request — retrying transient failures when idempotent
 // is true — and decodes the JSON response into out. The body is
 // replayed from the byte slice on each attempt. The call budget
@@ -328,7 +273,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		defer cancel()
 	}
 	op := method + " " + path
-	attempts := c.maxAttempts
+	attempts := c.retry.MaxAttempts
 	if !idempotent {
 		attempts = 1
 	}
@@ -338,7 +283,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(c.backoff(attempt-1, last.retryAfter)):
+			case <-time.After(c.retry.Backoff(attempt-1, last.retryAfter)):
 			case <-ctx.Done():
 				last.Attempts = attempt
 				return last
@@ -390,13 +335,13 @@ func (c *Client) attemptID(ctx context.Context, base, method, path, contentType 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &Error{Err: err, Retryable: retryableTransport(err), RequestID: requestID}
+		return &Error{Err: err, Retryable: httpretry.RetryableTransport(err), RequestID: requestID}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		e := &Error{
 			Status:           resp.StatusCode,
-			Retryable:        retryableStatus(resp.StatusCode),
+			Retryable:        httpretry.RetryableStatus(resp.StatusCode),
 			retryAfter:       resp.Header.Get("Retry-After"),
 			RequestID:        resp.Header.Get(service.HeaderRequestID),
 			IdempotentReplay: resp.Header.Get(service.HeaderIdempotentReplay) == "true",
@@ -615,7 +560,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 			return err
 		}
 		select {
-		case <-time.After(c.backoff(min(i, 4), "")):
+		case <-time.After(c.retry.Backoff(min(i, 4), "")):
 		case <-ctx.Done():
 			return fmt.Errorf("client: daemon not ready: %w (last: %v)", ctx.Err(), err)
 		}

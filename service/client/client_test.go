@@ -296,15 +296,15 @@ func TestBackoffBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < 20; n++ {
-		d := cl.backoff(n, "")
-		if d <= 0 || d > cl.backoffCap {
-			t.Fatalf("backoff(%d) = %v outside (0, %v]", n, d, cl.backoffCap)
+		d := cl.retry.Backoff(n, "")
+		if d <= 0 || d > cl.retry.Cap {
+			t.Fatalf("backoff(%d) = %v outside (0, %v]", n, d, cl.retry.Cap)
 		}
 	}
-	if d := cl.backoff(0, "1"); d < time.Second {
+	if d := cl.retry.Backoff(0, "1"); d < time.Second {
 		t.Fatalf("Retry-After floor ignored: %v", d)
 	}
-	if d := cl.backoff(0, "3600"); d > 10*time.Second {
+	if d := cl.retry.Backoff(0, "3600"); d > 10*time.Second {
 		t.Fatalf("hostile Retry-After honored: %v", d)
 	}
 }

@@ -28,10 +28,6 @@ type Config struct {
 	KeySpace uint64
 	// Shards is the catalog stripe count (0 = catalog.DefaultShards).
 	Shards int
-	// Lax disables the catalog's eager compatibility check. The server
-	// sketches ingested columns itself, so the check only matters for
-	// pre-built sketch uploads — strict is the safe default.
-	Lax bool
 	// SnapshotPath enables POST /snapshot and boot/shutdown persistence.
 	SnapshotPath string
 	// IngestLimit and SearchLimit bound the in-flight requests per
@@ -91,9 +87,6 @@ type Server struct {
 	// flips /readyz to 503 ahead of connection draining so load
 	// balancers stop routing here before shutdown.
 	ready, draining atomic.Bool
-	// walLogging suppresses the mutation hook during replay and
-	// snapshot restore (replayed mutations must not be re-logged).
-	walLogging atomic.Bool
 	// snapMu is the snapshot barrier: mutations hold it shared across
 	// append+publish, a snapshot capture holds it exclusively for the
 	// instant it reads (catalog view, WAL LSN) — the pair is consistent,
@@ -143,6 +136,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DedupeCap <= 0 {
 		cfg.DedupeCap = DefaultDedupeCap
 	}
+	// ref carries the server's own configuration: the catalog is pinned to
+	// it, and the banding below is validated against it.
+	ref, err := pinSketch(sketcher)
+	if err != nil {
+		return nil, err
+	}
 	var lshParams *ipsketch.LSHParams
 	if cfg.LSHBands != 0 || cfg.LSHRows != 0 || cfg.LSHProbes != 0 {
 		p := ipsketch.LSHParams{Bands: cfg.LSHBands, Rows: cfg.LSHRows}
@@ -154,10 +153,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		// Validate banding against the method at boot — mode=lsh queries
 		// must never discover a non-bandable or too-small sketch at runtime.
-		ref, err := pinSketch(sketcher)
-		if err != nil {
-			return nil, err
-		}
 		sig, err := ref.KeySketch().LSHSignature()
 		if err != nil {
 			return nil, fmt.Errorf("service: lsh configuration: %w", err)
@@ -182,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 	s.initMetrics()
 	catOpts := catalog.Options{
 		Shards:          cfg.Shards,
-		Strict:          !cfg.Lax,
+		Strict:          true,
 		PublishObserver: s.metrics.catalogPublish,
 		LSH:             lshParams,
 	}
@@ -195,20 +190,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cat = catalog.New(catOpts)
 	// A WAL-backed server is born not-ready: traffic is rejected until
-	// ReplayWAL has rebuilt the tail (which also enables logging).
+	// ReplayWAL has rebuilt the tail.
 	s.ready.Store(cfg.WAL == nil)
-	s.walLogging.Store(false)
-	if !cfg.Lax {
-		// Pin the catalog to the server's own configuration up front, so
-		// the very first ingest — including a pre-built bundle upload — is
-		// validated against it instead of silently becoming the pin.
-		ref, err := pinSketch(sketcher)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.cat.Pin(ref); err != nil {
-			return nil, err
-		}
+	// Pin the catalog to the server's own configuration up front, so the
+	// very first ingest — including a pre-built bundle upload — is
+	// validated against it instead of silently becoming the pin.
+	if err := s.cat.Pin(ref); err != nil {
+		return nil, err
 	}
 	if cfg.Cluster != nil {
 		if err := s.initCluster(*cfg.Cluster); err != nil {
@@ -281,12 +269,10 @@ const DefaultDedupeCap = 1024
 
 // logMutation is the catalog's OnMutate hook: it appends the mutation to
 // the WAL (write-ahead: the catalog publishes only if the append
-// succeeds). Suppressed until ReplayWAL finishes, so snapshot restore
-// and replay never re-log what the log already holds.
+// succeeds). Snapshot restore and replay go through catalog.Restore,
+// which never runs the hook, so nothing the log already holds is
+// re-logged.
 func (s *Server) logMutation(m catalog.Mutation) error {
-	if !s.walLogging.Load() {
-		return nil
-	}
 	var op wal.Op
 	switch m.Op {
 	case catalog.MutationPut:
@@ -309,108 +295,88 @@ func (s *Server) logMutation(m catalog.Mutation) error {
 	return err
 }
 
-// ReplayWAL applies every logged mutation after the snapshot checkpoint
-// to the catalog, rebuilds the merge-dedupe state from logged request
-// IDs, then enables WAL logging and flips the server ready. Call once at
+// ReplayWAL stages every logged mutation after the snapshot checkpoint in
+// one catalog restore — each touched shard is rebuilt and published once,
+// when the whole tail has been read — rebuilds the merge-dedupe state
+// from logged request IDs, then flips the server ready. Call once at
 // boot, after any snapshot restore and before serving traffic. A torn or
 // corrupt log tail stops the replay cleanly (see the WAL's TornNote);
 // only an unappliable record — which indicates real state divergence —
-// fails the boot.
+// fails the boot, with nothing of the tail published.
 func (s *Server) ReplayWAL() (int, error) {
 	w := s.cfg.WAL
 	if w == nil {
 		return 0, errors.New("service: no WAL configured")
 	}
-	n, err := w.Replay(func(rec wal.Record) error {
-		switch rec.Op {
-		case wal.OpPut:
-			tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
-			if err != nil {
+	var n int
+	err := s.cat.Restore(func(r *catalog.Restore) (err error) {
+		n, err = w.Replay(func(rec wal.Record) error {
+			switch rec.Op {
+			case wal.OpPut:
+				tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
+				if err != nil {
+					return err
+				}
+				return r.Put(tsk)
+			case wal.OpMerge:
+				tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
+				if err != nil {
+					return err
+				}
+				// The cached response describes the table as it stood
+				// right after this merge, not as the tail leaves it.
+				out, merged, err := r.Merge(tsk)
+				if err == nil && rec.Tag != "" {
+					s.dedupe.record(rec.Tag, mergeResponse(out, merged))
+				}
 				return err
+			case wal.OpDelete:
+				r.Delete(rec.Name)
+				return nil
 			}
-			return s.cat.Put(tsk)
-		case wal.OpMerge:
-			tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
-			if err != nil {
-				return err
-			}
-			merged, err := s.cat.Merge(tsk)
-			if err != nil {
-				return err
-			}
-			if rec.Tag != "" {
-				s.dedupe.record(rec.Tag, s.mergeResponse(rec.Name, merged, tsk))
-			}
-			return nil
-		case wal.OpDelete:
-			_, err := s.cat.Delete(rec.Name)
-			return err
-		}
-		return fmt.Errorf("service: unknown WAL op %v", rec.Op)
+			return fmt.Errorf("service: unknown WAL op %v", rec.Op)
+		})
+		return err
 	})
 	if err != nil {
 		return n, err
 	}
 	s.replayed.Store(int64(n))
-	s.walLogging.Store(true)
 	s.ready.Store(true)
 	return n, nil
 }
 
-// SaveSnapshot persists the catalog to the configured snapshot path.
-// With a WAL, the catalog view and the log position are captured under
-// the snapshot barrier, and after the snapshot is durable the WAL is
-// checkpointed: replayed-on-boot records ≤ the captured LSN are skipped
-// and fully-covered segments deleted.
+// SaveSnapshot persists the catalog to the configured snapshot path. The
+// catalog's entries and (with a WAL) the log position are captured
+// together under the snapshot barrier — only the name-sorted entry list,
+// all the encoder reads, so mutations stall for a map walk and not for an
+// encode — and after the snapshot is durable the WAL is checkpointed:
+// replayed-on-boot records ≤ the captured LSN are skipped and
+// fully-covered segments deleted.
 func (s *Server) SaveSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return errors.New("service: no snapshot path configured")
 	}
 	defer s.metrics.snapshotSave.ObserveSince(time.Now())
-	if s.cfg.WAL == nil {
-		if err := s.cat.Save(s.cfg.SnapshotPath); err != nil {
+	w := s.cfg.WAL
+	var lsn uint64
+	s.snapMu.Lock()
+	ix := s.cat.Capture()
+	if w != nil {
+		lsn = w.LSN()
+	}
+	s.snapMu.Unlock()
+	if err := catalog.SaveIndex(ix, s.cfg.SnapshotPath); err != nil {
+		return err
+	}
+	if w != nil && lsn > w.CheckpointLSN() {
+		if err := w.Checkpoint(lsn); err != nil {
 			return err
-		}
-	} else {
-		// Under the barrier only the name-sorted entry list is captured
-		// (all the encoder reads); packing scan views here would stall
-		// every mutation for the length of a whole-catalog rebuild.
-		s.snapMu.Lock()
-		ix, err := s.bareIndex()
-		lsn := s.cfg.WAL.LSN()
-		s.snapMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if err := catalog.SaveIndex(ix, s.cfg.SnapshotPath); err != nil {
-			return err
-		}
-		if lsn > s.cfg.WAL.CheckpointLSN() {
-			if err := s.cfg.WAL.Checkpoint(lsn); err != nil {
-				return err
-			}
 		}
 	}
 	s.snapshots.Add(1)
 	s.lastSnapshotUnixNano.Store(time.Now().UnixNano())
 	return nil
-}
-
-// bareIndex registers every cataloged table in name order — the order
-// catalog.Save encodes — without building a scan view. The caller holds
-// snapMu exclusively, so the table list and the lookups see one state.
-func (s *Server) bareIndex() (*ipsketch.SketchIndex, error) {
-	ix := ipsketch.NewSketchIndex()
-	for _, name := range s.cat.Tables() {
-		ts, ok := s.cat.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("service: table %q vanished under the snapshot barrier", name)
-		}
-		if err := ix.Add(ts); err != nil {
-			return nil, fmt.Errorf("service: capturing snapshot: %w", err)
-		}
-	}
-	return ix, nil
 }
 
 // LoadSnapshot restores the catalog from the configured snapshot path,
@@ -734,22 +700,23 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.merges.Add(1)
-	resp := s.mergeResponse(name, merged, tsk)
+	// Describe the cataloged sketch after the merge, falling back to what
+	// this request contributed if a racing DELETE already removed it.
+	out, ok := s.cat.Get(name)
+	if !ok {
+		out = tsk
+	}
+	resp := mergeResponse(out, merged)
 	if id != "" {
 		s.dedupe.finish(id, &resp)
 	}
 	s.writeJSON(w, resp)
 }
 
-// mergeResponse describes the cataloged sketch after a merge (falling
-// back to what this request contributed if a racing DELETE removed it).
-func (s *Server) mergeResponse(name string, merged bool, contributed *ipsketch.TableSketch) MergeResponse {
-	out, _ := s.cat.Get(name)
-	if out == nil {
-		out = contributed
-	}
+// mergeResponse describes the table a merge left behind.
+func mergeResponse(out *ipsketch.TableSketch, merged bool) MergeResponse {
 	return MergeResponse{
-		Table:        name,
+		Table:        out.Name,
 		Merged:       merged,
 		Columns:      out.Columns(),
 		StorageWords: Float(out.StorageWords()),
@@ -982,7 +949,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Method:        s.cfg.Sketch.Method.String(),
 		StorageWords:  s.cfg.Sketch.StorageWords,
 		KeySpace:      s.cfg.KeySpace,
-		Strict:        !s.cfg.Lax,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Puts:          s.puts.Load(),
 		Merges:        s.merges.Load(),

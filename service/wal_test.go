@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -379,6 +380,50 @@ func TestMergeIdempotencyKey(t *testing.T) {
 	}
 	if log2.LSN() != 2 {
 		t.Fatalf("concurrent duplicates logged %d records, want 2 total", log2.LSN())
+	}
+
+	// Two merges with different columns into one table, then another
+	// restart: the replayed answer to the first key describes the table as
+	// that merge left it, not as the end of the log tail leaves it.
+	other := service.TablePayload{Keys: part.Keys, Columns: map[string][]float64{"w": part.Columns["v"]}}
+	c1, err := cl2.MergeTableTagged(ctx, "cols", part, "cols-key-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cl2.MergeTableTagged(ctx, "cols", other, "cols-key-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(c1.Columns) != "[v]" || fmt.Sprint(c2.Columns) != "[v w]" {
+		t.Fatalf("merged columns %v then %v, want [v] then [v w]", c1.Columns, c2.Columns)
+	}
+	if err := log2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log3, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log3.Close()
+	srv3, err := service.New(service.Config{Sketch: mergeSketchCfg, KeySpace: testKeySpace, WAL: log3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv3.ReplayWAL(); err != nil {
+		t.Fatal(err)
+	}
+	hs3 := httptest.NewServer(srv3.Handler())
+	defer hs3.Close()
+	cl3, err := client.New(hs3.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3, err := cl3.MergeTableTagged(ctx, "cols", part, "cols-key-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(c3.Columns) != fmt.Sprint(c1.Columns) || float64(c3.StorageWords) != float64(c1.StorageWords) || c3.Merged != c1.Merged {
+		t.Fatalf("replayed first merge answered %+v, want the original %+v", c3, c1)
 	}
 }
 
