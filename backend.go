@@ -29,9 +29,23 @@ type payload interface {
 }
 
 // builder constructs sketches one at a time with reusable scratch. A
-// builder is single-goroutine; batch APIs run one per worker.
+// builder is single-goroutine; every construction entry point draws one
+// from the sketcher's pool, and batch APIs run one per worker.
 type builder interface {
 	sketch(v Vector) (payload, error)
+}
+
+// builderOf adapts a family's typed construction function — a reusable
+// internal Builder's Sketch method, or a closure over a one-shot
+// constructor for the scratch-free linear families — to builder.
+type builderOf[T payload] func(Vector) (T, error)
+
+func (f builderOf[T]) sketch(v Vector) (payload, error) {
+	sk, err := f(v)
+	if err != nil {
+		return nil, err
+	}
+	return sk, nil
 }
 
 // backend implements one method family. Implementations are registered at
@@ -42,12 +56,10 @@ type backend interface {
 	// size derives the method-specific size parameter (samples, rows,
 	// buckets, bits) from the configured storage budget.
 	size(cfg Config) (int, error)
-	// sketch summarizes one vector. Implementations may parallelize
-	// internally; batch callers use newBuilder instead.
-	sketch(cfg Config, size int, v Vector) (payload, error)
-	// newBuilder returns a fresh builder for the configuration. Builders
-	// own all construction scratch, so the batch steady state allocates
-	// only the returned sketches.
+	// newBuilder returns a fresh builder for the configuration — the one
+	// way to construct a sketch. Builders own all construction scratch, so
+	// the steady state allocates only the returned sketches, and decide by
+	// themselves when one vector is worth fanning out across cores.
 	newBuilder(cfg Config, size int) (builder, error)
 	// compatible reports why two payloads of this backend cannot be
 	// compared (construction parameter, seed, or variant mismatch), or nil.
@@ -117,19 +129,6 @@ type merger interface {
 // backend.
 type shardSketcher interface {
 	sketchShards(cfg Config, size int, v Vector, n int) ([]payload, error)
-}
-
-// chunkInvariant is implemented by backends whose shard-and-merge
-// construction is bit-identical to the serial path for EVERY shard count —
-// coordinate-keyed min samplers with no aggregate statistics (MH, KMV).
-// The chunked front end auto-shards only these and the shardSketcher
-// backends (bit-invariant by construction); families whose merged
-// aggregates depend on shard summation order (PS/TS norms, linear rows)
-// would make sketch bytes vary with GOMAXPROCS across replicas, so they
-// stay on the deterministic serial per-vector path unless the caller
-// opts into explicit sharding via SketchShards.
-type chunkInvariant interface {
-	chunkInvariant()
 }
 
 // quantizable is implemented by backends that honor Config.Quantize;

@@ -28,30 +28,12 @@ func (cwsBackend) params(cfg Config, size int) cws.Params {
 	return cws.Params{M: size, Seed: cfg.Seed}
 }
 
-func (be cwsBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := cws.New(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
-type cwsBuilder struct{ b *cws.Builder }
-
-func (c cwsBuilder) sketch(v Vector) (payload, error) {
-	sk, err := c.b.Sketch(v)
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be cwsBackend) newBuilder(cfg Config, size int) (builder, error) {
 	b, err := cws.NewBuilder(be.params(cfg, size))
 	if err != nil {
 		return nil, err
 	}
-	return cwsBuilder{b}, nil
+	return builderOf[*cws.Sketch](b.Sketch), nil
 }
 
 func (cwsBackend) compatible(a, b payload) error {

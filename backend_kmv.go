@@ -29,30 +29,12 @@ func (kmvBackend) params(cfg Config, size int) kmv.Params {
 	return kmv.Params{K: size, Seed: cfg.Seed}
 }
 
-func (be kmvBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := kmv.New(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
-type kmvBuilder struct{ b *kmv.BatchBuilder }
-
-func (k kmvBuilder) sketch(v Vector) (payload, error) {
-	sk, err := k.b.Sketch(v)
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be kmvBackend) newBuilder(cfg Config, size int) (builder, error) {
 	b, err := kmv.NewBatchBuilder(be.params(cfg, size))
 	if err != nil {
 		return nil, err
 	}
-	return kmvBuilder{b}, nil
+	return builderOf[*kmv.Sketch](b.Sketch), nil
 }
 
 func (kmvBackend) compatible(a, b payload) error {
@@ -94,11 +76,6 @@ func (kmvBackend) merge(a, b payload) (payload, error) {
 	}
 	return s, nil
 }
-
-// chunkInvariant marks that KMV's bottom-k union merge reassembles the
-// serial sketch bitwise for every shard count (hashes are index-keyed;
-// the support counter is an exact integer sum).
-func (kmvBackend) chunkInvariant() {}
 
 // estimateJoinSize implements joinSizeEstimator: the threshold estimate of
 // |A∩B| from matched hashes alone, exact under full retention.

@@ -8,8 +8,9 @@ import (
 
 // The three linear-sketch backends (JL, CountSketch, SimHash) adapt
 // internal/linear. Linear sketches have no reusable construction scratch —
-// S(a) = Πa is built directly — so their builders simply wrap one-shot
-// construction; batch fan-out still parallelizes them across vectors.
+// S(a) = Πa is built directly — so their builders are closures over the
+// one-shot constructors; batch fan-out still parallelizes them across
+// vectors.
 
 // jlBackend is Johnson–Lindenstrauss / AMS random ±1 projection.
 type jlBackend struct{}
@@ -27,16 +28,11 @@ func (jlBackend) params(cfg Config, size int) linear.JLParams {
 	return linear.JLParams{M: size, Seed: cfg.Seed}
 }
 
-func (be jlBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := linear.NewJL(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be jlBackend) newBuilder(cfg Config, size int) (builder, error) {
-	return oneShotBuilder{cfg: cfg, size: size, be: be}, nil
+	p := be.params(cfg, size)
+	return builderOf[*linear.JLSketch](func(v Vector) (*linear.JLSketch, error) {
+		return linear.NewJL(v, p)
+	}), nil
 }
 
 func (jlBackend) compatible(a, b payload) error {
@@ -97,16 +93,11 @@ func (csBackend) params(cfg Config, size int) linear.CSParams {
 	return linear.CSParams{Buckets: size, Reps: cfg.countSketchReps(), Seed: cfg.Seed}
 }
 
-func (be csBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := linear.NewCountSketch(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be csBackend) newBuilder(cfg Config, size int) (builder, error) {
-	return oneShotBuilder{cfg: cfg, size: size, be: be}, nil
+	p := be.params(cfg, size)
+	return builderOf[*linear.CSSketch](func(v Vector) (*linear.CSSketch, error) {
+		return linear.NewCountSketch(v, p)
+	}), nil
 }
 
 func (csBackend) compatible(a, b payload) error {
@@ -169,16 +160,11 @@ func (simHashBackend) params(cfg Config, size int) linear.SimHashParams {
 	return linear.SimHashParams{Bits: size, Seed: cfg.Seed}
 }
 
-func (be simHashBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := linear.NewSimHash(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be simHashBackend) newBuilder(cfg Config, size int) (builder, error) {
-	return oneShotBuilder{cfg: cfg, size: size, be: be}, nil
+	p := be.params(cfg, size)
+	return builderOf[*linear.SimHashSketch](func(v Vector) (*linear.SimHashSketch, error) {
+		return linear.NewSimHash(v, p)
+	}), nil
 }
 
 func (simHashBackend) compatible(a, b payload) error {
@@ -203,16 +189,4 @@ func (simHashBackend) unmarshal(data []byte) (payload, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// oneShotBuilder satisfies builder for backends without reusable scratch
-// by delegating every vector to the backend's one-shot construction.
-type oneShotBuilder struct {
-	cfg  Config
-	size int
-	be   backend
-}
-
-func (o oneShotBuilder) sketch(v Vector) (payload, error) {
-	return o.be.sketch(o.cfg, o.size, v)
 }

@@ -28,30 +28,12 @@ func (mhBackend) params(cfg Config, size int) minhash.Params {
 	return minhash.Params{M: size, Seed: cfg.Seed}
 }
 
-func (be mhBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := minhash.New(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
-type mhBuilder struct{ b *minhash.Builder }
-
-func (m mhBuilder) sketch(v Vector) (payload, error) {
-	sk, err := m.b.Sketch(v)
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be mhBackend) newBuilder(cfg Config, size int) (builder, error) {
 	b, err := minhash.NewBuilder(be.params(cfg, size))
 	if err != nil {
 		return nil, err
 	}
-	return mhBuilder{b}, nil
+	return builderOf[*minhash.Sketch](b.Sketch), nil
 }
 
 func (mhBackend) compatible(a, b payload) error {
@@ -91,11 +73,6 @@ func (mhBackend) merge(a, b payload) (payload, error) {
 	}
 	return s, nil
 }
-
-// chunkInvariant marks that MH's union-min merge reassembles the serial
-// sketch bitwise for every shard count (hashes are index-keyed and the
-// sketch carries no aggregate statistics).
-func (mhBackend) chunkInvariant() {}
 
 // estimateJaccard implements similarityEstimator: the collision rate, an
 // unbiased estimate of |A∩B|/|A∪B| (Fact 3).

@@ -39,30 +39,12 @@ func (be psampleBackend) params(cfg Config, size int) psample.Params {
 	return psample.Params{K: size, Seed: cfg.Seed, Mode: be.mode}
 }
 
-func (be psampleBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := psample.New(v, be.params(cfg, size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
-type psampleBuilder struct{ b *psample.Builder }
-
-func (p psampleBuilder) sketch(v Vector) (payload, error) {
-	sk, err := p.b.Sketch(v)
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (be psampleBackend) newBuilder(cfg Config, size int) (builder, error) {
 	b, err := psample.NewBuilder(be.params(cfg, size))
 	if err != nil {
 		return nil, err
 	}
-	return psampleBuilder{b}, nil
+	return builderOf[*psample.Sketch](b.Sketch), nil
 }
 
 func (be psampleBackend) compatible(a, b payload) error {

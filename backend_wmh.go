@@ -30,30 +30,12 @@ func (wmhBackend) size(cfg Config) (int, error) {
 	return s, nil
 }
 
-func (wmhBackend) sketch(cfg Config, size int, v Vector) (payload, error) {
-	sk, err := wmh.New(v, cfg.wmhParams(size))
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
-type wmhBuilder struct{ b *wmh.Builder }
-
-func (w wmhBuilder) sketch(v Vector) (payload, error) {
-	sk, err := w.b.Sketch(v)
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
-
 func (wmhBackend) newBuilder(cfg Config, size int) (builder, error) {
 	b, err := wmh.NewBuilder(cfg.wmhParams(size))
 	if err != nil {
 		return nil, err
 	}
-	return wmhBuilder{b}, nil
+	return builderOf[*wmh.Sketch](b.Sketch), nil
 }
 
 func (wmhBackend) compatible(a, b payload) error {

@@ -3,7 +3,6 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/hashing"
 )
@@ -14,9 +13,8 @@ import (
 // per-worker builder scratch so the steady state allocates only the
 // returned sketches. Results are deterministic and identical to the
 // corresponding one-at-a-time calls: batching changes the schedule, never
-// the output. Per-method construction comes from the backend registry —
-// each worker asks the sketcher's backend for one builder and reuses it
-// across its whole partition.
+// the output. Construction is the same pooled builder Sketch draws — each
+// worker takes one and reuses it across its whole partition.
 
 // SketchAll sketches every vector in vs and returns the sketches in order.
 // It is the high-throughput path for sketching a catalog: vectors are
@@ -47,9 +45,9 @@ func (s *Sketcher) SketchAll(vs []Vector) ([]*Sketch, error) {
 }
 
 // getBuilder draws a builder from the sketcher's pool, so construction
-// scratch survives across batch calls instead of being rebuilt per call.
-// Builders are single-goroutine; callers return them with putBuilder when
-// done.
+// scratch (rounding buffers, the warm dart process) survives across calls
+// instead of being rebuilt per call. Builders are single-goroutine;
+// callers return them with putBuilder when done.
 func (s *Sketcher) getBuilder() (builder, error) {
 	if b, ok := s.pool.Get().(builder); ok {
 		return b, nil
@@ -58,6 +56,15 @@ func (s *Sketcher) getBuilder() (builder, error) {
 }
 
 func (s *Sketcher) putBuilder(b builder) { s.pool.Put(b) }
+
+// build sketches v with b and tags the payload with the sketcher's method.
+func (s *Sketcher) build(b builder, v Vector) (*Sketch, error) {
+	p, err := b.sketch(v)
+	if err != nil {
+		return nil, err
+	}
+	return &Sketch{method: s.cfg.Method, payload: p}, nil
+}
 
 // sketchRange sketches vs[lo:hi] with one pooled builder's reused scratch.
 // The returned error is a builder-construction failure; per-vector errors
@@ -69,12 +76,7 @@ func (s *Sketcher) sketchRange(vs []Vector, out []*Sketch, errs []error, lo, hi 
 	}
 	defer s.putBuilder(b)
 	for i := lo; i < hi; i++ {
-		p, err := b.sketch(vs[i])
-		if err != nil {
-			out[i], errs[i] = nil, err
-			continue
-		}
-		out[i], errs[i] = &Sketch{method: s.cfg.Method, payload: p}, nil
+		out[i], errs[i] = s.build(b, vs[i])
 	}
 	return nil
 }
@@ -85,14 +87,17 @@ func (s *Sketcher) sketchRange(vs []Vector, out []*Sketch, errs []error, lo, hi 
 // Sketch(v) — bitwise for the min-based families, and up to float
 // summation order of the stored aggregate statistics for the norm-carrying
 // samplers (PS/TS) and the linear sketches. Shards beyond the support size
-// come back empty (the merge identity). Partials are built concurrently
-// across the worker pool; the partials themselves are what a distributed
-// producer pushes to a sketchd /merge endpoint.
+// come back empty (the merge identity). The partials are what a
+// distributed producer pushes to a sketchd /merge endpoint; sharding is
+// for distributing one vector's ingest, not for speeding it up — a
+// builder already spreads one large vector over the cores (DESIGN.md
+// §10.2).
 //
 // Methods whose construction normalizes per vector (WMH, ICWS) shard
-// through a dedicated construction path that pins the parent's
-// normalization; everything else sketches the sub-vectors directly with
-// pooled builders. Methods without merge support (SimHash) fail with
+// inside the family package, which rounds or norms the parent once and
+// fills each partial from a range of it; everything else sketches the
+// sub-vectors directly with pooled builders, concurrently across the
+// worker pool. Methods without merge support (SimHash) fail with
 // ErrNotMergeable.
 func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 	if n <= 0 {
@@ -128,86 +133,13 @@ func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 		for w := wLo; w < wHi; w++ {
 			lo := min(w*chunk, nnz)
 			hi := min(lo+chunk, nnz)
-			p, err := b.sketch(v.Shard(lo, hi))
-			if err != nil {
-				errs[w] = err
-				continue
-			}
-			out[w] = &Sketch{method: s.cfg.Method, payload: p}
+			out[w], errs[w] = s.build(b, v.Shard(lo, hi))
 		}
 	})
 	for w, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("ipsketch: sketching shard %d: %w", w, err)
 		}
-	}
-	return out, nil
-}
-
-// canChunkVector reports whether intra-vector shard-and-merge is both a
-// win and bit-deterministic for this configuration. Two exclusions:
-//
-//   - Config.Dart: the dart construction is one pass serving every
-//     sample, so a shard covering 1/n of the block weight misses samples
-//     at rate e^{−τ/n} and pays ~log₂(n) doubled-budget fallback rounds,
-//     multiplying total dart work by ~n — the merge stays exact (the
-//     equivalence tests use it), the single pass is just faster.
-//   - Families outside shardSketcher/chunkInvariant (PS/TS, linear):
-//     their merged aggregate statistics are shard-order float sums, so
-//     auto-sharding by GOMAXPROCS would make sketch bytes vary across
-//     hosts — replicas ingesting identical data must agree bitwise.
-func (s *Sketcher) canChunkVector() bool {
-	if s.cfg.Dart {
-		return false
-	}
-	if _, ok := s.be.(shardSketcher); ok {
-		return true
-	}
-	_, ok := s.be.(chunkInvariant)
-	return ok
-}
-
-// SketchChunked sketches one vector with the whole worker pool: the
-// support is split into per-worker shards, the shards are sketched
-// concurrently (SketchShards), and the partials are merged — the one
-// construction axis SketchAll's vector-level fan-out cannot cover. The
-// result is bitwise identical to Sketch(v) regardless of worker count;
-// configurations where sharding would be slower (Dart) or
-// host-dependent (PS/TS, linear — see canChunkVector) fall back to
-// Sketch.
-func (s *Sketcher) SketchChunked(v Vector) (*Sketch, error) {
-	n := hashing.Workers(v.NNZ())
-	if n <= 1 || !s.canChunkVector() {
-		return s.Sketch(v)
-	}
-	shards, err := s.SketchShards(v, n)
-	if err != nil {
-		return nil, err
-	}
-	return MergeAll(shards)
-}
-
-// SketchAllChunked is the bulk-ingest front end over both parallelism
-// axes: batches with at least one vector per worker run through SketchAll
-// (vector-level fan-out with pooled builders already saturates the pool),
-// while smaller batches — a single table bundle's column vectors, or one
-// huge vector — additionally split each vector's support across the pool
-// with SketchChunked and merge the partials, so ingest latency scales
-// with cores end-to-end regardless of batch shape. Configurations
-// SketchChunked would decline (see canChunkVector) take the vector-level
-// fan-out even for small batches, so no shape ever falls to a serial
-// loop. Output is deterministic and identical to the one-at-a-time path.
-func (s *Sketcher) SketchAllChunked(vs []Vector) ([]*Sketch, error) {
-	if len(vs) >= runtime.GOMAXPROCS(0) || !s.canChunkVector() {
-		return s.SketchAll(vs)
-	}
-	out := make([]*Sketch, len(vs))
-	for i, v := range vs {
-		sk, err := s.SketchChunked(v)
-		if err != nil {
-			return nil, fmt.Errorf("ipsketch: sketching vector %d: %w", i, err)
-		}
-		out[i] = sk
 	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package ipsketch
 
 import (
 	"bytes"
+	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/hashing"
@@ -196,4 +199,68 @@ func TestBatchErrors(t *testing.T) {
 	if _, err := EstimatePairs(as, bs); err == nil {
 		t.Fatal("EstimatePairs accepted mismatched methods")
 	}
+}
+
+// TestBatchIngestSpeedupSmoke is the CI perf gate for both parallelism
+// axes of bulk ingest: at GOMAXPROCS=N, SketchAll must be at least 2×
+// faster than the same workload at GOMAXPROCS=1 for a many-vector batch
+// (vector-level fan-out), and measurably faster for a two-vector batch
+// that runs on one SketchAll worker (the builder's per-sample fan-out) —
+// so neither axis can fall to a serial loop unnoticed. Opt-in via
+// IPSKETCH_BENCH_SMOKE=1: wall-clock assertions do not belong in the
+// default `go test` run.
+func TestBatchIngestSpeedupSmoke(t *testing.T) {
+	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
+		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the batch ingest gate")
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 4 || runtime.NumCPU() < 4 {
+		t.Skipf("GOMAXPROCS=%d, NumCPU=%d: the ≥2× gate needs at least 4 real cores", procs, runtime.NumCPU())
+	}
+	run := func(s *Sketcher, vs []Vector) time.Duration {
+		// One warm pass populates builder pools and per-CPU state.
+		if _, err := s.SketchAll(vs); err != nil {
+			t.Fatal(err)
+		}
+		const reps = 3
+		best := time.Duration(1<<63 - 1)
+		for r := 0; r < reps; r++ {
+			start := time.Now()
+			if _, err := s.SketchAll(vs); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	gate := func(label string, cfg Config, vs []Vector, floor float64) {
+		s, err := NewSketcher(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel := run(s, vs)
+		runtime.GOMAXPROCS(1)
+		serial := run(s, vs)
+		runtime.GOMAXPROCS(procs)
+		speedup := float64(serial) / float64(parallel)
+		t.Logf("%s: serial %v, parallel@%d %v, speedup %.1f×", label, serial, procs, parallel, speedup)
+		if speedup < floor {
+			t.Errorf("%s: batch ingest only %.2f× faster than serial, want ≥%v×", label, speedup, floor)
+		}
+	}
+	// Many-vector batch: vector-level fan-out must scale ≥2×.
+	batch := make([]Vector, 4*procs)
+	for i := range batch {
+		batch[i] = intTestVector(t, 1<<22, uint64(300+i), 4000)
+	}
+	gate("batch", Config{Method: MethodMH, StorageWords: 400, Seed: 9}, batch, 2)
+	// Two huge vectors: only the builder's per-sample fan-out can use the
+	// pool.
+	pair := []Vector{
+		intTestVector(t, 1<<24, 501, 120000),
+		intTestVector(t, 1<<24, 502, 120000),
+	}
+	gate("pair", Config{Method: MethodMH, StorageWords: 400, Seed: 9}, pair, 1.5)
 }

@@ -704,10 +704,10 @@ func BenchmarkMerge_CountSketch(b *testing.B) {
 	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodCountSketch, StorageWords: 400, Seed: 1})
 }
 
-// benchChunkedIngest times the bulk-ingest front end on a batch of paper
-// vectors. The serial baseline is the same batch through one pooled
-// builder (hi/lo pair: BenchmarkChunkedIngest vs
-// BenchmarkChunkedIngest_Serial shows the end-to-end core scaling; on
+// chunkedIngestBatch is the batch of paper vectors the bulk-ingest
+// benchmarks push through SketchAll. The serial baseline is the same batch
+// at GOMAXPROCS=1 (hi/lo pair: BenchmarkChunkedIngest_MH vs
+// BenchmarkChunkedIngest_MH_Serial shows the end-to-end core scaling; on
 // multi-core hosts the CI gate asserts ≥2×).
 func chunkedIngestBatch(b *testing.B) []ipsketch.Vector {
 	b.Helper()
@@ -730,7 +730,7 @@ func BenchmarkChunkedIngest_MH(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SketchAllChunked(vs); err != nil {
+		if _, err := s.SketchAll(vs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -746,7 +746,7 @@ func BenchmarkChunkedIngest_MH_Serial(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SketchAllChunked(vs); err != nil {
+		if _, err := s.SketchAll(vs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -754,7 +754,8 @@ func BenchmarkChunkedIngest_MH_Serial(b *testing.B) {
 }
 
 // BenchmarkChunkedIngest_TableBundle is the serving-layer shape: one
-// table bundle (three vectors) sketched through SketchTableChunked.
+// table bundle (three vectors) sketched through SketchTableChunked, the
+// name the serving layer calls SketchTable by.
 func BenchmarkChunkedIngest_TableBundle(b *testing.B) {
 	const rows = 2000
 	keys := make([]uint64, rows)

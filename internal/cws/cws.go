@@ -59,26 +59,13 @@ type Sketch struct {
 	vals   []float64
 }
 
-// New sketches the vector v.
+// New sketches the vector v: a one-off Builder.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
-	if err := p.Validate(); err != nil {
+	b, err := NewBuilder(p)
+	if err != nil {
 		return nil, err
 	}
-	s := &Sketch{params: p, dim: v.Dim(), norm: v.Norm()}
-	if v.IsEmpty() {
-		s.empty = true
-		return s, nil
-	}
-	s.idx = make([]uint64, p.M)
-	s.level = make([]int64, p.M)
-	s.vals = make([]float64, p.M)
-	bestA := make([]float64, p.M)
-	prefix := hashing.Mix(p.Seed)
-	normSq := v.SquaredNorm()
-	hashing.ParallelChunks(p.M, func(lo, hi int) {
-		fillBlockMajor(s.idx[lo:hi], s.level[lo:hi], s.vals[lo:hi], bestA[lo:hi], lo, prefix, v, 0, v.NNZ(), normSq)
-	})
-	return s, nil
+	return b.Sketch(v)
 }
 
 // cwsTag separates the ICWS key chain from other sketch families.
@@ -87,9 +74,9 @@ const cwsTag = uint64(0x696377) /* "icw" */
 // fillBlockMajor computes a chunk of ICWS samples in entry-major order,
 // for global sample indices [sample0, sample0+len(bestA)), over the
 // support entries [eLo, eHi) of v with weights normalized by normSq.
-// Construction passes the vector's own squared norm and full entry range;
-// the shard path (merge.go) passes the parent's norm with a sub-range, so
-// shard samples compete under exactly the parent's weights.
+// Builder.fill passes the vector's own squared norm with its full entry
+// range, or — for Shards — with a sub-range, so shard samples compete
+// under exactly the parent's weights.
 //
 // Per support entry it hoists the weight, its logarithm, the stored value,
 // and the (entry, tag) key prefix out of the sample loop, so each
@@ -131,11 +118,13 @@ func fillBlockMajor(idxOut []uint64, level []int64, vals []float64, bestA []floa
 	}
 }
 
-// Builder sketches many vectors under one fixed Params, reusing the
-// per-sample key prefixes and the running-minimum scratch; with SketchInto
-// the steady-state sketch loop is allocation-free. A Builder is
-// single-goroutine; run one per worker to use every core. Its sketches are
-// bitwise identical to New's.
+// Builder is the one construction body of the package (New and Shards are
+// one-off Builders): it sketches vectors under one fixed Params, reusing
+// the per-sample key prefixes and the running-minimum scratch; with
+// SketchInto the steady-state sketch loop is allocation-free. A Builder is
+// single-goroutine. A fill large enough to pay for the goroutines
+// (hashing.FanOutWork) splits its samples across workers by itself; to use
+// every core on small vectors, run one Builder per worker.
 type Builder struct {
 	p      Params
 	prefix uint64 // Mix(seed), fixed for the lifetime
@@ -172,25 +161,48 @@ func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
 	if dst == nil {
 		return errors.New("cws: nil destination sketch")
 	}
-	idx, level, vals := dst.idx[:0], dst.level[:0], dst.vals[:0]
-	*dst = Sketch{params: b.p, dim: v.Dim(), norm: v.Norm()}
-	if v.IsEmpty() {
-		dst.empty = true
-		return nil
-	}
-	m := b.p.M
-	if cap(idx) < m {
-		idx = make([]uint64, m)
-	}
-	if cap(level) < m {
-		level = make([]int64, m)
-	}
-	if cap(vals) < m {
-		vals = make([]float64, m)
-	}
-	dst.idx, dst.level, dst.vals = idx[:m], level[:m], vals[:m]
-	fillBlockMajor(dst.idx, dst.level, dst.vals, b.bestA, 0, b.prefix, v, 0, v.NNZ(), v.SquaredNorm())
+	hdr := b.header(v)
+	hdr.idx, hdr.level, hdr.vals = dst.idx, dst.level, dst.vals
+	*dst = hdr
+	b.fill(dst, v, v.SquaredNorm(), 0, v.NNZ())
 	return nil
+}
+
+// header returns the sample-less sketch every sketch of v — whole or
+// shard — starts from.
+func (b *Builder) header(v vector.Sparse) Sketch {
+	return Sketch{params: b.p, dim: v.Dim(), norm: v.Norm()}
+}
+
+// fill computes dst's samples over the support entries [lo, hi) of v with
+// weights normalized by normSq, reusing dst's sample arrays when they have
+// capacity; an empty range makes dst the empty sketch. A range large
+// enough to pay for the goroutines splits its samples across workers —
+// bitwise identical, because each sample's randomness is keyed by its own
+// index.
+func (b *Builder) fill(dst *Sketch, v vector.Sparse, normSq float64, lo, hi int) {
+	m := b.p.M
+	if lo >= hi {
+		dst.empty, dst.idx, dst.level, dst.vals = true, nil, nil, nil
+		return
+	}
+	if cap(dst.idx) < m {
+		dst.idx = make([]uint64, m)
+	}
+	if cap(dst.level) < m {
+		dst.level = make([]int64, m)
+	}
+	if cap(dst.vals) < m {
+		dst.vals = make([]float64, m)
+	}
+	dst.idx, dst.level, dst.vals = dst.idx[:m], dst.level[:m], dst.vals[:m]
+	if (hi-lo)*m < hashing.FanOutWork {
+		fillBlockMajor(dst.idx, dst.level, dst.vals, b.bestA, 0, b.prefix, v, lo, hi, normSq)
+		return
+	}
+	hashing.ParallelChunks(m, func(sLo, sHi int) {
+		fillBlockMajor(dst.idx[sLo:sHi], dst.level[sLo:sHi], dst.vals[sLo:sHi], b.bestA[sLo:sHi], sLo, b.prefix, v, lo, hi, normSq)
+	})
 }
 
 // gamma21 samples Gamma(shape=2, scale=1) = −ln(U1·U2).

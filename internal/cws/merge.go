@@ -88,53 +88,27 @@ func cloneSketch(s *Sketch) *Sketch {
 }
 
 // Shards sketches v as n mergeable partial sketches: the support is split
-// into n contiguous entry ranges, each sketched under v's own norm (so
-// every shard competes with exactly the weights the full construction
-// uses). Folding the partials with Merge in order reproduces New(v, p)
-// bitwise. Shards beyond the support size come back empty. Partials are
-// built concurrently across the worker pool.
+// into n contiguous entry ranges, each filled by the same Builder under
+// v's own norm (so every shard competes with exactly the weights the full
+// construction uses). Folding the partials with Merge in order reproduces
+// New(v, p) bitwise. Shards beyond the support size come back empty.
 func Shards(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
-	if err := p.Validate(); err != nil {
+	b, err := NewBuilder(p)
+	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, errors.New("cws: shard count must be positive")
 	}
-	norm := v.Norm()
-	out := make([]*Sketch, n)
-	if v.IsEmpty() {
-		for i := range out {
-			out[i] = &Sketch{params: p, dim: v.Dim(), norm: norm, empty: true}
-		}
-		return out, nil
-	}
-	normSq := v.SquaredNorm()
-	prefix := hashing.Mix(p.Seed)
+	hdr, normSq := b.header(v), v.SquaredNorm()
 	nnz := v.NNZ()
 	chunk := (nnz + n - 1) / n
-	hashing.ParallelWorkers(n, hashing.Workers(n), func(_, wLo, wHi int) {
-		for w := wLo; w < wHi; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if lo > nnz {
-				lo = nnz
-			}
-			if hi > nnz {
-				hi = nnz
-			}
-			s := &Sketch{params: p, dim: v.Dim(), norm: norm}
-			if lo >= hi {
-				s.empty = true
-				out[w] = s
-				continue
-			}
-			s.idx = make([]uint64, p.M)
-			s.level = make([]int64, p.M)
-			s.vals = make([]float64, p.M)
-			bestA := make([]float64, p.M)
-			fillBlockMajor(s.idx, s.level, s.vals, bestA, 0, prefix, v, lo, hi, normSq)
-			out[w] = s
-		}
-	})
+	out := make([]*Sketch, n)
+	for w := range out {
+		s := hdr
+		lo := min(w*chunk, nnz)
+		b.fill(&s, v, normSq, lo, min(lo+chunk, nnz))
+		out[w] = &s
+	}
 	return out, nil
 }

@@ -2,10 +2,12 @@ package cws
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -33,6 +35,23 @@ func TestMergeVsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sketchBytes(t, direct)
+	// The vector crosses hashing.FanOutWork, so the fill splits its samples
+	// across the workers the host has: the bytes must not depend on how
+	// many that is.
+	if v.NNZ()*p.M < hashing.FanOutWork {
+		t.Fatal("test vector does not cross the fan-out threshold")
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		sk, err := New(v, p)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sketchBytes(t, sk), want) {
+			t.Fatalf("GOMAXPROCS=%d: sketch differs", procs)
+		}
+	}
 	for _, n := range []int{1, 2, 3, 7, 5000} {
 		shards, err := Shards(v, p, n)
 		if err != nil {

@@ -50,13 +50,7 @@ func SketchAll(m ipsketch.Method, storage int, seed uint64, vecs []vector.Sparse
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*ipsketch.Sketch, len(vecs))
-	for i, v := range vecs {
-		if out[i], err = s.Sketch(v); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return s.SketchAll(vecs)
 }
 
 // PairScaledError evaluates a pre-sketched pair against the exact inner

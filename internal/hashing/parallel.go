@@ -83,3 +83,11 @@ func WorkerCount(n int) int {
 	}
 	return Workers(n)
 }
+
+// FanOutWork is the size of one sketch fill — support entries × samples —
+// from which a builder splits the fill's samples across workers
+// (ParallelChunks) instead of running it inline. Below it the goroutines
+// cost more than they save and the warm builder path must stay
+// allocation-free; the choice reads only the work in hand, so the sketch
+// bytes never depend on it.
+const FanOutWork = 1 << 16

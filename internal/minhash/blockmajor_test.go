@@ -1,6 +1,7 @@
 package minhash
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/hashing"
@@ -53,12 +54,21 @@ func buildSampleMajor(v vector.Sparse, p Params) *Sketch {
 }
 
 // TestBlockMajorMatchesSampleMajor: the entry-major loop must reproduce the
-// sample-major loop bitwise for the same seeds.
+// sample-major loop bitwise for the same seeds — inline, and (the cases
+// that cross hashing.FanOutWork) with its samples split across one worker
+// or four.
 func TestBlockMajorMatchesSampleMajor(t *testing.T) {
-	for _, nnz := range []int{1, 7, 120} {
+	for _, tc := range []struct{ nnz, procs int }{{1, 0}, {7, 0}, {120, 0}, {2400, 1}, {2400, 4}} {
+		nnz := tc.nnz
 		v := randomSparse(t, uint64(nnz), nnz)
 		p := Params{M: 29, Seed: 0xabc}
 		want := buildSampleMajor(v, p)
+		if tc.procs > 0 {
+			if nnz*p.M < hashing.FanOutWork {
+				t.Fatalf("nnz=%d does not cross the fan-out threshold", nnz)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+		}
 		got, err := New(v, p)
 		if err != nil {
 			t.Fatal(err)
@@ -77,8 +87,8 @@ func TestBlockMajorMatchesSampleMajor(t *testing.T) {
 			}
 			for i := range want.hashes {
 				if s.hashes[i] != want.hashes[i] || s.vals[i] != want.vals[i] {
-					t.Fatalf("nnz=%d sample %d: (%x,%v) vs (%x,%v)",
-						nnz, i, s.hashes[i], s.vals[i], want.hashes[i], want.vals[i])
+					t.Fatalf("nnz=%d procs=%d sample %d: (%x,%v) vs (%x,%v)",
+						nnz, tc.procs, i, s.hashes[i], s.vals[i], want.hashes[i], want.vals[i])
 				}
 			}
 		}

@@ -65,26 +65,13 @@ type Sketch struct {
 	vals   []float64
 }
 
-// New sketches the vector v (paper Algorithm 1).
+// New sketches the vector v (paper Algorithm 1): a one-off Builder.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
-	if err := p.Validate(); err != nil {
+	b, err := NewBuilder(p)
+	if err != nil {
 		return nil, err
 	}
-	s := &Sketch{params: p, dim: v.Dim()}
-	if v.IsEmpty() {
-		s.empty = true
-		return s, nil
-	}
-	skeys := sampleChainKeys(nil, p.Seed, p.M)
-	s.hashes = make([]uint64, p.M)
-	s.vals = make([]float64, p.M)
-	// Samples are independent; split them across workers in contiguous
-	// chunks (determinism holds: each sample's hash function is keyed by
-	// its own index).
-	hashing.ParallelChunks(p.M, func(lo, hi int) {
-		fillBlockMajor(s.hashes[lo:hi], s.vals[lo:hi], skeys[lo:hi], v)
-	})
-	return s, nil
+	return b.Sketch(v)
 }
 
 // fillBlockMajor computes a chunk of MinHash samples in entry-major order:
@@ -129,11 +116,13 @@ func sampleChainKeys(buf []uint64, seed uint64, m int) []uint64 {
 	return buf
 }
 
-// Builder sketches many vectors under one fixed Params, reusing the
+// Builder is the one construction body of the package (New is a one-off
+// Builder): it sketches vectors under one fixed Params, reusing the
 // per-sample chain keys and (via SketchInto) the destination's sample
 // arrays, so the steady-state sketch loop is allocation-free. A Builder is
-// single-goroutine; run one per worker to use every core. Its sketches are
-// bitwise identical to New's.
+// single-goroutine. A fill large enough to pay for the goroutines
+// (hashing.FanOutWork) splits its samples across workers by itself; to use
+// every core on small vectors, run one Builder per worker.
 type Builder struct {
 	p     Params
 	skeys []uint64
@@ -179,7 +168,16 @@ func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
 		vals = make([]float64, m)
 	}
 	dst.hashes, dst.vals = hashes[:m], vals[:m]
-	fillBlockMajor(dst.hashes, dst.vals, b.skeys, v)
+	if v.NNZ()*m < hashing.FanOutWork {
+		fillBlockMajor(dst.hashes, dst.vals, b.skeys, v)
+		return nil
+	}
+	// Samples are independent; split them across workers in contiguous
+	// chunks (determinism holds: each sample's hash function is keyed by
+	// its own index).
+	hashing.ParallelChunks(m, func(lo, hi int) {
+		fillBlockMajor(dst.hashes[lo:hi], dst.vals[lo:hi], b.skeys[lo:hi], v)
+	})
 	return nil
 }
 

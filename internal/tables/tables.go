@@ -16,9 +16,11 @@
 package tables
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/hashing"
@@ -305,52 +307,85 @@ func sum(xs []float64) float64 {
 	return s
 }
 
-// KeyIndicator returns x_1[K]: the binary vector over the key domain with
-// a 1 at every key of t (Figure 3 of the paper). Fails on duplicate keys.
+// Vectors returns the §1.2 vector representations of t over the key domain
+// in one pass: the key indicator x_1[K] (Figure 3 of the paper) and, for
+// each named column, x_V — the column value at each key index — and its
+// element-wise square x_{V²}, which the paper sketches "to open up the
+// possibility of estimating other quantities like post-join variance".
+// The keys are sorted once and every vector is cut from that one index
+// slice. Zero values vanish from the sparse representations — exactly as
+// in the paper, where a zero entry is indistinguishable from a missing
+// key — so a zero drops out of x_V and an underflowed square out of
+// x_{V²}, while the indicator keeps every key. Fails on an unknown
+// column, on duplicate keys (ErrDuplicateKeys) and on a key outside
+// keySpace.
+func (t *Table) Vectors(keySpace uint64, cols []string) (key vector.Sparse, vals, sqs []vector.Sparse, err error) {
+	data := make([][]float64, len(cols))
+	for i, c := range cols {
+		col, ok := t.Column(c)
+		if !ok {
+			return key, nil, nil, fmt.Errorf("tables: no column %q", c)
+		}
+		data[i] = col
+	}
+	type keyRow struct {
+		key uint64
+		row int
+	}
+	order := make([]keyRow, len(t.keys))
+	for row, k := range t.keys {
+		order[row] = keyRow{k, row}
+	}
+	slices.SortFunc(order, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
+	idx := make([]uint64, len(order))
+	buf := make([]float64, len(order))
+	for i, kr := range order {
+		if i > 0 && kr.key == idx[i-1] {
+			return key, nil, nil, ErrDuplicateKeys
+		}
+		idx[i], buf[i] = kr.key, 1
+	}
+	if n := len(idx); n > 0 && idx[n-1] >= keySpace {
+		return key, nil, nil, fmt.Errorf("tables: key %d outside key space %d", idx[n-1], keySpace)
+	}
+	if key, err = vector.New(keySpace, idx, buf); err != nil {
+		return key, nil, nil, err
+	}
+	vals = make([]vector.Sparse, len(cols))
+	sqs = make([]vector.Sparse, len(cols))
+	for c, col := range data {
+		for i, kr := range order {
+			buf[i] = col[kr.row]
+		}
+		if vals[c], err = vector.New(keySpace, idx, buf); err != nil {
+			return key, nil, nil, err
+		}
+		sqs[c] = vals[c].Map(func(x float64) float64 { return x * x })
+	}
+	return key, vals, sqs, nil
+}
+
+// KeyIndicator returns x_1[K] alone; see Vectors.
 func (t *Table) KeyIndicator(keySpace uint64) (vector.Sparse, error) {
-	if t.HasDuplicateKeys() {
-		return vector.Sparse{}, ErrDuplicateKeys
-	}
-	m := make(map[uint64]float64, len(t.keys))
-	for _, k := range t.keys {
-		if k >= keySpace {
-			return vector.Sparse{}, fmt.Errorf("tables: key %d outside key space %d", k, keySpace)
-		}
-		m[k] = 1
-	}
-	return vector.FromMap(keySpace, m)
+	key, _, _, err := t.Vectors(keySpace, nil)
+	return key, err
 }
 
-// ValueVector returns x_V for the named column: the vector over the key
-// domain holding the column value at each key index (Figure 3). Zero
-// values vanish from the sparse representation — exactly as in the paper,
-// where a zero entry is indistinguishable from a missing key; callers who
-// need to distinguish should estimate with the key-indicator vector.
+// ValueVector returns x_V for the named column alone; see Vectors.
 func (t *Table) ValueVector(keySpace uint64, col string) (vector.Sparse, error) {
-	c, ok := t.Column(col)
-	if !ok {
-		return vector.Sparse{}, fmt.Errorf("tables: no column %q", col)
-	}
-	if t.HasDuplicateKeys() {
-		return vector.Sparse{}, ErrDuplicateKeys
-	}
-	m := make(map[uint64]float64, len(t.keys))
-	for i, k := range t.keys {
-		if k >= keySpace {
-			return vector.Sparse{}, fmt.Errorf("tables: key %d outside key space %d", k, keySpace)
-		}
-		m[k] = c[i]
-	}
-	return vector.FromMap(keySpace, m)
-}
-
-// SquaredValueVector returns x_{V²}, the element-wise square of x_V. The
-// paper notes sketching (x_V)² "opens up the possibility of estimating
-// other quantities like post-join variance".
-func (t *Table) SquaredValueVector(keySpace uint64, col string) (vector.Sparse, error) {
-	v, err := t.ValueVector(keySpace, col)
+	_, vals, _, err := t.Vectors(keySpace, []string{col})
 	if err != nil {
 		return vector.Sparse{}, err
 	}
-	return v.Map(func(x float64) float64 { return x * x }), nil
+	return vals[0], nil
+}
+
+// SquaredValueVector returns x_{V²} for the named column alone; see
+// Vectors.
+func (t *Table) SquaredValueVector(keySpace uint64, col string) (vector.Sparse, error) {
+	_, _, sqs, err := t.Vectors(keySpace, []string{col})
+	if err != nil {
+		return vector.Sparse{}, err
+	}
+	return sqs[0], nil
 }

@@ -278,6 +278,59 @@ func TestVectorizationErrors(t *testing.T) {
 	}
 }
 
+// TestVectorsMatchesSingleVectorMethods: one Vectors pass yields exactly
+// the vectors the three single-vector methods yield, on a table with
+// unsorted keys, a zero, a negative value and a value whose square
+// underflows; and it rejects what they reject.
+func TestVectorsMatchesSingleVectorMethods(t *testing.T) {
+	tab := MustNew("t", []uint64{9, 2, 7, 4}, map[string][]float64{
+		"a": {1.5, 0, -3, 2},
+		"b": {1e-200, 5, 6, -7},
+		"c": {1, 1, 1, 1},
+	})
+	cols := []string{"b", "a"}
+	key, vals, sqs, err := tab.Vectors(100, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ki, err := tab.KeyIndicator(100); err != nil || !key.Equal(ki) || key.NNZ() != 4 {
+		t.Fatalf("key indicator %v vs %v (%v)", key, ki, err)
+	}
+	if len(vals) != len(cols) || len(sqs) != len(cols) {
+		t.Fatalf("%d value and %d squared vectors for %d columns", len(vals), len(sqs), len(cols))
+	}
+	for i, c := range cols {
+		if v, err := tab.ValueVector(100, c); err != nil || !vals[i].Equal(v) {
+			t.Fatalf("x_V of %q: %v vs %v (%v)", c, vals[i], v, err)
+		}
+		if sq, err := tab.SquaredValueVector(100, c); err != nil || !sqs[i].Equal(sq) {
+			t.Fatalf("x_V² of %q: %v vs %v (%v)", c, sqs[i], sq, err)
+		}
+	}
+	if vals[1].NNZ() != 3 || vals[1].At(7) != -3 || sqs[1].At(7) != 9 {
+		t.Fatalf("column a: x_V %v, x_V² %v", vals[1], sqs[1])
+	}
+	if vals[0].At(9) != 1e-200 || sqs[0].NNZ() != 3 {
+		t.Fatalf("column b: the underflowed square should leave x_V² only: %v, %v", vals[0], sqs[0])
+	}
+
+	if _, _, _, err := tab.Vectors(100, []string{"a", "missing"}); err == nil {
+		t.Fatal("missing column accepted")
+	}
+	if _, _, _, err := tab.Vectors(9, nil); err == nil {
+		t.Fatal("key outside key space accepted")
+	}
+	dup := MustNew("d", []uint64{3, 1, 3}, map[string][]float64{"V": {1, 2, 3}})
+	if _, _, _, err := dup.Vectors(100, nil); err != ErrDuplicateKeys {
+		t.Fatalf("duplicate keys: err = %v, want ErrDuplicateKeys itself", err)
+	}
+	empty := MustNew("e", nil, map[string][]float64{"V": {}})
+	key, vals, sqs, err = empty.Vectors(100, []string{"V"})
+	if err != nil || key.Dim() != 100 || !key.IsEmpty() || !vals[0].IsEmpty() || !sqs[0].IsEmpty() {
+		t.Fatalf("empty table: %v %v %v (%v)", key, vals, sqs, err)
+	}
+}
+
 func TestSquaredValueVector(t *testing.T) {
 	tab := MustNew("t", []uint64{1, 2, 3}, map[string][]float64{"V": {2, -3, 0}})
 	sq, err := tab.SquaredValueVector(100, "V")

@@ -36,12 +36,6 @@ func dartBlockKey(seed uint64, block uint64) uint64 {
 	return hashing.Extend(hashing.Extend(hashing.Mix(seed), block), 0x776d68+uint64(variantDart))
 }
 
-// newDartProcess builds the dart thrower for a sketch of m samples at
-// discretization l.
-func newDartProcess(m int, l uint64) *hashing.DartProcess {
-	return hashing.NewDartProcess(m, l)
-}
-
 // fillDart computes every MinHash sample of the sketch in one dart pass
 // per round: for each rounded block, enumerate its darts and fold them
 // into the running per-sample minima. Samples missed by a round (expected

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -75,65 +74,29 @@ func cloneSketch(s *Sketch) *Sketch {
 }
 
 // Shards sketches v as n mergeable partial sketches: the vector is rounded
-// once (under its own norm, exactly as New would round it) and the rounded
-// blocks are partitioned into n contiguous ranges, each sketched
-// independently. Folding the partials with Merge in order reproduces
+// once (under its own norm, exactly as New rounds it) and the rounded
+// blocks are partitioned into n contiguous ranges, each filled by the same
+// Builder. Folding the partials with Merge in order reproduces
 // New(v, p) bitwise — including the dart variant, whose per-block dart
 // streams superpose. Shards beyond the block count come back empty (the
-// merge identity). Partials are built concurrently across the worker pool.
+// merge identity).
 func Shards(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
-	vr := p.variant()
-	if err := p.Validate(); err != nil {
+	b, err := NewBuilder(p)
+	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, errors.New("wmh: shard count must be positive")
 	}
-	l := p.effectiveL(v.Dim())
-	norm := v.Norm()
-	out := make([]*Sketch, n)
-	if v.IsEmpty() {
-		for i := range out {
-			out[i] = &Sketch{params: p, dim: v.Dim(), l: l, norm: norm, variant: vr, empty: true}
-		}
-		return out, nil
-	}
-	idx, weights := Round(v, l)
-	bvals := roundedValues(nil, v, idx, weights, l, p.QuantizeValues)
-	var skeys []uint64
-	if vr != variantDart {
-		skeys = sampleKeys(nil, p.Seed, p.M) // shared, read-only across shards
-	}
-	nb := len(idx)
+	hdr := b.round(v)
+	nb := len(b.idx)
 	chunk := (nb + n - 1) / n
-	hashing.ParallelWorkers(n, hashing.Workers(n), func(_, wLo, wHi int) {
-		for w := wLo; w < wHi; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if lo > nb {
-				lo = nb
-			}
-			if hi > nb {
-				hi = nb
-			}
-			s := &Sketch{params: p, dim: v.Dim(), l: l, norm: norm, variant: vr}
-			if lo >= hi {
-				s.empty = true
-				out[w] = s
-				continue
-			}
-			s.hashes = make([]float64, p.M)
-			s.vals = make([]float64, p.M)
-			if vr == variantDart {
-				// Each shard owns its process scratch; the dart streams are
-				// keyed per block, so a shard enumerates exactly the subset
-				// of the parent's darts that its blocks would contribute.
-				fillDart(s.hashes, s.vals, p.Seed, idx[lo:hi], weights[lo:hi], bvals[lo:hi], newDartProcess(p.M, l))
-			} else {
-				fillBlockMajor(s.hashes, s.vals, skeys, idx[lo:hi], weights[lo:hi], bvals[lo:hi], vr)
-			}
-			out[w] = s
-		}
-	})
+	out := make([]*Sketch, n)
+	for w := range out {
+		s := hdr
+		lo := min(w*chunk, nb)
+		b.fill(&s, lo, min(lo+chunk, nb))
+		out[w] = &s
+	}
 	return out, nil
 }

@@ -2,10 +2,12 @@ package wmh
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -22,7 +24,8 @@ func sketchBytes(t *testing.T, s *Sketch) []byte {
 // TestMergeVsRebuildAllVariants: for every construction variant and
 // several shard counts, folding the Shards partials with Merge must be
 // bitwise identical to building the sketch directly — the coordinated
-// prefix-min (and dart superposition) composition law.
+// prefix-min (and dart superposition) composition law — and the direct
+// sketch must not depend on the worker count.
 func TestMergeVsRebuildAllVariants(t *testing.T) {
 	v, _, err := datagen.SyntheticPair(datagen.PaperPairParams(0.3, 11))
 	if err != nil {
@@ -43,6 +46,23 @@ func TestMergeVsRebuildAllVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := sketchBytes(t, direct)
+			// The vector crosses hashing.FanOutWork, so a record-process
+			// fill splits its samples across the workers the host has:
+			// the bytes must not depend on how many that is.
+			if v.NNZ()*tc.p.M < hashing.FanOutWork {
+				t.Fatal("test vector does not cross the fan-out threshold")
+			}
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				sk, err := New(v, tc.p)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sketchBytes(t, sk), want) {
+					t.Fatalf("GOMAXPROCS=%d: sketch differs", procs)
+				}
+			}
 			// Shard counts below, at, and above the block count (the
 			// rounded support has ~nnz blocks; 1000 forces empty shards).
 			for _, n := range []int{1, 2, 3, 7, 1000} {

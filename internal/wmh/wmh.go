@@ -132,9 +132,14 @@ type Sketch struct {
 }
 
 // New sketches the vector v (paper Algorithm 3) using the fast
-// active-index construction (or the dart construction when p.Dart).
+// active-index construction (or the dart construction when p.Dart): a
+// one-off Builder.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
-	return build(v, p, p.variant())
+	b, err := NewBuilder(p)
+	if err != nil {
+		return nil, err
+	}
+	return b.Sketch(v)
 }
 
 // NewNaive sketches v by explicitly hashing every active slot of every
@@ -146,37 +151,11 @@ func NewNaive(v vector.Sparse, p Params) (*Sketch, error) {
 	if p.Dart {
 		return nil, errors.New("wmh: Dart does not apply to the naive construction")
 	}
-	return build(v, p, variantNaive)
-}
-
-func build(v vector.Sparse, p Params, vr variant) (*Sketch, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBuilder(p, variantNaive)
+	if err != nil {
 		return nil, err
 	}
-	l := p.effectiveL(v.Dim())
-	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm(), variant: vr}
-	if v.IsEmpty() {
-		s.empty = true
-		return s, nil
-	}
-	idx, weights := Round(v, l)
-	vals := roundedValues(nil, v, idx, weights, l, p.QuantizeValues)
-	s.hashes = make([]float64, p.M)
-	s.vals = make([]float64, p.M)
-	if vr == variantDart {
-		// One dart pass serves every sample; see dart.go for why this
-		// path is not chunked across workers.
-		fillDart(s.hashes, s.vals, p.Seed, idx, weights, vals, newDartProcess(p.M, l))
-		return s, nil
-	}
-	skeys := sampleKeys(nil, p.Seed, p.M)
-	// Samples are independent; split them across workers in contiguous
-	// chunks. Determinism is preserved because each sample's randomness is
-	// keyed by its own index, not by shared stream state.
-	hashing.ParallelChunks(p.M, func(lo, hi int) {
-		fillBlockMajor(s.hashes[lo:hi], s.vals[lo:hi], skeys[lo:hi], idx, weights, vals, vr)
-	})
-	return s, nil
+	return b.Sketch(v)
 }
 
 // sampleKeys fills buf with the per-sample Mix-chain prefixes

@@ -227,14 +227,14 @@ func (c Config) Validate() error {
 }
 
 // Sketcher produces sketches under a fixed configuration. It is safe for
-// concurrent use: the batch and chunked paths draw per-goroutine builders
+// concurrent use: every construction path draws a per-goroutine builder
 // from an internal pool, so construction scratch is reused across calls
 // without sharing.
 type Sketcher struct {
 	cfg  Config
 	be   backend
 	size int       // method-specific size derived from the budget
-	pool sync.Pool // builder: per-worker construction scratch, reused across batch calls
+	pool sync.Pool // builder: per-goroutine construction scratch, reused across calls
 }
 
 // NewSketcher validates the configuration and returns a sketcher.
@@ -268,13 +268,15 @@ type Sketch struct {
 	payload payload
 }
 
-// Sketch summarizes the vector v.
+// Sketch summarizes the vector v with a pooled builder, so one-off calls
+// reuse construction scratch exactly as the batch paths do.
 func (s *Sketcher) Sketch(v Vector) (*Sketch, error) {
-	p, err := s.be.sketch(s.cfg, s.size, v)
+	b, err := s.getBuilder()
 	if err != nil {
 		return nil, err
 	}
-	return &Sketch{method: s.cfg.Method, payload: p}, nil
+	defer s.putBuilder(b)
+	return s.build(b, v)
 }
 
 // Method returns the algorithm that produced the sketch.

@@ -25,8 +25,9 @@ type MedianSketcher struct {
 }
 
 // MedianReps returns the repetition count t for a failure probability δ:
-// the smallest odd t ≥ 8·ln(1/δ)/. Chosen conservatively; t is forced odd
-// so the median is a single estimate.
+// the smallest odd t ≥ 8·ln(1/δ). The constant 8 is an engineering choice
+// for the O(log(1/δ)) of the Chernoff argument above, not derived from it;
+// t is forced odd so the median is a single estimate.
 func MedianReps(delta float64) (int, error) {
 	if delta <= 0 || delta >= 1 {
 		return 0, errors.New("ipsketch: delta must be in (0,1)")

@@ -22,8 +22,8 @@
 //	GET    /statsz               counters, per-shard sizes, configuration
 //
 // Ingest and query paths have independent concurrency limits, and
-// server-side sketching runs through the library's chunked bulk-ingest
-// path (pooled builders, vector- and shard-level parallelism).
+// server-side sketching draws pooled builders from the server's one
+// TableSketcher.
 //
 // With a write-ahead log configured (Config.WAL), every successful
 // mutation is logged before it is published and the server replays the

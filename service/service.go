@@ -571,17 +571,22 @@ func parseAgg(s string) (ipsketch.Agg, error) {
 	return 0, fmt.Errorf("service: unknown agg %q", s)
 }
 
-// sketchPayload sketches a raw-columns payload through the chunked
-// bulk-ingest path: the bundle's vectors fan out across the worker pool
-// (and, for bundles with fewer vectors than workers, each vector's
-// support is shard-sketched and merged), with construction scratch drawn
-// from the sketcher's builder pool.
-func (s *Server) sketchPayload(name string, p *TablePayload) (*ipsketch.TableSketch, error) {
+// sketchPayload sketches the named columns (all when none are named) of a
+// raw-columns payload, with construction scratch drawn from the sketcher's
+// builder pool. The bundle carries the name it was given: aggregating
+// duplicate keys renames the table (name#agg), and a request must catalog,
+// log and answer under the name it addressed.
+func (s *Server) sketchPayload(name string, p *TablePayload, cols ...string) (*ipsketch.TableSketch, error) {
 	t, err := buildTable(name, p)
 	if err != nil {
 		return nil, err
 	}
-	return s.sketcher.SketchTableChunked(t)
+	tsk, err := s.sketcher.SketchTableChunked(t, cols...)
+	if err != nil {
+		return nil, err
+	}
+	tsk.Name = name
+	return tsk, nil
 }
 
 // ingestSketch resolves an ingest request body — a pre-built serialized
@@ -772,8 +777,9 @@ func (s *Server) querySketch(req *SearchRequest) (*ipsketch.TableSketch, error) 
 	// The query's name only matters for self-exclusion: SearchTopK skips
 	// a cataloged table with the same name. The default (empty) name can
 	// never be cataloged, so an inline query excludes nothing unless the
-	// caller opts in with table_name.
-	return s.sketchPayload(req.TableName, req.Table)
+	// caller opts in with table_name. The search reads the ranked column
+	// alone (on cluster peers too), so that is all the query sketches.
+	return s.sketchPayload(req.TableName, req.Table, req.Column)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

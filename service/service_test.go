@@ -187,6 +187,53 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 			}
 			requireSameRanking(t, got2, want, fmt.Sprintf("sketch query by=%s k=%d", rankBy, k))
 		}
+
+		// An inline query sketches only the column it ranks on, so an extra
+		// column in the payload changes no hit.
+		wide := query
+		wide.Columns = map[string][]float64{"v": query.Columns["v"], "extra": make([]float64, len(query.Keys))}
+		want, err := ref.SearchTopK(qSk, "v", by, 1, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Search(ctx, service.SearchRequest{Table: &wide, Column: "v", RankBy: rankBy, MinJoin: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRanking(t, got, want, "extra column by="+rankBy)
+	}
+	// A ranked column the payload lacks stays a 400.
+	_, err = cl.Search(ctx, service.SearchRequest{Table: &query, Column: "missing", RankBy: "join_size"})
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+		t.Fatalf("query column missing from the payload: err = %v, want a 400", err)
+	}
+
+	// Self-exclusion goes by the name the request gives, also when the
+	// query payload is aggregated (which renames the table underneath).
+	twice := service.TablePayload{
+		Keys:    append(append([]uint64(nil), query.Keys...), query.Keys...),
+		Columns: map[string][]float64{"v": append(append([]float64(nil), query.Columns["v"]...), query.Columns["v"]...)},
+		Agg:     "mean",
+	}
+	if _, err := cl.PutTable(ctx, "self", query); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tableName string
+		wantSelf  bool
+	}{{"", true}, {"self", false}} {
+		got, err := cl.Search(ctx, service.SearchRequest{Table: &twice, TableName: tc.tableName, Column: "v", RankBy: "join_size"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasSelf := false
+		for _, r := range got {
+			hasSelf = hasSelf || r.Table == "self"
+		}
+		if hasSelf != tc.wantSelf {
+			t.Fatalf("aggregated query with table_name %q: own table listed = %v, want %v", tc.tableName, hasSelf, tc.wantSelf)
+		}
 	}
 }
 
@@ -324,6 +371,38 @@ func TestServiceIngestValidation(t *testing.T) {
 	dup.Agg = "sum"
 	if _, err := cl.PutTable(ctx, "dup", dup); err != nil {
 		t.Fatal(err)
+	}
+	// An aggregated table is cataloged under the path name like any other
+	// (on an MH server, whose partials merge freely): /estimate finds it, a
+	// plain and an aggregated partition merge into the one table /statsz
+	// counts, and DELETE removes it.
+	srv, mcl := newTestServer(t, service.Config{
+		Sketch:   ipsketch.Config{Method: ipsketch.MethodMH, StorageWords: 120, Seed: 11},
+		KeySpace: testKeySpace,
+	})
+	if resp, err := mcl.PutTable(ctx, "dup", dup); err != nil {
+		t.Fatal(err)
+	} else if resp.Table != "dup" {
+		t.Fatalf("aggregated PUT /tables/dup answered for table %q", resp.Table)
+	}
+	if _, err := mcl.Estimate(ctx, service.EstimateRequest{TableA: "dup", ColumnA: "v", TableB: "dup", ColumnB: "v"}); err != nil {
+		t.Fatalf("estimate on the aggregated table: %v", err)
+	}
+	plain := service.TablePayload{Keys: []uint64{7, 8}, Columns: map[string][]float64{"v": {1, 2}}}
+	for _, part := range []service.TablePayload{plain, {Keys: []uint64{9, 9}, Columns: plain.Columns, Agg: "sum"}} {
+		if resp, err := mcl.MergeTable(ctx, "dup", part); err != nil {
+			t.Fatal(err)
+		} else if resp.Table != "dup" || !resp.Merged {
+			t.Fatalf("merge into the aggregated table answered %+v", resp)
+		}
+	}
+	if st, err := mcl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	} else if names := srv.Catalog().Tables(); st.Tables != 1 || len(names) != 1 || names[0] != "dup" {
+		t.Fatalf("/statsz counts %d tables, catalog holds %v, want [dup]", st.Tables, names)
+	}
+	if removed, err := mcl.DeleteTable(ctx, "dup"); err != nil || !removed {
+		t.Fatalf("DELETE /tables/dup: removed=%v err=%v", removed, err)
 	}
 	dup.Agg = "frobnicate"
 	if _, err := cl.PutTable(ctx, "dup", dup); err == nil {

@@ -92,57 +92,49 @@ func (tsk *TableSketch) refreshColumns() {
 // (all columns when none are named). The table must have unique keys;
 // aggregate first otherwise.
 func (ts *TableSketcher) SketchTable(t *Table, cols ...string) (*TableSketch, error) {
-	return ts.sketchTableWith(t, ts.s.Sketch, cols)
+	return ts.sketchBundle(t, cols, ts.s.SketchAll)
 }
 
-// sketchTableWith is the shared body of SketchTable and
-// TableSketchBuilder.SketchTable, parameterized by the per-vector
-// construction path (one-shot Sketch, which may parallelize internally,
-// or a reused builder's serial scratch — both produce identical sketches).
-func (ts *TableSketcher) sketchTableWith(t *Table, sketch func(Vector) (*Sketch, error), cols []string) (*TableSketch, error) {
+// sketchBundle is the one body that builds a bundle: vectorize the table
+// once (Table.Vectors), hand the 1+2·|cols| vectors — x_1[K], then x_V and
+// x_{V²} per column — to engine, and assemble the sketches it returns in
+// that order. Every entry point differs only in the engine, and every
+// engine produces the same sketches.
+func (ts *TableSketcher) sketchBundle(t *Table, cols []string, engine func([]Vector) ([]*Sketch, error)) (*TableSketch, error) {
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
-	ki, err := t.KeyIndicator(ts.keySpace)
+	key, vals, sqs, err := t.Vectors(ts.keySpace, cols)
 	if err != nil {
 		return nil, err
 	}
-	keySk, err := sketch(ki)
+	vecs := make([]Vector, 0, 1+2*len(cols))
+	vecs = append(vecs, key)
+	for i := range cols {
+		vecs = append(vecs, vals[i], sqs[i])
+	}
+	sks, err := engine(vecs)
 	if err != nil {
 		return nil, err
 	}
 	out := &TableSketch{
 		Name:     t.Name(),
 		keySpace: ts.keySpace,
-		key:      keySk,
+		key:      sks[0],
 		val:      make(map[string]*Sketch, len(cols)),
 		sqVal:    make(map[string]*Sketch, len(cols)),
 	}
-	for _, c := range cols {
-		v, err := t.ValueVector(ts.keySpace, c)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := t.SquaredValueVector(ts.keySpace, c)
-		if err != nil {
-			return nil, err
-		}
-		if out.val[c], err = sketch(v); err != nil {
-			return nil, err
-		}
-		if out.sqVal[c], err = sketch(sq); err != nil {
-			return nil, err
-		}
+	for i, c := range cols {
+		out.val[c], out.sqVal[c] = sks[1+2*i], sks[2+2*i]
 	}
 	out.refreshColumns()
 	return out, nil
 }
 
-// TableSketchBuilder sketches tables one at a time with reusable
-// construction scratch, like the batch engine's per-worker builders: the
-// steady state allocates only the returned sketch bundles. A builder is
-// single-goroutine; concurrent ingest paths (e.g. the serving layer) keep
-// a pool of them and draw one per request.
+// TableSketchBuilder sketches tables one at a time with one builder's
+// reused construction scratch, held for its lifetime instead of drawn from
+// the sketcher's pool per call. A builder is single-goroutine; concurrent
+// producers run one each.
 type TableSketchBuilder struct {
 	ts *TableSketcher
 	b  builder
@@ -160,61 +152,23 @@ func (ts *TableSketcher) NewBuilder() (*TableSketchBuilder, error) {
 
 // SketchTable sketches the table with the builder's reused scratch.
 func (tb *TableSketchBuilder) SketchTable(t *Table, cols ...string) (*TableSketch, error) {
-	return tb.ts.sketchTableWith(t, func(v Vector) (*Sketch, error) {
-		p, err := tb.b.sketch(v)
-		if err != nil {
-			return nil, err
+	return tb.ts.sketchBundle(t, cols, func(vs []Vector) ([]*Sketch, error) {
+		out := make([]*Sketch, len(vs))
+		for i, v := range vs {
+			var err error
+			if out[i], err = tb.ts.s.build(tb.b, v); err != nil {
+				return nil, err
+			}
 		}
-		return &Sketch{method: tb.ts.s.cfg.Method, payload: p}, nil
-	}, cols)
+		return out, nil
+	})
 }
 
-// SketchTableChunked is SketchTable through the chunked bulk-ingest path:
-// the bundle's vectors (key indicator plus value and squared-value vectors
-// per column) are derived once and handed to SketchAllChunked, so one
-// table's ingest parallelizes across the worker pool — across the
-// bundle's vectors, and within each vector's support when the bundle has
-// fewer vectors than workers. The resulting bundle estimates identically
-// to SketchTable's (bitwise for the min-based methods; see SketchShards
-// for the float caveat on stored aggregates).
+// SketchTableChunked is SketchTable under the name the serving layer and
+// bench/loadgen call it by (DESIGN.md §10.2); deleting the alias waits for
+// a PR that may edit bench/.
 func (ts *TableSketcher) SketchTableChunked(t *Table, cols ...string) (*TableSketch, error) {
-	if len(cols) == 0 {
-		cols = t.ColumnNames()
-	}
-	vecs := make([]Vector, 0, 1+2*len(cols))
-	ki, err := t.KeyIndicator(ts.keySpace)
-	if err != nil {
-		return nil, err
-	}
-	vecs = append(vecs, ki)
-	for _, c := range cols {
-		v, err := t.ValueVector(ts.keySpace, c)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := t.SquaredValueVector(ts.keySpace, c)
-		if err != nil {
-			return nil, err
-		}
-		vecs = append(vecs, v, sq)
-	}
-	sks, err := ts.s.SketchAllChunked(vecs)
-	if err != nil {
-		return nil, err
-	}
-	out := &TableSketch{
-		Name:     t.Name(),
-		keySpace: ts.keySpace,
-		key:      sks[0],
-		val:      make(map[string]*Sketch, len(cols)),
-		sqVal:    make(map[string]*Sketch, len(cols)),
-	}
-	for i, c := range cols {
-		out.val[c] = sks[1+2*i]
-		out.sqVal[c] = sks[2+2*i]
-	}
-	out.refreshColumns()
-	return out, nil
+	return ts.SketchTable(t, cols...)
 }
 
 // Merge combines two table-sketch bundles built from partitions of one

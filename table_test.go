@@ -1,6 +1,7 @@
 package ipsketch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -212,5 +213,64 @@ func TestEstimateJoinStatsPaperFigure2(t *testing.T) {
 	}
 	if got.Size != 4 || got.SumA != 12 || got.SumB != 10.5 || got.MeanA != 3 {
 		t.Fatalf("exact KMV estimates wrong: %+v", got)
+	}
+}
+
+// TestSketchTablePathsAgree: the three table entry points are one bundle
+// body under three engines (SketchAll, a held builder, and SketchAll again
+// under the serving layer's name), so for every method they must marshal
+// to identical bytes — with and without an explicit column subset — on a
+// table whose vectors differ in support: a zero drops out of x_V, an
+// underflowed square out of x_{V²} only.
+func TestSketchTablePathsAgree(t *testing.T) {
+	const rows = 150
+	rng := hashing.NewSplitMix64(17)
+	keys := make([]uint64, rows)
+	a, b, c := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+	for i := range keys {
+		keys[i] = uint64(rows-i) * 7 // unsorted on purpose
+		a[i], b[i], c[i] = rng.Norm(), float64(i%11)-5, rng.Norm()
+	}
+	a[3], c[5] = 0, 1e-200 // b already holds zeros and negatives
+	tab, err := NewTable("paths", keys, map[string][]float64{"a": a, "b": b, "c": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{
+		{Method: MethodWMH, StorageWords: 100, Seed: 3, Dart: true},
+		{Method: MethodWMH, StorageWords: 100, Seed: 3, Quantize: true},
+	}
+	for _, m := range Methods() {
+		cfgs = append(cfgs, Config{Method: m, StorageWords: 100, Seed: 3})
+	}
+	for _, cfg := range cfgs {
+		ts, err := NewTableSketcher(cfg, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := ts.NewBuilder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range [][]string{nil, {"c", "a"}} {
+			var want []byte
+			for name, sketch := range map[string]func(*Table, ...string) (*TableSketch, error){
+				"SketchTable": ts.SketchTable, "builder": tb.SketchTable, "SketchTableChunked": ts.SketchTableChunked,
+			} {
+				sk, err := sketch(tab, cols...)
+				if err != nil {
+					t.Fatalf("%+v %s cols=%v: %v", cfg, name, cols, err)
+				}
+				got, err := sk.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("%+v cols=%v: %s marshals differently from the other entry points", cfg, cols, name)
+				}
+			}
+		}
 	}
 }
