@@ -3,20 +3,23 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/psample"
 )
 
 // errNilSketch rejects nil sketches at every estimator entry point.
 var errNilSketch = errors.New("ipsketch: nil sketch")
 
-// This file is the method-dispatch substrate of the package: a registry of
-// per-method-family backends behind one narrow interface. Every public
-// entry point (construction, estimation, batching, serialization,
-// similarity) routes through the registry, so adding a sketching method is
-// one backend file that calls register — no switch statement anywhere in
-// the public API grows a case. Optional estimator surfaces (join size,
-// Jaccard, cardinalities, error bounds) are capability interfaces asserted
-// at the call site, so they extend automatically to any backend that
-// implements them.
+// This file is the method-dispatch substrate of the package: one backend
+// descriptor per method, held in a single table indexed by Method. A
+// descriptor is a struct of function fields — the operations every method
+// has, plus one optional field per capability that is nil when the method
+// lacks it — built by lifting the family package's typed API through the
+// generic adapters below. Every public entry point (construction,
+// estimation, batching, serialization, similarity) resolves the descriptor
+// and calls a field or tests one for nil, so adding a sketching method is
+// one internal package plus one descriptor, and no switch statement in the
+// public API grows a case.
 
 // payload is the method-specific content of a Sketch. Concrete types live
 // in the internal sketch packages; the public Sketch wraps exactly one.
@@ -48,111 +51,79 @@ func (f builderOf[T]) sketch(v Vector) (payload, error) {
 	return sk, nil
 }
 
-// backend implements one method family. Implementations are registered at
-// init time, exactly one per Method value.
-type backend interface {
+// backend describes one method. The first six fields are required (the
+// registry test checks them); every other field is an optional capability,
+// nil or false when the method lacks it, and the dispatch site that serves
+// it tests the field instead of asserting an interface.
+type backend struct {
 	// name is the method's display name (as in the paper's plots).
-	name() string
+	name string
 	// size derives the method-specific size parameter (samples, rows,
 	// buckets, bits) from the configured storage budget.
-	size(cfg Config) (int, error)
+	size func(cfg Config) (int, error)
 	// newBuilder returns a fresh builder for the configuration — the one
 	// way to construct a sketch. Builders own all construction scratch, so
 	// the steady state allocates only the returned sketches, and decide by
 	// themselves when one vector is worth fanning out across cores.
-	newBuilder(cfg Config, size int) (builder, error)
-	// compatible reports why two payloads of this backend cannot be
+	newBuilder func(cfg Config, size int) (builder, error)
+	// compatible reports why two payloads of this method cannot be
 	// compared (construction parameter, seed, or variant mismatch), or nil.
-	compatible(a, b payload) error
-	// estimate returns the inner-product estimate. Dispatch runs
-	// compatible first, but implementations still verify their inputs
-	// (the internal estimators own that invariant; the pre-check exists
-	// so every public entry point fails before touching estimator math).
-	estimate(a, b payload) (float64, error)
+	compatible func(a, b payload) error
+	// estimate returns the inner-product estimate. It must reject an
+	// incompatible pair with compatible's error before any estimator math
+	// — every family estimator checks first — so Estimate, the per-pair
+	// hot path of a decoded scan, dispatches without a second check.
+	estimate func(a, b payload) (float64, error)
 	// unmarshal decodes a payload from its serialized form. The wire
 	// format of a registered method is frozen (see testdata/golden).
-	unmarshal(data []byte) (payload, error)
+	unmarshal func(data []byte) (payload, error)
+
+	// merge combines two payloads into the sketch of the union
+	// (min-based families) or sum (linear families) of the sketched
+	// vectors. Dispatch runs compatible before merge.
+	merge func(a, b payload) (payload, error)
+	// shards builds n mergeable partials of one vector for methods whose
+	// construction normalizes by the vector's own statistics (WMH's
+	// rounded blocks, ICWS's weights): the partials must share the
+	// parent's normalization, which only the family package can arrange.
+	// Other mergeable methods are sharded by slicing the support.
+	shards func(cfg Config, size int, v Vector, n int) ([]payload, error)
+	// joinSize is a dedicated |A∩B| estimator that beats the generic
+	// inner-product reduction (KMV's threshold estimator). It checks
+	// compatibility itself, as estimate does.
+	joinSize func(a, b payload) (float64, error)
+	// jaccard estimates a (possibly weighted) Jaccard similarity.
+	jaccard func(a, b payload) (float64, error)
+	// signature returns the samples as an LSH signature: entries of two
+	// signatures built under the same Config collide with probability
+	// equal to the (weighted) Jaccard similarity of the sketched vectors,
+	// making them bandable by internal/lsh. An empty sketch yields a nil
+	// signature — empty columns are unbandable, not wildcard matches.
+	signature func(p payload) ([]uint64, error)
+	// supportSize and unionSize estimate distinct counts from hashes
+	// that double as cardinality estimators.
+	supportSize func(p payload) (float64, error)
+	unionSize   func(a, b payload) (float64, error)
+	// withBound returns the estimate together with its own data-driven
+	// error scale, for sketches that carry enough information for one.
+	withBound func(a, b payload) (estimate, errScale float64, err error)
+	// packs is the columnar scan family (columnar.go) of methods the
+	// search kernel packs; methods without one scan decoded.
+	packs columnarScorer
+	// quantize and dart report whether Config.Quantize and Config.Dart
+	// are honored; Config.Validate rejects the flags everywhere else
+	// instead of silently ignoring them.
+	quantize, dart bool
 }
 
-// Optional backend capabilities. A backend advertises an extra estimator
-// surface by implementing the interface; callers assert, so new backends
-// pick these up with zero dispatch-site changes.
-
-// joinSizeEstimator is implemented by backends with a dedicated |A∩B|
-// estimator that beats the generic inner-product reduction.
-type joinSizeEstimator interface {
-	estimateJoinSize(a, b payload) (float64, error)
-}
-
-// similarityEstimator is implemented by backends whose samples estimate a
-// (possibly weighted) Jaccard similarity.
-type similarityEstimator interface {
-	estimateJaccard(a, b payload) (float64, error)
-}
-
-// signatureSketcher is implemented by backends whose samples double as an
-// LSH signature: entries of two signatures built under the same Config
-// collide with probability equal to the (weighted) Jaccard similarity of
-// the sketched vectors, making them bandable by internal/lsh. An empty
-// sketch yields a nil signature — empty columns are unbandable, not
-// wildcard matches.
-type signatureSketcher interface {
-	signature(p payload) ([]uint64, error)
-}
-
-// cardinalityEstimator is implemented by backends whose hashes double as
-// distinct-count estimators for supports and support unions.
-type cardinalityEstimator interface {
-	estimateSupportSize(p payload) (float64, error)
-	estimateUnionSize(a, b payload) (float64, error)
-}
-
-// errorBounder is implemented by backends whose sketches carry enough
-// information to estimate their own error scale.
-type errorBounder interface {
-	estimateWithBound(a, b payload) (estimate, errScale float64, err error)
-}
-
-// merger is implemented by backends whose sketches can be merged: the
-// merge of two payloads summarizes the union (min-based families) or sum
-// (linear families) of the sketched vectors. Dispatch runs compatible
-// before merge, mirroring estimate.
-type merger interface {
-	merge(a, b payload) (payload, error)
-}
-
-// shardSketcher is implemented by backends whose construction normalizes
-// by the vector's own statistics (WMH's rounded blocks, ICWS's weights):
-// mergeable partials of one vector must be built against the parent's
-// normalization, which only a construction-time sharding path can do. The
-// dispatch layer slices the support generically for every other mergeable
-// backend.
-type shardSketcher interface {
-	sketchShards(cfg Config, size int, v Vector, n int) ([]payload, error)
-}
-
-// quantizable is implemented by backends that honor Config.Quantize;
-// Config.Validate rejects the flag for any other method instead of
-// silently ignoring it.
-type quantizable interface {
-	quantizable()
-}
-
-// dartHashable is implemented by backends that honor Config.Dart;
-// Config.Validate rejects the flag for any other method instead of
-// silently ignoring it.
-type dartHashable interface {
-	dartHashable()
-}
-
-// columnarScorer is implemented by backends that can pack many sketches
-// into contiguous structure-of-arrays storage and score them against a
-// pre-decoded query with a flat-array kernel — the search-side hot path.
-// Families without the capability transparently fall back to the decoded
-// per-candidate scorer, bit-identically. Every implementation is a
-// packFamily descriptor (columnar.go) behind these two methods.
+// columnarScorer is the type of a backend's packs field: a family that
+// can pack many sketches into contiguous structure-of-arrays storage and
+// score them against a pre-decoded query with a flat-array kernel — the
+// search-side hot path. Families without one transparently fall back to
+// the decoded per-candidate scorer, bit-identically. The one
+// implementation is *packFamily (columnar.go).
 type columnarScorer interface {
-	newColumnarPack() columnarPack
+	newPack() columnarPack
 	// prepareQuery pre-decodes one query bundle (key, value, squared-value
 	// payloads of the query column) once per search, independent of any
 	// pack, so a search over many index snapshots decodes its query once.
@@ -187,35 +158,34 @@ type columnarPack interface {
 	scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64)
 }
 
-// backends is the registry, indexed by Method. Each backend file populates
-// its slot from init; Methods() and the numMethods sentinel stay the
-// single source of truth for how many slots exist.
-var backends [numMethods]backend
-
-// register installs a backend; each backend file calls it exactly once per
-// Method it owns.
-func register(m Method, be backend) {
-	if m < 0 || m >= numMethods {
-		panic(fmt.Sprintf("ipsketch: registering backend for out-of-range method %d", int(m)))
-	}
-	if backends[m] != nil {
-		panic(fmt.Sprintf("ipsketch: duplicate backend for method %v", m))
-	}
-	backends[m] = be
+// backends is the registry, indexed by Method: one descriptor per method,
+// declared in the backend_*.go file of its family. Methods() and the
+// numMethods sentinel stay the single source of truth for how many slots
+// exist.
+var backends = [numMethods]*backend{
+	MethodWMH:         wmhBackend,
+	MethodMH:          mhBackend,
+	MethodKMV:         kmvBackend,
+	MethodJL:          jlBackend,
+	MethodCountSketch: csBackend,
+	MethodICWS:        cwsBackend,
+	MethodSimHash:     simHashBackend,
+	MethodPS:          psampleBackend(psample.Priority, "PS"),
+	MethodTS:          psampleBackend(psample.Threshold, "TS"),
 }
 
-// backendFor resolves a method to its registered backend.
-func backendFor(m Method) (backend, error) {
+// backendFor resolves a method to its descriptor.
+func backendFor(m Method) (*backend, error) {
 	if m < 0 || m >= numMethods || backends[m] == nil {
 		return nil, fmt.Errorf("ipsketch: unknown method %d", int(m))
 	}
 	return backends[m], nil
 }
 
-// pairBackend resolves the shared backend of two sketches, rejecting nil
-// sketches and method mismatches — the common prologue of every pairwise
-// estimator.
-func pairBackend(a, b *Sketch) (backend, error) {
+// pairBackend resolves the shared descriptor of two sketches, rejecting
+// nil sketches and method mismatches — the common prologue of every
+// pairwise estimator.
+func pairBackend(a, b *Sketch) (*backend, error) {
 	if a == nil || b == nil {
 		return nil, errNilSketch
 	}
@@ -225,7 +195,7 @@ func pairBackend(a, b *Sketch) (backend, error) {
 	return backendFor(a.method)
 }
 
-// payloadAs asserts a payload to a backend's concrete sketch type. The
+// payloadAs asserts a payload to a family's concrete sketch type. The
 // dispatch layer guarantees the method matches, so a failure here means a
 // corrupted Sketch, which is reported rather than allowed to panic.
 func payloadAs[T payload](p payload) (T, error) {
@@ -245,4 +215,100 @@ func payloadPair[T payload](a, b payload) (T, T, error) {
 	}
 	tb, err := payloadAs[T](b)
 	return ta, tb, err
+}
+
+// The lifts below adapt a family package's typed API to a descriptor's
+// payload-typed fields, so a descriptor entry names the family function
+// (estimate: pair(wmh.Estimate)) instead of wrapping it by hand.
+
+// pair lifts a typed pairwise function: compatibility checks, estimators.
+func pair[T payload, R any](f func(a, b T) (R, error)) func(a, b payload) (R, error) {
+	return func(a, b payload) (R, error) {
+		pa, pb, err := payloadPair[T](a, b)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		return f(pa, pb)
+	}
+}
+
+// check lifts a typed compatibility check.
+func check[T payload](f func(a, b T) error) func(a, b payload) error {
+	return func(a, b payload) error {
+		pa, pb, err := payloadPair[T](a, b)
+		if err != nil {
+			return err
+		}
+		return f(pa, pb)
+	}
+}
+
+// unary lifts an infallible typed accessor (signatures, distinct counts).
+func unary[T payload, R any](f func(T) R) func(payload) (R, error) {
+	return func(p payload) (R, error) {
+		t, err := payloadAs[T](p)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		return f(t), nil
+	}
+}
+
+// merged lifts a typed merge. A failed merge returns a nil payload, never
+// a typed nil pointer inside one.
+func merged[T payload](f func(a, b T) (T, error)) func(a, b payload) (payload, error) {
+	return func(a, b payload) (payload, error) {
+		pa, pb, err := payloadPair[T](a, b)
+		if err != nil {
+			return nil, err
+		}
+		s, err := f(pa, pb)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+}
+
+// decode is the unmarshal field of a family whose sketch type T decodes
+// itself through *T's UnmarshalBinary.
+func decode[T any, P interface {
+	*T
+	payload
+	UnmarshalBinary(data []byte) error
+}](data []byte) (payload, error) {
+	s := P(new(T))
+	if err := s.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// payloads widens a family's typed shard slice.
+func payloads[T payload](sks []T, err error) ([]payload, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]payload, len(sks))
+	for i, sk := range sks {
+		out[i] = sk
+	}
+	return out, nil
+}
+
+// builds adapts a family's reusable internal Builder to builder.
+func builds[T payload, B interface{ Sketch(Vector) (T, error) }](b B, err error) (builder, error) {
+	if err != nil {
+		return nil, err
+	}
+	return builderOf[T](b.Sketch), nil
+}
+
+// oneShot adapts a scratch-free constructor (the linear families build
+// S(a) = Πa directly) to builder; batch fan-out still parallelizes it
+// across vectors.
+func oneShot[T payload, P any](f func(Vector, P) (T, error), p P) (builder, error) {
+	return builderOf[T](func(v Vector) (T, error) { return f(v, p) }), nil
 }

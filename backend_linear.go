@@ -6,187 +6,65 @@ import (
 	"repro/internal/linear"
 )
 
-// The three linear-sketch backends (JL, CountSketch, SimHash) adapt
+// The three linear-sketch descriptors (JL, CountSketch, SimHash) adapt
 // internal/linear. Linear sketches have no reusable construction scratch —
-// S(a) = Πa is built directly — so their builders are closures over the
-// one-shot constructors; batch fan-out still parallelizes them across
-// vectors.
+// S(a) = Πa is built directly — so their builders wrap the one-shot
+// constructors (oneShot).
 
 // jlBackend is Johnson–Lindenstrauss / AMS random ±1 projection.
-type jlBackend struct{}
-
-func init() { register(MethodJL, jlBackend{}) }
-
-func (jlBackend) name() string { return "JL" }
-
-func (jlBackend) size(cfg Config) (int, error) {
+var jlBackend = &backend{
+	name: "JL",
 	// One word per projection row.
-	return cfg.StorageWords, nil
-}
-
-func (jlBackend) params(cfg Config, size int) linear.JLParams {
-	return linear.JLParams{M: size, Seed: cfg.Seed}
-}
-
-func (be jlBackend) newBuilder(cfg Config, size int) (builder, error) {
-	p := be.params(cfg, size)
-	return builderOf[*linear.JLSketch](func(v Vector) (*linear.JLSketch, error) {
-		return linear.NewJL(v, p)
-	}), nil
-}
-
-func (jlBackend) compatible(a, b payload) error {
-	pa, pb, err := payloadPair[*linear.JLSketch](a, b)
-	if err != nil {
-		return err
-	}
-	return linear.CompatibleJL(pa, pb)
-}
-
-func (jlBackend) estimate(a, b payload) (float64, error) {
-	pa, pb, err := payloadPair[*linear.JLSketch](a, b)
-	if err != nil {
-		return 0, err
-	}
-	return linear.EstimateJL(pa, pb)
-}
-
-// merge implements merger: row-wise addition, S(a)+S(b) = S(a+b).
-func (jlBackend) merge(a, b payload) (payload, error) {
-	pa, pb, err := payloadPair[*linear.JLSketch](a, b)
-	if err != nil {
-		return nil, err
-	}
-	s, err := linear.MergeJL(pa, pb)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (jlBackend) unmarshal(data []byte) (payload, error) {
-	s := new(linear.JLSketch)
-	if err := s.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return s, nil
+	size: func(cfg Config) (int, error) { return cfg.StorageWords, nil },
+	newBuilder: func(cfg Config, size int) (builder, error) {
+		return oneShot(linear.NewJL, linear.JLParams{M: size, Seed: cfg.Seed})
+	},
+	compatible: check(linear.CompatibleJL),
+	estimate:   pair(linear.EstimateJL),
+	unmarshal:  decode[linear.JLSketch],
+	// Row-wise addition, S(a)+S(b) = S(a+b).
+	merge: merged(linear.MergeJL),
 }
 
 // csBackend is CountSketch with median-of-Reps repetitions.
-type csBackend struct{}
-
-func init() { register(MethodCountSketch, csBackend{}) }
-
-func (csBackend) name() string { return "CS" }
-
-func (csBackend) size(cfg Config) (int, error) {
-	// One word per bucket, Reps repetitions.
-	reps := cfg.countSketchReps()
-	b := cfg.StorageWords / reps
-	if b < 1 {
-		return 0, fmt.Errorf("ipsketch: budget %d too small for CountSketch with %d reps", cfg.StorageWords, reps)
-	}
-	return b, nil
+var csBackend = &backend{
+	name: "CS",
+	size: func(cfg Config) (int, error) {
+		// One word per bucket, Reps repetitions.
+		reps := cfg.countSketchReps()
+		b := cfg.StorageWords / reps
+		if b < 1 {
+			return 0, fmt.Errorf("ipsketch: budget %d too small for CountSketch with %d reps", cfg.StorageWords, reps)
+		}
+		return b, nil
+	},
+	newBuilder: func(cfg Config, size int) (builder, error) {
+		return oneShot(linear.NewCountSketch, linear.CSParams{Buckets: size, Reps: cfg.countSketchReps(), Seed: cfg.Seed})
+	},
+	compatible: check(linear.CompatibleCS),
+	estimate:   pair(linear.EstimateCountSketch),
+	unmarshal:  decode[linear.CSSketch],
+	// Counter-wise addition, S(a)+S(b) = S(a+b).
+	merge: merged(linear.MergeCS),
 }
 
-func (csBackend) params(cfg Config, size int) linear.CSParams {
-	return linear.CSParams{Buckets: size, Reps: cfg.countSketchReps(), Seed: cfg.Seed}
-}
-
-func (be csBackend) newBuilder(cfg Config, size int) (builder, error) {
-	p := be.params(cfg, size)
-	return builderOf[*linear.CSSketch](func(v Vector) (*linear.CSSketch, error) {
-		return linear.NewCountSketch(v, p)
-	}), nil
-}
-
-func (csBackend) compatible(a, b payload) error {
-	pa, pb, err := payloadPair[*linear.CSSketch](a, b)
-	if err != nil {
-		return err
-	}
-	return linear.CompatibleCS(pa, pb)
-}
-
-func (csBackend) estimate(a, b payload) (float64, error) {
-	pa, pb, err := payloadPair[*linear.CSSketch](a, b)
-	if err != nil {
-		return 0, err
-	}
-	return linear.EstimateCountSketch(pa, pb)
-}
-
-// merge implements merger: counter-wise addition, S(a)+S(b) = S(a+b).
-// SimHash deliberately has no merge: quantizing to sign bits destroys
-// additivity, so simHashBackend stays outside the merger capability and
+// simHashBackend is the 1-bit quantized random projection. It deliberately
+// has no merge: quantizing to sign bits destroys additivity, so
 // Sketch.Merge reports ErrNotMergeable for it.
-func (csBackend) merge(a, b payload) (payload, error) {
-	pa, pb, err := payloadPair[*linear.CSSketch](a, b)
-	if err != nil {
-		return nil, err
-	}
-	s, err := linear.MergeCS(pa, pb)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (csBackend) unmarshal(data []byte) (payload, error) {
-	s := new(linear.CSSketch)
-	if err := s.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// simHashBackend is the 1-bit quantized random projection.
-type simHashBackend struct{}
-
-func init() { register(MethodSimHash, simHashBackend{}) }
-
-func (simHashBackend) name() string { return "SimHash" }
-
-func (simHashBackend) size(cfg Config) (int, error) {
-	// 64 sign bits per word after one word for the stored norm.
-	bits := (cfg.StorageWords - 1) * 64
-	if bits < 1 {
-		return 0, fmt.Errorf("ipsketch: budget %d too small for SimHash", cfg.StorageWords)
-	}
-	return bits, nil
-}
-
-func (simHashBackend) params(cfg Config, size int) linear.SimHashParams {
-	return linear.SimHashParams{Bits: size, Seed: cfg.Seed}
-}
-
-func (be simHashBackend) newBuilder(cfg Config, size int) (builder, error) {
-	p := be.params(cfg, size)
-	return builderOf[*linear.SimHashSketch](func(v Vector) (*linear.SimHashSketch, error) {
-		return linear.NewSimHash(v, p)
-	}), nil
-}
-
-func (simHashBackend) compatible(a, b payload) error {
-	pa, pb, err := payloadPair[*linear.SimHashSketch](a, b)
-	if err != nil {
-		return err
-	}
-	return linear.CompatibleSimHash(pa, pb)
-}
-
-func (simHashBackend) estimate(a, b payload) (float64, error) {
-	pa, pb, err := payloadPair[*linear.SimHashSketch](a, b)
-	if err != nil {
-		return 0, err
-	}
-	return linear.EstimateSimHash(pa, pb)
-}
-
-func (simHashBackend) unmarshal(data []byte) (payload, error) {
-	s := new(linear.SimHashSketch)
-	if err := s.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return s, nil
+var simHashBackend = &backend{
+	name: "SimHash",
+	size: func(cfg Config) (int, error) {
+		// 64 sign bits per word after one word for the stored norm.
+		bits := (cfg.StorageWords - 1) * 64
+		if bits < 1 {
+			return 0, fmt.Errorf("ipsketch: budget %d too small for SimHash", cfg.StorageWords)
+		}
+		return bits, nil
+	},
+	newBuilder: func(cfg Config, size int) (builder, error) {
+		return oneShot(linear.NewSimHash, linear.SimHashParams{Bits: size, Seed: cfg.Seed})
+	},
+	compatible: check(linear.CompatibleSimHash),
+	estimate:   pair(linear.EstimateSimHash),
+	unmarshal:  decode[linear.SimHashSketch],
 }

@@ -5,18 +5,32 @@ import (
 	"testing"
 )
 
-// The backend registry's contract: every Method resolves to a backend,
-// every pairwise estimator routes through the backend's compatible hook,
-// and capability surfaces fail uniformly for methods that lack them.
+// The backend registry's contract: every Method resolves to a complete
+// descriptor, every pairwise estimator rejects incompatible pairs, and
+// capability surfaces fail uniformly for methods that lack them.
 
+// TestRegistryCoversEveryMethod: every slot holds a descriptor whose
+// required operations are all set — a struct, unlike an interface, does
+// not force a method to exist.
 func TestRegistryCoversEveryMethod(t *testing.T) {
 	for _, m := range Methods() {
 		be, err := backendFor(m)
 		if err != nil {
 			t.Fatalf("%d: no backend registered: %v", int(m), err)
 		}
-		if be.name() != m.String() {
-			t.Errorf("%v: backend name %q != String %q", m, be.name(), m.String())
+		if be.name != m.String() {
+			t.Errorf("%v: backend name %q != String %q", m, be.name, m.String())
+		}
+		for field, missing := range map[string]bool{
+			"size":       be.size == nil,
+			"newBuilder": be.newBuilder == nil,
+			"compatible": be.compatible == nil,
+			"estimate":   be.estimate == nil,
+			"unmarshal":  be.unmarshal == nil,
+		} {
+			if missing {
+				t.Errorf("%v: descriptor has no %s", m, field)
+			}
 		}
 	}
 	if _, err := backendFor(numMethods); err == nil {
@@ -162,7 +176,7 @@ func TestCapabilitySurfaces(t *testing.T) {
 }
 
 // TestQuantizableCapability: Config.Quantize / Config.Dart are honored
-// exactly by the backends implementing the capability, and Validate
+// exactly by the descriptors that set the capability, and Validate
 // rejects the flags everywhere else instead of silently ignoring them.
 func TestQuantizableCapability(t *testing.T) {
 	for _, m := range Methods() {
@@ -171,8 +185,8 @@ func TestQuantizableCapability(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := m == MethodWMH
-		if _, ok := be.(quantizable); ok != want {
-			t.Errorf("%v: quantizable=%v, want %v", m, ok, want)
+		if be.quantize != want {
+			t.Errorf("%v: quantize=%v, want %v", m, be.quantize, want)
 		}
 		budget := 60
 		if m == MethodSimHash {
@@ -182,8 +196,8 @@ func TestQuantizableCapability(t *testing.T) {
 		if gotOK := errQ == nil; gotOK != want {
 			t.Errorf("%v: Validate(Quantize) error=%v, want accepted=%v", m, errQ, want)
 		}
-		if _, ok := be.(dartHashable); ok != want {
-			t.Errorf("%v: dartHashable=%v, want %v", m, ok, want)
+		if be.dart != want {
+			t.Errorf("%v: dart=%v, want %v", m, be.dart, want)
 		}
 		errD := Config{Method: m, StorageWords: budget, Dart: true}.Validate()
 		if gotOK := errD == nil; gotOK != want {
@@ -193,7 +207,7 @@ func TestQuantizableCapability(t *testing.T) {
 }
 
 // TestPSTSThroughPublicAPI: the registry proof — the follow-up paper's
-// sampling sketches, registered purely through the backend interface, are
+// sampling sketches, registered purely through one backend descriptor, are
 // fully served by every public surface (construction, batch, estimate,
 // median boosting, serialization).
 func TestPSTSThroughPublicAPI(t *testing.T) {

@@ -103,8 +103,8 @@ func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 	if n <= 0 {
 		return nil, errors.New("ipsketch: shard count must be positive")
 	}
-	if ss, ok := s.be.(shardSketcher); ok {
-		ps, err := ss.sketchShards(s.cfg, s.size, v, n)
+	if s.be.shards != nil {
+		ps, err := s.be.shards(s.cfg, s.size, v, n)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +114,7 @@ func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 		}
 		return out, nil
 	}
-	if _, ok := s.be.(merger); !ok {
+	if s.be.merge == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotMergeable, s.cfg.Method)
 	}
 	out := make([]*Sketch, n)

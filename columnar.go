@@ -6,11 +6,11 @@ package ipsketch
 // and at search time the pre-decoded query streams those flat arrays with
 // zero per-candidate decoding, map lookups, or interface dispatch — the
 // numba-kernel shape of the related sampling repos, specialized per family
-// behind the columnarScorer capability. A view covers every entry of its
-// index or is not built: an index holding one bundle the pack rejects
-// (different method, key space, or construction parameters) scans decoded
-// through EstimateJoinStats. Both paths assemble JoinStats through the
-// same helper, so rankings are bit-identical either way.
+// behind the backend descriptor's packs field. A view covers every entry
+// of its index or is not built: an index holding one bundle the pack
+// rejects (different method, key space, or construction parameters) scans
+// decoded through EstimateJoinStats. Both paths assemble JoinStats
+// through the same helper, so rankings are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, ordered by
 // the pack they scan — three query operands against the key sketches, two
@@ -131,17 +131,13 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 		}
 		if v == nil {
 			be, err := backendFor(e.key.method)
-			if err != nil {
-				return nil
-			}
-			cs, ok := be.(columnarScorer)
-			if !ok {
+			if err != nil || be.packs == nil {
 				return nil
 			}
 			v = &columnarView{
 				method:   e.key.method,
 				keySpace: e.keySpace,
-				pk:       cs.newColumnarPack(),
+				pk:       be.packs.newPack(),
 				colOff:   make([]int, 1, len(entries)+1),
 			}
 		}
@@ -186,14 +182,10 @@ func prepareColumnarQuery(query *TableSketch, queryCol string) columnarQuery {
 		return nil
 	}
 	be, err := backendFor(m)
-	if err != nil {
+	if err != nil || be.packs == nil {
 		return nil
 	}
-	cs, ok := be.(columnarScorer)
-	if !ok {
-		return nil
-	}
-	return cs.prepareQuery(query.key.payload, qVal.payload, qSq.payload)
+	return be.packs.prepareQuery(query.key.payload, qVal.payload, qSq.payload)
 }
 
 // accepts reports whether the prepared query can be scored against this
@@ -210,10 +202,10 @@ type packCols[S, Q any] interface {
 	Scan(qs []Q, lo, hi int, out []float64, stride int, offs []int)
 }
 
-// packFamily is everything family-specific about a columnar pack; the
-// backend files each declare one and route their columnarScorer methods
-// through it. S is the decoded sketch, Q the pre-decoded query operand
-// the kernel takes, C the family's packed columns.
+// packFamily is everything family-specific about a columnar pack, and the
+// one columnarScorer: the backend descriptor of each packed family holds
+// one in its packs field. S is the decoded sketch, Q the pre-decoded query
+// operand the kernel takes, C the family's packed columns.
 type packFamily[S payload, Q any, C packCols[S, Q]] struct {
 	compatible func(a, b S) error
 	newCols    func(ref S) C
@@ -221,7 +213,7 @@ type packFamily[S payload, Q any, C packCols[S, Q]] struct {
 	operand func(S) Q
 	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
 	// size slot carries its estimate instead of the inner-product
-	// reduction, as the decoded joinSizeEstimator path does.
+	// reduction, as the decoded joinSize estimator does.
 	scanJoinSize func(c C, q Q, lo, hi int, out []float64, stride, off int)
 }
 

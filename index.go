@@ -199,8 +199,7 @@ type searchSource struct {
 	ix *SketchIndex
 	// view is non-nil when the index scans packed: it has a columnar view
 	// and the view's pack accepted the prepared query.
-	view       *columnarView
-	prechecked bool
+	view *columnarView
 	// The scan list: every entry position in [0, n) when ents is nil (full
 	// scan), else the n ascending candidate positions ents (lsh mode).
 	ents []int
@@ -410,7 +409,7 @@ func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 		return
 	}
 	for col, colName := range cand.Columns() {
-		st, err := estimateJoinStats(s.query, s.queryCol, cand, colName, src.prechecked)
+		st, err := EstimateJoinStats(s.query, s.queryCol, cand, colName)
 		if err != nil {
 			w.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), si, ent, col)
 			continue
@@ -624,12 +623,6 @@ func (s *searcher) plan(ixs []*SketchIndex, lsh bool, probes int, stats *ScanSta
 	for i, ix := range ixs {
 		src := &s.srcs[i]
 		src.ix, src.n = ix, len(ix.entries)
-		// Strict indexes hold mutually compatible bundles, so one
-		// query-vs-pin check covers every candidate and the decoded scorer
-		// skips the dispatch-level Compatible re-run per estimate. When the
-		// check fails the scan runs un-prechecked and surfaces the
-		// per-candidate error exactly as before.
-		src.prechecked = ix.strict && ix.pin != nil && s.query.CompatibleWith(ix.pin) == nil
 		if ix.view != nil {
 			// Pre-decode the query once per search, for whichever packs
 			// accept it; the rest scan decoded.

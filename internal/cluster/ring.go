@@ -9,36 +9,24 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/url"
 	"sort"
 	"strings"
 )
 
-// Ring construction defaults.
-const (
-	// DefaultReplicas is the virtual-node count per node: enough that the
-	// largest arc share concentrates near 1/n, cheap enough that a ring
-	// rebuilds in microseconds.
-	DefaultReplicas = 64
-	// DefaultLoadFactor bounds any node's owned share of the ring at
-	// LoadFactor/n of the virtual nodes (the classic c of bounded-load
-	// consistent hashing, applied at build time so placement stays a pure
-	// function of the peer list).
-	DefaultLoadFactor = 1.25
-)
+// DefaultReplicas is the virtual-node count per node: enough that the
+// largest arc share concentrates near 1/n, cheap enough that a ring
+// rebuilds in microseconds.
+const DefaultReplicas = 64
 
 // Ring is an immutable consistent-hash ring over a fixed node set.
 // Placement is deterministic: Owner depends only on the sorted node
-// list, the replica count, and the load factor — never on insertion
-// order, prior lookups, or the machine evaluating it. Safe for
-// concurrent use.
+// list and the replica count — never on insertion order, prior lookups,
+// or the machine evaluating it. Safe for concurrent use.
 type Ring struct {
-	nodes      []string
-	vnodes     []vnode
-	replicas   int
-	loadFactor float64
-	capacity   int // max vnodes any one node may own after capping
+	nodes    []string
+	vnodes   []vnode
+	replicas int
 }
 
 type vnode struct {
@@ -58,16 +46,6 @@ func WithReplicas(n int) Option {
 	}
 }
 
-// WithLoadFactor sets the bounded-load factor c ≥ 1: no node owns more
-// than ceil(c·V/n) of the V virtual nodes.
-func WithLoadFactor(c float64) Option {
-	return func(r *Ring) {
-		if c >= 1 {
-			r.loadFactor = c
-		}
-	}
-}
-
 // NewRing builds a ring over the given node identifiers (typically
 // canonical peer URLs from ParsePeerList). Nodes are deduplicated by
 // exact string and sorted, so every peer constructing a ring from the
@@ -77,7 +55,7 @@ func NewRing(nodes []string, opts ...Option) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
-	r := &Ring{replicas: DefaultReplicas, loadFactor: DefaultLoadFactor}
+	r := &Ring{replicas: DefaultReplicas}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -110,29 +88,6 @@ func NewRing(nodes []string, opts ...Option) (*Ring, error) {
 		}
 		return a.owner < b.owner
 	})
-
-	// Bounded load: cap each node at ceil(c·V/n) virtual points. Walking
-	// the ring in hash order, a point whose owner is already full is
-	// handed to the next node (in ring order of the following points)
-	// with spare capacity — a deterministic rebalance computed from the
-	// membership alone. Total capacity n·cap ≥ c·V ≥ V, so the forward
-	// scan always finds a home.
-	r.capacity = int(math.Ceil(r.loadFactor * float64(len(r.vnodes)) / float64(len(r.nodes))))
-	counts := make([]int, len(r.nodes))
-	for i := range r.vnodes {
-		own := r.vnodes[i].owner
-		if counts[own] >= r.capacity {
-			for off := 1; off <= len(r.vnodes); off++ {
-				cand := r.vnodes[(i+off)%len(r.vnodes)].owner
-				if counts[cand] < r.capacity {
-					own = cand
-					break
-				}
-			}
-			r.vnodes[i].owner = own
-		}
-		counts[own]++
-	}
 	return r, nil
 }
 
@@ -146,13 +101,6 @@ func (r *Ring) Nodes() []string {
 // Replicas returns the virtual-node count per node.
 func (r *Ring) Replicas() int { return r.replicas }
 
-// LoadFactor returns the bounded-load factor.
-func (r *Ring) LoadFactor() float64 { return r.loadFactor }
-
-// Capacity returns the per-node virtual-point cap the load factor
-// implies.
-func (r *Ring) Capacity() int { return r.capacity }
-
 // Owner returns the node a table name places on: the owner of the first
 // virtual point clockwise of the name's hash (wrapping past zero).
 func (r *Ring) Owner(table string) string {
@@ -164,26 +112,18 @@ func (r *Ring) Owner(table string) string {
 	return r.nodes[r.vnodes[i].owner]
 }
 
-// OwnedVnodes returns how many virtual points each node owns after the
-// bounded-load capping, keyed by node; the structural balance guarantee
-// is max ≤ Capacity().
-func (r *Ring) OwnedVnodes() map[string]int {
-	out := make(map[string]int, len(r.nodes))
-	for _, n := range r.nodes {
-		out[n] = 0
-	}
-	for _, v := range r.vnodes {
-		out[r.nodes[v.owner]]++
-	}
-	return out
-}
-
 // hashString is the placement hash: FNV-64a, stable across platforms
-// and Go releases, so a mixed-version cluster still agrees on owners.
+// and Go releases, followed by the splitmix64 finalizer. FNV-64a alone
+// avalanches weakly on trailing bytes, so a node's "#<rep>" vnode labels
+// hashed into clusters and a three-node ring could leave a node owning
+// almost nothing; the finalizer spreads them over the whole ring.
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // MaxPeers bounds a parsed peer list; a cluster larger than this is a

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -12,23 +12,24 @@ var goldenPeers = []string{"http://10.0.0.1:7207", "http://10.0.0.2:7207", "http
 // TestRingGoldenPlacement pins the placement function: these owners are
 // part of the cluster's wire contract (every node must compute the same
 // ones from the peer list alone), so any change to the hash, the vnode
-// labeling, the sort, or the bounded-load pass is a breaking change and
-// must fail here.
+// labeling, or the sort is a breaking change and must fail here. The pins
+// were re-derived when the splitmix64 finalizer joined the hash; under
+// plain FNV-64a node 10.0.0.2 owned none of these names.
 func TestRingGoldenPlacement(t *testing.T) {
 	r, err := NewRing(goldenPeers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := []struct{ table, owner string }{
-		{"orders", "http://10.0.0.3:7207"},
+		{"orders", "http://10.0.0.2:7207"},
 		{"users", "http://10.0.0.1:7207"},
-		{"events", "http://10.0.0.1:7207"},
-		{"wdi", "http://10.0.0.1:7207"},
+		{"events", "http://10.0.0.3:7207"},
+		{"wdi", "http://10.0.0.2:7207"},
 		{"taxi", "http://10.0.0.1:7207"},
-		{"inventory", "http://10.0.0.3:7207"},
+		{"inventory", "http://10.0.0.1:7207"},
 		{"weather", "http://10.0.0.1:7207"},
-		{"prices", "http://10.0.0.3:7207"},
-		{"logs_2024", "http://10.0.0.3:7207"},
+		{"prices", "http://10.0.0.1:7207"},
+		{"logs_2024", "http://10.0.0.2:7207"},
 		{"logs_2025", "http://10.0.0.3:7207"},
 	}
 	for _, g := range golden {
@@ -58,36 +59,53 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingBoundedLoad: no node owns more virtual points than the
-// capacity the load factor implies, for a spread of cluster sizes and
-// replica counts — the structural half of the balance guarantee.
-func TestRingBoundedLoad(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		for _, reps := range []int{1, 16, 64} {
-			nodes := make([]string, n)
-			for i := range nodes {
-				nodes[i] = fmt.Sprintf("http://node-%d:7207", i)
+// TestRingBalanceProbe: over 3000 three-node rings on random distinct
+// loopback ports, every node owns at least 15% of 4096 table names. With
+// plain FNV-64a as the placement hash about one ring in sixty left a node
+// owning nothing, which is what made the cluster failover test flaky.
+// Every node also contributes exactly its replica count of virtual points.
+func TestRingBalanceProbe(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20231015, 3))
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = fmt.Sprintf("table-%d", i)
+	}
+	worst := 1.0
+	for trial := 0; trial < 3000; trial++ {
+		ports := map[int]bool{}
+		for len(ports) < 3 {
+			ports[1024+rng.IntN(65535-1024)] = true
+		}
+		var nodes []string
+		for p := range ports {
+			nodes = append(nodes, fmt.Sprintf("http://127.0.0.1:%d", p))
+		}
+		r, err := NewRing(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vnodes := map[int]int{}
+		for _, v := range r.vnodes {
+			vnodes[v.owner]++
+		}
+		for i := range r.nodes {
+			if vnodes[i] != r.replicas {
+				t.Fatalf("ring %v: node %s has %d vnodes, want %d", nodes, r.nodes[i], vnodes[i], r.replicas)
 			}
-			r, err := NewRing(nodes, WithReplicas(reps))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCap := int(math.Ceil(r.LoadFactor() * float64(n*reps) / float64(n)))
-			if r.Capacity() != wantCap {
-				t.Errorf("n=%d reps=%d: Capacity() = %d, want %d", n, reps, r.Capacity(), wantCap)
-			}
-			total := 0
-			for node, owned := range r.OwnedVnodes() {
-				total += owned
-				if owned > r.Capacity() {
-					t.Errorf("n=%d reps=%d: node %s owns %d vnodes > capacity %d", n, reps, node, owned, r.Capacity())
-				}
-			}
-			if total != n*reps {
-				t.Errorf("n=%d reps=%d: %d vnodes owned in total, want %d", n, reps, total, n*reps)
+		}
+		owned := map[string]int{}
+		for _, n := range names {
+			owned[r.Owner(n)]++
+		}
+		for _, n := range r.nodes {
+			share := float64(owned[n]) / float64(len(names))
+			worst = min(worst, share)
+			if share < 0.15 {
+				t.Fatalf("ring %v: node %s owns %.3f of the names, want ≥ 0.15", nodes, n, share)
 			}
 		}
 	}
+	t.Logf("worst node share over 3000 rings: %.3f", worst)
 }
 
 // TestRingRemovalStability: dropping one node of five must not move a
@@ -120,11 +138,10 @@ func TestRingRemovalStability(t *testing.T) {
 			moved++
 		}
 	}
-	// The bounded-load reassignment may move a small fraction of
-	// surviving tables (capacity changes with n); the disruption must
-	// stay near the 1/n ideal, nowhere near rehash-everything.
-	if frac := float64(moved) / float64(moved+kept); frac > 0.25 {
-		t.Errorf("%.1f%% of surviving tables moved on single-node removal; want ≤25%%", 100*frac)
+	// A survivor's virtual points are the same in both rings, so none of
+	// its tables can move.
+	if moved != 0 {
+		t.Errorf("%d of %d surviving tables moved on single-node removal; want 0", moved, moved+kept)
 	}
 }
 

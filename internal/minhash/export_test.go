@@ -1,0 +1,5 @@
+package minhash
+
+// Samples exposes the stored per-sample hashes and values to the
+// reference-estimator oracle of the external test package.
+func (s *Sketch) Samples() (hashes []uint64, vals []float64) { return s.hashes, s.vals }

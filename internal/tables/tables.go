@@ -317,8 +317,8 @@ func sum(xs []float64) float64 {
 // in the paper, where a zero entry is indistinguishable from a missing
 // key — so a zero drops out of x_V and an underflowed square out of
 // x_{V²}, while the indicator keeps every key. Fails on an unknown
-// column, on duplicate keys (ErrDuplicateKeys) and on a key outside
-// keySpace.
+// column, on duplicate keys (ErrDuplicateKeys), on a key outside
+// keySpace, and on a column whose Σv² or Σv⁴ overflows.
 func (t *Table) Vectors(keySpace uint64, cols []string) (key vector.Sparse, vals, sqs []vector.Sparse, err error) {
 	data := make([][]float64, len(cols))
 	for i, c := range cols {
@@ -354,8 +354,19 @@ func (t *Table) Vectors(keySpace uint64, cols []string) (key vector.Sparse, vals
 	vals = make([]vector.Sparse, len(cols))
 	sqs = make([]vector.Sparse, len(cols))
 	for c, col := range data {
+		// ‖x_V‖² = Σv² and ‖x_{V²}‖² = Σv⁴ feed every estimator's norms; a
+		// column whose squares overflow would sketch to infinite
+		// statistics, so it is rejected here rather than estimated.
+		var sum2, sum4 float64
 		for i, kr := range order {
-			buf[i] = col[kr.row]
+			v := col[kr.row]
+			buf[i] = v
+			v2 := v * v
+			sum2 += v2
+			sum4 += v2 * v2
+		}
+		if math.IsInf(sum2, 0) || math.IsInf(sum4, 0) {
+			return key, nil, nil, fmt.Errorf("tables: column %q: values too large, their squared norms overflow", cols[c])
 		}
 		if vals[c], err = vector.New(keySpace, idx, buf); err != nil {
 			return key, nil, nil, err

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/vector"
@@ -275,6 +276,19 @@ func TestVectorizationErrors(t *testing.T) {
 	ok := MustNew("ok", []uint64{1}, map[string][]float64{"V": {1}})
 	if _, err := ok.ValueVector(100, "missing"); err == nil {
 		t.Fatal("missing column accepted")
+	}
+	// A column whose squared norms overflow is rejected by name: 1e100
+	// overflows Σv⁴ (‖x_{V²}‖²), 1e160 already Σv², and 1e77 overflows Σv⁴
+	// only once three of them are summed.
+	for _, col := range [][]float64{{1, 1e100}, {1e160, 1}, {1e77, 1e77, 1e77}} {
+		keys := []uint64{1, 2, 3}[:len(col)]
+		huge := MustNew("h", keys, map[string][]float64{"ok": make([]float64, len(col)), "huge": col})
+		if _, _, _, err := huge.Vectors(100, []string{"ok", "huge"}); err == nil || !strings.Contains(err.Error(), `"huge"`) {
+			t.Fatalf("values %v: err = %v, want an error naming column huge", col, err)
+		}
+	}
+	if _, _, _, err := MustNew("f", []uint64{1, 2}, map[string][]float64{"V": {1e76, -1e76}}).Vectors(100, []string{"V"}); err != nil {
+		t.Fatalf("finite squared norms rejected: %v", err)
 	}
 }
 

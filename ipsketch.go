@@ -46,12 +46,14 @@
 //
 // # Architecture
 //
-// Every method is a backend registered behind one internal interface
-// (backend.go); construction, estimation, batching, serialization, and
-// similarity all dispatch through the registry, and optional estimator
-// surfaces (join size, Jaccard, cardinalities, error bounds) are
-// capability interfaces a backend opts into. Adding a method is one
-// internal package plus one backend file — see DESIGN.md §2.
+// Every method is one backend descriptor (backend.go): a struct of
+// function fields lifted from the method's internal package, with one
+// optional field per capability (merge, join size, Jaccard,
+// cardinalities, error bounds, LSH signatures, the columnar scan family)
+// that is nil when the method lacks it. Construction, estimation,
+// batching, serialization, and similarity all resolve the descriptor and
+// call or test its fields. Adding a method is one internal package plus
+// one descriptor — see DESIGN.md §2.
 package ipsketch
 
 import (
@@ -128,7 +130,7 @@ const (
 // String names the method as in the papers' plots.
 func (m Method) String() string {
 	if be, err := backendFor(m); err == nil {
-		return be.name()
+		return be.name
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
@@ -210,15 +212,11 @@ func (c Config) Validate() error {
 	if c.StorageWords <= 0 {
 		return errors.New("ipsketch: storage budget must be positive")
 	}
-	if c.Quantize {
-		if _, ok := be.(quantizable); !ok {
-			return fmt.Errorf("ipsketch: %v does not support Quantize", c.Method)
-		}
+	if c.Quantize && !be.quantize {
+		return fmt.Errorf("ipsketch: %v does not support Quantize", c.Method)
 	}
-	if c.Dart {
-		if _, ok := be.(dartHashable); !ok {
-			return fmt.Errorf("ipsketch: %v does not support Dart", c.Method)
-		}
+	if c.Dart && !be.dart {
+		return fmt.Errorf("ipsketch: %v does not support Dart", c.Method)
 	}
 	if _, err := be.size(c); err != nil {
 		return err
@@ -232,7 +230,7 @@ func (c Config) Validate() error {
 // without sharing.
 type Sketcher struct {
 	cfg  Config
-	be   backend
+	be   *backend
 	size int       // method-specific size derived from the budget
 	pool sync.Pool // builder: per-goroutine construction scratch, reused across calls
 }
@@ -314,9 +312,6 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := be.compatible(a.payload, b.payload); err != nil {
-		return 0, err
-	}
 	return be.estimate(a.payload, b.payload)
 }
 
@@ -330,40 +325,10 @@ func EstimateJoinSize(a, b *Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	jse, ok := be.(joinSizeEstimator)
-	if !ok {
-		return Estimate(a, b)
+	if be.joinSize == nil {
+		return be.estimate(a.payload, b.payload)
 	}
-	if err := be.compatible(a.payload, b.payload); err != nil {
-		return 0, err
-	}
-	return jse.estimateJoinSize(a.payload, b.payload)
-}
-
-// estimatePrechecked is Estimate without the dispatch-level compatibility
-// pre-check, for scan loops that have already verified the pair's bundles
-// are comparable (a strict index whose pin matched the query). The
-// internal estimators still validate their inputs, so an incompatible
-// pair fails with the same underlying error instead of returning garbage.
-func estimatePrechecked(a, b *Sketch) (float64, error) {
-	be, err := pairBackend(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return be.estimate(a.payload, b.payload)
-}
-
-// estimateJoinSizePrechecked is EstimateJoinSize minus the dispatch-level
-// compatibility pre-check; see estimatePrechecked.
-func estimateJoinSizePrechecked(a, b *Sketch) (float64, error) {
-	be, err := pairBackend(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if jse, ok := be.(joinSizeEstimator); ok {
-		return jse.estimateJoinSize(a.payload, b.payload)
-	}
-	return be.estimate(a.payload, b.payload)
+	return be.joinSize(a.payload, b.payload)
 }
 
 // EstimateWithBound returns the inner-product estimate together with a
@@ -377,12 +342,11 @@ func EstimateWithBound(a, b *Sketch) (estimate, errScale float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	eb, ok := be.(errorBounder)
-	if !ok {
+	if be.withBound == nil {
 		return 0, 0, fmt.Errorf("ipsketch: EstimateWithBound requires a self-bounding method (e.g. WMH), got %v", a.method)
 	}
 	if err := be.compatible(a.payload, b.payload); err != nil {
 		return 0, 0, err
 	}
-	return eb.estimateWithBound(a.payload, b.payload)
+	return be.withBound(a.payload, b.payload)
 }

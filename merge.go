@@ -9,8 +9,8 @@ import (
 // mergeable — a prefix-minimum over a support union is the minimum of the
 // per-shard minima, and linear sketches add — which is what lets
 // per-partition sketches of a distributed table be rolled up without
-// touching the data again. Every backend that can merge implements the
-// merger capability; per-family semantics:
+// touching the data again. Every method that can merge has a merge field
+// in its backend descriptor; per-family semantics:
 //
 //	MH, KMV        union-min over the coordinate-keyed hashes: exact for
 //	               disjoint supports, union semantics for shared indices
@@ -34,11 +34,7 @@ var ErrNotMergeable = errors.New("ipsketch: method does not support merging")
 // Mergeable reports whether the method's sketches support Merge.
 func (m Method) Mergeable() bool {
 	be, err := backendFor(m)
-	if err != nil {
-		return false
-	}
-	_, ok := be.(merger)
-	return ok
+	return err == nil && be.merge != nil
 }
 
 // Merge combines two sketches of the same configuration into the sketch
@@ -54,14 +50,13 @@ func (sk *Sketch) Merge(other *Sketch) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ok := be.(merger)
-	if !ok {
+	if be.merge == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotMergeable, sk.method)
 	}
 	if err := be.compatible(sk.payload, other.payload); err != nil {
 		return nil, err
 	}
-	p, err := m.merge(sk.payload, other.payload)
+	p, err := be.merge(sk.payload, other.payload)
 	if err != nil {
 		return nil, err
 	}

@@ -305,12 +305,11 @@ type StatsResponse struct {
 // ClusterStats is the /statsz cluster block: this node's identity and
 // mode, the ring parameters, per-peer health, and the fan-out counters.
 type ClusterStats struct {
-	Self       string             `json:"self"`
-	Strict     bool               `json:"strict"`
-	Nodes      int                `json:"nodes"`
-	Replicas   int                `json:"ring_replicas"`
-	LoadFactor float64            `json:"ring_load_factor"`
-	Peers      []ClusterPeerStats `json:"peers"`
+	Self     string             `json:"self"`
+	Strict   bool               `json:"strict"`
+	Nodes    int                `json:"nodes"`
+	Replicas int                `json:"ring_replicas"`
+	Peers    []ClusterPeerStats `json:"peers"`
 	// Forwards counts mutations routed to their owning node;
 	// PartialSearches counts scatter-gather answers that were missing at
 	// least one node.

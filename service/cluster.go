@@ -50,9 +50,9 @@ type ClusterConfig struct {
 	// /search into a typed 503 (ErrCodeClusterDegraded) instead of a
 	// degraded ranking.
 	Strict bool
-	// Ring knobs (0 = cluster package defaults).
-	Replicas   int
-	LoadFactor float64
+	// Replicas is the ring's virtual-node count per node (0 = the
+	// cluster package default).
+	Replicas int
 	// Probe cadence, deadline, backoff cap, and failure threshold for the
 	// peer health checker (0 = cluster package defaults).
 	ProbeInterval, ProbeTimeout, ProbeBackoffCap time.Duration
@@ -110,9 +110,6 @@ func (s *Server) initCluster(cc ClusterConfig) error {
 	var ringOpts []cluster.Option
 	if cc.Replicas > 0 {
 		ringOpts = append(ringOpts, cluster.WithReplicas(cc.Replicas))
-	}
-	if cc.LoadFactor >= 1 {
-		ringOpts = append(ringOpts, cluster.WithLoadFactor(cc.LoadFactor))
 	}
 	ring, err := cluster.NewRing(peers, ringOpts...)
 	if err != nil {
@@ -249,7 +246,6 @@ func (cs *clusterState) stats() *ClusterStats {
 		Strict:          cs.cfg.Strict,
 		Nodes:           len(cs.ring.Nodes()),
 		Replicas:        cs.ring.Replicas(),
-		LoadFactor:      cs.ring.LoadFactor(),
 		Forwards:        cs.forwards.Load(),
 		FanoutSearches:  cs.fanouts.Load(),
 		PartialSearches: cs.partials.Load(),

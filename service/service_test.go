@@ -409,6 +409,22 @@ func TestServiceIngestValidation(t *testing.T) {
 		t.Fatal("unknown agg accepted")
 	}
 
+	// A value whose square overflows the column norms is a 400 on every
+	// raw-columns path: PUT, merge and an inline /search query.
+	for _, v := range []float64{1e100, 1e160} {
+		huge := service.TablePayload{Keys: []uint64{1, 2}, Columns: map[string][]float64{"v": {1, v}}}
+		var ce *client.Error
+		if _, err := cl.PutTable(ctx, "huge", huge); !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+			t.Fatalf("PUT with value %g: err = %v, want a 400", v, err)
+		}
+		if _, err := cl.MergeTable(ctx, "huge", huge); !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+			t.Fatalf("merge with value %g: err = %v, want a 400", v, err)
+		}
+		if _, err := cl.Search(ctx, service.SearchRequest{Table: &huge, Column: "v"}); !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+			t.Fatalf("search with value %g: err = %v, want a 400", v, err)
+		}
+	}
+
 	// Both or neither key representation is rejected.
 	if _, err := cl.PutTable(ctx, "x", service.TablePayload{Columns: map[string][]float64{"v": {}}}); err == nil {
 		t.Fatal("payload without keys accepted")

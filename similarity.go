@@ -8,10 +8,10 @@ import (
 // Beyond inner products, the hash-based sketches natively estimate set
 // similarities and cardinalities — the primitives of joinability search
 // (paper §1.2: "discover tables that are joinable with the target table").
-// Which methods support which estimator is a backend capability
-// (similarityEstimator, cardinalityEstimator in backend.go): a method
-// advertising the capability works here automatically, every other method
-// gets a uniform "cannot estimate" error.
+// Which methods support which estimator is an optional field of the
+// backend descriptor (jaccard, signature, supportSize, unionSize in
+// backend.go): a method that sets the field works here automatically,
+// every other method gets a uniform "cannot estimate" error.
 
 // EstimateJaccard estimates a similarity between the sketched vectors:
 //
@@ -26,14 +26,13 @@ func EstimateJaccard(a, b *Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	se, ok := be.(similarityEstimator)
-	if !ok {
+	if be.jaccard == nil {
 		return 0, fmt.Errorf("ipsketch: %v sketches cannot estimate Jaccard similarity", a.method)
 	}
 	if err := be.compatible(a.payload, b.payload); err != nil {
 		return 0, err
 	}
-	return se.estimateJaccard(a.payload, b.payload)
+	return be.jaccard(a.payload, b.payload)
 }
 
 // ErrNoSignature reports that a sketch's method cannot produce an LSH
@@ -55,11 +54,10 @@ func (sk *Sketch) LSHSignature() ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss, ok := be.(signatureSketcher)
-	if !ok {
+	if be.signature == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSignature, sk.method)
 	}
-	return ss.signature(sk.payload)
+	return be.signature(sk.payload)
 }
 
 // EstimateSupportSize estimates the number of non-zero entries of the
@@ -73,11 +71,10 @@ func EstimateSupportSize(sk *Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ce, ok := be.(cardinalityEstimator)
-	if !ok {
+	if be.supportSize == nil {
 		return 0, fmt.Errorf("ipsketch: %v sketches cannot estimate support size", sk.method)
 	}
-	return ce.estimateSupportSize(sk.payload)
+	return be.supportSize(sk.payload)
 }
 
 // EstimateUnionSize estimates |A∪B| of the two sketched supports.
@@ -87,12 +84,11 @@ func EstimateUnionSize(a, b *Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ce, ok := be.(cardinalityEstimator)
-	if !ok {
+	if be.unionSize == nil {
 		return 0, fmt.Errorf("ipsketch: %v sketches cannot estimate union size", a.method)
 	}
 	if err := be.compatible(a.payload, b.payload); err != nil {
 		return 0, err
 	}
-	return ce.estimateUnionSize(a.payload, b.payload)
+	return be.unionSize(a.payload, b.payload)
 }

@@ -297,16 +297,6 @@ type JoinStats struct {
 // EstimateJoinStats estimates every §1.2 statistic for columns colA of a
 // and colB of b from the sketch bundles alone.
 func EstimateJoinStats(a *TableSketch, colA string, b *TableSketch, colB string) (JoinStats, error) {
-	return estimateJoinStats(a, colA, b, colB, false)
-}
-
-// estimateJoinStats is the body of EstimateJoinStats. prechecked skips the
-// dispatch-level compatibility pre-check of every pairwise estimate — the
-// internal estimators still verify their inputs, so garbage is impossible;
-// the flag only elides redundant parameter comparisons when the caller has
-// already established bundle compatibility (a strict index whose pin
-// matched the query).
-func estimateJoinStats(a *TableSketch, colA string, b *TableSketch, colB string, prechecked bool) (JoinStats, error) {
 	if a.keySpace != b.keySpace {
 		return JoinStats{}, fmt.Errorf("ipsketch: key space mismatch %d vs %d", a.keySpace, b.keySpace)
 	}
@@ -320,32 +310,27 @@ func estimateJoinStats(a *TableSketch, colA string, b *TableSketch, colB string,
 	}
 	sqA, sqB := a.sqVal[colA], b.sqVal[colB]
 
-	estimate, joinSize := Estimate, EstimateJoinSize
-	if prechecked {
-		estimate, joinSize = estimatePrechecked, estimateJoinSizePrechecked
-	}
-
-	size, err := joinSize(a.key, b.key)
+	size, err := EstimateJoinSize(a.key, b.key)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	sumA, err := estimate(va, b.key)
+	sumA, err := Estimate(va, b.key)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	sumB, err := estimate(a.key, vb)
+	sumB, err := Estimate(a.key, vb)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	sumSqA, err := estimate(sqA, b.key)
+	sumSqA, err := Estimate(sqA, b.key)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	sumSqB, err := estimate(a.key, sqB)
+	sumSqB, err := Estimate(a.key, sqB)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	ip, err := estimate(va, vb)
+	ip, err := Estimate(va, vb)
 	if err != nil {
 		return JoinStats{}, err
 	}
