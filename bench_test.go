@@ -412,7 +412,7 @@ func BenchmarkSearchFull(b *testing.B) {
 	q, ix := benchCatalog(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search(q, "v", RankByJoinSizeBench, 0); err != nil {
+		if _, _, err := ix.Search(ipsketch.Query{Sketch: q, Column: "v", RankBy: RankByJoinSizeBench, K: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,7 +422,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 	q, ix := benchCatalog(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchTopK(q, "v", RankByJoinSizeBench, 0, 10); err != nil {
+		if _, _, err := ix.Search(ipsketch.Query{Sketch: q, Column: "v", RankBy: RankByJoinSizeBench, K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,8 +31,11 @@
 // balancers route away, in-flight requests get -drain-timeout to
 // finish, then the final snapshot is written and the WAL closed.
 //
-// See the service package for the endpoint reference and
-// cmd/datasearch -remote for a client.
+// Every flag sets one field of service.Config, service.ClusterConfig or
+// wal.Options, except the daemon's own -addr, -snapshot-every,
+// -snapshot-recover, -drain-timeout, -pprof and -access-log. See the
+// service package for the endpoint reference and "ipsketch search
+// -remote" for a client.
 package main
 
 import (
@@ -72,139 +75,101 @@ func main() {
 // resolved address on ready (if non-nil) once the server is accepting
 // traffic, serves until ctx is canceled, then drains and persists.
 func run(ctx context.Context, args []string, out io.Writer, ready chan<- string) error {
-	fs := flag.NewFlagSet("sketchd", flag.ContinueOnError)
+	// Every flag with a home in the server, cluster or WAL configuration
+	// binds straight to its field; only the daemon's own knobs are locals.
 	var (
-		addr          = fs.String("addr", ":7207", "listen address")
-		methodName    = fs.String("method", "WMH", "sketch method (see ipsketch.Methods)")
-		storage       = fs.Int("storage", 400, "sketch budget in 64-bit words")
-		seed          = fs.Uint64("seed", 1, "seed deriving all sketch randomness")
-		keySpace      = fs.Uint64("keyspace", 0, "key-domain size (0 = default 2^63)")
-		l             = fs.Uint64("l", 0, "WMH discretization parameter (0 = automatic)")
-		reps          = fs.Int("reps", 0, "CountSketch repetitions (0 = paper default)")
-		quantize      = fs.Bool("quantize", false, "store sample values in 32 bits (supported methods)")
-		dart          = fs.Bool("dart", false, "one-pass dart-throwing construction (supported methods)")
-		shards        = fs.Int("shards", 0, "catalog shard count (0 = default)")
-		snapshot      = fs.String("snapshot", "", "snapshot file (load on boot, save on shutdown)")
-		snapshotEvery = fs.Duration("snapshot-every", 0, "periodic snapshot interval (0 = only on shutdown)")
-		snapRecover   = fs.Bool("snapshot-recover", false, "with -wal: replay the log instead of failing when the snapshot is unreadable")
-		walDir        = fs.String("wal", "", "write-ahead log directory (empty = no WAL)")
-		walFsync      = fs.String("wal-fsync", "always", "WAL fsync policy: always, interval, or none")
-		walFsyncEvery = fs.Duration("wal-fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -wal-fsync=interval")
-		walSegBytes   = fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold")
-		reqTimeout    = fs.Duration("request-timeout", 30*time.Second, "server-side per-request deadline (0 = none)")
-		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests")
-		ingestLimit   = fs.Int("ingest-limit", 0, "max in-flight ingest requests (0 = 2×GOMAXPROCS)")
-		searchLimit   = fs.Int("search-limit", 0, "max in-flight search requests (0 = 2×GOMAXPROCS)")
-		pprofOn       = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (alongside /metrics)")
-		slowlogN      = fs.Int("slowlog-n", service.DefaultSlowLogSize, "slow-query log capacity (N slowest searches)")
-		slowThreshold = fs.Duration("slow-threshold", 0, "only record searches at least this slow (0 = keep the N slowest regardless)")
-		accessLog     = fs.Bool("access-log", false, "emit a structured JSON access-log line per request")
-		lshBands      = fs.Int("lsh-bands", 0, "LSH bands for mode=lsh search (0 = disabled; requires -lsh-rows)")
-		lshRows       = fs.Int("lsh-rows", 0, "signature rows per LSH band (0 = disabled; requires -lsh-bands)")
-		lshProbes     = fs.Int("lsh-probes", 0, "default bands probed per mode=lsh search (0 = all bands)")
-
-		clusterPeers  = fs.String("cluster-peers", "", "comma-separated base URLs of every cluster node, self included (empty = single-node)")
-		clusterSelf   = fs.String("cluster-self", "", "this node's base URL as it appears in -cluster-peers")
-		clusterStrict = fs.Bool("cluster-strict", false, "refuse partial search results: 503 instead of a degraded ranking")
-		probeInterval = fs.Duration("cluster-probe-interval", 0, "peer health probe cadence (0 = default)")
-		probeTimeout  = fs.Duration("cluster-probe-timeout", 0, "per-probe deadline (0 = default)")
-		probeBackoff  = fs.Duration("cluster-probe-backoff-cap", 0, "max probe interval for a down peer (0 = default)")
-		failThreshold = fs.Int("cluster-fail-threshold", 0, "consecutive probe failures before a peer is down (0 = default)")
-		clusterPeerTO = fs.Duration("cluster-search-timeout", 0, "per-node deadline for forwards and scatter-gather sub-queries (0 = default)")
+		cfg service.Config
+		cc  service.ClusterConfig
+		wo  wal.Options
 	)
+	fs := flag.NewFlagSet("sketchd", flag.ContinueOnError)
+	addr := fs.String("addr", ":7207", "listen address")
+	fs.TextVar(&cfg.Sketch.Method, "method", ipsketch.MethodWMH, fmt.Sprint("sketch method, one of ", ipsketch.Methods()))
+	fs.IntVar(&cfg.Sketch.StorageWords, "storage", 400, "sketch budget in 64-bit words")
+	fs.Uint64Var(&cfg.Sketch.Seed, "seed", 1, "seed deriving all sketch randomness")
+	fs.Uint64Var(&cfg.KeySpace, "keyspace", 0, "key-domain size (0 = default 2^63)")
+	fs.Uint64Var(&cfg.Sketch.L, "l", 0, "WMH discretization parameter (0 = automatic)")
+	fs.IntVar(&cfg.Sketch.Reps, "reps", 0, "CountSketch repetitions (0 = paper default)")
+	fs.BoolVar(&cfg.Sketch.Quantize, "quantize", false, "store sample values in 32 bits (supported methods)")
+	fs.BoolVar(&cfg.Sketch.Dart, "dart", false, "one-pass dart-throwing construction (supported methods)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "catalog shard count (0 = default)")
+	fs.StringVar(&cfg.SnapshotPath, "snapshot", "", "snapshot file (load on boot, save on shutdown)")
+	snapshotEvery := fs.Duration("snapshot-every", 0, "periodic snapshot interval (0 = only on shutdown)")
+	snapRecover := fs.Bool("snapshot-recover", false, "with -wal: replay the log instead of failing when the snapshot is unreadable")
+	fs.StringVar(&wo.Dir, "wal", "", "write-ahead log directory (empty = no WAL)")
+	fs.TextVar(&wo.Sync, "wal-fsync", wal.SyncAlways, "WAL fsync policy: always, interval, or none")
+	fs.DurationVar(&wo.SyncInterval, "wal-fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -wal-fsync=interval")
+	fs.Int64Var(&wo.SegmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", 30*time.Second, "server-side per-request deadline (0 = none)")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests")
+	fs.IntVar(&cfg.IngestLimit, "ingest-limit", 0, "max in-flight ingest requests (0 = 2×GOMAXPROCS)")
+	fs.IntVar(&cfg.SearchLimit, "search-limit", 0, "max in-flight search requests (0 = 2×GOMAXPROCS)")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (alongside /metrics)")
+	fs.IntVar(&cfg.SlowLogSize, "slowlog-n", service.DefaultSlowLogSize, "slow-query log capacity (N slowest searches)")
+	fs.DurationVar(&cfg.SlowLogThreshold, "slow-threshold", 0, "only record searches at least this slow (0 = keep the N slowest regardless)")
+	accessLog := fs.Bool("access-log", false, "emit a structured JSON access-log line per request")
+	fs.IntVar(&cfg.LSHBands, "lsh-bands", 0, "LSH bands for mode=lsh search (0 = disabled; requires -lsh-rows)")
+	fs.IntVar(&cfg.LSHRows, "lsh-rows", 0, "signature rows per LSH band (0 = disabled; requires -lsh-bands)")
+	fs.IntVar(&cfg.LSHProbes, "lsh-probes", 0, "default bands probed per mode=lsh search (0 = all bands)")
+
+	fs.Func("cluster-peers", "comma-separated base URLs of every cluster node, self included (empty = single-node)", func(s string) (err error) {
+		if s != "" {
+			cc.Peers, err = cluster.ParsePeerList(s)
+		}
+		return err
+	})
+	fs.StringVar(&cc.Self, "cluster-self", "", "this node's base URL as it appears in -cluster-peers")
+	fs.BoolVar(&cc.Strict, "cluster-strict", false, "refuse partial search results: 503 instead of a degraded ranking")
+	fs.DurationVar(&cc.ProbeInterval, "cluster-probe-interval", 0, "peer health probe cadence (0 = default)")
+	fs.DurationVar(&cc.ProbeTimeout, "cluster-probe-timeout", 0, "per-probe deadline (0 = default)")
+	fs.DurationVar(&cc.ProbeBackoffCap, "cluster-probe-backoff-cap", 0, "max probe interval for a down peer (0 = default)")
+	fs.IntVar(&cc.FailThreshold, "cluster-fail-threshold", 0, "consecutive probe failures before a peer is down (0 = default)")
+	fs.DurationVar(&cc.PeerTimeout, "cluster-search-timeout", 0, "per-node deadline for forwards and scatter-gather sub-queries (0 = default)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	method, err := parseMethod(*methodName)
-	if err != nil {
-		return err
-	}
 
-	var clusterCfg *service.ClusterConfig
-	if *clusterPeers != "" {
-		peers, err := cluster.ParsePeerList(*clusterPeers)
-		if err != nil {
-			return fmt.Errorf("parsing -cluster-peers: %w", err)
-		}
-		if *clusterSelf == "" {
-			return errors.New("-cluster-peers requires -cluster-self")
-		}
-		clusterCfg = &service.ClusterConfig{
-			Self:            *clusterSelf,
-			Peers:           peers,
-			Strict:          *clusterStrict,
-			ProbeInterval:   *probeInterval,
-			ProbeTimeout:    *probeTimeout,
-			ProbeBackoffCap: *probeBackoff,
-			FailThreshold:   *failThreshold,
-			PeerTimeout:     *clusterPeerTO,
-		}
-	} else if *clusterSelf != "" {
+	switch {
+	case cc.Peers != nil && cc.Self == "":
+		return errors.New("-cluster-peers requires -cluster-self")
+	case cc.Peers == nil && cc.Self != "":
 		return errors.New("-cluster-self requires -cluster-peers")
+	case cc.Peers != nil:
+		cfg.Cluster = &cc
 	}
 
-	var walLog *wal.Log
-	if *walDir != "" {
-		policy, err := wal.ParsePolicy(*walFsync)
-		if err != nil {
-			return err
-		}
-		walLog, err = wal.Open(wal.Options{
-			Dir:          *walDir,
-			Sync:         policy,
-			SyncInterval: *walFsyncEvery,
-			SegmentBytes: *walSegBytes,
-		})
-		if err != nil {
+	if wo.Dir != "" {
+		var err error
+		if cfg.WAL, err = wal.Open(wo); err != nil {
 			return fmt.Errorf("opening WAL: %w", err)
 		}
-		defer walLog.Close()
-		if note := walLog.TornNote(); note != "" {
+		defer cfg.WAL.Close()
+		if note := cfg.WAL.TornNote(); note != "" {
 			fmt.Fprintf(out, "sketchd: WAL: %s\n", note)
 		}
 	}
 
-	var logger *slog.Logger
 	if *accessLog {
-		logger = slog.New(slog.NewJSONHandler(out, nil))
+		cfg.AccessLog = slog.New(slog.NewJSONHandler(out, nil))
 	}
-	srv, err := service.New(service.Config{
-		Sketch: ipsketch.Config{
-			Method: method, StorageWords: *storage, Seed: *seed,
-			L: *l, Reps: *reps, Quantize: *quantize, Dart: *dart,
-		},
-		KeySpace:         *keySpace,
-		Shards:           *shards,
-		SnapshotPath:     *snapshot,
-		IngestLimit:      *ingestLimit,
-		SearchLimit:      *searchLimit,
-		WAL:              walLog,
-		RequestTimeout:   *reqTimeout,
-		SlowLogSize:      *slowlogN,
-		SlowLogThreshold: *slowThreshold,
-		AccessLog:        logger,
-		Cluster:          clusterCfg,
-		LSHBands:         *lshBands,
-		LSHRows:          *lshRows,
-		LSHProbes:        *lshProbes,
-	})
+	srv, err := service.New(cfg)
 	if err != nil {
 		return err
 	}
 
-	if *snapshot != "" {
-		if _, err := os.Stat(*snapshot); err == nil {
+	if cfg.SnapshotPath != "" {
+		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
 			n, err := srv.LoadSnapshot()
 			switch {
 			case err == nil:
-				fmt.Fprintf(out, "sketchd: restored %d tables from %s\n", n, *snapshot)
-			case *snapRecover && walLog != nil && errors.As(err, new(*catalog.SnapshotError)):
+				fmt.Fprintf(out, "sketchd: restored %d tables from %s\n", n, cfg.SnapshotPath)
+			case *snapRecover && cfg.WAL != nil && errors.As(err, new(*catalog.SnapshotError)):
 				// The snapshot is gone but the log survives: replay
 				// everything it still holds. Segments collected by
 				// earlier checkpoints are unrecoverable, so say so.
 				fmt.Fprintf(out, "sketchd: snapshot unreadable (%v); recovering from WAL — tables checkpointed before the oldest surviving segment are lost\n", err)
-				if err := walLog.ForgetCheckpoint(); err != nil {
+				if err := cfg.WAL.ForgetCheckpoint(); err != nil {
 					return fmt.Errorf("resetting WAL checkpoint for recovery: %w", err)
 				}
 			default:
@@ -221,16 +186,16 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	}
 	bi := service.BuildInfo()
 	fmt.Fprintf(out, "sketchd: %s (%s) listening on %s (method=%v storage=%d seed=%d shards=%d)\n",
-		bi.Version, bi.GoVersion, ln.Addr(), method, *storage, *seed, srv.Catalog().Shards())
-	if clusterCfg != nil {
+		bi.Version, bi.GoVersion, ln.Addr(), cfg.Sketch.Method, cfg.Sketch.StorageWords, cfg.Sketch.Seed, srv.Catalog().Shards())
+	if cfg.Cluster != nil {
 		srv.StartCluster(ctx)
 		defer srv.StopCluster()
 		mode := "partial-on-failure"
-		if clusterCfg.Strict {
+		if cc.Strict {
 			mode = "strict"
 		}
 		fmt.Fprintf(out, "sketchd: cluster mode, %d nodes, self=%s, %s\n",
-			len(clusterCfg.Peers), srv.ClusterSelf(), mode)
+			len(cc.Peers), srv.ClusterSelf(), mode)
 	}
 
 	// Serve while still replaying: the readiness middleware answers 503
@@ -260,16 +225,16 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	if walLog != nil {
+	if cfg.WAL != nil {
 		n, err := srv.ReplayWAL()
 		if err != nil {
 			return fmt.Errorf("replaying WAL: %w", err)
 		}
-		if note := walLog.TornNote(); note != "" {
+		if note := cfg.WAL.TornNote(); note != "" {
 			fmt.Fprintf(out, "sketchd: WAL: %s\n", note)
 		}
 		fmt.Fprintf(out, "sketchd: replayed %d WAL records (LSN %d, checkpoint %d); ready\n",
-			n, walLog.LSN(), walLog.CheckpointLSN())
+			n, cfg.WAL.LSN(), cfg.WAL.CheckpointLSN())
 	}
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -277,7 +242,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 
 	var ticker *time.Ticker
 	var tick <-chan time.Time
-	if *snapshot != "" && *snapshotEvery > 0 {
+	if cfg.SnapshotPath != "" && *snapshotEvery > 0 {
 		ticker = time.NewTicker(*snapshotEvery)
 		tick = ticker.C
 		defer ticker.Stop()
@@ -303,28 +268,18 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 				return fmt.Errorf("shutting down: %w", err)
 			}
 			<-serveErr // http.ErrServerClosed
-			if *snapshot != "" {
+			if cfg.SnapshotPath != "" {
 				if err := srv.SaveSnapshot(); err != nil {
 					return fmt.Errorf("final snapshot: %w", err)
 				}
-				fmt.Fprintf(out, "sketchd: saved %d tables to %s\n", srv.Catalog().Len(), *snapshot)
+				fmt.Fprintf(out, "sketchd: saved %d tables to %s\n", srv.Catalog().Len(), cfg.SnapshotPath)
 			}
-			if walLog != nil {
-				if err := walLog.Close(); err != nil {
+			if cfg.WAL != nil {
+				if err := cfg.WAL.Close(); err != nil {
 					return fmt.Errorf("closing WAL: %w", err)
 				}
 			}
 			return nil
 		}
 	}
-}
-
-// parseMethod resolves a method by its display name (case-insensitive).
-func parseMethod(name string) (ipsketch.Method, error) {
-	for _, m := range ipsketch.Methods() {
-		if strings.EqualFold(m.String(), name) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q", name)
 }

@@ -86,7 +86,7 @@ func resultsIdentical(a, b ipsketch.SearchResult) bool {
 
 // TestSketchdSmoke is the end-to-end service smoke: start the daemon on a
 // random port, ingest three tables, assert the /search ranking is
-// bit-exact with the in-process SearchTopK ranking, snapshot, restart,
+// bit-exact with the in-process Search ranking, snapshot, restart,
 // and re-query bit-exactly.
 func TestSketchdSmoke(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "catalog.ipsx")
@@ -157,7 +157,7 @@ func TestSketchdSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ix.SearchTopK(qSk, "v", by, 0, -1)
+			want, _, err := ix.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, K: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

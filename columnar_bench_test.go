@@ -38,7 +38,7 @@ func BenchmarkScan(b *testing.B) {
 	for _, fam := range columnarFamilies {
 		b.Run(fam.name, func(b *testing.B) {
 			qSk, ix := buildColumnarFixture(b, fam.cfg, 7000+fam.cfg.Seed, 64)
-			_, st, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10)
+			_, st, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func BenchmarkScan(b *testing.B) {
 								defer runtime.GOMAXPROCS(prev)
 								b.ResetTimer()
 								for i := 0; i < b.N; i++ {
-									if _, _, err := ix.SearchTopKStats(qSk, "v", rank.by, 0, 10); err != nil {
+									if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: rank.by, K: 10}); err != nil {
 										b.Fatal(err)
 									}
 								}
@@ -117,7 +117,7 @@ func TestRankFirstScanSpeedupSmoke(t *testing.T) {
 	}
 	run := func(by RankBy) time.Duration {
 		return bestOf(t, func() error {
-			_, st, err := ix.SearchTopKStats(qSk, "v", by, 0, 10)
+			_, st, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: 10})
 			if err == nil && st.Fallback != 0 {
 				err = fmt.Errorf("scan fell back to the decoded path: %+v", st)
 			}
@@ -134,7 +134,7 @@ func TestRankFirstScanSpeedupSmoke(t *testing.T) {
 }
 
 // TestColumnarScanSpeedupSmoke is the CI perf gate for the columnar scan:
-// with the packed view built, SearchTopK must beat the decoded path on the
+// with the packed view built, Search must beat the decoded path on the
 // same index by each family's floor — ≥2× for dart WMH and KMV (measured
 // ≈3× and ≈10×: the decoded WMH loop branch-mispredicts where the kernel
 // runs branchless, and decoded KMV allocates per pair), ≥1.5× for MH
@@ -160,7 +160,7 @@ func TestColumnarScanSpeedupSmoke(t *testing.T) {
 		qSk, ix := buildColumnarFixture(t, fam.cfg, 8000+fam.cfg.Seed, 96)
 		run := func() time.Duration {
 			return bestOf(t, func() error {
-				_, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10)
+				_, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10})
 				return err
 			})
 		}

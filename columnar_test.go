@@ -218,7 +218,7 @@ func TestColumnarSearchEquivalence(t *testing.T) {
 				ix   *SketchIndex
 			}{{"random", qSk, random}, {"tied", qTie, tied}} {
 				ix := fx.ix
-				full, _, err := ix.SearchTopKStats(fx.q, "v", RankByJoinSize, 0, -1)
+				full, _, err := ix.Search(Query{Sketch: fx.q, Column: "v", RankBy: RankByJoinSize, K: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +237,7 @@ func TestColumnarSearchEquivalence(t *testing.T) {
 				for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
 					for _, minJoin := range minJoins {
 						ix.view = nil
-						decoded, dStats, err := ix.SearchTopKStats(fx.q, "v", by, minJoin, -1)
+						decoded, dStats, err := ix.Search(Query{Sketch: fx.q, Column: "v", RankBy: by, MinJoinSize: minJoin, K: -1})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -249,7 +249,7 @@ func TestColumnarSearchEquivalence(t *testing.T) {
 						}
 						for _, k := range []int{0, 1, 7, n / 2, n, n + 7, -1} {
 							label := fmt.Sprintf("%s by=%d minJoin=%v k=%d", fx.name, by, minJoin, k)
-							got, cStats, err := ix.SearchTopKStats(fx.q, "v", by, minJoin, k)
+							got, cStats, err := ix.Search(Query{Sketch: fx.q, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -294,12 +294,12 @@ func TestColumnarStrictIndexEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, _, err := lax.SearchTopKStats(qSk, "v", RankByAbsCorrelation, 0, -1)
+			want, _, err := lax.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByAbsCorrelation, K: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			strict.BuildColumnar()
-			got, stats, err := strict.SearchTopKStats(qSk, "v", RankByAbsCorrelation, 0, -1)
+			got, stats, err := strict.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByAbsCorrelation, K: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,12 +374,12 @@ func mixedSeedIndex(t *testing.T, bad int) (*TableSketch, *SketchIndex) {
 func TestColumnarErrorOrderMixedSeed(t *testing.T) {
 	for _, bad := range []int{0, 3} {
 		qSk, ix := mixedSeedIndex(t, bad)
-		_, err := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
+		_, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 		if err == nil {
 			t.Fatalf("bad=%d: decoded search accepted incompatible entry", bad)
 		}
 		ix.BuildColumnar()
-		_, err2 := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
+		_, _, err2 := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 		if err2 == nil {
 			t.Fatalf("bad=%d: packed search accepted incompatible entry", bad)
 		}
@@ -437,14 +437,14 @@ func mixedMethodIndex(t *testing.T) (*TableSketch, *SketchIndex) {
 // before.
 func TestColumnarMixedMethodLaxIndex(t *testing.T) {
 	qSk, ix := mixedMethodIndex(t)
-	_, err := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
+	_, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err == nil {
 		t.Fatal("decoded search accepted cross-method estimate")
 	}
 	if got := ix.BuildColumnar(); got != 0 {
 		t.Fatalf("packed %d entries of an index the pack cannot cover", got)
 	}
-	_, err2 := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, -1)
+	_, _, err2 := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err2 == nil {
 		t.Fatal("packed search accepted cross-method estimate")
 	}
@@ -500,11 +500,11 @@ func TestColumnarViewAllOrNothing(t *testing.T) {
 			for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
 				for _, k := range []int{-1, 3} {
 					label := fmt.Sprintf("by=%d k=%d", by, k)
-					want, wantStats, err := decoded.SearchTopKStats(qSk, "v", by, 0, k)
+					want, wantStats, err := decoded.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: k})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, stats, err := ix.SearchTopKStats(qSk, "v", by, 0, k)
+					got, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: k})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -524,11 +524,11 @@ func TestColumnarViewAllOrNothing(t *testing.T) {
 		query *TableSketch
 		ix    *SketchIndex
 	}{{"mixed-method", qMethod, mixedMethod}, {"mixed-seed", qSeed, mixedSeed}} {
-		_, want := tc.ix.SearchTopK(tc.query, "v", RankByJoinSize, 0, -1)
+		_, _, want := tc.ix.Search(Query{Sketch: tc.query, Column: "v", RankBy: RankByJoinSize, K: -1})
 		if got := tc.ix.BuildColumnar(); got != 0 || tc.ix.view != nil {
 			t.Fatalf("%s: BuildColumnar = %d, view built = %v; want no view", tc.name, got, tc.ix.view != nil)
 		}
-		_, stats, err := tc.ix.SearchTopKStats(tc.query, "v", RankByJoinSize, 0, -1)
+		_, stats, err := tc.ix.Search(Query{Sketch: tc.query, Column: "v", RankBy: RankByJoinSize, K: -1})
 		if want == nil || err == nil || err.Error() != want.Error() {
 			t.Fatalf("%s: error after BuildColumnar %v, decoded error %v", tc.name, err, want)
 		}
@@ -543,14 +543,14 @@ func TestColumnarViewAllOrNothing(t *testing.T) {
 // are unchanged.
 func TestColumnarUnpackableFamily(t *testing.T) {
 	qSk, ix := buildColumnarFixture(t, Config{Method: MethodJL, StorageWords: 300, Seed: 21}, 3000, 8)
-	want, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+	want, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.BuildColumnar(); got != 0 {
 		t.Fatalf("BuildColumnar packed %d entries of a linear method", got)
 	}
-	got, stats, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+	got, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestColumnarUnpackableFamily(t *testing.T) {
 func TestColumnarViewInvalidation(t *testing.T) {
 	qSk, ix := buildColumnarFixture(t, Config{Method: MethodWMH, StorageWords: 200, Seed: 31}, 4000, 8)
 	ix.BuildColumnar()
-	if _, stats, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1); err != nil || stats.Columnar == 0 {
+	if _, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1}); err != nil || stats.Columnar == 0 {
 		t.Fatalf("built view not used: stats=%+v err=%v", stats, err)
 	}
 
@@ -584,7 +584,7 @@ func TestColumnarViewInvalidation(t *testing.T) {
 	if ix.view != nil {
 		t.Fatal("Remove left a stale columnar view")
 	}
-	want, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+	want, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func TestColumnarViewInvalidation(t *testing.T) {
 	}
 
 	ix.BuildColumnar()
-	got, stats, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+	got, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

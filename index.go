@@ -26,10 +26,10 @@ import (
 // (NewStrictSketchIndex) checks eagerly — the first-added sketch pins the
 // configuration and Add rejects mismatches immediately.
 //
-// Search fans candidate scoring across a bounded worker pool, and
-// SearchTopK keeps only a bounded per-worker heap of the k best
-// candidates, so catalog search scales with cores and pays O(n log k)
-// instead of O(n log n) for the k results callers actually want.
+// Search fans candidate scoring across a bounded worker pool and keeps
+// only a bounded per-worker heap of the Query.K best candidates, so
+// catalog search scales with cores and pays O(n log k) instead of
+// O(n log n) for the k results callers actually want.
 // Scoring dispatches through the backend registry (EstimateJoinStats →
 // Estimate), so an index works unchanged for every registered method.
 type SketchIndex struct {
@@ -240,13 +240,9 @@ func (w *rankWorker) fail(err error, src, ent, col int) {
 // a search's allocation count does not depend on how many index snapshots
 // it covers.
 type searcher struct {
-	query       *TableSketch
-	queryCol    string
-	by          RankBy
-	minJoinSize float64
-	k           int
-	q           columnarQuery
-	rank, fill  estPlan
+	Query
+	q          columnarQuery
+	rank, fill estPlan
 
 	srcs    []searchSource
 	units   []scanUnit
@@ -260,7 +256,7 @@ var searchers = sync.Pool{New: func() any { return new(searcher) }}
 
 // release drops every reference the search held and returns the scratch.
 func (s *searcher) release() {
-	s.query, s.q = nil, nil
+	s.Query, s.q = Query{}, nil
 	for i := range s.srcs {
 		src := &s.srcs[i]
 		*src = searchSource{buf: src.buf}
@@ -318,19 +314,19 @@ func rankScore(by RankBy, st *JoinStats) float64 {
 // skip, bounded heap under better.
 func (s *searcher) offer(w *rankWorker, c *scored) {
 	w.stats.Candidates++
-	if c.st.Size < s.minJoinSize {
+	if c.st.Size < s.MinJoinSize {
 		w.stats.Pruned++
 		return
 	}
-	c.score = rankScore(s.by, &c.st)
+	c.score = rankScore(s.RankBy, &c.st)
 	if math.IsNaN(c.score) {
 		return
 	}
 	h := w.items
-	if s.k < 0 || len(h) < s.k {
+	if s.K < 0 || len(h) < s.K {
 		h = append(h, *c)
 		w.items = h
-		if s.k < 0 {
+		if s.K < 0 {
 			return
 		}
 		// Sift up: parents hold *worse* candidates.
@@ -377,7 +373,7 @@ func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
 	w.col = resize(w.col, pl.colStride*(cHi-cLo))
 	v.pk.scan(s.q, pl, tLo, tHi, w.tbl, cLo, cHi, w.col)
 	for t := tLo; t < tHi; t++ {
-		if src.ix.entries[t].Name == s.query.Name {
+		if src.ix.entries[t].Name == s.Sketch.Name {
 			continue
 		}
 		tr := w.tbl[pl.tblStride*(t-tLo):]
@@ -405,11 +401,11 @@ func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
 func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 	src := &s.srcs[si]
 	cand := src.ix.entries[ent]
-	if cand.Name == s.query.Name {
+	if cand.Name == s.Sketch.Name {
 		return
 	}
 	for col, colName := range cand.Columns() {
-		st, err := EstimateJoinStats(s.query, s.queryCol, cand, colName)
+		st, err := EstimateJoinStats(s.Sketch, s.Column, cand, colName)
 		if err != nil {
 			w.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), si, ent, col)
 			continue
@@ -471,80 +467,96 @@ func (s *searcher) fillStats(w *rankWorker, c *scored) {
 	c.full = true
 }
 
-// Search ranks every (table, column) in the index against the query
-// sketch's column. Candidates whose estimated join size falls below
-// minJoinSize are skipped (tiny joins make ratio statistics meaningless).
-// Scoring runs in parallel across tables; the ranking is deterministic.
-func (ix *SketchIndex) Search(query *TableSketch, queryCol string, by RankBy, minJoinSize float64) ([]SearchResult, error) {
-	return ix.SearchTopK(query, queryCol, by, minJoinSize, -1)
+// Query is one search: the query sketch's column ranked against every
+// cataloged (table, column). The same value goes from a client through
+// the service and the catalog down to SearchIndexes.
+type Query struct {
+	// Sketch is the query table's sketch. A cataloged table with the same
+	// name is excluded from the ranking.
+	Sketch *TableSketch
+	// Column is the query column.
+	Column string
+	// RankBy is the ranking statistic.
+	RankBy RankBy
+	// MinJoinSize skips candidates whose estimated join size falls below
+	// it (tiny joins make ratio statistics meaningless).
+	MinJoinSize float64
+	// K bounds the results: k < 0 returns every candidate, k == 0 none.
+	K int
+	// LSH scores only the query's band candidates (plus the entries that
+	// could not be banded) instead of every entry; every index searched
+	// needs an LSH view (BuildLSH). Probes bounds how many bands are
+	// probed: ≤ 0 probes every band, 1 ≤ probes < Bands trades recall for
+	// probe cost along 1 − (1 − J^Rows)^probes.
+	LSH    bool
+	Probes int
 }
 
-// SearchTopK is Search returning only the k best candidates. Each worker
-// scores its share of the catalog into a bounded heap, so the search costs
-// O(n·m) estimation plus O(n log k) ranking instead of the O(n log n)
-// full sort — the right shape when callers display a short result list
-// over a large catalog. k < 0 means no bound (full ranking); k == 0
-// returns nil.
-func (ix *SketchIndex) SearchTopK(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int) ([]SearchResult, error) {
-	res, _, err := ix.SearchTopKStats(query, queryCol, by, minJoinSize, k)
-	return res, err
+// Search ranks the index's (table, column) candidates against q and
+// reports the scan's counters: how many candidate columns were scored,
+// how many the MinJoinSize filter pruned, how the scoring split between
+// the columnar kernel and the decoded fallback, and in lsh mode the
+// banded stage's probe and candidate counts. Scoring runs in parallel
+// across tables; the ranking is deterministic.
+func (ix *SketchIndex) Search(q Query) ([]SearchResult, ScanStats, error) {
+	return SearchIndexes([]*SketchIndex{ix}, q)
 }
 
-// SearchTopKStats is SearchTopK that also reports the scan's counters:
-// how many candidate columns were scored, how many the minJoinSize filter
-// pruned, and how the scoring split between the columnar kernel and the
-// decoded fallback.
+// SearchTopKStats is Search of a full-scan query.
+//
+// Deprecated: use Search. It stays only until the benchmark harness moves
+// onto Search (ROADMAP.md item 2(a)).
 func (ix *SketchIndex) SearchTopKStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int) ([]SearchResult, ScanStats, error) {
-	return SearchIndexes([]*SketchIndex{ix}, query, queryCol, by, minJoinSize, k, false, 0)
+	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k})
 }
 
 // SearchIndexes ranks the (table, column) candidates of several index
-// snapshots against the query column as one search: a full scan of every
-// entry, or with lsh set the band candidates of the query (probes as in
-// SearchTopKLSH; every index needs an LSH view) — the same scoring
-// either way. It is what SketchIndex's search methods and the sharded
-// catalog run on.
+// snapshots against q as one search: a full scan of every entry, or with
+// q.LSH the band candidates of the query — the same scoring either way.
+// It is what SketchIndex.Search and the sharded catalog run on.
 //
 // The search is rank first, fill in later. The rank phase computes, for
-// every candidate, only the raw estimates the minJoinSize filter and the
+// every candidate, only the raw estimates the MinJoinSize filter and the
 // ranking read (the join size; plus the inner product, or all six, by
 // RankBy) and keeps the k best per worker; the per-worker heaps merge
 // under (score desc, scan order) into the final k; only those get their
 // remaining estimates computed and their JoinStats assembled. Results
-// are bit-identical to scoring every candidate in full.
+// are bit-identical to scoring every candidate in full. Each worker
+// scores its share into a bounded heap, so a search costs O(n·m)
+// estimation plus O(n log k) ranking rather than a full sort.
 //
 // Ties across indexes break by (table, column) name, so name-sorted
 // indexes with disjoint tables rank exactly like one name-sorted index
-// over their union. k < 0 means no bound; k == 0 returns nil.
-func SearchIndexes(ixs []*SketchIndex, query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int, lsh bool, probes int) ([]SearchResult, ScanStats, error) {
+// over their union.
+func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, error) {
 	var stats ScanStats
-	if query == nil {
+	if q.Sketch == nil {
 		return nil, stats, errors.New("ipsketch: nil query sketch")
 	}
-	switch by {
+	switch q.RankBy {
 	case RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct:
 	default:
-		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(by))
+		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(q.RankBy))
 	}
-	if lsh {
+	if q.LSH {
 		for _, ix := range ixs {
 			if ix.lshView == nil {
 				return nil, stats, ErrNoLSHIndex
 			}
 		}
 	}
-	if k == 0 {
+	if q.K == 0 {
 		return nil, stats, nil
 	}
 
 	s := searchers.Get().(*searcher)
 	defer s.release()
-	s.query, s.queryCol, s.by, s.minJoinSize, s.k = query, queryCol, by, minJoinSize, k
-	want := rankEstimates(by, k)
+	s.Query = q
+	want := rankEstimates(q.RankBy, q.K)
 	s.rank, s.fill = newEstPlan(want), newEstPlan(estAll&^want)
 
 	scanStart := time.Now()
-	if err := s.plan(ixs, lsh, probes, &stats); err != nil {
+	if err := s.plan(ixs, &stats); err != nil {
 		return nil, stats, err
 	}
 	s.run()
@@ -580,8 +592,8 @@ func SearchIndexes(ixs []*SketchIndex, query *TableSketch, queryCol string, by R
 		}
 		return 0
 	})
-	if k >= 0 && len(merged) > k {
-		merged = merged[:k]
+	if q.K >= 0 && len(merged) > q.K {
+		merged = merged[:q.K]
 	}
 	fillStart := time.Now()
 	stats.MergeNanos = fillStart.Sub(mergeStart).Nanoseconds()
@@ -607,14 +619,14 @@ func SearchIndexes(ixs []*SketchIndex, query *TableSketch, queryCol string, by R
 
 // plan resolves each index into a source (packed or decoded, and in lsh
 // mode its candidate scan list) and cuts the scan lists into units.
-func (s *searcher) plan(ixs []*SketchIndex, lsh bool, probes int, stats *ScanStats) error {
+func (s *searcher) plan(ixs []*SketchIndex, stats *ScanStats) error {
 	var qsig []uint64
-	if lsh {
-		if s.query.key == nil {
+	if s.LSH {
+		if s.Sketch.key == nil {
 			return errors.New("ipsketch: lsh search: query has no key sketch")
 		}
 		var err error
-		if qsig, err = s.query.key.LSHSignature(); err != nil {
+		if qsig, err = s.Sketch.key.LSHSignature(); err != nil {
 			return fmt.Errorf("ipsketch: lsh search: %w", err)
 		}
 	}
@@ -627,14 +639,14 @@ func (s *searcher) plan(ixs []*SketchIndex, lsh bool, probes int, stats *ScanSta
 			// Pre-decode the query once per search, for whichever packs
 			// accept it; the rest scan decoded.
 			if !prepared {
-				s.q, prepared = prepareColumnarQuery(s.query, s.queryCol), true
+				s.q, prepared = prepareColumnarQuery(s.Sketch, s.Column), true
 			}
-			if ix.view.accepts(s.query, s.q) {
+			if ix.view.accepts(s.Sketch, s.q) {
 				src.view = ix.view
 			}
 		}
-		if lsh {
-			if err := src.gather(qsig, probes, stats); err != nil {
+		if s.LSH {
+			if err := src.gather(qsig, s.Probes, stats); err != nil {
 				return err
 			}
 		}

@@ -44,7 +44,7 @@ func TestSketchIndexRemove(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d after removing everything", ix.Len())
 	}
-	res, err := ix.Search(qSk, "v", RankByJoinSize, 0)
+	res, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil || res != nil {
 		t.Fatalf("empty index search = %v, %v", res, err)
 	}
@@ -77,11 +77,11 @@ func TestSketchIndexRemoveSearchStability(t *testing.T) {
 		return qSk, ix
 	}()
 	_, never := build("noiseA")
-	a, err := removed.Search(qSk, "v", RankByJoinSize, 0)
+	a, _, err := removed.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := never.Search(qSk, "v", RankByJoinSize, 0)
+	b, _, err := never.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

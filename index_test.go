@@ -108,7 +108,7 @@ func TestSketchIndexAddGetLen(t *testing.T) {
 
 func TestSearchByCorrelationFindsNeedle(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	results, err := ix.Search(qSk, "v", RankByAbsCorrelation, 10)
+	results, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByAbsCorrelation, MinJoinSize: 10, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSearchByCorrelationFindsNeedle(t *testing.T) {
 
 func TestSearchByJoinSize(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	results, err := ix.Search(qSk, "v", RankByJoinSize, 10)
+	results, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, MinJoinSize: 10, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSearchByJoinSize(t *testing.T) {
 
 func TestSearchByInnerProduct(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	results, err := ix.Search(qSk, "v", RankByAbsInnerProduct, 10)
+	results, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByAbsInnerProduct, MinJoinSize: 10, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,13 @@ func TestSearchByInnerProduct(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	if _, err := ix.Search(nil, "v", RankByJoinSize, 0); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: nil, Column: "v", RankBy: RankByJoinSize, K: -1}); err == nil {
 		t.Fatal("nil query accepted")
 	}
-	if _, err := ix.Search(qSk, "v", RankBy(99), 0); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankBy(99), K: -1}); err == nil {
 		t.Fatal("unknown ranking accepted")
 	}
-	if _, err := ix.Search(qSk, "missing", RankByJoinSize, 0); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "missing", RankBy: RankByJoinSize, K: -1}); err == nil {
 		t.Fatal("missing query column accepted")
 	}
 }
@@ -183,7 +183,7 @@ func TestSearchSkipsQueryItself(t *testing.T) {
 	if err := ix.Add(qSk); err != nil {
 		t.Fatal(err)
 	}
-	results, err := ix.Search(qSk, "v", RankByJoinSize, 0)
+	results, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

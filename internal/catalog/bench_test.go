@@ -70,7 +70,7 @@ func BenchmarkCatalogSearchTopK(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, 10); err != nil {
+		if _, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,9 +21,9 @@
 // Per-shard indexes keep their entries sorted by table name, so every
 // shard ranks with the same total order — score descending, then table
 // name, then column name — that a single name-sorted SketchIndex uses.
-// SearchTopK runs the library's bounded-heap search over every shard
+// Search runs the library's bounded-heap search over every shard
 // snapshot at once (ipsketch.SearchIndexes) and merges under that order,
-// which makes the sharded ranking bit-exact with Snapshot().SearchTopK:
+// which makes the sharded ranking bit-exact with Snapshot().Search:
 // the union of per-worker top-k sets always contains the global top k,
 // and ties (even across shard boundaries) break identically.
 package catalog
@@ -100,7 +100,7 @@ type Options struct {
 	// LSH, when set, maintains a banded candidate index alongside every
 	// published shard index (rebuilt at publish time exactly like the
 	// columnar views, so readers never observe a stale candidate set) and
-	// enables SearchTopKLSH. Invalid parameters fail the first mutation.
+	// enables lsh-mode Search. Invalid parameters fail the first mutation.
 	LSH *ipsketch.LSHParams
 }
 
@@ -543,7 +543,7 @@ func (c *Catalog) Capture() *ipsketch.SketchIndex { return bareIndex(c.allTables
 // Snapshot returns a single name-sorted SketchIndex over a copy-on-read
 // snapshot of the whole catalog. The result is immutable with respect to
 // later catalog mutations and ranks searches exactly like the sharded
-// SearchTopK.
+// Search.
 func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
 	ix, err := sortedIndex(c.allTables(), c.lsh)
 	if err != nil {
@@ -552,36 +552,43 @@ func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
 	return ix
 }
 
-// SearchTopK ranks every cataloged (table, column) against the query
-// column and returns the k best (k < 0 = all, k == 0 = none). The
-// ranking is bit-exact with Snapshot().SearchTopK on the same catalog
-// state.
-func (c *Catalog) SearchTopK(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, error) {
-	res, _, err := c.SearchTopKStats(query, queryCol, by, minJoinSize, k)
-	return res, err
-}
-
-// SearchTopKStats is SearchTopK that also returns the scan counters
-// summed over every shard's scan (candidates scored, minJoinSize prunes,
-// and the columnar-kernel vs decoded-fallback split).
-func (c *Catalog) SearchTopKStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
-	return c.search(query, queryCol, by, minJoinSize, k, false, 0)
-}
-
-// search takes every shard's snapshot first, so one search observes one
-// state, and runs them as ONE library search: one worker pool pulls the
-// shard snapshots, the per-worker heaps merge under (score, table,
-// column), and only the merged top k are filled in — never per shard.
-func (c *Catalog) search(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int, lsh bool, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
+// Search ranks every cataloged (table, column) against q. It takes every
+// shard's snapshot first, so one search observes one state, and runs them
+// as ONE library search: one worker pool pulls the shard snapshots, the
+// per-worker heaps merge under (score, table, column), and only the
+// merged top k are filled in — never per shard. The ranking is bit-exact
+// with Snapshot().Search(q) on the same catalog state; the scan counters
+// sum over every shard. An lsh-mode query fails with
+// ipsketch.ErrNoLSHIndex when the catalog was built without Options.LSH.
+func (c *Catalog) Search(q ipsketch.Query) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
+	if q.LSH && c.lsh == nil {
+		return nil, ipsketch.ScanStats{}, ipsketch.ErrNoLSHIndex
+	}
 	snapStart := time.Now()
 	ixs := make([]*ipsketch.SketchIndex, len(c.shards))
 	for i := range c.shards {
 		ixs[i] = c.shards[i].ix.Load()
 	}
 	snapNanos := time.Since(snapStart).Nanoseconds()
-	res, stats, err := ipsketch.SearchIndexes(ixs, query, queryCol, by, minJoinSize, k, lsh, probes)
+	res, stats, err := ipsketch.SearchIndexes(ixs, q)
 	stats.SnapshotNanos = snapNanos
 	return res, stats, err
+}
+
+// SearchTopKStats is Search of a full-scan query.
+//
+// Deprecated: use Search. It stays only until the benchmark harness moves
+// onto Search (ROADMAP.md item 2(a)).
+func (c *Catalog) SearchTopKStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
+	return c.Search(ipsketch.Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k})
+}
+
+// SearchTopKLSHStats is Search of an lsh-mode query.
+//
+// Deprecated: use Search. It stays only until the benchmark harness moves
+// onto Search (ROADMAP.md item 2(a)).
+func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
+	return c.Search(ipsketch.Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }
 
 // LSH returns the banding parameters the catalog maintains its candidate
@@ -591,20 +598,6 @@ func (c *Catalog) LSH() (ipsketch.LSHParams, bool) {
 		return ipsketch.LSHParams{}, false
 	}
 	return *c.lsh, true
-}
-
-// SearchTopKLSHStats is SearchTopKStats routed through the per-shard
-// banded candidate indexes: each shard gathers band candidates for the
-// query and exact-rescores only those, so rankings are bit-exact with
-// SearchTopK whenever every shard's candidate set contains its true top
-// k. probes ≤ 0 probes every band. The scan counters include the banded
-// stage's probe and candidate counts. Fails with ipsketch.ErrNoLSHIndex
-// when the catalog was built without Options.LSH.
-func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
-	if c.lsh == nil {
-		return nil, ipsketch.ScanStats{}, ipsketch.ErrNoLSHIndex
-	}
-	return c.search(query, queryCol, by, minJoinSize, k, true, probes)
 }
 
 // Save writes a snapshot of the catalog to path atomically and durably

@@ -160,11 +160,11 @@ func TestCatalogSearchMatchesSingleIndex(t *testing.T) {
 		single := c.Snapshot()
 		for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsCorrelation, ipsketch.RankByAbsInnerProduct} {
 			for _, k := range []int{-1, 0, 1, 3, 17, len(sks), len(sks) * 2} {
-				want, err := single.SearchTopK(qSk, "v", by, 1, k)
+				want, _, err := single.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.SearchTopK(qSk, "v", by, 1, k)
+				got, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,7 +214,7 @@ func TestCatalogAllTiedAcrossShards(t *testing.T) {
 		}
 	}
 
-	full, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, -1)
+	full, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestCatalogAllTiedAcrossShards(t *testing.T) {
 	// single-index ranking.
 	single := c.Snapshot()
 	for _, k := range []int{1, 2, 5, n / 2, n, n + 9} {
-		got, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, k)
+		got, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, k)
+		want, _, err := single.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestCatalogStrictPinsConfig(t *testing.T) {
 }
 
 // TestCatalogConcurrentIngestAndSearch: heavy concurrent Put/Remove/Get/
-// SearchTopK with no lost updates; run under -race in CI.
+// Search with no lost updates; run under -race in CI.
 func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 	qSk, sks := fixtureSketches(t, 60)
 	c := New(Options{Shards: 8})
@@ -341,7 +341,7 @@ func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, 5); err != nil {
+				if _, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 5}); err != nil {
 					errCh <- err
 					return
 				}
@@ -369,11 +369,11 @@ func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 		}
 	}
 	// And the final state searches exactly like its merged index.
-	want, err := c.Snapshot().SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+	want, _, err := c.Snapshot().Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+	got, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,11 +446,11 @@ func TestCatalogSaveLoadRoundTrip(t *testing.T) {
 	if n != len(sks) || c2.Len() != len(sks) {
 		t.Fatalf("loaded %d tables, Len %d, want %d", n, c2.Len(), len(sks))
 	}
-	want, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsCorrelation, 1, -1)
+	want, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsCorrelation, MinJoinSize: 1, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.SearchTopK(qSk, "v", ipsketch.RankByAbsCorrelation, 1, -1)
+	got, _, err := c2.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsCorrelation, MinJoinSize: 1, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,7 +701,7 @@ func TestCatalogSearchAllocsFlatInShards(t *testing.T) {
 			}
 		}
 		search := func() {
-			res, stats, err := c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+			res, stats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 			if err != nil || len(res) != 10 || stats.Fallback != 0 {
 				t.Fatalf("shards=%d: %d results, stats %+v, err %v", shards, len(res), stats, err)
 			}
@@ -815,7 +815,7 @@ func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
 	if _, err := ref.BuildLSH(strongLSH); err != nil {
 		t.Fatal(err)
 	}
-	all, _, err := ref.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, -1)
+	all, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,14 +840,14 @@ func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
 			for _, minJoin := range []float64{0, top, math.Nextafter(top, math.Inf(1))} {
 				for _, k := range []int{1, 7, n, n + 5, -1} {
 					label := fmt.Sprintf("shards=%d by=%d minJoin=%v k=%d", shards, by, minJoin, k)
-					want, wStats, err := ref.SearchTopKStats(qSk, "v", by, minJoin, k)
+					want, wStats, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if wStats.Columnar != 0 {
 						t.Fatalf("%s: reference scored packed: %+v", label, wStats)
 					}
-					got, gStats, err := c.SearchTopKStats(qSk, "v", by, minJoin, k)
+					got, gStats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -856,7 +856,7 @@ func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
 					if gStats.Fallback != 0 || gStats.Columnar != gStats.Candidates {
 						t.Fatalf("%s: catalog scan not fully columnar: %+v", label, gStats)
 					}
-					sGot, sStats, err := snap.SearchTopKStats(qSk, "v", by, minJoin, k)
+					sGot, sStats, err := snap.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -865,11 +865,11 @@ func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
 
 					// lsh mode: the same candidates (all bands probed) rescored
 					// by the same routine, sharded or not, packed or decoded.
-					lWant, lwStats, err := ref.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+					lWant, lwStats, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					lGot, lgStats, err := c.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+					lGot, lgStats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
 					if err != nil {
 						t.Fatal(err)
 					}

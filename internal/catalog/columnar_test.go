@@ -20,14 +20,14 @@ func TestCatalogColumnarPublish(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, stats, err := c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+		got, stats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Candidates == 0 || stats.Fallback != 0 || stats.Columnar != stats.Candidates {
 			t.Fatalf("shards=%d: published scan not fully columnar: %+v", shards, stats)
 		}
-		want, err := c.Snapshot().SearchTopK(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+		want, _, err := c.Snapshot().Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestCatalogColumnarPublish(t *testing.T) {
 		if ok, err := c.Delete(sks[0].Name); err != nil || !ok {
 			t.Fatalf("delete failed: removed=%v err=%v", ok, err)
 		}
-		_, stats, err = c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 10)
+		_, stats, err = c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestCatalogConcurrentPublishWhileColumnarScan(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				_, stats, err := c.SearchTopKStats(qSk, "v", ipsketch.RankByJoinSize, 0, 5)
+				_, stats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 5})
 				if err != nil {
 					errCh <- err
 					return

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	ipsketch "repro"
@@ -27,14 +28,14 @@ func TestCatalogLSHSearchBitExact(t *testing.T) {
 		}
 	}
 	for _, k := range []int{1, 5, 10, -1} {
-		full, fStats, err := c.SearchTopKStats(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, k)
+		full, fStats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fStats.LSHCandidates != 0 || fStats.LSHProbes != 0 {
 			t.Fatalf("full scan reports LSH counters: %+v", fStats)
 		}
-		got, stats, err := c.SearchTopKLSHStats(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, k, 0)
+		got, stats, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: k, LSH: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +52,11 @@ func TestCatalogLSHSearchBitExact(t *testing.T) {
 	if ok, err := c.Delete(sks[0].Name); err != nil || !ok {
 		t.Fatalf("delete failed: removed=%v err=%v", ok, err)
 	}
-	full, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10)
+	full, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.SearchTopKLSHStats(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10, 0)
+	got, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: 10, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCatalogLSHSearchBitExact(t *testing.T) {
 	if !snap.HasLSH() {
 		t.Fatal("snapshot lost the LSH view")
 	}
-	sres, _, err := snap.SearchTopKLSHStats(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, 10, 0)
+	sres, _, err := snap.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: 10, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCatalogLSHDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.SearchTopKLSHStats(qSk, "v", ipsketch.RankByJoinSize, 0, 5, 0); !errors.Is(err, ipsketch.ErrNoLSHIndex) {
+	if _, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 5, LSH: true}); !errors.Is(err, ipsketch.ErrNoLSHIndex) {
 		t.Fatalf("err = %v, want ErrNoLSHIndex", err)
 	}
 }
@@ -98,5 +99,63 @@ func TestCatalogLSHInvalidParams(t *testing.T) {
 	c := New(Options{LSH: &bad})
 	if err := c.Put(sks[0]); err == nil {
 		t.Fatal("publish with invalid LSH params succeeded")
+	}
+}
+
+// TestForwardersMatchSearch: the four positional forwarders the benchmark
+// harness still calls — full scan and lsh mode, on the catalog and on its
+// snapshot index — return Float64bits-identical rankings and equal scan
+// counters to Search(Query), so the benchmark times the code Search runs.
+func TestForwardersMatchSearch(t *testing.T) {
+	qSk, sks := fixtureSketches(t, 48)
+	counters := func(s ipsketch.ScanStats) [6]int64 {
+		return [6]int64{s.Candidates, s.Pruned, s.Columnar, s.Fallback, s.LSHProbes, s.LSHCandidates}
+	}
+	var label string
+	// same(Search's answer)(the forwarder's answer) fails unless they agree.
+	same := func(want []ipsketch.SearchResult, ws ipsketch.ScanStats, err error) func([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return func(got []ipsketch.SearchResult, gs ipsketch.ScanStats, err error) {
+			if err != nil {
+				t.Fatalf("%s: forwarder: %v", label, err)
+			}
+			requireSameRanking(t, got, want, label)
+			if counters(gs) != counters(ws) {
+				t.Fatalf("%s: forwarder counters %+v, want %+v", label, gs, ws)
+			}
+		}
+	}
+	// minJoin prunes part of the fixture, so a forwarder that drops it fails.
+	const minJoin = 30
+	lsh := ipsketch.LSHParams{Bands: 16, Rows: 2}
+	for _, shards := range []int{1, 16} {
+		c := New(Options{Shards: shards, LSH: &lsh})
+		for _, sk := range sks {
+			if err := c.Put(sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := c.Snapshot()
+		for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsCorrelation, ipsketch.RankByAbsInnerProduct} {
+			for _, k := range []int{3, -1} {
+				// probes < 0 is the full scan.
+				for _, probes := range []int{-1, 0, 4} {
+					q := ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: probes >= 0, Probes: probes}
+					label = fmt.Sprintf("shards=%d by=%d k=%d probes=%d", shards, by, k, probes)
+					if _, st, _ := c.Search(q); st.Pruned == 0 {
+						t.Fatalf("%s: nothing pruned", label)
+					}
+					if q.LSH {
+						same(c.Search(q))(c.SearchTopKLSHStats(qSk, "v", by, minJoin, k, probes))
+						same(snap.Search(q))(snap.SearchTopKLSHStats(qSk, "v", by, minJoin, k, probes))
+					} else {
+						same(c.Search(q))(c.SearchTopKStats(qSk, "v", by, minJoin, k))
+						same(snap.Search(q))(snap.SearchTopKStats(qSk, "v", by, minJoin, k))
+					}
+				}
+			}
+		}
 	}
 }

@@ -272,11 +272,11 @@ func TestMutationHookReplayReconstructs(t *testing.T) {
 			}
 		}
 	}
-	want, err := c.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, -1)
+	want, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayed.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 0, -1)
+	got, _, err := replayed.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,11 +493,11 @@ func requireSameCatalog(t *testing.T, label string, got, want *Catalog, query *i
 	_, lsh := want.LSH()
 	for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsInnerProduct} {
 		for _, k := range []int{-1, 4} {
-			w, err := want.SearchTopK(query, "v", by, 0, k)
+			w, _, err := want.Search(ipsketch.Query{Sketch: query, Column: "v", RankBy: by, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := got.SearchTopK(query, "v", by, 0, k)
+			g, _, err := got.Search(ipsketch.Query{Sketch: query, Column: "v", RankBy: by, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -505,11 +505,11 @@ func requireSameCatalog(t *testing.T, label string, got, want *Catalog, query *i
 			if !lsh {
 				continue
 			}
-			w, _, err = want.SearchTopKLSHStats(query, "v", by, 0, k, 4)
+			w, _, err = want.Search(ipsketch.Query{Sketch: query, Column: "v", RankBy: by, K: k, LSH: true, Probes: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err = got.SearchTopKLSHStats(query, "v", by, 0, k, 4)
+			g, _, err = got.Search(ipsketch.Query{Sketch: query, Column: "v", RankBy: by, K: k, LSH: true, Probes: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/hashing"
 	"repro/internal/stats"
@@ -150,6 +151,21 @@ func (a Agg) String() string {
 	default:
 		return fmt.Sprintf("Agg(%d)", int(a))
 	}
+}
+
+// MarshalText returns the aggregation's name, so an Agg is a text flag.
+func (a Agg) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText parses an aggregation name as String prints it, ignoring
+// case. It is the one parser of aggregation names, for flags and the wire.
+func (a *Agg) UnmarshalText(text []byte) error {
+	for c := AggSum; c <= AggFirst; c++ {
+		if strings.EqualFold(c.String(), string(text)) {
+			*a = c
+			return nil
+		}
+	}
+	return fmt.Errorf("tables: unknown aggregation %q (want sum, mean, count, min, max or first)", text)
 }
 
 // Aggregate groups rows by key and reduces every value column with the

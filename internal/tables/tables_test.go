@@ -197,6 +197,28 @@ func TestAggregateUnknownRejected(t *testing.T) {
 	}
 }
 
+// TestAggTextRoundTrip: every aggregation parses back from its name in any
+// case — the service once matched lower case only, the command line any
+// case, and the shared parser keeps the union — and unknown names fail.
+func TestAggTextRoundTrip(t *testing.T) {
+	for a := AggSum; a <= AggFirst; a++ {
+		text, err := a.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{string(text), strings.ToUpper(string(text))} {
+			var got Agg
+			if err := got.UnmarshalText([]byte(s)); err != nil || got != a {
+				t.Errorf("UnmarshalText(%q) = %v, %v; want %v", s, got, err, a)
+			}
+		}
+	}
+	var a Agg
+	if err := a.UnmarshalText([]byte("median")); err == nil {
+		t.Fatal("unknown aggregation accepted")
+	}
+}
+
 func TestJoinErrors(t *testing.T) {
 	a := MustNew("a", []uint64{1}, map[string][]float64{"V": {1}})
 	b := MustNew("b", []uint64{1}, map[string][]float64{"V": {1}})

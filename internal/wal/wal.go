@@ -128,6 +128,15 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
+// MarshalText and UnmarshalText make a Policy a text flag; UnmarshalText
+// parses with ParsePolicy.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Policy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePolicy(string(text))
+	return err
+}
+
 // MaxRecordBytes caps one record's body; larger length prefixes are
 // treated as corruption (they would otherwise let a flipped bit demand
 // gigabytes).

@@ -59,6 +59,7 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/linear"
@@ -133,6 +134,23 @@ func (m Method) String() string {
 		return be.name
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
+}
+
+// MarshalText returns the method's name, so a Method is a text flag.
+func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a method name as String prints it, ignoring case.
+// It is the one parser of method names.
+func (m *Method) UnmarshalText(text []byte) error {
+	names := make([]string, 0, numMethods)
+	for _, c := range Methods() {
+		if strings.EqualFold(c.String(), string(text)) {
+			*m = c
+			return nil
+		}
+		names = append(names, c.String())
+	}
+	return fmt.Errorf("ipsketch: unknown method %q (want one of %s)", text, strings.Join(names, ", "))
 }
 
 // Methods returns every available method.

@@ -2,6 +2,7 @@ package ipsketch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -30,6 +31,28 @@ func TestMethodStrings(t *testing.T) {
 	}
 	if Method(99).String() == "" {
 		t.Error("unknown method should still format")
+	}
+}
+
+// TestMethodTextRoundTrip: every method parses back from its name in any
+// case (the union of what the command lines accepted before they shared
+// this parser), and unknown names are rejected.
+func TestMethodTextRoundTrip(t *testing.T) {
+	for _, m := range Methods() {
+		text, err := m.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{string(text), strings.ToLower(string(text)), strings.ToUpper(string(text))} {
+			var got Method
+			if err := got.UnmarshalText([]byte(s)); err != nil || got != m {
+				t.Errorf("UnmarshalText(%q) = %v, %v; want %v", s, got, err, m)
+			}
+		}
+	}
+	var m Method
+	if err := m.UnmarshalText([]byte("NOPE")); err == nil {
+		t.Fatal("unknown method accepted")
 	}
 }
 

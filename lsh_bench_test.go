@@ -88,7 +88,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 			fulls := make([][]SearchResult, len(panel))
 			totals := make([]float64, len(panel))
 			for i, sk := range panel {
-				full, st, err := ix.SearchTopKStats(sk, "v", RankByJoinSize, 0, 10)
+				full, st, err := ix.Search(Query{Sketch: sk, Column: "v", RankBy: RankByJoinSize, K: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 				b.Run(fmt.Sprintf("probes=%d", probes), func(b *testing.B) {
 					var recall, candFrac float64
 					for i, sk := range panel {
-						got, st, err := ix.SearchTopKLSHStats(sk, "v", RankByJoinSize, 0, 10, probes)
+						got, st, err := ix.Search(Query{Sketch: sk, Column: "v", RankBy: RankByJoinSize, K: 10, LSH: true, Probes: probes})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -113,7 +113,7 @@ func BenchmarkSearchLSH(b *testing.B) {
 					candFrac /= float64(len(panel))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 10, probes); err != nil {
+						if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10, LSH: true, Probes: probes}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -145,14 +145,14 @@ func TestLSHRecallSmoke(t *testing.T) {
 			if ix.BuildColumnar() == 0 {
 				t.Fatal("nothing packed")
 			}
-			full, fStats, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10)
+			full, fStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ix.BuildLSH(lshBenchParams); err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 10, 0)
+			got, st, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10, LSH: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestLSHRecallSmoke(t *testing.T) {
 			if _, err := ix.BuildLSH(strongLSH); err != nil {
 				t.Fatal(err)
 			}
-			exact, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 10, 0)
+			exact, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10, LSH: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,13 +11,14 @@ import (
 // This file is the sublinear candidate path of SketchIndex: BuildLSH
 // bands every entry's key-sketch signature into an internal/lsh index at
 // the same time the columnar view is built (the catalog does both per
-// copy-on-write publish), and SearchTopKLSH gathers band candidates for a
-// query and runs SearchIndexes' scoring routine over only those entries —
-// the same kernels, heap, and (score, ent, col) tie-break order as the
-// full scan. Whenever the candidate set contains the true top k
-// (recall@k = 1) the ranking is therefore bit-identical to
-// SearchTopKStats — approximation only ever drops candidates, it never
-// perturbs a score.
+// copy-on-write publish), and a Query with LSH set gathers band candidates
+// for the query and runs SearchIndexes' scoring routine over only those
+// entries — the same kernels, heap, and (score, ent, col) tie-break order
+// as the full scan. Whenever the candidate set contains the true top k
+// (recall@k = 1) the ranking is therefore bit-identical to the full scan —
+// approximation only ever drops candidates, it never perturbs a score. An
+// empty query sketch yields zero band candidates (the unindexed entries
+// are still scored).
 
 // LSHParams configures the banded candidate index: signatures of length
 // Bands×Rows are split into Bands bands of Rows entries, and two columns
@@ -129,23 +130,12 @@ func buildLSHView(entries []*TableSketch, p lsh.Params) (*lshView, error) {
 	return lv, nil
 }
 
-// SearchTopKLSH is SearchTopK routed through the banded candidate index:
-// only band candidates of the query (plus unbandable entries) are scored.
-// probes ≤ 0 probes every band; 1 ≤ probes < Bands trades recall for
-// probe cost along 1 − (1 − J^Rows)^probes.
-func (ix *SketchIndex) SearchTopKLSH(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k, probes int) ([]SearchResult, error) {
-	res, _, err := ix.SearchTopKLSHStats(query, queryCol, by, minJoinSize, k, probes)
-	return res, err
-}
-
-// SearchTopKLSHStats is SearchTopKLSH that also reports scan counters,
-// including the banded stage's probe and candidate counts. The rescoring
-// is the full scan's scoring routine over the candidate entries, so
-// results are bit-identical to SearchTopKStats whenever the candidate
-// set contains the true top k. An empty query sketch yields zero band
-// candidates (the unindexed entries are still scored).
+// SearchTopKLSHStats is Search of an lsh-mode query.
+//
+// Deprecated: use Search. It stays only until the benchmark harness moves
+// onto Search (ROADMAP.md item 2(a)).
 func (ix *SketchIndex) SearchTopKLSHStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k, probes int) ([]SearchResult, ScanStats, error) {
-	return SearchIndexes([]*SketchIndex{ix}, query, queryCol, by, minJoinSize, k, true, probes)
+	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }
 
 // gather builds the source's lsh scan list: the band candidates of qsig

@@ -53,11 +53,11 @@ func TestLSHSearchBitExactAtRecallOne(t *testing.T) {
 				}
 				for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
 					for _, k := range []int{1, 5, 10} {
-						full, _, err := ix.SearchTopKStats(qSk, "v", by, 0, k)
+						full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: k})
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, stats, err := ix.SearchTopKLSHStats(qSk, "v", by, 0, k, 0)
+						got, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: k, LSH: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -107,7 +107,7 @@ func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			t.Parallel()
 			qSk, ix := buildTieFixture(t, fam.cfg, 2500+fam.cfg.Seed)
-			all, _, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+			all, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 						if _, err := ix.BuildLSH(strongLSH); err != nil {
 							t.Fatal(err)
 						}
-						want, dStats, err := ix.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+						want, dStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -128,7 +128,7 @@ func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 							t.Fatalf("%s: decoded rescore claims columnar scoring: %+v", label, dStats)
 						}
 						ix.BuildColumnar()
-						got, cStats, err := ix.SearchTopKLSHStats(qSk, "v", by, minJoin, k, 0)
+						got, cStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -139,7 +139,7 @@ func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 							t.Fatalf("%s: counters diverge: packed %+v decoded %+v", label, cStats, dStats)
 						}
 						if minJoin > 0 {
-							full, _, err := ix.SearchTopKStats(qSk, "v", by, minJoin, k)
+							full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -165,7 +165,7 @@ func TestLSHCandidatesSubsetAndProbeMonotone(t *testing.T) {
 	}
 	prev := int64(-1)
 	for _, probes := range []int{1, 2, 4, 8} {
-		_, stats, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 10, probes)
+		_, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10, LSH: true, Probes: probes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestLSHCandidatesSubsetAndProbeMonotone(t *testing.T) {
 		t.Fatalf("full-probe candidate count %d is not sublinear in catalog size %d", prev, ix.Len())
 	}
 	// Candidate-stage counters stay zero on the full scan.
-	_, fStats, err := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, 10)
+	_, fStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLSHCandidatesSubsetAndProbeMonotone(t *testing.T) {
 func TestLSHNoIndexAndInvalidation(t *testing.T) {
 	cfg := Config{Method: MethodMH, StorageWords: 300, Seed: 41}
 	qSk, ix := buildColumnarFixture(t, cfg, 4100, 6)
-	if _, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 5, 0); !errors.Is(err, ErrNoLSHIndex) {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); !errors.Is(err, ErrNoLSHIndex) {
 		t.Fatalf("search before BuildLSH: err = %v, want ErrNoLSHIndex", err)
 	}
 	if _, err := ix.BuildLSH(strongLSH); err != nil {
@@ -207,7 +207,7 @@ func TestLSHNoIndexAndInvalidation(t *testing.T) {
 	if p, ok := ix.LSHParams(); !ok || p != strongLSH {
 		t.Fatalf("LSHParams() = %+v, %v", p, ok)
 	}
-	if _, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 5, 0); err != nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Clone carries the view; mutating the clone clears only the clone.
@@ -232,7 +232,7 @@ func TestLSHNoIndexAndInvalidation(t *testing.T) {
 	if ix.HasLSH() {
 		t.Fatal("Add did not invalidate the LSH view")
 	}
-	if _, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 5, 0); !errors.Is(err, ErrNoLSHIndex) {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); !errors.Is(err, ErrNoLSHIndex) {
 		t.Fatalf("search after invalidation: err = %v, want ErrNoLSHIndex", err)
 	}
 }
@@ -286,7 +286,7 @@ func TestLSHEmptySignatureSemantics(t *testing.T) {
 
 	// A populated query must never retrieve the empty table via banding.
 	qSk := mkSketch("query", keys(80))
-	res, stats, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, -1, 0)
+	res, stats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestLSHEmptySignatureSemantics(t *testing.T) {
 
 	// An empty query gathers zero candidates — no error, no matches.
 	eq := mkSketch("emptyquery", nil)
-	res, stats, err = ix.SearchTopKLSHStats(eq, "v", RankByJoinSize, 0, -1, 0)
+	res, stats, err = ix.Search(Query{Sketch: eq, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
 	if err != nil {
 		t.Fatalf("empty query errored: %v", err)
 	}
@@ -360,11 +360,11 @@ func TestLSHUnindexedFallback(t *testing.T) {
 	}
 	// A lax mixed-method index fails mid-scan on the JL entries in both
 	// modes — the unindexed set is scanned, not skipped.
-	_, _, lshErr := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, -1, 0)
+	_, _, lshErr := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
 	if lshErr == nil || !strings.Contains(lshErr.Error(), "t1.v") {
 		t.Fatalf("lsh search skipped the unbandable entries: err = %v", lshErr)
 	}
-	_, _, fullErr := ix.SearchTopKStats(qSk, "v", RankByJoinSize, 0, -1)
+	_, _, fullErr := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if fullErr == nil || fullErr.Error() != lshErr.Error() {
 		t.Fatalf("error divergence:\nlsh  %v\nfull %v", lshErr, fullErr)
 	}
@@ -373,7 +373,7 @@ func TestLSHUnindexedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.SearchTopKLSHStats(jlq, "v", RankByJoinSize, 0, -1, 0); !errors.Is(err, ErrNoSignature) {
+	if _, _, err := ix.Search(Query{Sketch: jlq, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true}); !errors.Is(err, ErrNoSignature) {
 		t.Fatalf("JL query: err = %v, want ErrNoSignature", err)
 	}
 }
@@ -391,7 +391,7 @@ func TestLSHSignatureTooShort(t *testing.T) {
 	if indexed != 0 {
 		t.Fatalf("indexed %d entries with short signatures, want 0", indexed)
 	}
-	if _, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, 5, 0); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); err == nil {
 		t.Fatal("short query signature accepted")
 	}
 	// The unindexed entries are still rescored under a long-enough query:
@@ -400,7 +400,7 @@ func TestLSHSignatureTooShort(t *testing.T) {
 	if _, err := ix.BuildLSH(LSHParams{Bands: 20, Rows: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ix.SearchTopKLSHStats(qSk, "v", RankByJoinSize, 0, -1, 0)
+	res, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,17 +21,17 @@ func resultsIdentical(a, b SearchResult) bool {
 		f64(a.Stats.Correlation, b.Stats.Correlation)
 }
 
-// TestSearchTopKPrefixOfSearch: for every k, SearchTopK must return
+// TestSearchTopKPrefixOfSearch: for every k, Search must return
 // exactly the first k entries of the full ranking.
 func TestSearchTopKPrefixOfSearch(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
 	for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
-		full, err := ix.Search(qSk, "v", by, 1)
+		full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k <= len(full)+2; k++ {
-			top, err := ix.SearchTopK(qSk, "v", by, 1, k)
+			top, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,12 +55,12 @@ func TestSearchTopKPrefixOfSearch(t *testing.T) {
 // identical rankings.
 func TestSearchDeterministic(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	first, err := ix.Search(qSk, "v", RankByJoinSize, 0)
+	first, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		again, err := ix.Search(qSk, "v", RankByJoinSize, 0)
+		again, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,16 +79,16 @@ func TestSearchDeterministic(t *testing.T) {
 // must return nothing.
 func TestSearchTopKErrors(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	if _, err := ix.SearchTopK(nil, "v", RankByJoinSize, 0, 3); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: nil, Column: "v", RankBy: RankByJoinSize, K: 3}); err == nil {
 		t.Fatal("nil query accepted")
 	}
-	if _, err := ix.SearchTopK(qSk, "v", RankBy(99), 0, 3); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankBy(99), K: 3}); err == nil {
 		t.Fatal("unknown ranking accepted")
 	}
-	if _, err := ix.SearchTopK(qSk, "missing", RankByJoinSize, 0, 3); err == nil {
+	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "missing", RankBy: RankByJoinSize, K: 3}); err == nil {
 		t.Fatal("missing query column accepted")
 	}
-	res, err := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, 0)
+	res, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSearchTopKAllTiedScores(t *testing.T) {
 	}
 
 	for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
-		full, err := ix.Search(qSk, "v", by, 0)
+		full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSearchTopKAllTiedScores(t *testing.T) {
 		// Every k returns exactly the scan-order prefix, including k far
 		// beyond the catalog size.
 		for _, k := range []int{1, 2, 7, len(names), len(names) + 50} {
-			top, err := ix.SearchTopK(qSk, "v", by, 0, k)
+			top, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +183,11 @@ func TestSearchTopKAllTiedScores(t *testing.T) {
 // the full ranking, not an error or padding.
 func TestSearchTopKBeyondCatalogSize(t *testing.T) {
 	_, qSk, ix := buildSearchFixture(t)
-	full, err := ix.Search(qSk, "v", RankByJoinSize, 0)
+	full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := ix.SearchTopK(qSk, "v", RankByJoinSize, 0, ix.Len()*10)
+	top, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: ix.Len() * 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,11 +192,11 @@ func TestEncodeDecodeIndexRoundTrip(t *testing.T) {
 	}
 	// Search rankings are bit-exact.
 	for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
-		a, err := ix.Search(qSk, "v", by, 0)
+		a, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dec.Search(qSk, "v", by, 0)
+		b, _, err := dec.Search(Query{Sketch: qSk, Column: "v", RankBy: by, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

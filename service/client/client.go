@@ -471,44 +471,28 @@ func (c *Client) SearchFull(ctx context.Context, req service.SearchRequest) (ser
 }
 
 // SearchSketch is Search with a locally pre-built query sketch, so the
-// query columns never leave the client.
-func (c *Client) SearchSketch(ctx context.Context, qSk *ipsketch.TableSketch, column string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, error) {
-	blob, err := qSk.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	req := service.SearchRequest{
-		SketchB64: base64.StdEncoding.EncodeToString(blob),
-		Column:    column,
-		RankBy:    service.RankByName(by),
-		MinJoin:   minJoinSize,
-	}
-	if k >= 0 {
-		req.K = &k
-	}
-	return c.Search(ctx, req)
-}
-
-// SearchSketchLSH is SearchSketch through the daemon's banded candidate
+// query columns never leave the client. q.K < 0 asks for the full
+// ranking. With q.LSH the daemon answers through its banded candidate
 // index (mode=lsh): sublinear candidate generation followed by exact
-// rescoring. probes bounds how many bands are inspected (0 = the
-// server's default budget). The daemon must run with -lsh-bands and
-// -lsh-rows; otherwise the request fails with a 400 *Error.
-func (c *Client) SearchSketchLSH(ctx context.Context, qSk *ipsketch.TableSketch, column string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, error) {
-	blob, err := qSk.MarshalBinary()
+// rescoring, probing q.Probes bands (0 = the server's default budget);
+// the daemon must run with -lsh-bands and -lsh-rows, otherwise the
+// request fails with a 400 *Error.
+func (c *Client) SearchSketch(ctx context.Context, q ipsketch.Query) ([]ipsketch.SearchResult, error) {
+	blob, err := q.Sketch.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	req := service.SearchRequest{
 		SketchB64: base64.StdEncoding.EncodeToString(blob),
-		Column:    column,
-		RankBy:    service.RankByName(by),
-		MinJoin:   minJoinSize,
-		Mode:      service.SearchModeLSH,
-		Probes:    probes,
+		Column:    q.Column,
+		RankBy:    service.RankByName(q.RankBy),
+		MinJoin:   q.MinJoinSize,
 	}
-	if k >= 0 {
-		req.K = &k
+	if q.LSH {
+		req.Mode, req.Probes = service.SearchModeLSH, q.Probes
+	}
+	if q.K >= 0 {
+		req.K = &q.K
 	}
 	return c.Search(ctx, req)
 }

@@ -398,19 +398,19 @@ type peerSearchResult struct {
 // are skipped (graceful degradation); failed or skipped nodes are
 // reported in the envelope, or turn the whole answer into a typed 503
 // in strict mode.
-func (s *Server) scatterSearch(ctx context.Context, qSk *ipsketch.TableSketch, req *SearchRequest, by ipsketch.RankBy, k int, mode string, probes int) (*SearchResponse, ipsketch.ScanStats, error, int) {
+func (s *Server) scatterSearch(ctx context.Context, q ipsketch.Query, req *SearchRequest) (*SearchResponse, ipsketch.ScanStats, error, int) {
 	cs := s.cluster
 	cs.fanouts.Add(1)
 	// An inline query's sketch is deliberately unnamed (the empty name
 	// excludes nothing from the ranking) but the serialization refuses
 	// unnamed bundles, so ship a placeholder and carry the authoritative
 	// name in table_name — the peer restores it before searching.
-	queryName := qSk.Name
-	if qSk.Name == "" {
-		qSk.Name = "q"
+	queryName := q.Sketch.Name
+	if q.Sketch.Name == "" {
+		q.Sketch.Name = "q"
 	}
-	blob, err := qSk.MarshalBinary()
-	qSk.Name = queryName
+	blob, err := q.Sketch.MarshalBinary()
+	q.Sketch.Name = queryName
 	if err != nil {
 		return nil, ipsketch.ScanStats{}, err, http.StatusBadRequest
 	}
@@ -427,8 +427,8 @@ func (s *Server) scatterSearch(ctx context.Context, qSk *ipsketch.TableSketch, r
 		LocalOnly: true,
 		// The coordinator resolves the probe default once, so every peer
 		// probes identically even if defaults were to differ per node.
-		Mode:   mode,
-		Probes: probes,
+		Mode:   req.Mode,
+		Probes: q.Probes,
 	})
 	if err != nil {
 		return nil, ipsketch.ScanStats{}, err, http.StatusInternalServerError
@@ -445,7 +445,7 @@ func (s *Server) scatterSearch(ctx context.Context, qSk *ipsketch.TableSketch, r
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				hits, localScan, err := s.searchLocal(qSk, req.Column, by, req.MinJoin, k, mode, probes)
+				hits, localScan, err := s.searchLocal(q)
 				results[i].hits, results[i].err = hits, err
 				scanMu.Lock()
 				scan.Add(localScan)
@@ -504,8 +504,8 @@ func (s *Server) scatterSearch(ctx context.Context, qSk *ipsketch.TableSketch, r
 
 	mergeStart := time.Now()
 	sortHits(merged)
-	if k >= 0 && len(merged) > k {
-		merged = merged[:k]
+	if q.K >= 0 && len(merged) > q.K {
+		merged = merged[:q.K]
 	}
 	scan.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	resp.Results = merged
@@ -555,18 +555,10 @@ func (cs *clusterState) searchPeer(ctx context.Context, peer string, body []byte
 	return out.Results, nil
 }
 
-// searchLocal runs the catalog search — full scan or banded candidate
-// mode — and converts to wire hits; shared by the plain handler and the
-// coordinator's self-leg.
-func (s *Server) searchLocal(qSk *ipsketch.TableSketch, column string, by ipsketch.RankBy, minJoin float64, k int, mode string, probes int) ([]SearchHit, ipsketch.ScanStats, error) {
-	var results []ipsketch.SearchResult
-	var scan ipsketch.ScanStats
-	var err error
-	if mode == SearchModeLSH {
-		results, scan, err = s.cat.SearchTopKLSHStats(qSk, column, by, minJoin, k, probes)
-	} else {
-		results, scan, err = s.cat.SearchTopKStats(qSk, column, by, minJoin, k)
-	}
+// searchLocal runs the catalog search and converts to wire hits; shared
+// by the plain handler and the coordinator's self-leg.
+func (s *Server) searchLocal(q ipsketch.Query) ([]SearchHit, ipsketch.ScanStats, error) {
+	results, scan, err := s.cat.Search(q)
 	if err != nil {
 		return nil, scan, err
 	}

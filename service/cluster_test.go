@@ -323,7 +323,7 @@ func TestClusterSearchTieHeavy(t *testing.T) {
 		}
 		for _, k := range []int{1, 7, columns, columns + 5, -1} {
 			label := fmt.Sprintf("by=%s k=%d", rankBy, k)
-			want, err := ref.SearchTopK(qSk, "v", by, 0, k)
+			want, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,11 +56,11 @@ func TestServiceLSHSearchMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 5, -1} {
-			want, err := cl.SearchSketch(ctx, qSk, "v", by, 1, k)
+			want, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cl.SearchSketchLSH(ctx, qSk, "v", by, 1, k, 0)
+			got, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k, LSH: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,11 +70,11 @@ func TestServiceLSHSearchMatchesFull(t *testing.T) {
 
 	// A probe budget below Bands is honored (still full recall here:
 	// Rows=1 bands all collide on an overlapping corpus).
-	full, err := cl.SearchSketchLSH(ctx, qSk, "v", ipsketch.RankByJoinSize, 1, 5, 0)
+	full, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, MinJoinSize: 1, K: 5, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed, err := cl.SearchSketchLSH(ctx, qSk, "v", ipsketch.RankByJoinSize, 1, 5, 4)
+	probed, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, MinJoinSize: 1, K: 5, LSH: true, Probes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +326,11 @@ func TestServiceLSHCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.SearchTopK(qSk, "v", ipsketch.RankByAbsInnerProduct, 1, 10)
+	want, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, MinJoinSize: 1, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.SearchSketchLSH(ctx, qSk, "v", ipsketch.RankByAbsInnerProduct, 1, 10, 0)
+	got, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, MinJoinSize: 1, K: 10, LSH: true})
 	if err != nil {
 		t.Fatal(err)
 	}

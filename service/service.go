@@ -533,42 +533,19 @@ func buildTable(name string, p *TablePayload) (*ipsketch.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var agg ipsketch.Agg
+	if p.Agg != "" {
+		if err := agg.UnmarshalText([]byte(p.Agg)); err != nil {
+			return nil, err
+		}
+	}
 	if t.HasDuplicateKeys() {
 		if p.Agg == "" {
 			return nil, errors.New("service: table has duplicate keys; set agg to reduce them")
 		}
-		agg, err := parseAgg(p.Agg)
-		if err != nil {
-			return nil, err
-		}
-		if t, err = t.Aggregate(agg); err != nil {
-			return nil, err
-		}
-	} else if p.Agg != "" {
-		if _, err := parseAgg(p.Agg); err != nil {
-			return nil, err
-		}
+		return t.Aggregate(agg)
 	}
 	return t, nil
-}
-
-// parseAgg maps a wire name to an aggregation.
-func parseAgg(s string) (ipsketch.Agg, error) {
-	switch s {
-	case "sum":
-		return ipsketch.AggSum, nil
-	case "mean":
-		return ipsketch.AggMean, nil
-	case "count":
-		return ipsketch.AggCount, nil
-	case "min":
-		return ipsketch.AggMin, nil
-	case "max":
-		return ipsketch.AggMax, nil
-	case "first":
-		return ipsketch.AggFirst, nil
-	}
-	return 0, fmt.Errorf("service: unknown agg %q", s)
 }
 
 // sketchPayload sketches the named columns (all when none are named) of a
@@ -774,7 +751,7 @@ func (s *Server) querySketch(req *SearchRequest) (*ipsketch.TableSketch, error) 
 		}
 		return tsk, nil
 	}
-	// The query's name only matters for self-exclusion: SearchTopK skips
+	// The query's name only matters for self-exclusion: the search skips
 	// a cataloged table with the same name. The default (empty) name can
 	// never be cataloged, so an inline query excludes nothing unless the
 	// caller opts in with table_name. The search reads the ranked column
@@ -794,55 +771,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding search request: %w", err))
 		return
 	}
-	by, err := ParseRankBy(req.RankBy)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Column == "" {
-		s.writeError(w, http.StatusBadRequest, errors.New("service: missing query column"))
-		return
-	}
-	mode, err := ParseSearchMode(req.Mode)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	probes := 0
-	if mode == SearchModeLSH {
-		if s.lsh == nil {
-			s.writeError(w, http.StatusBadRequest,
-				errors.New("service: mode=lsh requires an LSH-enabled server (-lsh-bands/-lsh-rows)"))
-			return
-		}
-		probes = req.Probes
-		if probes < 0 || probes > s.lsh.Bands {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: probes %d out of range [0, %d]", probes, s.lsh.Bands))
-			return
-		}
-		if probes == 0 {
-			probes = s.cfg.LSHProbes // 0 = every band
-		}
-	}
-	// An omitted k asks for the full ranking — the one search shape that
-	// estimates everything for every candidate. An explicit negative k is
-	// a client bug, not a request for that.
-	k := -1
-	if req.K != nil {
-		if k = *req.K; k < 0 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: k %d is negative (omit k for the full ranking)", k))
-			return
-		}
-	}
-	qSk, err := s.querySketch(&req)
+	q, err := s.resolveQuery(&req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.cluster != nil && !req.LocalOnly {
-		resp, scan, serr, status := s.scatterSearch(r.Context(), qSk, &req, by, k, mode, probes)
+		resp, scan, serr, status := s.scatterSearch(r.Context(), q, &req)
 		if serr != nil {
 			if status == http.StatusServiceUnavailable {
 				w.Header().Set("Retry-After", "1")
@@ -853,21 +788,60 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.searches.Add(1)
-		s.observeSearch(r.Context(), start, &req, k, len(resp.Results), scan)
+		s.observeSearch(r.Context(), start, &req, q.K, len(resp.Results), scan)
 		if resp.NodesFailed > 0 {
 			w.Header().Set(HeaderPartialResults, "true")
 		}
 		s.writeJSON(w, resp)
 		return
 	}
-	hits, scan, err := s.searchLocal(qSk, req.Column, by, req.MinJoin, k, mode, probes)
+	hits, scan, err := s.searchLocal(q)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.searches.Add(1)
-	s.observeSearch(r.Context(), start, &req, k, len(hits), scan)
+	s.observeSearch(r.Context(), start, &req, q.K, len(hits), scan)
 	s.writeJSON(w, SearchResponse{Results: hits})
+}
+
+// resolveQuery validates a search request and resolves it into the one
+// Query every later hop runs: the ranking, the probe default, the result
+// bound and the query sketch.
+func (s *Server) resolveQuery(req *SearchRequest) (ipsketch.Query, error) {
+	q := ipsketch.Query{Column: req.Column, MinJoinSize: req.MinJoin, K: -1}
+	var err error
+	if q.RankBy, err = ParseRankBy(req.RankBy); err != nil {
+		return q, err
+	}
+	if req.Column == "" {
+		return q, errors.New("service: missing query column")
+	}
+	mode, err := ParseSearchMode(req.Mode)
+	if err != nil {
+		return q, err
+	}
+	if q.LSH = mode == SearchModeLSH; q.LSH {
+		if s.lsh == nil {
+			return q, errors.New("service: mode=lsh requires an LSH-enabled server (-lsh-bands/-lsh-rows)")
+		}
+		if q.Probes = req.Probes; q.Probes < 0 || q.Probes > s.lsh.Bands {
+			return q, fmt.Errorf("service: probes %d out of range [0, %d]", q.Probes, s.lsh.Bands)
+		}
+		if q.Probes == 0 {
+			q.Probes = s.cfg.LSHProbes // 0 = every band
+		}
+	}
+	// An omitted k asks for the full ranking — the one search shape that
+	// estimates everything for every candidate. An explicit negative k is
+	// a client bug, not a request for that.
+	if req.K != nil {
+		if q.K = *req.K; q.K < 0 {
+			return q, fmt.Errorf("service: k %d is negative (omit k for the full ranking)", q.K)
+		}
+	}
+	q.Sketch, err = s.querySketch(req)
+	return q, err
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {

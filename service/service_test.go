@@ -134,7 +134,7 @@ func requireSameRanking(t *testing.T, got, want []ipsketch.SearchResult, label s
 
 // TestServiceSearchMatchesInProcess: the full HTTP loop — JSON ingest,
 // server-side sketching, sharded search, JSON response — must reproduce
-// the in-process SearchTopK ranking bit-exactly, for both inline-columns
+// the in-process Search ranking bit-exactly, for both inline-columns
 // and pre-built-sketch queries.
 func TestServiceSearchMatchesInProcess(t *testing.T) {
 	ctx := context.Background()
@@ -165,7 +165,7 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1, 5, len(lake), len(lake) * 3, -1} {
-			want, err := ref.SearchTopK(qSk, "v", by, 1, k)
+			want, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 			requireSameRanking(t, got, want, fmt.Sprintf("by=%s k=%d", rankBy, k))
 
 			// Pre-built query sketch path must agree too.
-			got2, err := cl.SearchSketch(ctx, qSk, "v", by, 1, k)
+			got2, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 		// column in the payload changes no hit.
 		wide := query
 		wide.Columns = map[string][]float64{"v": query.Columns["v"], "extra": make([]float64, len(query.Keys))}
-		want, err := ref.SearchTopK(qSk, "v", by, 1, -1)
+		want, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: 1, K: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
