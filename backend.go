@@ -31,24 +31,48 @@ type payload interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// builder constructs sketches one at a time with reusable scratch. A
-// builder is single-goroutine; every construction entry point draws one
-// from the sketcher's pool, and batch APIs run one per worker.
+// builder constructs sketches with reusable scratch. A builder is
+// single-goroutine; every construction entry point draws one from the
+// sketcher's pool, and batch APIs run one per worker.
 type builder interface {
 	sketch(v Vector) (payload, error)
+	// sketchBundle sketches the vectors of one table bundle (one key set
+	// under 1+2·|cols| weightings) in one call; out[i] is identical to
+	// sketch(vs[i]).
+	sketchBundle(vs []Vector) ([]payload, error)
 }
 
-// builderOf adapts a family's typed construction function — a reusable
-// internal Builder's Sketch method, or a closure over a one-shot
-// constructor for the scratch-free linear families — to builder.
-type builderOf[T payload] func(Vector) (T, error)
+// builderOf adapts a family's typed construction functions to builder. one
+// is a reusable internal Builder's Sketch method, or a closure over a
+// one-shot constructor for the scratch-free linear families. all, when
+// non-nil, sketches a bundle in one call that shares work across its
+// vectors (WMH's dart walk); without it a bundle is sketched vector by
+// vector.
+type builderOf[T payload] struct {
+	one func(Vector) (T, error)
+	all func([]Vector) ([]T, error)
+}
 
-func (f builderOf[T]) sketch(v Vector) (payload, error) {
-	sk, err := f(v)
+func (b builderOf[T]) sketch(v Vector) (payload, error) {
+	sk, err := b.one(v)
 	if err != nil {
 		return nil, err
 	}
 	return sk, nil
+}
+
+func (b builderOf[T]) sketchBundle(vs []Vector) ([]payload, error) {
+	if b.all != nil {
+		return payloads(b.all(vs))
+	}
+	out := make([]payload, len(vs))
+	for i, v := range vs {
+		var err error
+		if out[i], err = b.sketch(v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // backend describes one method. The first six fields are required (the
@@ -303,12 +327,12 @@ func builds[T payload, B interface{ Sketch(Vector) (T, error) }](b B, err error)
 	if err != nil {
 		return nil, err
 	}
-	return builderOf[T](b.Sketch), nil
+	return builderOf[T]{one: b.Sketch}, nil
 }
 
 // oneShot adapts a scratch-free constructor (the linear families build
 // S(a) = Πa directly) to builder; batch fan-out still parallelizes it
 // across vectors.
 func oneShot[T payload, P any](f func(Vector, P) (T, error), p P) (builder, error) {
-	return builderOf[T](func(v Vector) (T, error) { return f(v, p) }), nil
+	return builderOf[T]{one: func(v Vector) (T, error) { return f(v, p) }}, nil
 }

@@ -25,8 +25,14 @@ var wmhBackend = &backend{
 		}
 		return s, nil
 	},
+	// A bundle's vectors share one key set, so the dart construction fills
+	// them all from one walk over the blocks (wmh.Builder.SketchAll).
 	newBuilder: func(cfg Config, size int) (builder, error) {
-		return builds(wmh.NewBuilder(cfg.wmhParams(size)))
+		b, err := wmh.NewBuilder(cfg.wmhParams(size))
+		if err != nil {
+			return nil, err
+		}
+		return builderOf[*wmh.Sketch]{one: b.Sketch, all: b.SketchAll}, nil
 	},
 	compatible: check(wmh.Compatible),
 	estimate:   pair(wmh.Estimate),

@@ -110,6 +110,7 @@ type DartProcess struct {
 	// scratch returned by ThrowBlock, overwritten per call
 	samples []int32
 	values  []float64
+	slots   []uint64
 }
 
 // NewDartProcess returns a process for m samples over slot budget l with
@@ -171,19 +172,25 @@ func (p *DartProcess) round(k int) *dartRound {
 
 // ThrowBlock enumerates the darts of one block (stream key, weight w) in
 // the given round's value region, for every sample at once. It returns
-// parallel slices of sample indices and dart values; both point into
-// scratch owned by the process and are overwritten by the next call. The
-// values all lie inside round k's value region, so they are strictly
-// larger than every round-(k−1) dart and strictly smaller than every
-// round-(k+1) dart — a sample that has any dart after a full round over
-// the blocks is final. It panics if w is 0 or exceeds the slot budget l.
-func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int32, values []float64) {
+// parallel slices of sample indices, dart values and dart slots; all three
+// point into scratch owned by the process and are overwritten by the next
+// call. The values all lie inside round k's value region, so they are
+// strictly larger than every round-(k−1) dart and strictly smaller than
+// every round-(k+1) dart — a sample that has any dart after a full round
+// over the blocks is final. It panics if w is 0 or exceeds the slot
+// budget l.
+//
+// The darts of a smaller weight w' ≤ w are exactly the returned darts with
+// slot ≤ w', in the same order, so one throw at the largest weight serves
+// every vector that holds the block.
+func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int32, values []float64, slots []uint64) {
 	if w == 0 || w > p.l {
 		panic("hashing: ThrowBlock weight out of range")
 	}
 	rd := p.round(round)
-	samples, values = p.samples[:0], p.values[:0]
+	samples, values, slots = p.samples[:0], p.values[:0], p.slots[:0]
 	top := bits.Len64(w) - 1 // highest cell: 2^top ≤ w
+	roundKey := Extend(key, uint64(round))
 	for r := 0; r <= top; r++ {
 		cell := &rd.cells[r]
 		base := uint64(1) << uint(r)
@@ -191,7 +198,7 @@ func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int
 		// The cell's stream: count and position draws interleave, but the
 		// sequence is identical for every party (weight enters only
 		// through the slot filter below), so streams never diverge.
-		rng := SplitMix64{state: Extend(Extend(key, uint64(round)), uint64(r))}
+		rng := SplitMix64{state: Extend(roundKey, uint64(r))}
 		oneMinusA := rd.oneMinusT
 		for s := 0; s < cell.slices; s++ {
 			// Poisson(λ) darts in this slice, by Knuth's product method.
@@ -209,12 +216,13 @@ func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int
 				if slot <= w { // partial top cell: reject beyond-w slots
 					samples = append(samples, int32(sample))
 					values = append(values, 1-oneMinusA*math.Exp(-u*cell.sliceNu))
+					slots = append(slots, slot)
 				}
 				prod *= rng.Float64()
 			}
 			oneMinusA *= cell.expNegSliceNu
 		}
 	}
-	p.samples, p.values = samples, values
-	return samples, values
+	p.samples, p.values, p.slots = samples, values, slots
+	return samples, values, slots
 }

@@ -20,7 +20,7 @@ func dartMins(p *DartProcess, keys, ws []uint64) []float64 {
 			panic("dartMins: runaway fallback rounds")
 		}
 		for b := range keys {
-			ss, vs := p.ThrowBlock(keys[b], ws[b], round)
+			ss, vs, _ := p.ThrowBlock(keys[b], ws[b], round)
 			for d, i := range ss {
 				if vs[d] < best[i] {
 					if math.IsInf(best[i], 1) {
@@ -52,17 +52,61 @@ func TestThrowBlockDeterministic(t *testing.T) {
 	p := NewDartProcess(64, 1<<12)
 	q := NewDartProcess(64, 1<<12)
 	for key := uint64(0); key < 50; key++ {
-		s1, v1 := p.ThrowBlock(Mix(key), 1+key*80, 0)
+		s1, v1, _ := p.ThrowBlock(Mix(key), 1+key*80, 0)
 		// Copy: the next ThrowBlock overwrites the scratch.
 		s1c := append([]int32(nil), s1...)
 		v1c := append([]float64(nil), v1...)
-		s2, v2 := q.ThrowBlock(Mix(key), 1+key*80, 0)
+		s2, v2, _ := q.ThrowBlock(Mix(key), 1+key*80, 0)
 		if len(s1c) != len(s2) {
 			t.Fatalf("key %d: dart counts differ: %d vs %d", key, len(s1c), len(s2))
 		}
 		for d := range s2 {
 			if s1c[d] != s2[d] || v1c[d] != v2[d] {
 				t.Fatalf("key %d dart %d: (%d,%v) vs (%d,%v)", key, d, s1c[d], v1c[d], s2[d], v2[d])
+			}
+		}
+	}
+}
+
+// TestThrowBlockSlotFilter pins the identity the shared bundle walk rests
+// on: the darts of a weight w' are exactly the darts of any larger weight w
+// whose slot is ≤ w', in the same order and bitwise — including weights
+// that end in a partial top cell and weights whose top cell lies below w's.
+func TestThrowBlockSlotFilter(t *testing.T) {
+	const l = 1 << 20
+	p := NewDartProcess(200, l)
+	for key := uint64(0); key < 20; key++ {
+		for round := 0; round < 3; round++ {
+			const wide = l - 12345
+			ss, vs, slots := p.ThrowBlock(Mix(key), wide, round)
+			type dart struct {
+				s    int32
+				v    float64
+				slot uint64
+			}
+			all := make([]dart, len(ss))
+			for d := range ss {
+				if slots[d] == 0 || slots[d] > wide {
+					t.Fatalf("key %d round %d: slot %d outside [1, %d]", key, round, slots[d], wide)
+				}
+				all[d] = dart{ss[d], vs[d], slots[d]}
+			}
+			for _, w := range []uint64{1, 2, 3, 1000, 1 << 19, wide} {
+				var want []dart
+				for _, d := range all {
+					if d.slot <= w {
+						want = append(want, d)
+					}
+				}
+				gs, gv, gslots := p.ThrowBlock(Mix(key), w, round)
+				if len(gs) != len(want) {
+					t.Fatalf("key %d round %d w %d: %d darts, want %d", key, round, w, len(gs), len(want))
+				}
+				for d := range want {
+					if got := (dart{gs[d], gv[d], gslots[d]}); got != want[d] {
+						t.Fatalf("key %d round %d w %d dart %d: %+v, want %+v", key, round, w, d, got, want[d])
+					}
+				}
 			}
 		}
 	}
@@ -80,7 +124,7 @@ func TestDartRoundZeroCount(t *testing.T) {
 	const trials = 40
 	total := 0
 	for i := 0; i < trials; i++ {
-		ss, _ := p.ThrowBlock(Mix(uint64(i)), l, 0)
+		ss, _, _ := p.ThrowBlock(Mix(uint64(i)), l, 0)
 		total += len(ss)
 	}
 	got := float64(total) / trials
@@ -206,7 +250,7 @@ func TestDartFallbackRounds(t *testing.T) {
 	key := Mix(0xfa11)
 	p := NewDartProcessBudget(m, l, budget)
 	// Round 0 alone must leave samples missing, or the test is vacuous.
-	ss, _ := p.ThrowBlock(key, l, 0)
+	ss, _, _ := p.ThrowBlock(key, l, 0)
 	seen := map[int32]bool{}
 	for _, s := range ss {
 		seen[s] = true

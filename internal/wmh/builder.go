@@ -9,10 +9,10 @@ import (
 
 // Builder is the one construction body of the package: New, NewNaive and
 // Shards are one-off Builders. It sketches vectors under one fixed Params
-// without allocating after warm-up: the rounding scratch, the
-// rounded-value scratch, and the per-sample key prefixes are owned by the
-// Builder and reused across vectors. SketchInto additionally reuses the
-// destination sketch's sample arrays, making the steady-state sketch loop
+// without allocating after warm-up: the per-vector rounding scratch, the
+// fill queue, and the per-sample key prefixes are owned by the Builder and
+// reused across vectors. SketchInto additionally reuses the destination
+// sketch's sample arrays, making the steady-state sketch loop
 // allocation-free.
 //
 // A Builder is deliberately single-goroutine (that is what makes the
@@ -24,14 +24,32 @@ type Builder struct {
 	p     Params
 	vr    variant
 	skeys []uint64 // per-sample Mix-chain prefixes, fixed for the lifetime
-	// per-vector scratch, reused across calls
-	idx     []uint64
-	weights []uint64
-	bvals   []float64
+	// per-vector scratch, reused across calls: the rounded blocks of the
+	// k-th vector of the current call, and the queue of sketches to fill
+	vecs []blocks
+	jobs []fillJob
 	// dart-variant scratch: the process tables depend on the resolved L,
 	// which can differ across dims, so it is rebuilt when dartL changes.
 	dart  *hashing.DartProcess
 	dartL uint64
+}
+
+// blocks is one rounded vector (Algorithm 4): its support indices, integer
+// weights and rounded entry values, in index order.
+type blocks struct {
+	idx     []uint64
+	weights []uint64
+	bvals   []float64
+}
+
+// fillJob is one sketch's share of a fill: the rounded blocks it samples,
+// its resolved L, and the sample arrays it fills (the destination sketch's
+// own). next and missing are the dart walk's per-vector state.
+type fillJob struct {
+	blocks
+	l             uint64
+	hashes, vals  []float64
+	next, missing int
 }
 
 // NewBuilder validates p and returns a reusable sketch builder for the
@@ -73,35 +91,61 @@ func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
 	if dst == nil {
 		return errors.New("wmh: nil destination sketch")
 	}
-	hdr := b.round(v)
-	hdr.hashes, hdr.vals = dst.hashes, dst.vals
-	*dst = hdr
-	b.fill(dst, 0, len(b.idx))
+	b.sketchInto(dst, 0, v)
+	b.fill()
 	return nil
 }
 
-// round runs Algorithm 4 on v into the builder's block scratch and returns
-// the sample-less header every sketch of v — whole or shard — carries.
-func (b *Builder) round(v vector.Sparse) Sketch {
+// SketchAll sketches every vector of vs; out[i] is bitwise Sketch(vs[i]).
+// The dart variant fills all vectors of one resolved L from one shared walk
+// per round (see fillDart), so the vectors of a table bundle — one key set
+// under different weights — pay for one dart walk instead of one each. The
+// record process keys its randomness per (sample, block), leaves nothing
+// to share, and fills the vectors one by one. The returned sketches share
+// one allocation for their headers.
+func (b *Builder) SketchAll(vs []vector.Sparse) ([]*Sketch, error) {
+	sks := make([]Sketch, len(vs))
+	out := make([]*Sketch, len(vs))
+	for k, v := range vs {
+		out[k] = &sks[k]
+		b.sketchInto(out[k], k, v)
+	}
+	b.fill()
+	return out, nil
+}
+
+// sketchInto rounds v into the k-th per-vector scratch, writes the sketch
+// header into dst, and queues dst's samples for the next fill.
+func (b *Builder) sketchInto(dst *Sketch, k int, v vector.Sparse) {
+	hdr := b.round(k, v)
+	hdr.hashes, hdr.vals = dst.hashes, dst.vals
+	*dst = hdr
+	b.queue(dst, k, 0, len(b.vecs[k].idx))
+}
+
+// round runs Algorithm 4 on v into the k-th per-vector block scratch and
+// returns the sample-less header every sketch of v — whole or shard —
+// carries.
+func (b *Builder) round(k int, v vector.Sparse) Sketch {
+	for len(b.vecs) <= k {
+		b.vecs = append(b.vecs, blocks{})
+	}
+	bl := &b.vecs[k]
 	l := b.p.effectiveL(v.Dim())
-	b.idx, b.weights = RoundInto(v, l, b.idx, b.weights)
-	b.bvals = roundedValues(b.bvals, v, b.idx, b.weights, l, b.p.QuantizeValues)
+	bl.idx, bl.weights = RoundInto(v, l, bl.idx, bl.weights)
+	bl.bvals = roundedValues(bl.bvals, v, bl.idx, bl.weights, l, b.p.QuantizeValues)
 	return Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm(), variant: b.vr}
 }
 
-// fill computes dst's samples over the rounded blocks [lo, hi) of the last
-// round call, reusing dst's sample arrays when they have capacity; an
-// empty range makes dst the empty sketch. The record-process variants
-// split their samples across workers when the range is large enough to
-// pay for the goroutines — bitwise identical, because each sample's
-// randomness is keyed by its own index, not by shared stream state. The
-// dart variant stays one pass (see dart.go).
-func (b *Builder) fill(dst *Sketch, lo, hi int) {
-	m := b.p.M
+// queue sets dst up to be filled by the next fill from the rounded blocks
+// [lo, hi) of the k-th vector, reusing dst's sample arrays when they have
+// capacity; an empty range makes dst the empty sketch right away.
+func (b *Builder) queue(dst *Sketch, k, lo, hi int) {
 	if lo >= hi {
 		dst.empty, dst.hashes, dst.vals = true, nil, nil
 		return
 	}
+	m := b.p.M
 	if cap(dst.hashes) < m {
 		dst.hashes = make([]float64, m)
 	}
@@ -109,18 +153,48 @@ func (b *Builder) fill(dst *Sketch, lo, hi int) {
 		dst.vals = make([]float64, m)
 	}
 	dst.hashes, dst.vals = dst.hashes[:m], dst.vals[:m]
-	idx, weights, bvals := b.idx[lo:hi], b.weights[lo:hi], b.bvals[lo:hi]
-	switch {
-	case b.vr == variantDart:
-		if b.dart == nil || b.dartL != dst.l {
-			b.dart, b.dartL = hashing.NewDartProcess(m, dst.l), dst.l
+	bl := &b.vecs[k]
+	b.jobs = append(b.jobs, fillJob{
+		blocks: blocks{idx: bl.idx[lo:hi], weights: bl.weights[lo:hi], bvals: bl.bvals[lo:hi]},
+		l:      dst.l,
+		hashes: dst.hashes,
+		vals:   dst.vals,
+	})
+}
+
+// fill computes the samples of every queued sketch and empties the queue.
+// The dart variant walks each run of queued sketches sharing one resolved
+// L together (dart.go). The record-process variants fill one sketch at a
+// time and split its samples across workers when it is large enough to pay
+// for the goroutines — bitwise identical, because each sample's randomness
+// is keyed by its own index, not by shared stream state.
+func (b *Builder) fill() {
+	jobs := b.jobs
+	m := b.p.M
+	for lo := 0; lo < len(jobs); {
+		hi := lo + 1
+		switch {
+		case b.vr == variantDart:
+			for hi < len(jobs) && jobs[hi].l == jobs[lo].l {
+				hi++
+			}
+			if b.dart == nil || b.dartL != jobs[lo].l {
+				b.dart, b.dartL = hashing.NewDartProcess(m, jobs[lo].l), jobs[lo].l
+			}
+			fillDart(jobs[lo:hi], b.p.Seed, b.dart)
+		case len(jobs[lo].idx)*m < hashing.FanOutWork:
+			j := &jobs[lo]
+			fillBlockMajor(j.hashes, j.vals, b.skeys, j.idx, j.weights, j.bvals, b.vr)
+		default:
+			j := &jobs[lo]
+			hashing.ParallelChunks(m, func(sLo, sHi int) {
+				fillBlockMajor(j.hashes[sLo:sHi], j.vals[sLo:sHi], b.skeys[sLo:sHi], j.idx, j.weights, j.bvals, b.vr)
+			})
 		}
-		fillDart(dst.hashes, dst.vals, b.p.Seed, idx, weights, bvals, b.dart)
-	case (hi-lo)*m < hashing.FanOutWork:
-		fillBlockMajor(dst.hashes, dst.vals, b.skeys, idx, weights, bvals, b.vr)
-	default:
-		hashing.ParallelChunks(m, func(sLo, sHi int) {
-			fillBlockMajor(dst.hashes[sLo:sHi], dst.vals[sLo:sHi], b.skeys[sLo:sHi], idx, weights, bvals, b.vr)
-		})
+		lo = hi
 	}
+	// Drop the references to the filled arrays so a pooled builder does not
+	// keep the last call's sketches alive.
+	clear(jobs)
+	b.jobs = jobs[:0]
 }

@@ -17,11 +17,20 @@ import (
 // same collision law, same FM union estimator — but from different
 // randomness, so the variants are not comparable with each other.
 //
+// A block's darts are keyed by (seed, block, round, cell), never by the
+// block's weight, so every vector holding a block walks the same stream and
+// keeps the darts whose slot falls inside its own weight. fillDart exploits
+// that across vectors: the key, value and squared-value vectors of a table
+// bundle share one key set, and one throw per block at the largest of their
+// weights serves all of them. At the served L = 2⁵⁰ the throw is mostly
+// the walk over ~40 empty dyadic cells, so sharing it is most of the cost
+// of the two extra vectors.
+//
 // Unlike fillBlockMajor, the dart pass is not split across workers: the
 // whole point is that one pass serves every sample, and a per-chunk split
 // would regenerate all darts per chunk. At ~1ms/sketch the single pass is
 // no longer the bottleneck; parallelism belongs at the many-vectors level
-// (one Builder per worker), which is how SketchAll already runs.
+// (one Builder per worker), which is how ipsketch.Sketcher.SketchAll runs.
 
 // dartMaxRounds caps the miss-fallback rounds. Each round k leaves a given
 // sample without a dart with probability e^{−τ(2^(k+1)−1)} (τ ≥ 2), so
@@ -36,41 +45,94 @@ func dartBlockKey(seed uint64, block uint64) uint64 {
 	return hashing.Extend(hashing.Extend(hashing.Mix(seed), block), 0x776d68+uint64(variantDart))
 }
 
-// fillDart computes every MinHash sample of the sketch in one dart pass
-// per round: for each rounded block, enumerate its darts and fold them
-// into the running per-sample minima. Samples missed by a round (expected
-// ~0.14 of M per sketch) are retried by the next round's doubled dart
-// budget; a round's darts are strictly smaller than the next round's, so
-// any sample holding a dart after a full round is final.
-func fillDart(hashes, vals []float64, seed uint64, idx, weights []uint64, bvals []float64, dp *hashing.DartProcess) {
-	for i := range hashes {
-		hashes[i] = math.Inf(1)
-		vals[i] = 0
+// fillDart computes every MinHash sample of every job in one dart pass per
+// round: for each rounded block, enumerate its darts and fold them into
+// the running per-sample minima. Samples missed by a round (expected ~0.14
+// of M per sketch) are retried by the next round's doubled dart budget; a
+// round's darts are strictly smaller than the next round's, so any sample
+// holding a dart after a full round is final.
+//
+// The jobs share one walk. Each round merge-walks their sorted block
+// indices; a block is thrown once, at the largest weight among the jobs
+// that hold it, and each of them keeps the darts with slot ≤ its own
+// weight — exactly the darts a throw at its own weight returns, in the
+// same order. A job takes part in a round only if it still missed a sample
+// when the round began, as it would alone, so every job's samples are
+// bitwise those of filling it by itself (the one-job case).
+func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
+	for j := range jobs {
+		f := &jobs[j]
+		for i := range f.hashes {
+			f.hashes[i] = math.Inf(1)
+			f.vals[i] = 0
+		}
+		f.missing = len(f.hashes)
 	}
-	missing := len(hashes)
-	for round := 0; missing > 0; round++ {
+	for round := 0; ; round++ {
+		live := 0
+		for j := range jobs {
+			f := &jobs[j]
+			if f.missing == 0 {
+				f.next = len(f.idx) // done: sits out the walk
+				continue
+			}
+			f.next = 0
+			live++
+		}
+		if live == 0 {
+			return
+		}
 		if round == dartMaxRounds {
 			// Unreachable in any physical run (see dartMaxRounds); fill
 			// with the supremum of the value range so termination is
 			// unconditional.
-			for i := range hashes {
-				if math.IsInf(hashes[i], 1) {
-					hashes[i] = 1
-					vals[i] = bvals[0]
+			for j := range jobs {
+				f := &jobs[j]
+				for i := range f.hashes {
+					if math.IsInf(f.hashes[i], 1) {
+						f.hashes[i] = 1
+						f.vals[i] = f.bvals[0]
+					}
 				}
 			}
-			break
+			return
 		}
-		for k := range idx {
-			samples, values := dp.ThrowBlock(dartBlockKey(seed, idx[k]), weights[k], round)
-			bv := bvals[k]
-			for d, i := range samples {
-				if v := values[d]; v < hashes[i] {
-					if math.IsInf(hashes[i], 1) {
-						missing--
+		for {
+			// The smallest block not yet visited by a live job, and the
+			// largest weight any of them holds it at.
+			var block, w uint64
+			found := false
+			for j := range jobs {
+				f := &jobs[j]
+				if f.next == len(f.idx) {
+					continue
+				}
+				switch bi := f.idx[f.next]; {
+				case !found || bi < block:
+					block, w, found = bi, f.weights[f.next], true
+				case bi == block:
+					w = max(w, f.weights[f.next])
+				}
+			}
+			if !found {
+				break
+			}
+			samples, values, slots := dp.ThrowBlock(dartBlockKey(seed, block), w, round)
+			for j := range jobs {
+				f := &jobs[j]
+				if f.next == len(f.idx) || f.idx[f.next] != block {
+					continue
+				}
+				fw, bv := f.weights[f.next], f.bvals[f.next]
+				f.next++
+				for d, i := range samples {
+					if v := values[d]; slots[d] <= fw && v < f.hashes[i] {
+						if math.IsInf(f.hashes[i], 1) {
+							f.missing--
+						}
+						f.hashes[i] = v
+						f.vals[i] = bv
 					}
-					hashes[i] = v
-					vals[i] = bv
 				}
 			}
 		}

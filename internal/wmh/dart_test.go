@@ -1,11 +1,13 @@
 package wmh
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -32,6 +34,142 @@ func TestDartBuilderMatchesNew(t *testing.T) {
 				sketchesEqual(t, &dst, want, "dart SketchInto")
 			}
 		}
+	}
+}
+
+// bundleVectors returns one key set under three weightings, as a table
+// bundle has it: the indicator, a value column with zeros (a strict subset
+// of the keys) and entries that round to weight 0, and its square.
+func bundleVectors(t testing.TB, dim uint64, rows int, seed uint64) []vector.Sparse {
+	t.Helper()
+	rng := hashing.NewSplitMix64(seed)
+	idx := make([]uint64, rows)
+	ones := make([]float64, rows)
+	vals := make([]float64, rows)
+	sqs := make([]float64, rows)
+	for i := range idx {
+		idx[i] = uint64(i)*(dim/uint64(rows)) + rng.Uint64()%(dim/uint64(rows))
+		ones[i] = 1
+		switch i % 9 {
+		case 2:
+			vals[i] = 0
+		case 5:
+			vals[i] = 1e-9
+		default:
+			vals[i] = 3 * rng.Norm()
+		}
+		sqs[i] = vals[i] * vals[i]
+	}
+	return []vector.Sparse{
+		vector.MustNew(dim, idx, ones),
+		vector.MustNew(dim, idx, vals),
+		vector.MustNew(dim, idx, sqs),
+	}
+}
+
+// TestSketchAllMatchesSketch: SketchAll's shared walk must reproduce every
+// vector's own sketch bitwise, for both constructions, on bundles, on
+// batches mixing dims (so resolved L changes mid-batch) and empty vectors,
+// and across calls that reuse the builder's scratch.
+func TestSketchAllMatchesSketch(t *testing.T) {
+	batches := [][]vector.Sparse{
+		bundleVectors(t, 1<<40, 400, 1),
+		bundleVectors(t, 1<<20, 1, 2),
+		append(bundleVectors(t, 1<<16, 50, 3), testVectors(t)...),
+	}
+	for _, p := range []Params{
+		{M: 97, Seed: 4, Dart: true},
+		{M: 97, Seed: 4, Dart: true, QuantizeValues: true},
+		{M: 31, Seed: 4},
+	} {
+		b, err := NewBuilder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for bi, vs := range batches {
+				got, err := b.SketchAll(vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(vs) {
+					t.Fatalf("%+v batch %d: %d sketches for %d vectors", p, bi, len(got), len(vs))
+				}
+				for k, v := range vs {
+					want, err := New(v, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sketchesEqual(t, got[k], want, fmt.Sprintf("%+v batch %d vector %d", p, bi, k))
+				}
+			}
+		}
+	}
+}
+
+// dartRounds counts the rounds fillDart runs for one vector alone: a
+// round-by-round replay of its dart minima under dp.
+func dartRounds(dp *hashing.DartProcess, seed uint64, bl blocks) int {
+	best := make([]float64, dp.M())
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	missing := len(best)
+	round := 0
+	for ; missing > 0 && round < dartMaxRounds; round++ {
+		for k := range bl.idx {
+			ss, vs, _ := dp.ThrowBlock(dartBlockKey(seed, bl.idx[k]), bl.weights[k], round)
+			for d, i := range ss {
+				if vs[d] < best[i] {
+					if math.IsInf(best[i], 1) {
+						missing--
+					}
+					best[i] = vs[d]
+				}
+			}
+		}
+	}
+	return round
+}
+
+// TestSketchAllFallbackRoundsDiffer runs the shared walk under a tiny dart
+// budget, where the vectors of one batch need different numbers of
+// fallback rounds: the vectors still missing samples must keep walking
+// after the others are complete and sit out, and every sketch must still
+// equal the one its vector gets alone under the same process.
+func TestSketchAllFallbackRoundsDiffer(t *testing.T) {
+	const l = 1 << 30
+	p := Params{M: 40, Seed: 77, L: l, Dart: true}
+	tiny := func() *hashing.DartProcess { return hashing.NewDartProcessBudget(p.M, l, 0.3) }
+	vs := append(bundleVectors(t, 1<<20, 30, 5), bundleVectors(t, 1<<20, 3, 6)...)
+	vs = append(vs, vector.MustNew(1<<20, []uint64{17}, []float64{2}))
+
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.dart, b.dartL = tiny(), l
+	got, err := b.SketchAll(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := map[int]bool{}
+	for k, v := range vs {
+		one, err := NewBuilder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.dart, one.dartL = tiny(), l
+		var want Sketch
+		if err := one.SketchInto(&want, v); err != nil {
+			t.Fatal(err)
+		}
+		sketchesEqual(t, got[k], &want, fmt.Sprintf("vector %d", k))
+		one.round(0, v)
+		rounds[dartRounds(one.dart, p.Seed, one.vecs[0])] = true
+	}
+	if len(rounds) < 2 {
+		t.Fatalf("every vector needed the same number of rounds %v; the budget does not exercise the walk's sit-out path", rounds)
 	}
 }
 

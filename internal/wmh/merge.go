@@ -88,15 +88,16 @@ func Shards(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
 	if n <= 0 {
 		return nil, errors.New("wmh: shard count must be positive")
 	}
-	hdr := b.round(v)
-	nb := len(b.idx)
+	hdr := b.round(0, v)
+	nb := len(b.vecs[0].idx)
 	chunk := (nb + n - 1) / n
 	out := make([]*Sketch, n)
 	for w := range out {
 		s := hdr
 		lo := min(w*chunk, nb)
-		b.fill(&s, lo, min(lo+chunk, nb))
+		b.queue(&s, 0, lo, min(lo+chunk, nb))
 		out[w] = &s
 	}
+	b.fill()
 	return out, nil
 }

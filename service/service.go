@@ -17,6 +17,7 @@ import (
 
 	ipsketch "repro"
 	"repro/internal/catalog"
+	"repro/internal/tables"
 	"repro/internal/wal"
 )
 
@@ -514,13 +515,17 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, code int, errCode string,
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Code: errCode})
 }
 
-// buildTable materializes a TablePayload.
-func buildTable(name string, p *TablePayload) (*ipsketch.Table, error) {
+// buildTable materializes a TablePayload and parses its aggregation. It
+// does not look for duplicate keys: sketching finds them in the sort it
+// already runs (tables.ErrDuplicateKeys), and sketchPayload aggregates only
+// then.
+func buildTable(name string, p *TablePayload) (*ipsketch.Table, ipsketch.Agg, error) {
+	var agg ipsketch.Agg
 	if p == nil {
-		return nil, errors.New("service: missing table payload")
+		return nil, agg, errors.New("service: missing table payload")
 	}
 	if (len(p.Keys) == 0) == (len(p.StringKeys) == 0) {
-		return nil, errors.New("service: exactly one of keys or string_keys must be set")
+		return nil, agg, errors.New("service: exactly one of keys or string_keys must be set")
 	}
 	keys := p.Keys
 	if len(p.StringKeys) > 0 {
@@ -531,34 +536,38 @@ func buildTable(name string, p *TablePayload) (*ipsketch.Table, error) {
 	}
 	t, err := ipsketch.NewTable(name, keys, p.Columns)
 	if err != nil {
-		return nil, err
+		return nil, agg, err
 	}
-	var agg ipsketch.Agg
 	if p.Agg != "" {
 		if err := agg.UnmarshalText([]byte(p.Agg)); err != nil {
-			return nil, err
+			return nil, agg, err
 		}
 	}
-	if t.HasDuplicateKeys() {
-		if p.Agg == "" {
-			return nil, errors.New("service: table has duplicate keys; set agg to reduce them")
-		}
-		return t.Aggregate(agg)
-	}
-	return t, nil
+	return t, agg, nil
 }
 
 // sketchPayload sketches the named columns (all when none are named) of a
 // raw-columns payload, with construction scratch drawn from the sketcher's
-// builder pool. The bundle carries the name it was given: aggregating
-// duplicate keys renames the table (name#agg), and a request must catalog,
-// log and answer under the name it addressed.
+// builder pool. A table with duplicate keys is aggregated with the
+// payload's agg and sketched again, or refused when it names none. The
+// bundle carries the name it was given: aggregating duplicate keys renames
+// the table (name#agg), and a request must catalog, log and answer under
+// the name it addressed.
 func (s *Server) sketchPayload(name string, p *TablePayload, cols ...string) (*ipsketch.TableSketch, error) {
-	t, err := buildTable(name, p)
+	t, agg, err := buildTable(name, p)
 	if err != nil {
 		return nil, err
 	}
 	tsk, err := s.sketcher.SketchTableChunked(t, cols...)
+	if errors.Is(err, tables.ErrDuplicateKeys) {
+		if p.Agg == "" {
+			return nil, errors.New("service: table has duplicate keys; set agg to reduce them")
+		}
+		if t, err = t.Aggregate(agg); err != nil {
+			return nil, err
+		}
+		tsk, err = s.sketcher.SketchTableChunked(t, cols...)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -467,6 +467,73 @@ func TestServiceIngestValidation(t *testing.T) {
 	}
 }
 
+// TestServiceDuplicateKeysAggregate: duplicate keys are found while the
+// table is sketched, not by a separate pass, so a raw PUT and an inline
+// search with duplicates plus agg must sketch exactly the aggregated table,
+// and without agg both stay a 400 that says to set one.
+func TestServiceDuplicateKeysAggregate(t *testing.T) {
+	ctx := context.Background()
+	srv, cl := newTestServer(t, service.Config{})
+	dup := service.TablePayload{
+		Keys:    []uint64{5, 3, 5, 9, 3, 5},
+		Columns: map[string][]float64{"v": {1, 2, 4, 8, 16, 32}, "w": {0, 1, 0, 2, 0, 3}},
+		Agg:     "max",
+	}
+	if _, err := cl.PutTable(ctx, "dup", dup); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := ipsketch.NewTableSketcher(testSketchCfg, testKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := ipsketch.NewTable("dup", []uint64{3, 5, 9}, map[string][]float64{"v": {16, 32, 8}, "w": {1, 3, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ts.SketchTable(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := srv.Catalog().Get("dup")
+	if !ok {
+		t.Fatal("aggregated table not cataloged under its path name")
+	}
+	gotBytes, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("PUT with duplicates and agg cataloged a different sketch than the aggregated table's")
+	}
+
+	// The inline query ranks exactly as the pre-aggregated table does.
+	plain := service.TablePayload{Keys: []uint64{3, 5, 9}, Columns: map[string][]float64{"v": {16, 32, 8}}}
+	wantHits, err := cl.Search(ctx, service.SearchRequest{Table: &plain, Column: "v", RankBy: "join_size"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotHits, err := cl.Search(ctx, service.SearchRequest{Table: &dup, Column: "v", RankBy: "join_size"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotHits) == 0 || fmt.Sprint(gotHits) != fmt.Sprint(wantHits) {
+		t.Fatalf("inline search with duplicates and agg: %+v, want %+v", gotHits, wantHits)
+	}
+
+	dup.Agg = ""
+	var ce *client.Error
+	if _, err := cl.PutTable(ctx, "dup2", dup); !errors.As(err, &ce) || ce.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "set agg") {
+		t.Fatalf("PUT with duplicates and no agg: err = %v, want a 400 asking for agg", err)
+	}
+	if _, err := cl.Search(ctx, service.SearchRequest{Table: &dup, Column: "v", RankBy: "join_size"}); !errors.As(err, &ce) || ce.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "set agg") {
+		t.Fatalf("search with duplicates and no agg: err = %v, want a 400 asking for agg", err)
+	}
+}
+
 // TestServiceSnapshotEndpoint: POST /snapshot persists, a fresh server
 // restores, and the restored rankings are bit-exact.
 func TestServiceSnapshotEndpoint(t *testing.T) {

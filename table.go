@@ -92,15 +92,22 @@ func (tsk *TableSketch) refreshColumns() {
 // (all columns when none are named). The table must have unique keys;
 // aggregate first otherwise.
 func (ts *TableSketcher) SketchTable(t *Table, cols ...string) (*TableSketch, error) {
-	return ts.sketchBundle(t, cols, ts.s.SketchAll)
+	b, err := ts.s.getBuilder()
+	if err != nil {
+		return nil, err
+	}
+	defer ts.s.putBuilder(b)
+	return ts.sketchBundle(t, cols, b)
 }
 
 // sketchBundle is the one body that builds a bundle: vectorize the table
 // once (Table.Vectors), hand the 1+2·|cols| vectors — x_1[K], then x_V and
-// x_{V²} per column — to engine, and assemble the sketches it returns in
-// that order. Every entry point differs only in the engine, and every
-// engine produces the same sketches.
-func (ts *TableSketcher) sketchBundle(t *Table, cols []string, engine func([]Vector) ([]*Sketch, error)) (*TableSketch, error) {
+// x_{V²} per column — to one builder call, and assemble the sketches it
+// returns in that order. Every entry point differs only in where the
+// builder comes from. The vectors share one key set, which is what lets
+// the WMH dart construction fill them from one walk; every sketch is
+// identical to Sketcher.Sketch of its own vector.
+func (ts *TableSketcher) sketchBundle(t *Table, cols []string, b builder) (*TableSketch, error) {
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
@@ -113,19 +120,21 @@ func (ts *TableSketcher) sketchBundle(t *Table, cols []string, engine func([]Vec
 	for i := range cols {
 		vecs = append(vecs, vals[i], sqs[i])
 	}
-	sks, err := engine(vecs)
+	ps, err := b.sketchBundle(vecs)
 	if err != nil {
 		return nil, err
 	}
+	method := ts.s.cfg.Method
 	out := &TableSketch{
 		Name:     t.Name(),
 		keySpace: ts.keySpace,
-		key:      sks[0],
+		key:      &Sketch{method: method, payload: ps[0]},
 		val:      make(map[string]*Sketch, len(cols)),
 		sqVal:    make(map[string]*Sketch, len(cols)),
 	}
 	for i, c := range cols {
-		out.val[c], out.sqVal[c] = sks[1+2*i], sks[2+2*i]
+		out.val[c] = &Sketch{method: method, payload: ps[1+2*i]}
+		out.sqVal[c] = &Sketch{method: method, payload: ps[2+2*i]}
 	}
 	out.refreshColumns()
 	return out, nil
@@ -152,16 +161,7 @@ func (ts *TableSketcher) NewBuilder() (*TableSketchBuilder, error) {
 
 // SketchTable sketches the table with the builder's reused scratch.
 func (tb *TableSketchBuilder) SketchTable(t *Table, cols ...string) (*TableSketch, error) {
-	return tb.ts.sketchBundle(t, cols, func(vs []Vector) ([]*Sketch, error) {
-		out := make([]*Sketch, len(vs))
-		for i, v := range vs {
-			var err error
-			if out[i], err = tb.ts.s.build(tb.b, v); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
+	return tb.ts.sketchBundle(t, cols, tb.b)
 }
 
 // SketchTableChunked is SketchTable under the name the serving layer and

@@ -2,7 +2,10 @@ package ipsketch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/hashing"
@@ -216,9 +219,208 @@ func TestEstimateJoinStatsPaperFigure2(t *testing.T) {
 	}
 }
 
+// bundleTestTable builds a table whose bundle vectors differ in support and
+// weights: column a has zeros (so x_V's support is a strict subset of the
+// keys), b has entries that round to weight 0 at any L ≤ 2⁵⁰, and z is all
+// zeros (empty x_V and x_{V²}). Keys are spread over keySpace, unsorted.
+func bundleTestTable(t testing.TB, keySpace uint64, rows int, seed uint64) *Table {
+	t.Helper()
+	rng := hashing.NewSplitMix64(seed)
+	stride := keySpace / uint64(rows)
+	keys := make([]uint64, rows)
+	a, b, z := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+	for i := range keys {
+		keys[i] = uint64(rows-1-i)*stride + rng.Uint64()%stride
+		a[i], b[i] = rng.Norm(), 5+rng.Norm()
+		if i%4 == 1 {
+			a[i] = 0
+		}
+		if i%7 == 3 {
+			b[i] = 1e-9
+		}
+	}
+	tab, err := NewTable("bundle", keys, map[string][]float64{"a": a, "b": b, "z": z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestSketchTableMatchesSketchPerVector: every table entry point sketches
+// a bundle with one builder call — for dart WMH, one shared walk over the
+// key set — and each sketch must still be byte-identical to Sketcher.Sketch
+// of its own vector, across 1–3 columns, a one-row table, key spaces whose
+// resolved L differs (2²⁰) or hits MaxL (2⁴⁰, 2⁶³), and 1 or 2 cores.
+func TestSketchTableMatchesSketchPerVector(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfgs := []Config{
+		{Method: MethodWMH, StorageWords: 400, Seed: 1, Dart: true},
+		{Method: MethodWMH, StorageWords: 120, Seed: 2, Dart: true, Quantize: true},
+		{Method: MethodWMH, StorageWords: 64, Seed: 3},
+		{Method: MethodPS, StorageWords: 64, Seed: 4},
+	}
+	colSets := [][]string{{"a"}, {"b", "z"}, {"a", "b", "z"}}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, keySpace := range []uint64{1 << 20, 1 << 40, DefaultKeySpace} {
+			tabs := []*Table{bundleTestTable(t, keySpace, 300, keySpace), bundleTestTable(t, keySpace, 1, 9)}
+			for _, cfg := range cfgs {
+				ts, err := NewTableSketcher(cfg, keySpace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb, err := ts.NewBuilder()
+				if err != nil {
+					t.Fatal(err)
+				}
+				paths := []struct {
+					name   string
+					sketch func(*Table, ...string) (*TableSketch, error)
+				}{{"SketchTable", ts.SketchTable}, {"SketchTableChunked", ts.SketchTableChunked}, {"builder", tb.SketchTable}}
+				for ti, tab := range tabs {
+					for _, cols := range colSets {
+						key, vals, sqs, err := tab.Vectors(keySpace, cols)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := func(v Vector) []byte {
+							sk, err := ts.s.Sketch(v)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return mustBytes(t, sk)
+						}
+						for _, p := range paths {
+							what := fmt.Sprintf("procs %d keyspace %d %+v table %d cols %v %s", procs, keySpace, cfg, ti, cols, p.name)
+							got, err := p.sketch(tab, cols...)
+							if err != nil {
+								t.Fatalf("%s: %v", what, err)
+							}
+							if !bytes.Equal(mustBytes(t, got.KeySketch()), want(key)) {
+								t.Fatalf("%s: key sketch differs from Sketch(x_1[K])", what)
+							}
+							for c, col := range cols {
+								v, err := got.ColumnSketch(col)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !bytes.Equal(mustBytes(t, v), want(vals[c])) {
+									t.Fatalf("%s: column %q sketch differs from Sketch(x_V)", what, col)
+								}
+								if !bytes.Equal(mustBytes(t, got.sqVal[col]), want(sqs[c])) {
+									t.Fatalf("%s: column %q squared sketch differs from Sketch(x_V²)", what, col)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTableSketchBuilderAllocs pins the allocations of a warm
+// TableSketchBuilder.SketchTable in the served configuration (dart WMH,
+// 400 words, DefaultKeySpace). The counts are those of sketching the three
+// or five vectors one at a time; sketching them in one call must not add
+// any.
+func TestTableSketchBuilderAllocs(t *testing.T) {
+	rng := hashing.NewSplitMix64(41)
+	const rows = 500
+	keys := make([]uint64, rows)
+	a, b := make([]float64, rows), make([]float64, rows)
+	for i := range keys {
+		keys[i] = rng.Uint64() >> 1
+		a[i], b[i] = rng.Norm(), float64(i%5)
+	}
+	tab, err := NewTable("allocs", keys, map[string][]float64{"a": a, "b": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: 1, Dart: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := ts.NewBuilder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cols []string
+		max  float64
+	}{{[]string{"a"}, 50}, {[]string{"a", "b"}, 80}} {
+		if _, err := tb.SketchTable(tab, tc.cols...); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tb.SketchTable(tab, tc.cols...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("warm SketchTable of %d columns allocates %v times per run, want ≤ %v", len(tc.cols), allocs, tc.max)
+		}
+	}
+}
+
+// TestBundleDartWalkSpeedupSmoke is the CI perf gate for the shared dart
+// walk: in the served configuration (dart WMH, 400 words, DefaultKeySpace,
+// so L = 2⁵⁰) a 2000-row, one-column bundle must sketch at least 1.4×
+// faster than vectorizing the table and sketching its three vectors with
+// three separate Sketch calls. Opt-in via IPSKETCH_BENCH_SMOKE=1:
+// wall-clock assertions do not belong in the default `go test` run.
+func TestBundleDartWalkSpeedupSmoke(t *testing.T) {
+	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
+		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the bundle dart walk gate")
+	}
+	tab := bundleTestTable(t, DefaultKeySpace, 2000, 3)
+	ts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: 1, Dart: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := ts.NewBuilder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(f func() error) float64 {
+		if err := f(); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		return float64(res.NsPerOp())
+	}
+	bundle := measure(func() error {
+		_, err := tb.SketchTable(tab, "a")
+		return err
+	})
+	separate := measure(func() error {
+		key, vals, sqs, err := tab.Vectors(DefaultKeySpace, []string{"a"})
+		if err != nil {
+			return err
+		}
+		for _, v := range []Vector{key, vals[0], sqs[0]} {
+			if _, err := ts.s.Sketch(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t.Logf("bundle %.2fms, three Sketch calls %.2fms, speedup %.2f×", bundle/1e6, separate/1e6, separate/bundle)
+	if bundle*1.4 > separate {
+		t.Fatalf("bundle only %.2f× faster than three Sketch calls (%.2fms vs %.2fms), want ≥1.4×",
+			separate/bundle, bundle/1e6, separate/1e6)
+	}
+}
+
 // TestSketchTablePathsAgree: the three table entry points are one bundle
-// body under three engines (SketchAll, a held builder, and SketchAll again
-// under the serving layer's name), so for every method they must marshal
+// body with the builder drawn from the pool or held, so for every method
+// they must marshal
 // to identical bytes — with and without an explicit column subset — on a
 // table whose vectors differ in support: a zero drops out of x_V, an
 // underflowed square out of x_{V²} only.
