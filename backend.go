@@ -108,8 +108,8 @@ type backend struct {
 	merge func(a, b payload) (payload, error)
 	// shards builds n mergeable partials of one vector for methods whose
 	// construction normalizes by the vector's own statistics (WMH's
-	// rounded blocks, ICWS's weights): the partials must share the
-	// parent's normalization, which only the family package can arrange.
+	// rounded blocks): the partials must share the parent's
+	// normalization, which only the family package can arrange.
 	// Other mergeable methods are sharded by slicing the support.
 	shards func(cfg Config, size int, v Vector, n int) ([]payload, error)
 	// joinSize is a dedicated |A∩B| estimator that beats the generic
@@ -185,21 +185,27 @@ type columnarPack interface {
 // backends is the registry, indexed by Method: one descriptor per method,
 // declared in the backend_*.go file of its family. Methods() and the
 // numMethods sentinel stay the single source of truth for how many slots
-// exist.
+// exist; the retired slot methodICWSRemoved has no descriptor.
 var backends = [numMethods]*backend{
 	MethodWMH:         wmhBackend,
 	MethodMH:          mhBackend,
 	MethodKMV:         kmvBackend,
 	MethodJL:          jlBackend,
 	MethodCountSketch: csBackend,
-	MethodICWS:        cwsBackend,
 	MethodSimHash:     simHashBackend,
 	MethodPS:          psampleBackend(psample.Priority, "PS"),
 	MethodTS:          psampleBackend(psample.Threshold, "TS"),
 }
 
+// errICWSRemoved is what every entry point reports for the retired ICWS
+// slot, so an old sketch or snapshot says why it no longer decodes.
+var errICWSRemoved = errors.New("ipsketch: method 5: ICWS was removed; re-sketch the source data with another method")
+
 // backendFor resolves a method to its descriptor.
 func backendFor(m Method) (*backend, error) {
+	if m == methodICWSRemoved {
+		return nil, errICWSRemoved
+	}
 	if m < 0 || m >= numMethods || backends[m] == nil {
 		return nil, fmt.Errorf("ipsketch: unknown method %d", int(m))
 	}

@@ -1,6 +1,7 @@
 package ipsketch
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -9,12 +10,18 @@ import (
 // descriptor, every pairwise estimator rejects incompatible pairs, and
 // capability surfaces fail uniformly for methods that lack them.
 
-// TestRegistryCoversEveryMethod: every slot holds a descriptor whose
-// required operations are all set — a struct, unlike an interface, does
-// not force a method to exist.
+// TestRegistryCoversEveryMethod: every slot but the retired ICWS one holds
+// a descriptor whose required operations are all set — a struct, unlike
+// an interface, does not force a method to exist.
 func TestRegistryCoversEveryMethod(t *testing.T) {
-	for _, m := range Methods() {
+	for m := Method(0); m < numMethods; m++ {
 		be, err := backendFor(m)
+		if m == methodICWSRemoved {
+			if backends[m] != nil || !errors.Is(err, errICWSRemoved) {
+				t.Errorf("retired slot %d: descriptor %v, err %v; want none and errICWSRemoved", int(m), backends[m], err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%d: no backend registered: %v", int(m), err)
 		}
@@ -138,7 +145,7 @@ func TestEstimateRejectsDimensionMismatch(t *testing.T) {
 // rest — including methods added after the dispatch sites were written.
 func TestCapabilitySurfaces(t *testing.T) {
 	a, b := paperPair(t, 0.3, 5)
-	hasSimilarity := map[Method]bool{MethodWMH: true, MethodMH: true, MethodKMV: true, MethodICWS: true}
+	hasSimilarity := map[Method]bool{MethodWMH: true, MethodMH: true, MethodKMV: true}
 	hasCardinality := map[Method]bool{MethodMH: true, MethodKMV: true}
 	hasBound := map[Method]bool{MethodWMH: true}
 	for _, m := range Methods() {

@@ -93,12 +93,11 @@ func (s *Sketcher) sketchRange(vs []Vector, out []*Sketch, errs []error, lo, hi 
 // builder already spreads one large vector over the cores (DESIGN.md
 // §10.2).
 //
-// Methods whose construction normalizes per vector (WMH, ICWS) shard
-// inside the family package, which rounds or norms the parent once and
-// fills each partial from a range of it; everything else sketches the
-// sub-vectors directly with pooled builders, concurrently across the
-// worker pool. Methods without merge support (SimHash) fail with
-// ErrNotMergeable.
+// A method whose construction normalizes per vector (WMH) shards inside
+// the family package, which rounds the parent once and fills each partial
+// from a range of it; everything else sketches the sub-vectors directly
+// with pooled builders, concurrently across the worker pool. Methods
+// without merge support (SimHash) fail with ErrNotMergeable.
 func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 	if n <= 0 {
 		return nil, errors.New("ipsketch: shard count must be positive")

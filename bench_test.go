@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	ipsketch "repro"
-	"repro/internal/cws"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/hashing"
@@ -161,7 +160,6 @@ func BenchmarkSketch_MH(b *testing.B)          { benchSketch(b, ipsketch.MethodM
 func BenchmarkSketch_KMV(b *testing.B)         { benchSketch(b, ipsketch.MethodKMV, 400) }
 func BenchmarkSketch_JL(b *testing.B)          { benchSketch(b, ipsketch.MethodJL, 400) }
 func BenchmarkSketch_CountSketch(b *testing.B) { benchSketch(b, ipsketch.MethodCountSketch, 400) }
-func BenchmarkSketch_ICWS(b *testing.B)        { benchSketch(b, ipsketch.MethodICWS, 400) }
 func BenchmarkSketch_SimHash(b *testing.B)     { benchSketch(b, ipsketch.MethodSimHash, 9) }
 func BenchmarkSketch_PS(b *testing.B)          { benchSketch(b, ipsketch.MethodPS, 400) }
 func BenchmarkSketch_TS(b *testing.B)          { benchSketch(b, ipsketch.MethodTS, 400) }
@@ -193,7 +191,6 @@ func BenchmarkEstimate_MH(b *testing.B)          { benchEstimate(b, ipsketch.Met
 func BenchmarkEstimate_KMV(b *testing.B)         { benchEstimate(b, ipsketch.MethodKMV, 400) }
 func BenchmarkEstimate_JL(b *testing.B)          { benchEstimate(b, ipsketch.MethodJL, 400) }
 func BenchmarkEstimate_CountSketch(b *testing.B) { benchEstimate(b, ipsketch.MethodCountSketch, 400) }
-func BenchmarkEstimate_ICWS(b *testing.B)        { benchEstimate(b, ipsketch.MethodICWS, 400) }
 func BenchmarkEstimate_SimHash(b *testing.B)     { benchEstimate(b, ipsketch.MethodSimHash, 9) }
 func BenchmarkEstimate_PS(b *testing.B)          { benchEstimate(b, ipsketch.MethodPS, 400) }
 func BenchmarkEstimate_TS(b *testing.B)          { benchEstimate(b, ipsketch.MethodTS, 400) }
@@ -315,44 +312,6 @@ func BenchmarkSketchMH_Batch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vs)), "ns/vec")
 }
 
-func BenchmarkSketchICWS_Batch(b *testing.B) {
-	vs := engineVectors(b, 8)
-	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodICWS, StorageWords: engineStorage, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SketchAll(vs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vs)), "ns/vec")
-}
-
-// BenchmarkSketchICWS_Builder is the ICWS allocation/latency regression
-// guard: the warm reusable path at engine scale, allocs reported so a
-// scratch-reuse regression shows up as allocs/op > 0 in BENCH_N.json.
-func BenchmarkSketchICWS_Builder(b *testing.B) {
-	v := engineVectors(b, 1)[0]
-	bu, err := cws.NewBuilder(cws.Params{M: 240, Seed: 1}) // ⇒ (601−1)/2.5 samples
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dst cws.Sketch
-	if err := bu.SketchInto(&dst, v); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bu.SketchInto(&dst, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEstimateMany_WMH(b *testing.B) {
 	vs := engineVectors(b, 32)
 	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1})
@@ -432,7 +391,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // next to their package-qualified uses above.
 const RankByJoinSizeBench = ipsketch.RankByJoinSize
 
-// --- Ablations (DESIGN.md A1–A5) ---
+// --- Ablations (DESIGN.md A1–A6; A3 is in internal/wmh) ---
 
 // A1: FM union estimator (paper Algorithm 5) vs the unit-norm identity
 // M = 2/(1+J̄).
@@ -488,67 +447,6 @@ func BenchmarkAblation_DiscretizationL(b *testing.B) {
 			b.ReportMetric(sum/float64(b.N), "err/op")
 		})
 	}
-}
-
-// A3: fast active-index record process vs naive O(L) slot hashing. A
-// low-nnz vector makes per-block weights large (w ≈ L/nnz), which is where
-// naive slot hashing pays O(w) and the record process pays O(log w).
-func BenchmarkAblation_FastVsNaive(b *testing.B) {
-	pp := datagen.PaperPairParams(0.1, 1)
-	pp.NNZ = 50
-	av, _, err := datagen.SyntheticPair(pp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := wmh.Params{M: 64, Seed: 1, L: 1 << 16} // small L so naive is feasible
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wmh.New(av, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wmh.NewNaive(av, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// A4: WMH (discretized expansion) vs ICWS (continuous weights) at equal
-// storage.
-func BenchmarkAblation_ICWS(b *testing.B) {
-	av, bv := paperVectors(b, 0.1)
-	truth := vector.Dot(av, bv)
-	scale := av.Norm() * bv.Norm()
-	var errWMH, errICWS float64
-	n := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range []ipsketch.Method{ipsketch.MethodWMH, ipsketch.MethodICWS} {
-			s, err := ipsketch.NewSketcher(ipsketch.Config{Method: m, StorageWords: 400, Seed: uint64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sa, _ := s.Sketch(av)
-			sb, _ := s.Sketch(bv)
-			est, err := ipsketch.Estimate(sa, sb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := math.Abs(est-truth) / scale
-			if m == ipsketch.MethodWMH {
-				errWMH += e
-			} else {
-				errICWS += e
-			}
-		}
-		n++
-	}
-	b.ReportMetric(errWMH/float64(n), "errWMH/op")
-	b.ReportMetric(errICWS/float64(n), "errICWS/op")
 }
 
 // A6: full 64-bit values vs 32-bit quantized values at EQUAL storage —
@@ -642,7 +540,7 @@ func log2(x uint64) int {
 //
 // benchMerge times the merge hot path per method family: two partial
 // sketches of disjoint halves of the paper workload folded into one.
-// WMH/ICWS partials come from SketchShards (the shard contract); the
+// WMH partials come from SketchShards (the shard contract); the
 // coordinate-keyed and linear families merge independently built halves.
 
 func benchMerge(b *testing.B, cfg ipsketch.Config) {
@@ -653,7 +551,7 @@ func benchMerge(b *testing.B, cfg ipsketch.Config) {
 	}
 	var sa, sb *ipsketch.Sketch
 	switch cfg.Method {
-	case ipsketch.MethodWMH, ipsketch.MethodICWS:
+	case ipsketch.MethodWMH:
 		shards, err := s.SketchShards(av, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -687,9 +585,6 @@ func BenchmarkMerge_MH(b *testing.B) {
 }
 func BenchmarkMerge_KMV(b *testing.B) {
 	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodKMV, StorageWords: 400, Seed: 1})
-}
-func BenchmarkMerge_ICWS(b *testing.B) {
-	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodICWS, StorageWords: 400, Seed: 1})
 }
 func BenchmarkMerge_PS(b *testing.B) {
 	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodPS, StorageWords: 400, Seed: 1})

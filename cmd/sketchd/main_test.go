@@ -224,6 +224,11 @@ func TestSketchdRejectsBadFlags(t *testing.T) {
 	if err == nil {
 		t.Fatal("zero storage accepted")
 	}
+	// ICWS was removed; its name no longer parses as a method.
+	err = run(context.Background(), []string{"-method", "ICWS"}, testWriter{t}, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("-method ICWS: err = %v, want the unknown-method error", err)
+	}
 	// The polynomial-log record process and its flag were removed; the
 	// flag package must say so rather than the daemon ignoring it.
 	err = run(context.Background(), []string{"-fasthash"}, testWriter{t}, nil)

@@ -28,6 +28,9 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	// must round-trip).
 	f.Add(marshalFixture(f, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}))
 	f.Add(retiredVariantBlob(f))
+	// The retired ICWS method byte: it must reject, and its neighbors
+	// (SimHash, PS) must decode or reject cleanly.
+	f.Add(retiredICWSBlob(f))
 	f.Add([]byte{})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 0})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 200, 1, 2, 3})
@@ -84,6 +87,10 @@ func FuzzMerge(f *testing.F) {
 	retired := retiredVariantBlob(f)
 	f.Add(retired, retired)
 	f.Add(blobs[0], retired)
+	// Likewise the retired ICWS method's golden sketch.
+	icws := retiredICWSBlob(f)
+	f.Add(icws, icws)
+	f.Add(blobs[0], icws)
 	f.Add([]byte{}, blobs[0])
 	f.Add(blobs[0][:len(blobs[0])/2], blobs[0])
 

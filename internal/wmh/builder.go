@@ -7,8 +7,8 @@ import (
 	"repro/internal/vector"
 )
 
-// Builder is the one construction body of the package: New, NewNaive and
-// Shards are one-off Builders. It sketches vectors under one fixed Params
+// Builder is the one construction body of the package: New and Shards
+// are one-off Builders. It sketches vectors under one fixed Params
 // without allocating after warm-up: the per-vector rounding scratch, the
 // fill queue, and the per-sample key prefixes are owned by the Builder and
 // reused across vectors. SketchInto additionally reuses the destination
@@ -55,15 +55,11 @@ type fillJob struct {
 // NewBuilder validates p and returns a reusable sketch builder for the
 // fast active-index construction (or the dart construction when p.Dart).
 func NewBuilder(p Params) (*Builder, error) {
-	return newBuilder(p, p.variant())
-}
-
-func newBuilder(p Params, vr variant) (*Builder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Builder{p: p, vr: vr}
-	if vr != variantDart {
+	b := &Builder{p: p, vr: p.variant()}
+	if b.vr != variantDart {
 		b.skeys = sampleKeys(nil, p.Seed, p.M)
 	}
 	return b, nil
@@ -164,10 +160,10 @@ func (b *Builder) queue(dst *Sketch, k, lo, hi int) {
 
 // fill computes the samples of every queued sketch and empties the queue.
 // The dart variant walks each run of queued sketches sharing one resolved
-// L together (dart.go). The record-process variants fill one sketch at a
-// time and split its samples across workers when it is large enough to pay
-// for the goroutines — bitwise identical, because each sample's randomness
-// is keyed by its own index, not by shared stream state.
+// L together (dart.go). The record process fills one sketch at a time and
+// splits its samples across workers when it is large enough to pay for the
+// goroutines — bitwise identical, because each sample's randomness is
+// keyed by its own index, not by shared stream state.
 func (b *Builder) fill() {
 	jobs := b.jobs
 	m := b.p.M
@@ -184,11 +180,11 @@ func (b *Builder) fill() {
 			fillDart(jobs[lo:hi], b.p.Seed, b.dart)
 		case len(jobs[lo].idx)*m < hashing.FanOutWork:
 			j := &jobs[lo]
-			fillBlockMajor(j.hashes, j.vals, b.skeys, j.idx, j.weights, j.bvals, b.vr)
+			fillBlockMajor(j.hashes, j.vals, b.skeys, j.idx, j.weights, j.bvals)
 		default:
 			j := &jobs[lo]
 			hashing.ParallelChunks(m, func(sLo, sHi int) {
-				fillBlockMajor(j.hashes[sLo:sHi], j.vals[sLo:sHi], b.skeys[sLo:sHi], j.idx, j.weights, j.bvals, b.vr)
+				fillBlockMajor(j.hashes[sLo:sHi], j.vals[sLo:sHi], b.skeys[sLo:sHi], j.idx, j.weights, j.bvals)
 			})
 		}
 		lo = hi

@@ -203,12 +203,8 @@ func TestDartSamplesAlwaysPopulated(t *testing.T) {
 }
 
 // TestDartIncompatibleAcrossVariants: dart sketches must refuse comparison
-// with the record-process variant, and the naive reference rejects the
-// flag up front.
+// with the record-process variant.
 func TestDartIncompatibleAcrossVariants(t *testing.T) {
-	if _, err := NewNaive(testVectors(t)[2], Params{M: 8, Seed: 1, Dart: true}); err == nil {
-		t.Fatal("NewNaive accepted Dart params")
-	}
 	v := testVectors(t)[2]
 	dart, err := New(v, Params{M: 8, Seed: 1, Dart: true})
 	if err != nil {

@@ -98,7 +98,9 @@ type variant uint8
 const (
 	// variantFast is the active-index record process.
 	variantFast variant = 0
-	// variantNaive hashes every active slot explicitly (tests/ablations).
+	// variantNaive hashes every active slot explicitly. Only the tests
+	// build it, as the literal reading of Algorithm 3 the record process
+	// is checked against; its sketches still decode.
 	variantNaive variant = 1
 	// variantRemoved was a polynomial-log record process. The value stays
 	// reserved — blockKey and dartBlockKey mix the variant into the stream
@@ -136,22 +138,6 @@ type Sketch struct {
 // one-off Builder.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
 	b, err := NewBuilder(p)
-	if err != nil {
-		return nil, err
-	}
-	return b.Sketch(v)
-}
-
-// NewNaive sketches v by explicitly hashing every active slot of every
-// block — a literal reading of Algorithm 3 costing O(L) per sample. It
-// exists as a reference implementation for tests and the fast-vs-naive
-// ablation; use New for anything else. Fast and naive sketches cannot be
-// compared with each other (different randomness).
-func NewNaive(v vector.Sparse, p Params) (*Sketch, error) {
-	if p.Dart {
-		return nil, errors.New("wmh: Dart does not apply to the naive construction")
-	}
-	b, err := newBuilder(p, variantNaive)
 	if err != nil {
 		return nil, err
 	}
@@ -213,32 +199,21 @@ func roundedValues(buf []float64, v vector.Sparse, idx, weights []uint64, l uint
 // derives each pair key with two mixes off the per-sample prefix, and
 // produces output bitwise identical to the sample-major loop (the running
 // minimum takes the first strictly smaller hash in block order either way).
-func fillBlockMajor(hashes, vals []float64, skeys []uint64, idx, weights []uint64, bvals []float64, vr variant) {
+func fillBlockMajor(hashes, vals []float64, skeys []uint64, idx, weights []uint64, bvals []float64) {
 	for i := range hashes {
 		hashes[i] = math.Inf(1)
 		vals[i] = 0
 	}
-	tag := 0x776d68 + uint64(vr) /* "wmh" */
+	tag := 0x776d68 + uint64(variantFast) /* "wmh" */
 	for k := range idx {
 		block := idx[k]
 		w := weights[k]
 		bv := bvals[k]
-		switch vr {
-		case variantFast:
-			for i := range skeys {
-				key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
-				if h := hashing.PrefixMin(key, w); h < hashes[i] {
-					hashes[i] = h
-					vals[i] = bv
-				}
-			}
-		default:
-			for i := range skeys {
-				key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
-				if h := hashing.BlockMinNaive(key, w); h < hashes[i] {
-					hashes[i] = h
-					vals[i] = bv
-				}
+		for i := range skeys {
+			key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
+			if h := hashing.PrefixMin(key, w); h < hashes[i] {
+				hashes[i] = h
+				vals[i] = bv
 			}
 		}
 	}

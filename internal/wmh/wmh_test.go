@@ -51,11 +51,7 @@ func TestIncompatibleSketchesRejected(t *testing.T) {
 		"l":    mustSketch(t, v, Params{M: 16, Seed: 1, L: 1 << 17}),
 		"dim":  mustSketch(t, w, base),
 	}
-	naive, err := NewNaive(v, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases["variant"] = naive
+	cases["variant"] = buildSampleMajor(v, base, variantNaive)
 	for name, other := range cases {
 		if _, err := Estimate(a, other); err == nil {
 			t.Errorf("%s mismatch not rejected", name)
@@ -313,11 +309,8 @@ func TestFastAndNaiveAgreeStatistically(t *testing.T) {
 		p := Params{M: 256, Seed: uint64(trial), L: 1 << 10}
 		fa, _ := New(a, p)
 		fb, _ := New(b, p)
-		na, err := NewNaive(a, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, _ := NewNaive(b, p)
+		na := buildSampleMajor(a, p, variantNaive)
+		nb := buildSampleMajor(b, p, variantNaive)
 		ef, err := Estimate(fa, fb)
 		if err != nil {
 			t.Fatal(err)

@@ -100,8 +100,8 @@ func WMHBound(a, b Vector) float64 { return vector.WMHBound(a, b) }
 type Method int
 
 // Available methods. The first five are the paper's experimental lineup;
-// MethodICWS and MethodSimHash are extensions, and MethodPS / MethodTS are
-// the follow-up paper's sampling sketches (see DESIGN.md §2).
+// MethodSimHash is an extension, and MethodPS / MethodTS are the follow-up
+// paper's sampling sketches (see DESIGN.md §2).
 const (
 	// MethodWMH is the paper's Weighted MinHash sketch (Algorithms 3–5).
 	MethodWMH Method = iota
@@ -113,9 +113,11 @@ const (
 	MethodJL
 	// MethodCountSketch is CountSketch with median-of-5 repetitions.
 	MethodCountSketch
-	// MethodICWS is consistent weighted sampling (Ioffe), an alternative
-	// weighted-minhash backend with no discretization parameter.
-	MethodICWS
+	// methodICWSRemoved holds the slot of the retired ICWS method (Ioffe's
+	// consistent weighted sampling), so the methods after it keep their
+	// envelope bytes. It has no descriptor: Methods skips it and decoding
+	// its method byte fails with errICWSRemoved.
+	methodICWSRemoved
 	// MethodSimHash is the 1-bit quantized random projection.
 	MethodSimHash
 	// MethodPS is coordinated priority sampling: the k smallest ranks
@@ -157,7 +159,9 @@ func (m *Method) UnmarshalText(text []byte) error {
 func Methods() []Method {
 	out := make([]Method, 0, numMethods)
 	for m := Method(0); m < numMethods; m++ {
-		out = append(out, m)
+		if backends[m] != nil {
+			out = append(out, m)
+		}
 	}
 	return out
 }

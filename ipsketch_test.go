@@ -20,8 +20,7 @@ func paperPair(t *testing.T, overlap float64, seed uint64) (Vector, Vector) {
 func TestMethodStrings(t *testing.T) {
 	want := map[Method]string{
 		MethodWMH: "WMH", MethodMH: "MH", MethodKMV: "KMV",
-		MethodJL: "JL", MethodCountSketch: "CS",
-		MethodICWS: "ICWS", MethodSimHash: "SimHash",
+		MethodJL: "JL", MethodCountSketch: "CS", MethodSimHash: "SimHash",
 		MethodPS: "PS", MethodTS: "TS",
 	}
 	for m, s := range want {
@@ -57,7 +56,7 @@ func TestMethodTextRoundTrip(t *testing.T) {
 }
 
 func TestMethodsLists(t *testing.T) {
-	if len(Methods()) != int(numMethods) {
+	if len(Methods()) != int(numMethods)-1 { // all but the retired ICWS slot
 		t.Fatalf("Methods() has %d entries", len(Methods()))
 	}
 	pm := PaperMethods()
@@ -102,7 +101,6 @@ func TestStorageAccounting(t *testing.T) {
 		{Config{Method: MethodWMH, StorageWords: 301}, 200}, // norm word charged
 		{Config{Method: MethodWMH, StorageWords: 301, Quantize: true}, 300},
 		{Config{Method: MethodSimHash, StorageWords: 5}, 256},
-		{Config{Method: MethodICWS, StorageWords: 251}, 100},
 	}
 	for _, c := range cases {
 		s, err := NewSketcher(c.cfg)

@@ -18,7 +18,7 @@ import (
 //	PS, TS         union of the coordinated samples with exact threshold
 //	               reconciliation (PS re-derives the union's rank
 //	               threshold; TS re-filters under the reconciled norm).
-//	WMH, ICWS      union-min, but the construction normalizes by the
+//	WMH            union-min, but the construction normalizes by the
 //	               vector's norm, so partials must be built against the
 //	               parent's normalization via SketchShards; merging
 //	               independently normalized sketches fails loudly.
@@ -43,7 +43,7 @@ func (m Method) Mergeable() bool {
 // sketching the combined vector would produce. It fails for methods
 // without merge support (SimHash), for incompatible inputs (method, size,
 // seed, or variant mismatches — the same checks Estimate runs), and for
-// inputs that cannot be partials of one vector (WMH/ICWS sketches with
+// inputs that cannot be partials of one vector (WMH sketches with
 // different stored norms). Neither input is modified.
 func (sk *Sketch) Merge(other *Sketch) (*Sketch, error) {
 	be, err := pairBackend(sk, other)

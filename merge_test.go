@@ -25,7 +25,6 @@ func mergeableConfigs(budget int) []struct {
 		{"wmh-quantize", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, Quantize: true}},
 		{"mh", Config{Method: MethodMH, StorageWords: budget, Seed: 7}},
 		{"kmv", Config{Method: MethodKMV, StorageWords: budget, Seed: 7}},
-		{"icws", Config{Method: MethodICWS, StorageWords: budget, Seed: 7}},
 		{"ps", Config{Method: MethodPS, StorageWords: budget, Seed: 7}},
 		{"ts", Config{Method: MethodTS, StorageWords: budget, Seed: 7}},
 		{"jl", Config{Method: MethodJL, StorageWords: budget, Seed: 7}},
@@ -145,8 +144,8 @@ func TestMergeVsRebuildEquivalence(t *testing.T) {
 // the families whose randomness is keyed purely by coordinates (MH, KMV,
 // PS, TS) or that are linear (JL, CS), sketches of disjoint sub-vectors
 // built INDEPENDENTLY — no shared parent context — merge into exactly the
-// sketch of the sum. WMH and ICWS normalize per vector, so their
-// independently built partials must be rejected loudly instead.
+// sketch of the sum. WMH normalizes per vector, so its independently
+// built partials must be rejected loudly instead.
 func TestMergeIndependentPartials(t *testing.T) {
 	v := intTestVector(t, 1<<20, 47, 300)
 	half := v.NNZ() / 2
@@ -166,8 +165,7 @@ func TestMergeIndependentPartials(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch tc.cfg.Method {
-			case MethodWMH, MethodICWS:
+			if tc.cfg.Method == MethodWMH {
 				if _, err := sa.Merge(sb); err == nil {
 					t.Fatal("independently normalized partials merged silently")
 				}
@@ -390,12 +388,11 @@ func TestMergeErrors(t *testing.T) {
 func TestMergeAllocs(t *testing.T) {
 	v := intTestVector(t, 1<<20, 51, 300)
 	half := v.NNZ() / 2
-	// Measured: WMH/MH/KMV 4, ICWS/TS 5, PS 6, JL 3, CS 1+reps rows+2.
+	// Measured: WMH/MH/KMV 4, TS 5, PS 6, JL 3, CS 1+reps rows+2.
 	budgets := map[Method]float64{
 		MethodWMH:         4,
 		MethodMH:          4,
 		MethodKMV:         4,
-		MethodICWS:        5,
 		MethodPS:          7,
 		MethodTS:          6,
 		MethodJL:          3,
@@ -409,7 +406,7 @@ func TestMergeAllocs(t *testing.T) {
 			}
 			var a, b *Sketch
 			switch tc.cfg.Method {
-			case MethodWMH, MethodICWS:
+			case MethodWMH:
 				shards, err := s.SketchShards(v, 2)
 				if err != nil {
 					t.Fatal(err)

@@ -142,7 +142,7 @@ func TestOppositeVectorsNegativeEstimate(t *testing.T) {
 	v, _ := VectorFromMap(1000, m)
 	neg := v.Scale(-1)
 	truth := Dot(v, neg) // −‖v‖²
-	for _, method := range []Method{MethodWMH, MethodMH, MethodKMV, MethodJL, MethodICWS} {
+	for _, method := range []Method{MethodWMH, MethodMH, MethodKMV, MethodJL} {
 		s, err := NewSketcher(Config{Method: method, StorageWords: 600, Seed: 4})
 		if err != nil {
 			t.Fatal(err)

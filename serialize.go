@@ -69,6 +69,9 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 	}
 	method := Method(data[5])
 	be, err := backendFor(method)
+	if errors.Is(err, errICWSRemoved) {
+		return nil, err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ipsketch: unknown method byte %d", data[5])
 	}

@@ -20,11 +20,9 @@ import (
 // new method is added (new methods add files; existing files must never
 // change) or the envelope version is deliberately bumped.
 //
-// Deliberate bumps so far: icws.golden when the ICWS construction moved
-// to generation 2 (entry-prefixed key chain + fused acceptance
-// exponential); the payload gained a generation byte precisely so that
-// pre-bump sketches are rejected at decode instead of silently failing
-// to coordinate.
+// A retired method's golden file moves to testdata/retired, where the
+// retirement tests check that its bytes fail to decode with an error that
+// names the removal.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden sketch files")
 

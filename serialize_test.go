@@ -1,8 +1,14 @@
 package ipsketch
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestSerializeRoundTripAllMethods: marshal → unmarshal → the decoded
@@ -194,5 +200,79 @@ func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 		if _, err := UnmarshalSketch(data); err != nil {
 			t.Errorf("%+v: %v", cfg, err)
 		}
+	}
+}
+
+// retiredICWSBlob is a sketch envelope with method byte 5, written by the
+// ICWS method before it was retired (the file was its golden sketch).
+func retiredICWSBlob(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "retired", "icws-envelope.bin"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if data[5] != byte(methodICWSRemoved) {
+		tb.Fatalf("retired fixture has method byte %d, want %d", data[5], methodICWSRemoved)
+	}
+	return data
+}
+
+// TestRetiredICWSSlot: the retired method's slot stays reserved, so an old
+// ICWS sketch — alone, as a table bundle's key frame, or inside an index —
+// fails to decode with an error that says ICWS was removed, and its name
+// no longer parses.
+func TestRetiredICWSSlot(t *testing.T) {
+	blob := retiredICWSBlob(t)
+	var tbl wire.Writer
+	tbl.Raw(tableSketchMagic[:])
+	tbl.Byte(tableSketchVersion)
+	tbl.Str32("old")
+	tbl.U64(1 << 20)
+	tbl.U32(uint32(len(blob)))
+	tbl.Raw(blob)
+	tbl.U32(0)
+	var idx wire.Writer
+	idx.Raw(indexMagic[:])
+	idx.Byte(indexVersion)
+	idx.U64(1)
+	idx.U32(uint32(len(tbl.Bytes())))
+	idx.Raw(tbl.Bytes())
+
+	_, err := UnmarshalSketch(blob)
+	if !errors.Is(err, errICWSRemoved) {
+		t.Errorf("UnmarshalSketch: err = %v, want errICWSRemoved", err)
+	}
+	_, err = UnmarshalTableSketch(tbl.Bytes())
+	if !errors.Is(err, errICWSRemoved) {
+		t.Errorf("UnmarshalTableSketch: err = %v, want errICWSRemoved", err)
+	}
+	_, err = DecodeIndex(bytes.NewReader(idx.Bytes()))
+	if !errors.Is(err, errICWSRemoved) {
+		t.Errorf("DecodeIndex: err = %v, want errICWSRemoved", err)
+	}
+	if !strings.Contains(errICWSRemoved.Error(), "ICWS was removed") {
+		t.Errorf("removal error %q does not name ICWS", errICWSRemoved)
+	}
+	if err := (Config{Method: methodICWSRemoved, StorageWords: 100}).Validate(); !errors.Is(err, errICWSRemoved) {
+		t.Errorf("Config.Validate: err = %v, want errICWSRemoved", err)
+	}
+
+	var m Method
+	err = m.UnmarshalText([]byte("icws"))
+	if err == nil {
+		t.Fatal(`UnmarshalText("icws") accepted`)
+	}
+	live := Methods()
+	if len(live) != 8 {
+		t.Fatalf("%d live methods, want 8", len(live))
+	}
+	_, list, _ := strings.Cut(err.Error(), "want one of ")
+	for _, lm := range live {
+		if !strings.Contains(list, lm.String()) {
+			t.Errorf("error %q does not list %v", err, lm)
+		}
+	}
+	if strings.Count(list, ",") != len(live)-1 {
+		t.Errorf("error %q does not list exactly the %d live methods", err, len(live))
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 //   - MethodMH, MethodKMV: the Jaccard similarity |A∩B|/|A∪B| of the
 //     supports (key sets, for key-indicator vectors).
-//   - MethodWMH, MethodICWS: the weighted Jaccard similarity
+//   - MethodWMH: the weighted Jaccard similarity
 //     Σmin(ã²,b̃²)/Σmax(ã²,b̃²) of the squared normalized vectors.
 //
 // Other methods cannot estimate similarities and return an error.

@@ -52,7 +52,7 @@ func TestEstimateJaccardSupportMethods(t *testing.T) {
 func TestEstimateJaccardWeightedMethods(t *testing.T) {
 	a, b, _, _ := overlappingBinary(t)
 	want := vector.WeightedJaccard(a.Normalize(), b.Normalize())
-	for _, m := range []Method{MethodWMH, MethodICWS} {
+	for _, m := range []Method{MethodWMH} {
 		s, err := NewSketcher(Config{Method: m, StorageWords: 2500, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestEstimateUnionSize(t *testing.T) {
 
 func TestEstimateJaccardIdenticalVectors(t *testing.T) {
 	a, _, _, _ := overlappingBinary(t)
-	for _, m := range []Method{MethodMH, MethodWMH, MethodICWS} {
+	for _, m := range []Method{MethodMH, MethodWMH} {
 		s, _ := NewSketcher(Config{Method: m, StorageWords: 400, Seed: 11})
 		sa, _ := s.Sketch(a)
 		sb, _ := s.Sketch(a)
