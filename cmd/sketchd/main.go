@@ -228,6 +228,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	if cfg.WAL != nil {
 		n, err := srv.ReplayWAL()
 		if err != nil {
+			hs.Close()
 			return fmt.Errorf("replaying WAL: %w", err)
 		}
 		if note := cfg.WAL.TornNote(); note != "" {

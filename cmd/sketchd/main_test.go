@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	ipsketch "repro"
+	"repro/internal/wal"
 	"repro/service"
 	"repro/service/client"
 )
@@ -253,6 +256,56 @@ func TestSketchdDartBoots(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].Table != "t" {
 		t.Fatalf("search over the dart catalog: %+v", res)
+	}
+}
+
+// TestSketchdRefusesRetiredDartVariant: a daemon booting on a snapshot or
+// a WAL that holds dart sketches of the retired variant 3 fails, with an
+// error that says to re-sketch, rather than serving tables its own
+// sketches cannot be compared with. testdata/dart-v3.snapshot was written
+// by the last variant-3 build of sketchd, started with
+// `-dart -storage 60 -snapshot F`, after one PUT of table "rides" and a
+// graceful shutdown.
+func TestSketchdRefusesRetiredDartVariant(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "dart-v3.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ipsketch.DecodeIndex(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("variant-3 snapshot no longer decodes: %v", err)
+	}
+	rides, ok := ix.Get("rides")
+	if !ok {
+		t.Fatal("fixture lacks table rides")
+	}
+	payload, err := rides.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snapshot")
+	if err := os.WriteFile(snap, fixture, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(dir, "wal")
+	w, err := wal.Open(wal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(wal.OpPut, "rides", "", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{"snapshot": {"-snapshot", snap}, "WAL": {"-wal", walDir}} {
+		args = append([]string{"-addr", "127.0.0.1:0", "-dart", "-storage", "60"}, args...)
+		err := run(context.Background(), args, testWriter{t}, nil)
+		if err == nil || !strings.Contains(err.Error(), "re-sketch") {
+			t.Errorf("booting on a variant-3 %s: err = %v, want an error saying to re-sketch", name, err)
+		}
+		t.Logf("%s: %v", name, err)
 	}
 }
 

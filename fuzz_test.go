@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -23,11 +24,13 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		f.Add(marshalFixture(f, Config{Method: m, StorageWords: budget, Seed: 7}))
 	}
 	// WMH payloads carry a construction-variant byte; seed the dart
-	// encoding and the retired value 2 so mutations explore the byte's
-	// neighborhood (retired and unknown values must reject, known ones
-	// must round-trip).
+	// encoding, the retired value 2 and the retired dart variant 3 so
+	// mutations explore the byte's neighborhood (retired value 2 and
+	// unknown values must reject, known ones — 3 included — must
+	// round-trip).
 	f.Add(marshalFixture(f, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}))
 	f.Add(retiredVariantBlob(f))
+	f.Add(retiredDartBlob(f))
 	// The retired ICWS method byte: it must reject, and its neighbors
 	// (SimHash, PS) must decode or reject cleanly.
 	f.Add(retiredICWSBlob(f))
@@ -87,6 +90,11 @@ func FuzzMerge(f *testing.F) {
 	retired := retiredVariantBlob(f)
 	f.Add(retired, retired)
 	f.Add(blobs[0], retired)
+	// The retired dart variant decodes, but must not merge with the
+	// current one.
+	f.Add(retiredDartBlob(f), blobs[slices.IndexFunc(golden, func(p string) bool {
+		return filepath.Base(p) == "wmh-dart.golden"
+	})])
 	// Likewise the retired ICWS method's golden sketch.
 	icws := retiredICWSBlob(f)
 	f.Add(icws, icws)

@@ -10,10 +10,11 @@ import (
 // one prefix-minimum record process per (block, sample) pair — O(nnz·m·log L)
 // for a whole sketch — it enumerates, in ONE pass over the blocks, the few
 // "darts" that can possibly be a per-sample minimum, for all m samples at
-// once. The expected dart count is O(m log m) and the pass itself is
-// O(nnz·log L) cheap cell visits, so sketching costs O(nnz + m log m)
-// up to the log-factor of the dyadic cell walk — versus O(nnz·m·log L)
-// for the per-pair record process.
+// once. The expected dart count is O(m log m), and a block of weight w
+// costs about 1 + log2⁺(m·τ·w/L) cell visits (τ the dart budget, below):
+// one or two for a block holding a small share of the vector's weight. So
+// sketching costs O(nnz + m log m) up to that log factor — versus
+// O(nnz·m·log L) for the per-pair record process.
 //
 // # The process
 //
@@ -44,18 +45,30 @@ import (
 //
 // # Determinism and coordination
 //
-// The slot axis of block j is cut into dyadic cells: cell r covers slots
-// [2^r, 2^{r+1}) (cell 0 is slot 1 alone). The value axis is cut into
-// per-round regions (round k has per-slot measure ν_k = τ·2^k/L, τ the
-// dart budget), and each (cell, round) region into equal-measure slices so
-// no single Poisson mean exceeds poissonMaxMean. The dart count of a slice
-// is Poisson with a mean depending only on (m, L, r, round) — never on the
-// block's weight — and dart positions are drawn from a SplitMix64 stream
-// keyed by (blockKey, round, r). A party with weight w enumerates cells
-// r ≤ ⌊log2 w⌋ and filters darts by slot ≤ w after drawing them, so two
-// parties with different weights consume identical streams and keep exact
-// subsets of each other's darts. That subset relation is the entire
-// coordination argument.
+// The value axis is cut into per-round regions: round k covers per-slot
+// measure ν ∈ [ν_start, ν_start+ν_k) with ν_k = τ·2^k/L (τ the dart
+// budget) and ν_start = τ·(2^k−1)/L. The slot axis of a block is cut into
+// cells. Cell r > base covers the dyadic slots [2^r, 2^{r+1}); the base
+// cell covers [1, 2^{base+1}) in one piece, where base is the largest r
+// with m·ν_k·(2^{r+1}−1) ≤ 1, so it holds at most one dart on average.
+// (At L = 2⁵⁰ the forty-odd low dyadic cells of a block hold almost no
+// darts; merged, they cost one visit instead of one each.) Each (cell,
+// round) region is cut into equal-measure slices so no single Poisson mean
+// exceeds poissonMaxMean. A slice's dart count is Poisson with a mean depending
+// only on (m, L, cell, round), never on the block's weight.
+//
+// One SplitMix64 stream keyed by (blockKey, round) drives the whole
+// walk: the base cell first, then the dyadic cells in ascending order. A
+// block of weight w walks the cells up to ⌊log2 w⌋ and filters darts by
+// slot ≤ w after drawing them, so a smaller weight consumes a prefix of
+// the stream a larger weight consumes and keeps an exact subset of its
+// darts. That prefix relation is the entire coordination argument.
+//
+// A dart's value is t = 1−e^{−ν} for its value-axis position ν, computed
+// as −expm1(−ν) from the round's cumulative measure. At L = 2⁵⁰ every ν
+// is of order 10⁻¹⁵; −expm1 keeps its full relative precision, where
+// 1−e^{−ν} would round every value to a multiple of 2⁻⁵³ and let
+// vectors with disjoint supports share minima by accident.
 //
 // The per-sample minimum is only final once every sample has at least one
 // dart: a sample missed by round k (probability e^{−(2^{k+1}−1)τ} each) is
@@ -78,21 +91,24 @@ func DefaultDartBudget(m int) float64 {
 }
 
 // dartCell holds the precomputed constants for one (slot-cell, round)
-// pair: the slice subdivision of the round's value region and the Poisson
-// mean per slice. They depend only on (m, l, r, round), so every party
-// derives identical tables.
+// pair: the cell's slot range, the slice subdivision of the round's value
+// region and the Poisson mean per slice. They depend only on (m, l, cell,
+// round), so every party derives identical tables.
 type dartCell struct {
-	slices        int     // equal-measure value slices in this cell
-	sliceNu       float64 // per-slot value measure of one slice
-	expNegLam     float64 // e^{−mean darts per slice}
-	expNegSliceNu float64 // e^{−sliceNu}: advances 1−t across slices
+	lo, span  uint64  // slots [lo, lo+span)
+	slices    int     // equal-measure value slices in this cell
+	sliceNu   float64 // per-slot value measure of one slice
+	expNegLam float64 // e^{−mean darts per slice}
 }
 
 // dartRound holds one value-axis region: rounds ascend the value axis, so
 // any dart from round k is strictly smaller than any dart from round k+1.
 type dartRound struct {
-	oneMinusT float64 // 1 − (region start) = e^{−cumulative ν}
-	cells     []dartCell
+	nuStart float64 // cumulative per-slot measure below the region
+	// base is the highest dyadic cell merged into the base cell: cells[0]
+	// covers slots [1, 2^{base+1}) and cells[i] the dyadic cell base+i.
+	base  int
+	cells []dartCell
 }
 
 // DartProcess throws darts for weighted-minwise sketches with m samples
@@ -111,6 +127,9 @@ type DartProcess struct {
 	samples []int32
 	values  []float64
 	slots   []uint64
+	// cells counts the cells ThrowBlock has walked; tests pin the walk's
+	// cost model with it.
+	cells int
 }
 
 // NewDartProcess returns a process for m samples over slot budget l with
@@ -147,22 +166,36 @@ func (p *DartProcess) round(k int) *dartRound {
 		// Round i covers per-slot measure ν_i = τ·2^i/l starting at
 		// cumulative measure τ·(2^i − 1)/l.
 		nu := p.budget * float64(uint64(1)<<uint(i)) / float64(p.l)
-		rd := dartRound{
-			oneMinusT: math.Exp(-p.budget * float64(uint64(1)<<uint(i)-1) / float64(p.l)),
-			cells:     make([]dartCell, bits.Len64(p.l)),
+		// All m samples of one slot throw m·ν_i darts on average. The base
+		// cell takes every low cell whose slots together stay within one
+		// dart, and at least cell 0; it never reaches past l's top cell.
+		perSlot := float64(p.m) * nu
+		top := bits.Len64(p.l) - 1
+		base := 0
+		for base < top && perSlot*float64(uint64(1)<<uint(base+2)-1) <= 1 {
+			base++
 		}
-		for r := range rd.cells {
-			lam := float64(p.m) * float64(uint64(1)<<uint(r)) * nu
+		rd := dartRound{
+			nuStart: p.budget * float64(uint64(1)<<uint(i)-1) / float64(p.l),
+			base:    base,
+			cells:   make([]dartCell, top-base+1),
+		}
+		for c := range rd.cells {
+			lo, span := uint64(1)<<uint(base+c), uint64(1)<<uint(base+c)
+			if c == 0 {
+				lo, span = 1, uint64(1)<<uint(base+1)-1
+			}
+			lam := perSlot * float64(span)
 			slices := 1
 			if lam > poissonMaxMean {
 				slices = int(math.Ceil(lam / poissonMaxMean))
 			}
-			sliceNu := nu / float64(slices)
-			rd.cells[r] = dartCell{
-				slices:        slices,
-				sliceNu:       sliceNu,
-				expNegLam:     math.Exp(-lam / float64(slices)),
-				expNegSliceNu: math.Exp(-sliceNu),
+			rd.cells[c] = dartCell{
+				lo:        lo,
+				span:      span,
+				slices:    slices,
+				sliceNu:   nu / float64(slices),
+				expNegLam: math.Exp(-lam / float64(slices)),
 			}
 		}
 		p.rounds = append(p.rounds, rd)
@@ -189,38 +222,42 @@ func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int
 	}
 	rd := p.round(round)
 	samples, values, slots = p.samples[:0], p.values[:0], p.slots[:0]
-	top := bits.Len64(w) - 1 // highest cell: 2^top ≤ w
-	roundKey := Extend(key, uint64(round))
-	for r := 0; r <= top; r++ {
-		cell := &rd.cells[r]
-		base := uint64(1) << uint(r)
-		mask := base - 1
-		// The cell's stream: count and position draws interleave, but the
-		// sequence is identical for every party (weight enters only
-		// through the slot filter below), so streams never diverge.
-		rng := SplitMix64{state: Extend(roundKey, uint64(r))}
-		oneMinusA := rd.oneMinusT
+	// The base cell, then the dyadic cells up to the one holding slot w.
+	n := max(bits.Len64(w)-1-rd.base, 0) + 1
+	p.cells += n
+	// The stream is identical for every party: the weight enters only
+	// through the cell count and the slot filter below, so a smaller
+	// weight reads a prefix of it.
+	rng := SplitMix64{state: Extend(key, uint64(round))}
+	for c := range rd.cells[:n] {
+		cell := &rd.cells[c]
 		for s := 0; s < cell.slices; s++ {
 			// Poisson(λ) darts in this slice, by Knuth's product method.
 			prod := rng.Float64()
 			for prod >= cell.expNegLam {
-				// One dart: slot, sample, then value by inverse CDF of
-				// the 1/(1−t) density restricted to the slice. The draw
-				// sequence is fixed (stream alignment across parties),
-				// but the exp only runs for kept darts. The subtraction
-				// 1−x is exact for x ∈ [1/2, 1] (Sterbenz), so parties
-				// agree on v to the last bit.
-				slot := base + (rng.Uint64() & mask)
+				// One dart: slot, sample, then its position u inside the
+				// slice; the measure ν is uniform there. The draw sequence
+				// is fixed (stream alignment across parties), but the
+				// value is only computed for kept darts. The conversion to
+				// float64 rounds the product before the sum, so no
+				// platform fuses them and parties agree on ν to the last
+				// bit.
+				var slot uint64
+				if c == 0 {
+					slot = cell.lo + rng.Uint64n(cell.span)
+				} else {
+					slot = cell.lo + rng.Uint64()&(cell.span-1)
+				}
 				sample := rng.Uint64n(uint64(p.m))
 				u := rng.Float64()
-				if slot <= w { // partial top cell: reject beyond-w slots
+				if slot <= w { // partial base or top cell: reject beyond-w slots
+					nu := rd.nuStart + float64((float64(s)+u)*cell.sliceNu)
 					samples = append(samples, int32(sample))
-					values = append(values, 1-oneMinusA*math.Exp(-u*cell.sliceNu))
+					values = append(values, -math.Expm1(-nu))
 					slots = append(slots, slot)
 				}
 				prod *= rng.Float64()
 			}
-			oneMinusA *= cell.expNegSliceNu
 		}
 	}
 	p.samples, p.values, p.slots = samples, values, slots

@@ -2,6 +2,7 @@ package hashing
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -68,10 +69,12 @@ func TestThrowBlockDeterministic(t *testing.T) {
 	}
 }
 
-// TestThrowBlockSlotFilter pins the identity the shared bundle walk rests
-// on: the darts of a weight w' are exactly the darts of any larger weight w
-// whose slot is ≤ w', in the same order and bitwise — including weights
-// that end in a partial top cell and weights whose top cell lies below w's.
+// TestThrowBlockSlotFilter pins the prefix relation coordination and the
+// shared bundle walk rest on: the darts of a weight w' are exactly the
+// darts of any larger weight w whose slot is ≤ w', in the same order and
+// bitwise — including weights that end in a partial top cell, weights
+// inside the base cell (which draws darts for every slot below 2^{base+1}
+// and rejects those past w') and weights on either side of its edge.
 func TestThrowBlockSlotFilter(t *testing.T) {
 	const l = 1 << 20
 	p := NewDartProcess(200, l)
@@ -91,7 +94,7 @@ func TestThrowBlockSlotFilter(t *testing.T) {
 				}
 				all[d] = dart{ss[d], vs[d], slots[d]}
 			}
-			for _, w := range []uint64{1, 2, 3, 1000, 1 << 19, wide} {
+			for _, w := range []uint64{1, 2, 3, 127, 128, 255, 256, 511, 512, 1000, 1 << 19, wide} {
 				var want []dart
 				for _, d := range all {
 					if d.slot <= w {
@@ -109,6 +112,74 @@ func TestThrowBlockSlotFilter(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestThrowBlockCellVisits pins the walk's cost model: a throw visits the
+// base cell and then the dyadic cells above it up to the one holding slot
+// w, top − base + 1 cells, where the base cell is the largest run of low
+// slots [1, 2^{base+1}) holding at most one dart on average. In the served
+// configuration (m = 266, L = 2⁵⁰) a block holding 1/2000 of a vector's
+// weight visits at most three cells, where a walk over every dyadic cell
+// would visit forty.
+func TestThrowBlockCellVisits(t *testing.T) {
+	const m = 266
+	const l = 1 << 50
+	p := NewDartProcess(m, l)
+	visits := func(w uint64, round int) int {
+		before := p.cells
+		p.ThrowBlock(Mix(w, uint64(round)), w, round)
+		return p.cells - before
+	}
+	for round := 0; round < 2; round++ {
+		if got := visits(1<<39, round); got > 3 {
+			t.Errorf("round %d: a weight-2^39 throw visits %d cells, want ≤ 3", round, got)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		rd := p.round(round)
+		perSlot := float64(m) * p.budget * float64(uint64(1)<<uint(round)) / l
+		if base := rd.base; perSlot*float64(uint64(1)<<uint(base+1)-1) > 1 || perSlot*float64(uint64(1)<<uint(base+2)-1) <= 1 {
+			t.Fatalf("round %d: base %d is not the largest r with m·ν·(2^{r+1}−1) ≤ 1", round, base)
+		}
+		if c := rd.cells[0]; c.lo != 1 || c.span != uint64(1)<<uint(rd.base+1)-1 || c.slices != 1 {
+			t.Fatalf("round %d: base cell %+v, want slots [1, 2^%d) in one slice", round, c, rd.base+1)
+		}
+		baseTop := uint64(1)<<uint(rd.base+1) - 1
+		for _, w := range []uint64{1, baseTop, baseTop + 1, 1 << 39, 3 << 40, l} {
+			want := max(bits.Len64(w)-1-rd.base, 0) + 1
+			if got := visits(w, round); got != want {
+				t.Errorf("round %d w %d: %d cells visited, want top − base + 1 = %d", round, w, got, want)
+			}
+		}
+	}
+}
+
+// TestDartValuesFullPrecision: at the served L = 2⁵⁰ every dart value is of
+// order 10⁻¹⁵, and the values of one vector's minima must still be
+// distinct — a value formula that rounds to multiples of 2⁻⁵³ leaves only
+// a few dozen distinct minima among 266, and vectors with disjoint
+// supports then share minima by accident. A vector of 2000 equal blocks
+// and a disjoint one must therefore share no minimum at all.
+func TestDartValuesFullPrecision(t *testing.T) {
+	const m = 266
+	const l = 1 << 50
+	const n = 2000
+	keysA, keysB, ws := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := range ws {
+		keysA[i], keysB[i], ws[i] = Mix(1, uint64(i)), Mix(2, uint64(i)), l/n
+	}
+	a := dartMins(NewDartProcess(m, l), keysA, ws)
+	b := dartMins(NewDartProcess(m, l), keysB, ws)
+	distinct := map[float64]bool{}
+	for i := range a {
+		distinct[a[i]] = true
+		if a[i] == b[i] {
+			t.Errorf("sample %d: disjoint blocks share the minimum %v", i, a[i])
+		}
+	}
+	if len(distinct) != m {
+		t.Errorf("%d distinct minima among %d samples", len(distinct), m)
 	}
 }
 

@@ -344,15 +344,11 @@ func (t *Table) Vectors(keySpace uint64, cols []string) (key vector.Sparse, vals
 		}
 		data[i] = col
 	}
-	type keyRow struct {
-		key uint64
-		row int
-	}
 	order := make([]keyRow, len(t.keys))
 	for row, k := range t.keys {
 		order[row] = keyRow{k, row}
 	}
-	slices.SortFunc(order, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
+	sortKeyRows(order)
 	idx := make([]uint64, len(order))
 	buf := make([]float64, len(order))
 	for i, kr := range order {
@@ -390,6 +386,53 @@ func (t *Table) Vectors(keySpace uint64, cols []string) (key vector.Sparse, vals
 		sqs[c] = vals[c].Map(func(x float64) float64 { return x * x })
 	}
 	return key, vals, sqs, nil
+}
+
+// keyRow is one row of a table in key order.
+type keyRow struct {
+	key uint64
+	row int
+}
+
+// radixMinRows is the table size from which sortKeyRows radix-sorts: below
+// it the eight counting passes cost more than a comparison sort.
+const radixMinRows = 256
+
+// sortKeyRows sorts order by key. Large tables take an LSD radix sort over
+// the key's bytes, skipping every byte all keys share (the high bytes of
+// small integer keys). Rows with equal keys may land in a different order
+// than a comparison sort puts them, but Vectors rejects equal keys, so the
+// vectors it builds are the same either way.
+func sortKeyRows(order []keyRow) {
+	if len(order) < radixMinRows {
+		slices.SortFunc(order, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
+		return
+	}
+	var counts [8][256]int
+	for _, kr := range order {
+		for b := range counts {
+			counts[b][byte(kr.key>>(8*b))]++
+		}
+	}
+	first := order[0].key
+	src, dst := order, make([]keyRow, len(order))
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(first>>(8*b))] == len(order) {
+			continue // every key has this byte
+		}
+		at := 0
+		for d, n := range c {
+			c[d], at = at, at+n
+		}
+		for _, kr := range src {
+			d := byte(kr.key >> (8 * b))
+			dst[c[d]] = kr
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(order, src)
 }
 
 // KeyIndicator returns x_1[K] alone; see Vectors.

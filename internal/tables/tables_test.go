@@ -1,10 +1,13 @@
 package tables
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
@@ -364,6 +367,53 @@ func TestVectorsMatchesSingleVectorMethods(t *testing.T) {
 	key, vals, sqs, err = empty.Vectors(100, []string{"V"})
 	if err != nil || key.Dim() != 100 || !key.IsEmpty() || !vals[0].IsEmpty() || !sqs[0].IsEmpty() {
 		t.Fatalf("empty table: %v %v %v (%v)", key, vals, sqs, err)
+	}
+}
+
+// TestSortKeyRowsMatchesSortFunc: the radix sort large tables take puts
+// keys in the order slices.SortFunc does — on random keys over the full
+// and the default key range, small integer keys (whose constant high bytes
+// are skipped), sorted, reverse-sorted and all-equal keys, and keys with
+// duplicates — with every row kept once beside its own key. Tables with a
+// duplicate key are still rejected.
+func TestSortKeyRowsMatchesSortFunc(t *testing.T) {
+	rng := hashing.NewSplitMix64(5)
+	for _, n := range []int{radixMinRows - 1, radixMinRows, 1000, 5000} {
+		random, small, sorted, reversed, equal, dups := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		for i := range random {
+			random[i] = rng.Uint64()
+			small[i] = rng.Uint64() % (4 * uint64(n))
+			sorted[i] = uint64(i) * 0x9E3779B97F
+			reversed[i] = uint64(n-i) << 20
+			equal[i] = 42
+			dups[i] = rng.Uint64() % DefaultKeySpace
+		}
+		for i := 0; i < n; i += 7 {
+			dups[i] = dups[n-1-i]
+		}
+		for name, keys := range map[string][]uint64{"random": random, "small": small, "sorted": sorted, "reversed": reversed, "equal": equal, "duplicates": dups} {
+			got := make([]keyRow, n)
+			for row, k := range keys {
+				got[row] = keyRow{k, row}
+			}
+			want := slices.Clone(got)
+			sortKeyRows(got)
+			slices.SortFunc(want, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
+			seen := make([]bool, n)
+			for i := range got {
+				if got[i].key != want[i].key {
+					t.Fatalf("%s, %d rows: key %d at position %d, SortFunc has %d", name, n, got[i].key, i, want[i].key)
+				}
+				if r := got[i].row; seen[r] || keys[r] != got[i].key {
+					t.Fatalf("%s, %d rows: row %d misplaced at position %d", name, n, r, i)
+				}
+				seen[got[i].row] = true
+			}
+		}
+		tab := MustNew("dups", dups, map[string][]float64{"V": make([]float64, n)})
+		if _, _, _, err := tab.Vectors(DefaultKeySpace, []string{"V"}); err != ErrDuplicateKeys {
+			t.Fatalf("%d rows with duplicate keys: err = %v, want ErrDuplicateKeys", n, err)
+		}
 	}
 }
 

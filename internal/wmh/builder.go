@@ -32,6 +32,9 @@ type Builder struct {
 	// which can differ across dims, so it is rebuilt when dartL changes.
 	dart  *hashing.DartProcess
 	dartL uint64
+	// throws counts the blocks the dart fills have thrown; tests pin the
+	// shared walk with it.
+	throws int
 }
 
 // blocks is one rounded vector (Algorithm 4): its support indices, integer
@@ -177,7 +180,7 @@ func (b *Builder) fill() {
 			if b.dart == nil || b.dartL != jobs[lo].l {
 				b.dart, b.dartL = hashing.NewDartProcess(m, jobs[lo].l), jobs[lo].l
 			}
-			fillDart(jobs[lo:hi], b.p.Seed, b.dart)
+			b.throws += fillDart(jobs[lo:hi], b.p.Seed, b.dart)
 		case len(jobs[lo].idx)*m < hashing.FanOutWork:
 			j := &jobs[lo]
 			fillBlockMajor(j.hashes, j.vals, b.skeys, j.idx, j.weights, j.bvals)

@@ -12,19 +12,20 @@ import (
 // instead enumerates, per block, the expected O(M·τ·w/L) darts that can
 // possibly be a per-sample minimum (hashing.DartProcess), filling all M
 // (hash, val) pairs in ONE pass over the rounded blocks: expected
-// O(nnz + M log M) work up to the dyadic cell walk. The per-sample law
+// O(nnz + M log M) work up to the cell walk's log factor. The per-sample law
 // is exactly the min-of-L-uniforms law of variantFast — same marginals,
 // same collision law, same FM union estimator — but from different
 // randomness, so the variants are not comparable with each other.
 //
-// A block's darts are keyed by (seed, block, round, cell), never by the
-// block's weight, so every vector holding a block walks the same stream and
-// keeps the darts whose slot falls inside its own weight. fillDart exploits
-// that across vectors: the key, value and squared-value vectors of a table
-// bundle share one key set, and one throw per block at the largest of their
-// weights serves all of them. At the served L = 2⁵⁰ the throw is mostly
-// the walk over ~40 empty dyadic cells, so sharing it is most of the cost
-// of the two extra vectors.
+// A block's darts are keyed by (seed, block, round), never by the block's
+// weight, so every vector holding a block reads a prefix of the same
+// stream and keeps the darts whose slot falls inside its own weight.
+// fillDart exploits that across vectors: the key, value and squared-value
+// vectors of a table bundle share one key set, and one throw per block at
+// the largest of their weights serves all of them. A throw walks about
+// top − base + 1 cells (hashing.DartProcess), two or three for a block of
+// a 2000-row table at the served L = 2⁵⁰, so sharing saves the extra
+// vectors' key derivations and Poisson draws rather than a long walk.
 //
 // Unlike fillBlockMajor, the dart pass is not split across workers: the
 // whole point is that one pass serves every sample, and a per-chunk split
@@ -59,7 +60,9 @@ func dartBlockKey(seed uint64, block uint64) uint64 {
 // same order. A job takes part in a round only if it still missed a sample
 // when the round began, as it would alone, so every job's samples are
 // bitwise those of filling it by itself (the one-job case).
-func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
+//
+// It returns the number of blocks it threw.
+func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) (throws int) {
 	for j := range jobs {
 		f := &jobs[j]
 		for i := range f.hashes {
@@ -80,7 +83,7 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
 			live++
 		}
 		if live == 0 {
-			return
+			return throws
 		}
 		if round == dartMaxRounds {
 			// Unreachable in any physical run (see dartMaxRounds); fill
@@ -95,7 +98,7 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
 					}
 				}
 			}
-			return
+			return throws
 		}
 		for {
 			// The smallest block not yet visited by a live job, and the
@@ -118,6 +121,7 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
 				break
 			}
 			samples, values, slots := dp.ThrowBlock(dartBlockKey(seed, block), w, round)
+			throws++
 			for j := range jobs {
 				f := &jobs[j]
 				if f.next == len(f.idx) || f.idx[f.next] != block {

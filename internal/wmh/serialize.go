@@ -46,13 +46,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if vr == variantRemoved {
 		return errors.New("wmh: sketch variant 2: the FastLog variant was removed; re-sketch the source data")
 	}
-	if vr != variantFast && vr != variantNaive && vr != variantDart {
+	if vr != variantFast && vr != variantNaive && vr != variantDartV3 && vr != variantDart {
 		return fmt.Errorf("wmh: unknown sketch variant %d", vr)
 	}
 	// Params.Dart is implied by (and encoded as) the variant byte.
 	p := Params{
 		M: int(m), Seed: seed, L: lParam, QuantizeValues: quantized,
-		Dart: vr == variantDart,
+		Dart: vr == variantDartV3 || vr == variantDart,
 	}
 	if err := p.Validate(); err != nil {
 		return err

@@ -107,8 +107,14 @@ const (
 	// key, so renumbering would change every dart sketch — and
 	// UnmarshalBinary rejects it.
 	variantRemoved variant = 2
+	// variantDartV3 was the first dart construction. Its dart values were
+	// rounded to multiples of 2⁻⁵³, so at large L vectors with disjoint
+	// supports shared minima by accident. Nothing builds it; its sketches
+	// still decode but refuse comparison with variantDart, and the value
+	// stays reserved like variantRemoved.
+	variantDartV3 variant = 3
 	// variantDart is the one-pass dart-throwing construction (Params.Dart).
-	variantDart variant = 3
+	variantDart variant = 4
 )
 
 // variant resolves the construction variant New builds under p.
@@ -286,6 +292,9 @@ func compatible(a, b *Sketch) error {
 		return fmt.Errorf("wmh: discretization mismatch %d vs %d", a.l, b.l)
 	}
 	if a.variant != b.variant {
+		if a.variant == variantDartV3 || b.variant == variantDartV3 {
+			return errors.New("wmh: cannot mix sketches from different construction variants: variant 3 is the retired dart construction; re-sketch the source data")
+		}
 		return errors.New("wmh: cannot mix sketches from different construction variants")
 	}
 	return nil

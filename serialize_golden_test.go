@@ -22,7 +22,10 @@ import (
 //
 // A retired method's golden file moves to testdata/retired, where the
 // retirement tests check that its bytes fail to decode with an error that
-// names the removal.
+// names the removal. A retired construction variant's golden file moves
+// there too: its bytes still decode, but refuse comparison with the
+// variant that replaced it (testdata/retired/wmh-dart.golden, dart
+// variant 3).
 
 var updateGolden = flag.Bool("update", false, "rewrite golden sketch files")
 

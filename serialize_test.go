@@ -183,7 +183,9 @@ func retiredVariantBlob(tb testing.TB) []byte {
 
 // TestUnmarshalRejectsRetiredWMHVariant: blobs written by the removed
 // construction must fail to decode with an error that says so, and the
-// surviving variant bytes (0 record process, 3 dart) must keep decoding.
+// variant bytes this build writes (0 record process, 4 dart) must keep
+// decoding. (The retired dart variant 3 decodes too; see
+// TestRetiredDartVariantDecodesButDoesNotMix.)
 func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 	_, err := UnmarshalSketch(retiredVariantBlob(t))
 	if err == nil || !strings.Contains(err.Error(), "FastLog variant was removed") {
@@ -191,7 +193,7 @@ func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 	}
 	for want, cfg := range map[byte]Config{
 		0: {Method: MethodWMH, StorageWords: 32, Seed: 7},
-		3: {Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true},
+		4: {Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true},
 	} {
 		data := marshalFixture(t, cfg)
 		if data[wmhVariantOffset] != want {
@@ -200,6 +202,60 @@ func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 		if _, err := UnmarshalSketch(data); err != nil {
 			t.Errorf("%+v: %v", cfg, err)
 		}
+	}
+}
+
+// retiredDartBlob is the golden dart WMH sketch of the first dart
+// construction, variant 3, whose dart values were rounded to multiples of
+// 2⁻⁵³ (DESIGN.md §6).
+func retiredDartBlob(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "retired", "wmh-dart.golden"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if data[wmhVariantOffset] != 3 {
+		tb.Fatalf("retired dart fixture has variant byte %d, want 3", data[wmhVariantOffset])
+	}
+	return data
+}
+
+// TestRetiredDartVariantDecodesButDoesNotMix: a variant-3 dart sketch still
+// decodes and re-encodes bit-exactly, and estimates against itself, but a
+// dart sketch of this build — same configuration, same vector — refuses
+// it with the construction-variant error, which says to re-sketch; so does
+// a merge.
+func TestRetiredDartVariantDecodesButDoesNotMix(t *testing.T) {
+	blob := retiredDartBlob(t)
+	old, err := UnmarshalSketch(blob)
+	if err != nil {
+		t.Fatalf("variant 3 no longer decodes: %v", err)
+	}
+	if re, err := old.MarshalBinary(); err != nil || !bytes.Equal(re, blob) {
+		t.Fatalf("variant 3 does not re-encode bit-exactly (%v)", err)
+	}
+	if _, err := Estimate(old, old); err != nil {
+		t.Fatalf("variant 3 self-estimate: %v", err)
+	}
+	var cfg Config
+	for _, tc := range goldenCases() {
+		if tc.name == "wmh-dart" {
+			cfg = tc.cfg
+		}
+	}
+	s, err := NewSketcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.Sketch(goldenVector(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Estimate(old, fresh); err == nil || !strings.Contains(err.Error(), "different construction variants") || !strings.Contains(err.Error(), "re-sketch") {
+		t.Fatalf("variant 3 vs 4: err = %v, want the variant error saying to re-sketch", err)
+	}
+	if _, err := fresh.Merge(old); err == nil || !strings.Contains(err.Error(), "re-sketch") {
+		t.Fatalf("merging variant 3 into 4: err = %v, want the variant error saying to re-sketch", err)
 	}
 }
 

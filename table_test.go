@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/hashing"
@@ -363,58 +363,111 @@ func TestTableSketchBuilderAllocs(t *testing.T) {
 	}
 }
 
-// TestBundleDartWalkSpeedupSmoke is the CI perf gate for the shared dart
-// walk: in the served configuration (dart WMH, 400 words, DefaultKeySpace,
-// so L = 2⁵⁰) a 2000-row, one-column bundle must sketch at least 1.4×
-// faster than vectorizing the table and sketching its three vectors with
-// three separate Sketch calls. Opt-in via IPSKETCH_BENCH_SMOKE=1:
-// wall-clock assertions do not belong in the default `go test` run.
-func TestBundleDartWalkSpeedupSmoke(t *testing.T) {
-	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
-		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the bundle dart walk gate")
-	}
-	tab := bundleTestTable(t, DefaultKeySpace, 2000, 3)
-	ts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: 1, Dart: true}, 0)
+// servedJoinSize sketches two key sets as tables in the served
+// configuration (dart WMH, 400 words) under one seed and key space and
+// returns their estimated join size; record swaps in the record process.
+func servedJoinSize(t *testing.T, seed, keySpace uint64, record bool, a, b []uint64) float64 {
+	t.Helper()
+	ts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: seed, Dart: !record}, keySpace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := ts.NewBuilder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(f func() error) float64 {
-		if err := f(); err != nil { // warm-up
+	var sks [2]*TableSketch
+	for i, keys := range [][]uint64{a, b} {
+		tab, err := NewTable("t", keys, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := f(); err != nil {
-					b.Fatal(err)
+		if sks[i], err = ts.SketchTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est, err := EstimateTableJoinSize(sks[0], sks[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// stringKeys hashes format(i) for i < n with KeyFromString into a key
+// space: the key sets of the taxi/weather/stations dataset search.
+func stringKeys(format string, lo, n int, keySpace uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = KeyFromString(fmt.Sprintf(format, lo+i)) % keySpace
+	}
+	return keys
+}
+
+// TestServedDartDisjointKeysJoinZero: tables with disjoint keys share no
+// block, so in the served configuration their estimated join size is
+// exactly 0 — at every key space, including 2⁶³ where L = 2⁵⁰ and every
+// dart value is of order 10⁻¹⁵. Dart values rounded to multiples of 2⁻⁵³
+// made such tables report joins of tens to hundreds of rows there.
+func TestServedDartDisjointKeysJoinZero(t *testing.T) {
+	span := func(lo, hi uint64) []uint64 {
+		var keys []uint64
+		for k := lo; k <= hi; k++ {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	for _, keySpace := range []uint64{1 << 20, 1 << 40, DefaultKeySpace} {
+		pairs := map[string][2][]uint64{
+			"integer": {span(0, 2555), span(100000, 101393)},
+			"string":  {stringKeys("2022-%03d", 0, 365, keySpace), stringKeys("station-%d", 0, 200, keySpace)},
+		}
+		for name, p := range pairs {
+			if slices.ContainsFunc(p[0], func(k uint64) bool { return slices.Contains(p[1], k) }) {
+				t.Fatalf("%s keys are not disjoint in key space %d", name, keySpace)
+			}
+			for _, seed := range []uint64{1, 2, 3, 7} {
+				if est := servedJoinSize(t, seed, keySpace, false, p[0], p[1]); est != 0 {
+					t.Errorf("%s keys, key space %d, seed %d: disjoint tables estimate a join of %v rows", name, keySpace, seed, est)
 				}
 			}
-		})
-		return float64(res.NsPerOp())
+		}
 	}
-	bundle := measure(func() error {
-		_, err := tb.SketchTable(tab, "a")
-		return err
-	})
-	separate := measure(func() error {
-		key, vals, sqs, err := tab.Vectors(DefaultKeySpace, []string{"a"})
-		if err != nil {
-			return err
+}
+
+// TestServedDartOverlapInsideRecordSpread: a year of daily string keys
+// against ten years of them (a 365-of-3650 overlap) at the default key
+// space. The served dart estimates of seeds 1–3 must each lie within four
+// standard deviations of the record process's mean over seeds 1–10, and the
+// two constructions' means over seeds 1–10 must agree to within four
+// standard errors — the same law, not only no false collisions.
+func TestServedDartOverlapInsideRecordSpread(t *testing.T) {
+	year := stringKeys("2022-%03d", 0, 365, DefaultKeySpace)
+	var decade []uint64
+	for y := 2013; y <= 2022; y++ {
+		decade = append(decade, stringKeys(fmt.Sprint(y)+"-%03d", 0, 365, DefaultKeySpace)...)
+	}
+	const seeds = 10
+	var dart, record [seeds]float64
+	for i := range seeds {
+		dart[i] = servedJoinSize(t, uint64(i+1), DefaultKeySpace, false, year, decade)
+		record[i] = servedJoinSize(t, uint64(i+1), DefaultKeySpace, true, year, decade)
+	}
+	meanSD := func(xs []float64) (mean, sd float64) {
+		for _, x := range xs {
+			mean += x
 		}
-		for _, v := range []Vector{key, vals[0], sqs[0]} {
-			if _, err := ts.s.Sketch(v); err != nil {
-				return err
-			}
+		mean /= float64(len(xs))
+		for _, x := range xs {
+			sd += (x - mean) * (x - mean)
 		}
-		return nil
-	})
-	t.Logf("bundle %.2fms, three Sketch calls %.2fms, speedup %.2f×", bundle/1e6, separate/1e6, separate/bundle)
-	if bundle*1.4 > separate {
-		t.Fatalf("bundle only %.2f× faster than three Sketch calls (%.2fms vs %.2fms), want ≥1.4×",
-			separate/bundle, bundle/1e6, separate/1e6)
+		return mean, math.Sqrt(sd / float64(len(xs)-1))
+	}
+	dm, dsd := meanSD(dart[:])
+	rm, rsd := meanSD(record[:])
+	t.Logf("truth 365: dart %.0f (mean %.0f, sd %.0f), record %.0f (mean %.0f, sd %.0f)", dart, dm, dsd, record, rm, rsd)
+	for i, est := range dart[:3] {
+		if math.Abs(est-rm) > 4*rsd {
+			t.Errorf("seed %d: dart estimates %.0f joined rows, outside the record process's %.0f ± 4·%.0f", i+1, est, rm, rsd)
+		}
+	}
+	if se := math.Hypot(dsd, rsd) / math.Sqrt(seeds); math.Abs(dm-rm) > 4*se {
+		t.Errorf("dart mean %.0f vs record mean %.0f: differ by more than 4 SE %.0f", dm, rm, 4*se)
 	}
 }
 
