@@ -16,11 +16,9 @@
 package tables
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -394,18 +392,13 @@ type keyRow struct {
 	row int
 }
 
-// radixMinRows is the table size from which sortKeyRows radix-sorts: below
-// it the eight counting passes cost more than a comparison sort.
-const radixMinRows = 256
-
-// sortKeyRows sorts order by key. Large tables take an LSD radix sort over
-// the key's bytes, skipping every byte all keys share (the high bytes of
-// small integer keys). Rows with equal keys may land in a different order
-// than a comparison sort puts them, but Vectors rejects equal keys, so the
-// vectors it builds are the same either way.
+// sortKeyRows sorts order by key with an LSD radix sort over the key's
+// bytes, skipping every byte all keys share (the high bytes of small
+// integer keys). Rows with equal keys may land in a different order than a
+// comparison sort puts them, but Vectors rejects equal keys, so the vectors
+// it builds are the same either way.
 func sortKeyRows(order []keyRow) {
-	if len(order) < radixMinRows {
-		slices.SortFunc(order, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
+	if len(order) < 2 {
 		return
 	}
 	var counts [8][256]int

@@ -370,15 +370,15 @@ func TestVectorsMatchesSingleVectorMethods(t *testing.T) {
 	}
 }
 
-// TestSortKeyRowsMatchesSortFunc: the radix sort large tables take puts
-// keys in the order slices.SortFunc does — on random keys over the full
-// and the default key range, small integer keys (whose constant high bytes
-// are skipped), sorted, reverse-sorted and all-equal keys, and keys with
-// duplicates — with every row kept once beside its own key. Tables with a
-// duplicate key are still rejected.
+// TestSortKeyRowsMatchesSortFunc: from two rows to thousands, the radix
+// sort puts keys in the order slices.SortFunc does — on random keys over
+// the full and the default key range, small integer keys (whose constant
+// high bytes are skipped), sorted, reverse-sorted and all-equal keys, and
+// keys with duplicates — with every row kept once beside its own key.
+// Tables with a duplicate key are still rejected.
 func TestSortKeyRowsMatchesSortFunc(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
-	for _, n := range []int{radixMinRows - 1, radixMinRows, 1000, 5000} {
+	for _, n := range []int{2, 16, 255, 256, 1000, 5000} {
 		random, small, sorted, reversed, equal, dups := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 		for i := range random {
 			random[i] = rng.Uint64()
