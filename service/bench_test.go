@@ -1,7 +1,9 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/wal"
@@ -98,4 +100,45 @@ func BenchmarkServiceIngestWAL(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	b.ReportMetric(float64(3*b.N)/b.Elapsed().Seconds(), "vecs/s")
+}
+
+// BenchmarkDecodeRequestBody times decoding a raw-columns request body,
+// as the benchmark's search_raw and ingest workloads send them: a
+// 2000×1 inline /search and a 1000×2 PUT, through the single-pass
+// decoder (fast) and through encoding/json (stdlib).
+func BenchmarkDecodeRequestBody(b *testing.B) {
+	bodies := service.BenchBodies(b, 2000)
+	for _, tc := range []struct {
+		name         string
+		body         []byte
+		fast, stdlib func([]byte) error
+	}{
+		{"search", bodies["search_raw"],
+			func(body []byte) error { _, err := service.DecodeSearchBody(body); return err },
+			func(body []byte) error {
+				var v service.SearchRequest
+				return json.NewDecoder(bytes.NewReader(body)).Decode(&v)
+			}},
+		{"put", bodies["put_raw"],
+			func(body []byte) error { _, err := service.DecodeTableBody(body); return err },
+			func(body []byte) error {
+				var v service.TablePayload
+				return json.NewDecoder(bytes.NewReader(body)).Decode(&v)
+			}},
+	} {
+		for _, path := range []struct {
+			name   string
+			decode func([]byte) error
+		}{{"fast", tc.fast}, {"stdlib", tc.stdlib}} {
+			b.Run(tc.name+"/"+path.name, func(b *testing.B) {
+				b.SetBytes(int64(len(tc.body)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := path.decode(tc.body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,0 +1,217 @@
+package service_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	ipsketch "repro"
+	"repro/service"
+)
+
+// send issues one request and returns the status and, for an error, the
+// ErrorResponse text.
+func send(t *testing.T, method, url, ctype string, body []byte) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ctype)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e service.ErrorResponse
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s %s: %d with an undecodable body: %v", method, url, resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, e.Error
+}
+
+// TestServiceOversizedBody413: a body over MaxBodyBytes is a 413 naming
+// the limit on every endpoint that reads one, in both body formats, and
+// on a cluster node that forwards the mutation to its owner.
+func TestServiceOversizedBody413(t *testing.T) {
+	const limit = 1024
+	srv, err := service.New(service.Config{Sketch: testSketchCfg, KeySpace: testKeySpace, MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	keys := make([]uint64, 300)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	big := service.TablePayload{Keys: keys, Columns: map[string][]float64{"v": make([]float64, len(keys))}}
+	table := mustJSON(t, big)
+	search := mustJSON(t, service.SearchRequest{Table: &big, Column: "v", RankBy: "join_size"})
+	estimate := mustJSON(t, service.EstimateRequest{TableA: strings.Repeat("a", limit), ColumnA: "v", TableB: "b", ColumnB: "v"})
+	want := fmt.Sprintf("service: request body exceeds the %d-byte limit", limit)
+	check := func(method, url, ctype string, body []byte) {
+		t.Helper()
+		if status, msg := send(t, method, url, ctype, body); status != http.StatusRequestEntityTooLarge || msg != want {
+			t.Errorf("%s %s (%s, %d bytes): %d %q, want 413 %q", method, url, ctype, len(body), status, msg, want)
+		}
+	}
+	for _, ctype := range []string{"application/json", "application/octet-stream"} {
+		check("PUT", hs.URL+"/tables/t", ctype, table)
+		check("POST", hs.URL+"/tables/t/merge", ctype, table)
+	}
+	check("POST", hs.URL+"/search", "application/json", search)
+	check("POST", hs.URL+"/estimate", "application/json", estimate)
+	if st := srv.Catalog().Len(); st != 0 {
+		t.Fatalf("oversized bodies cataloged %d tables", st)
+	}
+
+	// A body under the limit is decoded as before.
+	small := service.TablePayload{Keys: []uint64{1, 2}, Columns: map[string][]float64{"v": {1, 2}}}
+	if status, msg := send(t, "PUT", hs.URL+"/tables/t", "application/json", mustJSON(t, small)); status != http.StatusOK {
+		t.Fatalf("small PUT: %d %s", status, msg)
+	}
+
+	// A cluster node reads the whole body before forwarding it.
+	tc := startTestClusterWith(t, 3, -1, func(cfg *service.Config) { cfg.MaxBodyBytes = limit })
+	name := ""
+	for i := 0; name == ""; i++ {
+		if cand := fmt.Sprintf("remote-%d", i); tc.servers[0].ClusterOwner(cand) != tc.urls[0] {
+			name = cand
+		}
+	}
+	check("PUT", tc.urls[0]+"/tables/"+name, "application/json", table)
+	check("POST", tc.urls[0]+"/tables/"+name+"/merge", "application/json", table)
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServiceHostileNumbers: keys and values that are not what their Go
+// type holds are a 400 with encoding/json's own message on every
+// raw-columns path — PUT, merge and an inline /search — while negative
+// zero and the smallest subnormal are taken as values, sketched to the
+// bytes SketchTable makes of them in process.
+func TestServiceHostileNumbers(t *testing.T) {
+	srv, _ := newTestServer(t, service.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	for _, tc := range []struct{ keys, values string }{
+		{keys: "1,-1", values: "1,2"},
+		{keys: "1,1.5", values: "1,2"},
+		{keys: "1,1e3", values: "1,2"},
+		{keys: "1,01", values: "1,2"},
+		{keys: "1,18446744073709551616", values: "1,2"},
+		{keys: "1,2", values: "1,1e400"},
+	} {
+		table := `{"keys":[` + tc.keys + `],"columns":{"v":[` + tc.values + `]}}`
+		search := `{"table":` + table + `,"column":"v","rank_by":"join_size"}`
+		var p service.TablePayload
+		tableErr := json.NewDecoder(strings.NewReader(table)).Decode(&p)
+		var req service.SearchRequest
+		searchErr := json.NewDecoder(strings.NewReader(search)).Decode(&req)
+		if tableErr == nil || searchErr == nil {
+			t.Fatalf("encoding/json takes %s", table)
+		}
+		for _, c := range []struct {
+			method, path, body, want string
+		}{
+			{"PUT", "/tables/h", table, "service: decoding table payload: " + tableErr.Error()},
+			{"POST", "/tables/h/merge", table, "service: decoding table payload: " + tableErr.Error()},
+			{"POST", "/search", search, "service: decoding search request: " + searchErr.Error()},
+		} {
+			if status, msg := send(t, c.method, hs.URL+c.path, "application/json", []byte(c.body)); status != http.StatusBadRequest || msg != c.want {
+				t.Errorf("%s %s %s: %d %q, want 400 %q", c.method, c.path, c.body, status, msg, c.want)
+			}
+		}
+	}
+
+	ts, err := ipsketch.NewTableSketcher(testSketchCfg, testKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := []uint64{1, 2, 3, 4}, []float64{math.Copysign(0, -1), 5e-324, 1.5, -2}
+	const table = `{"keys":[1,2,3,4],"columns":{"v":[-0,4.9e-324,1.5,-2]}}`
+	for _, c := range []struct{ method, path, name string }{
+		{"PUT", "/tables/put", "put"},
+		{"POST", "/tables/merge/merge", "merge"},
+	} {
+		if status, msg := send(t, c.method, hs.URL+c.path, "application/json", []byte(table)); status != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", c.method, c.path, status, msg)
+		}
+		tab, err := ipsketch.NewTable(c.name, keys, map[string][]float64{"v": values})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ts.SketchTable(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := srv.Catalog().Get(c.name)
+		if !ok {
+			t.Fatalf("%s %s cataloged nothing", c.method, c.path)
+		}
+		gotBytes, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s %s: the cataloged sketch differs from SketchTable's", c.method, c.path)
+		}
+	}
+	// The inline query ranks the two tables as the in-process index ranks
+	// them against SketchTable's query sketch.
+	ix := ipsketch.NewSketchIndex()
+	for _, name := range []string{"merge", "put"} {
+		sk, _ := srv.Catalog().Get(name)
+		if err := ix.Add(sk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qTab, err := ipsketch.NewTable("", keys, map[string][]float64{"v": values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qSk, err := ts.SketchTable(qTab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ix.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/search", "application/json",
+		strings.NewReader(`{"table":`+table+`,"column":"v","rank_by":"join_size"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr service.SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("inline /search with -0 and 4.9e-324: %d, %v", resp.StatusCode, err)
+	}
+	got := make([]ipsketch.SearchResult, len(sr.Results))
+	for i, h := range sr.Results {
+		got[i] = h.Result()
+	}
+	requireSameRanking(t, got, want, "inline query with -0 and 4.9e-324")
+}

@@ -288,9 +288,9 @@ func (s *Server) forwardMutation(w http.ResponseWriter, r *http.Request, name st
 			fmt.Errorf("service: table %q owner %s is down", name, owner))
 		return true
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeBodyError(w, err)
 		return true
 	}
 	status, respBody, respHeader, err := cs.roundTrip(r.Context(), owner, r.Method, r.URL.EscapedPath(),

@@ -31,6 +31,13 @@ type testCluster struct {
 // in strict mode.
 func startTestCluster(t *testing.T, n int, strictIdx int) *testCluster {
 	t.Helper()
+	return startTestClusterWith(t, n, strictIdx, nil)
+}
+
+// startTestClusterWith is startTestCluster with each node's
+// configuration passed through tweak (when non-nil) before it boots.
+func startTestClusterWith(t *testing.T, n int, strictIdx int, tweak func(*service.Config)) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	lns := make([]net.Listener, n)
 	for i := range lns {
@@ -56,6 +63,9 @@ func startTestCluster(t *testing.T, n int, strictIdx int) *testCluster {
 				FailThreshold: 2,
 				PeerTimeout:   2 * time.Second,
 			},
+		}
+		if tweak != nil {
+			tweak(&cfg)
 		}
 		srv, err := service.New(cfg)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -579,14 +578,13 @@ func (s *Server) sketchPayload(name string, p *TablePayload, cols ...string) (*i
 // sketch bundle (application/octet-stream) or raw JSON columns sketched
 // server-side — into a table sketch named after the request path.
 func (s *Server) ingestSketch(w http.ResponseWriter, r *http.Request, name string) (*ipsketch.TableSketch, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, err := s.readBody(w, r)
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		// Pre-built serialized sketch bundle; the path name wins.
-		blob, err := io.ReadAll(body)
 		if err != nil {
 			return nil, err
 		}
-		tsk, err := ipsketch.UnmarshalTableSketch(blob)
+		tsk, err := ipsketch.UnmarshalTableSketch(body)
 		if err != nil {
 			return nil, err
 		}
@@ -594,7 +592,10 @@ func (s *Server) ingestSketch(w http.ResponseWriter, r *http.Request, name strin
 		return tsk, nil
 	}
 	var p TablePayload
-	if err := json.NewDecoder(body).Decode(&p); err != nil {
+	if err == nil {
+		p, err = decodeTablePayload(body)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("service: decoding table payload: %w", err)
 	}
 	return s.sketchPayload(name, &p)
@@ -616,7 +617,7 @@ func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.ingestSem }()
 	tsk, err := s.ingestSketch(w, r, name)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeBodyError(w, err)
 		return
 	}
 	s.snapMu.RLock()
@@ -677,7 +678,7 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 		if id != "" {
 			s.dedupe.finish(id, nil)
 		}
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeBodyError(w, err)
 		return
 	}
 	s.snapMu.RLock()
@@ -775,9 +776,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.searchSem }()
+	body, err := s.readBody(w, r)
 	var req SearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding search request: %w", err))
+	if err == nil {
+		req, err = decodeSearchRequest(body)
+	}
+	if err != nil {
+		s.writeBodyError(w, fmt.Errorf("service: decoding search request: %w", err))
 		return
 	}
 	q, err := s.resolveQuery(&req)
@@ -861,7 +866,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.searchSem }()
 	var req EstimateRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding estimate request: %w", err))
+		s.writeBodyError(w, fmt.Errorf("service: decoding estimate request: %w", err))
 		return
 	}
 	a, ok := s.cat.Get(req.TableA)
