@@ -134,10 +134,9 @@ type backend struct {
 	// packs is the columnar scan family (columnar.go) of methods the
 	// search kernel packs; methods without one scan decoded.
 	packs columnarScorer
-	// quantize and dart report whether Config.Quantize and Config.Dart
-	// are honored; Config.Validate rejects the flags everywhere else
-	// instead of silently ignoring them.
-	quantize, dart bool
+	// quantize reports whether Config.Quantize is honored; Config.Validate
+	// rejects the flag everywhere else instead of silently ignoring it.
+	quantize bool
 }
 
 // columnarScorer is the type of a backend's packs field: a family that

@@ -86,19 +86,39 @@ func TestEstimateRejectsIncompatibleSketchers(t *testing.T) {
 				"size": {Method: m, StorageWords: budget * 2, Seed: 1},
 			}
 			if m == MethodWMH {
-				bad["dart variant"] = Config{Method: m, StorageWords: budget, Seed: 1, Dart: true}
 				bad["quantize variant"] = Config{Method: m, StorageWords: budget, Seed: 1, Quantize: true}
 				bad["discretization"] = Config{Method: m, StorageWords: budget, Seed: 1, L: 1 << 20}
 			}
 			if m == MethodCountSketch {
 				bad["reps"] = Config{Method: m, StorageWords: budget, Seed: 1, Reps: 3}
 			}
+			pairs := map[string][2]*Sketch{}
 			for name, cfg := range bad {
-				other := mk(t, cfg)
-				if _, err := Estimate(ref, other); err == nil {
+				pairs[name] = [2]*Sketch{ref, mk(t, cfg)}
+			}
+			if m == MethodWMH {
+				// A retired construction variant: the record process's
+				// golden sketch against the current construction's sketch
+				// of the same vector under the same configuration.
+				old, err := UnmarshalSketch(retiredRecordBlob(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSketcher(Config{Method: m, StorageWords: 64, Seed: 12345})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := s.Sketch(goldenVector(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs["retired variant"] = [2]*Sketch{fresh, old}
+			}
+			for name, pair := range pairs {
+				if _, err := Estimate(pair[0], pair[1]); err == nil {
 					t.Errorf("%s mismatch accepted by Estimate", name)
 				}
-				if _, err := EstimateJoinSize(ref, other); err == nil {
+				if _, err := EstimateJoinSize(pair[0], pair[1]); err == nil {
 					t.Errorf("%s mismatch accepted by EstimateJoinSize", name)
 				}
 			}
@@ -182,9 +202,10 @@ func TestCapabilitySurfaces(t *testing.T) {
 	}
 }
 
-// TestQuantizableCapability: Config.Quantize / Config.Dart are honored
-// exactly by the descriptors that set the capability, and Validate
-// rejects the flags everywhere else instead of silently ignoring them.
+// TestQuantizableCapability: Config.Quantize is honored exactly by the
+// descriptors that set the capability, and Validate rejects the flag
+// everywhere else instead of silently ignoring it. The deprecated
+// Config.Dart is a no-op that Validate accepts for every method.
 func TestQuantizableCapability(t *testing.T) {
 	for _, m := range Methods() {
 		be, err := backendFor(m)
@@ -203,12 +224,8 @@ func TestQuantizableCapability(t *testing.T) {
 		if gotOK := errQ == nil; gotOK != want {
 			t.Errorf("%v: Validate(Quantize) error=%v, want accepted=%v", m, errQ, want)
 		}
-		if be.dart != want {
-			t.Errorf("%v: dart=%v, want %v", m, be.dart, want)
-		}
-		errD := Config{Method: m, StorageWords: budget, Dart: true}.Validate()
-		if gotOK := errD == nil; gotOK != want {
-			t.Errorf("%v: Validate(Dart) error=%v, want accepted=%v", m, errD, want)
+		if err := (Config{Method: m, StorageWords: budget, Dart: true}).Validate(); err != nil {
+			t.Errorf("%v: Validate(Dart) error=%v, want the deprecated flag accepted", m, err)
 		}
 	}
 }

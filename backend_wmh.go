@@ -9,7 +9,7 @@ import (
 // wmhBackend adapts internal/wmh — the paper's Weighted MinHash sketch
 // (Algorithms 3–5). It is the only method that estimates its own error
 // bound (Theorem 2 is data-driven through the stored norms) and the only
-// one honoring Config.Quantize and Config.Dart.
+// one honoring Config.Quantize.
 var wmhBackend = &backend{
 	name: "WMH",
 	size: func(cfg Config) (int, error) {
@@ -25,8 +25,8 @@ var wmhBackend = &backend{
 		}
 		return s, nil
 	},
-	// A bundle's vectors share one key set, so the dart construction fills
-	// them all from one walk over the blocks (wmh.Builder.SketchAll).
+	// A bundle's vectors share one key set, so the builder fills them all
+	// from one dart walk over the blocks (wmh.Builder.SketchAll).
 	newBuilder: func(cfg Config, size int) (builder, error) {
 		b, err := wmh.NewBuilder(cfg.wmhParams(size))
 		if err != nil {
@@ -37,7 +37,7 @@ var wmhBackend = &backend{
 	compatible: check(wmh.Compatible),
 	estimate:   pair(wmh.Estimate),
 	unmarshal:  decode[wmh.Sketch],
-	// Union-min over the per-sample record-process minima. Partials must
+	// Union-min over the per-sample minima. Partials must
 	// share the parent's normalization (shards); wmh.Merge rejects unequal
 	// stored norms.
 	merge: merged(wmh.Merge),
@@ -72,13 +72,12 @@ var wmhBackend = &backend{
 	// Empty sketches yield nil.
 	signature: unary((*wmh.Sketch).Signature),
 	// Params, resolved L, and construction variant all pin through
-	// wmh.Compatible, so dart and record-process sketches never mix in one
-	// pack.
+	// wmh.Compatible, so retired-variant sketches never mix into a pack of
+	// current ones.
 	packs: &packFamily[*wmh.Sketch, *wmh.Sketch, *wmh.Cols]{
 		compatible: wmh.Compatible,
 		newCols:    wmh.NewCols,
 		operand:    func(s *wmh.Sketch) *wmh.Sketch { return s },
 	},
 	quantize: true,
-	dart:     true,
 }

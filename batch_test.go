@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,16 +78,13 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 	}
 }
 
-// TestSketchAllDart: the Dart config flows through the batch path
-// (bitwise identical to one-at-a-time dart sketches) and produces
-// sketches incompatible with record-process sketches.
+// TestSketchAllDart: the batch path builds the dart construction (bitwise
+// identical to one-at-a-time sketches), whose sketches are incompatible
+// with the retired record process's — here its golden sketch, against the
+// batch sketch of the golden vector under the same configuration.
 func TestSketchAllDart(t *testing.T) {
-	vs := batchTestVectors(t, 4)
-	dart, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 120, Seed: 7, Dart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 120, Seed: 7})
+	vs := append(batchTestVectors(t, 4), goldenVector(t))
+	dart, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 64, Seed: 12345})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +102,12 @@ func TestSketchAllDart(t *testing.T) {
 			t.Fatalf("vector %d: dart batch sketch differs from single sketch", i)
 		}
 	}
-	es, err := exact.Sketch(vs[0])
+	record, err := UnmarshalSketch(retiredRecordBlob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Estimate(db[0], es); err == nil {
-		t.Fatal("dart sketch comparable with record-process sketch")
+	if _, err := Estimate(db[len(vs)-1], record); err == nil || !strings.Contains(err.Error(), "re-sketch") {
+		t.Fatalf("dart sketch vs record-process sketch: err = %v, want the variant error saying to re-sketch", err)
 	}
 }
 

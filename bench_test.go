@@ -139,23 +139,7 @@ func benchSketch(b *testing.B, m ipsketch.Method, storage int) {
 	}
 }
 
-func BenchmarkSketch_WMH(b *testing.B) { benchSketch(b, ipsketch.MethodWMH, 400) }
-
-// BenchmarkSketch_WMH_Dart is the dart-throwing construction at the same
-// Params as BenchmarkSketch_WMH — the speedup PR 4 measured (DESIGN.md §9.3).
-func BenchmarkSketch_WMH_Dart(b *testing.B) {
-	a, _ := paperVectors(b, 0.1)
-	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1, Dart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Sketch(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSketch_WMH(b *testing.B)         { benchSketch(b, ipsketch.MethodWMH, 400) }
 func BenchmarkSketch_MH(b *testing.B)          { benchSketch(b, ipsketch.MethodMH, 400) }
 func BenchmarkSketch_KMV(b *testing.B)         { benchSketch(b, ipsketch.MethodKMV, 400) }
 func BenchmarkSketch_JL(b *testing.B)          { benchSketch(b, ipsketch.MethodJL, 400) }
@@ -217,11 +201,9 @@ func engineVectors(b *testing.B, n int) []ipsketch.Vector {
 	return out
 }
 
-func benchSketchWMHBatch(b *testing.B, dart bool) {
+func BenchmarkSketchWMH_Batch(b *testing.B) {
 	vs := engineVectors(b, 8)
-	s, err := ipsketch.NewSketcher(ipsketch.Config{
-		Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1, Dart: dart,
-	})
+	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,34 +234,12 @@ func BenchmarkSketchWMH_Single(b *testing.B) {
 	}
 }
 
-func BenchmarkSketchWMH_Batch(b *testing.B)     { benchSketchWMHBatch(b, false) }
-func BenchmarkSketchWMH_BatchDart(b *testing.B) { benchSketchWMHBatch(b, true) }
-
 // BenchmarkSketchWMH_Builder is the zero-allocation steady state: one
-// reused builder and destination sketch.
+// reused builder and destination sketch — the serving-layer ingest hot
+// path.
 func BenchmarkSketchWMH_Builder(b *testing.B) {
 	v := engineVectors(b, 1)[0]
 	bu, err := wmh.NewBuilder(wmh.Params{M: 400, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dst wmh.Sketch
-	if err := bu.SketchInto(&dst, v); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bu.SketchInto(&dst, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSketchWMH_BuilderDart is the dart variant's zero-allocation
-// steady state — the serving-layer ingest hot path.
-func BenchmarkSketchWMH_BuilderDart(b *testing.B) {
-	v := engineVectors(b, 1)[0]
-	bu, err := wmh.NewBuilder(wmh.Params{M: 400, Seed: 1, Dart: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,9 +536,6 @@ func benchMerge(b *testing.B, cfg ipsketch.Config) {
 
 func BenchmarkMerge_WMH(b *testing.B) {
 	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1})
-}
-func BenchmarkMerge_WMH_Dart(b *testing.B) {
-	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1, Dart: true})
 }
 func BenchmarkMerge_MH(b *testing.B) {
 	benchMerge(b, ipsketch.Config{Method: ipsketch.MethodMH, StorageWords: 400, Seed: 1})

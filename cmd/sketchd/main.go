@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	fs.Uint64Var(&cfg.Sketch.L, "l", 0, "WMH discretization parameter (0 = automatic)")
 	fs.IntVar(&cfg.Sketch.Reps, "reps", 0, "CountSketch repetitions (0 = paper default)")
 	fs.BoolVar(&cfg.Sketch.Quantize, "quantize", false, "store sample values in 32 bits (supported methods)")
-	fs.BoolVar(&cfg.Sketch.Dart, "dart", false, "one-pass dart-throwing construction (supported methods)")
+	fs.BoolVar(&cfg.Sketch.Dart, "dart", false, "deprecated and ignored: WMH always uses the dart construction")
 	fs.IntVar(&cfg.Shards, "shards", 0, "catalog shard count (0 = default)")
 	fs.StringVar(&cfg.SnapshotPath, "snapshot", "", "snapshot file (load on boot, save on shutdown)")
 	snapshotEvery := fs.Duration("snapshot-every", 0, "periodic snapshot interval (0 = only on shutdown)")

@@ -240,72 +240,145 @@ func TestSketchdRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestSketchdDartBoots: the one remaining construction flag still selects
-// the dart WMH construction end to end.
+// TestSketchdDartBoots: the deprecated -dart flag still parses, and with
+// or without it the daemon serves the dart construction: the table it
+// snapshots is byte for byte the in-process sketch of the same table,
+// whose WMH sketches carry wire variant 4.
 func TestSketchdDartBoots(t *testing.T) {
-	cl, stop := startDaemon(t, "-dart", "-storage", "60")
-	defer stop()
 	ctx := context.Background()
 	tbl := service.TablePayload{Keys: []uint64{1, 2, 3, 5}, Columns: map[string][]float64{"v": {1, -2, 3, 4}}}
-	if _, err := cl.PutTable(ctx, "t", tbl); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Search(ctx, service.SearchRequest{Table: &tbl, Column: "v", RankBy: "join_size"})
+	tab, err := ipsketch.NewTable("t", tbl.Keys, tbl.Columns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0].Table != "t" {
-		t.Fatalf("search over the dart catalog: %+v", res)
+	ts, err := ipsketch.NewTableSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 60, Seed: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ts.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := want.ColumnSketch("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	colBytes, err := col.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The variant byte follows the 6-byte envelope, M, Seed, L (8 each),
+	// quantized (1), resolved L, dim, norm (8 each) and empty (1).
+	if vr := colBytes[6+3*8+1+3*8+1]; vr != 4 {
+		t.Fatalf("in-process WMH sketch has variant byte %d, want 4", vr)
+	}
+	wantBytes, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// serve boots a daemon with flags, PUTs and searches the table, and
+	// returns the path of the snapshot it then takes.
+	serve := func(name string, flags ...string) string {
+		snap := filepath.Join(t.TempDir(), "snapshot")
+		cl, stop := startDaemon(t, append(flags, "-storage", "60", "-snapshot", snap)...)
+		defer stop()
+		if _, err := cl.PutTable(ctx, "t", tbl); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Search(ctx, service.SearchRequest{Table: &tbl, Column: "v", RankBy: "join_size"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Table != "t" {
+			t.Fatalf("%s: search over the catalog: %+v", name, res)
+		}
+		if _, err := cl.Snapshot(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	for name, flags := range map[string][]string{"no -dart": nil, "-dart": {"-dart"}} {
+		f, err := os.Open(serve(name, flags...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := ipsketch.DecodeIndex(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := ix.Get("t")
+		if !ok {
+			t.Fatalf("%s: snapshot lacks table t", name)
+		}
+		gotBytes, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s: the daemon's table sketch differs from the in-process dart sketch", name)
+		}
 	}
 }
 
 // TestSketchdRefusesRetiredDartVariant: a daemon booting on a snapshot or
-// a WAL that holds dart sketches of the retired variant 3 fails, with an
-// error that says to re-sketch, rather than serving tables its own
-// sketches cannot be compared with. testdata/dart-v3.snapshot was written
-// by the last variant-3 build of sketchd, started with
-// `-dart -storage 60 -snapshot F`, after one PUT of table "rides" and a
-// graceful shutdown.
+// a WAL that holds WMH sketches of a retired construction variant fails,
+// with an error that says to re-sketch, rather than serving tables its own
+// sketches cannot be compared with. Each fixture was written by the last
+// build of sketchd that wrote its variant, after one PUT of table "rides"
+// and a graceful shutdown: testdata/record-v0.snapshot by a build whose
+// default construction was the record process (variant 0), started with
+// `-storage 60 -snapshot F`; testdata/dart-v3.snapshot by the last
+// variant-3 build, started with `-dart -storage 60 -snapshot F`.
 func TestSketchdRefusesRetiredDartVariant(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "dart-v3.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := ipsketch.DecodeIndex(bytes.NewReader(fixture))
-	if err != nil {
-		t.Fatalf("variant-3 snapshot no longer decodes: %v", err)
-	}
-	rides, ok := ix.Get("rides")
-	if !ok {
-		t.Fatal("fixture lacks table rides")
-	}
-	payload, err := rides.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "snapshot")
-	if err := os.WriteFile(snap, fixture, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	walDir := filepath.Join(dir, "wal")
-	w, err := wal.Open(wal.Options{Dir: walDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(wal.OpPut, "rides", "", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, args := range map[string][]string{"snapshot": {"-snapshot", snap}, "WAL": {"-wal", walDir}} {
-		args = append([]string{"-addr", "127.0.0.1:0", "-dart", "-storage", "60"}, args...)
-		err := run(context.Background(), args, testWriter{t}, nil)
-		if err == nil || !strings.Contains(err.Error(), "re-sketch") {
-			t.Errorf("booting on a variant-3 %s: err = %v, want an error saying to re-sketch", name, err)
+	for _, fix := range []struct{ variant, file string }{
+		{"v0", "record-v0.snapshot"},
+		{"v3", "dart-v3.snapshot"},
+	} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", fix.file))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("%s: %v", name, err)
+		ix, err := ipsketch.DecodeIndex(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatalf("%s no longer decodes: %v", fix.file, err)
+		}
+		rides, ok := ix.Get("rides")
+		if !ok {
+			t.Fatalf("%s lacks table rides", fix.file)
+		}
+		payload, err := rides.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "snapshot")
+		if err := os.WriteFile(snap, fixture, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		walDir := filepath.Join(dir, "wal")
+		w, err := wal.Open(wal.Options{Dir: walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(wal.OpPut, "rides", "", payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct{ name, flag, path string }{
+			{"snapshot", "-snapshot", snap},
+			{"WAL", "-wal", walDir},
+		} {
+			t.Run(fix.variant+"/"+src.name, func(t *testing.T) {
+				err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-storage", "60", src.flag, src.path}, testWriter{t}, nil)
+				if err == nil || !strings.Contains(err.Error(), "re-sketch") {
+					t.Errorf("booting on a %s %s: err = %v, want an error saying to re-sketch", fix.variant, src.name, err)
+				}
+				t.Logf("%v", err)
+			})
+		}
 	}
 }
 

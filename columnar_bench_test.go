@@ -110,7 +110,7 @@ func TestRankFirstScanSpeedupSmoke(t *testing.T) {
 	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
 		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the rank-first scan gate")
 	}
-	cfg := Config{Method: MethodWMH, StorageWords: 300, Seed: 13, Dart: true}
+	cfg := Config{Method: MethodWMH, StorageWords: 300, Seed: 13}
 	qSk, ix := buildColumnarFixture(t, cfg, 8100, 160)
 	if ix.BuildColumnar() != ix.Len() {
 		t.Fatal("fixture not fully packed")
@@ -151,7 +151,7 @@ func TestColumnarScanSpeedupSmoke(t *testing.T) {
 	if procs < 4 || runtime.NumCPU() < 4 {
 		t.Skipf("GOMAXPROCS=%d, NumCPU=%d: the speedup gate needs at least 4 real cores", procs, runtime.NumCPU())
 	}
-	floors := map[string]float64{"MH": 1.5, "WMH-dart": 2, "KMV": 2}
+	floors := map[string]float64{"MH": 1.5, "WMH": 2, "KMV": 2}
 	for _, fam := range columnarFamilies {
 		floor, ok := floors[fam.name]
 		if !ok {

@@ -8,16 +8,13 @@ import (
 	"repro/internal/hashing"
 )
 
-// columnarFamilies lists every family the columnar kernel packs, with the
-// construction variants that exercise distinct hot loops (the dart and
-// record-process WMH sketches share an estimator but not a construction).
+// columnarFamilies lists every family the columnar kernel packs.
 var columnarFamilies = []struct {
 	name string
 	cfg  Config
 }{
 	{"MH", Config{Method: MethodMH, StorageWords: 300, Seed: 11}},
 	{"WMH", Config{Method: MethodWMH, StorageWords: 300, Seed: 12}},
-	{"WMH-dart", Config{Method: MethodWMH, StorageWords: 300, Seed: 13, Dart: true}},
 	{"KMV", Config{Method: MethodKMV, StorageWords: 300, Seed: 14}},
 	{"PS", Config{Method: MethodPS, StorageWords: 300, Seed: 15}},
 	{"TS", Config{Method: MethodTS, StorageWords: 300, Seed: 16}},

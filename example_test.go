@@ -144,7 +144,7 @@ func ExampleSketchIndex_Search() {
 		stations[i] = uint64(3_000_000 + i)
 	}
 
-	cfg := ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1, Dart: true}
+	cfg := ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 1}
 	ts, _ := ipsketch.NewTableSketcher(cfg, 0)
 	sketch := func(name string, keys []uint64, col string, vals []float64) *ipsketch.TableSketch {
 		t, _ := ipsketch.NewTable(name, keys, map[string][]float64{col: vals})

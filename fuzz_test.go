@@ -23,12 +23,12 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		}
 		f.Add(marshalFixture(f, Config{Method: m, StorageWords: budget, Seed: 7}))
 	}
-	// WMH payloads carry a construction-variant byte; seed the dart
-	// encoding, the retired value 2 and the retired dart variant 3 so
-	// mutations explore the byte's neighborhood (retired value 2 and
-	// unknown values must reject, known ones — 3 included — must
-	// round-trip).
-	f.Add(marshalFixture(f, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}))
+	// WMH payloads carry a construction-variant byte; seed the retired
+	// record-process variant 0, the removed value 2 and the retired dart
+	// variant 3 beside the current variant 4 above, so mutations explore
+	// the byte's neighborhood (value 2 and unknown values must reject,
+	// known ones — 0 and 3 included — must round-trip).
+	f.Add(retiredRecordBlob(f))
 	f.Add(retiredVariantBlob(f))
 	f.Add(retiredDartBlob(f))
 	// The retired ICWS method byte: it must reject, and its neighbors
@@ -90,11 +90,15 @@ func FuzzMerge(f *testing.F) {
 	retired := retiredVariantBlob(f)
 	f.Add(retired, retired)
 	f.Add(blobs[0], retired)
-	// The retired dart variant decodes, but must not merge with the
-	// current one.
-	f.Add(retiredDartBlob(f), blobs[slices.IndexFunc(golden, func(p string) bool {
+	// The retired record-process and dart variants decode and merge with
+	// themselves, but must not merge with the current one.
+	current := blobs[slices.IndexFunc(golden, func(p string) bool {
 		return filepath.Base(p) == "wmh-dart.golden"
-	})])
+	})]
+	record := retiredRecordBlob(f)
+	f.Add(record, record)
+	f.Add(record, current)
+	f.Add(retiredDartBlob(f), current)
 	// Likewise the retired ICWS method's golden sketch.
 	icws := retiredICWSBlob(f)
 	f.Add(icws, icws)
@@ -187,7 +191,7 @@ func FuzzUnmarshalTableSketch(f *testing.F) {
 	// A dart-variant bundle seeds the fuzzer with the newest WMH variant
 	// byte: flipping it must either decode as a coherent single-variant
 	// bundle or reject — never mix variants silently.
-	dts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 60, Seed: 5, Dart: true}, 1<<16)
+	dts, err := NewTableSketcher(Config{Method: MethodWMH, StorageWords: 60, Seed: 5}, 1<<16)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 //
 // # The process
 //
-// PrefixMin models block j as w_j slots, each slot s carrying one iid
-// U(0,1) hash per sample i; sample i's hash is the minimum over all active
-// slots of all blocks. The dart process replaces "one uniform per (slot,
+// The paper's record process models block j as w_j slots, each slot s
+// carrying one iid U(0,1) hash per sample i; sample i's hash is the
+// minimum over all active slots of all blocks. The dart process replaces "one uniform per (slot,
 // sample)" with a Poisson point process over (slot, sample, value) space
 // whose value-axis intensity per slot is
 //
@@ -31,9 +31,9 @@ import (
 //
 //	P(min > t) = e^{−w·ν([0,t])} = (1−t)^w,
 //
-// exactly the law of the minimum of w iid U(0,1) — the same marginal
-// PrefixMin produces. Every coordination property follows from the process
-// being a deterministic function of seed-keyed cells (below):
+// exactly the law of the minimum of w iid U(0,1) — the same marginal the
+// record process produces. Every coordination property follows from the
+// process being a deterministic function of seed-keyed cells (below):
 //
 //   - two parties sharing a block agree on every dart in the common slot
 //     prefix, so for w_a ≤ w_b the minima collide exactly when the larger
@@ -57,7 +57,7 @@ import (
 // exceeds poissonMaxMean. A slice's dart count is Poisson with a mean depending
 // only on (m, L, cell, round), never on the block's weight.
 //
-// One SplitMix64 stream keyed by (blockKey, round) drives the whole
+// One SplitMix64 stream keyed by (block key, round) drives the whole
 // walk: the base cell first, then the dyadic cells in ascending order. A
 // block of weight w walks the cells up to ⌊log2 w⌋ and filters darts by
 // slot ≤ w after drawing them, so a smaller weight consumes a prefix of

@@ -207,7 +207,7 @@ func TestDartRoundZeroCount(t *testing.T) {
 
 // TestDartMinMarginal checks the per-sample law: the minimum dart value of
 // a vector with total slot weight L is distributed as the minimum of L iid
-// U(0,1) — the same marginal PrefixMin produces. The transform
+// U(0,1) — the same marginal the record process produces. The transform
 // u = 1−(1−v)^L maps it to U(0,1); we check the first two moments.
 func TestDartMinMarginal(t *testing.T) {
 	const m = 2000
@@ -269,7 +269,7 @@ func TestDartSubsetConsistency(t *testing.T) {
 
 // TestDartMinComposition is the second coordination invariant: the minimum
 // over a union of blocks equals the min of the per-block minima, bitwise —
-// the same identity PrefixMin satisfies across prefixes.
+// the same identity the record process satisfies across prefixes.
 func TestDartMinComposition(t *testing.T) {
 	const m = 600
 	const l = 1 << 10

@@ -1,8 +1,7 @@
 // Package hashing provides the random primitives shared by every sketch in
 // this repository: a small deterministic PRNG (splitmix64) with its Mix /
-// Extend key-derivation chain, the prefix-minimum "record process" that
-// implements the active-index technique for Weighted MinHash, the dart
-// process behind the one-pass construction, and the worker-pool helpers.
+// Extend key-derivation chain, the dart process behind the Weighted
+// MinHash construction, and the worker-pool helpers.
 //
 // Everything here is deterministic given a seed. Two sketches built from the
 // same seed on different machines (or different processes) produce bitwise
@@ -69,19 +68,9 @@ func Extend(h, p uint64) uint64 {
 	return mix64(h + golden + p)
 }
 
-// ChainKeys fills buf (grown as needed, contents overwritten) with the m
-// chain keys Extend(prefix, i) for i in [0, m) — the per-sample key
-// prefixes of block-major sketch construction. One helper owns the
-// derivation so every sketch package hoists keys the same way.
-func ChainKeys(buf []uint64, prefix uint64, m int) []uint64 {
-	buf = buf[:0]
-	if cap(buf) < m {
-		buf = make([]uint64, 0, m)
-	}
-	for i := 0; i < m; i++ {
-		buf = append(buf, Extend(prefix, uint64(i)))
-	}
-	return buf
+// UnitFromBits maps a 64-bit word to a float in the open interval (0,1).
+func UnitFromBits(u uint64) float64 {
+	return (float64(u>>11) + 0.5) * (1.0 / (1 << 53))
 }
 
 // Float64 returns a uniform float64 in the open interval (0, 1).

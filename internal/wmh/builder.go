@@ -10,26 +10,21 @@ import (
 // Builder is the one construction body of the package: New and Shards
 // are one-off Builders. It sketches vectors under one fixed Params
 // without allocating after warm-up: the per-vector rounding scratch, the
-// fill queue, and the per-sample key prefixes are owned by the Builder and
-// reused across vectors. SketchInto additionally reuses the destination
-// sketch's sample arrays, making the steady-state sketch loop
-// allocation-free.
+// fill queue, and the dart process are owned by the Builder and reused
+// across vectors. SketchInto additionally reuses the destination sketch's
+// sample arrays, making the steady-state sketch loop allocation-free.
 //
 // A Builder is deliberately single-goroutine (that is what makes the
-// scratch reuse safe). A record-process fill large enough to pay for the
-// goroutines (hashing.FanOutWork) splits its samples across workers by
-// itself; to use every core on small vectors, run one Builder per worker
-// over a partition of them — what ipsketch.Sketcher.SketchAll does.
+// scratch reuse safe). To use every core, run one Builder per worker over
+// a partition of the vectors — what ipsketch.Sketcher.SketchAll does.
 type Builder struct {
-	p     Params
-	vr    variant
-	skeys []uint64 // per-sample Mix-chain prefixes, fixed for the lifetime
+	p Params
 	// per-vector scratch, reused across calls: the rounded blocks of the
 	// k-th vector of the current call, and the queue of sketches to fill
 	vecs []blocks
 	jobs []fillJob
-	// dart-variant scratch: the process tables depend on the resolved L,
-	// which can differ across dims, so it is rebuilt when dartL changes.
+	// the dart process: its tables depend on the resolved L, which can
+	// differ across dims, so it is rebuilt when dartL changes.
 	dart  *hashing.DartProcess
 	dartL uint64
 	// throws counts the blocks the dart fills have thrown; tests pin the
@@ -55,17 +50,12 @@ type fillJob struct {
 	next, missing int
 }
 
-// NewBuilder validates p and returns a reusable sketch builder for the
-// fast active-index construction (or the dart construction when p.Dart).
+// NewBuilder validates p and returns a reusable sketch builder.
 func NewBuilder(p Params) (*Builder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Builder{p: p, vr: p.variant()}
-	if b.vr != variantDart {
-		b.skeys = sampleKeys(nil, p.Seed, p.M)
-	}
-	return b, nil
+	return &Builder{p: p}, nil
 }
 
 // Params returns the builder's construction parameters.
@@ -96,12 +86,10 @@ func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
 }
 
 // SketchAll sketches every vector of vs; out[i] is bitwise Sketch(vs[i]).
-// The dart variant fills all vectors of one resolved L from one shared walk
-// per round (see fillDart), so the vectors of a table bundle — one key set
-// under different weights — pay for one dart walk instead of one each. The
-// record process keys its randomness per (sample, block), leaves nothing
-// to share, and fills the vectors one by one. The returned sketches share
-// one allocation for their headers.
+// It fills all vectors of one resolved L from one shared walk per round
+// (see fillDart), so the vectors of a table bundle — one key set under
+// different weights — pay for one dart walk instead of one each. The
+// returned sketches share one allocation for their headers.
 func (b *Builder) SketchAll(vs []vector.Sparse) ([]*Sketch, error) {
 	sks := make([]Sketch, len(vs))
 	out := make([]*Sketch, len(vs))
@@ -133,7 +121,7 @@ func (b *Builder) round(k int, v vector.Sparse) Sketch {
 	l := b.p.effectiveL(v.Dim())
 	bl.idx, bl.weights = RoundInto(v, l, bl.idx, bl.weights)
 	bl.bvals = roundedValues(bl.bvals, v, bl.idx, bl.weights, l, b.p.QuantizeValues)
-	return Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm(), variant: b.vr}
+	return Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm(), variant: variantDart}
 }
 
 // queue sets dst up to be filled by the next fill from the rounded blocks
@@ -161,35 +149,20 @@ func (b *Builder) queue(dst *Sketch, k, lo, hi int) {
 	})
 }
 
-// fill computes the samples of every queued sketch and empties the queue.
-// The dart variant walks each run of queued sketches sharing one resolved
-// L together (dart.go). The record process fills one sketch at a time and
-// splits its samples across workers when it is large enough to pay for the
-// goroutines — bitwise identical, because each sample's randomness is
-// keyed by its own index, not by shared stream state.
+// fill computes the samples of every queued sketch and empties the queue,
+// walking each run of queued sketches sharing one resolved L together
+// (dart.go).
 func (b *Builder) fill() {
 	jobs := b.jobs
-	m := b.p.M
 	for lo := 0; lo < len(jobs); {
 		hi := lo + 1
-		switch {
-		case b.vr == variantDart:
-			for hi < len(jobs) && jobs[hi].l == jobs[lo].l {
-				hi++
-			}
-			if b.dart == nil || b.dartL != jobs[lo].l {
-				b.dart, b.dartL = hashing.NewDartProcess(m, jobs[lo].l), jobs[lo].l
-			}
-			b.throws += fillDart(jobs[lo:hi], b.p.Seed, b.dart)
-		case len(jobs[lo].idx)*m < hashing.FanOutWork:
-			j := &jobs[lo]
-			fillBlockMajor(j.hashes, j.vals, b.skeys, j.idx, j.weights, j.bvals)
-		default:
-			j := &jobs[lo]
-			hashing.ParallelChunks(m, func(sLo, sHi int) {
-				fillBlockMajor(j.hashes[sLo:sHi], j.vals[sLo:sHi], b.skeys[sLo:sHi], j.idx, j.weights, j.bvals)
-			})
+		for hi < len(jobs) && jobs[hi].l == jobs[lo].l {
+			hi++
 		}
+		if b.dart == nil || b.dartL != jobs[lo].l {
+			b.dart, b.dartL = hashing.NewDartProcess(b.p.M, jobs[lo].l), jobs[lo].l
+		}
+		b.throws += fillDart(jobs[lo:hi], b.p.Seed, b.dart)
 		lo = hi
 	}
 	// Drop the references to the filled arrays so a pooled builder does not

@@ -1,63 +1,12 @@
 package wmh
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/hashing"
 	"repro/internal/vector"
 )
-
-// buildSampleMajor is the reference construction: for each sample, walk
-// every block and re-mix the full (seed, sample, block, tag) key. Under
-// variantFast it is what the block-major loop must match bitwise; under
-// variantNaive it hashes every active slot (hashing.BlockMinNaive), the
-// literal reading of Algorithm 3 at O(L) per sample that the record
-// process is checked against statistically.
-func buildSampleMajor(v vector.Sparse, p Params, vr variant) *Sketch {
-	l := p.effectiveL(v.Dim())
-	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm(), variant: vr}
-	if v.IsEmpty() {
-		s.empty = true
-		return s
-	}
-	idx, weights := Round(v, l)
-	vals := make([]float64, len(idx))
-	for k := range idx {
-		sign := 1.0
-		if v.At(idx[k]) < 0 {
-			sign = -1.0
-		}
-		vals[k] = sign * math.Sqrt(float64(weights[k])/float64(l))
-		if p.QuantizeValues {
-			vals[k] = float64(float32(vals[k]))
-		}
-	}
-	s.hashes = make([]float64, p.M)
-	s.vals = make([]float64, p.M)
-	for i := 0; i < p.M; i++ {
-		minHash := math.Inf(1)
-		minVal := 0.0
-		for k := range idx {
-			key := blockKey(p.Seed, i, idx[k], vr)
-			var h float64
-			switch vr {
-			case variantFast:
-				h = hashing.PrefixMin(key, weights[k])
-			default:
-				h = hashing.BlockMinNaive(key, weights[k])
-			}
-			if h < minHash {
-				minHash = h
-				minVal = vals[k]
-			}
-		}
-		s.hashes[i] = minHash
-		s.vals[i] = minVal
-	}
-	return s
-}
 
 func testVectors(t testing.TB) []vector.Sparse {
 	t.Helper()
@@ -105,34 +54,15 @@ func sketchesEqual(t *testing.T, a, b *Sketch, what string) {
 	}
 }
 
-// TestBlockMajorMatchesSampleMajor is the loop-inversion equivalence proof:
-// block-major construction (New and Builder) must produce sketches bitwise
-// identical to the sample-major reference for the same seeds, across
-// quantization and vector shapes.
+// TestBlockMajorMatchesSampleMajor is the record oracle's loop-inversion
+// equivalence proof: its block-major construction (newRecord, split across
+// workers) must produce sketches bitwise identical to the sample-major
+// reference for the same seeds, across quantization and vector shapes.
 func TestBlockMajorMatchesSampleMajor(t *testing.T) {
 	for _, v := range testVectors(t) {
 		for _, quant := range []bool{false, true} {
 			p := Params{M: 33, Seed: 0xfeed, L: 1 << 18, QuantizeValues: quant}
-			want := buildSampleMajor(v, p, p.variant())
-			got, err := New(v, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sketchesEqual(t, got, want, "New")
-
-			b, err := NewBuilder(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Run the builder twice to exercise scratch reuse.
-			if _, err := b.Sketch(v); err != nil {
-				t.Fatal(err)
-			}
-			fromBuilder, err := b.Sketch(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sketchesEqual(t, fromBuilder, want, "Builder")
+			sketchesEqual(t, newRecord(v, p), buildSampleMajor(v, p, variantFast), "newRecord")
 		}
 	}
 }
@@ -161,9 +91,9 @@ func TestBuilderScratchReuseAcrossVectors(t *testing.T) {
 	}
 }
 
-// TestSketchIntoZeroAllocs: the warm Builder path must not allocate, for
-// every construction variant (the dart variant's process tables and dart
-// scratch are owned by the Builder and reused across calls).
+// TestSketchIntoZeroAllocs: the warm Builder path must not allocate (the
+// dart process tables and dart scratch are owned by the Builder and reused
+// across calls).
 func TestSketchIntoZeroAllocs(t *testing.T) {
 	vs := testVectors(t)
 	v := vs[len(vs)-1]
@@ -171,8 +101,7 @@ func TestSketchIntoZeroAllocs(t *testing.T) {
 		name string
 		p    Params
 	}{
-		{"fast", Params{M: 64, Seed: 5, L: 1 << 20}},
-		{"dart", Params{M: 64, Seed: 5, L: 1 << 20, Dart: true}},
+		{"dart", Params{M: 64, Seed: 5, L: 1 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := NewBuilder(tc.p)
@@ -217,8 +146,8 @@ func TestEstimateZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkAblation_FastVsNaive (DESIGN.md A3): the active-index record
-// process against naive O(L) slot hashing. A low-nnz vector makes
+// BenchmarkAblation_FastVsNaive (DESIGN.md A3): the test-only active-index
+// record process against naive O(L) slot hashing. A low-nnz vector makes
 // per-block weights large (w ≈ L/nnz), which is where naive slot hashing
 // pays O(w) and the record process pays O(log w).
 func BenchmarkAblation_FastVsNaive(b *testing.B) {
@@ -231,9 +160,7 @@ func BenchmarkAblation_FastVsNaive(b *testing.B) {
 	p := Params{M: 64, Seed: 1, L: 1 << 16} // small L so naive is feasible
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := New(av, p); err != nil {
-				b.Fatal(err)
-			}
+			newRecord(av, p)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -12,7 +12,7 @@ type Cols struct {
 	n      int
 	empty  []bool
 	norms  []float64 // per-sketch ‖v‖ aux word
-	hashes []float64 // n·M record-process minima, sketch-major
+	hashes []float64 // n·M per-sample minima, sketch-major
 	vals   []float64 // n·M argmin block values, sketch-major
 }
 

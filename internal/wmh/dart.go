@@ -6,16 +6,17 @@ import (
 	"repro/internal/hashing"
 )
 
-// This file implements the dart-throwing WMH construction (Params.Dart,
-// variantDart). The record-process variants pay one PrefixMin walk per
-// (block, sample) pair — O(nnz·M·log L) per sketch. The dart variant
+// This file implements the dart-throwing WMH construction (variantDart).
+// The paper's record process pays one prefix-minimum walk per
+// (block, sample) pair — O(nnz·M·log L) per sketch. The dart construction
 // instead enumerates, per block, the expected O(M·τ·w/L) darts that can
 // possibly be a per-sample minimum (hashing.DartProcess), filling all M
 // (hash, val) pairs in ONE pass over the rounded blocks: expected
 // O(nnz + M log M) work up to the cell walk's log factor. The per-sample law
-// is exactly the min-of-L-uniforms law of variantFast — same marginals,
-// same collision law, same FM union estimator — but from different
-// randomness, so the variants are not comparable with each other.
+// is exactly the min-of-L-uniforms law of the record process — same
+// marginals, same collision law, same FM union estimator — but from
+// different randomness, so the retired record-process sketches are not
+// comparable with dart sketches.
 //
 // A block's darts are keyed by (seed, block, round), never by the block's
 // weight, so every vector holding a block reads a prefix of the same
@@ -27,9 +28,9 @@ import (
 // a 2000-row table at the served L = 2⁵⁰, so sharing saves the extra
 // vectors' key derivations and Poisson draws rather than a long walk.
 //
-// Unlike fillBlockMajor, the dart pass is not split across workers: the
-// whole point is that one pass serves every sample, and a per-chunk split
-// would regenerate all darts per chunk. At ~1ms/sketch the single pass is
+// The dart pass is not split across workers: the whole point is that one
+// pass serves every sample, and a per-chunk split would regenerate all
+// darts per chunk. At ~1ms/sketch the single pass is
 // no longer the bottleneck; parallelism belongs at the many-vectors level
 // (one Builder per worker), which is how ipsketch.Sketcher.SketchAll runs.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -11,12 +12,12 @@ import (
 	"repro/internal/vector"
 )
 
-// TestDartBuilderMatchesNew: the dart variant through New and through a
-// reused Builder must be bitwise identical (including scratch reuse across
+// TestDartBuilderMatchesNew: the dart construction through New and through
+// a reused Builder must be bitwise identical (including scratch reuse across
 // vectors of different dims, which rebuilds the dart process tables).
 func TestDartBuilderMatchesNew(t *testing.T) {
 	for _, quant := range []bool{false, true} {
-		p := Params{M: 47, Seed: 0xda27, QuantizeValues: quant, Dart: true}
+		p := Params{M: 47, Seed: 0xda27, QuantizeValues: quant}
 		b, err := NewBuilder(p)
 		if err != nil {
 			t.Fatal(err)
@@ -68,9 +69,9 @@ func bundleVectors(t testing.TB, dim uint64, rows int, seed uint64) []vector.Spa
 }
 
 // TestSketchAllMatchesSketch: SketchAll's shared walk must reproduce every
-// vector's own sketch bitwise, for both constructions, on bundles, on
-// batches mixing dims (so resolved L changes mid-batch) and empty vectors,
-// and across calls that reuse the builder's scratch.
+// vector's own sketch bitwise, across sample counts and quantization, on
+// bundles, on batches mixing dims (so resolved L changes mid-batch) and
+// empty vectors, and across calls that reuse the builder's scratch.
 func TestSketchAllMatchesSketch(t *testing.T) {
 	batches := [][]vector.Sparse{
 		bundleVectors(t, 1<<40, 400, 1),
@@ -78,8 +79,8 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 		append(bundleVectors(t, 1<<16, 50, 3), testVectors(t)...),
 	}
 	for _, p := range []Params{
-		{M: 97, Seed: 4, Dart: true},
-		{M: 97, Seed: 4, Dart: true, QuantizeValues: true},
+		{M: 97, Seed: 4},
+		{M: 97, Seed: 4, QuantizeValues: true},
 		{M: 31, Seed: 4},
 	} {
 		b, err := NewBuilder(p)
@@ -139,7 +140,7 @@ func dartRounds(dp *hashing.DartProcess, seed uint64, bl blocks) int {
 // of the vectors still missing a sample when the round began — where
 // filling them one by one throws each block once per vector and round.
 func TestBundleThrowsEachBlockOncePerRound(t *testing.T) {
-	p := Params{M: 266, Seed: 1, Dart: true}
+	p := Params{M: 266, Seed: 1}
 	vs := bundleVectors(t, 1<<63, 2000, 9)
 	b, err := NewBuilder(p)
 	if err != nil {
@@ -193,7 +194,7 @@ func TestBundleThrowsEachBlockOncePerRound(t *testing.T) {
 // equal the one its vector gets alone under the same process.
 func TestSketchAllFallbackRoundsDiffer(t *testing.T) {
 	const l = 1 << 30
-	p := Params{M: 40, Seed: 77, L: l, Dart: true}
+	p := Params{M: 40, Seed: 77, L: l}
 	tiny := func() *hashing.DartProcess { return hashing.NewDartProcessBudget(p.M, l, 0.3) }
 	vs := append(bundleVectors(t, 1<<20, 30, 5), bundleVectors(t, 1<<20, 3, 6)...)
 	vs = append(vs, vector.MustNew(1<<20, []uint64{17}, []float64{2}))
@@ -235,7 +236,7 @@ func TestDartSamplesAlwaysPopulated(t *testing.T) {
 	vs := append(testVectors(t),
 		vector.MustNew(1<<20, []uint64{3, 999999}, []float64{1e-9, 5e4}))
 	for seed := uint64(0); seed < 30; seed++ {
-		p := Params{M: 256, Seed: seed, Dart: true}
+		p := Params{M: 256, Seed: seed}
 		for _, v := range vs {
 			s, err := New(v, p)
 			if err != nil {
@@ -257,27 +258,31 @@ func TestDartSamplesAlwaysPopulated(t *testing.T) {
 }
 
 // TestDartIncompatibleAcrossVariants: dart sketches must refuse comparison
-// with the record-process variant.
+// and merge with sketches of the retired variants, whatever the order,
+// with an error that says to re-sketch.
 func TestDartIncompatibleAcrossVariants(t *testing.T) {
 	v := testVectors(t)[2]
-	dart, err := New(v, Params{M: 8, Seed: 1, Dart: true})
+	p := Params{M: 8, Seed: 1, L: 1 << 12} // small L so naive slot hashing is cheap
+	dart, err := New(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record, err := New(v, Params{M: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Estimate(dart, record); err == nil {
-		t.Fatal("Estimate accepted dart vs record-process sketch")
+	for _, old := range []*Sketch{newRecord(v, p), buildSampleMajor(v, p, variantNaive)} {
+		for _, pair := range [][2]*Sketch{{dart, old}, {old, dart}} {
+			if _, err := Estimate(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
+				t.Errorf("Estimate of variants %d and %d: err = %v, want the variant error saying to re-sketch", pair[0].variant, pair[1].variant, err)
+			}
+			if _, err := Merge(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
+				t.Errorf("Merge of variants %d and %d: err = %v, want the variant error saying to re-sketch", pair[0].variant, pair[1].variant, err)
+			}
+		}
 	}
 }
 
-// TestDartSerializeRoundTrip: the dart variant byte survives encoding and
-// re-derives Params.Dart.
+// TestDartSerializeRoundTrip: the dart variant byte survives encoding.
 func TestDartSerializeRoundTrip(t *testing.T) {
 	v := testVectors(t)[2]
-	s, err := New(v, Params{M: 16, Seed: 9, Dart: true})
+	s, err := New(v, Params{M: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +295,8 @@ func TestDartSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sketchesEqual(t, &back, s, "round-trip")
-	if !back.Params().Dart {
-		t.Fatal("Dart lost in round-trip")
+	if back.variant != variantDart {
+		t.Fatalf("variant %d after round-trip, want %d", back.variant, variantDart)
 	}
 }
 
@@ -299,7 +304,7 @@ func TestDartSerializeRoundTrip(t *testing.T) {
 // this build does not know must be rejected, not misread as some existing
 // variant (which would silently break the coordination law).
 func TestUnmarshalRejectsUnknownVariant(t *testing.T) {
-	s, err := New(testVectors(t)[2], Params{M: 8, Seed: 1, Dart: true})
+	s, err := New(testVectors(t)[2], Params{M: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,17 +330,17 @@ type estimateSample struct {
 	meanBound, inside float64
 }
 
-func sampleEstimates(t *testing.T, av, bv vector.Sparse, truth float64, p Params, n int) estimateSample {
+func sampleEstimates(t *testing.T, av, bv vector.Sparse, truth float64, p Params, n int, build func(vector.Sparse, Params) (*Sketch, error)) estimateSample {
 	t.Helper()
 	var sum, sum2, abs, abs2, bounds float64
 	inside := 0
 	for seed := 0; seed < n; seed++ {
 		p.Seed = uint64(seed)
-		sa, err := New(av, p)
+		sa, err := build(av, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := New(bv, p)
+		sb, err := build(bv, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +379,8 @@ var recordLaw = map[float64]struct{ mean, meanSE, mae, maeSE float64 }{
 }
 
 // TestDartEstimateDistributionMatchesFast is the statistical A/B test: on
-// the paper's synthetic workloads, dart and record-process sketches must
+// the paper's synthetic workloads, dart and record-process sketches (the
+// test-only oracle, record_test.go) must
 // estimate the same inner product with the same error law — unbiased, the
 // same mean and mean absolute error, and inside the Theorem 2 envelope
 // EstimateErrorBound reports as often. The estimates are heavy-tailed, so
@@ -393,8 +399,9 @@ func TestDartEstimateDistributionMatchesFast(t *testing.T) {
 		}
 		truth := vector.Dot(av, bv)
 		law := recordLaw[overlap]
-		fast := sampleEstimates(t, av, bv, truth, Params{M: m}, fastTrials)
-		dart := sampleEstimates(t, av, bv, truth, Params{M: m, Dart: true}, dartTrials)
+		record := func(v vector.Sparse, p Params) (*Sketch, error) { return newRecord(v, p), nil }
+		fast := sampleEstimates(t, av, bv, truth, Params{M: m}, fastTrials, record)
+		dart := sampleEstimates(t, av, bv, truth, Params{M: m}, dartTrials, New)
 		t.Logf("overlap %v, truth %.0f: record law mean %.0f±%.0f MAE %.0f±%.0f; fast mean %.0f±%.0f MAE %.0f±%.0f; dart mean %.0f±%.0f MAE %.0f±%.0f",
 			overlap, truth, law.mean, law.meanSE, law.mae, law.maeSE,
 			fast.mean, fast.meanSE, fast.mae, fast.maeSE, dart.mean, dart.meanSE, dart.mae, dart.maeSE)
@@ -433,9 +440,9 @@ func TestDartEstimateDistributionMatchesFast(t *testing.T) {
 // TestDartConstructionSpeedupSmoke is the CI perf gate: on the pinned
 // paper workload (PaperPairParams(0.1, 1), M = 266 — the BenchmarkSketch_WMH
 // configuration), dart construction must be at least 5× faster than the
-// fast record process. The measured gap is two orders of magnitude larger
-// (~300×), so the 5× floor only trips on a real regression, not on CI
-// noise. Opt-in via IPSKETCH_BENCH_SMOKE=1: wall-clock assertions do not
+// record process, the test-only oracle (newRecord). The measured gap is
+// two orders of magnitude larger (~300×), so the 5× floor only trips on a
+// real regression, not on CI noise. Opt-in via IPSKETCH_BENCH_SMOKE=1: wall-clock assertions do not
 // belong in the default `go test` run.
 func TestDartConstructionSpeedupSmoke(t *testing.T) {
 	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
@@ -445,26 +452,28 @@ func TestDartConstructionSpeedupSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(p Params) float64 {
-		b, err := NewBuilder(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dst Sketch
-		if err := b.SketchInto(&dst, av); err != nil {
-			t.Fatal(err)
-		}
-		res := testing.Benchmark(func(tb *testing.B) {
-			for i := 0; i < tb.N; i++ {
-				if err := b.SketchInto(&dst, av); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		})
-		return float64(res.NsPerOp())
+	p := Params{M: 266, Seed: 1}
+	b, err := NewBuilder(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := measure(Params{M: 266, Seed: 1})
-	dart := measure(Params{M: 266, Seed: 1, Dart: true})
+	var dst Sketch
+	if err := b.SketchInto(&dst, av); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(sketch func()) float64 {
+		return float64(testing.Benchmark(func(tb *testing.B) {
+			for i := 0; i < tb.N; i++ {
+				sketch()
+			}
+		}).NsPerOp())
+	}
+	fast := measure(func() { newRecord(av, p) })
+	dart := measure(func() {
+		if err := b.SketchInto(&dst, av); err != nil {
+			t.Error(err)
+		}
+	})
 	t.Logf("fast %.2fms/sketch, dart %.3fms/sketch, speedup %.0f×", fast/1e6, dart/1e6, fast/dart)
 	if dart*5 > fast {
 		t.Fatalf("dart construction only %.1f× faster than fast (%.2fms vs %.2fms), want ≥5×",
@@ -473,8 +482,8 @@ func TestDartConstructionSpeedupSmoke(t *testing.T) {
 }
 
 // TestDartJaccardAndUnionAgreeWithFast: the auxiliary estimators derive
-// from the same collision/minimum laws, so the dart variant must agree
-// with the fast variant to within sampling noise.
+// from the same collision/minimum laws, so the dart construction must
+// agree with the record process to within sampling noise.
 func TestDartJaccardAndUnionAgreeWithFast(t *testing.T) {
 	av, bv, err := datagen.SyntheticPair(datagen.PaperPairParams(0.3, 11))
 	if err != nil {
@@ -485,9 +494,11 @@ func TestDartJaccardAndUnionAgreeWithFast(t *testing.T) {
 	var jFast, jDart, uFast, uDart float64
 	for i := 0; i < trials; i++ {
 		for _, dart := range []bool{false, true} {
-			p := Params{M: m, Seed: uint64(i), Dart: dart}
-			sa, _ := New(av, p)
-			sb, _ := New(bv, p)
+			p := Params{M: m, Seed: uint64(i)}
+			sa, sb := newRecord(av, p), newRecord(bv, p)
+			if dart {
+				sa, sb = mustSketch(t, av, p), mustSketch(t, bv, p)
+			}
 			j, err := WeightedJaccardEstimate(sa, sb)
 			if err != nil {
 				t.Fatal(err)

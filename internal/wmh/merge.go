@@ -7,11 +7,10 @@ import (
 	"repro/internal/vector"
 )
 
-// This file makes WMH sketches mergeable. The record-process minima
-// compose: for a fixed normalization, the per-sample minimum over a union
-// of expanded blocks equals the minimum of the per-subset minima (for the
-// dart variant the same holds by superposition of the dart streams — see
-// internal/hashing/dart.go). So the sketch of a vector can be assembled
+// This file makes WMH sketches mergeable. The per-sample minima compose:
+// for a fixed normalization, the per-sample minimum over a union of
+// expanded blocks equals the minimum of the per-subset minima, by
+// superposition of the per-block dart streams (internal/hashing/dart.go). So the sketch of a vector can be assembled
 // from sketches of disjoint subsets of its rounded blocks, bitwise.
 //
 // The one thing that does NOT compose is the normalization: Algorithm 4's
@@ -25,7 +24,7 @@ import (
 
 // Merge computes the union-min merge of two sketches built with identical
 // parameters against the same normalization (equal stored norms): per
-// sample, the smaller record-process minimum (and its block value) wins.
+// sample, the smaller minimum (and its block value) wins.
 // For shards of one vector (see Shards) the merge is bitwise identical to
 // sketching the vector directly; more generally it is the exact sketch of
 // the union of the two inputs' expanded block sets.
@@ -77,8 +76,7 @@ func cloneSketch(s *Sketch) *Sketch {
 // once (under its own norm, exactly as New rounds it) and the rounded
 // blocks are partitioned into n contiguous ranges, each filled by the same
 // Builder. Folding the partials with Merge in order reproduces
-// New(v, p) bitwise — including the dart variant, whose per-block dart
-// streams superpose. Shards beyond the block count come back empty (the
+// New(v, p) bitwise, because the per-block dart streams superpose. Shards beyond the block count come back empty (the
 // merge identity).
 func Shards(v vector.Sparse, p Params, n int) ([]*Sketch, error) {
 	b, err := NewBuilder(p)

@@ -125,11 +125,11 @@ func oraclePairs(t *testing.T) map[string][2]vector.Sparse {
 // no minimum, so both formulas give exactly 0 there.
 func TestEstimateMatchesReference(t *testing.T) {
 	const seed = 7
-	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: seed, Dart: true})
+	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := wmh.NewBuilder(wmh.Params{M: s.Size(), Seed: seed, Dart: true})
+	b, err := wmh.NewBuilder(wmh.Params{M: s.Size(), Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,30 @@
-package hashing
+package wmh
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/hashing"
 )
+
+// Property tests of the test-only record process (record_test.go): the
+// prefix-minimum walk and the literal slot hashing it is checked against.
 
 func TestPrefixMinPanicsOnZeroWeight(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("PrefixMin(key, 0) did not panic")
+			t.Fatal("prefixMin(key, 0) did not panic")
 		}
 	}()
-	PrefixMin(1, 0)
+	prefixMin(1, 0)
 }
 
 func TestPrefixMinRange(t *testing.T) {
 	for key := uint64(0); key < 5000; key++ {
-		v := PrefixMin(key, 1+key%1000)
+		v := prefixMin(key, 1+key%1000)
 		if !(v > 0 && v < 1) {
-			t.Fatalf("PrefixMin(%d) = %v outside (0,1)", key, v)
+			t.Fatalf("prefixMin(%d) = %v outside (0,1)", key, v)
 		}
 	}
 }
@@ -27,8 +32,8 @@ func TestPrefixMinRange(t *testing.T) {
 func TestPrefixMinDeterministic(t *testing.T) {
 	for key := uint64(0); key < 1000; key++ {
 		w := 1 + key%500
-		if PrefixMin(key, w) != PrefixMin(key, w) {
-			t.Fatalf("PrefixMin(%d,%d) not deterministic", key, w)
+		if prefixMin(key, w) != prefixMin(key, w) {
+			t.Fatalf("prefixMin(%d,%d) not deterministic", key, w)
 		}
 	}
 }
@@ -39,7 +44,7 @@ func TestPrefixMinExpectation(t *testing.T) {
 		const trials = 20000
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			sum += PrefixMin(Mix(uint64(i), w), w)
+			sum += prefixMin(hashing.Mix(uint64(i), w), w)
 		}
 		mean := sum / trials
 		want := 1.0 / float64(w+1)
@@ -58,7 +63,7 @@ func TestPrefixMinMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return PrefixMin(key, a) >= PrefixMin(key, b)
+		return prefixMin(key, a) >= prefixMin(key, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -71,8 +76,8 @@ func TestPrefixMinMonotone(t *testing.T) {
 func TestPrefixMinMinConsistency(t *testing.T) {
 	f := func(key uint64, wa, wb uint16) bool {
 		a, b := uint64(wa)+1, uint64(wb)+1
-		ma, mb := PrefixMin(key, a), PrefixMin(key, b)
-		return math.Min(ma, mb) == PrefixMin(key, max64(a, b))
+		ma, mb := prefixMin(key, a), prefixMin(key, b)
+		return math.Min(ma, mb) == prefixMin(key, max(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -98,8 +103,8 @@ func TestPrefixMinMatchProbability(t *testing.T) {
 	for _, c := range cases {
 		match := 0
 		for i := 0; i < trials; i++ {
-			key := Mix(uint64(i), c.wa, c.wb)
-			if PrefixMin(key, c.wa) == PrefixMin(key, c.wb) {
+			key := hashing.Mix(uint64(i), c.wa, c.wb)
+			if prefixMin(key, c.wa) == prefixMin(key, c.wb) {
 				match++
 			}
 		}
@@ -123,8 +128,8 @@ func TestPrefixMinArgminBlockProportional(t *testing.T) {
 	const trials = 40000
 	wins2 := 0
 	for i := 0; i < trials; i++ {
-		m1 := PrefixMin(Mix(uint64(i), 1), w1)
-		m2 := PrefixMin(Mix(uint64(i), 2), w2)
+		m1 := prefixMin(hashing.Mix(uint64(i), 1), w1)
+		m2 := prefixMin(hashing.Mix(uint64(i), 2), w2)
 		if m2 < m1 {
 			wins2++
 		}
@@ -137,7 +142,7 @@ func TestPrefixMinArgminBlockProportional(t *testing.T) {
 }
 
 func TestGeometricGapMean(t *testing.T) {
-	rng := NewSplitMix64(99)
+	rng := hashing.NewSplitMix64(99)
 	for _, z := range []float64{0.9, 0.5, 0.1, 0.01} {
 		const trials = 50000
 		sum := 0.0
@@ -159,7 +164,7 @@ func TestGeometricGapMean(t *testing.T) {
 }
 
 func TestGeometricGapRespectsLimit(t *testing.T) {
-	rng := NewSplitMix64(101)
+	rng := hashing.NewSplitMix64(101)
 	for i := 0; i < 20000; i++ {
 		limit := uint64(1 + i%50)
 		g, ok := geometricGap(rng, 0.05, limit)
@@ -172,7 +177,7 @@ func TestGeometricGapRespectsLimit(t *testing.T) {
 func TestGeometricGapTinyZ(t *testing.T) {
 	// With z near the smallest positive float the gap is essentially
 	// always beyond any sane limit; the function must not overflow.
-	rng := NewSplitMix64(103)
+	rng := hashing.NewSplitMix64(103)
 	for i := 0; i < 1000; i++ {
 		g, ok := geometricGap(rng, 1e-300, 1000000)
 		if ok {
@@ -190,24 +195,24 @@ func TestBlockMinNaiveMatchesExplicitLoop(t *testing.T) {
 	for key := uint64(0); key < 100; key++ {
 		want := math.Inf(1)
 		for s := uint64(1); s <= w; s++ {
-			if v := UnitFromBits(Mix(key, s)); v < want {
+			if v := hashing.UnitFromBits(hashing.Mix(key, s)); v < want {
 				want = v
 			}
 		}
-		if got := BlockMinNaive(key, w); got != want {
+		if got := blockMinNaive(key, w); got != want {
 			t.Fatalf("key %d: got %v want %v", key, got, want)
 		}
 	}
 }
 
-// TestBlockMinNaivePrefixConsistency: like PrefixMin, the naive
+// TestBlockMinNaivePrefixConsistency: like prefixMin, the naive
 // construction must satisfy min-consistency across different prefix
 // lengths of the same block (it reuses the same slot hashes).
 func TestBlockMinNaivePrefixConsistency(t *testing.T) {
 	f := func(key uint64, wa, wb uint8) bool {
 		a, b := uint64(wa)+1, uint64(wb)+1
-		ma, mb := BlockMinNaive(key, a), BlockMinNaive(key, b)
-		return math.Min(ma, mb) == BlockMinNaive(key, max64(a, b))
+		ma, mb := blockMinNaive(key, a), blockMinNaive(key, b)
+		return math.Min(ma, mb) == blockMinNaive(key, max(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -221,8 +226,8 @@ func TestBlockMinNaiveDistributionAgreesWithPrefixMin(t *testing.T) {
 	const trials = 20000
 	sumNaive, sumFast := 0.0, 0.0
 	for i := 0; i < trials; i++ {
-		sumNaive += BlockMinNaive(Mix(uint64(i), 0xdef), w)
-		sumFast += PrefixMin(Mix(uint64(i), 0xabc), w)
+		sumNaive += blockMinNaive(hashing.Mix(uint64(i), 0xdef), w)
+		sumFast += prefixMin(hashing.Mix(uint64(i), 0xabc), w)
 	}
 	want := 1.0 / float64(w+1)
 	for name, mean := range map[string]float64{
@@ -238,15 +243,8 @@ func TestBlockMinNaiveDistributionAgreesWithPrefixMin(t *testing.T) {
 func TestBlockMinNaivePanicsOnZeroWeight(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BlockMinNaive with w=0 did not panic")
+			t.Fatal("blockMinNaive with w=0 did not panic")
 		}
 	}()
-	BlockMinNaive(1, 0)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	blockMinNaive(1, 0)
 }

@@ -49,11 +49,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if vr != variantFast && vr != variantNaive && vr != variantDartV3 && vr != variantDart {
 		return fmt.Errorf("wmh: unknown sketch variant %d", vr)
 	}
-	// Params.Dart is implied by (and encoded as) the variant byte.
-	p := Params{
-		M: int(m), Seed: seed, L: lParam, QuantizeValues: quantized,
-		Dart: vr == variantDartV3 || vr == variantDart,
-	}
+	p := Params{M: int(m), Seed: seed, L: lParam, QuantizeValues: quantized}
 	if err := p.Validate(); err != nil {
 		return err
 	}

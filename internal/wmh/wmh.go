@@ -11,11 +11,16 @@
 // a MinHash over all active slots; the sketch stores the minimum hash
 // value, the rounded entry value ã[j] of the argmin block, and ‖a‖.
 //
-// Sampling a block's prefix minimum does not require hashing w_j ≤ L slots:
-// the prefix-minimum record process (internal/hashing.PrefixMin) visits
-// only the O(log L) running minima, giving the paper's
-// O(|A|·m·log L) sketching cost — the "active index" technique of
-// Gollapudi & Panigrahy described in Section 5.
+// Sampling a block's prefix minimum does not require hashing w_j ≤ L slots.
+// The construction is dart throwing (DartMinHash, Christiani,
+// arXiv:2005.11547; see dart.go and internal/hashing.DartProcess): one pass
+// over the rounded blocks enumerates only the darts that can be some
+// sample's minimum and fills all m samples at once, at expected
+// O(|A| + m log m) cost. Each sample's law is exactly that of the paper's
+// min over iid slot hashes. The paper's own construction, the active-index
+// record process of Gollapudi & Panigrahy (Section 5, O(|A|·m·log L)),
+// lives on in the package's tests as the reference the dart construction
+// is checked against; its sketches (variants 0 and 1) still decode.
 //
 // # Estimation
 //
@@ -37,12 +42,11 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
 // Params configures sketch construction. Two sketches are comparable only
-// if built with identical Params (and the same construction variant).
+// if built with identical Params by the same construction variant.
 type Params struct {
 	// M is the number of MinHash samples (the sketch size).
 	M int
@@ -62,14 +66,6 @@ type Params struct {
 	// sign·sqrt(w/L) ∈ [−1, 1], float32's 24-bit mantissa costs at most
 	// ~6·10⁻⁸ relative error per matched term.
 	QuantizeValues bool
-	// Dart selects the dart-throwing construction (DartMinHash-style; see
-	// dart.go): all M samples are filled in one pass over the rounded
-	// blocks at expected O(nnz + M log M) cost, instead of one record
-	// process per (block, sample) pair at O(nnz·M·log L). The per-sample
-	// law is identical to the default construction — same marginals, same
-	// collision probabilities, same estimator — but the randomness is
-	// different, so dart sketches are comparable only with dart sketches.
-	Dart bool
 }
 
 // Validate reports whether the parameters are usable.
@@ -92,38 +88,28 @@ func (p Params) effectiveL(dim uint64) uint64 {
 }
 
 // variant tags which construction produced a sketch; the variants use
-// different randomness and must not be mixed.
+// different randomness and must not be mixed. New builds only variantDart;
+// the others are retired constructions whose sketches still decode (except
+// variantRemoved) but refuse comparison with variantDart. The values stay
+// reserved: dartBlockKey mixes variantDart into the stream key, so
+// renumbering would change every sketch.
 type variant uint8
 
 const (
-	// variantFast is the active-index record process.
+	// variantFast was the active-index record process.
 	variantFast variant = 0
-	// variantNaive hashes every active slot explicitly. Only the tests
-	// build it, as the literal reading of Algorithm 3 the record process
-	// is checked against; its sketches still decode.
+	// variantNaive hashed every active slot explicitly.
 	variantNaive variant = 1
-	// variantRemoved was a polynomial-log record process. The value stays
-	// reserved — blockKey and dartBlockKey mix the variant into the stream
-	// key, so renumbering would change every dart sketch — and
-	// UnmarshalBinary rejects it.
+	// variantRemoved was a polynomial-log record process; UnmarshalBinary
+	// rejects it.
 	variantRemoved variant = 2
 	// variantDartV3 was the first dart construction. Its dart values were
 	// rounded to multiples of 2⁻⁵³, so at large L vectors with disjoint
-	// supports shared minima by accident. Nothing builds it; its sketches
-	// still decode but refuse comparison with variantDart, and the value
-	// stays reserved like variantRemoved.
+	// supports shared minima by accident.
 	variantDartV3 variant = 3
-	// variantDart is the one-pass dart-throwing construction (Params.Dart).
+	// variantDart is the one-pass dart-throwing construction (dart.go).
 	variantDart variant = 4
 )
-
-// variant resolves the construction variant New builds under p.
-func (p Params) variant() variant {
-	if p.Dart {
-		return variantDart
-	}
-	return variantFast
-}
 
 // Sketch is the output of Algorithm 3: per sample the minimum hash value
 // (W^hash) and the rounded normalized entry value at the argmin block
@@ -135,27 +121,17 @@ type Sketch struct {
 	norm    float64
 	empty   bool
 	variant variant
-	hashes  []float64 // record-process minima in (0,1); compared exactly
+	hashes  []float64 // per-sample minimum dart values in (0,1]; compared exactly
 	vals    []float64 // ã[j] = sign·sqrt(w_j/L) of the argmin block
 }
 
-// New sketches the vector v (paper Algorithm 3) using the fast
-// active-index construction (or the dart construction when p.Dart): a
-// one-off Builder.
+// New sketches the vector v (paper Algorithm 3) with a one-off Builder.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
 	b, err := NewBuilder(p)
 	if err != nil {
 		return nil, err
 	}
 	return b.Sketch(v)
-}
-
-// sampleKeys fills buf with the per-sample Mix-chain prefixes
-// Mix(seed, i); the per-(sample, block) key of blockKey is recovered with
-// two Extend steps, so block-major loops mix two words per pair instead of
-// re-mixing the full four-word tuple.
-func sampleKeys(buf []uint64, seed uint64, m int) []uint64 {
-	return hashing.ChainKeys(buf, hashing.Mix(seed), m)
 }
 
 // roundedValues fills buf with the rounded entry values
@@ -196,41 +172,6 @@ func roundedValues(buf []float64, v vector.Sparse, idx, weights []uint64, l uint
 		panic("wmh: rounded block index missing from support")
 	}
 	return buf
-}
-
-// fillBlockMajor computes the MinHash samples hashes[i], vals[i] for a
-// contiguous chunk of samples in block-major order: the outer loop walks
-// the blocks once and the inner loop drives the running minima of every
-// sample in the chunk. This keeps the chunk's output slices cache-resident,
-// derives each pair key with two mixes off the per-sample prefix, and
-// produces output bitwise identical to the sample-major loop (the running
-// minimum takes the first strictly smaller hash in block order either way).
-func fillBlockMajor(hashes, vals []float64, skeys []uint64, idx, weights []uint64, bvals []float64) {
-	for i := range hashes {
-		hashes[i] = math.Inf(1)
-		vals[i] = 0
-	}
-	tag := 0x776d68 + uint64(variantFast) /* "wmh" */
-	for k := range idx {
-		block := idx[k]
-		w := weights[k]
-		bv := bvals[k]
-		for i := range skeys {
-			key := hashing.Extend(hashing.Extend(skeys[i], block), tag)
-			if h := hashing.PrefixMin(key, w); h < hashes[i] {
-				hashes[i] = h
-				vals[i] = bv
-			}
-		}
-	}
-}
-
-// blockKey derives the per-(sample, block) stream key. Both parties
-// sketching different vectors derive the same key for a shared block,
-// which is what coordinates the samples. fillBlockMajor derives the same
-// key incrementally: blockKey == Extend(Extend(Mix(seed, sample), block), tag).
-func blockKey(seed uint64, sample int, block uint64, vr variant) uint64 {
-	return hashing.Mix(seed, uint64(sample), block, 0x776d68+uint64(vr) /* "wmh" */)
 }
 
 // Params returns the construction parameters.
@@ -292,10 +233,11 @@ func compatible(a, b *Sketch) error {
 		return fmt.Errorf("wmh: discretization mismatch %d vs %d", a.l, b.l)
 	}
 	if a.variant != b.variant {
-		if a.variant == variantDartV3 || b.variant == variantDartV3 {
-			return errors.New("wmh: cannot mix sketches from different construction variants: variant 3 is the retired dart construction; re-sketch the source data")
+		retired := a.variant
+		if retired == variantDart {
+			retired = b.variant
 		}
-		return errors.New("wmh: cannot mix sketches from different construction variants")
+		return fmt.Errorf("wmh: cannot mix sketches from different construction variants: variant %d is a retired construction; re-sketch the source data", retired)
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func TestWeightedUnionEstimateConverges(t *testing.T) {
 }
 
 // TestFastAndNaiveAgreeStatistically cross-validates the record-process
-// sketcher against literal slot hashing on a small L.
+// oracle (newRecord) against literal slot hashing on a small L.
 func TestFastAndNaiveAgreeStatistically(t *testing.T) {
 	rng := hashing.NewSplitMix64(41)
 	a := randomSparse(rng, 200, 30, false)
@@ -307,8 +307,7 @@ func TestFastAndNaiveAgreeStatistically(t *testing.T) {
 	var sumFast, sumNaive float64
 	for trial := 0; trial < trials; trial++ {
 		p := Params{M: 256, Seed: uint64(trial), L: 1 << 10}
-		fa, _ := New(a, p)
-		fb, _ := New(b, p)
+		fa, fb := newRecord(a, p), newRecord(b, p)
 		na := buildSampleMajor(a, p, variantNaive)
 		nb := buildSampleMajor(b, p, variantNaive)
 		ef, err := Estimate(fa, fb)

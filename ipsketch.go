@@ -17,8 +17,8 @@
 //	est, _ := ipsketch.Estimate(sa, sb) // ≈ ⟨a, b⟩
 //
 // Sketches are comparable only when produced by sketchers with identical
-// configurations (method, size, seed, L, and the Quantize and Dart
-// flags); Estimate rejects incompatible pairs. They can be computed on different machines at
+// configurations (method, size, seed, L, and the Quantize flag); Estimate
+// rejects incompatible pairs. They can be computed on different machines at
 // different times: all randomness is derived from the seed.
 //
 // # Methods and guarantees
@@ -195,14 +195,10 @@ type Config struct {
 	// discussion names this as the natural next optimization. Validate
 	// rejects the flag for methods without the capability.
 	Quantize bool
-	// Dart selects the dart-throwing construction for methods that
-	// support it (currently WMH): all samples are computed in one pass
-	// over the vector's support at expected O(nnz + m·log m) cost instead
-	// of O(nnz·m·log L) — two to three orders of magnitude faster at
-	// production sample counts, with an estimate distribution identical
-	// to the default construction (see DESIGN.md §9). Dart sketches use
-	// different randomness and are comparable only with dart sketches.
-	// Validate rejects the flag for methods without the capability.
+	// Dart is ignored: WMH always uses the dart-throwing construction
+	// (DESIGN.md §9).
+	//
+	// Deprecated: setting it has no effect.
 	Dart bool
 }
 
@@ -219,10 +215,7 @@ func (c Config) countSketchReps() int {
 // wmhParams derives the WMH construction parameters for a sketcher of the
 // given sample count.
 func (c Config) wmhParams(samples int) wmh.Params {
-	return wmh.Params{
-		M: samples, Seed: c.Seed, L: c.L,
-		QuantizeValues: c.Quantize, Dart: c.Dart,
-	}
+	return wmh.Params{M: samples, Seed: c.Seed, L: c.L, QuantizeValues: c.Quantize}
 }
 
 // Validate reports whether the configuration is usable.
@@ -236,9 +229,6 @@ func (c Config) Validate() error {
 	}
 	if c.Quantize && !be.quantize {
 		return fmt.Errorf("ipsketch: %v does not support Quantize", c.Method)
-	}
-	if c.Dart && !be.dart {
-		return fmt.Errorf("ipsketch: %v does not support Dart", c.Method)
 	}
 	if _, err := be.size(c); err != nil {
 		return err

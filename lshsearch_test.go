@@ -14,7 +14,6 @@ var lshFamilies = []struct {
 }{
 	{"MH", Config{Method: MethodMH, StorageWords: 300, Seed: 21}},
 	{"WMH", Config{Method: MethodWMH, StorageWords: 300, Seed: 22}},
-	{"WMH-dart", Config{Method: MethodWMH, StorageWords: 300, Seed: 23, Dart: true}},
 }
 
 // strongLSH bands aggressively (threshold (1/64)^1 ≈ 0.016) so on the

@@ -11,7 +11,7 @@ import (
 )
 
 // mergeableConfigs enumerates every configuration whose sketches merge:
-// all methods but SimHash, plus the WMH compatibility variants.
+// all methods but SimHash, plus WMH's quantized variant.
 func mergeableConfigs(budget int) []struct {
 	name string
 	cfg  Config
@@ -21,7 +21,6 @@ func mergeableConfigs(budget int) []struct {
 		cfg  Config
 	}{
 		{"wmh", Config{Method: MethodWMH, StorageWords: budget, Seed: 7}},
-		{"wmh-dart", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, Dart: true}},
 		{"wmh-quantize", Config{Method: MethodWMH, StorageWords: budget, Seed: 7, Quantize: true}},
 		{"mh", Config{Method: MethodMH, StorageWords: budget, Seed: 7}},
 		{"kmv", Config{Method: MethodKMV, StorageWords: budget, Seed: 7}},
@@ -209,18 +208,7 @@ func TestMergeStatisticalConformance(t *testing.T) {
 	truth := Dot(av, bv)
 	const trials = 30
 	const parts = 3
-	configs := mergeableConfigs(200)
-	// The Quantize variant shares WMH's estimator law and is pinned
-	// bitwise by TestMergeVsRebuildEquivalence; skip its (slow)
-	// record-process trials here.
-	kept := configs[:0]
-	for _, tc := range configs {
-		if tc.name == "wmh-quantize" {
-			continue
-		}
-		kept = append(kept, tc)
-	}
-	for _, tc := range kept {
+	for _, tc := range mergeableConfigs(200) {
 		t.Run(tc.name, func(t *testing.T) {
 			var ests, directs []float64
 			withinMerged, withinDirect := 0, 0

@@ -163,25 +163,54 @@ func TestOppositeVectorsNegativeEstimate(t *testing.T) {
 }
 
 // TestEstimateWithBoundPublicAPI: the WMH bound surfaces through the root
-// API and actually covers the realized error most of the time.
+// API and covers the realized error. The pair overlaps in 10 % of its
+// support, so at 400 words most seeds match no sample at all; over seeds
+// 0–299, 132 match at least one. Every seed that matches must report a
+// positive scale, and the error must stay inside 4× the scale on at least
+// 95 % of them (measured: all 132, the largest error 2.2× its scale).
+//
+// Known limitation (ROADMAP item 10): a seed with no matched sample
+// estimates exactly 0 with scale 0, though the inner product is not 0 —
+// the sketch saw no evidence of the overlap and reports none.
 func TestEstimateWithBoundPublicAPI(t *testing.T) {
 	a, b := paperPair(t, 0.1, 43)
 	truth := Dot(a, b)
-	s, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	matched, covered := 0, 0
+	var sb *Sketch
+	for seed := uint64(0); seed < 300; seed++ {
+		s, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 400, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa, _ := s.Sketch(a)
+		sb, _ = s.Sketch(b)
+		est, scale, err := EstimateWithBound(sa, sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := EstimateJaccard(sa, sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == 0 {
+			if est != 0 || scale != 0 {
+				t.Errorf("seed %d: no matched sample, yet estimate %v and scale %v (want both 0)", seed, est, scale)
+			}
+			continue
+		}
+		matched++
+		if scale <= 0 {
+			t.Errorf("seed %d: error scale %v not positive with matched samples", seed, scale)
+		}
+		if math.Abs(est-truth) <= 4*scale {
+			covered++
+		}
 	}
-	sa, _ := s.Sketch(a)
-	sb, _ := s.Sketch(b)
-	est, scale, err := EstimateWithBound(sa, sb)
-	if err != nil {
-		t.Fatal(err)
+	if matched < 100 {
+		t.Fatalf("only %d of 300 seeds matched a sample; the coverage check needs more", matched)
 	}
-	if scale <= 0 {
-		t.Fatalf("error scale %v not positive for overlapping pair", scale)
-	}
-	if math.Abs(est-truth) > 8*scale {
-		t.Fatalf("error %v exceeds 8× the estimated scale %v", math.Abs(est-truth), scale)
+	if rate := float64(covered) / float64(matched); rate < 0.95 {
+		t.Errorf("error inside 4× the scale on %d of %d matched seeds (%.3f), want ≥ 0.95", covered, matched, rate)
 	}
 	// Non-WMH methods are rejected.
 	jl, _ := NewSketcher(Config{Method: MethodJL, StorageWords: 100, Seed: 1})

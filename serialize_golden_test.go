@@ -24,8 +24,10 @@ import (
 // retirement tests check that its bytes fail to decode with an error that
 // names the removal. A retired construction variant's golden file moves
 // there too: its bytes still decode, but refuse comparison with the
-// variant that replaced it (testdata/retired/wmh-dart.golden, dart
-// variant 3).
+// variant that replaced it (testdata/retired/wmh-record*.golden, the record
+// process's variant 0, and wmh-dart.golden, dart variant 3). WMH's cases
+// keep their names and read the current construction's files,
+// wmh-dart.golden and wmh-dart-quantize.golden.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden sketch files")
 
@@ -61,37 +63,29 @@ func pow10(e int) float64 {
 	return x
 }
 
+// goldenCase is one golden wire format: the configuration that writes it
+// and the file under testdata/golden that pins it.
+type goldenCase struct {
+	name, file string
+	cfg        Config
+}
+
 // goldenCases enumerates every wire format the library can produce: one
-// default configuration per method plus the WMH compatibility variants.
-func goldenCases() []struct {
-	name string
-	cfg  Config
-} {
-	var cases []struct {
-		name string
-		cfg  Config
-	}
+// default configuration per method plus WMH's quantized one.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
 	for _, m := range Methods() {
 		budget := 64
 		if m == MethodSimHash {
 			budget = 3
 		}
-		cases = append(cases, struct {
-			name string
-			cfg  Config
-		}{strings.ToLower(m.String()), Config{Method: m, StorageWords: budget, Seed: 12345}})
+		name, file := strings.ToLower(m.String()), strings.ToLower(m.String())
+		if m == MethodWMH {
+			file = "wmh-dart"
+		}
+		cases = append(cases, goldenCase{name, file, Config{Method: m, StorageWords: budget, Seed: 12345}})
 	}
-	cases = append(cases,
-		struct {
-			name string
-			cfg  Config
-		}{"wmh-quantize", Config{Method: MethodWMH, StorageWords: 64, Seed: 12345, Quantize: true}},
-		struct {
-			name string
-			cfg  Config
-		}{"wmh-dart", Config{Method: MethodWMH, StorageWords: 64, Seed: 12345, Dart: true}},
-	)
-	return cases
+	return append(cases, goldenCase{"wmh-quantize", "wmh-dart-quantize", Config{Method: MethodWMH, StorageWords: 64, Seed: 12345, Quantize: true}})
 }
 
 func TestGoldenSketches(t *testing.T) {
@@ -110,7 +104,7 @@ func TestGoldenSketches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", tc.name+".golden")
+			path := filepath.Join("testdata", "golden", tc.file+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)

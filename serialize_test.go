@@ -169,77 +169,88 @@ func marshalFixture(tb testing.TB, cfg Config) []byte {
 // quantized (1), resolved L, dim, norm (8 each) and empty (1).
 const wmhVariantOffset = 6 + 3*8 + 1 + 3*8 + 1
 
-// retiredVariantBlob is a well-formed WMH encoding whose variant byte is
-// 2, the value the removed polynomial-log record process used to write.
-func retiredVariantBlob(tb testing.TB) []byte {
+// retiredWMHBlob reads a retired WMH golden sketch from testdata/retired
+// and checks that it carries the construction-variant byte vr.
+func retiredWMHBlob(tb testing.TB, name string, vr byte) []byte {
 	tb.Helper()
-	data := marshalFixture(tb, Config{Method: MethodWMH, StorageWords: 32, Seed: 7})
-	if data[wmhVariantOffset] != 0 {
-		tb.Fatalf("variant byte of a record-process sketch is %d, want 0 (layout moved?)", data[wmhVariantOffset])
+	data, err := os.ReadFile(filepath.Join("testdata", "retired", name))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	data[wmhVariantOffset] = 2
+	if data[wmhVariantOffset] != vr {
+		tb.Fatalf("%s has variant byte %d, want %d (layout moved?)", name, data[wmhVariantOffset], vr)
+	}
 	return data
 }
 
-// TestUnmarshalRejectsRetiredWMHVariant: blobs written by the removed
-// construction must fail to decode with an error that says so, and the
-// variant bytes this build writes (0 record process, 4 dart) must keep
-// decoding. (The retired dart variant 3 decodes too; see
-// TestRetiredDartVariantDecodesButDoesNotMix.)
-func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
-	_, err := UnmarshalSketch(retiredVariantBlob(t))
-	if err == nil || !strings.Contains(err.Error(), "FastLog variant was removed") {
-		t.Fatalf("variant byte 2: err = %v, want the \"removed\" error", err)
-	}
-	for want, cfg := range map[byte]Config{
-		0: {Method: MethodWMH, StorageWords: 32, Seed: 7},
-		4: {Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true},
-	} {
-		data := marshalFixture(t, cfg)
-		if data[wmhVariantOffset] != want {
-			t.Errorf("%+v: variant byte %d, want %d", cfg, data[wmhVariantOffset], want)
-		}
-		if _, err := UnmarshalSketch(data); err != nil {
-			t.Errorf("%+v: %v", cfg, err)
-		}
-	}
+// retiredRecordBlob is the golden WMH sketch of the record process, the
+// default construction before the dart construction replaced it: variant
+// 0, decode-only.
+func retiredRecordBlob(tb testing.TB) []byte {
+	return retiredWMHBlob(tb, "wmh-record.golden", 0)
 }
 
 // retiredDartBlob is the golden dart WMH sketch of the first dart
 // construction, variant 3, whose dart values were rounded to multiples of
 // 2⁻⁵³ (DESIGN.md §6).
 func retiredDartBlob(tb testing.TB) []byte {
+	return retiredWMHBlob(tb, "wmh-dart.golden", 3)
+}
+
+// retiredVariantBlob is a well-formed WMH encoding whose variant byte is
+// 2, the value the removed polynomial-log record process used to write.
+func retiredVariantBlob(tb testing.TB) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "retired", "wmh-dart.golden"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if data[wmhVariantOffset] != 3 {
-		tb.Fatalf("retired dart fixture has variant byte %d, want 3", data[wmhVariantOffset])
-	}
+	data := retiredRecordBlob(tb)
+	data[wmhVariantOffset] = 2
 	return data
 }
 
-// TestRetiredDartVariantDecodesButDoesNotMix: a variant-3 dart sketch still
-// decodes and re-encodes bit-exactly, and estimates against itself, but a
-// dart sketch of this build — same configuration, same vector — refuses
-// it with the construction-variant error, which says to re-sketch; so does
-// a merge.
-func TestRetiredDartVariantDecodesButDoesNotMix(t *testing.T) {
-	blob := retiredDartBlob(t)
+// TestUnmarshalRejectsRetiredWMHVariant: blobs written by the removed
+// construction must fail to decode with an error that says so. The
+// variant byte this build writes is 4 whatever Config.Dart says, and the
+// retired record process's byte 0 keeps decoding. (The retired variants
+// refuse to mix; see TestRetiredRecordVariantDecodesButDoesNotMix and
+// TestRetiredDartVariantDecodesButDoesNotMix.)
+func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
+	_, err := UnmarshalSketch(retiredVariantBlob(t))
+	if err == nil || !strings.Contains(err.Error(), "FastLog variant was removed") {
+		t.Fatalf("variant byte 2: err = %v, want the \"removed\" error", err)
+	}
+	fresh := marshalFixture(t, Config{Method: MethodWMH, StorageWords: 32, Seed: 7})
+	if fresh[wmhVariantOffset] != 4 {
+		t.Errorf("variant byte %d, want 4", fresh[wmhVariantOffset])
+	}
+	if dart := marshalFixture(t, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}); !bytes.Equal(dart, fresh) {
+		t.Error("the deprecated Config.Dart changes the sketch bytes")
+	}
+	for _, data := range [][]byte{fresh, retiredRecordBlob(t)} {
+		if _, err := UnmarshalSketch(data); err != nil {
+			t.Errorf("variant byte %d: %v", data[wmhVariantOffset], err)
+		}
+	}
+}
+
+// checkRetiredDoesNotMix: a retired-variant sketch still decodes and
+// re-encodes bit-exactly, and estimates against itself, but a sketch of
+// this build — the configuration of golden case cfgName, the same vector —
+// refuses it with the construction-variant error, which says to
+// re-sketch; so does a merge, in either order.
+func checkRetiredDoesNotMix(t *testing.T, blob []byte, cfgName string) {
+	t.Helper()
 	old, err := UnmarshalSketch(blob)
 	if err != nil {
-		t.Fatalf("variant 3 no longer decodes: %v", err)
+		t.Fatalf("no longer decodes: %v", err)
 	}
 	if re, err := old.MarshalBinary(); err != nil || !bytes.Equal(re, blob) {
-		t.Fatalf("variant 3 does not re-encode bit-exactly (%v)", err)
+		t.Fatalf("does not re-encode bit-exactly (%v)", err)
 	}
 	if _, err := Estimate(old, old); err != nil {
-		t.Fatalf("variant 3 self-estimate: %v", err)
+		t.Fatalf("self-estimate: %v", err)
 	}
 	var cfg Config
 	for _, tc := range goldenCases() {
-		if tc.name == "wmh-dart" {
+		if tc.name == cfgName {
 			cfg = tc.cfg
 		}
 	}
@@ -251,12 +262,34 @@ func TestRetiredDartVariantDecodesButDoesNotMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Estimate(old, fresh); err == nil || !strings.Contains(err.Error(), "different construction variants") || !strings.Contains(err.Error(), "re-sketch") {
-		t.Fatalf("variant 3 vs 4: err = %v, want the variant error saying to re-sketch", err)
+	for _, pair := range [][2]*Sketch{{old, fresh}, {fresh, old}} {
+		if _, err := Estimate(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "different construction variants") || !strings.Contains(err.Error(), "re-sketch") {
+			t.Fatalf("estimate against variant 4: err = %v, want the variant error saying to re-sketch", err)
+		}
+		if _, err := pair[0].Merge(pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
+			t.Fatalf("merge with variant 4: err = %v, want the variant error saying to re-sketch", err)
+		}
 	}
-	if _, err := fresh.Merge(old); err == nil || !strings.Contains(err.Error(), "re-sketch") {
-		t.Fatalf("merging variant 3 into 4: err = %v, want the variant error saying to re-sketch", err)
+}
+
+// TestRetiredRecordVariantDecodesButDoesNotMix: the record process's
+// golden sketches (variant 0, plain and quantized) decode but refuse to
+// mix with dart sketches of the same configuration.
+func TestRetiredRecordVariantDecodesButDoesNotMix(t *testing.T) {
+	for name, cfgName := range map[string]string{
+		"wmh-record.golden":          "wmh",
+		"wmh-record-quantize.golden": "wmh-quantize",
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkRetiredDoesNotMix(t, retiredWMHBlob(t, name, 0), cfgName)
+		})
 	}
+}
+
+// TestRetiredDartVariantDecodesButDoesNotMix: likewise the first dart
+// construction's golden sketch (variant 3).
+func TestRetiredDartVariantDecodesButDoesNotMix(t *testing.T) {
+	checkRetiredDoesNotMix(t, retiredDartBlob(t), "wmh")
 }
 
 // retiredICWSBlob is a sketch envelope with method byte 5, written by the

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,17 +69,26 @@ func TestServiceLSHSearchMatchesFull(t *testing.T) {
 		}
 	}
 
-	// A probe budget below Bands is honored (still full recall here:
-	// Rows=1 bands all collide on an overlapping corpus).
-	full, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, MinJoinSize: 1, K: 5, LSH: true})
-	if err != nil {
-		t.Fatal(err)
+	// An explicit probe budget is honored. Probing every band is the
+	// full scan by construction. Probing 4 of them can miss a table (each
+	// band misses with probability 1−J, so all four with (1−J)⁴), but every
+	// table it does find is rescored exactly as the full scan scores it.
+	search := func(q ipsketch.Query) []ipsketch.SearchResult {
+		q.Sketch, q.Column, q.RankBy, q.MinJoinSize = qSk, "v", ipsketch.RankByJoinSize, 1
+		res, err := cl.SearchSketch(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	probed, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, MinJoinSize: 1, K: 5, LSH: true, Probes: 4})
-	if err != nil {
-		t.Fatal(err)
+	full := search(ipsketch.Query{K: -1})
+	requireSameRanking(t, search(ipsketch.Query{K: -1, LSH: true, Probes: lshTestCfg().LSHBands}), full, "probes=Bands")
+	for _, hit := range search(ipsketch.Query{K: 5, LSH: true, Probes: 4}) {
+		i := slices.IndexFunc(full, func(r ipsketch.SearchResult) bool { return r.Table == hit.Table && r.Column == hit.Column })
+		if i < 0 || !resultsIdentical(hit, full[i]) {
+			t.Fatalf("probes=4 hit %+v is not the full scan's result for its column", hit)
+		}
 	}
-	requireSameRanking(t, probed, full, "probes=4")
 
 	stats, err := cl.Stats(ctx)
 	if err != nil {
