@@ -141,21 +141,21 @@ type backend struct {
 
 // columnarScorer is the type of a backend's packs field: a family that
 // can pack many sketches into contiguous structure-of-arrays storage and
-// score them against a pre-decoded query with a flat-array kernel — the
+// score them against a query bundle with a flat-array kernel — the
 // search-side hot path. Families without one transparently fall back to
 // the decoded per-candidate scorer, bit-identically. The one
 // implementation is *packFamily (columnar.go).
 type columnarScorer interface {
 	newPack() columnarPack
-	// prepareQuery pre-decodes one query bundle (key, value, squared-value
+	// prepareQuery gathers one query bundle (key, value, squared-value
 	// payloads of the query column) once per search, independent of any
-	// pack, so a search over many index snapshots decodes its query once.
+	// pack, so a search over many index snapshots prepares its query once.
 	// nil means the payloads do not belong to this family.
 	prepareQuery(qKey, qVal, qSq payload) columnarQuery
 }
 
-// columnarQuery is a family's pre-decoded query bundle; only the packs of
-// the family that prepared it look inside.
+// columnarQuery is a family's query bundle; only the packs of the family
+// that prepared it look inside.
 type columnarQuery any
 
 // columnarPack accumulates table-sketch bundles of one family into flat

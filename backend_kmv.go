@@ -50,15 +50,11 @@ var kmvBackend = &backend{
 	}),
 	supportSize: unary((*kmv.Sketch).DistinctEstimate),
 	unionSize:   pair(kmv.UnionEstimate),
-	// KMV gains the most from the packed kernel: the decoded estimator
-	// allocates union and matched slices for every pair, the kernel
-	// allocates nothing. KMV has a joinSize estimator, so the size slot
-	// carries the threshold |A∩B| estimate, not the inner-product
-	// reduction.
-	packs: &packFamily[*kmv.Sketch, *kmv.Sketch, *kmv.Cols]{
+	// KMV has a joinSize estimator, so the size slot carries the
+	// threshold |A∩B| estimate, not the inner-product reduction.
+	packs: &packFamily[*kmv.Sketch, *kmv.Cols]{
 		compatible:   kmv.Compatible,
 		newCols:      func(ref *kmv.Sketch) *kmv.Cols { return kmv.NewCols(ref.Params()) },
-		operand:      func(s *kmv.Sketch) *kmv.Sketch { return s },
 		scanJoinSize: (*kmv.Cols).ScanJoinSize,
 	},
 }

@@ -45,13 +45,10 @@ func psampleBackend(mode psample.Mode, name string) *backend {
 		// threshold re-filters under the reconciled squared norm).
 		merge: merged(psample.Merge),
 		// Mode is part of Params, so one pack never mixes priority and
-		// threshold samples. The query operand is psample.Query: each
-		// sample's inclusion probability is computed once per search, not
-		// once per match per candidate.
-		packs: &packFamily[*psample.Sketch, *psample.Query, *psample.Cols]{
+		// threshold samples.
+		packs: &packFamily[*psample.Sketch, *psample.Cols]{
 			compatible: psample.Compatible,
 			newCols:    func(ref *psample.Sketch) *psample.Cols { return psample.NewCols(ref.Params()) },
-			operand:    psample.NewQuery,
 		},
 	}
 }

@@ -74,10 +74,9 @@ var wmhBackend = &backend{
 	// Params, resolved L, and construction variant all pin through
 	// wmh.Compatible, so retired-variant sketches never mix into a pack of
 	// current ones.
-	packs: &packFamily[*wmh.Sketch, *wmh.Sketch, *wmh.Cols]{
+	packs: &packFamily[*wmh.Sketch, *wmh.Cols]{
 		compatible: wmh.Compatible,
 		newCols:    wmh.NewCols,
-		operand:    func(s *wmh.Sketch) *wmh.Sketch { return s },
 	},
 	quantize: true,
 }

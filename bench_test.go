@@ -606,8 +606,8 @@ func BenchmarkChunkedIngest_MH_Serial(b *testing.B) {
 }
 
 // BenchmarkChunkedIngest_TableBundle is the serving-layer shape: one
-// table bundle (three vectors) sketched through SketchTableChunked, the
-// name the serving layer calls SketchTable by.
+// table bundle (three vectors) sketched through SketchTable, as the
+// serving layer calls it.
 func BenchmarkChunkedIngest_TableBundle(b *testing.B) {
 	const rows = 2000
 	keys := make([]uint64, rows)
@@ -626,7 +626,7 @@ func BenchmarkChunkedIngest_TableBundle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ts.SketchTableChunked(tab); err != nil {
+		if _, err := ts.SketchTable(tab); err != nil {
 			b.Fatal(err)
 		}
 	}

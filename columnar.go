@@ -3,14 +3,15 @@ package ipsketch
 // This file is the structure-of-arrays scan path of SketchIndex: at build
 // time every entry's sketch bundle is appended to one family-specific
 // columnar pack (contiguous hash/value arrays plus per-sketch aux words),
-// and at search time the pre-decoded query streams those flat arrays with
+// and at search time the query bundle streams those flat arrays with
 // zero per-candidate decoding, map lookups, or interface dispatch — the
 // numba-kernel shape of the related sampling repos, specialized per family
 // behind the backend descriptor's packs field. A view covers every entry
 // of its index or is not built: an index holding one bundle the pack
 // rejects (different method, key space, or construction parameters) scans
-// decoded through EstimateJoinStats. Both paths assemble JoinStats
-// through the same helper, so rankings are bit-identical either way.
+// decoded through EstimateJoinStats. Both paths run each family's one
+// match loop and assemble JoinStats through the same helper, so rankings
+// are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, ordered by
 // the pack they scan — three query operands against the key sketches, two
@@ -164,8 +165,8 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	return v
 }
 
-// prepareColumnarQuery pre-decodes the query column's bundle for the
-// packed path, once per search. nil means the query cannot use it
+// prepareColumnarQuery gathers the query column's bundle for the packed
+// path, once per search. nil means the query cannot use it
 // (missing column, mixed or unpackable methods) and every index scans
 // decoded — including the decoded scorer's error semantics, which is why
 // this never errors.
@@ -196,68 +197,62 @@ func (v *columnarView) accepts(query *TableSketch, q columnarQuery) bool {
 
 // packCols is what the shared pack adapter needs of a family's packed
 // columns (the Cols type of internal/{wmh,minhash,kmv,psample}): append a
-// decoded sketch S, and score query operands Q against a range.
-type packCols[S, Q any] interface {
+// decoded sketch S, and score query sketches against a range.
+type packCols[S any] interface {
 	Append(s S)
-	Scan(qs []Q, lo, hi int, out []float64, stride int, offs []int)
+	Scan(qs []S, lo, hi int, out []float64, stride int, offs []int)
 }
 
 // packFamily is everything family-specific about a columnar pack, and the
 // one columnarScorer: the backend descriptor of each packed family holds
-// one in its packs field. S is the decoded sketch, Q the pre-decoded query
-// operand the kernel takes, C the family's packed columns.
-type packFamily[S payload, Q any, C packCols[S, Q]] struct {
+// one in its packs field. S is the decoded sketch, C the family's packed
+// columns.
+type packFamily[S payload, C packCols[S]] struct {
 	compatible func(a, b S) error
 	newCols    func(ref S) C
-	// operand pre-decodes one query sketch, once per search.
-	operand func(S) Q
 	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
 	// size slot carries its estimate instead of the inner-product
 	// reduction, as the decoded joinSize estimator does.
-	scanJoinSize func(c C, q Q, lo, hi int, out []float64, stride, off int)
+	scanJoinSize func(c C, q S, lo, hi int, out []float64, stride, off int)
 }
 
 // pack is the one columnarPack implementation: three packed columns (key,
 // value and squared-value sketches) sharing the first bundle's key sketch
 // as the reference every other sketch — packed or query — must be
 // compatible with.
-type pack[S payload, Q any, C packCols[S, Q]] struct {
-	fam             *packFamily[S, Q, C]
+type pack[S payload, C packCols[S]] struct {
+	fam             *packFamily[S, C]
 	ref             S
 	pinned          bool
 	keys, vals, sqs C
 }
 
-// packQuery is a family's pre-decoded query bundle (key, value, squared
-// value): the operands the kernels take, beside the sketches they came
-// from for the per-pack compatibility check.
-type packQuery[S, Q any] struct {
-	sk [3]S
-	q  [3]Q
-}
+// packQuery is a family's query bundle: the key, value and squared-value
+// sketches the kernels take.
+type packQuery[S any] [3]S
 
-func (f *packFamily[S, Q, C]) newPack() columnarPack { return &pack[S, Q, C]{fam: f} }
+func (f *packFamily[S, C]) newPack() columnarPack { return &pack[S, C]{fam: f} }
 
-func (f *packFamily[S, Q, C]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	pq := new(packQuery[S, Q])
+func (f *packFamily[S, C]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+	pq := new(packQuery[S])
 	for i, p := range [3]payload{qKey, qVal, qSq} {
 		s, ok := p.(S)
 		if !ok {
 			return nil
 		}
-		pq.sk[i], pq.q[i] = s, f.operand(s)
+		pq[i] = s
 	}
 	return pq
 }
 
 // member reports whether p is a sketch of the family that ref can be
 // scored against.
-func (f *packFamily[S, Q, C]) member(ref S, p payload) bool {
+func (f *packFamily[S, C]) member(ref S, p payload) bool {
 	s, ok := p.(S)
 	return ok && f.compatible(ref, s) == nil
 }
 
-func (p *pack[S, Q, C]) addTable(key payload, vals, sqs []payload) bool {
+func (p *pack[S, C]) addTable(key payload, vals, sqs []payload) bool {
 	k, ok := key.(S)
 	if !ok {
 		return false
@@ -286,12 +281,12 @@ func (p *pack[S, Q, C]) addTable(key payload, vals, sqs []payload) bool {
 	return true
 }
 
-func (p *pack[S, Q, C]) accepts(q columnarQuery) bool {
-	pq, ok := q.(*packQuery[S, Q])
+func (p *pack[S, C]) accepts(q columnarQuery) bool {
+	pq, ok := q.(*packQuery[S])
 	if !ok || !p.pinned {
 		return false
 	}
-	for _, s := range pq.sk {
+	for _, s := range pq {
 		if p.fam.compatible(p.ref, s) != nil {
 			return false
 		}
@@ -299,8 +294,8 @@ func (p *pack[S, Q, C]) accepts(q columnarQuery) bool {
 	return true
 }
 
-func (p *pack[S, Q, C]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	ops := &q.(*packQuery[S, Q]).q
+func (p *pack[S, C]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	ops := q.(*packQuery[S])
 	if sel := &pl.key; sel.n > 0 {
 		qs, offs := ops[sel.lo:sel.lo+sel.n], sel.off[:sel.n]
 		// The size is the key pack's first selected operand whenever the

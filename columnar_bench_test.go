@@ -135,14 +135,13 @@ func TestRankFirstScanSpeedupSmoke(t *testing.T) {
 
 // TestColumnarScanSpeedupSmoke is the CI perf gate for the columnar scan:
 // with the packed view built, Search must beat the decoded path on the
-// same index by each family's floor — ≥2× for dart WMH and KMV (measured
-// ≈3× and ≈10×: the decoded WMH loop branch-mispredicts where the kernel
-// runs branchless, and decoded KMV allocates per pair), ≥1.5× for MH
-// (measured ≈1.9×; its decoded loop is already allocation-free, so the
-// kernel only shaves dispatch and map lookups). PS/TS are benchmarked but
-// not gated — their decoded estimator is already a lean two-pointer walk.
-// Opt-in via IPSKETCH_BENCH_SMOKE=1: wall-clock assertions do not belong
-// in the default `go test` run.
+// same index by each family's floor — ≥2× for dart WMH and KMV, ≥1.5× for
+// MH. Both paths run each family's one match loop, so the gap is what the
+// packed path skips: backend dispatch and type asserts per estimate,
+// per-column map lookups, and the decoded path's six estimates per
+// candidate where the join-size ranking reads one per table. PS/TS are
+// benchmarked but not gated. Opt-in via IPSKETCH_BENCH_SMOKE=1:
+// wall-clock assertions do not belong in the default `go test` run.
 func TestColumnarScanSpeedupSmoke(t *testing.T) {
 	if os.Getenv("IPSKETCH_BENCH_SMOKE") == "" {
 		t.Skip("set IPSKETCH_BENCH_SMOKE=1 to run the columnar scan gate")

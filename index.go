@@ -505,7 +505,7 @@ func (ix *SketchIndex) Search(q Query) ([]SearchResult, ScanStats, error) {
 // SearchTopKStats is Search of a full-scan query.
 //
 // Deprecated: use Search. It stays only until the benchmark harness moves
-// onto Search (ROADMAP.md item 2(a)).
+// onto Search (ROADMAP.md item 4(a)).
 func (ix *SketchIndex) SearchTopKStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k int) ([]SearchResult, ScanStats, error) {
 	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k})
 }

@@ -578,7 +578,7 @@ func (c *Catalog) Search(q ipsketch.Query) ([]ipsketch.SearchResult, ipsketch.Sc
 // SearchTopKStats is Search of a full-scan query.
 //
 // Deprecated: use Search. It stays only until the benchmark harness moves
-// onto Search (ROADMAP.md item 2(a)).
+// onto Search (ROADMAP.md item 4(a)).
 func (c *Catalog) SearchTopKStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
 	return c.Search(ipsketch.Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k})
 }
@@ -586,7 +586,7 @@ func (c *Catalog) SearchTopKStats(query *ipsketch.TableSketch, queryCol string, 
 // SearchTopKLSHStats is Search of an lsh-mode query.
 //
 // Deprecated: use Search. It stays only until the benchmark harness moves
-// onto Search (ROADMAP.md item 2(a)).
+// onto Search (ROADMAP.md item 4(a)).
 func (c *Catalog) SearchTopKLSHStats(query *ipsketch.TableSketch, queryCol string, by ipsketch.RankBy, minJoinSize float64, k, probes int) ([]ipsketch.SearchResult, ipsketch.ScanStats, error) {
 	return c.Search(ipsketch.Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }

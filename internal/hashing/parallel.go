@@ -18,24 +18,14 @@ func Workers(n int) int {
 	return w
 }
 
-// Parallel runs fn(i) for every i in [0, n) across up to GOMAXPROCS
-// workers. It is used by the sketchers to parallelize over independent
-// samples: determinism is preserved because each sample derives its
-// randomness from its own index, not from shared stream state. Small jobs
-// run inline to avoid goroutine overhead.
-func Parallel(n int, fn func(i int)) {
-	ParallelChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // ParallelChunks splits [0, n) into one contiguous chunk per worker and
-// runs fn(lo, hi) for each chunk. Unlike Parallel, the callback sees the
-// whole range at once, so it can keep per-chunk state (scratch buffers,
-// running minima) without synchronization or per-item closure overhead.
-// Small jobs run inline on the calling goroutine.
+// runs fn(lo, hi) for each chunk. The sketchers use it to parallelize over
+// independent samples: determinism is preserved because each sample
+// derives its randomness from its own index, not from shared stream state.
+// The callback sees its whole range at once, so it can keep per-chunk
+// state (scratch buffers, running minima) without synchronization or
+// per-item closure overhead. Small jobs run inline on the calling
+// goroutine.
 func ParallelChunks(n int, fn func(lo, hi int)) {
 	ParallelWorkers(n, WorkerCount(n), func(_, lo, hi int) { fn(lo, hi) })
 }

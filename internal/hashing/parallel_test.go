@@ -8,8 +8,10 @@ import (
 func TestParallelCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 16, 1000} {
 		seen := make([]int32, n)
-		Parallel(n, func(i int) {
-			atomic.AddInt32(&seen[i], 1)
+		ParallelChunks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
 		})
 		for i, c := range seen {
 			if c != 1 {
@@ -23,7 +25,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	const n = 500
 	par := make([]uint64, n)
 	seq := make([]uint64, n)
-	Parallel(n, func(i int) { par[i] = Mix(uint64(i), 42) })
+	ParallelChunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			par[i] = Mix(uint64(i), 42)
+		}
+	})
 	for i := 0; i < n; i++ {
 		seq[i] = Mix(uint64(i), 42)
 	}

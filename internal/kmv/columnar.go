@@ -1,14 +1,10 @@
 package kmv
 
-import "repro/internal/hashing"
-
 // Cols is a structure-of-arrays packing of many bottom-k sketches built
 // under one Params. Retained samples are variable-length, so sketches are
 // addressed through a prefix-offset array; the per-sketch aux word is the
-// true support size (SawAll needs it). The scan kernel replays merge's
-// threshold selection and matched walk with two allocation-free
-// two-pointer passes — the decoded path allocates a union slice and a
-// matched-products slice per pair, which is most of its cost.
+// true support size (SawAll needs it). The scan runs the pairwise
+// estimators' threshold walk against each packed slot.
 type Cols struct {
 	p      Params
 	off    []int // len n+1: sketch t occupies [off[t], off[t+1])
@@ -20,9 +16,6 @@ type Cols struct {
 // NewCols returns an empty pack pinned to p.
 func NewCols(p Params) *Cols { return &Cols{p: p, off: []int{0}} }
 
-// Len returns the number of packed sketches.
-func (c *Cols) Len() int { return len(c.nnz) }
-
 // Append packs one sketch. The caller guarantees Compatible(s, ref) for
 // every sketch in the pack (the dispatch layer owns that invariant).
 func (c *Cols) Append(s *Sketch) {
@@ -32,65 +25,16 @@ func (c *Cols) Append(s *Sketch) {
 	c.nnz = append(c.nnz, s.nnz)
 }
 
-// scanOne replays merge(q, packed t) without allocating: pass one walks
-// the sorted hash streams to the k-th distinct union value (the threshold
-// τ), pass two accumulates the matched products strictly below it in
-// ascending hash order — the same order merge's slice walk produced, so
-// sums are bit-identical.
+// scanOne runs the shared threshold walk of q against packed sketch t.
 func (c *Cols) scanOne(q *Sketch, t int) (sum float64, matched int, tau float64) {
-	ah, av := q.hashes, q.vals
-	bh := c.hashes[c.off[t]:c.off[t+1]]
-	bv := c.vals[c.off[t]:c.off[t+1]]
-
 	k := c.p.K
-	bothAll := q.nnz <= k && c.nnz[t] <= k
-	var tauHash uint64
-	if bothAll {
-		tau, tauHash = 1.0, ^uint64(0)
-	} else {
-		i, j, cnt := 0, 0, 0
-		for cnt < k && (i < len(ah) || j < len(bh)) {
-			switch {
-			case j >= len(bh) || (i < len(ah) && ah[i] < bh[j]):
-				tauHash = ah[i]
-				i++
-			case i >= len(ah) || bh[j] < ah[i]:
-				tauHash = bh[j]
-				j++
-			default:
-				tauHash = ah[i]
-				i++
-				j++
-			}
-			cnt++
-		}
-		// cnt < k: the union ran out, so tauHash is its largest value —
-		// merge's conservative fallback threshold.
-		tau = hashing.UnitFromBits(tauHash)
-	}
-
-	i, j := 0, 0
-	for i < len(ah) && j < len(bh) {
-		switch {
-		case ah[i] < bh[j]:
-			i++
-		case ah[i] > bh[j]:
-			j++
-		default:
-			if ah[i] < tauHash || bothAll {
-				sum += av[i] * bv[j]
-				matched++
-			}
-			i++
-			j++
-		}
-	}
-	return sum, matched, tau
+	lo, hi := c.off[t], c.off[t+1]
+	return threshold(k, q.hashes, q.vals, q.SawAll(), c.hashes[lo:hi], c.vals[lo:hi], c.nnz[t] <= k)
 }
 
 // Scan scores every query sketch in qs against every packed sketch in
 // [lo, hi): out[(t−lo)·stride + offs[qi]] = Estimate(qs[qi], packed t),
-// bit-identical to the pairwise estimator. The caller guarantees each
+// bit-identical because both run threshold. The caller guarantees each
 // query is Compatible with the pack.
 func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []int) {
 	for t := lo; t < hi; t++ {

@@ -14,6 +14,10 @@
 // such j is included with probability τ, and the Horvitz–Thompson estimate
 // of ⟨a,b⟩ is Σ_matched a[j]·b[j] / τ. When a sketch holds its entire
 // support the estimates become exact.
+//
+// One allocation-free walk, threshold, finds τ and the matched products
+// below it. The pairwise estimators and the packed scan (Cols,
+// columnar.go) both call it, so their results are bit-identical.
 package kmv
 
 import (
@@ -227,65 +231,6 @@ func compatible(a, b *Sketch) error {
 	return nil
 }
 
-// merge computes the threshold unit value τ for the pair and the matched
-// (value product, hash) pairs below it. τ = 1 when both sketches retained
-// their full supports (estimates become exact sums).
-func merge(a, b *Sketch) (tau float64, matchedProducts []float64) {
-	// Union of distinct hash values, ascending (both inputs sorted).
-	var union []uint64
-	i, j := 0, 0
-	for i < len(a.hashes) && j < len(b.hashes) {
-		switch {
-		case a.hashes[i] < b.hashes[j]:
-			union = append(union, a.hashes[i])
-			i++
-		case a.hashes[i] > b.hashes[j]:
-			union = append(union, b.hashes[j])
-			j++
-		default:
-			union = append(union, a.hashes[i])
-			i++
-			j++
-		}
-	}
-	union = append(union, a.hashes[i:]...)
-	union = append(union, b.hashes[j:]...)
-
-	k := a.params.K
-	var tauHash uint64
-	if a.SawAll() && b.SawAll() {
-		tau = 1.0
-		tauHash = ^uint64(0)
-	} else if len(union) < k {
-		// One side overflowed but the union is still small; the k-th value
-		// does not exist — fall back to the largest retained hash, which
-		// is a valid (conservative) threshold.
-		tauHash = union[len(union)-1]
-		tau = hashing.UnitFromBits(tauHash)
-	} else {
-		tauHash = union[k-1]
-		tau = hashing.UnitFromBits(tauHash)
-	}
-
-	// Matched pairs strictly below the threshold.
-	i, j = 0, 0
-	for i < len(a.hashes) && j < len(b.hashes) {
-		switch {
-		case a.hashes[i] < b.hashes[j]:
-			i++
-		case a.hashes[i] > b.hashes[j]:
-			j++
-		default:
-			if a.hashes[i] < tauHash || (a.SawAll() && b.SawAll()) {
-				matchedProducts = append(matchedProducts, a.vals[i]*b.vals[j])
-			}
-			i++
-			j++
-		}
-	}
-	return tau, matchedProducts
-}
-
 // Estimate returns the inner-product estimate ⟨a, b⟩ from the two sketches.
 func Estimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
@@ -294,11 +239,7 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if a.IsEmpty() || b.IsEmpty() {
 		return 0, nil
 	}
-	tau, matched := merge(a, b)
-	sum := 0.0
-	for _, p := range matched {
-		sum += p
-	}
+	sum, _, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
 	return sum / tau, nil
 }
 
@@ -311,8 +252,8 @@ func JoinSizeEstimate(a, b *Sketch) (float64, error) {
 	if a.IsEmpty() || b.IsEmpty() {
 		return 0, nil
 	}
-	tau, matched := merge(a, b)
-	return float64(len(matched)) / tau, nil
+	_, matched, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
+	return float64(matched) / tau, nil
 }
 
 // UnionEstimate estimates |A∪B|: exact when both sketches retained their
@@ -327,8 +268,60 @@ func UnionEstimate(a, b *Sketch) (float64, error) {
 	if a.SawAll() && b.SawAll() {
 		return float64(unionCount(a.hashes, b.hashes)), nil
 	}
-	tau, _ := merge(a, b)
+	_, _, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
 	return float64(a.params.K-1) / tau, nil
+}
+
+// threshold is the one threshold walk over two ascending bottom-k samples,
+// shared by the pairwise estimators and Cols.Scan; it allocates nothing.
+// Pass one walks the sorted hash streams to the k-th distinct union value,
+// the threshold τ. When the union holds fewer than k values, its largest
+// one is a valid, conservative threshold. τ = 1 when both sketches
+// retained their full supports (aAll, bAll), and the estimates become
+// exact sums. Pass two accumulates the matched value products strictly
+// below the threshold in ascending hash order, and counts them.
+func threshold(k int, ah []uint64, av []float64, aAll bool, bh []uint64, bv []float64, bAll bool) (sum float64, matched int, tau float64) {
+	bothAll := aAll && bAll
+	var tauHash uint64
+	if bothAll {
+		tau, tauHash = 1.0, ^uint64(0)
+	} else {
+		i, j, cnt := 0, 0, 0
+		for cnt < k && (i < len(ah) || j < len(bh)) {
+			switch {
+			case j >= len(bh) || (i < len(ah) && ah[i] < bh[j]):
+				tauHash = ah[i]
+				i++
+			case i >= len(ah) || bh[j] < ah[i]:
+				tauHash = bh[j]
+				j++
+			default:
+				tauHash = ah[i]
+				i++
+				j++
+			}
+			cnt++
+		}
+		tau = hashing.UnitFromBits(tauHash)
+	}
+
+	i, j := 0, 0
+	for i < len(ah) && j < len(bh) {
+		switch {
+		case ah[i] < bh[j]:
+			i++
+		case ah[i] > bh[j]:
+			j++
+		default:
+			if ah[i] < tauHash || bothAll {
+				sum += av[i] * bv[j]
+				matched++
+			}
+			i++
+			j++
+		}
+	}
+	return sum, matched, tau
 }
 
 func unionCount(x, y []uint64) int {

@@ -17,9 +17,6 @@ type Cols struct {
 // NewCols returns an empty pack pinned to p.
 func NewCols(p Params) *Cols { return &Cols{p: p} }
 
-// Len returns the number of packed sketches.
-func (c *Cols) Len() int { return c.n }
-
 // Append packs one sketch. The caller guarantees Compatible(s, ref) for
 // every sketch in the pack (the dispatch layer owns that invariant);
 // Append only pins the stride.
@@ -38,8 +35,7 @@ func (c *Cols) Append(s *Sketch) {
 
 // Scan scores every query sketch in qs against every packed sketch in
 // [lo, hi): out[(t−lo)·stride + offs[qi]] = Estimate(qs[qi], packed t),
-// bit-identical to the pairwise estimator (the fused loop keeps each
-// accumulator's summation order unchanged). The caller guarantees each
+// bit-identical because both run collide. The caller guarantees each
 // query is Compatible with the pack.
 func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []int) {
 	m := c.p.M
@@ -55,19 +51,8 @@ func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []
 				out[o] = 0
 				continue
 			}
-			qh, qv := q.hashes, q.vals
-			// Algorithm 2, fused: the Lemma 1 union accumulator and the
-			// collision sum advance together over one pass of the stride.
-			sumMin, sum := 0.0, 0.0
-			for i := 0; i < m; i++ {
-				ha, hb := qh[i], ch[i]
-				sumMin += unit(min(ha, hb))
-				if ha == hb {
-					sum += qv[i] * cv[i]
-				}
-			}
-			uTilde := float64(m)/sumMin - 1
-			out[o] = uTilde / float64(m) * sum
+			sumMin, sum, _ := collide(q.hashes, q.vals, ch, cv)
+			out[o] = estimate(m, sumMin, sum)
 		}
 	}
 }

@@ -9,6 +9,11 @@
 // sample of the support intersection, and the stored minima double as a
 // Flajolet–Martin-style estimator of |A∪B| (Lemma 1).
 //
+// Every estimator runs one match loop, collide: a single pass over two
+// aligned sample arrays giving the union accumulator, the collision sum
+// and the collision count. The pairwise estimators and the packed scan
+// (Cols, columnar.go) both call it, so their results are bit-identical.
+//
 // Hash choice: the paper's analysis (like all MinHash analyses) assumes
 // uniformly random hash functions. A 2-wise affine family h(x) = ax+b mod p
 // is *not* an adequate substitute for the min-wise and union estimators
@@ -232,22 +237,32 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if a.empty || b.empty {
 		return 0, nil
 	}
-	m := a.params.M
-	// Line 1: Ũ = m / Σ_i min(H_a[i], H_b[i]) − 1, the union-size
-	// estimator of Lemma 1.
-	sumMin := 0.0
-	for i := 0; i < m; i++ {
-		sumMin += unit(min64(a.hashes[i], b.hashes[i]))
-	}
-	uTilde := float64(m)/sumMin - 1
-	// Line 2: (Ũ/m) Σ_i 1[H_a[i]=H_b[i]] · H_a^val[i]·H_b^val[i].
-	sum := 0.0
-	for i := 0; i < m; i++ {
-		if a.hashes[i] == b.hashes[i] {
-			sum += a.vals[i] * b.vals[i]
+	sumMin, sum, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
+	return estimate(a.params.M, sumMin, sum), nil
+}
+
+// collide is Algorithm 2's one pass over two aligned sample arrays, shared
+// by the pairwise estimators and Cols.Scan: the Lemma 1 union accumulator
+// Σ_i unit(min(H_a[i], H_b[i])), the collision sum
+// Σ_i 1[H_a[i]=H_b[i]]·H_a^val[i]·H_b^val[i], and the collision count.
+func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum float64, matches int) {
+	bh, av, bv = bh[:len(ah)], av[:len(ah)], bv[:len(ah)]
+	for i, ha := range ah {
+		hb := bh[i]
+		sumMin += unit(min(ha, hb))
+		if ha == hb {
+			sum += av[i] * bv[i]
+			matches++
 		}
 	}
-	return uTilde / float64(m) * sum, nil
+	return sumMin, sum, matches
+}
+
+// estimate finishes Algorithm 2 from collide's sums: line 1's union
+// estimate Ũ = m/Σmin − 1, times line 2's collision sum over m.
+func estimate(m int, sumMin, sum float64) float64 {
+	uTilde := float64(m)/sumMin - 1
+	return uTilde / float64(m) * sum
 }
 
 // JaccardEstimate returns the fraction of colliding samples, an unbiased
@@ -259,34 +274,23 @@ func JaccardEstimate(a, b *Sketch) (float64, error) {
 	if a.empty || b.empty {
 		return 0, nil
 	}
-	matches := 0
-	for i := range a.hashes {
-		if a.hashes[i] == b.hashes[i] {
-			matches++
-		}
-	}
+	_, _, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
 	return float64(matches) / float64(len(a.hashes)), nil
 }
 
-// UnionEstimate returns the Lemma 1 estimator Ũ ≈ |A∪B|.
+// UnionEstimate returns the Lemma 1 estimator Ũ ≈ |A∪B|. An empty side
+// contributes no minima, so the union is the other side's own estimate.
 func UnionEstimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
-	if a.empty && b.empty {
-		return 0, nil
+	switch {
+	case a.empty:
+		return b.DistinctEstimate(), nil
+	case b.empty:
+		return a.DistinctEstimate(), nil
 	}
-	sumMin := 0.0
-	for i := 0; i < a.params.M; i++ {
-		switch {
-		case a.empty:
-			sumMin += unit(b.hashes[i])
-		case b.empty:
-			sumMin += unit(a.hashes[i])
-		default:
-			sumMin += unit(min64(a.hashes[i], b.hashes[i]))
-		}
-	}
+	sumMin, _, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
 	return float64(a.params.M)/sumMin - 1, nil
 }
 
@@ -296,21 +300,11 @@ func (s *Sketch) DistinctEstimate() float64 {
 	if s.empty {
 		return 0
 	}
-	sum := 0.0
-	for _, h := range s.hashes {
-		sum += unit(h)
-	}
-	return float64(s.params.M)/sum - 1
+	sumMin, _, _ := collide(s.hashes, s.vals, s.hashes, s.vals)
+	return float64(s.params.M)/sumMin - 1
 }
 
 // unit maps a 64-bit hash value to the open interval (0, 1).
 func unit(h uint64) float64 {
 	return hashing.UnitFromBits(h)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

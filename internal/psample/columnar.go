@@ -1,14 +1,9 @@
 package psample
 
-import "math"
-
 // Cols is a structure-of-arrays packing of many coordinated samples built
 // under one Params. Samples are variable-length, addressed through a
 // prefix-offset array; the per-sketch aux word is the inclusion-probability
-// factor — K/‖v‖² for threshold sampling, τ for priority sampling — so the
-// kernel computes each stored index's inclusion probability inline with
-// the exact expression shape inclusionProb uses (the factor is the same
-// pre-divided quantity, multiplied the same way).
+// factor (probFactor), which is all mergeJoin needs besides the samples.
 type Cols struct {
 	p      Params
 	off    []int     // len n+1: sketch t occupies [off[t], off[t+1])
@@ -20,19 +15,6 @@ type Cols struct {
 // NewCols returns an empty pack pinned to p.
 func NewCols(p Params) *Cols { return &Cols{p: p, off: []int{0}} }
 
-// Len returns the number of packed sketches.
-func (c *Cols) Len() int { return len(c.factor) }
-
-// probFactor is the per-sketch word the kernel multiplies squared values
-// by: inclusionProb(val) = min(1, val²·factor), with priority sampling's
-// τ=+Inf meaning probability 1.
-func (s *Sketch) probFactor() float64 {
-	if s.params.Mode == Threshold {
-		return float64(s.params.K) / s.normSq
-	}
-	return s.tau
-}
-
 // Append packs one sketch. The caller guarantees Compatible(s, ref) for
 // every sketch in the pack (the dispatch layer owns that invariant).
 func (c *Cols) Append(s *Sketch) {
@@ -42,43 +24,11 @@ func (c *Cols) Append(s *Sketch) {
 	c.factor = append(c.factor, s.probFactor())
 }
 
-// Query is a pre-decoded query for Cols.Scan: the sketch plus its stored
-// samples' inclusion probabilities, computed once per search instead of
-// once per match per candidate.
-type Query struct {
-	s     *Sketch
-	probs []float64
-}
-
-// NewQuery precomputes q's per-sample inclusion probabilities.
-func NewQuery(q *Sketch) *Query {
-	probs := make([]float64, len(q.vals))
-	for i, v := range q.vals {
-		probs[i] = q.inclusionProb(v)
-	}
-	return &Query{s: q, probs: probs}
-}
-
-// inclusion is inclusionProb inlined against a packed factor word,
-// bit-identical: the +Inf priority threshold is checked before the
-// multiply (0·Inf would be NaN), and min(1, ·) clamps the same way.
-func inclusion(val, factor float64, priority bool) float64 {
-	if priority && math.IsInf(factor, 1) {
-		return 1
-	}
-	p := (val * val) * factor
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// Scan scores every prepared query in qs against every packed sketch in
-// [lo, hi): out[(t−lo)·stride + offs[qi]] = Estimate(qs[qi].s, packed t),
-// bit-identical to the pairwise estimator (an index-ascending two-pointer
-// walk, like Estimate's). The caller guarantees each query is Compatible
-// with the pack.
-func (c *Cols) Scan(qs []*Query, lo, hi int, out []float64, stride int, offs []int) {
+// Scan scores every query sketch in qs against every packed sketch in
+// [lo, hi): out[(t−lo)·stride + offs[qi]] = Estimate(qs[qi], packed t),
+// bit-identical because both run mergeJoin. The caller guarantees each
+// query is Compatible with the pack.
+func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []int) {
 	priority := c.p.Mode == Priority
 	for t := lo; t < hi; t++ {
 		base := (t - lo) * stride
@@ -86,25 +36,7 @@ func (c *Cols) Scan(qs []*Query, lo, hi int, out []float64, stride int, offs []i
 		bv := c.vals[c.off[t]:c.off[t+1]]
 		factor := c.factor[t]
 		for qi, q := range qs {
-			ai, av, ap := q.s.idx, q.s.vals, q.probs
-			sum := 0.0
-			i, j := 0, 0
-			for i < len(ai) && j < len(bi) {
-				switch {
-				case ai[i] < bi[j]:
-					i++
-				case ai[i] > bi[j]:
-					j++
-				default:
-					p := min(ap[i], inclusion(bv[j], factor, priority))
-					if p > 0 {
-						sum += av[i] * bv[j] / p
-					}
-					i++
-					j++
-				}
-			}
-			out[base+offs[qi]] = sum
+			out[base+offs[qi]] = mergeJoin(q.idx, q.vals, q.probFactor(), bi, bv, factor, priority)
 		}
 	}
 }

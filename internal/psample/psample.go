@@ -38,6 +38,12 @@
 // max(‖a_I‖‖b‖, ‖a‖‖b_I‖), and smaller whenever either vector has mass
 // outside the intersection.
 //
+// Both modes share one estimator loop, mergeJoin: a merge-join over the
+// index-sorted samples that divides each matched product by the smaller
+// of the two inclusion probabilities, each computed from its sketch's
+// factor word (K/‖v‖² or τ). Estimate and the packed scan (Cols,
+// columnar.go) both call it, so their results are bit-identical.
+//
 // Entries whose squared value underflows to zero carry zero sampling
 // weight and are never stored; their contribution to any inner product is
 // below 1e-162·‖b‖_∞ and is deliberately dropped rather than estimated
@@ -352,30 +358,6 @@ func compatible(a, b *Sketch) error {
 // Compatible reports why two sketches cannot be compared, or nil.
 func Compatible(a, b *Sketch) error { return compatible(a, b) }
 
-// inclusionProb returns the probability that stored index j (with value
-// val) entered sketch s, conditioned on s's threshold.
-func (s *Sketch) inclusionProb(val float64) float64 {
-	w := val * val
-	if s.params.Mode == Threshold {
-		// Same expression shape as thresholdSample, so the probability the
-		// estimator divides by is bit-identical to the one construction
-		// compared the hash against.
-		p := w * (float64(s.params.K) / s.normSq)
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	if math.IsInf(s.tau, 1) {
-		return 1 // whole support retained
-	}
-	p := w * s.tau
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // Estimate returns the Horvitz–Thompson inner-product estimate ⟨a, b⟩:
 // each index stored in both sketches contributes its value product divided
 // by the probability that the shared hash admitted it to both samples.
@@ -383,27 +365,58 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
+	return mergeJoin(a.idx, a.vals, a.probFactor(), b.idx, b.vals, b.probFactor(), a.params.Mode == Priority), nil
+}
+
+// probFactor is the per-sketch word the inclusion probability multiplies
+// squared values by: K/‖v‖² for threshold sampling (the pre-divided
+// quantity thresholdSample compares against), τ for priority sampling.
+func (s *Sketch) probFactor() float64 {
+	if s.params.Mode == Threshold {
+		return float64(s.params.K) / s.normSq
+	}
+	return s.tau
+}
+
+// inclusion returns the probability min(1, val²·factor) that a stored
+// sample with value val entered its sketch, conditioned on the sketch's
+// threshold. Threshold sampling computes it with thresholdSample's
+// expression shape, so the probability the estimator divides by is
+// bit-identical to the one construction compared the hash against. A
+// priority sketch's τ = +Inf (whole support retained) means probability 1
+// and is checked before the multiply, where 0·Inf would be NaN.
+func inclusion(val, factor float64, priority bool) float64 {
+	if priority && math.IsInf(factor, 1) {
+		return 1
+	}
+	p := (val * val) * factor
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// mergeJoin is the one Horvitz–Thompson merge-join over two index-ascending
+// samples, shared by Estimate and Cols.Scan: each index stored in both
+// (ai, av) and (bi, bv) adds va·vb / min(p_a, p_b), with each side's
+// inclusion probability computed from its own factor word (fa, fb).
+func mergeJoin(ai []uint64, av []float64, fa float64, bi []uint64, bv []float64, fb float64, priority bool) float64 {
 	sum := 0.0
 	i, j := 0, 0
-	for i < len(a.idx) && j < len(b.idx) {
+	for i < len(ai) && j < len(bi) {
 		switch {
-		case a.idx[i] < b.idx[j]:
+		case ai[i] < bi[j]:
 			i++
-		case a.idx[i] > b.idx[j]:
+		case ai[i] > bi[j]:
 			j++
 		default:
-			pa := a.inclusionProb(a.vals[i])
-			pb := b.inclusionProb(b.vals[j])
-			p := pa
-			if pb < p {
-				p = pb
-			}
+			p := min(inclusion(av[i], fa, priority), inclusion(bv[j], fb, priority))
 			if p > 0 {
-				sum += a.vals[i] * b.vals[j] / p
+				sum += av[i] * bv[j] / p
 			}
 			i++
 			j++
 		}
 	}
-	return sum, nil
+	return sum
 }

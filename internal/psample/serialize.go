@@ -58,7 +58,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		// Construction yields a finite threshold exactly when more than K
 		// usable entries competed, in which case exactly K were retained.
-		// A payload violating that would make inclusionProb scale samples
+		// A payload violating that would make inclusion scale samples
 		// as if K were retained — silently biased estimates.
 		if !math.IsInf(tau, 1) && (uint64(len(idx)) != k || nnz <= k) {
 			return fmt.Errorf("psample: finite threshold rank with %d of %d samples (support %d)", len(idx), k, nnz)

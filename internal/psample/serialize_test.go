@@ -77,7 +77,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 // estimates.
 func TestUnmarshalRejectsInconsistentInvariants(t *testing.T) {
 	cases := map[string]*Sketch{
-		// Finite threshold rank with fewer than K samples: inclusionProb
+		// Finite threshold rank with fewer than K samples: inclusion
 		// would rescale the survivors as if K were retained.
 		"priority finite tau underfull": {
 			params: Params{K: 4, Seed: 1, Mode: Priority},

@@ -40,9 +40,6 @@ func (w *Writer) U32(v uint32) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
-// I64 appends an int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
 // F64 appends a float64 (IEEE-754 bits).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
@@ -63,14 +60,6 @@ func (w *Writer) U64s(vs []uint64) {
 	w.U64(uint64(len(vs)))
 	for _, v := range vs {
 		w.U64(v)
-	}
-}
-
-// I64s appends a length-prefixed []int64.
-func (w *Writer) I64s(vs []int64) {
-	w.U64(uint64(len(vs)))
-	for _, v := range vs {
-		w.I64(v)
 	}
 }
 
@@ -153,9 +142,6 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
@@ -226,22 +212,6 @@ func (r *Reader) U64s() []uint64 {
 	out := make([]uint64, n)
 	for i := range out {
 		out[i] = r.U64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// I64s reads a length-prefixed []int64.
-func (r *Reader) I64s() []int64 {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
 	}
 	if r.err != nil {
 		return nil

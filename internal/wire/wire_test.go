@@ -11,7 +11,6 @@ func TestRoundTripScalars(t *testing.T) {
 	var w Writer
 	w.U64(42)
 	w.U32(7)
-	w.I64(-99)
 	w.F64(3.14159)
 	w.F64(math.Inf(-1))
 	w.Bool(true)
@@ -19,7 +18,7 @@ func TestRoundTripScalars(t *testing.T) {
 	w.Byte(0xAB)
 
 	r := NewReader(w.Bytes())
-	if r.U64() != 42 || r.U32() != 7 || r.I64() != -99 {
+	if r.U64() != 42 || r.U32() != 7 {
 		t.Fatal("integer round trip failed")
 	}
 	if r.F64() != 3.14159 || !math.IsInf(r.F64(), -1) {
@@ -34,7 +33,7 @@ func TestRoundTripScalars(t *testing.T) {
 }
 
 func TestRoundTripSlices(t *testing.T) {
-	f := func(us []uint64, is []int64, fs []float64) bool {
+	f := func(us []uint64, fs []float64) bool {
 		// NaN breaks equality; replace.
 		for i, v := range fs {
 			if math.IsNaN(v) {
@@ -43,23 +42,17 @@ func TestRoundTripSlices(t *testing.T) {
 		}
 		var w Writer
 		w.U64s(us)
-		w.I64s(is)
 		w.F64s(fs)
 		r := NewReader(w.Bytes())
-		gu, gi, gf := r.U64s(), r.I64s(), r.F64s()
+		gu, gf := r.U64s(), r.F64s()
 		if err := r.Close(); err != nil {
 			return false
 		}
-		if len(gu) != len(us) || len(gi) != len(is) || len(gf) != len(fs) {
+		if len(gu) != len(us) || len(gf) != len(fs) {
 			return false
 		}
 		for i := range us {
 			if gu[i] != us[i] {
-				return false
-			}
-		}
-		for i := range is {
-			if gi[i] != is[i] {
 				return false
 			}
 		}
@@ -132,10 +125,9 @@ func TestImplausibleSliceLength(t *testing.T) {
 func TestEmptySlices(t *testing.T) {
 	var w Writer
 	w.U64s(nil)
-	w.I64s(nil)
 	w.F64s(nil)
 	r := NewReader(w.Bytes())
-	if r.U64s() != nil || r.I64s() != nil || r.F64s() != nil {
+	if r.U64s() != nil || r.F64s() != nil {
 		t.Fatal("empty slices should decode to nil")
 	}
 	if err := r.Close(); err != nil {

@@ -20,9 +20,6 @@ type Cols struct {
 // parameters, resolved L, and variant (ref is not packed).
 func NewCols(ref *Sketch) *Cols { return &Cols{p: ref.params, l: ref.l} }
 
-// Len returns the number of packed sketches.
-func (c *Cols) Len() int { return c.n }
-
 // Append packs one sketch. The caller guarantees Compatible(s, ref) for
 // every sketch in the pack (the dispatch layer owns that invariant).
 func (c *Cols) Append(s *Sketch) {
@@ -41,13 +38,12 @@ func (c *Cols) Append(s *Sketch) {
 
 // Scan scores every query sketch in qs against every packed sketch in
 // [lo, hi): out[(t−lo)·stride + offs[qi]] = Estimate(qs[qi], packed t),
-// bit-identical to the pairwise estimator with the paper's FMUnion
-// default (the query is always the estimator's first argument, matching
-// how EstimateJoinStats orders its operands). The caller guarantees each
+// bit-identical because both run collide with the paper's FMUnion default
+// (the query is always the estimator's first argument, matching how
+// EstimateJoinStats orders its operands). The caller guarantees each
 // query is Compatible with the pack.
 func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []int) {
 	m := c.p.M
-	lf := float64(c.l)
 	for t := lo; t < hi; t++ {
 		base := (t - lo) * stride
 		ch := c.hashes[t*m : (t+1)*m]
@@ -59,20 +55,8 @@ func (c *Cols) Scan(qs []*Sketch, lo, hi int, out []float64, stride int, offs []
 				out[o] = 0
 				continue
 			}
-			qh, qv := q.hashes, q.vals
-			// Algorithm 5, fused: the FM union accumulator and the
-			// collision sum advance together over one pass of the stride.
-			sumMin, sum := 0.0, 0.0
-			for i := 0; i < m; i++ {
-				ha, hb := qh[i], ch[i]
-				sumMin += min(ha, hb)
-				if ha == hb {
-					va, vb := qv[i], cv[i]
-					sum += va * vb / min(va*va, vb*vb)
-				}
-			}
-			mTilde := (float64(m)/sumMin - 1) / lf
-			out[o] = q.norm * norm * (mTilde / float64(m) * sum)
+			sumMin, sum, _ := collide(q.hashes, q.vals, ch, cv)
+			out[o] = estimate(m, fmUnion(m, c.l, sumMin), sum, q.norm, norm)
 		}
 	}
 }

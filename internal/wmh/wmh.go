@@ -29,7 +29,10 @@
 // min(ã[j]², b̃[j]²)/Σmax (Fact 5). Algorithm 5 importance-weights each
 // matched product by q_i = min(v_a², v_b²), scales by the weighted-union
 // estimate M̃ (a Flajolet–Martin distinct-elements estimator over the
-// expanded domain, divided by L), and multiplies back ‖a‖‖b‖.
+// expanded domain, divided by L), and multiplies back ‖a‖‖b‖. One match
+// loop, collide, computes Σmin, the collision-weight sum and the collision
+// count in a single pass; the pairwise estimators and the packed scan
+// (Cols, columnar.go) both call it, so their results are bit-identical.
 //
 // Theorem 2: with m = O(log(1/δ)/ε²) the error is at most
 // ε·max(‖a_I‖‖b‖, ‖a‖‖b_I‖) with probability 1−δ — never worse than the
@@ -277,43 +280,47 @@ func EstimateWithOptions(a, b *Sketch, opt Options) (float64, error) {
 		return 0, nil
 	}
 	m := a.params.M
-
-	// Collision scan: Σ 1[W_a^hash = W_b^hash]·(v_a·v_b)/q_i with
-	// q_i = min(v_a², v_b²) (Algorithm 5 lines 1 and 3), plus the
-	// ingredients of both union estimators.
-	sumMin := 0.0
-	matches := 0
-	sum := 0.0
-	for i := 0; i < m; i++ {
-		ha, hb := a.hashes[i], b.hashes[i]
-		if ha < hb {
-			sumMin += ha
-		} else {
-			sumMin += hb
-		}
-		if ha == hb {
-			va, vb := a.vals[i], b.vals[i]
-			q := math.Min(va*va, vb*vb)
-			sum += va * vb / q
-			matches++
-		}
-	}
-
+	sumMin, sum, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
 	var mTilde float64
 	switch opt.Union {
 	case FMUnion:
-		// Line 2: M̃ = (1/L)·(m / Σ min(W_a^hash, W_b^hash) − 1).
-		mTilde = (float64(m)/sumMin - 1) / float64(a.l)
+		mTilde = fmUnion(m, a.l, sumMin)
 	case UnitNormIdentity:
 		jHat := float64(matches) / float64(m)
 		mTilde = 2 / (1 + jHat)
 	default:
 		return 0, fmt.Errorf("wmh: unknown union estimator %d", opt.Union)
 	}
+	return estimate(m, mTilde, sum, a.norm, b.norm), nil
+}
 
-	// Lines 3–4: I = (M̃/m)·Σ..., result = ‖a‖·‖b‖·I.
-	i := mTilde / float64(m) * sum
-	return a.norm * b.norm * i, nil
+// collide is Algorithm 5's one pass over two aligned sample arrays, shared
+// by the pairwise estimators and Cols.Scan: Σ_i min(W_a^hash, W_b^hash)
+// for the FM union estimate (line 2), the collision sum
+// Σ_i 1[W_a^hash = W_b^hash]·(v_a·v_b)/q_i with q_i = min(v_a², v_b²)
+// (lines 1 and 3), and the collision count.
+func collide(ah, av, bh, bv []float64) (sumMin, sum float64, matches int) {
+	bh, av, bv = bh[:len(ah)], av[:len(ah)], bv[:len(ah)]
+	for i, ha := range ah {
+		hb := bh[i]
+		sumMin += min(ha, hb)
+		if ha == hb {
+			va, vb := av[i], bv[i]
+			sum += va * vb / min(va*va, vb*vb)
+			matches++
+		}
+	}
+	return sumMin, sum, matches
+}
+
+// fmUnion is Algorithm 5 line 2: M̃ = (1/L)·(m / Σ min(W_a^hash, W_b^hash) − 1).
+func fmUnion(m int, l uint64, sumMin float64) float64 {
+	return (float64(m)/sumMin - 1) / float64(l)
+}
+
+// estimate is Algorithm 5 lines 3–4: I = (M̃/m)·Σ..., result = ‖a‖·‖b‖·I.
+func estimate(m int, mTilde, sum, normA, normB float64) float64 {
+	return normA * normB * (mTilde / float64(m) * sum)
 }
 
 // WeightedJaccardEstimate returns the fraction of colliding samples, an
@@ -327,12 +334,7 @@ func WeightedJaccardEstimate(a, b *Sketch) (float64, error) {
 	if a.empty || b.empty {
 		return 0, nil
 	}
-	matches := 0
-	for i := range a.hashes {
-		if a.hashes[i] == b.hashes[i] {
-			matches++
-		}
-	}
+	_, _, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
 	return float64(matches) / float64(len(a.hashes)), nil
 }
 
@@ -345,9 +347,6 @@ func WeightedUnionEstimate(a, b *Sketch) (float64, error) {
 	if a.empty || b.empty {
 		return 0, nil
 	}
-	sumMin := 0.0
-	for i := range a.hashes {
-		sumMin += math.Min(a.hashes[i], b.hashes[i])
-	}
-	return (float64(len(a.hashes))/sumMin - 1) / float64(a.l), nil
+	sumMin, _, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
+	return fmUnion(len(a.hashes), a.l, sumMin), nil
 }

@@ -133,7 +133,7 @@ func buildLSHView(entries []*TableSketch, p lsh.Params) (*lshView, error) {
 // SearchTopKLSHStats is Search of an lsh-mode query.
 //
 // Deprecated: use Search. It stays only until the benchmark harness moves
-// onto Search (ROADMAP.md item 2(a)).
+// onto Search (ROADMAP.md item 4(a)).
 func (ix *SketchIndex) SearchTopKLSHStats(query *TableSketch, queryCol string, by RankBy, minJoinSize float64, k, probes int) ([]SearchResult, ScanStats, error) {
 	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }

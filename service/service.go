@@ -557,7 +557,7 @@ func (s *Server) sketchPayload(name string, p *TablePayload, cols ...string) (*i
 	if err != nil {
 		return nil, err
 	}
-	tsk, err := s.sketcher.SketchTableChunked(t, cols...)
+	tsk, err := s.sketcher.SketchTable(t, cols...)
 	if errors.Is(err, tables.ErrDuplicateKeys) {
 		if p.Agg == "" {
 			return nil, errors.New("service: table has duplicate keys; set agg to reduce them")
@@ -565,7 +565,7 @@ func (s *Server) sketchPayload(name string, p *TablePayload, cols ...string) (*i
 		if t, err = t.Aggregate(agg); err != nil {
 			return nil, err
 		}
-		tsk, err = s.sketcher.SketchTableChunked(t, cols...)
+		tsk, err = s.sketcher.SketchTable(t, cols...)
 	}
 	if err != nil {
 		return nil, err

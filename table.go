@@ -164,9 +164,9 @@ func (tb *TableSketchBuilder) SketchTable(t *Table, cols ...string) (*TableSketc
 	return tb.ts.sketchBundle(t, cols, tb.b)
 }
 
-// SketchTableChunked is SketchTable under the name the serving layer and
-// bench/loadgen call it by (DESIGN.md §10.2); deleting the alias waits for
-// a PR that may edit bench/.
+// SketchTableChunked is SketchTable under an older name (DESIGN.md
+// §10.2). bench/loadgen is its only caller; deleting the alias waits for a
+// change that may edit bench/.
 func (ts *TableSketcher) SketchTableChunked(t *Table, cols ...string) (*TableSketch, error) {
 	return ts.SketchTable(t, cols...)
 }

@@ -363,6 +363,71 @@ func TestTableSketchBuilderAllocs(t *testing.T) {
 	}
 }
 
+// TestSamplingEstimatorsAllocateNothing: the pairwise estimators of the
+// sampling families run the same allocation-free match loops as the
+// packed scan, so the decoded search path allocates nothing per pair.
+func TestSamplingEstimatorsAllocateNothing(t *testing.T) {
+	const rows = 500
+	rng := hashing.NewSplitMix64(37)
+	var tabs [2]*Table
+	for i := range tabs {
+		// Keys [250·i, 250·i + rows): the two tables share half their keys.
+		keys := make([]uint64, rows)
+		vals := make([]float64, rows)
+		for r := range keys {
+			keys[r] = uint64(250*i + r)
+			vals[r] = rng.Norm()
+		}
+		tab, err := NewTable(fmt.Sprint("t", i), keys, map[string][]float64{"v": vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[i] = tab
+	}
+	for _, m := range []Method{MethodWMH, MethodMH, MethodKMV, MethodPS, MethodTS} {
+		t.Run(m.String(), func(t *testing.T) {
+			ts, err := NewTableSketcher(Config{Method: m, StorageWords: 400, Seed: 1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sks [2]*TableSketch
+			for i, tab := range tabs {
+				if sks[i], err = ts.SketchTable(tab, "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := sks[0], sks[1]
+			va, err := a.ColumnSketch("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			vb, err := b.ColumnSketch("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				name string
+				run  func() error
+			}{
+				{"Estimate", func() error { _, err := Estimate(va, vb); return err }},
+				{"EstimateJoinSize", func() error { _, err := EstimateJoinSize(a.key, b.key); return err }},
+				{"EstimateJoinStats", func() error { _, err := EstimateJoinStats(a, "v", b, "v"); return err }},
+			} {
+				if err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(20, func() {
+					if err := tc.run(); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s allocates %v times per pair, want 0", tc.name, allocs)
+				}
+			}
+		})
+	}
+}
+
 // servedJoinSize sketches two key sets as tables in the served
 // configuration (WMH, 400 words) under one seed and key space and returns
 // their estimated join size.
