@@ -52,9 +52,9 @@ var kmvBackend = &backend{
 	unionSize:   pair(kmv.UnionEstimate),
 	// KMV has a joinSize estimator, so the size slot carries the
 	// threshold |A∩B| estimate, not the inner-product reduction.
-	packs: &packFamily[*kmv.Sketch, *kmv.Cols]{
+	packs: &packFamily[*kmv.Sketch, uint64]{
 		compatible:   kmv.Compatible,
-		newCols:      func(ref *kmv.Sketch) *kmv.Cols { return kmv.NewCols(ref.Params()) },
-		scanJoinSize: (*kmv.Cols).ScanJoinSize,
+		scan:         kmv.Scan,
+		scanJoinSize: kmv.ScanJoinSize,
 	},
 }

@@ -39,8 +39,8 @@ var mhBackend = &backend{
 	signature: unary((*minhash.Sketch).Signature),
 	// MH has no dedicated join-size estimator (EstimateJoinSize reduces to
 	// Estimate), so the size is one more operand of the key-pack kernel.
-	packs: &packFamily[*minhash.Sketch, *minhash.Cols]{
+	packs: &packFamily[*minhash.Sketch, uint64]{
 		compatible: minhash.Compatible,
-		newCols:    func(ref *minhash.Sketch) *minhash.Cols { return minhash.NewCols(ref.Params()) },
+		scan:       minhash.Scan,
 	},
 }

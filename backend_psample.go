@@ -46,9 +46,9 @@ func psampleBackend(mode psample.Mode, name string) *backend {
 		merge: merged(psample.Merge),
 		// Mode is part of Params, so one pack never mixes priority and
 		// threshold samples.
-		packs: &packFamily[*psample.Sketch, *psample.Cols]{
+		packs: &packFamily[*psample.Sketch, uint64]{
 			compatible: psample.Compatible,
-			newCols:    func(ref *psample.Sketch) *psample.Cols { return psample.NewCols(ref.Params()) },
+			scan:       psample.Scan,
 		},
 	}
 }

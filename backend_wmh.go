@@ -74,9 +74,9 @@ var wmhBackend = &backend{
 	// Params, resolved L, and construction variant all pin through
 	// wmh.Compatible, so retired-variant sketches never mix into a pack of
 	// current ones.
-	packs: &packFamily[*wmh.Sketch, *wmh.Cols]{
+	packs: &packFamily[*wmh.Sketch, float64]{
 		compatible: wmh.Compatible,
-		newCols:    wmh.NewCols,
+		scan:       wmh.Scan,
 	},
 	quantize: true,
 }

@@ -1,17 +1,19 @@
 package ipsketch
 
+import "repro/internal/sample"
+
 // This file is the structure-of-arrays scan path of SketchIndex: at build
 // time every entry's sketch bundle is appended to one family-specific
-// columnar pack (contiguous hash/value arrays plus per-sketch aux words),
-// and at search time the query bundle streams those flat arrays with
-// zero per-candidate decoding, map lookups, or interface dispatch — the
-// numba-kernel shape of the related sampling repos, specialized per family
-// behind the backend descriptor's packs field. A view covers every entry
-// of its index or is not built: an index holding one bundle the pack
-// rejects (different method, key space, or construction parameters) scans
-// decoded through EstimateJoinStats. Both paths run each family's one
-// match loop and assemble JoinStats through the same helper, so rankings
-// are bit-identical either way.
+// columnar pack (three internal/sample layouts: flat tag/value arrays plus
+// one aux word per sketch), and at search time the query bundle streams
+// those arrays with zero per-candidate decoding, map lookups, or interface
+// dispatch — the numba-kernel shape of the related sampling repos,
+// specialized per family behind the backend descriptor's packs field. A
+// view covers every entry of its index or is not built: an index holding
+// one bundle the pack rejects (different method, key space, or
+// construction parameters) scans decoded through EstimateJoinStats. Both
+// paths run each family's one match loop and assemble JoinStats through
+// the same helper, so rankings are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, ordered by
 // the pack they scan — three query operands against the key sketches, two
@@ -195,45 +197,44 @@ func (v *columnarView) accepts(query *TableSketch, q columnarQuery) bool {
 	return q != nil && query.keySpace == v.keySpace && query.key.method == v.method && v.pk.accepts(q)
 }
 
-// packCols is what the shared pack adapter needs of a family's packed
-// columns (the Cols type of internal/{wmh,minhash,kmv,psample}): append a
-// decoded sketch S, and score query sketches against a range.
-type packCols[S any] interface {
-	Append(s S)
-	Scan(qs []S, lo, hi int, out []float64, stride int, offs []int)
+// sampled is a packed family's decoded sketch: a payload whose stored
+// (tag, value) sample and aux word pack into a sample.Cols[T].
+type sampled[T sample.Tag] interface {
+	payload
+	Sample() (tags []T, vals []float64, aux float64)
 }
 
 // packFamily is everything family-specific about a columnar pack, and the
 // one columnarScorer: the backend descriptor of each packed family holds
-// one in its packs field. S is the decoded sketch, C the family's packed
-// columns.
-type packFamily[S payload, C packCols[S]] struct {
+// one in its packs field. S is the decoded sketch, T its sample's tag.
+type packFamily[S sampled[T], T sample.Tag] struct {
 	compatible func(a, b S) error
-	newCols    func(ref S) C
+	// scan is the family's Scan over packed samples.
+	scan func(c *sample.Cols[T], qs []S, lo, hi int, out []float64, stride int, offs []int)
 	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
 	// size slot carries its estimate instead of the inner-product
 	// reduction, as the decoded joinSize estimator does.
-	scanJoinSize func(c C, q S, lo, hi int, out []float64, stride, off int)
+	scanJoinSize func(c *sample.Cols[T], q S, lo, hi int, out []float64, stride, off int)
 }
 
-// pack is the one columnarPack implementation: three packed columns (key,
+// pack is the one columnarPack implementation: three packed samples (key,
 // value and squared-value sketches) sharing the first bundle's key sketch
 // as the reference every other sketch — packed or query — must be
 // compatible with.
-type pack[S payload, C packCols[S]] struct {
-	fam             *packFamily[S, C]
+type pack[S sampled[T], T sample.Tag] struct {
+	fam             *packFamily[S, T]
 	ref             S
 	pinned          bool
-	keys, vals, sqs C
+	keys, vals, sqs sample.Cols[T]
 }
 
 // packQuery is a family's query bundle: the key, value and squared-value
 // sketches the kernels take.
 type packQuery[S any] [3]S
 
-func (f *packFamily[S, C]) newPack() columnarPack { return &pack[S, C]{fam: f} }
+func (f *packFamily[S, T]) newPack() columnarPack { return &pack[S, T]{fam: f} }
 
-func (f *packFamily[S, C]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
+func (f *packFamily[S, T]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
 	pq := new(packQuery[S])
 	for i, p := range [3]payload{qKey, qVal, qSq} {
 		s, ok := p.(S)
@@ -247,12 +248,12 @@ func (f *packFamily[S, C]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
 
 // member reports whether p is a sketch of the family that ref can be
 // scored against.
-func (f *packFamily[S, C]) member(ref S, p payload) bool {
+func (f *packFamily[S, T]) member(ref S, p payload) bool {
 	s, ok := p.(S)
 	return ok && f.compatible(ref, s) == nil
 }
 
-func (p *pack[S, C]) addTable(key payload, vals, sqs []payload) bool {
+func (p *pack[S, T]) addTable(key payload, vals, sqs []payload) bool {
 	k, ok := key.(S)
 	if !ok {
 		return false
@@ -269,19 +270,16 @@ func (p *pack[S, C]) addTable(key payload, vals, sqs []payload) bool {
 			return false
 		}
 	}
-	if !p.pinned {
-		p.ref, p.pinned = ref, true
-		p.keys, p.vals, p.sqs = p.fam.newCols(ref), p.fam.newCols(ref), p.fam.newCols(ref)
-	}
-	p.keys.Append(k)
+	p.ref, p.pinned = ref, true
+	p.keys.Append(k.Sample())
 	for i := range vals {
-		p.vals.Append(vals[i].(S))
-		p.sqs.Append(sqs[i].(S))
+		p.vals.Append(vals[i].(S).Sample())
+		p.sqs.Append(sqs[i].(S).Sample())
 	}
 	return true
 }
 
-func (p *pack[S, C]) accepts(q columnarQuery) bool {
+func (p *pack[S, T]) accepts(q columnarQuery) bool {
 	pq, ok := q.(*packQuery[S])
 	if !ok || !p.pinned {
 		return false
@@ -294,25 +292,25 @@ func (p *pack[S, C]) accepts(q columnarQuery) bool {
 	return true
 }
 
-func (p *pack[S, C]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+func (p *pack[S, T]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
 	ops := q.(*packQuery[S])
 	if sel := &pl.key; sel.n > 0 {
 		qs, offs := ops[sel.lo:sel.lo+sel.n], sel.off[:sel.n]
 		// The size is the key pack's first selected operand whenever the
 		// plan wants it.
 		if p.fam.scanJoinSize != nil && pl.slot[slotSize] >= 0 {
-			p.fam.scanJoinSize(p.keys, qs[0], tLo, tHi, tbl, pl.tblStride, offs[0])
+			p.fam.scanJoinSize(&p.keys, qs[0], tLo, tHi, tbl, pl.tblStride, offs[0])
 			qs, offs = qs[1:], offs[1:]
 		}
 		if len(qs) > 0 {
-			p.keys.Scan(qs, tLo, tHi, tbl, pl.tblStride, offs)
+			p.fam.scan(&p.keys, qs, tLo, tHi, tbl, pl.tblStride, offs)
 		}
 	}
 	if sel := &pl.val; sel.n > 0 {
-		p.vals.Scan(ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+		p.fam.scan(&p.vals, ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
 	}
 	if sel := &pl.sq; sel.n > 0 {
-		p.sqs.Scan(ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+		p.fam.scan(&p.sqs, ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
 	}
 }
 

@@ -34,6 +34,11 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	// The retired ICWS method byte: it must reject, and its neighbors
 	// (SimHash, PS) must decode or reject cleanly.
 	f.Add(retiredICWSBlob(f))
+	// Sampling payloads with a NaN or +Inf stored value (or WMH minimum):
+	// they must reject, and their mutations must decode or reject cleanly.
+	for _, b := range nonFiniteBlobs(f) {
+		f.Add(b.data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 0})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 200, 1, 2, 3})

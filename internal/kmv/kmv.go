@@ -16,8 +16,9 @@
 // support the estimates become exact.
 //
 // One allocation-free walk, threshold, finds τ and the matched products
-// below it. The pairwise estimators and the packed scan (Cols,
-// columnar.go) both call it, so their results are bit-identical.
+// below it; the pairwise estimators and the packed scan (Scan over an
+// internal/sample layout, aux word the support size) both call it, so
+// their results are bit-identical.
 package kmv
 
 import (
@@ -273,7 +274,7 @@ func UnionEstimate(a, b *Sketch) (float64, error) {
 }
 
 // threshold is the one threshold walk over two ascending bottom-k samples,
-// shared by the pairwise estimators and Cols.Scan; it allocates nothing.
+// shared by the pairwise estimators and Scan; it allocates nothing.
 // Pass one walks the sorted hash streams to the k-th distinct union value,
 // the threshold τ. When the union holds fewer than k values, its largest
 // one is a valid, conservative threshold. τ = 1 when both sketches

@@ -3,6 +3,7 @@ package kmv
 import (
 	"fmt"
 
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -35,20 +36,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if len(hashes) != len(vals) {
-		return fmt.Errorf("kmv: %d hashes but %d values", len(hashes), len(vals))
+	if err := sample.Check(hashes, vals, true); err != nil {
+		return fmt.Errorf("kmv: %w", err)
 	}
-	want := nnz
-	if want > k {
-		want = k
-	}
-	if uint64(len(hashes)) != want {
+	if want := min(nnz, k); uint64(len(hashes)) != want {
 		return fmt.Errorf("kmv: sketch has %d entries, want %d", len(hashes), want)
-	}
-	for i := 1; i < len(hashes); i++ {
-		if hashes[i] <= hashes[i-1] {
-			return fmt.Errorf("kmv: hashes not strictly ascending at %d", i)
-		}
 	}
 	*s = Sketch{params: p, dim: dim, nnz: int(nnz), hashes: hashes, vals: vals}
 	return nil

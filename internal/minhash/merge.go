@@ -1,6 +1,6 @@
 package minhash
 
-import "errors"
+import "repro/internal/sample"
 
 // Merge computes the sketch of the support union from two sketches built
 // with the same parameters: per sample, the smaller hash (and its value)
@@ -24,29 +24,13 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 		return cloneSketch(a), nil
 	}
 	out := &Sketch{params: a.params, dim: a.dim}
-	out.hashes = make([]uint64, len(a.hashes))
-	out.vals = make([]float64, len(a.vals))
-	for i := range a.hashes {
-		if a.hashes[i] <= b.hashes[i] {
-			out.hashes[i] = a.hashes[i]
-			out.vals[i] = a.vals[i]
-		} else {
-			out.hashes[i] = b.hashes[i]
-			out.vals[i] = b.vals[i]
-		}
-	}
+	out.hashes, out.vals = sample.MinMerge(a.hashes, a.vals, b.hashes, b.vals)
 	return out, nil
 }
 
 func cloneSketch(s *Sketch) *Sketch {
-	return &Sketch{
-		params: s.params,
-		dim:    s.dim,
-		empty:  s.empty,
-		hashes: append([]uint64(nil), s.hashes...),
-		vals:   append([]float64(nil), s.vals...),
-	}
+	out := *s
+	out.hashes = append([]uint64(nil), s.hashes...)
+	out.vals = append([]float64(nil), s.vals...)
+	return &out
 }
-
-// ErrNotMergeable is reserved for future variants that cannot merge.
-var ErrNotMergeable = errors.New("minhash: sketches not mergeable")

@@ -12,7 +12,8 @@
 // Every estimator runs one match loop, collide: a single pass over two
 // aligned sample arrays giving the union accumulator, the collision sum
 // and the collision count. The pairwise estimators and the packed scan
-// (Cols, columnar.go) both call it, so their results are bit-identical.
+// (Scan over an internal/sample layout) both call it, so their results are
+// bit-identical; Merge is sample.MinMerge.
 //
 // Hash choice: the paper's analysis (like all MinHash analyses) assumes
 // uniformly random hash functions. A 2-wise affine family h(x) = ax+b mod p
@@ -242,7 +243,7 @@ func Estimate(a, b *Sketch) (float64, error) {
 }
 
 // collide is Algorithm 2's one pass over two aligned sample arrays, shared
-// by the pairwise estimators and Cols.Scan: the Lemma 1 union accumulator
+// by the pairwise estimators and Scan: the Lemma 1 union accumulator
 // Σ_i unit(min(H_a[i], H_b[i])), the collision sum
 // Σ_i 1[H_a[i]=H_b[i]]·H_a^val[i]·H_b^val[i], and the collision count.
 func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum float64, matches int) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -42,6 +43,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 	} else if len(hashes) != int(m) || len(vals) != int(m) {
 		return fmt.Errorf("minhash: sketch has %d/%d samples, want %d", len(hashes), len(vals), m)
+	}
+	if err := sample.Check(hashes, vals, false); err != nil {
+		return fmt.Errorf("minhash: %w", err)
 	}
 	*s = Sketch{params: p, dim: dim, empty: empty, hashes: hashes, vals: vals}
 	return nil

@@ -41,8 +41,9 @@
 // Both modes share one estimator loop, mergeJoin: a merge-join over the
 // index-sorted samples that divides each matched product by the smaller
 // of the two inclusion probabilities, each computed from its sketch's
-// factor word (K/‖v‖² or τ). Estimate and the packed scan (Cols,
-// columnar.go) both call it, so their results are bit-identical.
+// factor word (K/‖v‖² or τ). Estimate and the packed scan (Scan over an
+// internal/sample layout, aux word the factor) both call it, so their
+// results are bit-identical.
 //
 // Entries whose squared value underflows to zero carry zero sampling
 // weight and are never stored; their contribution to any inner product is
@@ -397,7 +398,7 @@ func inclusion(val, factor float64, priority bool) float64 {
 }
 
 // mergeJoin is the one Horvitz–Thompson merge-join over two index-ascending
-// samples, shared by Estimate and Cols.Scan: each index stored in both
+// samples, shared by Estimate and Scan: each index stored in both
 // (ai, av) and (bi, bv) adds va·vb / min(p_a, p_b), with each side's
 // inclusion probability computed from its own factor word (fa, fb).
 func mergeJoin(ai []uint64, av []float64, fa float64, bi []uint64, bv []float64, fb float64, priority bool) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -42,8 +43,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if len(idx) != len(vals) {
-		return fmt.Errorf("psample: %d indices but %d values", len(idx), len(vals))
+	if err := sample.Check(idx, vals, true); err != nil {
+		return fmt.Errorf("psample: %w", err)
 	}
 	if math.IsNaN(normSq) || math.IsInf(normSq, 0) || normSq < 0 {
 		return fmt.Errorf("psample: invalid stored squared norm %v", normSq)
@@ -76,16 +77,6 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	if uint64(len(idx)) > nnz {
 		return fmt.Errorf("psample: %d samples exceed support size %d", len(idx), nnz)
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			return fmt.Errorf("psample: indices not strictly ascending at %d", i)
-		}
-	}
-	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("psample: non-finite stored value %v at %d", v, i)
-		}
 	}
 	*s = Sketch{params: p, dim: dim, nnz: int(nnz), normSq: normSq, tau: tau, idx: idx, vals: vals}
 	return nil

@@ -1,0 +1,86 @@
+// Package sample is the one sample layout of the coordinated sampling
+// sketches (internal/minhash, wmh, kmv and psample). Each stores (tag,
+// value) pairs, the tag a 64-bit hash or index or WMH's float64 dart
+// minimum, plus at most one per-sketch word its estimator reads. Cols
+// packs many samples for the index scan, MinMerge is the aligned merge of
+// MH and WMH, and Check validates every family's decoded pairs; a family
+// keeps only its draw, its merge re-filter and its one match loop.
+package sample
+
+import "fmt"
+
+// Tag is the type a sample is keyed by.
+type Tag interface{ uint64 | float64 }
+
+// Cols is a structure-of-arrays packing of many sketches' samples, so a
+// scan streams flat arrays instead of chasing one heap object per
+// candidate. Packed sketch t's pairs occupy [off[t], off[t+1]) of tags
+// and vals, in its family's stored order, and aux[t] is its family's
+// per-sketch word (0 where the family has none). An empty sketch is an
+// empty slot. The zero value is an empty pack.
+type Cols[T Tag] struct {
+	off  []int
+	tags []T
+	vals []float64
+	aux  []float64
+}
+
+// Append packs one sketch's pairs (len(tags) == len(vals)) and aux word.
+func (c *Cols[T]) Append(tags []T, vals []float64, aux float64) {
+	if c.off == nil {
+		c.off = []int{0}
+	}
+	c.tags = append(c.tags, tags...)
+	c.vals = append(c.vals, vals...)
+	c.off = append(c.off, len(c.tags))
+	c.aux = append(c.aux, aux)
+}
+
+// At returns packed sketch t's pairs, aliasing the pack, and its aux word.
+func (c *Cols[T]) At(t int) (tags []T, vals []float64, aux float64) {
+	lo, hi := c.off[t], c.off[t+1]
+	return c.tags[lo:hi:hi], c.vals[lo:hi:hi], c.aux[t]
+}
+
+// MinMerge is the aligned merge of two equal-length samples drawn with
+// replacement: per position the smaller tag and its value win, and a tie
+// keeps a's. The constructions replace a running minimum only on a
+// strictly smaller tag, so shards merged in order reproduce the direct
+// sketch bit for bit.
+func MinMerge[T Tag](aTags []T, aVals []float64, bTags []T, bVals []float64) (tags []T, vals []float64) {
+	tags = make([]T, len(aTags))
+	vals = make([]float64, len(aTags))
+	bTags, bVals = bTags[:len(aTags)], bVals[:len(aTags)]
+	for i, ta := range aTags {
+		if ta <= bTags[i] {
+			tags[i], vals[i] = ta, aVals[i]
+		} else {
+			tags[i], vals[i] = bTags[i], bVals[i]
+		}
+	}
+	return tags, vals
+}
+
+// Check validates decoded pairs: one value per tag, finite values, finite
+// tags, and, for a sample kept sorted by tag (KMV, PS/TS), strictly
+// ascending tags. A non-finite stored value or minimum would turn every
+// estimate against the sketch into NaN or ±Inf.
+func Check[T Tag](tags []T, vals []float64, ascending bool) error {
+	if len(tags) != len(vals) {
+		return fmt.Errorf("sample: %d tags but %d values", len(tags), len(vals))
+	}
+	ft, _ := any(tags).([]float64) // nil for integer tags, which are finite
+	for i, v := range vals {
+		// x−x is 0 exactly when x is finite: one compare per value.
+		if v-v != 0 {
+			return fmt.Errorf("sample: non-finite stored value %v at %d", v, i)
+		}
+		if ft != nil && ft[i]-ft[i] != 0 {
+			return fmt.Errorf("sample: non-finite tag %v at %d", ft[i], i)
+		}
+		if ascending && i > 0 && tags[i] <= tags[i-1] {
+			return fmt.Errorf("sample: tags not strictly ascending at %d", i)
+		}
+	}
+	return nil
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/sample"
 	"repro/internal/vector"
 )
 
@@ -44,24 +45,10 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 	if a.norm != b.norm {
 		return nil, fmt.Errorf("wmh: cannot merge sketches with stored norms %v vs %v: WMH shards must share the parent vector's normalization (see Shards)", a.norm, b.norm)
 	}
-	if len(a.hashes) != len(b.hashes) || len(a.vals) != len(b.vals) {
-		return nil, fmt.Errorf("wmh: cannot merge sketches with %d vs %d samples", len(a.hashes), len(b.hashes))
-	}
 	out := &Sketch{params: a.params, dim: a.dim, l: a.l, norm: a.norm, variant: a.variant}
-	out.hashes = make([]float64, len(a.hashes))
-	out.vals = make([]float64, len(a.vals))
-	// Ties keep a's sample, matching the construction loops (which replace
-	// the running minimum only on strictly smaller hashes): when shards are
-	// merged in block order, the earlier block wins a tie either way.
-	for i := range a.hashes {
-		if a.hashes[i] <= b.hashes[i] {
-			out.hashes[i] = a.hashes[i]
-			out.vals[i] = a.vals[i]
-		} else {
-			out.hashes[i] = b.hashes[i]
-			out.vals[i] = b.vals[i]
-		}
-	}
+	// Ties keep a's sample: when shards are merged in block order, the
+	// earlier block wins a tie, as in the construction.
+	out.hashes, out.vals = sample.MinMerge(a.hashes, a.vals, b.hashes, b.vals)
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -65,6 +66,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 	} else if len(hashes) != int(m) || len(vals) != int(m) {
 		return fmt.Errorf("wmh: sketch has %d/%d samples, want %d", len(hashes), len(vals), m)
+	}
+	if err := sample.Check(hashes, vals, false); err != nil {
+		return fmt.Errorf("wmh: %w", err)
 	}
 	*s = Sketch{
 		params: p, dim: dim, l: l, norm: norm,

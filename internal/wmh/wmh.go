@@ -32,7 +32,8 @@
 // expanded domain, divided by L), and multiplies back ‖a‖‖b‖. One match
 // loop, collide, computes Σmin, the collision-weight sum and the collision
 // count in a single pass; the pairwise estimators and the packed scan
-// (Cols, columnar.go) both call it, so their results are bit-identical.
+// (Scan over an internal/sample layout: float64 dart-minimum tags, aux word
+// the norm) both call it, so their results are bit-identical.
 //
 // Theorem 2: with m = O(log(1/δ)/ε²) the error is at most
 // ε·max(‖a_I‖‖b‖, ‖a‖‖b_I‖) with probability 1−δ — never worse than the
@@ -295,7 +296,7 @@ func EstimateWithOptions(a, b *Sketch, opt Options) (float64, error) {
 }
 
 // collide is Algorithm 5's one pass over two aligned sample arrays, shared
-// by the pairwise estimators and Cols.Scan: Σ_i min(W_a^hash, W_b^hash)
+// by the pairwise estimators and Scan: Σ_i min(W_a^hash, W_b^hash)
 // for the FM union estimate (line 2), the collision sum
 // Σ_i 1[W_a^hash = W_b^hash]·(v_a·v_b)/q_i with q_i = min(v_a², v_b²)
 // (lines 1 and 3), and the collision count.

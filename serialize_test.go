@@ -2,7 +2,10 @@ package ipsketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,6 +142,59 @@ func TestUnmarshalRejectsCorruptCounts(t *testing.T) {
 	}
 	if _, err := UnmarshalSketch(corrupt); err == nil {
 		t.Fatal("corrupt M accepted")
+	}
+}
+
+// nonFiniteBlob is marshalFixture's sketch of one sampling method with one
+// stored float overwritten by a non-finite value.
+type nonFiniteBlob struct {
+	name string
+	data []byte
+}
+
+// nonFiniteBlobs corrupts, for WMH, MH, KMV, PS and TS, the last stored
+// sample value with NaN and with +Inf, and for WMH also the last stored
+// dart minimum. Every family encodes its values last, as a u64 count
+// followed by the float64s, and WMH its minima just before them.
+func nonFiniteBlobs(tb testing.TB) []nonFiniteBlob {
+	tb.Helper()
+	var out []nonFiniteBlob
+	for _, m := range []Method{MethodWMH, MethodMH, MethodKMV, MethodPS, MethodTS} {
+		data := marshalFixture(tb, Config{Method: m, StorageWords: 32, Seed: 7})
+		n := 0
+		for c := 1; 8*c+8 <= len(data); c++ {
+			if binary.LittleEndian.Uint64(data[len(data)-8*c-8:]) == uint64(c) {
+				n = c
+				break
+			}
+		}
+		if n == 0 {
+			tb.Fatalf("%v: no stored values found in the fixture", m)
+		}
+		fields, offs := []string{"value"}, []int{len(data) - 8}
+		if m == MethodWMH {
+			fields, offs = append(fields, "minimum"), append(offs, len(data)-8*(n+2))
+		}
+		for i, off := range offs {
+			for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+				c := append([]byte(nil), data...)
+				binary.LittleEndian.PutUint64(c[off:], math.Float64bits(bad))
+				out = append(out, nonFiniteBlob{fmt.Sprintf("%v/%s=%v", m, fields[i], bad), c})
+			}
+		}
+	}
+	return out
+}
+
+// TestUnmarshalRejectsNonFiniteStoredValues: every sampling family refuses
+// a payload whose stored value (or WMH minimum) is NaN or +Inf. Decoded,
+// such a sketch would turn every estimate against it into NaN.
+func TestUnmarshalRejectsNonFiniteStoredValues(t *testing.T) {
+	for _, b := range nonFiniteBlobs(t) {
+		if sk, err := UnmarshalSketch(b.data); err == nil {
+			est, _ := Estimate(sk, sk)
+			t.Errorf("%s: decoded (self-estimate %v)", b.name, est)
+		}
 	}
 }
 

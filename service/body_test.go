@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -214,4 +215,48 @@ func TestServiceHostileNumbers(t *testing.T) {
 		got[i] = h.Result()
 	}
 	requireSameRanking(t, got, want, "inline query with -0 and 4.9e-324")
+}
+
+// TestServiceNonFiniteBundle400: an octet-stream bundle with a NaN or +Inf
+// stored sample value is a 400 on PUT and on merge, and nothing is
+// cataloged; the same bundle uncorrupted is taken.
+func TestServiceNonFiniteBundle400(t *testing.T) {
+	srv, _ := newTestServer(t, service.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	ts, err := ipsketch.NewTableSketcher(testSketchCfg, testKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ipsketch.NewTable("t", []uint64{1, 2, 3}, map[string][]float64{"v": {1, -2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ts.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const octet = "application/octet-stream"
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		// A bundle ends with its last column's squared-value sketch, and
+		// a sampling sketch's payload ends with its stored values.
+		c := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(c[len(c)-8:], math.Float64bits(bad))
+		for _, req := range []struct{ method, path string }{{"PUT", "/tables/t"}, {"POST", "/tables/t/merge"}} {
+			if status, msg := send(t, req.method, hs.URL+req.path, octet, c); status != http.StatusBadRequest {
+				t.Errorf("%s %s with a stored %v: %d %q, want 400", req.method, req.path, bad, status, msg)
+			}
+		}
+	}
+	if n := srv.Catalog().Len(); n != 0 {
+		t.Fatalf("corrupt bundles cataloged %d tables", n)
+	}
+	if status, msg := send(t, "PUT", hs.URL+"/tables/t", octet, data); status != http.StatusOK {
+		t.Fatalf("clean bundle: %d %q", status, msg)
+	}
 }
