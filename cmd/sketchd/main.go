@@ -31,11 +31,10 @@
 // balancers route away, in-flight requests get -drain-timeout to
 // finish, then the final snapshot is written and the WAL closed.
 //
-// Every flag sets one field of service.Config, service.ClusterConfig or
-// wal.Options, except the daemon's own -addr, -snapshot-every,
-// -snapshot-recover, -drain-timeout, -pprof and -access-log. See the
-// service package for the endpoint reference and "ipsketch search
-// -remote" for a client.
+// Every flag sets one field of service.Config or wal.Options, except the
+// daemon's own -addr, -snapshot-every, -snapshot-recover, -drain-timeout,
+// -pprof and -access-log. See the service package for the endpoint
+// reference and "ipsketch search -remote" for a client.
 package main
 
 import (
@@ -56,7 +55,6 @@ import (
 
 	ipsketch "repro"
 	"repro/internal/catalog"
-	"repro/internal/cluster"
 	"repro/internal/wal"
 	"repro/service"
 )
@@ -75,11 +73,10 @@ func main() {
 // resolved address on ready (if non-nil) once the server is accepting
 // traffic, serves until ctx is canceled, then drains and persists.
 func run(ctx context.Context, args []string, out io.Writer, ready chan<- string) error {
-	// Every flag with a home in the server, cluster or WAL configuration
-	// binds straight to its field; only the daemon's own knobs are locals.
+	// Every flag with a home in the server or WAL configuration binds
+	// straight to its field; only the daemon's own knobs are locals.
 	var (
 		cfg service.Config
-		cc  service.ClusterConfig
 		wo  wal.Options
 	)
 	fs := flag.NewFlagSet("sketchd", flag.ContinueOnError)
@@ -111,32 +108,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	fs.IntVar(&cfg.LSHBands, "lsh-bands", 0, "LSH bands for mode=lsh search (0 = disabled; requires -lsh-rows)")
 	fs.IntVar(&cfg.LSHRows, "lsh-rows", 0, "signature rows per LSH band (0 = disabled; requires -lsh-bands)")
 	fs.IntVar(&cfg.LSHProbes, "lsh-probes", 0, "default bands probed per mode=lsh search (0 = all bands)")
-
-	fs.Func("cluster-peers", "comma-separated base URLs of every cluster node, self included (empty = single-node)", func(s string) (err error) {
-		if s != "" {
-			cc.Peers, err = cluster.ParsePeerList(s)
-		}
-		return err
-	})
-	fs.StringVar(&cc.Self, "cluster-self", "", "this node's base URL as it appears in -cluster-peers")
-	fs.BoolVar(&cc.Strict, "cluster-strict", false, "refuse partial search results: 503 instead of a degraded ranking")
-	fs.DurationVar(&cc.ProbeInterval, "cluster-probe-interval", 0, "peer health probe cadence (0 = default)")
-	fs.DurationVar(&cc.ProbeTimeout, "cluster-probe-timeout", 0, "per-probe deadline (0 = default)")
-	fs.DurationVar(&cc.ProbeBackoffCap, "cluster-probe-backoff-cap", 0, "max probe interval for a down peer (0 = default)")
-	fs.IntVar(&cc.FailThreshold, "cluster-fail-threshold", 0, "consecutive probe failures before a peer is down (0 = default)")
-	fs.DurationVar(&cc.PeerTimeout, "cluster-search-timeout", 0, "per-node deadline for forwards and scatter-gather sub-queries (0 = default)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch {
-	case cc.Peers != nil && cc.Self == "":
-		return errors.New("-cluster-peers requires -cluster-self")
-	case cc.Peers == nil && cc.Self != "":
-		return errors.New("-cluster-self requires -cluster-peers")
-	case cc.Peers != nil:
-		cfg.Cluster = &cc
 	}
 
 	if wo.Dir != "" {
@@ -187,16 +161,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	bi := service.BuildInfo()
 	fmt.Fprintf(out, "sketchd: %s (%s) listening on %s (method=%v storage=%d seed=%d shards=%d)\n",
 		bi.Version, bi.GoVersion, ln.Addr(), cfg.Sketch.Method, cfg.Sketch.StorageWords, cfg.Sketch.Seed, srv.Catalog().Shards())
-	if cfg.Cluster != nil {
-		srv.StartCluster(ctx)
-		defer srv.StopCluster()
-		mode := "partial-on-failure"
-		if cc.Strict {
-			mode = "strict"
-		}
-		fmt.Fprintf(out, "sketchd: cluster mode, %d nodes, self=%s, %s\n",
-			len(cc.Peers), srv.ClusterSelf(), mode)
-	}
 
 	// Serve while still replaying: the readiness middleware answers 503
 	// with Retry-After until ReplayWAL flips the server ready, so load

@@ -238,6 +238,13 @@ func TestSketchdRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Fatalf("-fasthash: err = %v, want the flag package's undefined-flag error", err)
 	}
+	// Cluster mode was removed: an old cluster command line must fail
+	// flag parsing, not boot as a single node.
+	err = run(context.Background(), []string{"-addr", "127.0.0.1:0",
+		"-cluster-peers", "http://127.0.0.1:7207,http://127.0.0.1:7208", "-cluster-self", "http://127.0.0.1:7207"}, testWriter{t}, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -cluster-peers") {
+		t.Fatalf("-cluster-peers: err = %v, want the flag package's undefined-flag error", err)
+	}
 }
 
 // TestSketchdDartBoots: the deprecated -dart flag still parses, and with

@@ -39,6 +39,11 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	for _, b := range nonFiniteBlobs(f) {
 		f.Add(b.data)
 	}
+	// KMV and PS payloads with a support size above the dimension and
+	// int, and a PS index outside the dimension: they must reject.
+	for _, b := range supportBlobs(f) {
+		f.Add(b.data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 0})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 200, 1, 2, 3})

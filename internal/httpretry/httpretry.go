@@ -1,9 +1,6 @@
-// Package httpretry holds the retry discipline shared by the sketchd
-// client and the cluster coordinator: exponential backoff with full
-// jitter honoring Retry-After, and the classification of which failures
-// are worth another attempt. It lives below both packages so the
-// server's peer fan-out can reuse the exact policy the hardened client
-// ships, without a service ↔ client import cycle.
+// Package httpretry holds the sketchd client's retry discipline:
+// exponential backoff with full jitter honoring Retry-After, and the
+// classification of which failures are worth another attempt.
 package httpretry
 
 import (

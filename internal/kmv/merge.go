@@ -1,16 +1,19 @@
 package kmv
 
+import "repro/internal/sample"
+
 // Merge computes the bottom-k sketch of the support union from two
 // sketches built with the same parameters: the union of the retained
 // (hash, value) pairs, deduplicated, truncated to the k smallest. For
 // disjoint supports this equals the sketch of a + b exactly.
 //
 // The merged sketch's recorded support size is the sum of the inputs'
-// support sizes minus the observed shared entries. Truncated sketches can
-// only observe sharing among retained entries, so this is an UPPER bound
-// on the true union size — exact when both inputs retained their full
-// supports. The bound errs on the safe side: it can only under-claim
-// exactness (SawAll), never falsely promise it.
+// support sizes minus the observed shared entries, capped at the
+// dimension. Truncated sketches can only observe sharing among retained
+// entries, so this is an UPPER bound on the true union size — exact when
+// both inputs retained their full supports. The bound errs on the safe
+// side: it can only under-claim exactness (SawAll), never falsely
+// promise it.
 func Merge(a, b *Sketch) (*Sketch, error) {
 	if err := compatible(a, b); err != nil {
 		return nil, err
@@ -61,6 +64,6 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 			j++
 		}
 	}
-	out.nnz = a.nnz + b.nnz - shared
+	out.nnz = sample.UnionSupport(a.nnz, b.nnz, shared, a.dim)
 	return out, nil
 }

@@ -157,3 +157,37 @@ func TestMergeWithEmpty(t *testing.T) {
 		t.Fatal("merge with empty changed the sketch")
 	}
 }
+
+// TestMergedSupportRoundTrips: a truncated self-merge of a vector that
+// fills its dimension over-counts the union, 2·20−4 = 36 entries of a
+// 20-dimensional vector; the recorded size is capped at the dimension, so
+// the merged sketch still decodes and still does not claim exactness.
+func TestMergedSupportRoundTrips(t *testing.T) {
+	m := map[uint64]float64{}
+	for i := range uint64(20) {
+		m[i] = float64(i + 1)
+	}
+	v, err := vector.FromMap(20, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := New(v, Params{K: 4, Seed: 5})
+	merged, err := Merge(s, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.nnz != 20 {
+		t.Fatalf("merged nnz %d, want the dimension 20", merged.nnz)
+	}
+	b, err := merged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Sketch
+	if err := back.UnmarshalBinary(b); err != nil {
+		t.Fatalf("merged sketch does not decode: %v", err)
+	}
+	if back.SawAll() {
+		t.Fatal("truncated merge claims exactness")
+	}
+}

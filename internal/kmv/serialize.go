@@ -39,9 +39,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := sample.Check(hashes, vals, true); err != nil {
 		return fmt.Errorf("kmv: %w", err)
 	}
+	n, err := sample.Support(nnz, dim)
+	if err != nil {
+		return fmt.Errorf("kmv: %w", err)
+	}
 	if want := min(nnz, k); uint64(len(hashes)) != want {
 		return fmt.Errorf("kmv: sketch has %d entries, want %d", len(hashes), want)
 	}
-	*s = Sketch{params: p, dim: dim, nnz: int(nnz), hashes: hashes, vals: vals}
+	*s = Sketch{params: p, dim: dim, nnz: n, hashes: hashes, vals: vals}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/hashing"
+	"repro/internal/sample"
 )
 
 // This file makes the coordinated samplers mergeable: the shared index
@@ -97,7 +98,7 @@ func mergeThreshold(a, b *Sketch) (*Sketch, error) {
 	normSq := a.normSq + b.normSq - sharedSq
 	out := &Sketch{
 		params: a.params, dim: a.dim,
-		nnz: a.nnz + b.nnz - shared, normSq: normSq, tau: math.Inf(1),
+		nnz: sample.UnionSupport(a.nnz, b.nnz, shared, a.dim), normSq: normSq, tau: math.Inf(1),
 	}
 	if len(union) == 0 {
 		return out, nil
@@ -150,7 +151,7 @@ func mergePriority(a, b *Sketch) (*Sketch, error) {
 	}
 	out := &Sketch{
 		params: a.params, dim: a.dim,
-		nnz: a.nnz + b.nnz - shared, normSq: a.normSq + b.normSq - sharedSq, tau: tau,
+		nnz: sample.UnionSupport(a.nnz, b.nnz, shared, a.dim), normSq: a.normSq + b.normSq - sharedSq, tau: tau,
 	}
 	if out.normSq < 0 || math.IsInf(out.normSq, 1) {
 		return nil, errors.New("psample: merged squared norm is not finite non-negative; inputs are not samples of one union vector")

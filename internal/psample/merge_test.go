@@ -239,3 +239,27 @@ func TestMergeParamMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestMergedSupportRoundTrips: a truncated self-merge of a vector that
+// fills its dimension over-counts the union; the recorded size is capped
+// at the dimension, so the merged sketch still decodes, in both modes.
+func TestMergedSupportRoundTrips(t *testing.T) {
+	v := intVector(t, 20, 9, 20)
+	for _, mode := range []Mode{Priority, Threshold} {
+		s, err := New(v, Params{K: 4, Seed: 5, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Merge(s, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.nnz > 20 {
+			t.Fatalf("mode %v: merged nnz %d exceeds the dimension 20", mode, m.nnz)
+		}
+		var back Sketch
+		if err := back.UnmarshalBinary(sketchBytes(t, m)); err != nil {
+			t.Fatalf("mode %v: merged sketch does not decode: %v", mode, err)
+		}
+	}
+}

@@ -46,6 +46,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := sample.Check(idx, vals, true); err != nil {
 		return fmt.Errorf("psample: %w", err)
 	}
+	n, err := sample.Support(nnz, dim)
+	if err != nil {
+		return fmt.Errorf("psample: %w", err)
+	}
+	// Check made idx strictly ascending, so its last entry is the largest.
+	if len(idx) > 0 && idx[len(idx)-1] >= dim {
+		return fmt.Errorf("psample: stored index %d outside dimension %d", idx[len(idx)-1], dim)
+	}
 	if math.IsNaN(normSq) || math.IsInf(normSq, 0) || normSq < 0 {
 		return fmt.Errorf("psample: invalid stored squared norm %v", normSq)
 	}
@@ -78,6 +86,6 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(idx)) > nnz {
 		return fmt.Errorf("psample: %d samples exceed support size %d", len(idx), nnz)
 	}
-	*s = Sketch{params: p, dim: dim, nnz: int(nnz), normSq: normSq, tau: tau, idx: idx, vals: vals}
+	*s = Sketch{params: p, dim: dim, nnz: n, normSq: normSq, tau: tau, idx: idx, vals: vals}
 	return nil
 }

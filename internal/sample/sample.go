@@ -3,11 +3,15 @@
 // value) pairs, the tag a 64-bit hash or index or WMH's float64 dart
 // minimum, plus at most one per-sketch word its estimator reads. Cols
 // packs many samples for the index scan, MinMerge is the aligned merge of
-// MH and WMH, and Check validates every family's decoded pairs; a family
-// keeps only its draw, its merge re-filter and its one match loop.
+// MH and WMH, and Check validates every family's decoded pairs (Support
+// the support size KMV and PS/TS store beside them); a family keeps only
+// its draw, its merge re-filter and its one match loop.
 package sample
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tag is the type a sample is keyed by.
 type Tag interface{ uint64 | float64 }
@@ -83,4 +87,24 @@ func Check[T Tag](tags []T, vals []float64, ascending bool) error {
 		}
 	}
 	return nil
+}
+
+// Support converts a decoded support-size word to an int. A vector of
+// dimension dim has at most dim nonzeros, and a word above MaxInt would
+// turn negative as an int — a negative size reads as "the sample holds
+// the whole support" and makes estimates exact sums of a truncated
+// sample — so either is refused.
+func Support(n, dim uint64) (int, error) {
+	if n > dim || n > math.MaxInt {
+		return 0, fmt.Errorf("sample: support size %d exceeds dimension %d", n, dim)
+	}
+	return int(n), nil
+}
+
+// UnionSupport is the recorded support size of a merged sketch: the
+// inputs' sizes a and b minus the shared entries the merge observed. Only
+// retained entries can be seen to be shared, so this over-counts; capping
+// it at the dimension keeps it an upper bound that Support accepts.
+func UnionSupport(a, b, shared int, dim uint64) int {
+	return int(min(uint64(a)+uint64(b)-uint64(shared), dim, math.MaxInt))
 }

@@ -145,9 +145,8 @@ func TestUnmarshalRejectsCorruptCounts(t *testing.T) {
 	}
 }
 
-// nonFiniteBlob is marshalFixture's sketch of one sampling method with one
-// stored float overwritten by a non-finite value.
-type nonFiniteBlob struct {
+// corruptBlob is a valid sketch payload with one stored word overwritten.
+type corruptBlob struct {
 	name string
 	data []byte
 }
@@ -156,9 +155,9 @@ type nonFiniteBlob struct {
 // sample value with NaN and with +Inf, and for WMH also the last stored
 // dart minimum. Every family encodes its values last, as a u64 count
 // followed by the float64s, and WMH its minima just before them.
-func nonFiniteBlobs(tb testing.TB) []nonFiniteBlob {
+func nonFiniteBlobs(tb testing.TB) []corruptBlob {
 	tb.Helper()
-	var out []nonFiniteBlob
+	var out []corruptBlob
 	for _, m := range []Method{MethodWMH, MethodMH, MethodKMV, MethodPS, MethodTS} {
 		data := marshalFixture(tb, Config{Method: m, StorageWords: 32, Seed: 7})
 		n := 0
@@ -179,7 +178,7 @@ func nonFiniteBlobs(tb testing.TB) []nonFiniteBlob {
 			for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 				c := append([]byte(nil), data...)
 				binary.LittleEndian.PutUint64(c[off:], math.Float64bits(bad))
-				out = append(out, nonFiniteBlob{fmt.Sprintf("%v/%s=%v", m, fields[i], bad), c})
+				out = append(out, corruptBlob{fmt.Sprintf("%v/%s=%v", m, fields[i], bad), c})
 			}
 		}
 	}
@@ -194,6 +193,71 @@ func TestUnmarshalRejectsNonFiniteStoredValues(t *testing.T) {
 		if sk, err := UnmarshalSketch(b.data); err == nil {
 			est, _ := Estimate(sk, sk)
 			t.Errorf("%s: decoded (self-estimate %v)", b.name, est)
+		}
+	}
+}
+
+// supportBlobs are KMV and PS sketches of the 6-entry vector with values
+// 1..6 (⟨a,a⟩ = 91) at K = 3, with a stored word no sketch of a
+// 1000-dimensional vector can hold: the support size set to 2⁶³+5, which
+// converted to int is negative and reads as "every entry retained" (the
+// KMV self-estimate becomes the sum over the 3 retained entries, 29), and
+// a PS stored index set to the dimension. Both families write the
+// dimension word directly before the support size.
+func supportBlobs(tb testing.TB) []corruptBlob {
+	tb.Helper()
+	const dim = 1000
+	m := map[uint64]float64{}
+	for i := range 6 {
+		m[uint64(100*i+7)] = float64(i + 1)
+	}
+	v, err := VectorFromMap(dim, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []corruptBlob
+	for _, cfg := range []Config{{Method: MethodKMV, StorageWords: 5, Seed: 7}, {Method: MethodPS, StorageWords: 6, Seed: 7}} {
+		s, err := NewSketcher(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sk, err := s.Sketch(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		data, err := sk.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var w wire.Writer
+		w.U64(dim)
+		w.U64(6)
+		at := bytes.Index(data, w.Bytes()) + 8 // the support-size word
+		if at < 8 {
+			tb.Fatalf("%v: no (dim, support) words in the payload", cfg.Method)
+		}
+		c := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(c[at:], 1<<63+5)
+		out = append(out, corruptBlob{fmt.Sprintf("%v/support=2^63+5", cfg.Method), c})
+		if cfg.Method == MethodPS {
+			// support, squared norm, threshold rank, index count, indices.
+			n := int(binary.LittleEndian.Uint64(data[at+24:]))
+			c := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(c[at+32+8*(n-1):], dim)
+			out = append(out, corruptBlob{fmt.Sprintf("%v/index=dim", cfg.Method), c})
+		}
+	}
+	return out
+}
+
+// TestUnmarshalRejectsImpossibleSupport: KMV and PS refuse a payload whose
+// support size exceeds the dimension (or int) and PS one whose stored
+// index lies outside it.
+func TestUnmarshalRejectsImpossibleSupport(t *testing.T) {
+	for _, b := range supportBlobs(t) {
+		if sk, err := UnmarshalSketch(b.data); err == nil {
+			est, _ := Estimate(sk, sk)
+			t.Errorf("%s: decoded (self-estimate %v, true 91)", b.name, est)
 		}
 	}
 }

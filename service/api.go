@@ -132,11 +132,6 @@ type SearchRequest struct {
 	// server's default (all bands unless -lsh-probes narrows it); 1..bands
 	// trades recall for probe cost. Ignored in full mode.
 	Probes int `json:"probes,omitempty"`
-	// LocalOnly answers from this node's own catalog even in cluster
-	// mode. The scatter-gather coordinator sets it on the per-peer
-	// sub-queries (so a fan-out can never fan out again); callers may set
-	// it to inspect one node's placement.
-	LocalOnly bool `json:"local_only,omitempty"`
 }
 
 // SearchHit is one ranked candidate.
@@ -147,18 +142,9 @@ type SearchHit struct {
 	Stats  JoinStatsJSON `json:"stats"`
 }
 
-// SearchResponse is the ranked result list. The Nodes* fields appear
-// only on cluster-mode scatter-gather answers: NodesTotal counts the
-// ring members the query should have covered, NodesOK how many
-// contributed, and NodesFailed how many were down or failed their
-// sub-query after retries. NodesFailed > 0 marks a partial ranking (the
-// response also carries the X-Partial-Results header); strict-mode
-// servers refuse to degrade and answer 503 instead.
+// SearchResponse is the ranked result list.
 type SearchResponse struct {
-	Results     []SearchHit `json:"results"`
-	NodesTotal  int         `json:"nodes_total,omitempty"`
-	NodesOK     int         `json:"nodes_ok,omitempty"`
-	NodesFailed int         `json:"nodes_failed,omitempty"`
+	Results []SearchHit `json:"results"`
 }
 
 // EstimateRequest asks for the pairwise join statistics of two cataloged
@@ -182,8 +168,8 @@ type SnapshotResponse struct {
 }
 
 // HealthResponse is the /healthz body. Build identifies the binary
-// (ldflags-injected version plus VCS metadata) so a mixed-version
-// cluster is diagnosable one /healthz at a time.
+// (ldflags-injected version plus VCS metadata), so a running daemon
+// says which build it is from one /healthz.
 type HealthResponse struct {
 	Status string       `json:"status"`
 	Tables int          `json:"tables"`
@@ -218,30 +204,6 @@ const HeaderIdempotentReplay = "X-Idempotent-Replay"
 // error responses, which is what lets a client error message name the
 // exact server-side log lines to look at.
 const HeaderRequestID = "X-Request-ID"
-
-// HeaderPartialResults marks a cluster search answer that is missing
-// one or more nodes' contributions ("true"); the response envelope's
-// nodes_failed count says how many.
-const HeaderPartialResults = "X-Partial-Results"
-
-// HeaderForwarded marks an intra-cluster request that was already
-// routed once (ingest forwarding). A node receiving it applies the
-// mutation locally even if its ring says otherwise, so a transient
-// membership disagreement can never bounce a request between nodes.
-const HeaderForwarded = "X-Sketchd-Forwarded"
-
-// HeaderForwardedTo names the owning node a mutation was forwarded to,
-// echoed on the coordinator's response for diagnosability.
-const HeaderForwardedTo = "X-Sketchd-Forwarded-To"
-
-// ErrCodeClusterDegraded is the machine-readable ErrorResponse.Code of
-// a strict-mode 503: the cluster cannot currently answer from every
-// node and refuses to return a partial ranking.
-const ErrCodeClusterDegraded = "cluster_degraded"
-
-// ErrCodeOwnerUnavailable is the ErrorResponse.Code of a mutation
-// rejected because the table's owning node is down or unreachable.
-const ErrCodeOwnerUnavailable = "owner_unavailable"
 
 // WALStats describes the write-ahead log in /statsz.
 type WALStats struct {
@@ -297,44 +259,13 @@ type StatsResponse struct {
 	// Scan is present once at least one /search has run.
 	Scan *ScanSearchStats `json:"scan,omitempty"`
 	WAL  *WALStats        `json:"wal,omitempty"`
-	// Build identifies the binary; Cluster is present in cluster mode.
-	Build   *VersionInfo  `json:"build,omitempty"`
-	Cluster *ClusterStats `json:"cluster,omitempty"`
+	// Build identifies the binary.
+	Build *VersionInfo `json:"build,omitempty"`
 }
 
-// ClusterStats is the /statsz cluster block: this node's identity and
-// mode, the ring parameters, per-peer health, and the fan-out counters.
-type ClusterStats struct {
-	Self     string             `json:"self"`
-	Strict   bool               `json:"strict"`
-	Nodes    int                `json:"nodes"`
-	Replicas int                `json:"ring_replicas"`
-	Peers    []ClusterPeerStats `json:"peers"`
-	// Forwards counts mutations routed to their owning node;
-	// PartialSearches counts scatter-gather answers that were missing at
-	// least one node.
-	Forwards        int64 `json:"forwards"`
-	FanoutSearches  int64 `json:"fanout_searches"`
-	PartialSearches int64 `json:"partial_searches"`
-}
-
-// ClusterPeerStats is one probed peer's health in /statsz.
-type ClusterPeerStats struct {
-	Peer                string  `json:"peer"`
-	Up                  bool    `json:"up"`
-	ConsecutiveFailures int     `json:"consecutive_failures,omitempty"`
-	Probes              uint64  `json:"probes"`
-	Failures            uint64  `json:"failures,omitempty"`
-	LastLatencyMs       float64 `json:"last_latency_ms,omitempty"`
-	LastError           string  `json:"last_error,omitempty"`
-}
-
-// ErrorResponse is the body of every non-2xx response. Code, when set,
-// is a stable machine-readable class (e.g. ErrCodeClusterDegraded) for
-// callers that must react differently to different failures.
+// ErrorResponse is the body of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
 }
 
 // SlowLogEntry is one recorded slow /search. Durations are nanoseconds;

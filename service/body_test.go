@@ -39,8 +39,7 @@ func send(t *testing.T, method, url, ctype string, body []byte) (int, string) {
 }
 
 // TestServiceOversizedBody413: a body over MaxBodyBytes is a 413 naming
-// the limit on every endpoint that reads one, in both body formats, and
-// on a cluster node that forwards the mutation to its owner.
+// the limit on every endpoint that reads one, in both body formats.
 func TestServiceOversizedBody413(t *testing.T) {
 	const limit = 1024
 	srv, err := service.New(service.Config{Sketch: testSketchCfg, KeySpace: testKeySpace, MaxBodyBytes: limit})
@@ -80,17 +79,6 @@ func TestServiceOversizedBody413(t *testing.T) {
 	if status, msg := send(t, "PUT", hs.URL+"/tables/t", "application/json", mustJSON(t, small)); status != http.StatusOK {
 		t.Fatalf("small PUT: %d %s", status, msg)
 	}
-
-	// A cluster node reads the whole body before forwarding it.
-	tc := startTestClusterWith(t, 3, -1, func(cfg *service.Config) { cfg.MaxBodyBytes = limit })
-	name := ""
-	for i := 0; name == ""; i++ {
-		if cand := fmt.Sprintf("remote-%d", i); tc.servers[0].ClusterOwner(cand) != tc.urls[0] {
-			name = cand
-		}
-	}
-	check("PUT", tc.urls[0]+"/tables/"+name, "application/json", table)
-	check("POST", tc.urls[0]+"/tables/"+name+"/merge", "application/json", table)
 }
 
 func mustJSON(t *testing.T, v any) []byte {

@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	ipsketch "repro"
@@ -54,7 +53,6 @@ type Error struct {
 	Op        string // "PUT /tables/x"
 	Status    int    // HTTP status; 0 when no response arrived
 	Message   string // server-provided error body, if any
-	Code      string // machine-readable error code, if the server sent one
 	Retryable bool
 	Attempts  int
 	Err       error // underlying transport/decode error, if any
@@ -116,17 +114,6 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &ce) && ce.Retryable
 }
 
-// CodeOf returns the machine-readable error code of a client failure
-// ("" when err is nil, not a client *Error, or the server sent none) —
-// e.g. service.ErrCodeClusterDegraded from a strict-mode cluster.
-func CodeOf(err error) string {
-	var ce *Error
-	if errors.As(err, &ce) {
-		return ce.Code
-	}
-	return ""
-}
-
 // Option configures a Client at construction.
 type Option func(*Client)
 
@@ -146,8 +133,8 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithAttemptTimeout bounds a single HTTP attempt (0 disables), so a
-// stalling server frees the retry loop to try again — or, with
-// NewMulti, to try the next endpoint — within the call budget.
+// stalling server frees the retry loop to try again within the call
+// budget.
 func WithAttemptTimeout(d time.Duration) Option {
 	return func(c *Client) { c.hc.Timeout = d }
 }
@@ -165,16 +152,12 @@ func WithRetry(maxAttempts int, base time.Duration) Option {
 	}
 }
 
-// Client talks to a sketchd instance — or, with NewMulti, to any node
-// of a sketchd cluster, rotating endpoints on retryable failure. Safe
-// for concurrent use.
+// Client talks to a sketchd instance. Safe for concurrent use.
 type Client struct {
-	bases       []string
-	cur         atomic.Uint32 // index of the endpoint new calls start on
+	base        string
 	hc          *http.Client
 	callTimeout time.Duration
-	// retry is the attempt budget and backoff schedule — the policy the
-	// cluster coordinator's peer fan-out uses too.
+	// retry is the attempt budget and backoff schedule.
 	retry *httpretry.Policy
 }
 
@@ -184,31 +167,15 @@ type Client struct {
 // transient failures up to DefaultMaxAttempts times; override with
 // options.
 func New(baseURL string, opts ...Option) (*Client, error) {
-	return NewMulti([]string{baseURL}, opts...)
-}
-
-// NewMulti returns a client over several equivalent endpoints (e.g.
-// every node of a sketchd cluster — any node can answer any request).
-// Calls start on the endpoint that last worked; a retryable failure
-// rotates to the next, so a dead node costs one failed attempt, not a
-// dead client.
-func NewMulti(baseURLs []string, opts ...Option) (*Client, error) {
-	if len(baseURLs) == 0 {
-		return nil, errors.New("client: no base URLs")
+	u, err := url.Parse(baseURL)
+	if err != nil {
+		return nil, fmt.Errorf("client: parsing base URL: %w", err)
 	}
-	bases := make([]string, len(baseURLs))
-	for i, baseURL := range baseURLs {
-		u, err := url.Parse(baseURL)
-		if err != nil {
-			return nil, fmt.Errorf("client: parsing base URL: %w", err)
-		}
-		if u.Scheme != "http" && u.Scheme != "https" {
-			return nil, fmt.Errorf("client: base URL %q must be http or https", baseURL)
-		}
-		bases[i] = strings.TrimRight(u.String(), "/")
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return nil, fmt.Errorf("client: base URL %q must be http or https", baseURL)
 	}
 	c := &Client{
-		bases:       bases,
+		base:        strings.TrimRight(u.String(), "/"),
 		hc:          &http.Client{Timeout: DefaultAttemptTimeout},
 		callTimeout: DefaultTimeout,
 		retry:       httpretry.NewPolicy(DefaultMaxAttempts, DefaultBackoffBase, DefaultBackoffCap),
@@ -217,18 +184,6 @@ func NewMulti(baseURLs []string, opts ...Option) (*Client, error) {
 		opt(c)
 	}
 	return c, nil
-}
-
-// baseAt maps a rotation counter onto an endpoint.
-func (c *Client) baseAt(i uint32) string {
-	return c.bases[int(i)%len(c.bases)]
-}
-
-// Endpoints returns the configured base URLs.
-func (c *Client) Endpoints() []string {
-	out := make([]string, len(c.bases))
-	copy(out, c.bases)
-	return out
 }
 
 // SetHTTPClient overrides the underlying HTTP client (timeouts, transport).
@@ -246,7 +201,7 @@ func NewIdempotencyKey() (string, error) {
 
 // newRequestID mints the X-Request-ID for one logical call (64 random
 // bits, hex). The same ID is reused across a call's retries, so the
-// server's access log shows the retry cluster under one ID. Entropy-pool
+// server's access log groups them under one ID. Entropy-pool
 // failure degrades to an empty ID (the server then assigns one).
 func newRequestID() string {
 	var b [8]byte
@@ -264,8 +219,7 @@ func newRequestID() string {
 // the deadline rides the per-attempt request contexts too. context
 // deadline expiry surfaces as a typed retryable *Error (the failure
 // class is transient) even though the loop itself stops once ctx is
-// done. With several endpoints, a retryable failure rotates to the
-// next one and the rotation sticks for future calls.
+// done.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, headers map[string]string, idempotent bool, out any) error {
 	if c.callTimeout > 0 {
 		var cancel context.CancelFunc
@@ -278,22 +232,13 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		attempts = 1
 	}
 	requestID := newRequestID()
-	base := c.cur.Load()
 	var last *Error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.retry.Backoff(attempt-1, last.retryAfter)):
-			case <-ctx.Done():
-				last.Attempts = attempt
-				return last
-			}
-			if len(c.bases) > 1 {
-				base++
-				c.cur.Store(base)
-			}
+		if attempt > 0 && c.retry.Sleep(ctx, attempt-1, last.retryAfter) != nil {
+			last.Attempts = attempt
+			return last
 		}
-		last = c.attemptID(ctx, c.baseAt(base), method, path, contentType, body, headers, requestID, out)
+		last = c.attemptID(ctx, method, path, contentType, body, headers, requestID, out)
 		if last == nil {
 			return nil
 		}
@@ -309,18 +254,18 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 // attempt issues a single request with a fresh request ID (the retrying
 // do loop uses attemptID to keep one ID across a call's attempts).
 func (c *Client) attempt(ctx context.Context, method, path, contentType string, body []byte, headers map[string]string, out any) *Error {
-	return c.attemptID(ctx, c.baseAt(c.cur.Load()), method, path, contentType, body, headers, newRequestID(), out)
+	return c.attemptID(ctx, method, path, contentType, body, headers, newRequestID(), out)
 }
 
-// attemptID issues a single request to base carrying requestID. A nil
+// attemptID issues a single request carrying requestID. A nil
 // return means success with out populated; otherwise the *Error
 // classifies the failure (Op and Attempts are filled in by the caller).
-func (c *Client) attemptID(ctx context.Context, base, method, path, contentType string, body []byte, headers map[string]string, requestID string, out any) *Error {
+func (c *Client) attemptID(ctx context.Context, method, path, contentType string, body []byte, headers map[string]string, requestID string, out any) *Error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return &Error{Err: err, RequestID: requestID}
 	}
@@ -352,7 +297,6 @@ func (c *Client) attemptID(ctx context.Context, base, method, path, contentType 
 		var body service.ErrorResponse
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body) == nil && body.Error != "" {
 			e.Message = body.Error
-			e.Code = body.Code
 		}
 		return e
 	}
@@ -461,9 +405,8 @@ func (c *Client) Search(ctx context.Context, req service.SearchRequest) ([]ipske
 	return results, nil
 }
 
-// SearchFull is Search returning the whole response envelope — against
-// a cluster, NodesTotal/NodesOK/NodesFailed report whether the ranking
-// is partial (a node was down) or covers every node.
+// SearchFull is Search returning the wire response instead of library
+// results.
 func (c *Client) SearchFull(ctx context.Context, req service.SearchRequest) (service.SearchResponse, error) {
 	var out service.SearchResponse
 	err := c.doJSON(ctx, http.MethodPost, "/search", req, &out, nil, true)
@@ -543,9 +486,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 		if !IsRetryable(err) {
 			return err
 		}
-		select {
-		case <-time.After(c.retry.Backoff(min(i, 4), "")):
-		case <-ctx.Done():
+		if c.retry.Sleep(ctx, min(i, 4), "") != nil {
 			return fmt.Errorf("client: daemon not ready: %w (last: %v)", ctx.Err(), err)
 		}
 	}

@@ -83,53 +83,15 @@ func TestAttemptTimeoutFreesRetry(t *testing.T) {
 	}
 }
 
-// TestMultiEndpointFailover: with several endpoints, a dead one costs a
-// failed attempt, after which the client rotates and sticks to the
-// survivor.
-func TestMultiEndpointFailover(t *testing.T) {
-	var liveCalls atomic.Int64
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		liveCalls.Add(1)
-		json.NewEncoder(w).Encode(service.HealthResponse{Status: "ok", Tables: 9})
-	}))
-	defer live.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // bound then released: connection refused
-
-	cl, err := NewMulti([]string{dead.URL, live.URL},
-		WithRetry(3, time.Millisecond), WithTimeout(5*time.Second))
+func TestNewValidates(t *testing.T) {
+	if _, err := New("ftp://x"); err == nil {
+		t.Error("New with bad scheme succeeded")
+	}
+	cl, err := New("http://a:1/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := cl.Health(context.Background())
-	if err != nil {
-		t.Fatalf("failover call: %v", err)
-	}
-	if h.Tables != 9 {
-		t.Fatalf("health %+v", h)
-	}
-	// The rotation sticks: the next call starts on the live endpoint.
-	if _, err := cl.Health(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := liveCalls.Load(); got != 2 {
-		t.Fatalf("live endpoint saw %d calls, want 2", got)
-	}
-}
-
-func TestNewMultiValidates(t *testing.T) {
-	if _, err := NewMulti(nil); err == nil {
-		t.Error("NewMulti(nil) succeeded")
-	}
-	if _, err := NewMulti([]string{"ftp://x"}); err == nil {
-		t.Error("NewMulti with bad scheme succeeded")
-	}
-	cl, err := NewMulti([]string{"http://a:1/", "http://b:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := cl.Endpoints()
-	if len(eps) != 2 || eps[0] != "http://a:1" || eps[1] != "http://b:2" {
-		t.Fatalf("Endpoints() = %v", eps)
+	if cl.base != "http://a:1" {
+		t.Fatalf("base = %q, want the trailing slash trimmed", cl.base)
 	}
 }

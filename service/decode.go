@@ -13,10 +13,10 @@ import (
 // the canonical shape every client in this repository sends: objects with
 // the exact field names of SearchRequest and TablePayload, each field at
 // most once; strings of printable ASCII without escapes; numbers that fit
-// their Go type; true/false. Anything else — escapes, non-ASCII, unknown
-// or differently cased names, null, repeated fields or columns, numbers
-// out of range, malformed input — makes the fast path give up, and the
-// same bytes go through encoding/json, which defines what is accepted,
+// their Go type. Anything else — escapes, non-ASCII, unknown or
+// differently cased names, null, repeated fields or columns, numbers out
+// of range, malformed input — makes the fast path give up, and the same
+// bytes go through encoding/json, which defines what is accepted,
 // the decoded values and every error text. The fast path accepts only
 // bodies encoding/json accepts and decodes them to the same values
 // (floats by bit pattern, nil kept apart from empty); FuzzDecodeRequestBody
@@ -177,9 +177,6 @@ func (d *decoder) searchRequest(req *SearchRequest) bool {
 		case "probes":
 			bit = 1 << 8
 			req.Probes, ok = d.int()
-		case "local_only":
-			bit = 1 << 9
-			req.LocalOnly, ok = d.bool()
 		default:
 			return false
 		}
@@ -256,19 +253,6 @@ func (d *decoder) rawString() ([]byte, bool) {
 func (d *decoder) string() (string, bool) {
 	s, ok := d.rawString()
 	return string(s), ok
-}
-
-func (d *decoder) bool() (bool, bool) {
-	d.peek()
-	switch rest := d.b[d.i:]; {
-	case bytes.HasPrefix(rest, []byte("true")):
-		d.i += len("true")
-		return true, true
-	case bytes.HasPrefix(rest, []byte("false")):
-		d.i += len("false")
-		return false, true
-	}
-	return false, false
 }
 
 // number returns the next token if it matches the JSON number grammar,

@@ -38,9 +38,9 @@ func mustMarshal(tb testing.TB, v any) []byte {
 }
 
 // benchBodies returns request bodies in the shapes the repository
-// benchmark and the cluster send, encoded as they encode them: an inline
+// benchmark and the client send, encoded as they encode them: an inline
 // raw /search of rows×1, a raw PUT of rows/2×2, a sketched and an
-// lsh-mode /search, and a coordinator's per-peer sub-query.
+// lsh-mode /search, and a sketched /search that sets every other field.
 func benchBodies(tb testing.TB, rows int) map[string][]byte {
 	rng := rand.New(rand.NewPCG(1, 2))
 	k := 10
@@ -56,8 +56,8 @@ func benchBodies(tb testing.TB, rows int) map[string][]byte {
 		"put_raw":       mustMarshal(tb, put),
 		"search_sketch": mustMarshal(tb, SearchRequest{SketchB64: b64, Column: "v", RankBy: "join_size", K: &k}),
 		"search_lsh":    mustMarshal(tb, SearchRequest{SketchB64: b64, Column: "v", RankBy: "join_size", K: &k, Mode: SearchModeLSH, Probes: 4}),
-		"peer_query": mustMarshal(tb, SearchRequest{SketchB64: b64, TableName: "q007", Column: "v", RankBy: "abs_correlation",
-			MinJoin: 2.5, K: &k, Mode: SearchModeFull, Probes: 3, LocalOnly: true}),
+		"search_named": mustMarshal(tb, SearchRequest{SketchB64: b64, TableName: "q007", Column: "v", RankBy: "abs_correlation",
+			MinJoin: 2.5, K: &k, Mode: SearchModeFull, Probes: 3}),
 	}
 }
 
@@ -125,7 +125,7 @@ func checkDecoder[T any](t *testing.T, body []byte, decode func([]byte) (T, erro
 	return accepted
 }
 
-// TestBenchBodiesTakeFastPath: every body the benchmark and the cluster
+// TestBenchBodiesTakeFastPath: every body the benchmark and the client
 // send takes the single-pass path, so a regression to the fallback shows
 // here and not only as a slower benchmark.
 func TestBenchBodiesTakeFastPath(t *testing.T) {
@@ -148,7 +148,7 @@ func TestBenchBodiesTakeFastPath(t *testing.T) {
 // fast path accepts nothing encoding/json refuses.
 func FuzzDecodeRequestBody(f *testing.F) {
 	bodies := benchBodies(f, 16)
-	for _, name := range []string{"search_raw", "put_raw", "search_lsh", "peer_query"} {
+	for _, name := range []string{"search_raw", "put_raw", "search_lsh", "search_named"} {
 		f.Add(bodies[name])
 	}
 	raw := bodies["search_raw"]

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -278,71 +277,4 @@ func TestServiceLSHConfigValidation(t *testing.T) {
 			t.Errorf("case %d: config %+v accepted", i, cfg)
 		}
 	}
-}
-
-// TestServiceLSHCluster: scatter-gather lsh search across a cluster
-// matches the single-node full ranking — the coordinator resolves the
-// probe budget once and every peer rescores its own candidates.
-func TestServiceLSHCluster(t *testing.T) {
-	ctx := context.Background()
-	query, lake := lakePayloads(t, 12)
-
-	// Peer URLs must exist before any node boots (as in startTestCluster),
-	// so reserve listeners first, then boot LSH-enabled nodes onto them.
-	const n = 2
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	cctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	for i := range lns {
-		cfg := lshTestCfg()
-		cfg.Cluster = &service.ClusterConfig{Self: urls[i], Peers: urls}
-		srv, err := service.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewUnstartedServer(srv.Handler())
-		hs.Listener.Close()
-		hs.Listener = lns[i]
-		hs.Start()
-		t.Cleanup(hs.Close)
-		srv.StartCluster(cctx)
-		t.Cleanup(srv.StopCluster)
-	}
-	cl, err := client.New(urls[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range lake {
-		if _, err := cl.PutTable(ctx, name, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ts, ref := referenceIndex(t, lake)
-	qTab, err := ipsketch.NewTable("query", query.Keys, query.Columns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qSk, err := ts.SketchTable(qTab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, MinJoinSize: 1, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.SearchSketch(ctx, ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, MinJoinSize: 1, K: 10, LSH: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRanking(t, got, want, "cluster lsh")
 }

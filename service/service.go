@@ -56,10 +56,6 @@ type Config struct {
 	// AccessLog, when set, receives one structured line per request
 	// (method, path, status, duration, bytes, request ID).
 	AccessLog *slog.Logger
-	// Cluster, when set, turns the server into a cluster node: table
-	// mutations are forwarded to their ring owner and /search fans out
-	// across every ready peer (see cluster.go and DESIGN.md §14).
-	Cluster *ClusterConfig
 	// LSHBands and LSHRows, when both positive, make the catalog maintain
 	// a banded candidate index (rebuilt at every publish) and enable
 	// mode=lsh searches. The sketch method must carry an LSH signature
@@ -109,9 +105,6 @@ type Server struct {
 
 	// lsh is the banding configuration (nil when mode=lsh is disabled).
 	lsh *ipsketch.LSHParams
-
-	// cluster is non-nil in cluster mode (see cluster.go).
-	cluster *clusterState
 }
 
 // New validates the configuration and returns a server with an empty
@@ -197,11 +190,6 @@ func New(cfg Config) (*Server, error) {
 	// validated against it instead of silently becoming the pin.
 	if err := s.cat.Pin(ref); err != nil {
 		return nil, err
-	}
-	if cfg.Cluster != nil {
-		if err := s.initCluster(*cfg.Cluster); err != nil {
-			return nil, err
-		}
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("PUT /tables/{name}", s.instrument("put_table", s.handlePutTable))
@@ -504,16 +492,6 @@ func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// writeErrorCode writes a JSON error response carrying a
-// machine-readable code clients can branch on (cluster degradation vs.
-// an ordinary overload 503, say).
-func (s *Server) writeErrorCode(w http.ResponseWriter, code int, errCode string, err error) {
-	s.errs.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Code: errCode})
-}
-
 // buildTable materializes a TablePayload and parses its aggregation. It
 // does not look for duplicate keys: sketching finds them in the sort it
 // already runs (tables.ErrDuplicateKeys), and sketchPayload aggregates only
@@ -607,9 +585,6 @@ func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("service: empty table name"))
 		return
 	}
-	if s.forwardMutation(w, r, name) {
-		return
-	}
 	if err := s.acquire(r.Context(), s.ingestSem); err != nil {
 		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
@@ -650,9 +625,6 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
 		s.writeError(w, http.StatusBadRequest, errors.New("service: empty table name"))
-		return
-	}
-	if s.forwardMutation(w, r, name) {
 		return
 	}
 	if err := s.acquire(r.Context(), s.ingestSem); err != nil {
@@ -717,9 +689,6 @@ func mergeResponse(out *ipsketch.TableSketch, merged bool) MergeResponse {
 
 func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if name != "" && s.forwardMutation(w, r, name) {
-		return
-	}
 	if err := s.acquire(r.Context(), s.ingestSem); err != nil {
 		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
@@ -748,24 +717,13 @@ func (s *Server) querySketch(req *SearchRequest) (*ipsketch.TableSketch, error) 
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding sketch_b64: %w", err)
 		}
-		tsk, err := ipsketch.UnmarshalTableSketch(blob)
-		if err != nil {
-			return nil, err
-		}
-		if req.LocalOnly {
-			// Coordinator sub-query: table_name is authoritative, even when
-			// empty — an unnamed inline query ships under a placeholder name
-			// (the serialization refuses unnamed bundles) that must not leak
-			// into self-exclusion.
-			tsk.Name = req.TableName
-		}
-		return tsk, nil
+		return ipsketch.UnmarshalTableSketch(blob)
 	}
 	// The query's name only matters for self-exclusion: the search skips
 	// a cataloged table with the same name. The default (empty) name can
 	// never be cataloged, so an inline query excludes nothing unless the
 	// caller opts in with table_name. The search reads the ranked column
-	// alone (on cluster peers too), so that is all the query sketches.
+	// alone, so that is all the query sketches.
 	return s.sketchPayload(req.TableName, req.Table, req.Column)
 }
 
@@ -790,29 +748,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cluster != nil && !req.LocalOnly {
-		resp, scan, serr, status := s.scatterSearch(r.Context(), q, &req)
-		if serr != nil {
-			if status == http.StatusServiceUnavailable {
-				w.Header().Set("Retry-After", "1")
-				s.writeErrorCode(w, status, ErrCodeClusterDegraded, serr)
-			} else {
-				s.writeError(w, status, serr)
-			}
-			return
-		}
-		s.searches.Add(1)
-		s.observeSearch(r.Context(), start, &req, q.K, len(resp.Results), scan)
-		if resp.NodesFailed > 0 {
-			w.Header().Set(HeaderPartialResults, "true")
-		}
-		s.writeJSON(w, resp)
-		return
-	}
-	hits, scan, err := s.searchLocal(q)
+	results, scan, err := s.cat.Search(q)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	hits := make([]SearchHit, len(results))
+	for i, res := range results {
+		hits[i] = hitFromResult(res)
 	}
 	s.searches.Add(1)
 	s.observeSearch(r.Context(), start, &req, q.K, len(hits), scan)
@@ -986,8 +929,5 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	bi := BuildInfo()
 	resp.Build = &bi
-	if s.cluster != nil {
-		resp.Cluster = s.cluster.stats()
-	}
 	s.writeJSON(w, resp)
 }

@@ -237,9 +237,8 @@ func TestServiceSearchMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestServiceSearchRejectsNegativeK: an explicit negative k is a 400 — on
-// the plain path and on a coordinator's local_only sub-query alike — while
-// an omitted k still returns the full ranking.
+// TestServiceSearchRejectsNegativeK: an explicit negative k is a 400,
+// while an omitted k still returns the full ranking.
 func TestServiceSearchRejectsNegativeK(t *testing.T) {
 	ctx := context.Background()
 	_, cl := newTestServer(t, service.Config{})
@@ -249,22 +248,20 @@ func TestServiceSearchRejectsNegativeK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, localOnly := range []bool{false, true} {
-		k := -7
-		req := service.SearchRequest{Table: &query, Column: "v", RankBy: "join_size", K: &k, LocalOnly: localOnly}
-		_, err := cl.Search(ctx, req)
-		var ce *client.Error
-		if !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
-			t.Fatalf("local_only=%v k=-7: err = %v, want a 400", localOnly, err)
-		}
-		req.K = nil
-		got, err := cl.Search(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(lake) {
-			t.Fatalf("local_only=%v omitted k: %d results, want all %d", localOnly, len(got), len(lake))
-		}
+	k := -7
+	req := service.SearchRequest{Table: &query, Column: "v", RankBy: "join_size", K: &k}
+	_, err := cl.Search(ctx, req)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != http.StatusBadRequest {
+		t.Fatalf("k=-7: err = %v, want a 400", err)
+	}
+	req.K = nil
+	got, err := cl.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(lake) {
+		t.Fatalf("omitted k: %d results, want all %d", len(got), len(lake))
 	}
 }
 
@@ -752,5 +749,25 @@ func TestServiceMergeEndpoint(t *testing.T) {
 	}
 	if _, err := cl.MergeSketch(ctx, "t", badSk); err == nil {
 		t.Fatal("incompatible partial accepted")
+	}
+}
+
+// TestServiceBuildInfo: /healthz and /statsz carry the build block.
+func TestServiceBuildInfo(t *testing.T) {
+	ctx := context.Background()
+	_, cl := newTestServer(t, service.Config{})
+	h, err := cl.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Build == nil || h.Build.Version == "" {
+		t.Fatalf("healthz build block %+v", h.Build)
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Build == nil || st.Build.Version != h.Build.Version {
+		t.Fatalf("statsz build block %+v, healthz %+v", st.Build, h.Build)
 	}
 }

@@ -14,7 +14,7 @@ import (
 var Version = "dev"
 
 // VersionInfo describes the running build, surfaced on /healthz and
-// /statsz so a mixed-version cluster is diagnosable node by node.
+// /statsz so a running daemon says which build it is.
 type VersionInfo struct {
 	Version   string `json:"version"`
 	GoVersion string `json:"go_version,omitempty"`
