@@ -146,7 +146,13 @@ type backend struct {
 // the decoded per-candidate scorer, bit-identically. The one
 // implementation is *packFamily (columnar.go).
 type columnarScorer interface {
-	newPack() columnarPack
+	// pack packs one index snapshot: keys holds each table's key-sketch
+	// payload, vals and sqs every table's value and squared-value
+	// payloads in table order and, within a table, sorted column order.
+	// The first key pins the construction parameters; nil means a
+	// payload the pinned parameters cannot score, and the index gets no
+	// view.
+	pack(keys, vals, sqs []payload) columnarPack
 	// prepareQuery gathers one query bundle (key, value, squared-value
 	// payloads of the query column) once per search, independent of any
 	// pack, so a search over many index snapshots prepares its query once.
@@ -158,15 +164,9 @@ type columnarScorer interface {
 // that prepared it look inside.
 type columnarQuery any
 
-// columnarPack accumulates table-sketch bundles of one family into flat
-// arrays at index build time. The first accepted payload pins the
-// construction parameters; addTable rejects any bundle that the pinned
-// parameters cannot score, and an index holding one gets no view.
+// columnarPack is one index snapshot's bundles of one family packed into
+// flat arrays at index build time; it is read-only once built.
 type columnarPack interface {
-	// addTable appends one table's key-sketch payload plus the per-column
-	// value and squared-value payloads (parallel slices), reporting
-	// whether the bundle was packed.
-	addTable(key payload, vals, sqs []payload) bool
 	// accepts reports whether q can be scored against the packed
 	// parameters. When it cannot, the whole scan of this pack's index
 	// falls back to the decoded scorer. It allocates nothing.

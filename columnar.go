@@ -3,7 +3,7 @@ package ipsketch
 import "repro/internal/sample"
 
 // This file is the structure-of-arrays scan path of SketchIndex: at build
-// time every entry's sketch bundle is appended to one family-specific
+// time every entry's sketch bundle is copied into one family-specific
 // columnar pack (three internal/sample layouts: flat tag/value arrays plus
 // one aux word per sketch), and at search time the query bundle streams
 // those arrays with zero per-candidate decoding, map lookups, or interface
@@ -124,47 +124,55 @@ type columnarView struct {
 // All or nothing loses no packed search: every packed family's Compatible
 // is field equality, hence transitive, so an entry the pack rejects is
 // incompatible with any query the pack accepts — the decoded scorer fails
-// on it and the search returns that error, view or no view.
+// on it and the search returns that error, view or no view. One walk over
+// the entries checks their shape and collects the key, value and
+// squared-value payloads; the family's pack then sizes each of its arrays
+// once, from those payloads, so a publish allocates the pack at its final
+// size instead of growing it.
 func buildColumnarView(entries []*TableSketch) *columnarView {
-	var v *columnarView
-	var vals, sqs []payload
+	var (
+		packs     columnarScorer
+		method    Method
+		keySpace  uint64
+		keys      = make([]payload, 0, len(entries))
+		vals, sqs []payload
+		colOff    = make([]int, 1, len(entries)+1)
+	)
 	for _, e := range entries {
 		if e == nil || e.key == nil || e.key.payload == nil {
 			return nil
 		}
-		if v == nil {
+		if packs == nil {
 			be, err := backendFor(e.key.method)
 			if err != nil || be.packs == nil {
 				return nil
 			}
-			v = &columnarView{
-				method:   e.key.method,
-				keySpace: e.keySpace,
-				pk:       be.packs.newPack(),
-				colOff:   make([]int, 1, len(entries)+1),
-			}
+			packs, method, keySpace = be.packs, e.key.method, e.keySpace
 		}
-		if e.key.method != v.method || e.keySpace != v.keySpace {
+		if e.key.method != method || e.keySpace != keySpace {
 			return nil
 		}
-		cols := e.Columns()
-		vals, sqs = vals[:0], sqs[:0]
-		for _, c := range cols {
+		keys = append(keys, e.key.payload)
+		for _, c := range e.Columns() {
 			vsk, ssk := e.val[c], e.sqVal[c]
 			if vsk == nil || ssk == nil ||
-				vsk.method != v.method || ssk.method != v.method ||
+				vsk.method != method || ssk.method != method ||
 				vsk.payload == nil || ssk.payload == nil {
 				return nil
 			}
 			vals = append(vals, vsk.payload)
 			sqs = append(sqs, ssk.payload)
 		}
-		if !v.pk.addTable(e.key.payload, vals, sqs) {
-			return nil
-		}
-		v.colOff = append(v.colOff, v.colOff[len(v.colOff)-1]+len(cols))
+		colOff = append(colOff, len(vals))
 	}
-	return v
+	if packs == nil {
+		return nil
+	}
+	pk := packs.pack(keys, vals, sqs)
+	if pk == nil {
+		return nil
+	}
+	return &columnarView{method: method, keySpace: keySpace, pk: pk, colOff: colOff}
 }
 
 // prepareColumnarQuery gathers the query column's bundle for the packed
@@ -224,15 +232,12 @@ type packFamily[S sampled[T], T sample.Tag] struct {
 type pack[S sampled[T], T sample.Tag] struct {
 	fam             *packFamily[S, T]
 	ref             S
-	pinned          bool
 	keys, vals, sqs sample.Cols[T]
 }
 
 // packQuery is a family's query bundle: the key, value and squared-value
 // sketches the kernels take.
 type packQuery[S any] [3]S
-
-func (f *packFamily[S, T]) newPack() columnarPack { return &pack[S, T]{fam: f} }
 
 func (f *packFamily[S, T]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
 	pq := new(packQuery[S])
@@ -246,42 +251,40 @@ func (f *packFamily[S, T]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
 	return pq
 }
 
-// member reports whether p is a sketch of the family that ref can be
-// scored against.
-func (f *packFamily[S, T]) member(ref S, p payload) bool {
-	s, ok := p.(S)
-	return ok && f.compatible(ref, s) == nil
-}
-
-func (p *pack[S, T]) addTable(key payload, vals, sqs []payload) bool {
-	k, ok := key.(S)
+// pack checks every payload against the first key sketch and counts the
+// pairs of each of the three packs, then sizes each sample.Cols exactly
+// and copies the samples in: the same bytes, in the same order, as
+// appending them one by one, in one allocation per array.
+func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
+	ref, ok := keys[0].(S)
 	if !ok {
-		return false
+		return nil
 	}
-	ref := p.ref
-	if !p.pinned {
-		ref = k
-	}
-	if p.fam.compatible(ref, k) != nil {
-		return false
-	}
-	for i := range vals {
-		if !p.fam.member(ref, vals[i]) || !p.fam.member(ref, sqs[i]) {
-			return false
+	src := [3][]payload{keys, vals, sqs}
+	var pairs [3]int
+	for i, ps := range src {
+		for _, p := range ps {
+			s, ok := p.(S)
+			if !ok || f.compatible(ref, s) != nil {
+				return nil
+			}
+			tags, _, _ := s.Sample()
+			pairs[i] += len(tags)
 		}
 	}
-	p.ref, p.pinned = ref, true
-	p.keys.Append(k.Sample())
-	for i := range vals {
-		p.vals.Append(vals[i].(S).Sample())
-		p.sqs.Append(sqs[i].(S).Sample())
+	pk := &pack[S, T]{fam: f, ref: ref}
+	for i, c := range [3]*sample.Cols[T]{&pk.keys, &pk.vals, &pk.sqs} {
+		*c = sample.MakeCols[T](len(src[i]), pairs[i])
+		for _, p := range src[i] {
+			c.Append(p.(S).Sample())
+		}
 	}
-	return true
+	return pk
 }
 
 func (p *pack[S, T]) accepts(q columnarQuery) bool {
 	pq, ok := q.(*packQuery[S])
-	if !ok || !p.pinned {
+	if !ok {
 		return false
 	}
 	for _, s := range pq {

@@ -3,9 +3,16 @@ package ipsketch
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/hashing"
+	"repro/internal/kmv"
+	"repro/internal/minhash"
+	"repro/internal/psample"
+	"repro/internal/sample"
+	"repro/internal/wmh"
 )
 
 // columnarFamilies lists every family the columnar kernel packs.
@@ -610,6 +617,112 @@ func TestColumnarViewInvalidation(t *testing.T) {
 	for i := range got {
 		if !resultsIdentical(got[i], want[i]) {
 			t.Fatalf("result %d differs after rebuild", i)
+		}
+	}
+}
+
+// TestColumnarPackExactSize: a build sizes every array of the view once,
+// at its final length — each of the three sample.Cols and colOff end at
+// their last element, so no Append reallocated — and packs the same
+// samples, in the same order, as appending the sketches one by one. The
+// fixture mixes tables with zero, one and two columns, an empty table
+// (empty key, value and squared-value sketches) and an all-zero column.
+func TestColumnarPackExactSize(t *testing.T) {
+	rows := func(n int, f func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	keys := []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
+	ramp := rows(len(keys), func(i int) float64 { return float64(i) - 4.5 })
+	tables := []struct {
+		name string
+		keys []uint64
+		cols map[string][]float64
+	}{
+		{"a-bare", keys, nil},
+		{"b-empty", nil, map[string][]float64{"v": nil}},
+		{"c-one", keys, map[string][]float64{"v": ramp}},
+		{"d-zero", keys, map[string][]float64{"v": ramp, "w": make([]float64, len(keys))}},
+		{"e-two", keys[2:], map[string][]float64{"v": ramp[2:], "w": rows(len(keys)-2, func(i int) float64 { return float64(i * i) })}},
+	}
+	for _, fam := range columnarFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			ts, err := NewTableSketcher(fam.cfg, 1<<18)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := NewSketchIndex()
+			for _, tb := range tables {
+				tab, err := NewTable(tb.name, tb.keys, tb.cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sk, err := ts.SketchTable(tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Add(sk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ix.BuildColumnar(); got != ix.Len() {
+				t.Fatalf("packed %d of %d entries", got, ix.Len())
+			}
+			if c := ix.view.colOff; cap(c) != len(c) {
+				t.Errorf("colOff: capacity %d, length %d", cap(c), len(c))
+			}
+			switch pk := ix.view.pk.(type) {
+			case *pack[*minhash.Sketch, uint64]:
+				checkPackExact(t, pk, ix.entries)
+			case *pack[*wmh.Sketch, float64]:
+				checkPackExact(t, pk, ix.entries)
+			case *pack[*kmv.Sketch, uint64]:
+				checkPackExact(t, pk, ix.entries)
+			case *pack[*psample.Sketch, uint64]:
+				checkPackExact(t, pk, ix.entries)
+			default:
+				t.Fatalf("no check for pack type %T", pk)
+			}
+		})
+	}
+}
+
+// checkPackExact checks each of p's three sample.Cols against entries:
+// every slice of it has capacity equal to its length, it holds one slot
+// per sketch, and slot i is sketch i's sample and aux word.
+func checkPackExact[S sampled[T], T sample.Tag](t *testing.T, p *pack[S, T], entries []*TableSketch) {
+	t.Helper()
+	var keys, vals, sqs []S
+	for _, e := range entries {
+		keys = append(keys, e.key.payload.(S))
+		for _, c := range e.Columns() {
+			vals = append(vals, e.val[c].payload.(S))
+			sqs = append(sqs, e.sqVal[c].payload.(S))
+		}
+	}
+	for _, pc := range []struct {
+		name string
+		cols *sample.Cols[T]
+		src  []S
+	}{{"keys", &p.keys, keys}, {"vals", &p.vals, vals}, {"sqs", &p.sqs, sqs}} {
+		rv := reflect.ValueOf(pc.cols).Elem()
+		for f := range rv.NumField() {
+			if fv := rv.Field(f); fv.Cap() != fv.Len() {
+				t.Errorf("%s.%s: capacity %d, length %d", pc.name, rv.Type().Field(f).Name, fv.Cap(), fv.Len())
+			}
+		}
+		if n := rv.FieldByName("aux").Len(); n != len(pc.src) {
+			t.Fatalf("%s: %d slots, want %d", pc.name, n, len(pc.src))
+		}
+		for i, s := range pc.src {
+			tags, vals, aux := pc.cols.At(i)
+			wantTags, wantVals, wantAux := s.Sample()
+			if !slices.Equal(tags, wantTags) || !slices.Equal(vals, wantVals) || math.Float64bits(aux) != math.Float64bits(wantAux) {
+				t.Errorf("%s slot %d: packed sample differs from the sketch's", pc.name, i)
+			}
 		}
 	}
 }

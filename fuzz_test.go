@@ -44,6 +44,11 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	for _, b := range supportBlobs(f) {
 		f.Add(b.data)
 	}
+	// Linear payloads whose header count exceeds any allocation, with an
+	// empty list: they must reject without sizing anything from it.
+	for _, b := range linearCountBlobs() {
+		f.Add(b.data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 0})
 	f.Add([]byte{'I', 'P', 'S', 'K', 1, 200, 1, 2, 3})

@@ -7,32 +7,60 @@ import (
 	"testing"
 
 	ipsketch "repro"
+	"repro/internal/hashing"
 )
 
-// benchCatalog pre-loads a catalog and returns sketches to churn through
-// Put (the steady-state ingest path: replacements against a populated
-// catalog, so the per-Put shard rebuild cost is realistic).
-func benchCatalog(b *testing.B, tables int) (*Catalog, []*ipsketch.TableSketch) {
+// The served shape: the bench corpus of search_sketch and ingest_mixed
+// (1000 tables of two value columns, WMH at 400 words, built by the dart
+// construction) over DefaultShards shards, so a Put rebuilds a shard of
+// about 62 tables, as a sketchd write does.
+const (
+	servedTables = 1000
+	servedRows   = 1000
+)
+
+// servedSketches sketches servedTables tables of servedRows rows and two
+// value columns, "v" and "w", with overlapping keys.
+func servedSketches(b *testing.B) []*ipsketch.TableSketch {
 	b.Helper()
-	_, sks := fixtureSketches(b, tables)
-	c := New(Options{Shards: DefaultShards})
-	for _, sk := range sks {
-		if err := c.Put(sk); err != nil {
+	ts, err := ipsketch.NewTableSketcher(
+		ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 7}, fixtureKeySpace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := hashing.NewSplitMix64(99)
+	sks := make([]*ipsketch.TableSketch, servedTables)
+	for j := range sks {
+		keys := make([]uint64, servedRows)
+		v := make([]float64, servedRows)
+		w := make([]float64, servedRows)
+		for i := range keys {
+			keys[i] = uint64(i*(j%5+1) + j) // strictly increasing for fixed j
+			v[i], w[i] = rng.Norm(), rng.Norm()
+		}
+		tab, err := ipsketch.NewTable(fmt.Sprintf("t%04d", j), keys, map[string][]float64{"v": v, "w": w})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sks[j], err = ts.SketchTable(tab); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return c, sks
+	return sks
 }
 
-// vectorsPerTable is the sketch-bundle fan-out of the fixture tables: the
-// key-indicator vector plus value and squared-value vectors for the one
-// column.
-const vectorsPerTable = 3
+// vectorsPerTable is the sketch-bundle fan-out of the served tables: the
+// key-indicator vector plus value and squared-value vectors for each of
+// the two columns.
+const vectorsPerTable = 5
 
-// BenchmarkCatalogIngest measures catalog Put throughput (the serving
-// layer's ingest hot path once sketches are built) at one core and at
-// every core, reporting vectors/s under the bundle accounting.
+// BenchmarkCatalogIngest measures catalog Put at the served shape (the
+// serving layer's ingest hot path once sketches are built: replacements
+// against a populated catalog, each rebuilding its shard's published
+// index) at one core and at every core, reporting vectors/s under the
+// bundle accounting and the bytes each Put allocates.
 func BenchmarkCatalogIngest(b *testing.B) {
+	sks := servedSketches(b)
 	configs := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		configs = append(configs, n)
@@ -41,8 +69,14 @@ func BenchmarkCatalogIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			c, sks := benchCatalog(b, 256)
+			c := New(Options{Shards: DefaultShards})
+			for _, sk := range sks {
+				if err := c.Put(sk); err != nil {
+					b.Fatal(err)
+				}
+			}
 			var next atomic.Uint64
+			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {

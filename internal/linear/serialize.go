@@ -31,13 +31,8 @@ func (s *JLSketch) UnmarshalBinary(data []byte) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if len(rows) != int(m) {
-		// An all-zero projection encodes as nil; rebuild it.
-		if rows == nil {
-			rows = make([]float64, m)
-		} else {
-			return fmt.Errorf("linear: JL sketch has %d rows, want %d", len(rows), m)
-		}
+	if uint64(len(rows)) != m {
+		return fmt.Errorf("linear: JL sketch has %d rows, want %d", len(rows), m)
 	}
 	*s = JLSketch{params: p, dim: dim, rows: rows}
 	return nil
@@ -74,12 +69,10 @@ func (s *CSSketch) UnmarshalBinary(data []byte) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	want := int(buckets) * int(reps)
-	if flat == nil {
-		flat = make([]float64, want)
-	}
-	if len(flat) != want {
-		return fmt.Errorf("linear: CountSketch has %d counters, want %d", len(flat), want)
+	// Validate keeps both counts in [1, MaxInt]; the division refuses a
+	// product that would overflow int.
+	if buckets > math.MaxInt/reps || uint64(len(flat)) != buckets*reps {
+		return fmt.Errorf("linear: CountSketch has %d counters, want %d×%d", len(flat), reps, buckets)
 	}
 	rows := make([][]float64, reps)
 	for i := range rows {
@@ -121,11 +114,7 @@ func (s *SimHashSketch) UnmarshalBinary(data []byte) error {
 	if math.IsNaN(norm) || math.IsInf(norm, 0) || norm < 0 {
 		return fmt.Errorf("linear: invalid SimHash norm %v", norm)
 	}
-	wantWords := (int(bits) + 63) / 64
-	if words == nil {
-		words = make([]uint64, wantWords)
-	}
-	if len(words) != wantWords {
+	if wantWords := bits/64 + min(bits%64, 1); uint64(len(words)) != wantWords {
 		return fmt.Errorf("linear: SimHash has %d words, want %d", len(words), wantWords)
 	}
 	*s = SimHashSketch{params: p, dim: dim, norm: norm, empty: empty, words: words}

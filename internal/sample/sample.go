@@ -21,7 +21,7 @@ type Tag interface{ uint64 | float64 }
 // candidate. Packed sketch t's pairs occupy [off[t], off[t+1]) of tags
 // and vals, in its family's stored order, and aux[t] is its family's
 // per-sketch word (0 where the family has none). An empty sketch is an
-// empty slot. The zero value is an empty pack.
+// empty slot. MakeCols makes an empty pack; Append fills it.
 type Cols[T Tag] struct {
 	off  []int
 	tags []T
@@ -29,11 +29,20 @@ type Cols[T Tag] struct {
 	aux  []float64
 }
 
+// MakeCols returns an empty pack sized for exactly sketches samples
+// holding pairs pairs in total: Appending them never reallocates, and the
+// filled pack's arrays end at their last element.
+func MakeCols[T Tag](sketches, pairs int) Cols[T] {
+	return Cols[T]{
+		off:  make([]int, 1, sketches+1),
+		tags: make([]T, 0, pairs),
+		vals: make([]float64, 0, pairs),
+		aux:  make([]float64, 0, sketches),
+	}
+}
+
 // Append packs one sketch's pairs (len(tags) == len(vals)) and aux word.
 func (c *Cols[T]) Append(tags []T, vals []float64, aux float64) {
-	if c.off == nil {
-		c.off = []int{0}
-	}
 	c.tags = append(c.tags, tags...)
 	c.vals = append(c.vals, vals...)
 	c.off = append(c.off, len(c.tags))

@@ -7,7 +7,7 @@ import (
 )
 
 func TestColsSlotsAndAux(t *testing.T) {
-	var c Cols[uint64] // the zero value is an empty pack
+	c := MakeCols[uint64](3, 3)
 	c.Append([]uint64{9, 4}, []float64{0.5, -1}, 2)
 	c.Append(nil, nil, 0) // an empty sketch
 	c.Append([]uint64{7}, []float64{3}, math.Inf(1))

@@ -262,6 +262,58 @@ func TestUnmarshalRejectsImpossibleSupport(t *testing.T) {
 	}
 }
 
+// linearCountBlobs builds linear-method envelopes whose header asks for
+// more counters, rows or words than Go can allocate, with an empty list
+// behind it: a CountSketch of 2⁶² buckets × 4 repetitions (a product
+// that overflows int to 0), a JL sketch of 2⁶¹ rows and a SimHash sketch
+// of 2⁶² bits. A decoder that sized the list from the header alone would
+// panic on each instead of refusing it.
+func linearCountBlobs() []corruptBlob {
+	envelope := func(m Method) *wire.Writer {
+		var w wire.Writer
+		w.Raw(serializedMagic[:])
+		w.Byte(serializedVersion)
+		w.Byte(byte(m))
+		return &w
+	}
+	cs := envelope(MethodCountSketch)
+	cs.U64(1 << 62) // buckets
+	cs.U64(4)       // reps
+	cs.U64(7)       // seed
+	cs.U64(1000)    // dim
+	cs.F64s(nil)
+	jl := envelope(MethodJL)
+	jl.U64(1 << 61) // M
+	jl.U64(7)
+	jl.U64(1000)
+	jl.F64s(nil)
+	sh := envelope(MethodSimHash)
+	sh.U64(1 << 62) // bits
+	sh.U64(7)
+	sh.U64(1000)
+	sh.F64(1)      // norm
+	sh.Bool(false) // empty
+	sh.U64s(nil)
+	return []corruptBlob{
+		{"CS/buckets=2^62,reps=4", cs.Bytes()},
+		{"JL/M=2^61", jl.Bytes()},
+		{"SimHash/bits=2^62", sh.Bytes()},
+	}
+}
+
+// TestUnmarshalRejectsLinearCountMismatch: a linear sketch whose counter,
+// row or word list is not exactly its header's count is refused with an
+// error — no list is rebuilt from the header, and no count overflows.
+func TestUnmarshalRejectsLinearCountMismatch(t *testing.T) {
+	for _, b := range linearCountBlobs() {
+		t.Run(b.name, func(t *testing.T) {
+			if _, err := UnmarshalSketch(b.data); err == nil {
+				t.Errorf("%d-byte payload decoded", len(b.data))
+			}
+		})
+	}
+}
+
 // marshalFixture encodes the sketch of a small fixed vector under cfg.
 func marshalFixture(tb testing.TB, cfg Config) []byte {
 	tb.Helper()

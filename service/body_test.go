@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	ipsketch "repro"
+	"repro/internal/wire"
 	"repro/service"
 )
 
@@ -246,5 +247,38 @@ func TestServiceNonFiniteBundle400(t *testing.T) {
 	}
 	if status, msg := send(t, "PUT", hs.URL+"/tables/t", octet, data); status != http.StatusOK {
 		t.Fatalf("clean bundle: %d %q", status, msg)
+	}
+}
+
+// TestServiceHugeLinearCount400: an octet-stream bundle whose key sketch
+// is a JL header of 2⁶¹ rows with no rows behind it is a 400 on a
+// WMH-serving daemon — the decoder refuses the count before the pin check
+// runs, and sizes nothing from it — and nothing is cataloged.
+func TestServiceHugeLinearCount400(t *testing.T) {
+	srv, _ := newTestServer(t, service.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	var key wire.Writer // the sketch envelope: magic, version, method
+	key.Raw([]byte("IPSK"))
+	key.Byte(1)
+	key.Byte(byte(ipsketch.MethodJL))
+	key.U64(1 << 61) // M
+	key.U64(7)       // seed
+	key.U64(testKeySpace)
+	key.F64s(nil)
+	var w wire.Writer // the table bundle, with no value columns
+	w.Raw([]byte("IPST"))
+	w.Byte(1)
+	w.Str32("t")
+	w.U64(testKeySpace)
+	w.U32(uint32(len(key.Bytes())))
+	w.Raw(key.Bytes())
+	w.U32(0)
+	if status, msg := send(t, "PUT", hs.URL+"/tables/t", "application/octet-stream", w.Bytes()); status != http.StatusBadRequest {
+		t.Errorf("PUT of a JL header of 2^61 rows: %d %q, want 400", status, msg)
+	}
+	if n := srv.Catalog().Len(); n != 0 {
+		t.Fatalf("the bundle cataloged %d tables", n)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	ipsketch "repro"
-	"repro/internal/httpretry"
 	"repro/service"
 )
 
@@ -144,10 +143,10 @@ func WithAttemptTimeout(d time.Duration) Option {
 func WithRetry(maxAttempts int, base time.Duration) Option {
 	return func(c *Client) {
 		if maxAttempts >= 1 {
-			c.retry.MaxAttempts = maxAttempts
+			c.retry.maxAttempts = maxAttempts
 		}
 		if base > 0 {
-			c.retry.Base = base
+			c.retry.base = base
 		}
 	}
 }
@@ -158,7 +157,7 @@ type Client struct {
 	hc          *http.Client
 	callTimeout time.Duration
 	// retry is the attempt budget and backoff schedule.
-	retry *httpretry.Policy
+	retry *retryPolicy
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -178,7 +177,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		base:        strings.TrimRight(u.String(), "/"),
 		hc:          &http.Client{Timeout: DefaultAttemptTimeout},
 		callTimeout: DefaultTimeout,
-		retry:       httpretry.NewPolicy(DefaultMaxAttempts, DefaultBackoffBase, DefaultBackoffCap),
+		retry:       newRetryPolicy(DefaultMaxAttempts, DefaultBackoffBase, DefaultBackoffCap),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -227,14 +226,14 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		defer cancel()
 	}
 	op := method + " " + path
-	attempts := c.retry.MaxAttempts
+	attempts := c.retry.maxAttempts
 	if !idempotent {
 		attempts = 1
 	}
 	requestID := newRequestID()
 	var last *Error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && c.retry.Sleep(ctx, attempt-1, last.retryAfter) != nil {
+		if attempt > 0 && c.retry.sleep(ctx, attempt-1, last.retryAfter) != nil {
 			last.Attempts = attempt
 			return last
 		}
@@ -280,13 +279,13 @@ func (c *Client) attemptID(ctx context.Context, method, path, contentType string
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &Error{Err: err, Retryable: httpretry.RetryableTransport(err), RequestID: requestID}
+		return &Error{Err: err, Retryable: retryableTransport(err), RequestID: requestID}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		e := &Error{
 			Status:           resp.StatusCode,
-			Retryable:        httpretry.RetryableStatus(resp.StatusCode),
+			Retryable:        retryableStatus(resp.StatusCode),
 			retryAfter:       resp.Header.Get("Retry-After"),
 			RequestID:        resp.Header.Get(service.HeaderRequestID),
 			IdempotentReplay: resp.Header.Get(service.HeaderIdempotentReplay) == "true",
@@ -486,7 +485,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 		if !IsRetryable(err) {
 			return err
 		}
-		if c.retry.Sleep(ctx, min(i, 4), "") != nil {
+		if c.retry.sleep(ctx, min(i, 4), "") != nil {
 			return fmt.Errorf("client: daemon not ready: %w (last: %v)", ctx.Err(), err)
 		}
 	}

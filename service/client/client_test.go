@@ -288,27 +288,6 @@ func TestWaitReady(t *testing.T) {
 	}
 }
 
-// TestBackoffBounds: backoff grows, stays under the cap, and respects a
-// sane Retry-After floor.
-func TestBackoffBounds(t *testing.T) {
-	cl, err := New("http://localhost:1", WithRetry(10, 10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 20; n++ {
-		d := cl.retry.Backoff(n, "")
-		if d <= 0 || d > cl.retry.Cap {
-			t.Fatalf("backoff(%d) = %v outside (0, %v]", n, d, cl.retry.Cap)
-		}
-	}
-	if d := cl.retry.Backoff(0, "1"); d < time.Second {
-		t.Fatalf("Retry-After floor ignored: %v", d)
-	}
-	if d := cl.retry.Backoff(0, "3600"); d > 10*time.Second {
-		t.Fatalf("hostile Retry-After honored: %v", d)
-	}
-}
-
 // TestNewIdempotencyKeyUnique: keys are fresh and well-formed.
 func TestNewIdempotencyKeyUnique(t *testing.T) {
 	seen := map[string]bool{}

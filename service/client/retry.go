@@ -1,7 +1,4 @@
-// Package httpretry holds the sketchd client's retry discipline:
-// exponential backoff with full jitter honoring Retry-After, and the
-// classification of which failures are worth another attempt.
-package httpretry
+package client
 
 import (
 	"context"
@@ -14,19 +11,20 @@ import (
 	"time"
 )
 
-// Policy is a bounded retry budget: at most MaxAttempts requests,
-// exponential backoff from Base capped at Cap, full jitter drawn from a
-// per-policy xorshift stream. Safe for concurrent use.
-type Policy struct {
-	MaxAttempts int
-	Base, Cap   time.Duration
-	jitterSeed  atomic.Uint64
+// retryPolicy is the client's retry discipline, a bounded retry budget:
+// at most maxAttempts requests, exponential backoff from base capped at
+// ceiling, full jitter drawn from a per-policy xorshift stream. Safe for
+// concurrent use.
+type retryPolicy struct {
+	maxAttempts   int
+	base, ceiling time.Duration
+	jitterSeed    atomic.Uint64
 }
 
-// NewPolicy returns a policy seeded from the system entropy pool (a
+// newRetryPolicy returns a policy seeded from the system entropy pool (a
 // zero seed degrades to deterministic jitter, never a panic).
-func NewPolicy(maxAttempts int, base, cap time.Duration) *Policy {
-	p := &Policy{MaxAttempts: maxAttempts, Base: base, Cap: cap}
+func newRetryPolicy(maxAttempts int, base, ceiling time.Duration) *retryPolicy {
+	p := &retryPolicy{maxAttempts: maxAttempts, base: base, ceiling: ceiling}
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		p.jitterSeed.Store(binary.LittleEndian.Uint64(seed[:]))
@@ -34,13 +32,13 @@ func NewPolicy(maxAttempts int, base, cap time.Duration) *Policy {
 	return p
 }
 
-// Backoff returns the sleep before retry n (0-based: the wait between
+// backoff returns the sleep before retry n (0-based: the wait between
 // attempt n+1 and attempt n+2), exponential with full jitter, honoring a
 // server-provided Retry-After (seconds) as a floor when present.
-func (p *Policy) Backoff(n int, retryAfter string) time.Duration {
-	d := p.Base << uint(n)
-	if d > p.Cap || d <= 0 {
-		d = p.Cap
+func (p *retryPolicy) backoff(n int, retryAfter string) time.Duration {
+	d := p.base << uint(n)
+	if d > p.ceiling || d <= 0 {
+		d = p.ceiling
 	}
 	// xorshift on a per-policy seed: cheap, lock-free jitter.
 	for {
@@ -67,9 +65,9 @@ func (p *Policy) Backoff(n int, retryAfter string) time.Duration {
 	return d
 }
 
-// Sleep waits out Backoff(n, retryAfter) or returns ctx.Err() early.
-func (p *Policy) Sleep(ctx context.Context, n int, retryAfter string) error {
-	t := time.NewTimer(p.Backoff(n, retryAfter))
+// sleep waits out backoff(n, retryAfter) or returns ctx.Err() early.
+func (p *retryPolicy) sleep(ctx context.Context, n int, retryAfter string) error {
+	t := time.NewTimer(p.backoff(n, retryAfter))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -79,10 +77,10 @@ func (p *Policy) Sleep(ctx context.Context, n int, retryAfter string) error {
 	}
 }
 
-// RetryableTransport classifies a transport error. Connection failures
+// retryableTransport classifies a transport error. Connection failures
 // and timeouts are safe to retry; an explicit context cancellation is
 // not.
-func RetryableTransport(err error) bool {
+func retryableTransport(err error) bool {
 	if errors.Is(err, context.Canceled) {
 		return false
 	}
@@ -92,7 +90,7 @@ func RetryableTransport(err error) bool {
 	return true
 }
 
-// RetryableStatus classifies an HTTP status: 429 and every 5xx.
-func RetryableStatus(code int) bool {
+// retryableStatus classifies an HTTP status: 429 and every 5xx.
+func retryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code/100 == 5
 }
