@@ -8,16 +8,32 @@ import (
 	"time"
 )
 
-// TestBackoffBounds: the client's wait before retry n lies in [d/2, d]
-// for d = base·2ⁿ capped at the ceiling, and respects a sane Retry-After
-// floor.
+// TestBackoffBounds: the client's wait before a retry stays in
+// (0, ceiling] and respects a sane Retry-After floor.
 func TestBackoffBounds(t *testing.T) {
 	cl, err := New("http://localhost:1", WithRetry(10, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cl.retry
 	for n := 0; n < 20; n++ {
+		d := cl.retry.backoff(n, "")
+		if d <= 0 || d > cl.retry.ceiling {
+			t.Fatalf("backoff(%d) = %v outside (0, %v]", n, d, cl.retry.ceiling)
+		}
+	}
+	if d := cl.retry.backoff(0, "1"); d < time.Second {
+		t.Fatalf("Retry-After floor ignored: %v", d)
+	}
+	if d := cl.retry.backoff(0, "3600"); d > 10*time.Second {
+		t.Fatalf("hostile Retry-After honored: %v", d)
+	}
+}
+
+// TestPolicyBackoffBounds: the wait before retry n lies in [d/2, d] for
+// d = base·2ⁿ capped at the ceiling.
+func TestPolicyBackoffBounds(t *testing.T) {
+	p := newRetryPolicy(4, 100*time.Millisecond, 2*time.Second)
+	for n := 0; n < 10; n++ {
 		exp := p.base << uint(n)
 		if exp > p.ceiling || exp <= 0 {
 			exp = p.ceiling
@@ -27,12 +43,6 @@ func TestBackoffBounds(t *testing.T) {
 				t.Fatalf("backoff(%d) = %v outside [%v, %v]", n, d, exp/2, exp)
 			}
 		}
-	}
-	if d := p.backoff(0, "1"); d < time.Second {
-		t.Fatalf("Retry-After floor ignored: %v", d)
-	}
-	if d := p.backoff(0, "3600"); d > 10*time.Second {
-		t.Fatalf("hostile Retry-After honored: %v", d)
 	}
 }
 
