@@ -16,10 +16,10 @@ var errNilSketch = errors.New("ipsketch: nil sketch")
 // has, plus one optional field per capability that is nil when the method
 // lacks it — built by lifting the family package's typed API through the
 // generic adapters below. Every public entry point (construction,
-// estimation, batching, serialization, similarity) resolves the descriptor
-// and calls a field or tests one for nil, so adding a sketching method is
-// one internal package plus one descriptor, and no switch statement in the
-// public API grows a case.
+// estimation, batching, serialization, LSH signatures) resolves the
+// descriptor and calls a field or tests one for nil, so adding a sketching
+// method is one internal package plus one descriptor, and no switch
+// statement in the public API grows a case.
 
 // payload is the method-specific content of a Sketch. Concrete types live
 // in the internal sketch packages; the public Sketch wraps exactly one.
@@ -116,18 +116,12 @@ type backend struct {
 	// inner-product reduction (KMV's threshold estimator). It checks
 	// compatibility itself, as estimate does.
 	joinSize func(a, b payload) (float64, error)
-	// jaccard estimates a (possibly weighted) Jaccard similarity.
-	jaccard func(a, b payload) (float64, error)
 	// signature returns the samples as an LSH signature: entries of two
 	// signatures built under the same Config collide with probability
 	// equal to the (weighted) Jaccard similarity of the sketched vectors,
 	// making them bandable by internal/lsh. An empty sketch yields a nil
 	// signature — empty columns are unbandable, not wildcard matches.
 	signature func(p payload) ([]uint64, error)
-	// supportSize and unionSize estimate distinct counts from hashes
-	// that double as cardinality estimators.
-	supportSize func(p payload) (float64, error)
-	unionSize   func(a, b payload) (float64, error)
 	// withBound returns the estimate together with its own data-driven
 	// error scale, for sketches that carry enough information for one.
 	withBound func(a, b payload) (estimate, errScale float64, err error)
@@ -273,7 +267,7 @@ func check[T payload](f func(a, b T) error) func(a, b payload) error {
 	}
 }
 
-// unary lifts an infallible typed accessor (signatures, distinct counts).
+// unary lifts an infallible typed accessor (signatures).
 func unary[T payload, R any](f func(T) R) func(payload) (R, error) {
 	return func(p payload) (R, error) {
 		t, err := payloadAs[T](p)

@@ -8,7 +8,7 @@ import (
 
 // kmvBackend adapts internal/kmv — the K-Minimum-Values bottom-k sketch.
 // Its coordinated sample has a dedicated join-size estimator that ignores
-// values entirely, carried on top of similarity and cardinalities.
+// values entirely.
 var kmvBackend = &backend{
 	name: "KMV",
 	size: func(cfg Config) (int, error) {
@@ -32,24 +32,6 @@ var kmvBackend = &backend{
 	// The threshold estimate of |A∩B| from matched hashes alone, exact
 	// under full retention.
 	joinSize: pair(kmv.JoinSizeEstimate),
-	// The ratio of the threshold intersection and union estimates,
-	// clamped to [0, 1].
-	jaccard: pair(func(a, b *kmv.Sketch) (float64, error) {
-		inter, err := kmv.JoinSizeEstimate(a, b)
-		if err != nil {
-			return 0, err
-		}
-		union, err := kmv.UnionEstimate(a, b)
-		if err != nil {
-			return 0, err
-		}
-		if union <= 0 {
-			return 0, nil
-		}
-		return min(inter/union, 1), nil
-	}),
-	supportSize: unary((*kmv.Sketch).DistinctEstimate),
-	unionSize:   pair(kmv.UnionEstimate),
 	// KMV has a joinSize estimator, so the size slot carries the
 	// threshold |A∩B| estimate, not the inner-product reduction.
 	packs: &packFamily[*kmv.Sketch, uint64]{

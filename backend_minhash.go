@@ -7,8 +7,8 @@ import (
 )
 
 // mhBackend adapts internal/minhash — the paper's augmented unweighted
-// MinHash (Algorithms 1–2). Its stored hash minima double as cardinality
-// estimators, so it carries the similarity and cardinality capabilities.
+// MinHash (Algorithms 1–2). Its stored hash minima double as an LSH
+// signature.
 var mhBackend = &backend{
 	name: "MH",
 	size: func(cfg Config) (int, error) {
@@ -28,11 +28,6 @@ var mhBackend = &backend{
 	// Union-min over the index-keyed sample hashes — exact for disjoint
 	// supports, union semantics for shared indices.
 	merge: merged(minhash.Merge),
-	// The collision rate, an unbiased estimate of |A∩B|/|A∪B| (Fact 3).
-	jaccard: pair(minhash.JaccardEstimate),
-	// The Lemma 1 Flajolet–Martin estimator.
-	supportSize: unary((*minhash.Sketch).DistinctEstimate),
-	unionSize:   pair(minhash.UnionEstimate),
 	// The per-sample minima, whose entries collide across sketches with
 	// probability equal to the support Jaccard similarity. Empty sketches
 	// yield nil.

@@ -160,15 +160,48 @@ func TestEstimateRejectsDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestCapabilitySurfaces: optional estimators succeed exactly for the
-// backends advertising the capability and fail with a clear error for the
-// rest — including methods added after the dispatch sites were written.
+// TestCapabilitySurfaces: one row per optional descriptor field. Each row
+// names the methods that set the field, so adding or dropping a capability
+// in a descriptor fails here; where the field backs a public entry point,
+// the row also calls it, which must succeed exactly for those methods and
+// fail for the rest with an error that names the method.
 func TestCapabilitySurfaces(t *testing.T) {
 	a, b := paperPair(t, 0.3, 5)
-	hasSimilarity := map[Method]bool{MethodWMH: true, MethodMH: true, MethodKMV: true}
-	hasCardinality := map[Method]bool{MethodMH: true, MethodKMV: true}
-	hasBound := map[Method]bool{MethodWMH: true}
+	set := func(ms ...Method) map[Method]bool {
+		out := map[Method]bool{}
+		for _, m := range ms {
+			out[m] = true
+		}
+		return out
+	}
+	rows := []struct {
+		field string
+		set   func(be *backend) bool
+		want  map[Method]bool
+		// surface calls the public entry point the field serves (nil when
+		// every method has one, as EstimateJoinSize and SketchShards do).
+		surface func(sa, sb *Sketch) error
+	}{
+		{"merge", func(be *backend) bool { return be.merge != nil },
+			set(MethodWMH, MethodMH, MethodKMV, MethodJL, MethodCountSketch, MethodPS, MethodTS),
+			func(sa, _ *Sketch) error { _, err := sa.Merge(sa); return err }},
+		{"shards", func(be *backend) bool { return be.shards != nil }, set(MethodWMH), nil},
+		{"joinSize", func(be *backend) bool { return be.joinSize != nil }, set(MethodKMV), nil},
+		{"signature", func(be *backend) bool { return be.signature != nil },
+			set(MethodWMH, MethodMH),
+			func(sa, _ *Sketch) error { _, err := sa.LSHSignature(); return err }},
+		{"withBound", func(be *backend) bool { return be.withBound != nil },
+			set(MethodWMH),
+			func(sa, sb *Sketch) error { _, _, err := EstimateWithBound(sa, sb); return err }},
+		{"packs", func(be *backend) bool { return be.packs != nil },
+			set(MethodWMH, MethodMH, MethodKMV, MethodPS, MethodTS), nil},
+		{"quantize", func(be *backend) bool { return be.quantize }, set(MethodWMH), nil},
+	}
 	for _, m := range Methods() {
+		be, err := backendFor(m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		budget := 60
 		if m == MethodSimHash {
 			budget = 3
@@ -179,25 +212,21 @@ func TestCapabilitySurfaces(t *testing.T) {
 		}
 		sa, _ := s.Sketch(a)
 		sb, _ := s.Sketch(b)
-
-		_, err = EstimateJaccard(sa, sb)
-		if got := err == nil; got != hasSimilarity[m] {
-			t.Errorf("%v: EstimateJaccard error=%v, want capability %v", m, err, hasSimilarity[m])
-		}
-		_, err = EstimateSupportSize(sa)
-		if got := err == nil; got != hasCardinality[m] {
-			t.Errorf("%v: EstimateSupportSize error=%v, want capability %v", m, err, hasCardinality[m])
-		}
-		_, err = EstimateUnionSize(sa, sb)
-		if got := err == nil; got != hasCardinality[m] {
-			t.Errorf("%v: EstimateUnionSize error=%v, want capability %v", m, err, hasCardinality[m])
-		}
-		_, _, err = EstimateWithBound(sa, sb)
-		if got := err == nil; got != hasBound[m] {
-			t.Errorf("%v: EstimateWithBound error=%v, want capability %v", m, err, hasBound[m])
-		}
-		if err != nil && !hasBound[m] && !strings.Contains(err.Error(), "EstimateWithBound") {
-			t.Errorf("%v: unhelpful capability error %q", m, err)
+		for _, r := range rows {
+			want := r.want[m]
+			if got := r.set(be); got != want {
+				t.Errorf("%v: descriptor field %s set=%v, want %v", m, r.field, got, want)
+			}
+			if r.surface == nil {
+				continue
+			}
+			err := r.surface(sa, sb)
+			if got := err == nil; got != want {
+				t.Errorf("%v: %s entry point error=%v, want capability %v", m, r.field, err, want)
+			}
+			if err != nil && !strings.Contains(err.Error(), m.String()) {
+				t.Errorf("%v: %s capability error %q does not name the method", m, r.field, err)
+			}
 		}
 	}
 }

@@ -64,9 +64,6 @@ var wmhBackend = &backend{
 		}
 		return estimate, bound.PerSqrtM, nil
 	},
-	// The weighted Jaccard similarity Σmin(ã²,b̃²)/Σmax(ã²,b̃²) of the
-	// squared normalized vectors.
-	jaccard: pair(wmh.WeightedJaccardEstimate),
 	// The per-sample minima (float bits), whose entries collide across
 	// sketches with probability equal to the weighted Jaccard similarity.
 	// Empty sketches yield nil.

@@ -9,7 +9,7 @@ import (
 
 // This file is the batch surface of the sketching engine: catalog-scale
 // operations that fan work across a bounded worker pool (one contiguous
-// chunk per GOMAXPROCS worker, see hashing.ParallelChunks) and reuse
+// chunk per GOMAXPROCS worker, see hashing.ParallelWorkers) and reuse
 // per-worker builder scratch so the steady state allocates only the
 // returned sketches. Results are deterministic and identical to the
 // corresponding one-at-a-time calls: batching changes the schedule, never
@@ -138,48 +138,6 @@ func (s *Sketcher) SketchShards(v Vector, n int) ([]*Sketch, error) {
 	for w, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("ipsketch: sketching shard %d: %w", w, err)
-		}
-	}
-	return out, nil
-}
-
-// EstimateMany estimates the inner product of one query sketch against
-// every candidate, in parallel. out[i] == Estimate(q, cands[i]).
-func EstimateMany(q *Sketch, cands []*Sketch) ([]float64, error) {
-	if q == nil {
-		return nil, errors.New("ipsketch: nil query sketch")
-	}
-	out := make([]float64, len(cands))
-	errs := make([]error, len(cands))
-	hashing.ParallelChunks(len(cands), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = Estimate(q, cands[i])
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ipsketch: estimating candidate %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// EstimatePairs estimates the inner product of each aligned pair, in
-// parallel. out[i] == Estimate(as[i], bs[i]).
-func EstimatePairs(as, bs []*Sketch) ([]float64, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("ipsketch: pair count mismatch: %d vs %d", len(as), len(bs))
-	}
-	out := make([]float64, len(as))
-	errs := make([]error, len(as))
-	hashing.ParallelChunks(len(as), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = Estimate(as[i], bs[i])
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ipsketch: estimating pair %d: %w", i, err)
 		}
 	}
 	return out, nil

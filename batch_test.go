@@ -120,82 +120,26 @@ func mustMarshal(t *testing.T, sk *Sketch) []byte {
 	return data
 }
 
-// TestEstimateManyAndPairs: the parallel estimators must agree exactly
-// with one-at-a-time Estimate.
-func TestEstimateManyAndPairs(t *testing.T) {
-	vs := batchTestVectors(t, 17)
-	s, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sks, err := s.SketchAll(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := sks[0]
-	many, err := EstimateMany(q, sks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sk := range sks {
-		want, err := Estimate(q, sk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if many[i] != want {
-			t.Fatalf("EstimateMany[%d] = %v, want %v", i, many[i], want)
-		}
-	}
-	rev := make([]*Sketch, len(sks))
-	for i := range sks {
-		rev[i] = sks[len(sks)-1-i]
-	}
-	pairs, err := EstimatePairs(sks, rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sks {
-		want, err := Estimate(sks[i], rev[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pairs[i] != want {
-			t.Fatalf("EstimatePairs[%d] = %v, want %v", i, pairs[i], want)
-		}
-	}
-}
-
-// TestBatchErrors: batch APIs must surface the first error with its
-// position and reject shape mismatches.
+// TestBatchErrors: the batch surface rejects a non-positive shard count on
+// both of SketchShards' paths (WMH's family shards, and support slicing
+// for the other mergeable methods) before it dispatches, and an empty
+// batch sketches to an empty result.
 func TestBatchErrors(t *testing.T) {
-	vs := batchTestVectors(t, 5)
-	a, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSketcher(Config{Method: MethodMH, StorageWords: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := a.SketchAll(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := b.SketchAll(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EstimateMany(as[0], bs); err == nil {
-		t.Fatal("EstimateMany accepted mismatched methods")
-	}
-	if _, err := EstimateMany(nil, as); err == nil {
-		t.Fatal("EstimateMany accepted nil query")
-	}
-	if _, err := EstimatePairs(as, bs[:2]); err == nil {
-		t.Fatal("EstimatePairs accepted length mismatch")
-	}
-	if _, err := EstimatePairs(as, bs); err == nil {
-		t.Fatal("EstimatePairs accepted mismatched methods")
+	v := batchTestVectors(t, 1)[0]
+	for _, m := range []Method{MethodWMH, MethodMH} {
+		s, err := NewSketcher(Config{Method: m, StorageWords: 150, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, -1} {
+			if _, err := s.SketchShards(v, n); err == nil {
+				t.Errorf("%v: SketchShards accepted %d shards", m, n)
+			}
+		}
+		out, err := s.SketchAll(nil)
+		if err != nil || len(out) != 0 {
+			t.Errorf("%v: SketchAll(nil) = %d sketches, %v; want none and no error", m, len(out), err)
+		}
 	}
 }
 

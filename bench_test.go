@@ -272,26 +272,6 @@ func BenchmarkSketchMH_Batch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vs)), "ns/vec")
 }
 
-func BenchmarkEstimateMany_WMH(b *testing.B) {
-	vs := engineVectors(b, 32)
-	s, err := ipsketch.NewSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: engineStorage, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sks, err := s.SketchAll(vs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ipsketch.EstimateMany(sks[0], sks); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sks)), "ns/pair")
-}
-
 // benchCatalog builds a catalog of tables for search benchmarks.
 func benchCatalog(b *testing.B, tables int) (*ipsketch.TableSketch, *ipsketch.SketchIndex) {
 	b.Helper()

@@ -209,16 +209,6 @@ func (s *Sketch) SawAll() bool { return s.nnz <= s.params.K }
 // accounting (32-bit hash + 64-bit value per retained sample).
 func (s *Sketch) StorageWords() float64 { return 1.5 * float64(s.params.K) }
 
-// DistinctEstimate estimates the support size |A|: exact when the whole
-// support was retained, otherwise the Beyer et al. estimator (k−1)/u_(k).
-func (s *Sketch) DistinctEstimate() float64 {
-	if s.SawAll() {
-		return float64(len(s.hashes))
-	}
-	k := len(s.hashes)
-	return float64(k-1) / hashing.UnitFromBits(s.hashes[k-1])
-}
-
 // Compatible reports why two sketches cannot be compared, or nil.
 func Compatible(a, b *Sketch) error { return compatible(a, b) }
 
@@ -255,22 +245,6 @@ func JoinSizeEstimate(a, b *Sketch) (float64, error) {
 	}
 	_, matched, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
 	return float64(matched) / tau, nil
-}
-
-// UnionEstimate estimates |A∪B|: exact when both sketches retained their
-// supports, otherwise (k−1)/τ on the merged bottom-k.
-func UnionEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
-		return 0, err
-	}
-	if a.IsEmpty() && b.IsEmpty() {
-		return 0, nil
-	}
-	if a.SawAll() && b.SawAll() {
-		return float64(unionCount(a.hashes, b.hashes)), nil
-	}
-	_, _, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
-	return float64(a.params.K-1) / tau, nil
 }
 
 // threshold is the one threshold walk over two ascending bottom-k samples,
@@ -323,21 +297,4 @@ func threshold(k int, ah []uint64, av []float64, aAll bool, bh []uint64, bv []fl
 		}
 	}
 	return sum, matched, tau
-}
-
-func unionCount(x, y []uint64) int {
-	i, j, n := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i] < y[j]:
-			i++
-		case x[i] > y[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-		n++
-	}
-	return n + (len(x) - i) + (len(y) - j)
 }

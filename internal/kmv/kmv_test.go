@@ -17,6 +17,52 @@ func mustSketch(t *testing.T, v vector.Sparse, p Params) *Sketch {
 	return s
 }
 
+// The estimators below are test oracles of the bottom-k sampling law that
+// Estimate and JoinSizeEstimate divide by: the k-th smallest hash of the
+// union, τ, gives (k−1)/τ ≈ |A∪B|, and one sketch's own k-th hash its
+// support size. Both are exact when the supports were retained whole.
+
+// distinctEstimate estimates the support size |A|: exact when the whole
+// support was retained, otherwise the Beyer et al. estimator (k−1)/u_(k).
+func distinctEstimate(s *Sketch) float64 {
+	if s.SawAll() {
+		return float64(len(s.hashes))
+	}
+	k := len(s.hashes)
+	return float64(k-1) / hashing.UnitFromBits(s.hashes[k-1])
+}
+
+// unionEstimate estimates |A∪B|: exact when both sketches retained their
+// supports, otherwise (k−1)/τ on the merged bottom-k.
+func unionEstimate(a, b *Sketch) float64 {
+	if a.IsEmpty() && b.IsEmpty() {
+		return 0
+	}
+	if a.SawAll() && b.SawAll() {
+		return float64(unionCount(a.hashes, b.hashes))
+	}
+	_, _, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
+	return float64(a.params.K-1) / tau
+}
+
+// unionCount counts the distinct values of two ascending hash lists.
+func unionCount(x, y []uint64) int {
+	i, j, n := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			i++
+			j++
+		}
+		n++
+	}
+	return n + (len(x) - i) + (len(y) - j)
+}
+
 func rangeVec(lo, hi uint64, val func(uint64) float64) vector.Sparse {
 	m := map[uint64]float64{}
 	for i := lo; i < hi; i++ {
@@ -66,15 +112,15 @@ func TestSawAllSmallSupport(t *testing.T) {
 	if !s.SawAll() || len(s.hashes) != 5 {
 		t.Fatalf("small support not fully retained: %d hashes", len(s.hashes))
 	}
-	if s.DistinctEstimate() != 5 {
-		t.Fatalf("exact distinct estimate %v, want 5", s.DistinctEstimate())
+	if distinctEstimate(s) != 5 {
+		t.Fatalf("exact distinct estimate %v, want 5", distinctEstimate(s))
 	}
 }
 
 func TestDistinctEstimateConverges(t *testing.T) {
 	v := rangeVec(0, 5000, ones)
 	s := mustSketch(t, v, Params{K: 512, Seed: 3})
-	got := s.DistinctEstimate()
+	got := distinctEstimate(s)
 	if math.Abs(got-5000)/5000 > 0.15 {
 		t.Fatalf("distinct estimate %v, want ~5000", got)
 	}
@@ -101,11 +147,7 @@ func TestExactWhenBothSawAll(t *testing.T) {
 	if js != 15 {
 		t.Fatalf("exact join size %v, want 15", js)
 	}
-	u, err := UnionEstimate(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 45 {
+	if u := unionEstimate(sa, sb); u != 45 {
 		t.Fatalf("exact union %v, want 45", u)
 	}
 }
@@ -154,10 +196,7 @@ func TestUnionEstimateConverges(t *testing.T) {
 	a := rangeVec(0, 1000, ones)
 	b := rangeVec(500, 1500, ones)
 	p := Params{K: 512, Seed: 13}
-	u, err := UnionEstimate(mustSketch(t, a, p), mustSketch(t, b, p))
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := unionEstimate(mustSketch(t, a, p), mustSketch(t, b, p))
 	if math.Abs(u-1500)/1500 > 0.15 {
 		t.Fatalf("union estimate %v, want ~1500", u)
 	}
@@ -167,10 +206,7 @@ func TestUnionEstimateOneEmpty(t *testing.T) {
 	empty := vector.MustNew(100000, nil, nil)
 	b := rangeVec(0, 2000, ones)
 	p := Params{K: 256, Seed: 17}
-	u, err := UnionEstimate(mustSketch(t, empty, p), mustSketch(t, b, p))
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := unionEstimate(mustSketch(t, empty, p), mustSketch(t, b, p))
 	if math.Abs(u-2000)/2000 > 0.2 {
 		t.Fatalf("union with empty side %v, want ~2000", u)
 	}
@@ -200,7 +236,7 @@ func TestEmptyEstimatesZero(t *testing.T) {
 			t.Fatalf("join size with empty = %v", js)
 		}
 	}
-	if u, _ := UnionEstimate(se, se); u != 0 {
+	if u := unionEstimate(se, se); u != 0 {
 		t.Fatal("union of empties should be 0")
 	}
 }
@@ -233,9 +269,6 @@ func TestIncompatibleSketchesRejected(t *testing.T) {
 		}
 		if _, err := JoinSizeEstimate(a, other); err == nil {
 			t.Errorf("%s mismatch not rejected by JoinSizeEstimate", name)
-		}
-		if _, err := UnionEstimate(a, other); err == nil {
-			t.Errorf("%s mismatch not rejected by UnionEstimate", name)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestMergeDistinctEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := merged.DistinctEstimate()
+	got := distinctEstimate(merged)
 	want := float64(full.NNZ())
 	if got < 0.7*want || got > 1.3*want {
 		t.Fatalf("merged distinct estimate %v, want ~%v", got, want)
@@ -112,8 +112,8 @@ func TestMergeSmallSidesStayExact(t *testing.T) {
 	if merged.nnz != 3 {
 		t.Fatalf("merged nnz %d, want 3 (shared key counted once)", merged.nnz)
 	}
-	if merged.DistinctEstimate() != 3 {
-		t.Fatalf("distinct estimate %v, want exactly 3", merged.DistinctEstimate())
+	if distinctEstimate(merged) != 3 {
+		t.Fatalf("distinct estimate %v, want exactly 3", distinctEstimate(merged))
 	}
 }
 

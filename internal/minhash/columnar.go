@@ -22,7 +22,7 @@ func Scan(c *sample.Cols[uint64], qs []*Sketch, lo, hi int, out []float64, strid
 				out[o] = 0
 				continue
 			}
-			sumMin, sum, _ := collide(q.hashes, q.vals, ch, cv)
+			sumMin, sum := collide(q.hashes, q.vals, ch, cv)
 			out[o] = estimate(q.params.M, sumMin, sum)
 		}
 	}

@@ -55,7 +55,7 @@ func TestMergeSupportsDistinctCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := merged.DistinctEstimate()
+	got := distinctEstimate(merged)
 	want := float64(u.NNZ())
 	if got < want*0.8 || got > want*1.2 {
 		t.Fatalf("merged distinct estimate %v, want ~%v", got, want)

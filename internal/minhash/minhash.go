@@ -238,25 +238,24 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if a.empty || b.empty {
 		return 0, nil
 	}
-	sumMin, sum, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
+	sumMin, sum := collide(a.hashes, a.vals, b.hashes, b.vals)
 	return estimate(a.params.M, sumMin, sum), nil
 }
 
 // collide is Algorithm 2's one pass over two aligned sample arrays, shared
 // by the pairwise estimators and Scan: the Lemma 1 union accumulator
-// Σ_i unit(min(H_a[i], H_b[i])), the collision sum
-// Σ_i 1[H_a[i]=H_b[i]]·H_a^val[i]·H_b^val[i], and the collision count.
-func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum float64, matches int) {
+// Σ_i unit(min(H_a[i], H_b[i])) and the collision sum
+// Σ_i 1[H_a[i]=H_b[i]]·H_a^val[i]·H_b^val[i].
+func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum float64) {
 	bh, av, bv = bh[:len(ah)], av[:len(ah)], bv[:len(ah)]
 	for i, ha := range ah {
 		hb := bh[i]
 		sumMin += unit(min(ha, hb))
 		if ha == hb {
 			sum += av[i] * bv[i]
-			matches++
 		}
 	}
-	return sumMin, sum, matches
+	return sumMin, sum
 }
 
 // estimate finishes Algorithm 2 from collide's sums: line 1's union
@@ -264,45 +263,6 @@ func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum 
 func estimate(m int, sumMin, sum float64) float64 {
 	uTilde := float64(m)/sumMin - 1
 	return uTilde / float64(m) * sum
-}
-
-// JaccardEstimate returns the fraction of colliding samples, an unbiased
-// estimate of |A∩B| / |A∪B| (Fact 3, claim 1).
-func JaccardEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
-		return 0, err
-	}
-	if a.empty || b.empty {
-		return 0, nil
-	}
-	_, _, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
-	return float64(matches) / float64(len(a.hashes)), nil
-}
-
-// UnionEstimate returns the Lemma 1 estimator Ũ ≈ |A∪B|. An empty side
-// contributes no minima, so the union is the other side's own estimate.
-func UnionEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
-		return 0, err
-	}
-	switch {
-	case a.empty:
-		return b.DistinctEstimate(), nil
-	case b.empty:
-		return a.DistinctEstimate(), nil
-	}
-	sumMin, _, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
-	return float64(a.params.M)/sumMin - 1, nil
-}
-
-// DistinctEstimate returns the Lemma 1 estimator applied to a single
-// sketch: an estimate of the vector's support size |A|.
-func (s *Sketch) DistinctEstimate() float64 {
-	if s.empty {
-		return 0
-	}
-	sumMin, _, _ := collide(s.hashes, s.vals, s.hashes, s.vals)
-	return float64(s.params.M)/sumMin - 1
 }
 
 // unit maps a 64-bit hash value to the open interval (0, 1).

@@ -145,10 +145,19 @@ func (r *Reader) U32() uint32 {
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bool reads one byte as a bool; any non-zero byte is true.
+// Bool reads one byte as a bool. Only the bytes Writer.Bool writes, 0 and
+// 1, are accepted, so a decoded flag re-encodes to the byte it was read
+// from; any other byte is an error.
 func (r *Reader) Bool() bool {
 	b := r.take(1)
-	return b != nil && b[0] != 0
+	if b == nil {
+		return false
+	}
+	if b[0] > 1 {
+		r.err = fmt.Errorf("wire: bool byte %d is neither 0 nor 1", b[0])
+		return false
+	}
+	return b[0] == 1
 }
 
 // Byte reads one raw byte.

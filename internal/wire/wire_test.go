@@ -110,6 +110,22 @@ func TestTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestBoolIsCanonical: Bool accepts only the bytes Writer.Bool writes, so
+// an accepted flag re-encodes to the byte it was read from.
+func TestBoolIsCanonical(t *testing.T) {
+	for _, c := range []struct {
+		b    byte
+		want bool
+		ok   bool
+	}{{0, false, true}, {1, true, true}, {2, false, false}, {0xFF, false, false}} {
+		r := NewReader([]byte{c.b})
+		got := r.Bool()
+		if err := r.Close(); (err == nil) != c.ok || got != c.want {
+			t.Errorf("Bool(%#x) = %v, err %v; want %v, accepted %v", c.b, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func TestImplausibleSliceLength(t *testing.T) {
 	var w Writer
 	w.U64(1 << 40) // claimed length with no payload

@@ -323,31 +323,3 @@ func fmUnion(m int, l uint64, sumMin float64) float64 {
 func estimate(m int, mTilde, sum, normA, normB float64) float64 {
 	return normA * normB * (mTilde / float64(m) * sum)
 }
-
-// WeightedJaccardEstimate returns the fraction of colliding samples, an
-// unbiased estimate of the weighted Jaccard similarity
-// J̄ = Σmin(ã²,b̃²)/Σmax(ã²,b̃²) of the rounded normalized vectors (Fact 5
-// claim 1).
-func WeightedJaccardEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
-		return 0, err
-	}
-	if a.empty || b.empty {
-		return 0, nil
-	}
-	_, _, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
-	return float64(matches) / float64(len(a.hashes)), nil
-}
-
-// WeightedUnionEstimate returns M̃, the Algorithm 5 estimate of
-// Σ_j max(ã[j]², b̃[j]²) ∈ [1, 2].
-func WeightedUnionEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
-		return 0, err
-	}
-	if a.empty || b.empty {
-		return 0, nil
-	}
-	sumMin, _, _ := collide(a.hashes, a.vals, b.hashes, b.vals)
-	return fmUnion(len(a.hashes), a.l, sumMin), nil
-}

@@ -48,11 +48,10 @@
 //
 // Every method is one backend descriptor (backend.go): a struct of
 // function fields lifted from the method's internal package, with one
-// optional field per capability (merge, join size, Jaccard,
-// cardinalities, error bounds, LSH signatures, the columnar scan family)
-// that is nil when the method lacks it. Construction, estimation,
-// batching, serialization, and similarity all resolve the descriptor and
-// call or test its fields. Adding a method is one internal package plus
+// optional field per capability (merge, shards, join size, error bounds,
+// LSH signatures, the columnar scan family) that is nil when the method
+// lacks it. Construction, estimation, batching, serialization, and LSH
+// banding all resolve the descriptor and call or test its fields. Adding a method is one internal package plus
 // one descriptor — see DESIGN.md §2.
 package ipsketch
 
@@ -68,7 +67,7 @@ import (
 )
 
 // Vector is a sparse vector: a dimension plus sorted (index, value) pairs.
-// See NewVector, VectorFromMap, and VectorFromDense.
+// See NewVector and VectorFromMap.
 type Vector = vector.Sparse
 
 // NewVector builds a Vector of the given dimension from parallel slices of
@@ -80,11 +79,6 @@ func NewVector(dim uint64, idx []uint64, vals []float64) (Vector, error) {
 // VectorFromMap builds a Vector from an index→value map.
 func VectorFromMap(dim uint64, m map[uint64]float64) (Vector, error) {
 	return vector.FromMap(dim, m)
-}
-
-// VectorFromDense builds a Vector from a dense slice.
-func VectorFromDense(d []float64) (Vector, error) {
-	return vector.FromDense(d)
 }
 
 // Dot returns the exact inner product ⟨a, b⟩ (for ground truth and tests).

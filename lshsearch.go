@@ -51,6 +51,31 @@ func (p LSHParams) RetrievalProbability(j float64, probes int) float64 {
 
 func (p LSHParams) internal() lsh.Params { return lsh.Params{Bands: p.Bands, Rows: p.Rows} }
 
+// ErrNoSignature reports that a sketch's method cannot produce an LSH
+// signature (its samples are not minwise, so entry collisions carry no
+// similarity semantics).
+var ErrNoSignature = errors.New("ipsketch: method has no LSH signature")
+
+// LSHSignature returns the sketch's banding signature: per-sample minima
+// whose entries collide across two sketches of the same configuration
+// with probability equal to the (weighted) Jaccard similarity, the input
+// contract of internal/lsh. Supported by MethodMH and MethodWMH (all
+// variants). An empty sketch returns (nil, nil) — empty columns cannot be
+// banded and must be skipped by indexers, not treated as wildcards.
+func (sk *Sketch) LSHSignature() ([]uint64, error) {
+	if sk == nil {
+		return nil, errNilSketch
+	}
+	be, err := backendFor(sk.method)
+	if err != nil {
+		return nil, err
+	}
+	if be.signature == nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoSignature, sk.method)
+	}
+	return be.signature(sk.payload)
+}
+
 // ErrNoLSHIndex reports an lsh-mode search against an index that has no
 // banded view (BuildLSH was never run, or mutation invalidated it).
 var ErrNoLSHIndex = errors.New("ipsketch: index has no LSH view")

@@ -31,12 +31,6 @@ import (
 // ErrNotMergeable reports that a method's sketches cannot be merged.
 var ErrNotMergeable = errors.New("ipsketch: method does not support merging")
 
-// Mergeable reports whether the method's sketches support Merge.
-func (m Method) Mergeable() bool {
-	be, err := backendFor(m)
-	return err == nil && be.merge != nil
-}
-
 // Merge combines two sketches of the same configuration into the sketch
 // of the vectors' union (sampling families) or sum (linear families):
 // for disjoint supports the two coincide and the result is exactly what

@@ -314,14 +314,6 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := sim.SketchShards(v, 2); !errors.Is(err, ErrNotMergeable) {
 		t.Fatalf("SimHash SketchShards: err = %v, want ErrNotMergeable", err)
 	}
-	if MethodSimHash.Mergeable() {
-		t.Fatal("SimHash reports mergeable")
-	}
-	for _, m := range Methods() {
-		if m != MethodSimHash && !m.Mergeable() {
-			t.Fatalf("%v reports not mergeable", m)
-		}
-	}
 
 	mh, err := NewSketcher(Config{Method: MethodMH, StorageWords: 30, Seed: 1})
 	if err != nil {

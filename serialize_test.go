@@ -262,6 +262,70 @@ func TestUnmarshalRejectsImpossibleSupport(t *testing.T) {
 	}
 }
 
+// boolBlobs sets a bool flag of a valid payload to 2: WMH's quantized flag
+// and SimHash's empty flag in marshalFixture's seed-7 encodings, and MH's
+// and WMH's empty flag in the same configurations' sketches of an empty
+// vector. Offsets count from the start of the enveloped payload: the
+// 6-byte envelope, then each family's fixed-width header words.
+func boolBlobs(tb testing.TB) []corruptBlob {
+	tb.Helper()
+	empty := func(cfg Config) []byte {
+		tb.Helper()
+		v, err := NewVector(1000, nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s, err := NewSketcher(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sk, err := s.Sketch(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		data, err := sk.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	wmhCfg := Config{Method: MethodWMH, StorageWords: 32, Seed: 7}
+	mhCfg := Config{Method: MethodMH, StorageWords: 32, Seed: 7}
+	cases := []struct {
+		name string
+		data []byte
+		at   int
+	}{
+		{"WMH/quantized=2", marshalFixture(tb, wmhCfg), 30},
+		{"SimHash/empty=2", marshalFixture(tb, Config{Method: MethodSimHash, StorageWords: 3, Seed: 7}), 38},
+		{"MH/empty=2 (empty vector)", empty(mhCfg), 30},
+		{"WMH/empty=2 (empty vector)", empty(wmhCfg), 55},
+	}
+	out := make([]corruptBlob, len(cases))
+	for i, c := range cases {
+		if c.data[c.at] > 1 {
+			tb.Fatalf("%s: byte %d is %d, not a bool flag", c.name, c.at, c.data[c.at])
+		}
+		data := append([]byte(nil), c.data...)
+		data[c.at] = 2
+		out[i] = corruptBlob{c.name, data}
+	}
+	return out
+}
+
+// TestUnmarshalRejectsNonCanonicalBool: a bool flag is 0 or 1. A payload
+// whose flag holds any other byte is refused, since it would decode and
+// then re-encode the flag as 1, to bytes other than those it was read from.
+func TestUnmarshalRejectsNonCanonicalBool(t *testing.T) {
+	for _, b := range boolBlobs(t) {
+		t.Run(b.name, func(t *testing.T) {
+			if _, err := UnmarshalSketch(b.data); err == nil {
+				t.Errorf("%d-byte payload decoded", len(b.data))
+			}
+		})
+	}
+}
+
 // linearCountBlobs builds linear-method envelopes whose header asks for
 // more counters, rows or words than Go can allocate, with an empty list
 // behind it: a CountSketch of 2⁶² buckets × 4 repetitions (a product

@@ -185,9 +185,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// SetHTTPClient overrides the underlying HTTP client (timeouts, transport).
-func (c *Client) SetHTTPClient(hc *http.Client) { c.hc = hc }
-
 // NewIdempotencyKey returns a fresh random request ID for the
 // Idempotency-Key header (128 bits, hex).
 func NewIdempotencyKey() (string, error) {
@@ -362,22 +359,17 @@ func (c *Client) MergeTableTagged(ctx context.Context, name string, payload serv
 // MergeSketch is MergeTable with a locally pre-built partial sketch
 // bundle, so the partition's raw columns never leave the producer.
 func (c *Client) MergeSketch(ctx context.Context, name string, tsk *ipsketch.TableSketch) (service.MergeResponse, error) {
+	var out service.MergeResponse
 	key, err := NewIdempotencyKey()
 	if err != nil {
-		return service.MergeResponse{}, err
+		return out, err
 	}
-	return c.MergeSketchTagged(ctx, name, tsk, key)
-}
-
-// MergeSketchTagged is MergeSketch with a caller-chosen Idempotency-Key.
-func (c *Client) MergeSketchTagged(ctx context.Context, name string, tsk *ipsketch.TableSketch, key string) (service.MergeResponse, error) {
-	var out service.MergeResponse
 	blob, err := tsk.MarshalBinary()
 	if err != nil {
 		return out, err
 	}
 	err = c.do(ctx, http.MethodPost, "/tables/"+url.PathEscape(name)+"/merge", "application/octet-stream", blob,
-		map[string]string{service.HeaderIdempotencyKey: key}, key != "", &out)
+		map[string]string{service.HeaderIdempotencyKey: key}, true, &out)
 	return out, err
 }
 

@@ -235,10 +235,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 	})
 }
 
-// SetReady flips the readiness gate (the daemon calls this after boot
-// replay; tests use it directly).
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // StartDraining marks the server draining: /readyz turns 503 so load
 // balancers route away, while in-flight and already-connected requests
 // keep being served until the HTTP server's graceful shutdown completes.

@@ -267,14 +267,6 @@ func (tsk *TableSketch) StorageWords() float64 {
 	return total
 }
 
-// EstimateTableJoinSize estimates SIZE(T_A ⋈ T_B) = ⟨x_1[K_A], x_1[K_B]⟩.
-func EstimateTableJoinSize(a, b *TableSketch) (float64, error) {
-	if a.keySpace != b.keySpace {
-		return 0, fmt.Errorf("ipsketch: key space mismatch %d vs %d", a.keySpace, b.keySpace)
-	}
-	return EstimateJoinSize(a.key, b.key)
-}
-
 // JoinStats are sketch-based estimates of the post-join statistics of
 // §1.2. Ratio statistics are NaN when the estimated join size is ≤ 0.
 type JoinStats struct {
