@@ -143,14 +143,14 @@ type columnarScorer interface {
 	// pack packs one index snapshot: keys holds each table's key-sketch
 	// payload, vals and sqs every table's value and squared-value
 	// payloads in table order and, within a table, sorted column order.
-	// The first key pins the construction parameters; nil means a
-	// payload the pinned parameters cannot score, and the index gets no
-	// view.
+	// Every payload is of this family and of one configuration (the
+	// index pins it).
 	pack(keys, vals, sqs []payload) columnarPack
 	// prepareQuery gathers one query bundle (key, value, squared-value
 	// payloads of the query column) once per search, independent of any
 	// pack, so a search over many index snapshots prepares its query once.
-	// nil means the payloads do not belong to this family.
+	// The payloads are of this family (the search checked the query
+	// against each index's configuration).
 	prepareQuery(qKey, qVal, qSq payload) columnarQuery
 }
 
@@ -161,17 +161,13 @@ type columnarQuery any
 // columnarPack is one index snapshot's bundles of one family packed into
 // flat arrays at index build time; it is read-only once built.
 type columnarPack interface {
-	// accepts reports whether q can be scored against the packed
-	// parameters. When it cannot, the whole scan of this pack's index
-	// falls back to the decoded scorer. It allocates nothing.
-	accepts(q columnarQuery) bool
 	// scan fills the estimates pl names for packed tables [tLo, tHi) into
 	// tbl and for packed columns [cLo, cHi) (pack-wide ordinals) into col:
 	// estimate e of table t lands in tbl[(t−tLo)·pl.tblStride+pl.slot[e]],
 	// and likewise for columns. The caller assembles JoinStats from the
 	// rows, so there is one indirect call per range — none per candidate.
-	// q must have been accepted; concurrent scans of disjoint or
-	// overlapping ranges are safe (the pack is read-only).
+	// Concurrent scans of disjoint or overlapping ranges are safe (the
+	// pack is read-only).
 	scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64)
 }
 

@@ -35,7 +35,6 @@ var kmvBackend = &backend{
 	// KMV has a joinSize estimator, so the size slot carries the
 	// threshold |A∩B| estimate, not the inner-product reduction.
 	packs: &packFamily[*kmv.Sketch, uint64]{
-		compatible:   kmv.Compatible,
 		scan:         kmv.Scan,
 		scanJoinSize: kmv.ScanJoinSize,
 	},

@@ -44,11 +44,10 @@ func psampleBackend(mode psample.Mode, name string) *backend {
 		// reconciliation (priority re-derives the union's rank threshold;
 		// threshold re-filters under the reconciled squared norm).
 		merge: merged(psample.Merge),
-		// Mode is part of Params, so one pack never mixes priority and
-		// threshold samples.
+		// Mode is part of Params, so one index (and so one pack) never
+		// mixes priority and threshold samples.
 		packs: &packFamily[*psample.Sketch, uint64]{
-			compatible: psample.Compatible,
-			scan:       psample.Scan,
+			scan: psample.Scan,
 		},
 	}
 }

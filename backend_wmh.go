@@ -69,11 +69,10 @@ var wmhBackend = &backend{
 	// Empty sketches yield nil.
 	signature: unary((*wmh.Sketch).Signature),
 	// Params, resolved L, and construction variant all pin through
-	// wmh.Compatible, so retired-variant sketches never mix into a pack of
-	// current ones.
+	// wmh.Compatible, so retired-variant sketches never mix into an index
+	// (and so a pack) of current ones.
 	packs: &packFamily[*wmh.Sketch, float64]{
-		compatible: wmh.Compatible,
-		scan:       wmh.Scan,
+		scan: wmh.Scan,
 	},
 	quantize: true,
 }

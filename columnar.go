@@ -9,11 +9,11 @@ import "repro/internal/sample"
 // those arrays with zero per-candidate decoding, map lookups, or interface
 // dispatch — the numba-kernel shape of the related sampling repos,
 // specialized per family behind the backend descriptor's packs field. A
-// view covers every entry of its index or is not built: an index holding
-// one bundle the pack rejects (different method, key space, or
-// construction parameters) scans decoded through EstimateJoinStats. Both
-// paths run each family's one match loop and assemble JoinStats through
-// the same helper, so rankings are bit-identical either way.
+// view covers every entry of its index: the index pins one configuration,
+// so either every entry packs (a packed family) or none does (JL, CS and
+// SimHash scan decoded through EstimateJoinStats). Both paths run each
+// family's one match loop and assemble JoinStats through the same helper,
+// so rankings are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, ordered by
 // the pack they scan — three query operands against the key sketches, two
@@ -110,99 +110,50 @@ func newEstPlan(want estSet) estPlan {
 // index entry t. It is immutable after buildColumnarView returns;
 // concurrent searches share it freely.
 type columnarView struct {
-	method   Method
-	keySpace uint64
-	pk       columnarPack
+	pk columnarPack
 	// colOff is a len(entries)+1 prefix-sum: entry t's columns occupy
 	// pack-wide column ordinals [colOff[t], colOff[t+1]), in the entry's
 	// sorted Columns() order (none for a table without value columns).
 	colOff []int
 }
 
-// buildColumnarView packs entries into a fresh view, or returns nil as
-// soon as one entry does not pack. The family is that of the first entry.
-// All or nothing loses no packed search: every packed family's Compatible
-// is field equality, hence transitive, so an entry the pack rejects is
-// incompatible with any query the pack accepts — the decoded scorer fails
-// on it and the search returns that error, view or no view. One walk over
-// the entries checks their shape and collects the key, value and
-// squared-value payloads; the family's pack then sizes each of its arrays
-// once, from those payloads, so a publish allocates the pack at its final
-// size instead of growing it.
+// buildColumnarView packs entries into a fresh view, or returns nil when
+// there is nothing to pack (no entries, or a family without a pack). The
+// entries share one configuration (SketchIndex.Add pins it), so the family
+// of the first is that of all. One walk over the entries collects the
+// key, value and squared-value payloads; the family's pack then sizes each
+// of its arrays once, from those payloads, so a publish allocates the pack
+// at its final size instead of growing it.
 func buildColumnarView(entries []*TableSketch) *columnarView {
+	if len(entries) == 0 {
+		return nil
+	}
+	be, err := backendFor(entries[0].key.method)
+	if err != nil || be.packs == nil {
+		return nil
+	}
 	var (
-		packs     columnarScorer
-		method    Method
-		keySpace  uint64
 		keys      = make([]payload, 0, len(entries))
 		vals, sqs []payload
 		colOff    = make([]int, 1, len(entries)+1)
 	)
 	for _, e := range entries {
-		if e == nil || e.key == nil || e.key.payload == nil {
-			return nil
-		}
-		if packs == nil {
-			be, err := backendFor(e.key.method)
-			if err != nil || be.packs == nil {
-				return nil
-			}
-			packs, method, keySpace = be.packs, e.key.method, e.keySpace
-		}
-		if e.key.method != method || e.keySpace != keySpace {
-			return nil
-		}
 		keys = append(keys, e.key.payload)
 		for _, c := range e.Columns() {
-			vsk, ssk := e.val[c], e.sqVal[c]
-			if vsk == nil || ssk == nil ||
-				vsk.method != method || ssk.method != method ||
-				vsk.payload == nil || ssk.payload == nil {
-				return nil
-			}
-			vals = append(vals, vsk.payload)
-			sqs = append(sqs, ssk.payload)
+			vals = append(vals, e.val[c].payload)
+			sqs = append(sqs, e.sqVal[c].payload)
 		}
 		colOff = append(colOff, len(vals))
 	}
-	if packs == nil {
-		return nil
-	}
-	pk := packs.pack(keys, vals, sqs)
-	if pk == nil {
-		return nil
-	}
-	return &columnarView{method: method, keySpace: keySpace, pk: pk, colOff: colOff}
+	return &columnarView{pk: be.packs.pack(keys, vals, sqs), colOff: colOff}
 }
 
 // prepareColumnarQuery gathers the query column's bundle for the packed
-// path, once per search. nil means the query cannot use it
-// (missing column, mixed or unpackable methods) and every index scans
-// decoded — including the decoded scorer's error semantics, which is why
-// this never errors.
+// path, once per search. The search has checked that the query carries
+// the column and shares the packed indexes' configuration.
 func prepareColumnarQuery(query *TableSketch, queryCol string) columnarQuery {
-	if query.key == nil || query.key.payload == nil {
-		return nil
-	}
-	qVal, qSq := query.val[queryCol], query.sqVal[queryCol]
-	if qVal == nil || qSq == nil || qVal.payload == nil || qSq.payload == nil {
-		return nil
-	}
-	m := query.key.method
-	if qVal.method != m || qSq.method != m {
-		return nil
-	}
-	be, err := backendFor(m)
-	if err != nil || be.packs == nil {
-		return nil
-	}
-	return be.packs.prepareQuery(query.key.payload, qVal.payload, qSq.payload)
-}
-
-// accepts reports whether the prepared query can be scored against this
-// view's pack (same key space, family and construction parameters).
-func (v *columnarView) accepts(query *TableSketch, q columnarQuery) bool {
-	return q != nil && query.keySpace == v.keySpace && query.key.method == v.method && v.pk.accepts(q)
+	be, _ := backendFor(query.key.method)
+	return be.packs.prepareQuery(query.key.payload, query.val[queryCol].payload, query.sqVal[queryCol].payload)
 }
 
 // sampled is a packed family's decoded sketch: a payload whose stored
@@ -216,7 +167,6 @@ type sampled[T sample.Tag] interface {
 // one columnarScorer: the backend descriptor of each packed family holds
 // one in its packs field. S is the decoded sketch, T its sample's tag.
 type packFamily[S sampled[T], T sample.Tag] struct {
-	compatible func(a, b S) error
 	// scan is the family's Scan over packed samples.
 	scan func(c *sample.Cols[T], qs []S, lo, hi int, out []float64, stride int, offs []int)
 	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
@@ -226,12 +176,9 @@ type packFamily[S sampled[T], T sample.Tag] struct {
 }
 
 // pack is the one columnarPack implementation: three packed samples (key,
-// value and squared-value sketches) sharing the first bundle's key sketch
-// as the reference every other sketch — packed or query — must be
-// compatible with.
+// value and squared-value sketches) of one configuration.
 type pack[S sampled[T], T sample.Tag] struct {
 	fam             *packFamily[S, T]
-	ref             S
 	keys, vals, sqs sample.Cols[T]
 }
 
@@ -240,39 +187,22 @@ type pack[S sampled[T], T sample.Tag] struct {
 type packQuery[S any] [3]S
 
 func (f *packFamily[S, T]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	pq := new(packQuery[S])
-	for i, p := range [3]payload{qKey, qVal, qSq} {
-		s, ok := p.(S)
-		if !ok {
-			return nil
-		}
-		pq[i] = s
-	}
-	return pq
+	return &packQuery[S]{qKey.(S), qVal.(S), qSq.(S)}
 }
 
-// pack checks every payload against the first key sketch and counts the
-// pairs of each of the three packs, then sizes each sample.Cols exactly
-// and copies the samples in: the same bytes, in the same order, as
-// appending them one by one, in one allocation per array.
+// pack counts the pairs of each of the three packs, then sizes each
+// sample.Cols exactly and copies the samples in: the same bytes, in the
+// same order, as appending them one by one, in one allocation per array.
 func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
-	ref, ok := keys[0].(S)
-	if !ok {
-		return nil
-	}
 	src := [3][]payload{keys, vals, sqs}
 	var pairs [3]int
 	for i, ps := range src {
 		for _, p := range ps {
-			s, ok := p.(S)
-			if !ok || f.compatible(ref, s) != nil {
-				return nil
-			}
-			tags, _, _ := s.Sample()
+			tags, _, _ := p.(S).Sample()
 			pairs[i] += len(tags)
 		}
 	}
-	pk := &pack[S, T]{fam: f, ref: ref}
+	pk := &pack[S, T]{fam: f}
 	for i, c := range [3]*sample.Cols[T]{&pk.keys, &pk.vals, &pk.sqs} {
 		*c = sample.MakeCols[T](len(src[i]), pairs[i])
 		for _, p := range src[i] {
@@ -280,19 +210,6 @@ func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
 		}
 	}
 	return pk
-}
-
-func (p *pack[S, T]) accepts(q columnarQuery) bool {
-	pq, ok := q.(*packQuery[S])
-	if !ok {
-		return false
-	}
-	for _, s := range pq {
-		if p.fam.compatible(p.ref, s) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 func (p *pack[S, T]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
@@ -319,11 +236,10 @@ func (p *pack[S, T]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []floa
 
 // BuildColumnar packs the index's entries into the columnar scan view and
 // returns the number of entries packed: all of them, or 0 when no view
-// was built (an empty index, an unpackable family, or one entry the pack
-// rejects). The catalog calls this once per copy-on-write publish, so
-// every reader scans packed; library users call it after loading a static
-// index. Add and Remove invalidate the view (searches fall back to the
-// decoded scorer until the next build).
+// was built (an empty index or a family without a pack). The catalog
+// calls this once per copy-on-write publish, so every reader scans packed;
+// library users call it after loading a static index. Add invalidates the
+// view (searches take the decoded scorer until the next build).
 func (ix *SketchIndex) BuildColumnar() int {
 	ix.view = buildColumnarView(ix.entries)
 	if ix.view == nil {

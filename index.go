@@ -1,6 +1,7 @@
 package ipsketch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -20,11 +21,12 @@ import (
 // issues a query ... a sketch of her table is compared against these
 // preexisting sketches").
 //
-// All sketches in an index must come from the same TableSketcher (same
-// configuration and key space). By default Add enforces comparability
-// lazily, letting estimation fail mid-search otherwise; a strict index
-// (NewStrictSketchIndex) checks eagerly — the first-added sketch pins the
-// configuration and Add rejects mismatches immediately.
+// All sketches in an index come from one configuration (one
+// TableSketcher: method, size, seed, variants and key space), because only
+// such sketches are comparable: the first sketch added pins it, and Add
+// refuses every sketch that is not CompatibleWith the pinned one. A search
+// therefore checks its query against one entry per index, not per
+// candidate.
 //
 // Search fans candidate scoring across a bounded worker pool and keeps
 // only a bounded per-worker heap of the Query.K best candidates, so
@@ -33,13 +35,10 @@ import (
 // Scoring dispatches through the backend registry (EstimateJoinStats →
 // Estimate), so an index works unchanged for every registered method.
 type SketchIndex struct {
+	// entries[0], once present, is the pinned configuration: every other
+	// entry is CompatibleWith it.
 	entries []*TableSketch
 	byName  map[string]int
-	// strict selects the eager compatibility check; pin is the first sketch
-	// ever added to a strict index and survives removal, so an index emptied
-	// and refilled keeps rejecting the same mismatches.
-	strict bool
-	pin    *TableSketch
 	// view is the columnar (structure-of-arrays) scan pack built by
 	// BuildColumnar; nil means every search takes the decoded path.
 	// Mutation invalidates it — the catalog rebuilds at publish time.
@@ -50,33 +49,27 @@ type SketchIndex struct {
 	lshView *lshView
 }
 
-// NewSketchIndex returns an empty index with lazy compatibility checking.
+// NewSketchIndex returns an empty index.
 func NewSketchIndex() *SketchIndex {
 	return &SketchIndex{byName: map[string]int{}}
 }
 
-// NewStrictSketchIndex returns an empty index whose Add checks sketch
-// compatibility eagerly: the first sketch added pins the configuration
-// (key space, method, size, seed, variants) and any later Add whose sketch
-// is incomparable fails immediately instead of poisoning searches.
-func NewStrictSketchIndex() *SketchIndex {
-	ix := NewSketchIndex()
-	ix.strict = true
-	return ix
-}
+// NewStrictSketchIndex returns an empty index.
+//
+// Deprecated: every index pins its configuration; use NewSketchIndex. It
+// stays only until the benchmark harness moves off it (ROADMAP.md item 4).
+func NewStrictSketchIndex() *SketchIndex { return NewSketchIndex() }
 
 // Add registers a table sketch. Re-adding a name replaces the previous
-// sketch. On a strict index, sketches incompatible with the pinned
-// configuration are rejected here rather than at estimation time.
+// sketch. A sketch incompatible with the index's pinned configuration
+// (the first sketch added) is refused.
 func (ix *SketchIndex) Add(ts *TableSketch) error {
 	if ts == nil {
 		return errors.New("ipsketch: nil table sketch")
 	}
-	if ix.strict {
-		if ix.pin == nil {
-			ix.pin = ts
-		} else if err := ts.CompatibleWith(ix.pin); err != nil {
-			return fmt.Errorf("ipsketch: adding %q to strict index: %w", ts.Name, err)
+	if len(ix.entries) > 0 {
+		if err := ts.CompatibleWith(ix.entries[0]); err != nil {
+			return fmt.Errorf("ipsketch: adding %q to the index: %w", ts.Name, err)
 		}
 	}
 	// Both views index entry positions; any mutation stales them.
@@ -89,48 +82,6 @@ func (ix *SketchIndex) Add(ts *TableSketch) error {
 	ix.byName[ts.Name] = len(ix.entries)
 	ix.entries = append(ix.entries, ts)
 	return nil
-}
-
-// Remove deletes the sketch registered under name and reports whether it
-// was present. The scan order of the remaining entries is unchanged, so
-// Columns() enumeration and search tie-breaking stay stable across
-// removals.
-func (ix *SketchIndex) Remove(name string) bool {
-	pos, ok := ix.byName[name]
-	if !ok {
-		return false
-	}
-	// Both views index entry positions; any mutation stales them.
-	ix.view = nil
-	ix.lshView = nil
-	copy(ix.entries[pos:], ix.entries[pos+1:])
-	ix.entries = ix.entries[:len(ix.entries)-1]
-	delete(ix.byName, name)
-	for i := pos; i < len(ix.entries); i++ {
-		ix.byName[ix.entries[i].Name] = i
-	}
-	return true
-}
-
-// Clone returns a shallow copy of the index: the entry list, name map,
-// and strict pin are copied, the immutable sketches are shared. Mutating
-// one copy never affects the other, which is what copy-on-write catalogs
-// need to publish immutable indexes to lock-free readers.
-func (ix *SketchIndex) Clone() *SketchIndex {
-	out := &SketchIndex{
-		entries: append([]*TableSketch(nil), ix.entries...),
-		byName:  make(map[string]int, len(ix.byName)),
-		strict:  ix.strict,
-		pin:     ix.pin,
-		// The immutable views match the copied entry list exactly; a
-		// later mutation of either copy clears only that copy's views.
-		view:    ix.view,
-		lshView: ix.lshView,
-	}
-	for name, pos := range ix.byName {
-		out.byName[name] = pos
-	}
-	return out
 }
 
 // Len returns the number of indexed tables.
@@ -197,14 +148,12 @@ type scored struct {
 // searchSource is one index snapshot of a search.
 type searchSource struct {
 	ix *SketchIndex
-	// view is non-nil when the index scans packed: it has a columnar view
-	// and the view's pack accepted the prepared query.
+	// view is the index's columnar view; non-nil means it scans packed.
 	view *columnarView
 	// The scan list: every entry position in [0, n) when ents is nil (full
 	// scan), else the n ascending candidate positions ents (lsh mode).
 	ents []int
 	n    int
-	buf  []int // ents' backing array, kept across searches
 }
 
 // scanUnit is a contiguous piece of one source's scan list; workers pull
@@ -218,21 +167,13 @@ const (
 
 // rankWorker is one worker's share of the rank phase: a bounded
 // worst-at-root heap of the best k candidates seen (every candidate when
-// k < 0), kernel output rows, the first error in scan order, and the
-// worker's scan counters.
+// k < 0), kernel output rows, the first error it met, and the worker's
+// scan counters.
 type rankWorker struct {
-	items                  []scored
-	tbl, col               []float64
-	err                    error
-	errSrc, errEnt, errCol int
-	stats                  ScanStats
-}
-
-// fail records the first error in scan order.
-func (w *rankWorker) fail(err error, src, ent, col int) {
-	if w.err == nil || src < w.errSrc || (src == w.errSrc && (ent < w.errEnt || (ent == w.errEnt && col < w.errCol))) {
-		w.err, w.errSrc, w.errEnt, w.errCol = err, src, ent, col
-	}
+	items    []scored
+	tbl, col []float64
+	err      error
+	stats    ScanStats
 }
 
 // searcher is the state of one search. Everything a search allocates
@@ -257,10 +198,7 @@ var searchers = sync.Pool{New: func() any { return new(searcher) }}
 // release drops every reference the search held and returns the scratch.
 func (s *searcher) release() {
 	s.Query, s.q = Query{}, nil
-	for i := range s.srcs {
-		src := &s.srcs[i]
-		*src = searchSource{buf: src.buf}
-	}
+	clear(s.srcs)
 	for i := range s.workers {
 		w := &s.workers[i]
 		*w = rankWorker{items: w.items[:0], tbl: w.tbl, col: w.col}
@@ -397,7 +335,10 @@ func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
 }
 
 // rankDecoded scores one entry through the decoded all-six estimator —
-// the reference path, and the only one for an index without a view.
+// the reference path, and the only one for an index without a view (a
+// family without a pack, or a view never built). The search checked the
+// query against the index, so the estimator does not fail on a
+// configuration mismatch.
 func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 	src := &s.srcs[si]
 	cand := src.ix.entries[ent]
@@ -407,7 +348,9 @@ func (s *searcher) rankDecoded(w *rankWorker, si, ent int) {
 	for col, colName := range cand.Columns() {
 		st, err := EstimateJoinStats(s.Sketch, s.Column, cand, colName)
 		if err != nil {
-			w.fail(fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err), si, ent, col)
+			if w.err == nil {
+				w.err = fmt.Errorf("ipsketch: searching %s.%s: %w", cand.Name, colName, err)
+			}
 			continue
 		}
 		w.stats.Fallback++
@@ -483,11 +426,11 @@ type Query struct {
 	MinJoinSize float64
 	// K bounds the results: k < 0 returns every candidate, k == 0 none.
 	K int
-	// LSH scores only the query's band candidates (plus the entries that
-	// could not be banded) instead of every entry; every index searched
-	// needs an LSH view (BuildLSH). Probes bounds how many bands are
-	// probed: ≤ 0 probes every band, 1 ≤ probes < Bands trades recall for
-	// probe cost along 1 − (1 − J^Rows)^probes.
+	// LSH scores only the query's band candidates instead of every
+	// entry; every index searched needs an LSH view (BuildLSH). Probes
+	// bounds how many bands are probed: ≤ 0 probes every band,
+	// 1 ≤ probes < Bands trades recall for probe cost along
+	// 1 − (1 − J^Rows)^probes.
 	LSH    bool
 	Probes int
 }
@@ -528,6 +471,10 @@ func (ix *SketchIndex) SearchTopKStats(query *TableSketch, queryCol string, by R
 // Ties across indexes break by (table, column) name, so name-sorted
 // indexes with disjoint tables rank exactly like one name-sorted index
 // over their union.
+//
+// The query is checked once per search, before any scan: it must carry
+// q.Column and be CompatibleWith each non-empty index's pinned
+// configuration, which makes it comparable with every entry.
 func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, error) {
 	var stats ScanStats
 	if q.Sketch == nil {
@@ -538,10 +485,16 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 	default:
 		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(q.RankBy))
 	}
-	if q.LSH {
-		for _, ix := range ixs {
-			if ix.lshView == nil {
-				return nil, stats, ErrNoLSHIndex
+	if _, ok := q.Sketch.val[q.Column]; !ok {
+		return nil, stats, fmt.Errorf("ipsketch: query table %q sketch has no column %q", q.Sketch.Name, q.Column)
+	}
+	for _, ix := range ixs {
+		if q.LSH && ix.lshView == nil {
+			return nil, stats, ErrNoLSHIndex
+		}
+		if len(ix.entries) > 0 {
+			if err := q.Sketch.CompatibleWith(ix.entries[0]); err != nil {
+				return nil, stats, fmt.Errorf("ipsketch: query %q against the index: %w", q.Sketch.Name, err)
 			}
 		}
 	}
@@ -562,17 +515,13 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 	s.run()
 	stats.ScanNanos = time.Since(scanStart).Nanoseconds()
 
-	// Surface the first error in scan order, matching a sequential scan.
-	first := &s.workers[0]
+	var err error
 	for i := range s.workers {
-		w := &s.workers[i]
-		stats.Add(w.stats)
-		if w.err != nil {
-			first.fail(w.err, w.errSrc, w.errEnt, w.errCol)
-		}
+		stats.Add(s.workers[i].stats)
+		err = cmp.Or(err, s.workers[i].err)
 	}
-	if first.err != nil {
-		return nil, stats, first.err
+	if err != nil {
+		return nil, stats, err
 	}
 
 	// Merge the workers' heaps and rank: descending score, scan order on
@@ -631,19 +580,13 @@ func (s *searcher) plan(ixs []*SketchIndex, stats *ScanStats) error {
 		}
 	}
 	s.srcs = resize(s.srcs, len(ixs))
-	total, prepared := 0, false
+	total := 0
 	for i, ix := range ixs {
 		src := &s.srcs[i]
-		src.ix, src.n = ix, len(ix.entries)
-		if ix.view != nil {
-			// Pre-decode the query once per search, for whichever packs
-			// accept it; the rest scan decoded.
-			if !prepared {
-				s.q, prepared = prepareColumnarQuery(s.Sketch, s.Column), true
-			}
-			if ix.view.accepts(s.Sketch, s.q) {
-				src.view = ix.view
-			}
+		src.ix, src.n, src.view = ix, len(ix.entries), ix.view
+		if ix.view != nil && s.q == nil {
+			// Pre-decode the query once per search for every packed index.
+			s.q = prepareColumnarQuery(s.Sketch, s.Column)
 		}
 		if s.LSH {
 			if err := src.gather(qsig, s.Probes, stats); err != nil {

@@ -5,116 +5,36 @@ import (
 	"testing"
 )
 
-func TestSketchIndexRemove(t *testing.T) {
-	_, qSk, ix := buildSearchFixture(t)
-	if ix.Remove("missing") {
-		t.Fatal("removed a missing table")
-	}
-	before := ix.Tables() // needle, noiseA, noiseB, disjoint
-
-	if !ix.Remove("noiseA") {
-		t.Fatal("failed to remove noiseA")
-	}
-	if ix.Len() != 3 {
-		t.Fatalf("Len after remove = %d", ix.Len())
-	}
-	if _, ok := ix.Get("noiseA"); ok {
-		t.Fatal("removed table still resolvable")
-	}
-	// Scan order of the survivors is unchanged.
-	want := []string{before[0], before[2], before[3]}
-	got := ix.Tables()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan order after remove %v, want %v", got, want)
-		}
-	}
-	// Get still resolves every survivor (positions were re-indexed).
-	for _, name := range want {
-		if _, ok := ix.Get(name); !ok {
-			t.Fatalf("%q unresolvable after remove", name)
-		}
-	}
-	// Removing the rest leaves an empty but usable index.
-	for _, name := range want {
-		if !ix.Remove(name) {
-			t.Fatalf("failed to remove %q", name)
-		}
-	}
-	if ix.Len() != 0 {
-		t.Fatalf("Len = %d after removing everything", ix.Len())
-	}
-	res, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
-	if err != nil || res != nil {
-		t.Fatalf("empty index search = %v, %v", res, err)
-	}
-}
-
-// TestSketchIndexRemoveSearchStability: removing an entry must leave the
-// ranking of the remaining candidates identical to an index never
-// containing it — the scan-order tiebreak may not shift.
-func TestSketchIndexRemoveSearchStability(t *testing.T) {
-	build := func(skip string) (*TableSketch, *SketchIndex) {
-		t.Helper()
-		_, qSk, full := buildSearchFixture(t)
-		ix := NewSketchIndex()
-		for _, name := range full.Tables() {
-			if name == skip {
-				continue
-			}
-			sk, _ := full.Get(name)
-			if err := ix.Add(sk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return qSk, ix
-	}
-	qSk, removed := func() (*TableSketch, *SketchIndex) {
-		_, qSk, ix := buildSearchFixture(t)
-		if !ix.Remove("noiseA") {
-			t.Fatal("remove failed")
-		}
-		return qSk, ix
-	}()
-	_, never := build("noiseA")
-	a, _, err := removed.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
+// pinTestSketch sketches a three-row, one-column table under cfg and
+// keySpace.
+func pinTestSketch(t *testing.T, cfg Config, keySpace uint64, name string, cols map[string][]float64) *TableSketch {
+	t.Helper()
+	ts, err := NewTableSketcher(cfg, keySpace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := never.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
+	tab, err := NewTable(name, []uint64{1, 2, 3}, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("%d vs %d results", len(a), len(b))
+	sk, err := ts.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if !resultsIdentical(a[i], b[i]) {
-			t.Fatalf("result %d differs after removal: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	return sk
 }
 
+// TestStrictIndexPinsConfig: every index pins the configuration of its
+// first sketch, and Add refuses a sketch that differs in seed, method,
+// size or key space.
 func TestStrictIndexPinsConfig(t *testing.T) {
+	v := map[string][]float64{"v": {1, 2, 3}}
 	mk := func(cfg Config, keySpace uint64, name string) *TableSketch {
-		t.Helper()
-		ts, err := NewTableSketcher(cfg, keySpace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := NewTable(name, []uint64{1, 2, 3}, map[string][]float64{"v": {1, 2, 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk, err := ts.SketchTable(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sk
+		return pinTestSketch(t, cfg, keySpace, name, v)
 	}
 	base := Config{Method: MethodWMH, StorageWords: 100, Seed: 1}
 
-	ix := NewStrictSketchIndex()
+	ix := NewSketchIndex()
 	if err := ix.Add(mk(base, 1<<16, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -136,52 +56,64 @@ func TestStrictIndexPinsConfig(t *testing.T) {
 		{"size", Config{Method: MethodWMH, StorageWords: 200, Seed: 1}, 1 << 16},
 		{"keyspace", base, 1 << 17},
 	} {
-		err := ix.Add(mk(tc.cfg, tc.keySpace, "bad"))
-		if err == nil {
-			t.Fatalf("%s mismatch accepted by strict Add", tc.label)
-		}
-		if !strings.Contains(err.Error(), "strict") {
-			t.Fatalf("%s mismatch error %q does not mention the strict index", tc.label, err)
+		for _, name := range []string{"bad", "a"} { // new name, replacement
+			err := ix.Add(mk(tc.cfg, tc.keySpace, name))
+			if err == nil {
+				t.Fatalf("%s mismatch accepted by Add of %q", tc.label, name)
+			}
+			if !strings.Contains(err.Error(), `adding "`+name+`"`) {
+				t.Fatalf("%s mismatch error %q does not name the refused table", tc.label, err)
+			}
 		}
 	}
 	if _, ok := ix.Get("bad"); ok {
 		t.Fatal("rejected sketch was still added")
 	}
-
-	// The pin survives removal of every entry: an emptied strict index
-	// keeps rejecting the same mismatches.
-	ix.Remove("a")
-	ix.Remove("b")
-	if err := ix.Add(mk(Config{Method: MethodWMH, StorageWords: 100, Seed: 2}, 1<<16, "c")); err == nil {
-		t.Fatal("pin forgotten after index emptied")
-	}
-	if err := ix.Add(mk(base, 1<<16, "c")); err != nil {
-		t.Fatal(err)
+	if got, _ := ix.Get("a"); got.CompatibleWith(mk(base, 1<<16, "x")) != nil {
+		t.Fatal("a rejected replacement overwrote the entry")
 	}
 
-	// A lazy index still accepts everything.
-	lax := NewSketchIndex()
-	if err := lax.Add(mk(base, 1<<16, "a")); err != nil {
+	// The deprecated constructor builds the same pinned index.
+	old := NewStrictSketchIndex()
+	if err := old.Add(mk(base, 1<<16, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := lax.Add(mk(Config{Method: MethodWMH, StorageWords: 100, Seed: 2}, 1<<16, "b")); err != nil {
-		t.Fatalf("lazy index rejected eagerly: %v", err)
+	if err := old.Add(mk(Config{Method: MethodWMH, StorageWords: 100, Seed: 2}, 1<<16, "b")); err == nil {
+		t.Fatal("NewStrictSketchIndex accepted a seed mismatch")
 	}
 }
 
-func TestSketchIndexClone(t *testing.T) {
-	_, qSk, ix := buildSearchFixture(t)
-	cl := ix.Clone()
-	if !cl.Remove("needle") {
-		t.Fatal("clone remove failed")
+// TestSearchChecksQueryOncePerIndex: a search checks the query against
+// each index's pinned configuration and for the query column before it
+// scans, so a mismatch is an error even where no candidate would be
+// scored — an index of key-only tables, an empty index — packed or not.
+func TestSearchChecksQueryOncePerIndex(t *testing.T) {
+	base := Config{Method: MethodWMH, StorageWords: 100, Seed: 1}
+	ix := NewSketchIndex()
+	for _, name := range []string{"k1", "k2"} {
+		if err := ix.Add(pinTestSketch(t, base, 1<<16, name, nil)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := ix.Get("needle"); !ok {
-		t.Fatal("removing from the clone mutated the original")
+	good := pinTestSketch(t, base, 1<<16, "q", map[string][]float64{"v": {1, 2, 3}})
+	other := pinTestSketch(t, Config{Method: MethodWMH, StorageWords: 100, Seed: 2}, 1<<16, "q", map[string][]float64{"v": {1, 2, 3}})
+	for _, packed := range []bool{false, true} {
+		if packed {
+			ix.BuildColumnar()
+		}
+		if res, _, err := ix.Search(Query{Sketch: good, Column: "v", K: -1}); err != nil || len(res) != 0 {
+			t.Fatalf("packed=%v: compatible query over key-only tables = %v, %v", packed, res, err)
+		}
+		_, _, err := ix.Search(Query{Sketch: other, Column: "v", K: -1})
+		if err == nil || !strings.Contains(err.Error(), "incompatible") {
+			t.Fatalf("packed=%v: query of another seed: err = %v, want the compatibility error", packed, err)
+		}
 	}
-	if err := ix.Add(qSk); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cl.Get("query"); ok {
-		t.Fatal("adding to the original mutated the clone")
+
+	for _, ixs := range [][]*SketchIndex{{NewSketchIndex()}, {ix}, nil} {
+		_, _, err := SearchIndexes(ixs, Query{Sketch: good, Column: "nope", K: 5})
+		if err == nil || !strings.Contains(err.Error(), `no column "nope"`) {
+			t.Fatalf("%d indexes: missing query column: err = %v", len(ixs), err)
+		}
 	}
 }

@@ -79,23 +79,25 @@ type Mutation struct {
 type Options struct {
 	// Shards is the stripe count (0 = DefaultShards).
 	Shards int
-	// Strict pins the sketch configuration to the first table ever put:
-	// later Puts whose sketches are incomparable (method, size, seed,
-	// variant, or key-space mismatch) fail immediately instead of
-	// poisoning searches.
+	// Strict is ignored: every catalog pins its configuration (see Pin).
+	//
+	// Deprecated: it stays only until the benchmark harness stops setting
+	// it (ROADMAP.md item 4).
 	Strict bool
 	// OnMutate, when set, is called for every admitted mutation while the
-	// target shard's write mutex is held and BEFORE the mutation is
-	// published: write-ahead semantics. An error from the hook fails the
-	// mutation without publishing it, and the per-table hook order is
-	// exactly the publish order, so replaying the hooked mutations
-	// reconstructs the catalog.
+	// target shard's write mutex is held, after the replacement shard
+	// index is built and BEFORE it is published: write-ahead semantics. A
+	// mutation whose index fails to build never reaches the hook, an error
+	// from the hook fails the mutation without publishing it, and the
+	// per-table hook order is exactly the publish order, so replaying the
+	// hooked mutations reconstructs the catalog.
 	OnMutate func(Mutation) error
 	// PublishObserver, when set, receives the seconds each publish spent
 	// rebuilding a shard's copy-on-write state (index rebuild + columnar
-	// pack + pointer store) — the write-side latency a reader never sees
-	// but every ingest pays. A live mutation publishes once; a Restore
-	// publishes once per shard it touched, however many tables it staged.
+	// pack + pointer store; the hook in between is not counted) — the
+	// write-side latency a reader never sees but every ingest pays. A live
+	// mutation publishes once; a Restore publishes once per shard it
+	// touched, however many tables it staged.
 	PublishObserver Observer
 	// LSH, when set, maintains a banded candidate index alongside every
 	// published shard index (rebuilt at publish time exactly like the
@@ -107,7 +109,7 @@ type Options struct {
 // shard is one stripe: its published index, immutable once stored, and
 // the mutex that serializes whoever builds the next one.
 type shard struct {
-	writeMu sync.Mutex // held across stage + edit + hook + publish
+	writeMu sync.Mutex // held across stage + edit + build + hook + store
 	ix      atomic.Pointer[ipsketch.SketchIndex]
 }
 
@@ -147,29 +149,42 @@ func (m staged) merge(ts *ipsketch.TableSketch) (*ipsketch.TableSketch, bool, er
 	return ts, existed, nil
 }
 
-// publish builds the index over m and makes it the shard's published
-// state — the one place that state is derived. The caller holds the
-// shard's writeMu.
-func (c *Catalog) publish(sh *shard, m staged) error {
-	defer c.observePublish(time.Now())
+// publish builds the index over m, runs the OnMutate hook for a live
+// mutation (mut non-nil), and makes the index the shard's published state
+// — the one place that state is derived. A build or hook failure publishes
+// nothing, and a failed build never reaches the hook, so the write-ahead
+// log holds only mutations that published. The caller holds the shard's
+// writeMu.
+func (c *Catalog) publish(sh *shard, m staged, mut *Mutation) error {
+	start := time.Now()
 	ix, err := sortedIndex(m, c.lsh)
 	if err != nil {
 		return err
 	}
+	took := time.Since(start)
+	if mut != nil {
+		if err := c.hook(*mut); err != nil {
+			return err
+		}
+	}
+	start = time.Now()
 	sh.ix.Store(ix)
+	if c.publishObs != nil {
+		c.publishObs.Observe((took + time.Since(start)).Seconds())
+	}
 	return nil
 }
 
 // Catalog is a sharded concurrent table-sketch catalog.
 type Catalog struct {
 	shards     []shard
-	strict     bool
 	onMutate   func(Mutation) error
 	publishObs Observer
 	lsh        *ipsketch.LSHParams
 
-	// pin is the first table ever put to a strict catalog; it survives
-	// removal so an emptied catalog keeps rejecting the same mismatches.
+	// pin is the configuration every table must share: the first table
+	// ever put, unless Pin set it first. It survives removal so an emptied
+	// catalog keeps rejecting the same mismatches.
 	pinMu sync.Mutex
 	pin   *ipsketch.TableSketch
 
@@ -184,7 +199,7 @@ func New(opts Options) *Catalog {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	c := &Catalog{shards: make([]shard, n), strict: opts.Strict, onMutate: opts.OnMutate, publishObs: opts.PublishObserver, lsh: opts.LSH}
+	c := &Catalog{shards: make([]shard, n), onMutate: opts.OnMutate, publishObs: opts.PublishObserver, lsh: opts.LSH}
 	for i := range c.shards {
 		ix := ipsketch.NewSketchIndex()
 		if c.lsh != nil {
@@ -213,17 +228,13 @@ func (c *Catalog) shardOf(name string) int {
 
 func (c *Catalog) shardFor(name string) *shard { return &c.shards[c.shardOf(name)] }
 
-// Pin fixes a strict catalog's configuration to the given reference
-// sketch before any table arrives, so even the very first Put is
-// validated (otherwise the first table pins whatever configuration it
-// came with). It fails if an incompatible pin is already set; pinning a
-// lax catalog is a no-op.
+// Pin fixes the catalog's configuration to the given reference sketch
+// before any table arrives, so even the very first Put is validated
+// (otherwise the first table pins whatever configuration it came with).
+// It fails if an incompatible pin is already set.
 func (c *Catalog) Pin(ref *ipsketch.TableSketch) error {
 	if ref == nil {
 		return errors.New("catalog: nil pin sketch")
-	}
-	if !c.strict {
-		return nil
 	}
 	c.pinMu.Lock()
 	defer c.pinMu.Unlock()
@@ -238,11 +249,8 @@ func (c *Catalog) Pin(ref *ipsketch.TableSketch) error {
 	return nil
 }
 
-// checkPin enforces the strict configuration pin.
+// checkPin enforces the configuration pin.
 func (c *Catalog) checkPin(ts *ipsketch.TableSketch) error {
-	if !c.strict {
-		return nil
-	}
 	c.pinMu.Lock()
 	defer c.pinMu.Unlock()
 	if c.pin == nil {
@@ -257,7 +265,7 @@ func (c *Catalog) checkPin(ts *ipsketch.TableSketch) error {
 
 // admit runs the checks every sketch entering the catalog passes, live or
 // restored: a usable name, envelope serializability (so a catalog that
-// accepted a sketch can always be saved and restored), and the strict
+// accepted a sketch can always be saved and restored), and the
 // configuration pin.
 func (c *Catalog) admit(ts *ipsketch.TableSketch) error {
 	if ts == nil {
@@ -289,18 +297,7 @@ func (c *Catalog) Put(ts *ipsketch.TableSketch) error {
 	defer sh.writeMu.Unlock()
 	m := sh.stage()
 	m[ts.Name] = ts
-	if err := c.hook(Mutation{Op: MutationPut, Name: ts.Name, Sketch: ts}); err != nil {
-		return err
-	}
-	return c.publish(sh, m)
-}
-
-// observePublish reports a publish latency (call with the publish start
-// time deferred around the rebuild+store).
-func (c *Catalog) observePublish(t0 time.Time) {
-	if c.publishObs != nil {
-		c.publishObs.Observe(time.Since(t0).Seconds())
-	}
+	return c.publish(sh, m, &Mutation{Op: MutationPut, Name: ts.Name, Sketch: ts})
 }
 
 // hook runs the OnMutate hook (the caller holds the shard write mutex).
@@ -328,8 +325,9 @@ func (c *Catalog) Merge(ts *ipsketch.TableSketch) (bool, error) {
 // MergeTagged is Merge carrying an idempotency tag through to the
 // OnMutate hook (the serving layer's client-supplied request ID, logged
 // so a replayed log can rebuild the dedupe state). The hook sees the
-// incoming partial, and only after the merge is known to succeed — a
-// logged mutation always re-applies cleanly on replay.
+// incoming partial, and only after the merge and the shard's index build
+// are known to succeed — a logged mutation always re-applies cleanly on
+// replay.
 func (c *Catalog) MergeTagged(ts *ipsketch.TableSketch, tag string) (bool, error) {
 	if err := c.admit(ts); err != nil {
 		return false, err
@@ -342,17 +340,14 @@ func (c *Catalog) MergeTagged(ts *ipsketch.TableSketch, tag string) (bool, error
 	if err != nil {
 		return false, err
 	}
-	if err := c.hook(Mutation{Op: MutationMerge, Name: ts.Name, Sketch: ts, Tag: tag}); err != nil {
-		return false, err
-	}
-	if err := c.publish(sh, m); err != nil {
+	if err := c.publish(sh, m, &Mutation{Op: MutationMerge, Name: ts.Name, Sketch: ts, Tag: tag}); err != nil {
 		return false, err
 	}
 	return existed, nil
 }
 
 // Delete deletes the table, reporting whether it was present and any
-// mutation-hook failure (in which case nothing was removed).
+// publish failure (in which case nothing was removed).
 func (c *Catalog) Delete(name string) (bool, error) {
 	sh := c.shardFor(name)
 	sh.writeMu.Lock()
@@ -362,13 +357,8 @@ func (c *Catalog) Delete(name string) (bool, error) {
 	}
 	m := sh.stage()
 	delete(m, name)
-	if err := c.hook(Mutation{Op: MutationDelete, Name: name}); err != nil {
+	if err := c.publish(sh, m, &Mutation{Op: MutationDelete, Name: name}); err != nil {
 		return false, err
-	}
-	if err := c.publish(sh, m); err != nil {
-		// Unreachable: only invalid banding parameters fail a build, and
-		// the publish that put this table here built with the same ones.
-		panic(fmt.Sprintf("catalog: rebuilding shard after remove: %v", err))
 	}
 	return true, nil
 }
@@ -409,7 +399,7 @@ func (c *Catalog) Restore(fn func(*Restore) error) error {
 		if m == nil {
 			continue
 		}
-		if err := c.publish(&c.shards[i], m); err != nil {
+		if err := c.publish(&c.shards[i], m, nil); err != nil {
 			return err
 		}
 	}
@@ -467,8 +457,8 @@ func bareIndex(m staged) *ipsketch.SketchIndex {
 	ix := ipsketch.NewSketchIndex()
 	for _, name := range names {
 		if err := ix.Add(m[name]); err != nil {
-			// Unreachable: a lax index rejects only nil sketches, and
-			// admit lets none into a staged set.
+			// Unreachable: admit lets into a staged set only sketches
+			// compatible with the catalog's pin, hence with each other.
 			panic(fmt.Sprintf("catalog: indexing %q: %v", name, err))
 		}
 	}
@@ -639,8 +629,8 @@ func (e *SnapshotError) Unwrap() error { return e.Err }
 
 // Load reads a snapshot written by Save and restores every table into the
 // catalog (replacing same-named tables), publishing each shard once. It
-// returns the number of tables loaded; when a table is rejected — strict
-// catalogs validate every loaded sketch against the pin — none is.
+// returns the number of tables loaded; when a table is rejected — every
+// loaded sketch is validated against the pin — none is.
 // A file that exists but will not decode returns a *SnapshotError.
 func (c *Catalog) Load(path string) (int, error) {
 	f, err := os.Open(path)

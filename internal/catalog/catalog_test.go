@@ -245,6 +245,8 @@ func TestCatalogAllTiedAcrossShards(t *testing.T) {
 	}
 }
 
+// TestCatalogStrictPinsConfig: every catalog pins the configuration of its
+// first table and refuses a mismatched Put, even after it is emptied.
 func TestCatalogStrictPinsConfig(t *testing.T) {
 	mk := func(cfg ipsketch.Config, keySpace uint64, name string) *ipsketch.TableSketch {
 		t.Helper()
@@ -263,7 +265,7 @@ func TestCatalogStrictPinsConfig(t *testing.T) {
 		return sk
 	}
 	base := ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 100, Seed: 1}
-	c := New(Options{Shards: 4, Strict: true})
+	c := New(Options{Shards: 4})
 	if err := c.Put(mk(base, 1<<16, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +287,6 @@ func TestCatalogStrictPinsConfig(t *testing.T) {
 	}
 	if err := c.Put(mk(bad, 1<<16, "c")); err == nil {
 		t.Fatal("pin forgotten after catalog emptied")
-	}
-	// Lax catalogs accept anything.
-	lax := New(Options{Shards: 4})
-	if err := lax.Put(mk(base, 1<<16, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lax.Put(mk(bad, 1<<16, "b")); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -495,8 +489,7 @@ func TestCatalogRejectsUnserializableNames(t *testing.T) {
 	}
 }
 
-// TestCatalogPin: a pre-pinned strict catalog validates even the very
-// first Put.
+// TestCatalogPin: a pre-pinned catalog validates even the very first Put.
 func TestCatalogPin(t *testing.T) {
 	mk := func(seed uint64, name string) *ipsketch.TableSketch {
 		t.Helper()
@@ -515,7 +508,7 @@ func TestCatalogPin(t *testing.T) {
 		}
 		return sk
 	}
-	c := New(Options{Strict: true})
+	c := New(Options{})
 	if err := c.Pin(mk(1, "ref")); err != nil {
 		t.Fatal(err)
 	}
@@ -530,14 +523,6 @@ func TestCatalogPin(t *testing.T) {
 	}
 	if err := c.Pin(mk(2, "ref")); err == nil {
 		t.Fatal("incompatible re-pin accepted")
-	}
-	// Pinning a lax catalog is a no-op.
-	lax := New(Options{})
-	if err := lax.Pin(mk(1, "ref")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lax.Put(mk(2, "x")); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -589,7 +574,7 @@ func mergeFixture(t testing.TB, parts int) (ts *ipsketch.TableSketcher, partials
 // full-table sketch directly.
 func TestCatalogMergeMatchesSingleIngest(t *testing.T) {
 	_, partials, full := mergeFixture(t, 3)
-	c := New(Options{Shards: 4, Strict: true})
+	c := New(Options{Shards: 4})
 	for i, p := range partials {
 		merged, err := c.Merge(p)
 		if err != nil {
@@ -622,7 +607,7 @@ func TestCatalogMergeMatchesSingleIngest(t *testing.T) {
 // single-ingest sketch regardless of arrival order.
 func TestCatalogConcurrentMergeNoLostUpdates(t *testing.T) {
 	_, partials, full := mergeFixture(t, 8)
-	c := New(Options{Shards: 4, Strict: true})
+	c := New(Options{Shards: 4})
 	var wg sync.WaitGroup
 	errs := make([]error, len(partials))
 	for i, p := range partials {
@@ -655,11 +640,11 @@ func TestCatalogConcurrentMergeNoLostUpdates(t *testing.T) {
 	}
 }
 
-// TestCatalogMergeRespectsPin: a strict catalog rejects partials from an
+// TestCatalogMergeRespectsPin: a pinned catalog rejects partials from an
 // incompatible configuration at merge time, same as Put.
 func TestCatalogMergeRespectsPin(t *testing.T) {
 	_, partials, full := mergeFixture(t, 2)
-	c := New(Options{Shards: 2, Strict: true})
+	c := New(Options{Shards: 2})
 	if err := c.Pin(full); err != nil {
 		t.Fatal(err)
 	}
@@ -880,6 +865,47 @@ func TestCatalogTieHeavyMatchesDecodedReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCatalogFailedPublishRunsNoHook: a mutation whose shard index fails
+// to build — invalid banding parameters, or a method without LSH
+// signatures under LSH — returns the error without running the OnMutate
+// hook, so a write-ahead log never records a mutation that a replay could
+// not publish.
+func TestCatalogFailedPublishRunsNoHook(t *testing.T) {
+	_, sks := fixtureSketches(t, 1)
+	jlTS, err := ipsketch.NewTableSketcher(ipsketch.Config{Method: ipsketch.MethodJL, StorageWords: 100, Seed: 1}, fixtureKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ipsketch.NewTable("jl", []uint64{1, 2, 3}, map[string][]float64{"v": {1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, err := jlTS.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		lsh  ipsketch.LSHParams
+		sk   *ipsketch.TableSketch
+	}{
+		{"invalid banding", ipsketch.LSHParams{Bands: 0, Rows: 4}, sks[0]},
+		{"unbandable method", ipsketch.LSHParams{Bands: 4, Rows: 2}, jl},
+	} {
+		hooked := 0
+		c := New(Options{Shards: 2, LSH: &tc.lsh, OnMutate: func(Mutation) error { hooked++; return nil }})
+		if err := c.Put(tc.sk); err == nil {
+			t.Fatalf("%s: Put published", tc.name)
+		}
+		if _, err := c.Merge(tc.sk); err == nil {
+			t.Fatalf("%s: Merge published", tc.name)
+		}
+		if hooked != 0 || c.Len() != 0 {
+			t.Fatalf("%s: hook ran %d times, catalog holds %d tables; want 0 and 0", tc.name, hooked, c.Len())
 		}
 	}
 }

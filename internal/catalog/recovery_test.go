@@ -353,7 +353,7 @@ func TestRestoreMatchesLive(t *testing.T) {
 			label := fmt.Sprintf("shards=%d lsh=%v", shards, lshp != nil)
 			var log []Mutation
 			var liveMerged []bool
-			live := New(Options{Shards: shards, Strict: true, LSH: lshp, OnMutate: func(m Mutation) error {
+			live := New(Options{Shards: shards, LSH: lshp, OnMutate: func(m Mutation) error {
 				log = append(log, m)
 				return nil
 			}})
@@ -380,7 +380,7 @@ func TestRestoreMatchesLive(t *testing.T) {
 
 			var publishes countingObserver
 			hooked := 0
-			restored := New(Options{Shards: shards, Strict: true, LSH: lshp, PublishObserver: &publishes,
+			restored := New(Options{Shards: shards, LSH: lshp, PublishObserver: &publishes,
 				OnMutate: func(Mutation) error {
 					hooked++
 					return nil

@@ -224,9 +224,3 @@ func (vz *Vectorizer) Vector(d Document) (vector.Sparse, error) {
 	}
 	return v.Normalize(), nil
 }
-
-// Cosine returns the cosine similarity of two L2-normalized vectors (their
-// inner product). The paper uses cosine as the Figure 6 similarity measure.
-func Cosine(a, b vector.Sparse) float64 {
-	return vector.Dot(a, b)
-}

@@ -9,6 +9,10 @@ import (
 	"repro/internal/vector"
 )
 
+// cosine is the cosine similarity of two L2-normalized vectors: their
+// inner product, the paper's Figure 6 similarity measure.
+func cosine(a, b vector.Sparse) float64 { return vector.Dot(a, b) }
+
 // featureHash mirrors the unigram feature hashing of featureCounts.
 func featureHash(w int, dim uint64) uint64 {
 	return hashing.Mix(0x756e69, uint64(w)) % dim
@@ -146,7 +150,7 @@ func TestSameTopicDocsMoreSimilar(t *testing.T) {
 	var same, diff []float64
 	for i := 0; i < len(docs); i++ {
 		for j := i + 1; j < len(docs); j++ {
-			c := Cosine(vecs[i], vecs[j])
+			c := cosine(vecs[i], vecs[j])
 			if docs[i].Topic == docs[j].Topic {
 				same = append(same, c)
 			} else {
@@ -182,11 +186,11 @@ func TestVectorizerBasics(t *testing.T) {
 	if math.Abs(v0.Norm()-1) > 1e-12 {
 		t.Fatalf("vector not normalized: %v", v0.Norm())
 	}
-	if math.Abs(Cosine(v0, v1)-1) > 1e-12 {
-		t.Fatalf("identical docs cosine %v, want 1", Cosine(v0, v1))
+	if math.Abs(cosine(v0, v1)-1) > 1e-12 {
+		t.Fatalf("identical docs cosine %v, want 1", cosine(v0, v1))
 	}
-	if Cosine(v0, v2) != 0 {
-		t.Fatalf("disjoint docs cosine %v, want 0", Cosine(v0, v2))
+	if cosine(v0, v2) != 0 {
+		t.Fatalf("disjoint docs cosine %v, want 0", cosine(v0, v2))
 	}
 	// 3 unigrams + 2 bigrams = 5 features.
 	if v0.NNZ() != 5 {

@@ -169,17 +169,3 @@ func sampleDistinct(rng *hashing.SplitMix64, n uint64, k int) []uint64 {
 	}
 	return out
 }
-
-// BinaryPair draws a pair of binary vectors (all non-zero entries equal 1)
-// with the same support structure as SyntheticPair. Used for the
-// binary-vector experiments where MinHash's Theorem 4 bound is tight.
-func BinaryPair(p PairParams) (a, b vector.Sparse, err error) {
-	q := p
-	q.OutlierFrac = 0
-	a, b, err = SyntheticPair(q)
-	if err != nil {
-		return
-	}
-	one := func(float64) float64 { return 1 }
-	return a.Map(one), b.Map(one), nil
-}

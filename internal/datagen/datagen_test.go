@@ -125,31 +125,6 @@ func TestNoOutliersWhenFracZero(t *testing.T) {
 	}
 }
 
-func TestBinaryPair(t *testing.T) {
-	p := PaperPairParams(0.25, 17)
-	a, b, err := BinaryPair(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NNZ() != 2000 || b.NNZ() != 2000 {
-		t.Fatal("binary pair wrong support size")
-	}
-	a.Range(func(_ uint64, v float64) bool {
-		if v != 1 {
-			t.Fatalf("binary entry %v", v)
-		}
-		return true
-	})
-	want := int(0.25 * 2000)
-	if got := vector.SupportIntersectionSize(a, b); got != want {
-		t.Fatalf("binary overlap %d, want %d", got, want)
-	}
-	// ⟨a,b⟩ for binary vectors = intersection size.
-	if got := vector.Dot(a, b); got != float64(want) {
-		t.Fatalf("binary dot %v, want %d", got, want)
-	}
-}
-
 func TestLargeDomainRejectionPath(t *testing.T) {
 	p := PairParams{
 		N: 1 << 40, NNZ: 500, Overlap: 0.2,

@@ -67,6 +67,36 @@ func TestJLDeterministic(t *testing.T) {
 	}
 }
 
+// fromDense builds a sparse vector from a dense slice.
+func fromDense(d []float64) (vector.Sparse, error) {
+	var idx []uint64
+	var val []float64
+	for i, v := range d {
+		if v != 0 {
+			idx = append(idx, uint64(i))
+			val = append(val, v)
+		}
+	}
+	return vector.New(uint64(len(d)), idx, val)
+}
+
+func TestFromDenseRoundTrip(t *testing.T) {
+	d := []float64{0, 1.5, 0, 0, -2, 0, 3}
+	s, err := fromDense(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Dense()
+	if len(got) != len(d) {
+		t.Fatalf("dense length %d, want %d", len(got), len(d))
+	}
+	for i := range d {
+		if got[i] != d[i] {
+			t.Fatalf("round trip differs at %d: %v vs %v", i, got[i], d[i])
+		}
+	}
+}
+
 func TestJLLinearity(t *testing.T) {
 	// S(a + c·b) = S(a) + c·S(b): the defining property of linear sketches.
 	rng := hashing.NewSplitMix64(3)
@@ -81,7 +111,7 @@ func TestJLLinearity(t *testing.T) {
 	for i := range da {
 		sum[i] = da[i] + 2*db[i]
 	}
-	vc, _ := vector.FromDense(sum)
+	vc, _ := fromDense(sum)
 	sc, _ := NewJL(vc, p)
 	for r := range sc.rows {
 		want := sa.rows[r] + 2*sb.rows[r]

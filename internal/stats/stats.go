@@ -1,13 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness and the dataset-search substrate: streaming moments
-// (including the kurtosis used to bucket Figure 5), quantiles, and Pearson
+// (including the kurtosis used to bucket Figure 5) and Pearson
 // correlation.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Moments accumulates count, mean, and central moments M2..M4 in one pass
 // using the numerically stable updating formulas of Pébay (2008) — the
@@ -81,27 +78,6 @@ func (m *Moments) Variance() float64 {
 	return m.m2 / float64(m.n)
 }
 
-// SampleVariance returns the unbiased variance M2/(n−1) (0 when n < 2).
-func (m *Moments) SampleVariance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Skewness returns the population skewness g1 = (M3/n) / (M2/n)^{3/2}.
-// Returns 0 when the variance is 0.
-func (m *Moments) Skewness() float64 {
-	if m.n < 1 || m.m2 == 0 {
-		return 0
-	}
-	n := float64(m.n)
-	return (m.m3 / n) / math.Pow(m.m2/n, 1.5)
-}
-
 // Kurtosis returns the population kurtosis g2 = n·M4/M2² (NOT excess:
 // a normal distribution gives ≈ 3). The paper's Figure 5 buckets column
 // pairs by this quantity as an outlier indicator. Returns 0 when the
@@ -140,31 +116,6 @@ func Kurtosis(xs []float64) float64 {
 	var m Moments
 	m.AddAll(xs)
 	return m.Kurtosis()
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified. Returns NaN
-// for empty input; panics for q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Correlation returns the Pearson correlation coefficient of the paired

@@ -78,25 +78,6 @@ func (s Sparse) Normalize() Sparse {
 	return s.Scale(1 / n)
 }
 
-// SupportIntersection returns the sorted indices of I = {i : a[i]≠0 ∧ b[i]≠0}.
-func SupportIntersection(a, b Sparse) []uint64 {
-	var out []uint64
-	i, j := 0, 0
-	for i < len(a.idx) && j < len(b.idx) {
-		switch {
-		case a.idx[i] < b.idx[j]:
-			i++
-		case a.idx[i] > b.idx[j]:
-			j++
-		default:
-			out = append(out, a.idx[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // SupportUnionSize returns |A ∪ B| for the supports of a and b.
 func SupportUnionSize(a, b Sparse) int {
 	i, j, n := 0, 0, 0
@@ -140,40 +121,6 @@ func Jaccard(a, b Sparse) float64 {
 		return 0
 	}
 	return float64(SupportIntersectionSize(a, b)) / float64(u)
-}
-
-// WeightedJaccard returns Σ min(a[i]², b[i]²) / Σ max(a[i]², b[i]²), the
-// quantity J̄ from Fact 5 of the paper (applied to the raw, un-normalized
-// entries). Returns 0 when both vectors are empty.
-func WeightedJaccard(a, b Sparse) float64 {
-	minSum, maxSum := 0.0, 0.0
-	i, j := 0, 0
-	for i < len(a.idx) && j < len(b.idx) {
-		switch {
-		case a.idx[i] < b.idx[j]:
-			maxSum += a.val[i] * a.val[i]
-			i++
-		case a.idx[i] > b.idx[j]:
-			maxSum += b.val[j] * b.val[j]
-			j++
-		default:
-			av, bv := a.val[i]*a.val[i], b.val[j]*b.val[j]
-			minSum += math.Min(av, bv)
-			maxSum += math.Max(av, bv)
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.idx); i++ {
-		maxSum += a.val[i] * a.val[i]
-	}
-	for ; j < len(b.idx); j++ {
-		maxSum += b.val[j] * b.val[j]
-	}
-	if maxSum == 0 {
-		return 0
-	}
-	return minSum / maxSum
 }
 
 // Restrict returns the vector restricted to the given sorted index set

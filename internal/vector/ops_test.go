@@ -100,16 +100,6 @@ func TestCauchySchwarz(t *testing.T) {
 func TestSupportOps(t *testing.T) {
 	a := MustNew(16, []uint64{1, 3, 4, 5, 6, 7, 8, 9, 11}, []float64{6, 2, 6, 1, 4, 2, 2, 8, 3})
 	b := MustNew(16, []uint64{2, 4, 5, 8, 10, 11, 12, 15}, []float64{1, 5, 1, 2, 4, 2.5, 6, 6})
-	wantI := []uint64{4, 5, 8, 11}
-	gotI := SupportIntersection(a, b)
-	if len(gotI) != len(wantI) {
-		t.Fatalf("intersection %v, want %v", gotI, wantI)
-	}
-	for k := range wantI {
-		if gotI[k] != wantI[k] {
-			t.Fatalf("intersection %v, want %v", gotI, wantI)
-		}
-	}
 	if got := SupportIntersectionSize(a, b); got != 4 {
 		t.Fatalf("intersection size %d, want 4", got)
 	}
@@ -146,32 +136,17 @@ func TestJaccardEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWeightedJaccard(t *testing.T) {
-	a := MustNew(10, []uint64{1, 2}, []float64{2, 1})  // squares: 4, 1
-	b := MustNew(10, []uint64{2, 3}, []float64{3, -1}) // squares: 9, 1
-	// min sum = min(1,9)=1; max sum = 4 + 9 + 1 = 14
-	if got := WeightedJaccard(a, b); math.Abs(got-1.0/14.0) > 1e-12 {
-		t.Fatalf("WeightedJaccard = %v, want %v", got, 1.0/14.0)
-	}
-	if WeightedJaccard(a, a) != 1 {
-		t.Fatal("WeightedJaccard(a,a) should be 1")
-	}
-	empty := MustNew(10, nil, nil)
-	if WeightedJaccard(empty, empty) != 0 {
-		t.Fatal("WeightedJaccard of empties should be 0")
-	}
-}
-
-func TestWeightedJaccardRange(t *testing.T) {
-	rng := hashing.NewSplitMix64(23)
-	for trial := 0; trial < 300; trial++ {
-		a := randomSparse(rng, 200, 40)
-		b := randomSparse(rng, 200, 40)
-		j := WeightedJaccard(a, b)
-		if j < 0 || j > 1 {
-			t.Fatalf("WeightedJaccard out of [0,1]: %v", j)
+// commonSupport returns the sorted indices where both a and b are
+// non-zero, by lookup rather than by merging the two supports.
+func commonSupport(a, b Sparse) []uint64 {
+	var out []uint64
+	a.Range(func(i uint64, _ float64) bool {
+		if b.At(i) != 0 {
+			out = append(out, i)
 		}
-	}
+		return true
+	})
+	return out
 }
 
 func TestRestrictAndDotIdentity(t *testing.T) {
@@ -180,7 +155,7 @@ func TestRestrictAndDotIdentity(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a := randomSparse(rng, 300, 50)
 		b := randomSparse(rng, 300, 50)
-		i := SupportIntersection(a, b)
+		i := commonSupport(a, b)
 		aI, bI := a.Restrict(i), b.Restrict(i)
 		if aI.NNZ() != len(i) || bI.NNZ() != len(i) {
 			t.Fatalf("restricted sizes wrong: %d,%d vs %d", aI.NNZ(), bI.NNZ(), len(i))
@@ -196,7 +171,7 @@ func TestIntersectionNormsMatchRestrict(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a := randomSparse(rng, 300, 50)
 		b := randomSparse(rng, 300, 50)
-		i := SupportIntersection(a, b)
+		i := commonSupport(a, b)
 		nA, nB := IntersectionNorms(a, b)
 		if math.Abs(nA-a.Restrict(i).Norm()) > 1e-12 ||
 			math.Abs(nB-b.Restrict(i).Norm()) > 1e-12 {

@@ -82,19 +82,6 @@ func FromMap(n uint64, m map[uint64]float64) (Sparse, error) {
 	return New(n, idx, val)
 }
 
-// FromDense builds a sparse vector from a dense float64 slice.
-func FromDense(d []float64) (Sparse, error) {
-	var idx []uint64
-	var val []float64
-	for i, v := range d {
-		if v != 0 {
-			idx = append(idx, uint64(i))
-			val = append(val, v)
-		}
-	}
-	return New(uint64(len(d)), idx, val)
-}
-
 // Dim returns the vector's dimension n.
 func (s Sparse) Dim() uint64 { return s.n }
 

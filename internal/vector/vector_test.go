@@ -104,23 +104,6 @@ func TestFromMapMatchesNew(t *testing.T) {
 	})
 }
 
-func TestFromDenseRoundTrip(t *testing.T) {
-	d := []float64{0, 1.5, 0, 0, -2, 0, 3}
-	s, err := FromDense(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.Dense()
-	if len(got) != len(d) {
-		t.Fatalf("dense length %d, want %d", len(got), len(d))
-	}
-	for i := range d {
-		if got[i] != d[i] {
-			t.Fatalf("round trip differs at %d: %v vs %v", i, got[i], d[i])
-		}
-	}
-}
-
 func TestDensePanicsOnHugeDimension(t *testing.T) {
 	s := MustNew(1<<40, []uint64{5}, []float64{1})
 	defer func() {

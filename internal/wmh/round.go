@@ -171,23 +171,3 @@ func maxWeightPos(weights []uint64) int {
 	}
 	return best
 }
-
-// RoundedVector materializes ž = Round(v/‖v‖, L) as a sparse vector with
-// ž[j] = sign(v[j])·sqrt(w_j/L). It is used by tests and by the naive
-// reference path; the fast sketcher works directly on the integer weights.
-func RoundedVector(v vector.Sparse, l uint64) vector.Sparse {
-	idx, weights := Round(v, l)
-	vals := make([]float64, len(idx))
-	for k := range idx {
-		s := 1.0
-		if v.At(idx[k]) < 0 {
-			s = -1.0
-		}
-		vals[k] = s * math.Sqrt(float64(weights[k])/float64(l))
-	}
-	out, err := vector.New(v.Dim(), idx, vals)
-	if err != nil {
-		panic("wmh: internal error materializing rounded vector: " + err.Error())
-	}
-	return out
-}

@@ -8,6 +8,27 @@ import (
 	"repro/internal/vector"
 )
 
+// RoundedVector materializes ž = Round(v/‖v‖, L) as a sparse vector with
+// ž[j] = sign(v[j])·sqrt(w_j/L), the exact target the tests compare the
+// sketch's estimates with; the sketcher works directly on the integer
+// weights.
+func RoundedVector(v vector.Sparse, l uint64) vector.Sparse {
+	idx, weights := Round(v, l)
+	vals := make([]float64, len(idx))
+	for k := range idx {
+		s := 1.0
+		if v.At(idx[k]) < 0 {
+			s = -1.0
+		}
+		vals[k] = s * math.Sqrt(float64(weights[k])/float64(l))
+	}
+	out, err := vector.New(v.Dim(), idx, vals)
+	if err != nil {
+		panic("wmh: internal error materializing rounded vector: " + err.Error())
+	}
+	return out
+}
+
 func randomSparse(rng *hashing.SplitMix64, n uint64, maxNNZ int, outliers bool) vector.Sparse {
 	nnz := 1 + rng.Intn(maxNNZ)
 	m := make(map[uint64]float64, nnz)

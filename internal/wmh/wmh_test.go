@@ -253,6 +253,57 @@ func TestHeavyEntrySampledReliably(t *testing.T) {
 	}
 }
 
+// exactWeightedJaccard returns Σ min(a[i]², b[i]²) / Σ max(a[i]², b[i]²),
+// the quantity J̄ of the paper's Fact 5 (applied to the raw entries), or 0
+// when both vectors are empty.
+func exactWeightedJaccard(a, b vector.Sparse) float64 {
+	minSum, maxSum := 0.0, 0.0
+	a.Range(func(i uint64, v float64) bool {
+		w := b.At(i)
+		minSum += math.Min(v*v, w*w)
+		maxSum += math.Max(v*v, w*w)
+		return true
+	})
+	b.Range(func(i uint64, w float64) bool {
+		if a.At(i) == 0 {
+			maxSum += w * w
+		}
+		return true
+	})
+	if maxSum == 0 {
+		return 0
+	}
+	return minSum / maxSum
+}
+
+func TestWeightedJaccard(t *testing.T) {
+	a := vector.MustNew(10, []uint64{1, 2}, []float64{2, 1})  // squares: 4, 1
+	b := vector.MustNew(10, []uint64{2, 3}, []float64{3, -1}) // squares: 9, 1
+	// min sum = min(1,9)=1; max sum = 4 + 9 + 1 = 14
+	if got := exactWeightedJaccard(a, b); math.Abs(got-1.0/14.0) > 1e-12 {
+		t.Fatalf("exactWeightedJaccard = %v, want %v", got, 1.0/14.0)
+	}
+	if exactWeightedJaccard(a, a) != 1 {
+		t.Fatal("exactWeightedJaccard(a,a) should be 1")
+	}
+	empty := vector.MustNew(10, nil, nil)
+	if exactWeightedJaccard(empty, empty) != 0 {
+		t.Fatal("exactWeightedJaccard of empties should be 0")
+	}
+}
+
+func TestWeightedJaccardRange(t *testing.T) {
+	rng := hashing.NewSplitMix64(23)
+	for trial := 0; trial < 300; trial++ {
+		a := randomSparse(rng, 200, 40, false)
+		b := randomSparse(rng, 200, 40, false)
+		j := exactWeightedJaccard(a, b)
+		if j < 0 || j > 1 {
+			t.Fatalf("exactWeightedJaccard out of [0,1]: %v", j)
+		}
+	}
+}
+
 // TestWeightedJaccardEstimateConverges: collision rate ≈ weighted Jaccard
 // of the rounded normalized vectors (Fact 5 claim 1). The rounded target is
 // computed exactly via RoundedVector.
@@ -272,7 +323,7 @@ func TestWeightedJaccardEstimateConverges(t *testing.T) {
 	b, _ := vector.FromMap(300, bm)
 
 	const l = 1 << 20
-	want := vector.WeightedJaccard(RoundedVector(a, l), RoundedVector(b, l))
+	want := exactWeightedJaccard(RoundedVector(a, l), RoundedVector(b, l))
 	p := Params{M: 4096, Seed: 29, L: l}
 	got := weightedJaccardEstimate(mustSketch(t, a, p), mustSketch(t, b, p))
 	if math.Abs(got-want) > 0.03 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/vector"
 )
 
 func paperPair(t *testing.T, overlap float64, seed uint64) (Vector, Vector) {
@@ -238,8 +239,45 @@ func TestWMHBeatsLinearAtLowOverlap(t *testing.T) {
 	}
 }
 
+// binaryPair draws a pair of binary vectors (all non-zero entries equal 1)
+// with the same support structure as datagen.SyntheticPair: the
+// binary-vector case where MinHash's Theorem 4 bound is tight.
+func binaryPair(p datagen.PairParams) (a, b Vector, err error) {
+	p.OutlierFrac = 0
+	a, b, err = datagen.SyntheticPair(p)
+	if err != nil {
+		return
+	}
+	one := func(float64) float64 { return 1 }
+	return a.Map(one), b.Map(one), nil
+}
+
+func TestBinaryPair(t *testing.T) {
+	a, b, err := binaryPair(datagen.PaperPairParams(0.25, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NNZ() != 2000 || b.NNZ() != 2000 {
+		t.Fatal("binary pair wrong support size")
+	}
+	a.Range(func(_ uint64, v float64) bool {
+		if v != 1 {
+			t.Fatalf("binary entry %v", v)
+		}
+		return true
+	})
+	want := int(0.25 * 2000)
+	if got := vector.SupportIntersectionSize(a, b); got != want {
+		t.Fatalf("binary overlap %d, want %d", got, want)
+	}
+	// ⟨a,b⟩ for binary vectors = intersection size.
+	if got := Dot(a, b); got != float64(want) {
+		t.Fatalf("binary dot %v, want %d", got, want)
+	}
+}
+
 func TestEstimateJoinSizeBinaryVectors(t *testing.T) {
-	a, b, err := datagen.BinaryPair(datagen.PaperPairParams(0.2, 11))
+	a, b, err := binaryPair(datagen.PaperPairParams(0.2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}

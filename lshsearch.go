@@ -17,8 +17,7 @@ import (
 // as the full scan. Whenever the candidate set contains the true top k
 // (recall@k = 1) the ranking is therefore bit-identical to the full scan —
 // approximation only ever drops candidates, it never perturbs a score. An
-// empty query sketch yields zero band candidates (the unindexed entries
-// are still scored).
+// empty query sketch yields zero band candidates.
 
 // LSHParams configures the banded candidate index: signatures of length
 // Bands×Rows are split into Bands bands of Rows entries, and two columns
@@ -86,22 +85,17 @@ var ErrNoLSHIndex = errors.New("ipsketch: index has no LSH view")
 type lshView struct {
 	params lsh.Params
 	index  *lsh.Index
-	// unindexed lists entry positions (ascending) that could not be
-	// banded — non-signature methods or signatures shorter than
-	// Bands×Rows. They are exact-rescored on every lsh-mode search, so an
-	// unbandable entry is never silently invisible. Empty-sketch entries
-	// (nil signature) are deliberately absent from both sides: an empty
-	// key column joins nothing and must not wildcard-match every query.
-	unindexed []int
 }
 
 // BuildLSH bands the index's entries into an LSH candidate view and
 // returns the number of entries indexed. The catalog calls this at every
-// copy-on-write publish, right after BuildColumnar; Add and Remove
-// invalidate the view (lsh-mode searches fail with ErrNoLSHIndex until
-// the next build). Entries whose method has no signature, or whose
-// signature is shorter than p.SignatureLen(), fall into the always-
-// rescored unindexed set; entries with empty key sketches are skipped.
+// copy-on-write publish, right after BuildColumnar; Add invalidates the
+// view (lsh-mode searches fail with ErrNoLSHIndex until the next build).
+// The index holds one configuration, so either every entry can be banded
+// or none can: BuildLSH fails when the method has no signature or its
+// signatures are shorter than p.SignatureLen(). Entries with empty key
+// sketches are skipped: an empty key column joins nothing and must not
+// wildcard-match every query.
 func (ix *SketchIndex) BuildLSH(p LSHParams) (int, error) {
 	lv, err := buildLSHView(ix.entries, p.internal())
 	if err != nil {
@@ -130,14 +124,9 @@ func buildLSHView(entries []*TableSketch, p lsh.Params) (*lshView, error) {
 	lv := &lshView{params: p, index: index}
 	sigLen := p.SignatureLen()
 	for ent, e := range entries {
-		if e == nil || e.key == nil {
-			continue
-		}
 		sig, err := e.key.LSHSignature()
 		if err != nil {
-			// Non-bandable method (or foreign payload): exact-rescore it.
-			lv.unindexed = append(lv.unindexed, ent)
-			continue
+			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)
 		}
 		if sig == nil {
 			// Empty key sketch: joins nothing, bands nothing. Skipped, per
@@ -145,8 +134,7 @@ func buildLSHView(entries []*TableSketch, p lsh.Params) (*lshView, error) {
 			continue
 		}
 		if len(sig) < sigLen {
-			lv.unindexed = append(lv.unindexed, ent)
-			continue
+			return nil, fmt.Errorf("ipsketch: banding %s: signature has %d entries, banding needs %d", e.Name, len(sig), sigLen)
 		}
 		if err := index.Insert(ent, sig[:sigLen]); err != nil {
 			return nil, fmt.Errorf("ipsketch: banding entry %d (%s): %w", ent, e.Name, err)
@@ -163,38 +151,27 @@ func (ix *SketchIndex) SearchTopKLSHStats(query *TableSketch, queryCol string, b
 	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }
 
-// gather builds the source's lsh scan list: the band candidates of qsig
-// merged with the always-rescored unindexed entries, ascending, so unit
-// cuts and tie-breaking see entry positions in full-scan order. A nil
-// signature (empty key sketch) matches nothing — the list covers only the
-// unindexed entries.
+// gather builds the source's lsh scan list: the band candidates of qsig,
+// ascending, so unit cuts and tie-breaking see entry positions in
+// full-scan order. A nil signature (empty key sketch) matches nothing.
 func (src *searchSource) gather(qsig []uint64, probes int, stats *ScanStats) error {
+	if qsig == nil {
+		src.ents, src.n = nil, 0
+		return nil
+	}
 	lv := src.ix.lshView
-	var cands []int
-	if qsig != nil {
-		sigLen := lv.params.SignatureLen()
-		stats.LSHProbes += int64(lv.params.ClampProbes(probes))
-		if len(qsig) < sigLen {
-			return fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), sigLen)
-		}
-		got, err := lv.index.NewQuerier().Candidates(qsig[:sigLen], probes)
-		if err != nil {
-			return fmt.Errorf("ipsketch: lsh search: %w", err)
-		}
-		cands = got // owned: the Querier is local and issues no further queries
-		sort.Ints(cands)
+	sigLen := lv.params.SignatureLen()
+	stats.LSHProbes += int64(lv.params.ClampProbes(probes))
+	if len(qsig) < sigLen {
+		return fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), sigLen)
 	}
+	cands, err := lv.index.NewQuerier().Candidates(qsig[:sigLen], probes)
+	if err != nil {
+		return fmt.Errorf("ipsketch: lsh search: %w", err)
+	}
+	// Owned: the Querier is local and issues no further queries.
+	sort.Ints(cands)
 	stats.LSHCandidates += int64(len(cands))
-	ents := src.buf[:0] // nil only when empty, and an empty list yields no units
-	for i, j := 0, 0; i < len(cands) || j < len(lv.unindexed); {
-		if j == len(lv.unindexed) || (i < len(cands) && cands[i] < lv.unindexed[j]) {
-			ents = append(ents, cands[i])
-			i++
-		} else {
-			ents = append(ents, lv.unindexed[j])
-			j++
-		}
-	}
-	src.ents, src.buf, src.n = ents, ents, len(ents)
+	src.ents, src.n = cands, len(cands)
 	return nil
 }

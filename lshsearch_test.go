@@ -209,22 +209,7 @@ func TestLSHNoIndexAndInvalidation(t *testing.T) {
 	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Clone carries the view; mutating the clone clears only the clone.
-	cl := ix.Clone()
-	if !cl.HasLSH() {
-		t.Fatal("clone lost the LSH view")
-	}
-	name := ix.Tables()[0]
-	if !cl.Remove(name) {
-		t.Fatal("remove failed")
-	}
-	if cl.HasLSH() {
-		t.Fatal("mutated clone retains a stale LSH view")
-	}
-	if !ix.HasLSH() {
-		t.Fatal("original lost its LSH view to a clone mutation")
-	}
-	sk, _ := ix.Get(name)
+	sk, _ := ix.Get(ix.Tables()[0])
 	if err := ix.Add(sk); err != nil {
 		t.Fatal(err)
 	}
@@ -312,92 +297,21 @@ func TestLSHEmptySignatureSemantics(t *testing.T) {
 	}
 }
 
-// TestLSHUnindexedFallback: entries whose method has no signature are
-// exact-rescored on every lsh search instead of silently vanishing.
-func TestLSHUnindexedFallback(t *testing.T) {
-	keys := make([]uint64, 100)
-	vals := make([]float64, 100)
-	for i := range keys {
-		keys[i], vals[i] = uint64(i), float64(i)
-	}
-	mh, err := NewTableSketcher(Config{Method: MethodMH, StorageWords: 300, Seed: 61}, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jl, err := NewTableSketcher(Config{Method: MethodJL, StorageWords: 300, Seed: 61}, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := NewSketchIndex()
-	for i, ts := range []*TableSketcher{mh, jl, mh, jl} {
-		tab, err := NewTable(fmt.Sprintf("t%d", i), keys, map[string][]float64{"v": vals})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk, err := ts.SketchTable(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Add(sk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	indexed, err := ix.BuildLSH(strongLSH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if indexed != 2 {
-		t.Fatalf("indexed %d entries, want 2 (the JL entries are unbandable)", indexed)
-	}
-	qt, err := NewTable("query", keys, map[string][]float64{"v": vals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qSk, err := mh.SketchTable(qt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A lax mixed-method index fails mid-scan on the JL entries in both
-	// modes — the unindexed set is scanned, not skipped.
-	_, _, lshErr := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
-	if lshErr == nil || !strings.Contains(lshErr.Error(), "t1.v") {
-		t.Fatalf("lsh search skipped the unbandable entries: err = %v", lshErr)
-	}
-	_, _, fullErr := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1})
-	if fullErr == nil || fullErr.Error() != lshErr.Error() {
-		t.Fatalf("error divergence:\nlsh  %v\nfull %v", lshErr, fullErr)
-	}
-	// A JL query cannot band at all.
-	jlq, err := jl.SketchTable(qt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ix.Search(Query{Sketch: jlq, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true}); !errors.Is(err, ErrNoSignature) {
-		t.Fatalf("JL query: err = %v, want ErrNoSignature", err)
-	}
-}
-
-// TestLSHSignatureTooShort: banding parameters wider than the sketch's
-// sample count leave entries unindexed and reject the query signature.
+// TestLSHSignatureTooShort: banding parameters wider than the sketches'
+// sample count fail BuildLSH, and a query signature too short for an
+// index's banding is refused.
 func TestLSHSignatureTooShort(t *testing.T) {
 	cfg := Config{Method: MethodMH, StorageWords: 30, Seed: 71} // M = 20 samples
 	qSk, ix := buildColumnarFixture(t, cfg, 7100, 4)
 	wide := LSHParams{Bands: 16, Rows: 4} // needs 64 entries
-	indexed, err := ix.BuildLSH(wide)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ix.BuildLSH(wide); err == nil || !strings.Contains(err.Error(), "banding needs 64") {
+		t.Fatalf("BuildLSH with Bands×Rows > M: err = %v", err)
 	}
-	if indexed != 0 {
-		t.Fatalf("indexed %d entries with short signatures, want 0", indexed)
+	if ix.HasLSH() {
+		t.Fatal("a failed BuildLSH left a view")
 	}
-	if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); err == nil {
-		t.Fatal("short query signature accepted")
-	}
-	// The unindexed entries are still rescored under a long-enough query:
-	// search the same catalog with a valid query but short catalog
-	// signatures by rebuilding with params the query satisfies.
-	if _, err := ix.BuildLSH(LSHParams{Bands: 20, Rows: 1}); err != nil {
-		t.Fatal(err)
+	if indexed, err := ix.BuildLSH(LSHParams{Bands: 20, Rows: 1}); err != nil || indexed != ix.Len() {
+		t.Fatalf("BuildLSH with Bands×Rows = M: indexed %d of %d, err = %v", indexed, ix.Len(), err)
 	}
 	res, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true})
 	if err != nil {
@@ -405,5 +319,36 @@ func TestLSHSignatureTooShort(t *testing.T) {
 	}
 	if len(res) == 0 {
 		t.Fatal("no results after rebuild")
+	}
+
+	// Only an index with nothing to band accepts the wide parameters, and
+	// the query's signature is then too short for it.
+	empty := NewSketchIndex()
+	if _, err := empty.BuildLSH(wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := empty.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true}); err == nil {
+		t.Fatal("short query signature accepted")
+	}
+}
+
+// TestBuildLSHRefusesMethodWithoutSignature: an index of a method without
+// LSH signatures (JL) cannot be banded at all, and a JL query cannot probe
+// a banded index.
+func TestBuildLSHRefusesMethodWithoutSignature(t *testing.T) {
+	jl := Config{Method: MethodJL, StorageWords: 300, Seed: 61}
+	qSk, ix := buildColumnarFixture(t, jl, 6100, 4)
+	if _, err := ix.BuildLSH(strongLSH); !errors.Is(err, ErrNoSignature) {
+		t.Fatalf("BuildLSH of a JL index: err = %v, want ErrNoSignature", err)
+	}
+	if ix.HasLSH() {
+		t.Fatal("a failed BuildLSH left a view")
+	}
+	empty := NewSketchIndex()
+	if _, err := empty.BuildLSH(strongLSH); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := empty.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true}); !errors.Is(err, ErrNoSignature) {
+		t.Fatalf("JL query: err = %v, want ErrNoSignature", err)
 	}
 }

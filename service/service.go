@@ -170,7 +170,6 @@ func New(cfg Config) (*Server, error) {
 	s.initMetrics()
 	catOpts := catalog.Options{
 		Shards:          cfg.Shards,
-		Strict:          true,
 		PublishObserver: s.metrics.catalogPublish,
 		LSH:             lshParams,
 	}

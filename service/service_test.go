@@ -438,7 +438,7 @@ func TestServiceIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A mismatched pre-built sketch is rejected by the strict catalog.
+	// A mismatched pre-built sketch is rejected by the pinned catalog.
 	other, err := ipsketch.NewTableSketcher(ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 300, Seed: 99}, testKeySpace)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestServiceIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cl.PutSketch(ctx, "alien", alien); err == nil {
-		t.Fatal("mismatched sketch accepted by strict catalog")
+		t.Fatal("mismatched sketch accepted by the pinned catalog")
 	} else if !strings.Contains(err.Error(), "incompatible") && !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("mismatch error does not explain itself: %v", err)
 	}
