@@ -135,7 +135,7 @@ type backend struct {
 
 // columnarScorer is the type of a backend's packs field: a family that
 // can pack many sketches into contiguous structure-of-arrays storage and
-// score them against a query bundle with a flat-array kernel — the
+// score them against a query bundle with its per-pair scorer — the
 // search-side hot path. Families without one transparently fall back to
 // the decoded per-candidate scorer, bit-identically. The one
 // implementation is *packFamily (columnar.go).
@@ -146,29 +146,21 @@ type columnarScorer interface {
 	// Every payload is of this family and of one configuration (the
 	// index pins it).
 	pack(keys, vals, sqs []payload) columnarPack
-	// prepareQuery gathers one query bundle (key, value, squared-value
-	// payloads of the query column) once per search, independent of any
-	// pack, so a search over many index snapshots prepares its query once.
-	// The payloads are of this family (the search checked the query
-	// against each index's configuration).
-	prepareQuery(qKey, qVal, qSq payload) columnarQuery
 }
-
-// columnarQuery is a family's query bundle; only the packs of the family
-// that prepared it look inside.
-type columnarQuery any
 
 // columnarPack is one index snapshot's bundles of one family packed into
 // flat arrays at index build time; it is read-only once built.
 type columnarPack interface {
-	// scan fills the estimates pl names for packed tables [tLo, tHi) into
-	// tbl and for packed columns [cLo, cHi) (pack-wide ordinals) into col:
-	// estimate e of table t lands in tbl[(t−tLo)·pl.tblStride+pl.slot[e]],
-	// and likewise for columns. The caller assembles JoinStats from the
-	// rows, so there is one indirect call per range — none per candidate.
+	// scan fills the estimates plan pl names for packed tables [tLo, tHi)
+	// into tbl and for packed columns [cLo, cHi) (pack-wide ordinals) into
+	// col, one rowWidth row each (the slot constants in columnar.go). q is
+	// the query column's key, value and squared-value payloads, of this
+	// family (the search checked the query against the index's
+	// configuration). The caller assembles JoinStats from the rows, so
+	// there is one indirect call per range and one per scored pair.
 	// Concurrent scans of disjoint or overlapping ranges are safe (the
 	// pack is read-only).
-	scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64)
+	scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64)
 }
 
 // backends is the registry, indexed by Method: one descriptor per method,

@@ -35,7 +35,7 @@ var kmvBackend = &backend{
 	// KMV has a joinSize estimator, so the size slot carries the
 	// threshold |A∩B| estimate, not the inner-product reduction.
 	packs: &packFamily[*kmv.Sketch, uint64]{
-		scan:         kmv.Scan,
-		scanJoinSize: kmv.ScanJoinSize,
+		score:    kmv.Score,
+		joinSize: kmv.JoinSize,
 	},
 }

@@ -35,6 +35,6 @@ var mhBackend = &backend{
 	// MH has no dedicated join-size estimator (EstimateJoinSize reduces to
 	// Estimate), so the size is one more operand of the key-pack kernel.
 	packs: &packFamily[*minhash.Sketch, uint64]{
-		scan: minhash.Scan,
+		score: minhash.Score,
 	},
 }

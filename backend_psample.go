@@ -47,7 +47,7 @@ func psampleBackend(mode psample.Mode, name string) *backend {
 		// Mode is part of Params, so one index (and so one pack) never
 		// mixes priority and threshold samples.
 		packs: &packFamily[*psample.Sketch, uint64]{
-			scan: psample.Scan,
+			score: psample.Score,
 		},
 	}
 }

@@ -72,7 +72,7 @@ var wmhBackend = &backend{
 	// wmh.Compatible, so retired-variant sketches never mix into an index
 	// (and so a pack) of current ones.
 	packs: &packFamily[*wmh.Sketch, float64]{
-		scan: wmh.Scan,
+		score: wmh.Score,
 	},
 	quantize: true,
 }

@@ -12,98 +12,50 @@ import "repro/internal/sample"
 // view covers every entry of its index: the index pins one configuration,
 // so either every entry packs (a packed family) or none does (JL, CS and
 // SimHash scan decoded through EstimateJoinStats). Both paths run each
-// family's one match loop and assemble JoinStats through the same helper,
-// so rankings are bit-identical either way.
+// family's one per-pair scorer and assemble JoinStats through the same
+// helper, so rankings are bit-identical either way.
 
-// The six raw pairwise estimates JoinStats is assembled from, ordered by
-// the pack they scan — three query operands against the key sketches, two
-// against the value sketches, one against the squared-value sketches —
-// which is the order estPlan lays rows out in.
+// The six raw pairwise estimates JoinStats is assembled from, on the
+// fixed three-slot rows the kernels fill: a table row holds the three
+// estimates against the table's key sketch, a column row the two against
+// the column's value sketch and the one against its squared-value
+// sketch. Within the key and value packs, query operand i of the bundle's
+// key, value, squared-value order fills slot i: its output offset is
+// slots[i].
 const (
-	slotSize   = iota // qKey vs key: join size
-	slotSumA          // qVal vs key: Σ V_A
-	slotSumSqA        // qSq vs key: Σ V_A²
-	slotSumB          // qKey vs value: Σ V_B
-	slotIP            // qVal vs value: ⟨V_A, V_B⟩
-	slotSumSqB        // qKey vs squared value: Σ V_B²
+	slotSize   = 0 // table row, qKey vs key: join size
+	slotSumA   = 1 // table row, qVal vs key: Σ V_A
+	slotSumSqA = 2 // table row, qSq vs key: Σ V_A²
+	slotSumB   = 0 // column row, qKey vs value: Σ V_B
+	slotIP     = 1 // column row, qVal vs value: ⟨V_A, V_B⟩
+	slotSumSqB = 2 // column row, qKey vs squared value: Σ V_B²
+	rowWidth   = 3
 )
 
-// estSet names a subset of the six estimates, one bit per slot.
-type estSet uint8
+var slots = [rowWidth]int{0, 1, 2}
 
-const estAll estSet = 1<<(slotSumSqB+1) - 1
+// rankPlan is what the rank phase of a search computes for every
+// candidate: the MinJoinSize filter reads the join size, and the score
+// reads the size, the inner product, or (for the correlation) all six.
+type rankPlan uint8
 
-// rankEstimates returns the estimates the rank phase of a search reads:
-// the minJoinSize filter always reads the size, and the score reads the
-// size, the inner product, or (for the correlation) all six. An unbounded
-// search keeps every candidate, so it ranks on all six and has nothing
-// left to fill.
-func rankEstimates(by RankBy, k int) estSet {
+const (
+	planSize   rankPlan = iota // the join size, one per table
+	planSizeIP                 // and ⟨V_A, V_B⟩ per column
+	planAll                    // all six
+)
+
+// planFor returns the rank plan of a search. An unbounded search keeps
+// every candidate, so it ranks on all six and has nothing left to fill.
+func planFor(by RankBy, k int) rankPlan {
 	switch {
 	case k < 0 || by == RankByAbsCorrelation:
-		return estAll
+		return planAll
 	case by == RankByAbsInnerProduct:
-		return 1<<slotSize | 1<<slotIP
+		return planSizeIP
 	default:
-		return 1 << slotSize
+		return planSize
 	}
-}
-
-// packSel is the part of an estPlan one pack runs: the n consecutive query
-// operands [lo, lo+n) of the bundle's key, value, squared-value order, and
-// the output slot each fills. Every plan a search builds (rankEstimates and
-// its complement) selects consecutive operands per pack, so a kernel call
-// takes a sub-slice of the prepared query instead of a gathered copy; add
-// panics on a selection that would not be one.
-type packSel struct {
-	lo, n int
-	off   [3]int
-}
-
-func (s *packSel) add(op, off int) {
-	if s.n == 0 {
-		s.lo = op
-	} else if op != s.lo+s.n {
-		panic("ipsketch: estimate plan selects non-consecutive query operands")
-	}
-	s.off[s.n] = off
-	s.n++
-}
-
-// estPlan lays out one subset of the six estimates as compact strided
-// rows — table rows hold the wanted key-pack estimates, column rows the
-// wanted value- and squared-value-pack ones — so scratch is sized for
-// what a phase computes (one float per table when ranking by join size).
-type estPlan struct {
-	want                 estSet
-	tblStride, colStride int
-	slot                 [6]int // row slot of each estimate, −1 when not wanted
-	key, val, sq         packSel
-}
-
-func newEstPlan(want estSet) estPlan {
-	pl := estPlan{want: want}
-	for e := range pl.slot {
-		pl.slot[e] = -1
-		if want&(1<<e) == 0 {
-			continue
-		}
-		switch {
-		case e <= slotSumSqA:
-			pl.slot[e] = pl.tblStride
-			pl.key.add(e, pl.tblStride)
-			pl.tblStride++
-		case e <= slotIP:
-			pl.slot[e] = pl.colStride
-			pl.val.add(e-slotSumB, pl.colStride)
-			pl.colStride++
-		default:
-			pl.slot[e] = pl.colStride
-			pl.sq.add(0, pl.colStride)
-			pl.colStride++
-		}
-	}
-	return pl
 }
 
 // columnarView is the packed form of one index snapshot: packed table t is
@@ -148,14 +100,6 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	return &columnarView{pk: be.packs.pack(keys, vals, sqs), colOff: colOff}
 }
 
-// prepareColumnarQuery gathers the query column's bundle for the packed
-// path, once per search. The search has checked that the query carries
-// the column and shares the packed indexes' configuration.
-func prepareColumnarQuery(query *TableSketch, queryCol string) columnarQuery {
-	be, _ := backendFor(query.key.method)
-	return be.packs.prepareQuery(query.key.payload, query.val[queryCol].payload, query.sqVal[queryCol].payload)
-}
-
 // sampled is a packed family's decoded sketch: a payload whose stored
 // (tag, value) sample and aux word pack into a sample.Cols[T].
 type sampled[T sample.Tag] interface {
@@ -163,16 +107,20 @@ type sampled[T sample.Tag] interface {
 	Sample() (tags []T, vals []float64, aux float64)
 }
 
+// scorer is a family's per-pair scorer: query sketch against one stored
+// sample and its aux word.
+type scorer[S sampled[T], T sample.Tag] func(q S, tags []T, vals []float64, aux float64) float64
+
 // packFamily is everything family-specific about a columnar pack, and the
 // one columnarScorer: the backend descriptor of each packed family holds
 // one in its packs field. S is the decoded sketch, T its sample's tag.
 type packFamily[S sampled[T], T sample.Tag] struct {
-	// scan is the family's Scan over packed samples.
-	scan func(c *sample.Cols[T], qs []S, lo, hi int, out []float64, stride int, offs []int)
-	// scanJoinSize, when set, is the family's dedicated |A∩B| kernel: the
-	// size slot carries its estimate instead of the inner-product
-	// reduction, as the decoded joinSize estimator does.
-	scanJoinSize func(c *sample.Cols[T], q S, lo, hi int, out []float64, stride, off int)
+	// score is the family's Score, the scorer its Estimate runs.
+	score scorer[S, T]
+	// joinSize, when set, is the family's dedicated |A∩B| scorer: the size
+	// slot carries its estimate instead of the inner-product reduction, as
+	// the decoded joinSize estimator does.
+	joinSize scorer[S, T]
 }
 
 // pack is the one columnarPack implementation: three packed samples (key,
@@ -180,14 +128,6 @@ type packFamily[S sampled[T], T sample.Tag] struct {
 type pack[S sampled[T], T sample.Tag] struct {
 	fam             *packFamily[S, T]
 	keys, vals, sqs sample.Cols[T]
-}
-
-// packQuery is a family's query bundle: the key, value and squared-value
-// sketches the kernels take.
-type packQuery[S any] [3]S
-
-func (f *packFamily[S, T]) prepareQuery(qKey, qVal, qSq payload) columnarQuery {
-	return &packQuery[S]{qKey.(S), qVal.(S), qSq.(S)}
 }
 
 // pack counts the pairs of each of the three packs, then sizes each
@@ -212,25 +152,29 @@ func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
 	return pk
 }
 
-func (p *pack[S, T]) scan(q columnarQuery, pl *estPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	ops := q.(*packQuery[S])
-	if sel := &pl.key; sel.n > 0 {
-		qs, offs := ops[sel.lo:sel.lo+sel.n], sel.off[:sel.n]
-		// The size is the key pack's first selected operand whenever the
-		// plan wants it.
-		if p.fam.scanJoinSize != nil && pl.slot[slotSize] >= 0 {
-			p.fam.scanJoinSize(&p.keys, qs[0], tLo, tHi, tbl, pl.tblStride, offs[0])
-			qs, offs = qs[1:], offs[1:]
-		}
-		if len(qs) > 0 {
-			p.fam.scan(&p.keys, qs, tLo, tHi, tbl, pl.tblStride, offs)
-		}
+// scan runs the family's scorers over the packs the plan reads, each call
+// with the consecutive query operands it needs, sliced from one bundle
+// asserted once per call.
+func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
+	qs, f := [3]S{q[0].(S), q[1].(S), q[2].(S)}, p.fam
+	n := 1 // key-pack operands: the size, and under planAll ΣV_A and ΣV_A²
+	if pl == planAll {
+		n = 3
 	}
-	if sel := &pl.val; sel.n > 0 {
-		p.fam.scan(&p.vals, ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	lo := 0
+	if f.joinSize != nil {
+		sample.Scan(&p.keys, qs[:1], tLo, tHi, tbl, rowWidth, slots[:1], f.joinSize)
+		lo = 1
 	}
-	if sel := &pl.sq; sel.n > 0 {
-		p.fam.scan(&p.sqs, ops[sel.lo:sel.lo+sel.n], cLo, cHi, col, pl.colStride, sel.off[:sel.n])
+	if lo < n {
+		sample.Scan(&p.keys, qs[lo:n], tLo, tHi, tbl, rowWidth, slots[lo:n], f.score)
+	}
+	switch pl {
+	case planSizeIP:
+		sample.Scan(&p.vals, qs[1:2], cLo, cHi, col, rowWidth, slots[slotIP:slotIP+1], f.score)
+	case planAll:
+		sample.Scan(&p.vals, qs[:2], cLo, cHi, col, rowWidth, slots[:2], f.score)
+		sample.Scan(&p.sqs, qs[:1], cLo, cHi, col, rowWidth, slots[slotSumSqB:], f.score)
 	}
 }
 

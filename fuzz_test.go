@@ -39,6 +39,12 @@ func FuzzUnmarshalSketch(f *testing.F) {
 	for _, b := range nonFiniteBlobs(f) {
 		f.Add(b.data)
 	}
+	// WMH payloads with a minimum outside (0, 1] or a stored value whose
+	// square is 0: they must reject.
+	_, wmhBad := wmhRangeBlobs(f)
+	for _, b := range wmhBad {
+		f.Add(b.data)
+	}
 	// KMV and PS payloads with a support size above the dimension and
 	// int, and a PS index outside the dimension: they must reject.
 	for _, b := range supportBlobs(f) {

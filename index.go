@@ -182,8 +182,10 @@ type rankWorker struct {
 // it covers.
 type searcher struct {
 	Query
-	q          columnarQuery
-	rank, fill estPlan
+	// q is the query column's key, value and squared-value payloads, the
+	// operands of every kernel call.
+	q    [3]payload
+	rank rankPlan
 
 	srcs    []searchSource
 	units   []scanUnit
@@ -197,7 +199,7 @@ var searchers = sync.Pool{New: func() any { return new(searcher) }}
 
 // release drops every reference the search held and returns the scratch.
 func (s *searcher) release() {
-	s.Query, s.q = Query{}, nil
+	s.Query, s.q = Query{}, [3]payload{}
 	clear(s.srcs)
 	for i := range s.workers {
 		w := &s.workers[i]
@@ -305,28 +307,27 @@ func (s *searcher) offer(w *rankWorker, c *scored) {
 // column is offered with what the plan computed.
 func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
 	src := &s.srcs[si]
-	v, pl := src.view, &s.rank
+	v := src.view
 	cLo, cHi := v.colOff[tLo], v.colOff[tHi]
-	w.tbl = resize(w.tbl, pl.tblStride*(tHi-tLo))
-	w.col = resize(w.col, pl.colStride*(cHi-cLo))
-	v.pk.scan(s.q, pl, tLo, tHi, w.tbl, cLo, cHi, w.col)
+	w.tbl = resize(w.tbl, rowWidth*(tHi-tLo))
+	w.col = resize(w.col, rowWidth*(cHi-cLo))
+	v.pk.scan(&s.q, s.rank, tLo, tHi, w.tbl, cLo, cHi, w.col)
 	for t := tLo; t < tHi; t++ {
 		if src.ix.entries[t].Name == s.Sketch.Name {
 			continue
 		}
-		tr := w.tbl[pl.tblStride*(t-tLo):]
+		tr := w.tbl[rowWidth*(t-tLo):]
 		for c := v.colOff[t]; c < v.colOff[t+1]; c++ {
-			cr := w.col[pl.colStride*(c-cLo):]
+			cr := w.col[rowWidth*(c-cLo):]
 			cand := scored{src: si, ent: t, col: c - v.colOff[t]}
-			if pl.want == estAll {
-				cand.st = assembleJoinStats(tr[pl.slot[slotSize]], tr[pl.slot[slotSumA]], cr[pl.slot[slotSumB]],
-					tr[pl.slot[slotSumSqA]], cr[pl.slot[slotSumSqB]], cr[pl.slot[slotIP]])
+			switch s.rank {
+			case planAll:
+				cand.st = assembleJoinStats(tr[slotSize], tr[slotSumA], cr[slotSumB], tr[slotSumSqA], cr[slotSumSqB], cr[slotIP])
 				cand.full = true
-			} else {
-				cand.st.Size = tr[pl.slot[slotSize]]
-				if pl.slot[slotIP] >= 0 {
-					cand.st.InnerProduct = cr[pl.slot[slotIP]]
-				}
+			case planSizeIP:
+				cand.st.Size, cand.st.InnerProduct = tr[slotSize], cr[slotIP]
+			default:
+				cand.st.Size = tr[slotSize]
 			}
 			w.stats.Columnar++
 			s.offer(w, &cand)
@@ -388,26 +389,25 @@ func (s *searcher) rankUnit(w *rankWorker, u scanUnit) {
 	w.stats.ColumnarNanos += time.Since(start).Nanoseconds()
 }
 
-// fillStats completes a retained candidate's statistics: the estimates the
-// rank phase skipped run through single-table, single-column kernel calls,
-// and the six assemble exactly as the decoded path assembles them. Every
-// raw estimate is a pure function of (query sketch, candidate sketch), so
-// computing it now instead of during the scan cannot change a bit.
-func (s *searcher) fillStats(w *rankWorker, c *scored) {
+// fillStats completes a retained candidate's statistics through
+// EstimateJoinStats. Its six estimates run each family's per-pair scorer
+// on the same stored samples the kernels read, with the query first, and
+// every raw estimate is a pure function of (query sketch, candidate
+// sketch): the size and inner product it recomputes are the bits the rank
+// phase scored, and computing the rest now instead of during the scan
+// cannot change a bit.
+func (s *searcher) fillStats(c *scored) error {
 	if c.full {
-		return
+		return nil
 	}
-	v, pl := s.srcs[c.src].view, &s.fill
-	at := v.colOff[c.ent] + c.col
-	w.tbl, w.col = resize(w.tbl, pl.tblStride), resize(w.col, pl.colStride)
-	v.pk.scan(s.q, pl, c.ent, c.ent+1, w.tbl, at, at+1, w.col)
-	ip := c.st.InnerProduct
-	if pl.slot[slotIP] >= 0 {
-		ip = w.col[pl.slot[slotIP]]
+	e := s.srcs[c.src].ix.entries[c.ent]
+	col := e.Columns()[c.col]
+	st, err := EstimateJoinStats(s.Sketch, s.Column, e, col)
+	if err != nil {
+		return fmt.Errorf("ipsketch: searching %s.%s: %w", e.Name, col, err)
 	}
-	c.st = assembleJoinStats(c.st.Size, w.tbl[pl.slot[slotSumA]], w.col[pl.slot[slotSumB]],
-		w.tbl[pl.slot[slotSumSqA]], w.col[pl.slot[slotSumSqB]], ip)
-	c.full = true
+	c.st, c.full = st, true
+	return nil
 }
 
 // Query is one search: the query sketch's column ranked against every
@@ -504,9 +504,8 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 
 	s := searchers.Get().(*searcher)
 	defer s.release()
-	s.Query = q
-	want := rankEstimates(q.RankBy, q.K)
-	s.rank, s.fill = newEstPlan(want), newEstPlan(estAll&^want)
+	s.Query, s.rank = q, planFor(q.RankBy, q.K)
+	s.q = [3]payload{q.Sketch.key.payload, q.Sketch.val[q.Column].payload, q.Sketch.sqVal[q.Column].payload}
 
 	scanStart := time.Now()
 	if err := s.plan(ixs, &stats); err != nil {
@@ -557,12 +556,19 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 	hashing.ParallelWorkers(len(merged), fillers, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := &merged[i]
-			s.fillStats(&s.workers[w], c)
+			if err := s.fillStats(c); err != nil {
+				s.workers[w].err = cmp.Or(s.workers[w].err, err)
+			}
 			e := s.srcs[c.src].ix.entries[c.ent]
 			out[i] = SearchResult{Table: e.Name, Column: e.Columns()[c.col], Score: c.score, Stats: c.st}
 		}
 	})
 	stats.FillNanos = time.Since(fillStart).Nanoseconds()
+	for i := range s.workers {
+		if err := s.workers[i].err; err != nil {
+			return nil, stats, err
+		}
+	}
 	return out, stats, nil
 }
 
@@ -584,10 +590,6 @@ func (s *searcher) plan(ixs []*SketchIndex, stats *ScanStats) error {
 	for i, ix := range ixs {
 		src := &s.srcs[i]
 		src.ix, src.n, src.view = ix, len(ix.entries), ix.view
-		if ix.view != nil && s.q == nil {
-			// Pre-decode the query once per search for every packed index.
-			s.q = prepareColumnarQuery(s.Sketch, s.Column)
-		}
 		if s.LSH {
 			if err := src.gather(qsig, s.Probes, stats); err != nil {
 				return err

@@ -92,20 +92,43 @@ func BenchmarkCatalogIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkCatalogSearchTopK measures the sharded top-10 search against a
-// populated catalog.
+// BenchmarkCatalogSearchTopK measures the sharded top-10 search at the
+// served shape (servedSketches over DefaultShards shards, the query one of
+// the cataloged tables, which excludes itself) for each ranking, at one
+// core and at every core, reporting the allocations of a search.
 func BenchmarkCatalogSearchTopK(b *testing.B) {
-	qSk, sks := fixtureSketches(b, 256)
+	sks := servedSketches(b)
 	c := New(Options{Shards: DefaultShards})
 	for _, sk := range sks {
 		if err := c.Put(sk); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByJoinSize, K: 10}); err != nil {
-			b.Fatal(err)
+	procs := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		procs = append(procs, n)
+	}
+	for _, rank := range []struct {
+		name string
+		by   ipsketch.RankBy
+	}{
+		{"join_size", ipsketch.RankByJoinSize},
+		{"abs_ip", ipsketch.RankByAbsInnerProduct},
+		{"abs_corr", ipsketch.RankByAbsCorrelation},
+	} {
+		q := ipsketch.Query{Sketch: sks[0], Column: "v", RankBy: rank.by, K: 10}
+		for _, p := range procs {
+			b.Run(fmt.Sprintf("rank=%s/procs=%d", rank.name, p), func(b *testing.B) {
+				prev := runtime.GOMAXPROCS(p)
+				defer runtime.GOMAXPROCS(prev)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := c.Search(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -16,9 +16,10 @@
 // support the estimates become exact.
 //
 // One allocation-free walk, threshold, finds τ and the matched products
-// below it; the pairwise estimators and the packed scan (Scan over an
-// internal/sample layout, aux word the support size) both call it, so
-// their results are bit-identical.
+// below it. Score and JoinSize run it on the query and one stored sample
+// (aux word the support size); the pairwise estimators and the packed
+// index scan (sample.Scan) both call them, so their results are
+// bit-identical.
 package kmv
 
 import (
@@ -227,11 +228,7 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
-	if a.IsEmpty() || b.IsEmpty() {
-		return 0, nil
-	}
-	sum, _, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
-	return sum / tau, nil
+	return Score(a, b.hashes, b.vals, float64(b.nnz)), nil
 }
 
 // JoinSizeEstimate estimates |A∩B| (the join size when the vectors are
@@ -240,15 +237,45 @@ func JoinSizeEstimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
-	if a.IsEmpty() || b.IsEmpty() {
-		return 0, nil
+	return JoinSize(a, b.hashes, b.vals, float64(b.nnz)), nil
+}
+
+// Sample returns the retained hashes and values, aliased, with the true
+// support size as the aux word (SawAll reads it): what an index packs
+// into a sample.Cols and hands back to Score and JoinSize.
+func (s *Sketch) Sample() ([]uint64, []float64, float64) { return s.hashes, s.vals, float64(s.nnz) }
+
+// Score is the threshold estimate of ⟨a, b⟩, Σ matched products / τ, of
+// query q against another sketch's stored sample (hashes, values, support
+// size), which must be of a sketch Compatible with q: the per-pair scorer
+// Estimate runs after its check and the index scan runs over packed
+// samples. An empty side scores 0.
+func Score(q *Sketch, tags []uint64, vals []float64, size float64) float64 {
+	sum, _, tau := walk(q, tags, vals, size)
+	return sum / tau
+}
+
+// JoinSize is Score for JoinSizeEstimate: matched count / τ, the
+// threshold estimate of |A∩B|.
+func JoinSize(q *Sketch, tags []uint64, vals []float64, size float64) float64 {
+	_, matched, tau := walk(q, tags, vals, size)
+	return float64(matched) / tau
+}
+
+// walk runs threshold of q against a stored sample. A support size of at
+// most K means the sample holds it whole (a size is compared as a float64,
+// exact below 2⁵³; a sketch holds min(size, K) pairs, so a larger size
+// never ties K).
+func walk(q *Sketch, tags []uint64, vals []float64, size float64) (sum float64, matched int, tau float64) {
+	if q.IsEmpty() || len(tags) == 0 {
+		return 0, 0, 1
 	}
-	_, matched, tau := threshold(a.params.K, a.hashes, a.vals, a.SawAll(), b.hashes, b.vals, b.SawAll())
-	return float64(matched) / tau, nil
+	k := q.params.K
+	return threshold(k, q.hashes, q.vals, q.SawAll(), tags, vals, size <= float64(k))
 }
 
 // threshold is the one threshold walk over two ascending bottom-k samples,
-// shared by the pairwise estimators and Scan; it allocates nothing.
+// run by Score and JoinSize; it allocates nothing.
 // Pass one walks the sorted hash streams to the k-th distinct union value,
 // the threshold τ. When the union holds fewer than k values, its largest
 // one is a valid, conservative threshold. τ = 1 when both sketches

@@ -11,9 +11,9 @@
 //
 // Every estimator runs one match loop, collide: a single pass over two
 // aligned sample arrays giving the union accumulator, the collision sum
-// and the collision count. The pairwise estimators and the packed scan
-// (Scan over an internal/sample layout) both call it, so their results are
-// bit-identical; Merge is sample.MinMerge.
+// and the collision count. Score runs it on the query and one stored
+// sample; Estimate and the packed index scan (sample.Scan) both call
+// Score, so their results are bit-identical. Merge is sample.MinMerge.
 //
 // Hash choice: the paper's analysis (like all MinHash analyses) assumes
 // uniformly random hash functions. A 2-wise affine family h(x) = ax+b mod p
@@ -235,15 +235,27 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
-	if a.empty || b.empty {
-		return 0, nil
-	}
-	sumMin, sum := collide(a.hashes, a.vals, b.hashes, b.vals)
-	return estimate(a.params.M, sumMin, sum), nil
+	return Score(a, b.hashes, b.vals, 0), nil
 }
 
-// collide is Algorithm 2's one pass over two aligned sample arrays, shared
-// by the pairwise estimators and Scan: the Lemma 1 union accumulator
+// Sample returns the stored minima and values, aliased, and no aux word:
+// what an index packs into a sample.Cols and hands back to Score.
+func (s *Sketch) Sample() ([]uint64, []float64, float64) { return s.hashes, s.vals, 0 }
+
+// Score is Algorithm 2 of query q against another sketch's stored sample
+// (tags, vals; MH has no aux word), which must be of a sketch Compatible
+// with q: the per-pair scorer Estimate runs after its check and the index
+// scan runs over packed samples. An empty side scores 0.
+func Score(q *Sketch, tags []uint64, vals []float64, _ float64) float64 {
+	if q.empty || len(tags) == 0 {
+		return 0
+	}
+	sumMin, sum := collide(q.hashes, q.vals, tags, vals)
+	return estimate(q.params.M, sumMin, sum)
+}
+
+// collide is Algorithm 2's one pass over two aligned sample arrays, run by
+// Score: the Lemma 1 union accumulator
 // Σ_i unit(min(H_a[i], H_b[i])) and the collision sum
 // Σ_i 1[H_a[i]=H_b[i]]·H_a^val[i]·H_b^val[i].
 func collide(ah []uint64, av []float64, bh []uint64, bv []float64) (sumMin, sum float64) {

@@ -41,9 +41,9 @@
 // Both modes share one estimator loop, mergeJoin: a merge-join over the
 // index-sorted samples that divides each matched product by the smaller
 // of the two inclusion probabilities, each computed from its sketch's
-// factor word (K/‖v‖² or τ). Estimate and the packed scan (Scan over an
-// internal/sample layout, aux word the factor) both call it, so their
-// results are bit-identical.
+// factor word (K/‖v‖² or τ). Score runs it on the query and one stored
+// sample (aux word the factor); Estimate and the packed index scan
+// (sample.Scan) both call Score, so their results are bit-identical.
 //
 // Entries whose squared value underflows to zero carry zero sampling
 // weight and are never stored; their contribution to any inner product is
@@ -366,7 +366,21 @@ func Estimate(a, b *Sketch) (float64, error) {
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
-	return mergeJoin(a.idx, a.vals, a.probFactor(), b.idx, b.vals, b.probFactor(), a.params.Mode == Priority), nil
+	return Score(a, b.idx, b.vals, b.probFactor()), nil
+}
+
+// Sample returns the stored indices and values, aliased, with the
+// inclusion factor (probFactor) as the aux word: what an index packs into
+// a sample.Cols and hands back to Score.
+func (s *Sketch) Sample() ([]uint64, []float64, float64) { return s.idx, s.vals, s.probFactor() }
+
+// Score is the Horvitz–Thompson estimate of ⟨a, b⟩ of query q against
+// another sketch's stored sample (indices, values, inclusion factor),
+// which must be of a sketch Compatible with q, so q's mode is its own:
+// the per-pair scorer Estimate runs after its check and the index scan
+// runs over packed samples.
+func Score(q *Sketch, tags []uint64, vals []float64, factor float64) float64 {
+	return mergeJoin(q.idx, q.vals, q.probFactor(), tags, vals, factor, q.params.Mode == Priority)
 }
 
 // probFactor is the per-sketch word the inclusion probability multiplies
@@ -398,7 +412,7 @@ func inclusion(val, factor float64, priority bool) float64 {
 }
 
 // mergeJoin is the one Horvitz–Thompson merge-join over two index-ascending
-// samples, shared by Estimate and Scan: each index stored in both
+// samples, run by Score: each index stored in both
 // (ai, av) and (bi, bv) adds va·vb / min(p_a, p_b), with each side's
 // inclusion probability computed from its own factor word (fa, fb).
 func mergeJoin(ai []uint64, av []float64, fa float64, bi []uint64, bv []float64, fb float64, priority bool) float64 {

@@ -2,10 +2,11 @@
 // sketches (internal/minhash, wmh, kmv and psample). Each stores (tag,
 // value) pairs, the tag a 64-bit hash or index or WMH's float64 dart
 // minimum, plus at most one per-sketch word its estimator reads. Cols
-// packs many samples for the index scan, MinMerge is the aligned merge of
-// MH and WMH, and Check validates every family's decoded pairs (Support
-// the support size KMV and PS/TS store beside them); a family keeps only
-// its draw, its merge re-filter and its one match loop.
+// packs many samples for the index scan and Scan runs a family's per-pair
+// scorer over them, MinMerge is the aligned merge of MH and WMH, and Check
+// validates every family's decoded pairs (Support the support size KMV
+// and PS/TS store beside them); a family keeps only its draw, its merge
+// re-filter and its one scorer with its match loop.
 package sample
 
 import (
@@ -53,6 +54,25 @@ func (c *Cols[T]) Append(tags []T, vals []float64, aux float64) {
 func (c *Cols[T]) At(t int) (tags []T, vals []float64, aux float64) {
 	lo, hi := c.off[t], c.off[t+1]
 	return c.tags[lo:hi:hi], c.vals[lo:hi:hi], c.aux[t]
+}
+
+// Scan scores every query in qs against every packed sketch in [lo, hi)
+// of c: out[(t−lo)·stride + offs[qi]] = score(qs[qi], packed t's pairs
+// and aux word). score is a family's per-pair scorer, the one its
+// pairwise estimator runs on the other sketch's stored sample, so a
+// packed estimate is bit-identical to the pairwise one. The call is per
+// pair, never per sample: each family's match loop stays inside score.
+func Scan[T Tag, Q any](c *Cols[T], qs []Q, lo, hi int, out []float64, stride int, offs []int,
+	score func(q Q, tags []T, vals []float64, aux float64) float64) {
+	// Candidate-outer: one packed slot stays cache-resident while every
+	// query scores it.
+	for t := lo; t < hi; t++ {
+		tags, vals, aux := c.At(t)
+		row := out[(t-lo)*stride:]
+		for qi, q := range qs {
+			row[offs[qi]] = score(q, tags, vals, aux)
+		}
+	}
 }
 
 // MinMerge is the aligned merge of two equal-length samples drawn with

@@ -70,6 +70,21 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := sample.Check(hashes, vals, false); err != nil {
 		return fmt.Errorf("wmh: %w", err)
 	}
+	// Every construction stores minima in (0, 1] (a dart value or a unit
+	// hash; the retired dart variant 3 also 0, where its value formula
+	// cancels at large L) and Algorithm 4's values ±√(w/L),
+	// 1 ≤ w ≤ L ≤ 2⁵⁰. Minima of 0 make the union estimate infinite and
+	// one outside skews it; a value whose square is 0 divides a collision
+	// by q_i = 0. The stored norm may be 0: a vector whose squared norm
+	// underflows has one.
+	for i, h := range hashes {
+		if h > 1 || h < 0 || h == 0 && vr != variantDartV3 {
+			return fmt.Errorf("wmh: stored minimum %v at %d outside (0, 1]", h, i)
+		}
+		if v := vals[i]; v*v == 0 || math.Abs(v) > 1 {
+			return fmt.Errorf("wmh: stored value %v at %d outside the rounded range", v, i)
+		}
+	}
 	*s = Sketch{
 		params: p, dim: dim, l: l, norm: norm,
 		empty: empty, variant: vr, hashes: hashes, vals: vals,

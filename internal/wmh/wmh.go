@@ -31,9 +31,10 @@
 // estimate M̃ (a Flajolet–Martin distinct-elements estimator over the
 // expanded domain, divided by L), and multiplies back ‖a‖‖b‖. One match
 // loop, collide, computes Σmin, the collision-weight sum and the collision
-// count in a single pass; the pairwise estimators and the packed scan
-// (Scan over an internal/sample layout: float64 dart-minimum tags, aux word
-// the norm) both call it, so their results are bit-identical.
+// count in a single pass. Score runs it on the query and one stored
+// sample (float64 dart-minimum tags, aux word the norm); Estimate and the
+// packed index scan (sample.Scan) both call Score, so their results are
+// bit-identical.
 //
 // Theorem 2: with m = O(log(1/δ)/ε²) the error is at most
 // ε·max(‖a_I‖‖b‖, ‖a‖‖b_I‖) with probability 1−δ — never worse than the
@@ -268,12 +269,41 @@ type Options struct {
 
 // Estimate implements Algorithm 5 with the paper's defaults.
 func Estimate(a, b *Sketch) (float64, error) {
-	return EstimateWithOptions(a, b, Options{})
+	if err := compatible(a, b); err != nil {
+		return 0, err
+	}
+	return Score(a, b.hashes, b.vals, b.norm), nil
+}
+
+// Sample returns the stored minima and block values, aliased, with the
+// norm ‖v‖ as the aux word: what an index packs into a sample.Cols and
+// hands back to Score.
+func (s *Sketch) Sample() ([]float64, []float64, float64) { return s.hashes, s.vals, s.norm }
+
+// Score is Algorithm 5 with the paper's FMUnion default, of query q
+// against another sketch's stored sample (minima, block values, norm),
+// which must be of a sketch Compatible with q, so q's M and resolved L
+// are its own: the per-pair scorer Estimate runs after its check and the
+// index scan runs over packed samples. An empty side scores 0.
+func Score(q *Sketch, tags, vals []float64, norm float64) float64 {
+	if q.empty || len(tags) == 0 {
+		return 0
+	}
+	m := q.params.M
+	sumMin, sum, _ := collide(q.hashes, q.vals, tags, vals)
+	return estimate(m, fmUnion(m, q.l, sumMin), sum, q.norm, norm)
 }
 
 // EstimateWithOptions implements Algorithm 5 with configurable
-// weighted-union estimation.
+// weighted-union estimation; FMUnion is Estimate.
 func EstimateWithOptions(a, b *Sketch, opt Options) (float64, error) {
+	switch opt.Union {
+	case FMUnion:
+		return Estimate(a, b)
+	case UnitNormIdentity:
+	default:
+		return 0, fmt.Errorf("wmh: unknown union estimator %d", opt.Union)
+	}
 	if err := compatible(a, b); err != nil {
 		return 0, err
 	}
@@ -281,22 +311,13 @@ func EstimateWithOptions(a, b *Sketch, opt Options) (float64, error) {
 		return 0, nil
 	}
 	m := a.params.M
-	sumMin, sum, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
-	var mTilde float64
-	switch opt.Union {
-	case FMUnion:
-		mTilde = fmUnion(m, a.l, sumMin)
-	case UnitNormIdentity:
-		jHat := float64(matches) / float64(m)
-		mTilde = 2 / (1 + jHat)
-	default:
-		return 0, fmt.Errorf("wmh: unknown union estimator %d", opt.Union)
-	}
-	return estimate(m, mTilde, sum, a.norm, b.norm), nil
+	_, sum, matches := collide(a.hashes, a.vals, b.hashes, b.vals)
+	jHat := float64(matches) / float64(m)
+	return estimate(m, 2/(1+jHat), sum, a.norm, b.norm), nil
 }
 
-// collide is Algorithm 5's one pass over two aligned sample arrays, shared
-// by the pairwise estimators and Scan: Σ_i min(W_a^hash, W_b^hash)
+// collide is Algorithm 5's one pass over two aligned sample arrays, run by
+// Score and the UnitNormIdentity ablation: Σ_i min(W_a^hash, W_b^hash)
 // for the FM union estimate (line 2), the collision sum
 // Σ_i 1[W_a^hash = W_b^hash]·(v_a·v_b)/q_i with q_i = min(v_a², v_b²)
 // (lines 1 and 3), and the collision count.

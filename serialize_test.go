@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/wire"
+	"repro/internal/wmh"
 )
 
 // TestSerializeRoundTripAllMethods: marshal → unmarshal → the decoded
@@ -194,6 +195,94 @@ func TestUnmarshalRejectsNonFiniteStoredValues(t *testing.T) {
 			est, _ := Estimate(sk, sk)
 			t.Errorf("%s: decoded (self-estimate %v)", b.name, est)
 		}
+	}
+}
+
+// wmhRangeBlobs corrupts the WMH sketch (M = 32, seed 1) of a 50-entry
+// vector with finite stored words no construction produces: every
+// minimum 0 (self-estimate +Inf), one minimum −1 or 5 (a skewed union
+// estimate), and one stored value 0 (a collision divided by q_i = 0).
+// Algorithm 3 stores minima in (0, 1] and Algorithm 4 values ±√(w/L)
+// with 1 ≤ w ≤ L ≤ 2⁵⁰.
+func wmhRangeBlobs(tb testing.TB) (honest []byte, bad []corruptBlob) {
+	tb.Helper()
+	const m = 32
+	entries := map[uint64]float64{}
+	for i := range 50 {
+		entries[uint64(7*i+3)] = float64(i%7) - 2.5
+	}
+	honest = marshalVector(tb, Config{Method: MethodWMH, StorageWords: 49, Seed: 1}, 1000, entries)
+	// The minima then the values, each a u64 count and m float64s, end
+	// the payload.
+	vals := len(honest) - 8*m
+	mins := vals - 8 - 8*m
+	if n := binary.LittleEndian.Uint64(honest[mins-8:]); n != m {
+		tb.Fatalf("fixture has %d minima, want %d", n, m)
+	}
+	set := func(name string, offs []int, x float64) {
+		c := append([]byte(nil), honest...)
+		for _, off := range offs {
+			binary.LittleEndian.PutUint64(c[off:], math.Float64bits(x))
+		}
+		bad = append(bad, corruptBlob{name, c})
+	}
+	var all []int
+	for i := range m {
+		all = append(all, mins+8*i)
+	}
+	set("every minimum 0", all, 0)
+	set("one minimum -1", all[3:4], -1)
+	set("one minimum 5", all[3:4], 5)
+	set("one stored value 0", []int{vals + 8*5}, 0)
+	return honest, bad
+}
+
+// marshalVector sketches the dim-dimensional vector with the given
+// entries under cfg and encodes it.
+func marshalVector(tb testing.TB, cfg Config, dim uint64, entries map[uint64]float64) []byte {
+	tb.Helper()
+	v, err := VectorFromMap(dim, entries)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewSketcher(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sk, err := s.Sketch(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestUnmarshalRejectsWMHSamplesOutOfRange: the WMH decoder refuses
+// minima outside (0, 1] and stored values whose square is 0 or whose
+// magnitude exceeds 1, and still accepts the honest payload and a
+// non-empty sketch whose squared norm underflows to a stored norm of 0.
+func TestUnmarshalRejectsWMHSamplesOutOfRange(t *testing.T) {
+	honest, bad := wmhRangeBlobs(t)
+	if _, err := UnmarshalSketch(honest); err != nil {
+		t.Fatalf("honest payload refused: %v", err)
+	}
+	for _, b := range bad {
+		if sk, err := UnmarshalSketch(b.data); err == nil {
+			est, _ := Estimate(sk, sk)
+			t.Errorf("%s: decoded (self-estimate %v)", b.name, est)
+		}
+	}
+	tiny := marshalVector(t, Config{Method: MethodWMH, StorageWords: 49, Seed: 1}, 1000,
+		map[uint64]float64{3: 1e-170, 10: -1e-170, 17: 1e-170})
+	sk, err := UnmarshalSketch(tiny)
+	if err != nil {
+		t.Fatalf("sketch of an underflowing vector refused: %v", err)
+	}
+	if p, ok := sk.payload.(*wmh.Sketch); !ok || p.IsEmpty() || p.Norm() != 0 {
+		t.Fatalf("fixture is not a non-empty sketch with norm 0")
 	}
 }
 
@@ -381,23 +470,7 @@ func TestUnmarshalRejectsLinearCountMismatch(t *testing.T) {
 // marshalFixture encodes the sketch of a small fixed vector under cfg.
 func marshalFixture(tb testing.TB, cfg Config) []byte {
 	tb.Helper()
-	v, err := VectorFromMap(1000, map[uint64]float64{1: 2, 30: -4, 999: 0.5})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s, err := NewSketcher(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sk, err := s.Sketch(v)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	data, err := sk.MarshalBinary()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return marshalVector(tb, cfg, 1000, map[uint64]float64{1: 2, 30: -4, 999: 0.5})
 }
 
 // wmhVariantOffset is where the construction-variant byte sits in an

@@ -222,20 +222,7 @@ func (tsk *TableSketch) Merge(other *TableSketch) (*TableSketch, error) {
 // Columns returns the sketched column names in sorted order (so catalog
 // scans and search tie-breaking are deterministic). The returned slice is
 // the bundle's cached copy; callers must not modify it.
-func (tsk *TableSketch) Columns() []string {
-	if tsk.cols == nil && len(tsk.val) > 0 {
-		// Zero-value bundles (none of the package constructors produce
-		// them) fall back to a fresh sort; nothing is cached so the method
-		// stays read-only and safe under concurrent readers.
-		out := make([]string, 0, len(tsk.val))
-		for c := range tsk.val {
-			out = append(out, c)
-		}
-		sort.Strings(out)
-		return out
-	}
-	return tsk.cols
-}
+func (tsk *TableSketch) Columns() []string { return tsk.cols }
 
 // KeySpace returns the key-domain size the bundle was sketched under.
 func (tsk *TableSketch) KeySpace() uint64 { return tsk.keySpace }
