@@ -20,7 +20,7 @@ var kmvBackend = &backend{
 		return s, nil
 	},
 	newBuilder: func(cfg Config, size int) (builder, error) {
-		return builds(kmv.NewBatchBuilder(kmv.Params{K: size, Seed: cfg.Seed}))
+		return builds(kmv.NewBuilder(kmv.Params{K: size, Seed: cfg.Seed}))
 	},
 	compatible: check(kmv.Compatible),
 	estimate:   pair(kmv.Estimate),

@@ -26,20 +26,20 @@ var jlBackend = &backend{
 	merge: merged(linear.MergeJL),
 }
 
-// csBackend is CountSketch with median-of-Reps repetitions.
+// csBackend is CountSketch with the paper's median of linear.DefaultReps
+// repetitions.
 var csBackend = &backend{
 	name: "CS",
 	size: func(cfg Config) (int, error) {
-		// One word per bucket, Reps repetitions.
-		reps := cfg.countSketchReps()
-		b := cfg.StorageWords / reps
+		// One word per bucket, DefaultReps repetitions.
+		b := cfg.StorageWords / linear.DefaultReps
 		if b < 1 {
-			return 0, fmt.Errorf("ipsketch: budget %d too small for CountSketch with %d reps", cfg.StorageWords, reps)
+			return 0, fmt.Errorf("ipsketch: budget %d too small for CountSketch with %d reps", cfg.StorageWords, linear.DefaultReps)
 		}
 		return b, nil
 	},
 	newBuilder: func(cfg Config, size int) (builder, error) {
-		return oneShot(linear.NewCountSketch, linear.CSParams{Buckets: size, Reps: cfg.countSketchReps(), Seed: cfg.Seed})
+		return oneShot(linear.NewCountSketch, linear.CSParams{Buckets: size, Reps: linear.DefaultReps, Seed: cfg.Seed})
 	},
 	compatible: check(linear.CompatibleCS),
 	estimate:   pair(linear.EstimateCountSketch),

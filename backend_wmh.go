@@ -68,9 +68,9 @@ var wmhBackend = &backend{
 	// sketches with probability equal to the weighted Jaccard similarity.
 	// Empty sketches yield nil.
 	signature: unary((*wmh.Sketch).Signature),
-	// Params, resolved L, and construction variant all pin through
-	// wmh.Compatible, so retired-variant sketches never mix into an index
-	// (and so a pack) of current ones.
+	// Params and resolved L pin through wmh.Compatible; a retired
+	// construction's sketch never decodes, so it never reaches an index
+	// (and so a pack).
 	packs: &packFamily[*wmh.Sketch, float64]{
 		score: wmh.Score,
 	},

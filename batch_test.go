@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -78,10 +77,9 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 	}
 }
 
-// TestSketchAllDart: the batch path builds the dart construction (bitwise
-// identical to one-at-a-time sketches), whose sketches are incompatible
-// with the retired record process's — here its golden sketch, against the
-// batch sketch of the golden vector under the same configuration.
+// TestSketchAllDart: the batch path builds the dart construction, bitwise
+// identical to one-at-a-time sketches, including of the golden vector
+// under the golden configuration.
 func TestSketchAllDart(t *testing.T) {
 	vs := append(batchTestVectors(t, 4), goldenVector(t))
 	dart, err := NewSketcher(Config{Method: MethodWMH, StorageWords: 64, Seed: 12345})
@@ -101,13 +99,6 @@ func TestSketchAllDart(t *testing.T) {
 		if !bytes.Equal(batch, single) {
 			t.Fatalf("vector %d: dart batch sketch differs from single sketch", i)
 		}
-	}
-	record, err := UnmarshalSketch(retiredRecordBlob(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Estimate(db[len(vs)-1], record); err == nil || !strings.Contains(err.Error(), "re-sketch") {
-		t.Fatalf("dart sketch vs record-process sketch: err = %v, want the variant error saying to re-sketch", err)
 	}
 }
 

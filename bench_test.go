@@ -234,23 +234,22 @@ func BenchmarkSketchWMH_Single(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchWMH_Builder is the zero-allocation steady state: one
-// reused builder and destination sketch — the serving-layer ingest hot
-// path.
+// BenchmarkSketchWMH_Builder is one warm builder's steady state, without
+// the Sketcher's pool and envelope: each sketch allocates only itself and
+// its two sample arrays.
 func BenchmarkSketchWMH_Builder(b *testing.B) {
 	v := engineVectors(b, 1)[0]
 	bu, err := wmh.NewBuilder(wmh.Params{M: 400, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var dst wmh.Sketch
-	if err := bu.SketchInto(&dst, v); err != nil {
+	if _, err := bu.Sketch(v); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bu.SketchInto(&dst, v); err != nil {
+		if _, err := bu.Sketch(v); err != nil {
 			b.Fatal(err)
 		}
 	}

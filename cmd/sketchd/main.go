@@ -86,7 +86,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	fs.Uint64Var(&cfg.Sketch.Seed, "seed", 1, "seed deriving all sketch randomness")
 	fs.Uint64Var(&cfg.KeySpace, "keyspace", 0, "key-domain size (0 = default 2^63)")
 	fs.Uint64Var(&cfg.Sketch.L, "l", 0, "WMH discretization parameter (0 = automatic)")
-	fs.IntVar(&cfg.Sketch.Reps, "reps", 0, "CountSketch repetitions (0 = paper default)")
 	fs.BoolVar(&cfg.Sketch.Quantize, "quantize", false, "store sample values in 32 bits (supported methods)")
 	fs.BoolVar(&cfg.Sketch.Dart, "dart", false, "deprecated and ignored: WMH always uses the dart construction")
 	fs.IntVar(&cfg.Shards, "shards", 0, "catalog shard count (0 = default)")

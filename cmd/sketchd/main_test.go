@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math"
 	"os"
@@ -336,7 +337,11 @@ func TestSketchdDartBoots(t *testing.T) {
 // and a graceful shutdown: testdata/record-v0.snapshot by a build whose
 // default construction was the record process (variant 0), started with
 // `-storage 60 -snapshot F`; testdata/dart-v3.snapshot by the last
-// variant-3 build, started with `-dart -storage 60 -snapshot F`.
+// variant-3 build, started with `-dart -storage 60 -snapshot F`. The
+// fixture no longer decodes, so the WAL's PUT record carries the
+// snapshot's first frame as stored. With -snapshot-recover the retired
+// snapshot reads as unreadable and the daemon replays the WAL, which
+// fails the same way.
 func TestSketchdRefusesRetiredDartVariant(t *testing.T) {
 	for _, fix := range []struct{ variant, file string }{
 		{"v0", "record-v0.snapshot"},
@@ -346,18 +351,10 @@ func TestSketchdRefusesRetiredDartVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := ipsketch.DecodeIndex(bytes.NewReader(fixture))
-		if err != nil {
-			t.Fatalf("%s no longer decodes: %v", fix.file, err)
-		}
-		rides, ok := ix.Get("rides")
-		if !ok {
-			t.Fatalf("%s lacks table rides", fix.file)
-		}
-		payload, err := rides.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The index envelope: a 13-byte header (magic, version, table
+		// count), then each table as a u32 length and its bundle.
+		n := binary.LittleEndian.Uint32(fixture[13:17])
+		payload := fixture[17 : 17+n]
 		dir := t.TempDir()
 		snap := filepath.Join(dir, "snapshot")
 		if err := os.WriteFile(snap, fixture, 0o600); err != nil {
@@ -374,12 +371,16 @@ func TestSketchdRefusesRetiredDartVariant(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []struct{ name, flag, path string }{
-			{"snapshot", "-snapshot", snap},
-			{"WAL", "-wal", walDir},
+		for _, src := range []struct {
+			name  string
+			flags []string
+		}{
+			{"snapshot", []string{"-snapshot", snap}},
+			{"WAL", []string{"-wal", walDir}},
+			{"snapshot-recover", []string{"-snapshot", snap, "-wal", walDir, "-snapshot-recover"}},
 		} {
 			t.Run(fix.variant+"/"+src.name, func(t *testing.T) {
-				err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-storage", "60", src.flag, src.path}, testWriter{t}, nil)
+				err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0", "-storage", "60"}, src.flags...), testWriter{t}, nil)
 				if err == nil || !strings.Contains(err.Error(), "re-sketch") {
 					t.Errorf("booting on a %s %s: err = %v, want an error saying to re-sketch", fix.variant, src.name, err)
 				}

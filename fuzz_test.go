@@ -24,13 +24,12 @@ func FuzzUnmarshalSketch(f *testing.F) {
 		f.Add(marshalFixture(f, Config{Method: m, StorageWords: budget, Seed: 7}))
 	}
 	// WMH payloads carry a construction-variant byte; seed the retired
-	// record-process variant 0, the removed value 2 and the retired dart
-	// variant 3 beside the current variant 4 above, so mutations explore
-	// the byte's neighborhood (value 2 and unknown values must reject,
-	// known ones — 0 and 3 included — must round-trip).
-	f.Add(retiredRecordBlob(f))
-	f.Add(retiredVariantBlob(f))
-	f.Add(retiredDartBlob(f))
+	// constructions' bytes 0–3 beside the current variant 4 above, so
+	// mutations explore the byte's neighborhood (every value but 4 must
+	// reject).
+	for _, b := range retiredWMHBlobs(f) {
+		f.Add(b.data)
+	}
 	// The retired ICWS method byte: it must reject, and its neighbors
 	// (SimHash, PS) must decode or reject cleanly.
 	f.Add(retiredICWSBlob(f))
@@ -111,21 +110,16 @@ func FuzzMerge(f *testing.F) {
 	for i := 1; i < len(blobs); i++ {
 		f.Add(blobs[i-1], blobs[i]) // cross-method / cross-variant pairs
 	}
-	// The retired WMH variant byte, in place of the golden file the
-	// removed construction used to contribute: it must fail to decode on
-	// either side of a merge, never reach it.
-	retired := retiredVariantBlob(f)
-	f.Add(retired, retired)
-	f.Add(blobs[0], retired)
-	// The retired record-process and dart variants decode and merge with
-	// themselves, but must not merge with the current one.
+	// The retired WMH constructions' bytes, in place of the golden files
+	// they used to contribute: they must fail to decode on either side of
+	// a merge with themselves or the current construction, never reach it.
 	current := blobs[slices.IndexFunc(golden, func(p string) bool {
 		return filepath.Base(p) == "wmh-dart.golden"
 	})]
-	record := retiredRecordBlob(f)
-	f.Add(record, record)
-	f.Add(record, current)
-	f.Add(retiredDartBlob(f), current)
+	for _, b := range retiredWMHBlobs(f) {
+		f.Add(b.data, b.data)
+		f.Add(b.data, current)
+	}
 	// Likewise the retired ICWS method's golden sketch.
 	icws := retiredICWSBlob(f)
 	f.Add(icws, icws)

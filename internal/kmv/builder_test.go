@@ -77,42 +77,43 @@ func TestHeapSelectionMatchesSortAll(t *testing.T) {
 	}
 }
 
-// TestBatchBuilderReuse: scratch reuse across vectors of different sizes
-// must not leak state, and the warm path must not allocate.
-func TestBatchBuilderReuse(t *testing.T) {
+// TestBuilderReuse: scratch reuse across vectors of different sizes
+// must not leak state, and a warm Sketch allocates only the sketch and
+// its two sample arrays.
+func TestBuilderReuse(t *testing.T) {
 	p := Params{K: 32, Seed: 9}
-	b, err := NewBatchBuilder(p)
+	b, err := NewBuilder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dst Sketch
 	for round := 0; round < 3; round++ {
 		for _, nnz := range []int{80, 5, 200} {
 			v := randomSparse(t, uint64(nnz), nnz)
-			if err := b.SketchInto(&dst, v); err != nil {
+			got, err := b.Sketch(v)
+			if err != nil {
 				t.Fatal(err)
 			}
 			want := buildSortAll(v, p)
-			if len(dst.hashes) != len(want.hashes) {
-				t.Fatalf("nnz=%d: kept %d, want %d", nnz, len(dst.hashes), len(want.hashes))
+			if len(got.hashes) != len(want.hashes) {
+				t.Fatalf("nnz=%d: kept %d, want %d", nnz, len(got.hashes), len(want.hashes))
 			}
 			for i := range want.hashes {
-				if dst.hashes[i] != want.hashes[i] || dst.vals[i] != want.vals[i] {
+				if got.hashes[i] != want.hashes[i] || got.vals[i] != want.vals[i] {
 					t.Fatalf("nnz=%d retained %d differs", nnz, i)
 				}
 			}
 		}
 	}
 	v := randomSparse(t, 77, 300)
-	if err := b.SketchInto(&dst, v); err != nil {
+	if _, err := b.Sketch(v); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := b.SketchInto(&dst, v); err != nil {
+		if _, err := b.Sketch(v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("warm SketchInto allocates %v times per run, want 0", allocs)
+	if allocs != 3 {
+		t.Fatalf("warm Sketch allocates %v times per run, want 3", allocs)
 	}
 }

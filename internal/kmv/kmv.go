@@ -59,19 +59,19 @@ type Sketch struct {
 
 // New sketches the vector v.
 func New(v vector.Sparse, p Params) (*Sketch, error) {
-	b, err := NewBatchBuilder(p)
+	b, err := NewBuilder(p)
 	if err != nil {
 		return nil, err
 	}
 	return b.Sketch(v)
 }
 
-// BatchBuilder sketches many vectors under one fixed Params, keeping the k
+// Builder sketches many vectors under one fixed Params, keeping the k
 // smallest hashes in a bounded max-heap (O(|A|·log k) instead of sorting
-// the whole support) and reusing the heap scratch across vectors; with
-// SketchInto the steady-state sketch loop is allocation-free. A
-// BatchBuilder is single-goroutine; run one per worker to use every core.
-type BatchBuilder struct {
+// the whole support) and reusing the heap scratch across vectors, so a
+// warm Sketch allocates only the sketch and its two sample arrays. A
+// Builder is single-goroutine; run one per worker to use every core.
+type Builder struct {
 	p    Params
 	key  uint64  // per-index hash chain prefix, fixed for the lifetime
 	heap []entry // scratch: max-heap while collecting, sorted ascending after
@@ -83,38 +83,19 @@ type entry struct {
 	val  float64
 }
 
-// NewBatchBuilder validates p and returns a reusable sketch builder.
-func NewBatchBuilder(p Params) (*BatchBuilder, error) {
+// NewBuilder validates p and returns a reusable sketch builder.
+func NewBuilder(p Params) (*Builder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	// The per-index hash of the original formulation is
 	// Mix(Mix(seed, tag), idx); absorbing the two fixed words into a chain
 	// prefix leaves one Extend per support index.
-	return &BatchBuilder{p: p, key: hashing.Mix(hashing.Mix(p.Seed, 0x6b6d76 /* "kmv" */))}, nil
+	return &Builder{p: p, key: hashing.Mix(hashing.Mix(p.Seed, 0x6b6d76 /* "kmv" */))}, nil
 }
-
-// Params returns the builder's construction parameters.
-func (b *BatchBuilder) Params() Params { return b.p }
 
 // Sketch sketches v into a fresh Sketch.
-func (b *BatchBuilder) Sketch(v vector.Sparse) (*Sketch, error) {
-	s := new(Sketch)
-	if err := b.SketchInto(s, v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SketchInto sketches v into dst, reusing dst's retained arrays when they
-// have capacity; repeated calls with the same dst allocate nothing.
-func (b *BatchBuilder) SketchInto(dst *Sketch, v vector.Sparse) error {
-	if dst == nil {
-		return errors.New("kmv: nil destination sketch")
-	}
-	hashes, vals := dst.hashes[:0], dst.vals[:0]
-	*dst = Sketch{params: b.p, dim: v.Dim(), nnz: v.NNZ()}
-
+func (b *Builder) Sketch(v vector.Sparse) (*Sketch, error) {
 	// Collect the k smallest hashes in a max-heap: the root is the largest
 	// retained hash and is evicted whenever a smaller one arrives.
 	h := b.heap[:0]
@@ -145,20 +126,16 @@ func (b *BatchBuilder) SketchInto(dst *Sketch, v vector.Sparse) error {
 		siftDown(h[:n], 0)
 	}
 
-	if cap(hashes) < len(h) {
-		hashes = make([]uint64, len(h))
+	s := &Sketch{
+		params: b.p, dim: v.Dim(), nnz: nnz,
+		hashes: make([]uint64, len(h)), vals: make([]float64, len(h)),
 	}
-	if cap(vals) < len(h) {
-		vals = make([]float64, len(h))
-	}
-	hashes, vals = hashes[:len(h)], vals[:len(h)]
 	for i, e := range h {
-		hashes[i] = e.hash
-		vals[i] = e.val
+		s.hashes[i] = e.hash
+		s.vals[i] = e.val
 	}
-	dst.hashes, dst.vals = hashes, vals
 	// No need to restore the heap invariant: the next call truncates.
-	return nil
+	return s, nil
 }
 
 // siftUp restores the max-heap property after appending at position i.
@@ -211,9 +188,7 @@ func (s *Sketch) SawAll() bool { return s.nnz <= s.params.K }
 func (s *Sketch) StorageWords() float64 { return 1.5 * float64(s.params.K) }
 
 // Compatible reports why two sketches cannot be compared, or nil.
-func Compatible(a, b *Sketch) error { return compatible(a, b) }
-
-func compatible(a, b *Sketch) error {
+func Compatible(a, b *Sketch) error {
 	if a.params != b.params {
 		return fmt.Errorf("kmv: incompatible params %+v vs %+v", a.params, b.params)
 	}
@@ -225,7 +200,7 @@ func compatible(a, b *Sketch) error {
 
 // Estimate returns the inner-product estimate ⟨a, b⟩ from the two sketches.
 func Estimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	return Score(a, b.hashes, b.vals, float64(b.nnz)), nil
@@ -234,7 +209,7 @@ func Estimate(a, b *Sketch) (float64, error) {
 // JoinSizeEstimate estimates |A∩B| (the join size when the vectors are
 // key-indicator vectors, §1.2 of the paper).
 func JoinSizeEstimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	return JoinSize(a, b.hashes, b.vals, float64(b.nnz)), nil

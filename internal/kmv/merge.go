@@ -15,7 +15,7 @@ import "repro/internal/sample"
 // side: it can only under-claim exactness (SawAll), never falsely
 // promise it.
 func Merge(a, b *Sketch) (*Sketch, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return nil, err
 	}
 	out := &Sketch{params: a.params, dim: a.dim}

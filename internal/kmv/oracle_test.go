@@ -113,7 +113,7 @@ func oraclePairs(t testing.TB) map[string][2]vector.Sparse {
 // lists, bit for bit, on sketches built by the production builder.
 func TestEstimateMatchesReconciledReference(t *testing.T) {
 	for _, k := range []int{16, 100} {
-		b, err := kmv.NewBatchBuilder(kmv.Params{K: k, Seed: 7})
+		b, err := kmv.NewBuilder(kmv.Params{K: k, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestEstimateMatchesReconciledReference(t *testing.T) {
 func TestReferenceGapIsByDesign(t *testing.T) {
 	pairs := oraclePairs(t)
 	one := pairs["one-entry"]
-	b, err := kmv.NewBatchBuilder(kmv.Params{K: 16, Seed: 7})
+	b, err := kmv.NewBuilder(kmv.Params{K: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestReferenceGapIsByDesign(t *testing.T) {
 	const seeds = 400
 	var sumProd, sqProd, sumRef float64
 	for seed := uint64(0); seed < seeds; seed++ {
-		b, err := kmv.NewBatchBuilder(kmv.Params{K: 64, Seed: seed})
+		b, err := kmv.NewBuilder(kmv.Params{K: 64, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import "repro/internal/sample"
 // touching the data again (e.g. per-partition sketches of a distributed
 // table rolled up into one table-level sketch).
 func Merge(a, b *Sketch) (*Sketch, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return nil, err
 	}
 	if a.empty {

@@ -124,11 +124,11 @@ func sampleChainKeys(buf []uint64, seed uint64, m int) []uint64 {
 
 // Builder is the one construction body of the package (New is a one-off
 // Builder): it sketches vectors under one fixed Params, reusing the
-// per-sample chain keys and (via SketchInto) the destination's sample
-// arrays, so the steady-state sketch loop is allocation-free. A Builder is
-// single-goroutine. A fill large enough to pay for the goroutines
-// (hashing.FanOutWork) splits its samples across workers by itself; to use
-// every core on small vectors, run one Builder per worker.
+// per-sample chain keys, so a warm Sketch allocates only the sketch and
+// its two sample arrays. A Builder is single-goroutine. A fill large
+// enough to pay for the goroutines (hashing.FanOutWork) splits its
+// samples across workers by itself; to use every core on small vectors,
+// run one Builder per worker.
 type Builder struct {
 	p     Params
 	skeys []uint64
@@ -142,49 +142,26 @@ func NewBuilder(p Params) (*Builder, error) {
 	return &Builder{p: p, skeys: sampleChainKeys(nil, p.Seed, p.M)}, nil
 }
 
-// Params returns the builder's construction parameters.
-func (b *Builder) Params() Params { return b.p }
-
 // Sketch sketches v into a fresh Sketch.
 func (b *Builder) Sketch(v vector.Sparse) (*Sketch, error) {
-	s := new(Sketch)
-	if err := b.SketchInto(s, v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SketchInto sketches v into dst, reusing dst's sample arrays when they
-// have capacity; repeated calls with the same dst allocate nothing.
-func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
-	if dst == nil {
-		return errors.New("minhash: nil destination sketch")
-	}
-	hashes, vals := dst.hashes[:0], dst.vals[:0]
-	*dst = Sketch{params: b.p, dim: v.Dim()}
+	s := &Sketch{params: b.p, dim: v.Dim()}
 	if v.IsEmpty() {
-		dst.empty = true
-		return nil
+		s.empty = true
+		return s, nil
 	}
 	m := b.p.M
-	if cap(hashes) < m {
-		hashes = make([]uint64, m)
-	}
-	if cap(vals) < m {
-		vals = make([]float64, m)
-	}
-	dst.hashes, dst.vals = hashes[:m], vals[:m]
+	s.hashes, s.vals = make([]uint64, m), make([]float64, m)
 	if v.NNZ()*m < hashing.FanOutWork {
-		fillBlockMajor(dst.hashes, dst.vals, b.skeys, v)
-		return nil
+		fillBlockMajor(s.hashes, s.vals, b.skeys, v)
+		return s, nil
 	}
 	// Samples are independent; split them across workers in contiguous
 	// chunks (determinism holds: each sample's hash function is keyed by
 	// its own index).
 	hashing.ParallelChunks(m, func(lo, hi int) {
-		fillBlockMajor(dst.hashes[lo:hi], dst.vals[lo:hi], b.skeys[lo:hi], v)
+		fillBlockMajor(s.hashes[lo:hi], s.vals[lo:hi], b.skeys[lo:hi], v)
 	})
-	return nil
+	return s, nil
 }
 
 // Params returns the construction parameters.
@@ -216,10 +193,7 @@ func (s *Sketch) Signature() []uint64 {
 }
 
 // Compatible reports why two sketches cannot be compared, or nil.
-func Compatible(a, b *Sketch) error { return compatible(a, b) }
-
-// compatible reports why two sketches cannot be compared, or nil.
-func compatible(a, b *Sketch) error {
+func Compatible(a, b *Sketch) error {
 	if a.params != b.params {
 		return fmt.Errorf("minhash: incompatible params %+v vs %+v", a.params, b.params)
 	}
@@ -232,7 +206,7 @@ func compatible(a, b *Sketch) error {
 // Estimate implements Algorithm 2: an estimate of ⟨a, b⟩ from the two
 // sketches alone.
 func Estimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	return Score(a, b.hashes, b.vals, 0), nil

@@ -20,6 +20,10 @@ func FuzzUnmarshalSketch(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// Payloads storing a value above the stored norm: they must reject.
+	for _, data := range valueAboveNormBlobs(f) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 

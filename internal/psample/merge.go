@@ -43,7 +43,7 @@ import (
 // squared norms add without rounding). Inputs that cannot be samples of
 // one union vector (conflicting shared entries) are rejected.
 func Merge(a, b *Sketch) (*Sketch, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return nil, err
 	}
 	if a.params.Mode == Threshold {
@@ -64,9 +64,13 @@ type unionEntry struct {
 // with conflicting values cannot come from samples of one union vector
 // and is rejected — silently preferring either value would corrupt the
 // reconciled norm and bias every downstream Horvitz–Thompson estimate.
-// It returns the union candidates in ascending index order.
-func joinRetained(a, b *Sketch) (union []unionEntry, shared int, sharedSq float64, err error) {
+// It returns the union candidates in ascending index order, the shared
+// count, and the union's squared norm ‖a‖² + ‖b‖² − Σshared², which no
+// candidate's square exceeds when the inputs sample one union vector (the
+// decoder's bound).
+func joinRetained(a, b *Sketch) (union []unionEntry, shared int, normSq float64, err error) {
 	union = make([]unionEntry, 0, len(a.idx)+len(b.idx))
+	sharedSq := 0.0
 	i, j := 0, 0
 	for i < len(a.idx) || j < len(b.idx) {
 		switch {
@@ -87,15 +91,20 @@ func joinRetained(a, b *Sketch) (union []unionEntry, shared int, sharedSq float6
 			j++
 		}
 	}
-	return union, shared, sharedSq, nil
+	normSq = a.normSq + b.normSq - sharedSq
+	for _, e := range union {
+		if e.val*e.val > normSq {
+			return nil, 0, 0, fmt.Errorf("psample: value %v exceeds the merged squared norm %v; inputs are not samples of one union vector", e.val, normSq)
+		}
+	}
+	return union, shared, normSq, nil
 }
 
 func mergeThreshold(a, b *Sketch) (*Sketch, error) {
-	union, shared, sharedSq, err := joinRetained(a, b)
+	union, shared, normSq, err := joinRetained(a, b)
 	if err != nil {
 		return nil, err
 	}
-	normSq := a.normSq + b.normSq - sharedSq
 	out := &Sketch{
 		params: a.params, dim: a.dim,
 		nnz: sample.UnionSupport(a.nnz, b.nnz, shared, a.dim), normSq: normSq, tau: math.Inf(1),
@@ -124,7 +133,7 @@ func mergeThreshold(a, b *Sketch) (*Sketch, error) {
 }
 
 func mergePriority(a, b *Sketch) (*Sketch, error) {
-	union, shared, sharedSq, err := joinRetained(a, b)
+	union, shared, normSq, err := joinRetained(a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +160,7 @@ func mergePriority(a, b *Sketch) (*Sketch, error) {
 	}
 	out := &Sketch{
 		params: a.params, dim: a.dim,
-		nnz: sample.UnionSupport(a.nnz, b.nnz, shared, a.dim), normSq: a.normSq + b.normSq - sharedSq, tau: tau,
+		nnz: sample.UnionSupport(a.nnz, b.nnz, shared, a.dim), normSq: normSq, tau: tau,
 	}
 	if out.normSq < 0 || math.IsInf(out.normSq, 1) {
 		return nil, errors.New("psample: merged squared norm is not finite non-negative; inputs are not samples of one union vector")

@@ -218,6 +218,27 @@ func TestMergeRejectsInconsistentInputs(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsNormBelowValue: two decodable sketches whose squared
+// norms the shared samples overdraw (1 + 1 − (1 + 0.81) = 0.19 < 1²)
+// cannot sample one union vector; merging them must error rather than
+// return a sketch the decoder refuses.
+func TestMergeRejectsNormBelowValue(t *testing.T) {
+	for _, mode := range modes() {
+		s := &Sketch{
+			params: Params{K: 4, Seed: 1, Mode: mode},
+			dim:    100, nnz: 3, normSq: 1, tau: inf(),
+			idx: []uint64{1, 2}, vals: []float64{1, 0.9},
+		}
+		var d Sketch
+		if err := d.UnmarshalBinary(mustMarshal(t, s)); err != nil {
+			t.Fatalf("%v: fixture refused: %v", mode, err)
+		}
+		if m, err := Merge(&d, &d); err == nil {
+			t.Errorf("%v: merged into squared norm %v below a stored value", mode, m.normSq)
+		}
+	}
+}
+
 // TestMergeParamMismatch mirrors the estimator compatibility contract.
 func TestMergeParamMismatch(t *testing.T) {
 	v := intVector(t, 1<<16, 61, 30)

@@ -135,13 +135,17 @@ type rankEntry struct {
 }
 
 // Builder sketches many vectors under one fixed Params, reusing the
-// bounded-heap scratch across vectors; with SketchInto the steady-state
-// sketch loop is allocation-free. A Builder is single-goroutine; run one
-// per worker to use every core. Its sketches are identical to New's.
+// bounded-heap and sample scratch across vectors, so a warm Sketch
+// allocates only the sketch and its two sample arrays. A Builder is
+// single-goroutine; run one per worker to use every core. Its sketches
+// are identical to New's.
 type Builder struct {
 	p    Params
 	key  uint64      // index-hash chain prefix, fixed for the lifetime
 	heap []rankEntry // priority scratch: max-heap of the k+1 smallest ranks
+	// sample scratch: the kept pairs, copied out at exact size
+	idx  []uint64
+	vals []float64
 }
 
 // NewBuilder validates p and returns a reusable sketch builder.
@@ -163,42 +167,26 @@ func indexChainKey(seed uint64) uint64 {
 	return hashing.Mix(hashing.Mix(seed, 0x7073616d /* "psam" */))
 }
 
-// Params returns the builder's construction parameters.
-func (b *Builder) Params() Params { return b.p }
-
 // Sketch sketches v into a fresh Sketch.
 func (b *Builder) Sketch(v vector.Sparse) (*Sketch, error) {
-	s := new(Sketch)
-	if err := b.SketchInto(s, v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SketchInto sketches v into dst, reusing dst's retained arrays when they
-// have capacity; repeated calls with the same dst allocate nothing.
-func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
-	if dst == nil {
-		return errors.New("psample: nil destination sketch")
-	}
-	idx, vals := dst.idx[:0], dst.vals[:0]
-	*dst = Sketch{
+	s := &Sketch{
 		params: b.p, dim: v.Dim(), nnz: v.NNZ(),
 		normSq: v.SquaredNorm(), tau: math.Inf(1),
 	}
-	if math.IsInf(dst.normSq, 1) {
+	if math.IsInf(s.normSq, 1) {
 		// Entries near 1e154 square past the float64 range; threshold
 		// probabilities would all collapse to zero and priority ranks to
 		// zero — silent garbage. Refuse loudly instead (no other sketch in
 		// the module stores squared magnitudes this large either).
-		return errors.New("psample: vector squared norm overflows float64")
+		return nil, errors.New("psample: vector squared norm overflows float64")
 	}
 	if b.p.Mode == Threshold {
-		dst.idx, dst.vals = b.thresholdSample(idx, vals, v, dst.normSq)
-		return nil
+		b.idx, b.vals = b.thresholdSample(b.idx[:0], b.vals[:0], v, s.normSq)
+	} else {
+		b.idx, b.vals, s.tau = b.prioritySample(b.idx[:0], b.vals[:0], v)
 	}
-	dst.idx, dst.vals, dst.tau = b.prioritySample(idx, vals, v)
-	return nil
+	s.idx, s.vals = append([]uint64(nil), b.idx...), append([]float64(nil), b.vals...)
+	return s, nil
 }
 
 // unitHash maps a support index to the shared uniform (0,1) hash.
@@ -345,8 +333,8 @@ func (s *Sketch) SawAll() bool {
 // charged even when fewer samples are present.
 func (s *Sketch) StorageWords() float64 { return 1.5*float64(s.params.K) + 1 }
 
-// compatible reports why two sketches cannot be compared, or nil.
-func compatible(a, b *Sketch) error {
+// Compatible reports why two sketches cannot be compared, or nil.
+func Compatible(a, b *Sketch) error {
 	if a.params != b.params {
 		return fmt.Errorf("psample: incompatible params %+v vs %+v", a.params, b.params)
 	}
@@ -356,14 +344,11 @@ func compatible(a, b *Sketch) error {
 	return nil
 }
 
-// Compatible reports why two sketches cannot be compared, or nil.
-func Compatible(a, b *Sketch) error { return compatible(a, b) }
-
 // Estimate returns the Horvitz–Thompson inner-product estimate ⟨a, b⟩:
 // each index stored in both sketches contributes its value product divided
 // by the probability that the shared hash admitted it to both samples.
 func Estimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	return Score(a, b.idx, b.vals, b.probFactor()), nil

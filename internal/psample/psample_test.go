@@ -230,10 +230,11 @@ func TestBuilderMatchesNew(t *testing.T) {
 	}
 }
 
-// TestSketchIntoAllocs pins the zero-allocation warm loop, alternating
-// supports of different sizes (including ones below K) so scratch sized to
-// one vector instead of the budget would be caught reallocating.
-func TestSketchIntoAllocs(t *testing.T) {
+// TestBuilderSketchAllocs: a warm Builder allocates only the sketch and
+// its two sample arrays, alternating supports of different sizes
+// (including ones below K) so scratch sized to one vector instead of the
+// budget would be caught reallocating.
+func TestBuilderSketchAllocs(t *testing.T) {
 	small := randomSparse(t, 30, 20)
 	large := randomSparse(t, 31, 500)
 	for _, mode := range modes() {
@@ -241,22 +242,20 @@ func TestSketchIntoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := new(Sketch)
-		// Warm the scratch and the destination arrays.
-		for _, v := range []vector.Sparse{small, large} {
-			if err := b.SketchInto(dst, v); err != nil {
+		for _, v := range []vector.Sparse{small, large} { // warm-up
+			if _, err := b.Sketch(v); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, v := range []vector.Sparse{small, large} {
-				if err := b.SketchInto(dst, v); err != nil {
+				if _, err := b.Sketch(v); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%v: warm SketchInto allocates %v times", mode, allocs)
+		if allocs != 2*3 {
+			t.Errorf("%v: two warm Sketch calls allocate %v times, want 6", mode, allocs)
 		}
 	}
 }

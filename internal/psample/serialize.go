@@ -57,6 +57,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if math.IsNaN(normSq) || math.IsInf(normSq, 0) || normSq < 0 {
 		return fmt.Errorf("psample: invalid stored squared norm %v", normSq)
 	}
+	// The squared norm sums v² over the support, and a float sum of
+	// non-negative terms never falls below one of its terms, so an honest
+	// sketch stores no value with v² > normSq. A larger one overstates its
+	// threshold inclusion probability, or overflows the estimate.
+	for i, v := range vals {
+		if v*v > normSq {
+			return fmt.Errorf("psample: stored value %v at %d exceeds the stored norm (squared %v)", v, i, normSq)
+		}
+	}
 	if math.IsNaN(tau) || tau < 0 {
 		return fmt.Errorf("psample: invalid threshold rank %v", tau)
 	}

@@ -3,6 +3,8 @@ package psample
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/vector"
 )
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -106,6 +108,56 @@ func TestUnmarshalRejectsInconsistentInvariants(t *testing.T) {
 		var dec Sketch
 		if err := dec.UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: inconsistent payload accepted", name)
+		}
+	}
+}
+
+// valueAboveNormBlobs are payloads storing a value whose square exceeds
+// the stored squared norm, which no construction produces: one stored
+// value 1.4e160 against normSq 1.4e-76, in each mode (both self-estimate
+// +Inf), and the honest threshold sketch of (1, −2, 3) at K = 8 with
+// normSq 1 instead of 14 (it self-estimates 14 instead of 14.75).
+func valueAboveNormBlobs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	out := map[string][]byte{}
+	for _, mode := range modes() {
+		s := &Sketch{
+			params: Params{K: 16, Seed: 7, Mode: mode},
+			dim:    100, nnz: 1, normSq: 1.4e-76, tau: inf(),
+			idx: []uint64{5}, vals: []float64{1.4e160},
+		}
+		out[mode.String()+" overflowing value"] = mustMarshal(tb, s)
+	}
+	v := vector.MustNew(10, []uint64{1, 2, 3}, []float64{1, -2, 3})
+	s, err := New(v, Params{K: 8, Seed: 3, Mode: Threshold})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if s.Len() != 3 || s.normSq != 14 {
+		tb.Fatalf("honest sketch stores %d of 3 entries with normSq %v, want all three and 14", s.Len(), s.normSq)
+	}
+	s.normSq = 1
+	out["threshold understated norm"] = mustMarshal(tb, s)
+	return out
+}
+
+func mustMarshal(tb testing.TB, s *Sketch) []byte {
+	tb.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestUnmarshalRejectsValueAboveNorm: a stored value whose square exceeds
+// the stored squared norm is refused in both modes.
+func TestUnmarshalRejectsValueAboveNorm(t *testing.T) {
+	for name, data := range valueAboveNormBlobs(t) {
+		var s Sketch
+		if err := s.UnmarshalBinary(data); err == nil {
+			est, _ := Estimate(&s, &s)
+			t.Errorf("%s: decoded, self-estimate %v", name, est)
 		}
 	}
 }

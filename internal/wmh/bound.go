@@ -35,7 +35,7 @@ type ErrorBound struct {
 // vectors the bound is 0 — as is the true Theorem 2 scale, since
 // ‖a_I‖ = ‖b_I‖ = 0.
 func EstimateErrorBound(a, b *Sketch) (ErrorBound, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return ErrorBound{}, err
 	}
 	if a.empty || b.empty {

@@ -1,18 +1,15 @@
 package wmh
 
 import (
-	"errors"
-
 	"repro/internal/hashing"
 	"repro/internal/vector"
 )
 
 // Builder is the one construction body of the package: New and Shards
-// are one-off Builders. It sketches vectors under one fixed Params
-// without allocating after warm-up: the per-vector rounding scratch, the
-// fill queue, and the dart process are owned by the Builder and reused
-// across vectors. SketchInto additionally reuses the destination sketch's
-// sample arrays, making the steady-state sketch loop allocation-free.
+// are one-off Builders. It sketches vectors under one fixed Params,
+// owning the per-vector rounding scratch, the fill queue, and the dart
+// process and reusing them across vectors, so a warm Sketch allocates
+// only the sketch and its two sample arrays.
 //
 // A Builder is deliberately single-goroutine (that is what makes the
 // scratch reuse safe). To use every core, run one Builder per worker over
@@ -41,7 +38,7 @@ type blocks struct {
 }
 
 // fillJob is one sketch's share of a fill: the rounded blocks it samples,
-// its resolved L, and the sample arrays it fills (the destination sketch's
+// its resolved L, and the sample arrays it fills (the queued sketch's
 // own). next and missing are the dart walk's per-vector state.
 type fillJob struct {
 	blocks
@@ -58,31 +55,12 @@ func NewBuilder(p Params) (*Builder, error) {
 	return &Builder{p: p}, nil
 }
 
-// Params returns the builder's construction parameters.
-func (b *Builder) Params() Params { return b.p }
-
-// Sketch sketches v, allocating a fresh Sketch (the scratch is still
-// reused, so this allocates only the returned sketch and its two sample
-// arrays).
+// Sketch sketches v into a fresh Sketch.
 func (b *Builder) Sketch(v vector.Sparse) (*Sketch, error) {
-	s := new(Sketch)
-	if err := b.SketchInto(s, v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SketchInto sketches v into dst, reusing dst's sample arrays when they
-// have capacity. After the first call with a given dst, repeated calls
-// allocate nothing. dst must not be in use by other goroutines and is
-// overwritten entirely.
-func (b *Builder) SketchInto(dst *Sketch, v vector.Sparse) error {
-	if dst == nil {
-		return errors.New("wmh: nil destination sketch")
-	}
-	b.sketchInto(dst, 0, v)
+	s := b.round(0, v)
+	b.queue(&s, 0, 0, len(b.vecs[0].idx))
 	b.fill()
-	return nil
+	return &s, nil
 }
 
 // SketchAll sketches every vector of vs; out[i] is bitwise Sketch(vs[i]).
@@ -94,20 +72,12 @@ func (b *Builder) SketchAll(vs []vector.Sparse) ([]*Sketch, error) {
 	sks := make([]Sketch, len(vs))
 	out := make([]*Sketch, len(vs))
 	for k, v := range vs {
+		sks[k] = b.round(k, v)
+		b.queue(&sks[k], k, 0, len(b.vecs[k].idx))
 		out[k] = &sks[k]
-		b.sketchInto(out[k], k, v)
 	}
 	b.fill()
 	return out, nil
-}
-
-// sketchInto rounds v into the k-th per-vector scratch, writes the sketch
-// header into dst, and queues dst's samples for the next fill.
-func (b *Builder) sketchInto(dst *Sketch, k int, v vector.Sparse) {
-	hdr := b.round(k, v)
-	hdr.hashes, hdr.vals = dst.hashes, dst.vals
-	*dst = hdr
-	b.queue(dst, k, 0, len(b.vecs[k].idx))
 }
 
 // round runs Algorithm 4 on v into the k-th per-vector block scratch and
@@ -121,25 +91,18 @@ func (b *Builder) round(k int, v vector.Sparse) Sketch {
 	l := b.p.effectiveL(v.Dim())
 	bl.idx, bl.weights = RoundInto(v, l, bl.idx, bl.weights)
 	bl.bvals = roundedValues(bl.bvals, v, bl.idx, bl.weights, l, b.p.QuantizeValues)
-	return Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm(), variant: variantDart}
+	return Sketch{params: b.p, dim: v.Dim(), l: l, norm: v.Norm()}
 }
 
-// queue sets dst up to be filled by the next fill from the rounded blocks
-// [lo, hi) of the k-th vector, reusing dst's sample arrays when they have
-// capacity; an empty range makes dst the empty sketch right away.
+// queue gives dst fresh sample arrays for the next fill to fill from the
+// rounded blocks [lo, hi) of the k-th vector; an empty range makes dst
+// the empty sketch right away.
 func (b *Builder) queue(dst *Sketch, k, lo, hi int) {
 	if lo >= hi {
-		dst.empty, dst.hashes, dst.vals = true, nil, nil
+		dst.empty = true
 		return
 	}
-	m := b.p.M
-	if cap(dst.hashes) < m {
-		dst.hashes = make([]float64, m)
-	}
-	if cap(dst.vals) < m {
-		dst.vals = make([]float64, m)
-	}
-	dst.hashes, dst.vals = dst.hashes[:m], dst.vals[:m]
+	dst.hashes, dst.vals = make([]float64, b.p.M), make([]float64, b.p.M)
 	bl := &b.vecs[k]
 	b.jobs = append(b.jobs, fillJob{
 		blocks: blocks{idx: bl.idx[lo:hi], weights: bl.weights[lo:hi], bvals: bl.bvals[lo:hi]},

@@ -40,7 +40,7 @@ func testVectors(t testing.TB) []vector.Sparse {
 func sketchesEqual(t *testing.T, a, b *Sketch, what string) {
 	t.Helper()
 	if a.params != b.params || a.dim != b.dim || a.l != b.l ||
-		a.norm != b.norm || a.empty != b.empty || a.variant != b.variant {
+		a.norm != b.norm || a.empty != b.empty {
 		t.Fatalf("%s: header mismatch: %+v vs %+v", what, a, b)
 	}
 	if len(a.hashes) != len(b.hashes) || len(a.vals) != len(b.vals) {
@@ -76,51 +76,41 @@ func TestBuilderScratchReuseAcrossVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := testVectors(t)
-	var dst Sketch
 	for round := 0; round < 3; round++ {
 		for _, v := range vs {
-			if err := b.SketchInto(&dst, v); err != nil {
+			got, err := b.Sketch(v)
+			if err != nil {
 				t.Fatal(err)
 			}
 			want, err := New(v, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sketchesEqual(t, &dst, want, "SketchInto")
+			sketchesEqual(t, got, want, "Builder.Sketch")
 		}
 	}
 }
 
-// TestSketchIntoZeroAllocs: the warm Builder path must not allocate (the
-// dart process tables and dart scratch are owned by the Builder and reused
-// across calls).
-func TestSketchIntoZeroAllocs(t *testing.T) {
+// TestBuilderSketchAllocs: a warm Builder allocates only the sketch and
+// its two sample arrays (the dart process tables and dart scratch are
+// owned by the Builder and reused across calls).
+func TestBuilderSketchAllocs(t *testing.T) {
 	vs := testVectors(t)
 	v := vs[len(vs)-1]
-	for _, tc := range []struct {
-		name string
-		p    Params
-	}{
-		{"dart", Params{M: 64, Seed: 5, L: 1 << 20}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, err := NewBuilder(tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dst Sketch
-			if err := b.SketchInto(&dst, v); err != nil { // warm-up
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := b.SketchInto(&dst, v); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm SketchInto allocates %v times per run, want 0", allocs)
-			}
-		})
+	b, err := NewBuilder(Params{M: 64, Seed: 5, L: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Sketch(v); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.Sketch(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("warm Sketch allocates %v times per run, want 3", allocs)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/hashing"
 )
 
-// This file implements the dart-throwing WMH construction (variantDart).
+// This file implements the dart-throwing WMH construction (wire variant 4).
 // The paper's record process pays one prefix-minimum walk per
 // (block, sample) pair — O(nnz·M·log L) per sketch. The dart construction
 // instead enumerates, per block, the expected O(M·τ·w/L) darts that can
@@ -44,7 +44,7 @@ const dartMaxRounds = 8
 // parties sketching different vectors — per-sample randomness comes from
 // the darts themselves, not from per-sample keys.
 func dartBlockKey(seed uint64, block uint64) uint64 {
-	return hashing.Extend(hashing.Extend(hashing.Mix(seed), block), 0x776d68+uint64(variantDart))
+	return hashing.Extend(hashing.Extend(hashing.Mix(seed), block), 0x776d68+dartVariant)
 }
 
 // fillDart computes every MinHash sample of every job in one dart pass per

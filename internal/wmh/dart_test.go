@@ -22,17 +22,17 @@ func TestDartBuilderMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dst Sketch
 		for round := 0; round < 2; round++ {
 			for _, v := range testVectors(t) {
 				want, err := New(v, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := b.SketchInto(&dst, v); err != nil {
+				got, err := b.Sketch(v)
+				if err != nil {
 					t.Fatal(err)
 				}
-				sketchesEqual(t, &dst, want, "dart SketchInto")
+				sketchesEqual(t, got, want, "dart Builder.Sketch")
 			}
 		}
 	}
@@ -215,11 +215,11 @@ func TestSketchAllFallbackRoundsDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		one.dart, one.dartL = tiny(), l
-		var want Sketch
-		if err := one.SketchInto(&want, v); err != nil {
+		want, err := one.Sketch(v)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sketchesEqual(t, got[k], &want, fmt.Sprintf("vector %d", k))
+		sketchesEqual(t, got[k], want, fmt.Sprintf("vector %d", k))
 		one.round(0, v)
 		rounds[dartRounds(one.dart, p.Seed, one.vecs[0])] = true
 	}
@@ -257,28 +257,6 @@ func TestDartSamplesAlwaysPopulated(t *testing.T) {
 	}
 }
 
-// TestDartIncompatibleAcrossVariants: dart sketches must refuse comparison
-// and merge with sketches of the retired variants, whatever the order,
-// with an error that says to re-sketch.
-func TestDartIncompatibleAcrossVariants(t *testing.T) {
-	v := testVectors(t)[2]
-	p := Params{M: 8, Seed: 1, L: 1 << 12} // small L so naive slot hashing is cheap
-	dart, err := New(v, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, old := range []*Sketch{newRecord(v, p), buildSampleMajor(v, p, variantNaive)} {
-		for _, pair := range [][2]*Sketch{{dart, old}, {old, dart}} {
-			if _, err := Estimate(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
-				t.Errorf("Estimate of variants %d and %d: err = %v, want the variant error saying to re-sketch", pair[0].variant, pair[1].variant, err)
-			}
-			if _, err := Merge(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
-				t.Errorf("Merge of variants %d and %d: err = %v, want the variant error saying to re-sketch", pair[0].variant, pair[1].variant, err)
-			}
-		}
-	}
-}
-
 // TestDartSerializeRoundTrip: the dart variant byte survives encoding.
 func TestDartSerializeRoundTrip(t *testing.T) {
 	v := testVectors(t)[2]
@@ -295,27 +273,37 @@ func TestDartSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sketchesEqual(t, &back, s, "round-trip")
-	if back.variant != variantDart {
-		t.Fatalf("variant %d after round-trip, want %d", back.variant, variantDart)
+	if data[variantOffset] != dartVariant {
+		t.Fatalf("variant byte %d, want %d", data[variantOffset], dartVariant)
 	}
 }
 
 // TestUnmarshalRejectsUnknownVariant: a payload carrying a variant byte
-// this build does not know must be rejected, not misread as some existing
-// variant (which would silently break the coordination law).
+// other than the dart construction's must be rejected, not misread as a
+// dart sketch (which would silently break the coordination law): a
+// retired construction's byte with an error that says to re-sketch.
 func TestUnmarshalRejectsUnknownVariant(t *testing.T) {
 	s, err := New(testVectors(t)[2], Params{M: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.variant = variantDart + 5
 	data, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err == nil {
-		t.Fatal("UnmarshalBinary accepted an unknown variant byte")
+	for vr := byte(0); vr <= dartVariant+5; vr++ {
+		if vr == dartVariant {
+			continue
+		}
+		data[variantOffset] = vr
+		var back Sketch
+		err := back.UnmarshalBinary(data)
+		if err == nil {
+			t.Fatalf("UnmarshalBinary accepted variant byte %d", vr)
+		}
+		if retired := vr < dartVariant; retired != strings.Contains(err.Error(), "re-sketch") {
+			t.Errorf("variant byte %d: err = %v, want a re-sketch error exactly for the retired bytes 0–3", vr, err)
+		}
 	}
 }
 
@@ -489,8 +477,7 @@ func TestDartConstructionSpeedupSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dst Sketch
-	if err := b.SketchInto(&dst, av); err != nil {
+	if _, err := b.Sketch(av); err != nil {
 		t.Fatal(err)
 	}
 	measure := func(sketch func()) float64 {
@@ -502,7 +489,7 @@ func TestDartConstructionSpeedupSmoke(t *testing.T) {
 	}
 	fast := measure(func() { newRecord(av, p) })
 	dart := measure(func() {
-		if err := b.SketchInto(&dst, av); err != nil {
+		if _, err := b.Sketch(av); err != nil {
 			t.Error(err)
 		}
 	})

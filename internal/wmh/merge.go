@@ -33,7 +33,7 @@ import (
 // An empty input (a shard with no blocks, or the sketch of an empty
 // vector) merges as the identity.
 func Merge(a, b *Sketch) (*Sketch, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return nil, err
 	}
 	if a.empty {
@@ -45,7 +45,7 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 	if a.norm != b.norm {
 		return nil, fmt.Errorf("wmh: cannot merge sketches with stored norms %v vs %v: WMH shards must share the parent vector's normalization (see Shards)", a.norm, b.norm)
 	}
-	out := &Sketch{params: a.params, dim: a.dim, l: a.l, norm: a.norm, variant: a.variant}
+	out := &Sketch{params: a.params, dim: a.dim, l: a.l, norm: a.norm}
 	// Ties keep a's sample: when shards are merged in block order, the
 	// earlier block wins a tie, as in the construction.
 	out.hashes, out.vals = sample.MinMerge(a.hashes, a.vals, b.hashes, b.vals)

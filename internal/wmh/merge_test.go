@@ -133,7 +133,6 @@ func TestMergeRejectsVariantAndParamMismatches(t *testing.T) {
 	for name, other := range map[string]*Sketch{
 		"seed":    mustSketch(t, v, Params{M: 16, Seed: 2}),
 		"samples": mustSketch(t, v, Params{M: 8, Seed: 1}),
-		"record":  newRecord(v, Params{M: 16, Seed: 1}),
 	} {
 		if _, err := Merge(base, other); err == nil {
 			t.Fatalf("%s mismatch merged silently", name)

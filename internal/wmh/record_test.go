@@ -14,9 +14,9 @@ import (
 // This file keeps the paper's own WMH construction as the reference the
 // dart construction is tested against: the "active index" technique of
 // Gollapudi and Panigrahy (CIKM 2006), which the paper uses in Section 5
-// ("Efficient Weighted Hashing"). New no longer builds it; its sketches
-// (variants 0 and 1) still decode, and the retired goldens under
-// testdata/retired are rebuilt from it bit for bit.
+// ("Efficient Weighted Hashing"). New no longer builds it and the decoder
+// refuses its sketches, but the retired goldens under testdata/retired
+// are rebuilt from it bit for bit.
 //
 // Algorithm 3 conceptually expands a vector entry ã[j] into a block of L
 // slots of which the first w_j = ã[j]²·L are active, then takes the
@@ -42,6 +42,22 @@ import (
 //   - min(prefixMin(key,w_a), prefixMin(key,w_b)) == prefixMin(key, max).
 //
 // prefixmin_test.go property-tests these invariants.
+
+// variant is the construction byte a record-process sketch shipped with
+// on the wire; it also keys the block streams.
+type variant uint8
+
+const (
+	// variantFast is the active-index record process (prefixMin).
+	variantFast variant = 0
+	// variantNaive hashes every active slot explicitly (blockMinNaive).
+	variantNaive variant = 1
+)
+
+// variantOffset is where the construction byte sits in a WMH payload:
+// after M, Seed, L (8 each), quantized (1), resolved L, dim, norm (8
+// each) and empty (1).
+const variantOffset = 3*8 + 1 + 3*8 + 1
 
 // prefixMin returns the minimum of w conceptual iid U(0,1) slot hashes for
 // the block identified by key, visiting only O(log w) records. It panics
@@ -147,7 +163,7 @@ func fillBlockMajor(hashes, vals []float64, skeys []uint64, idx, weights []uint6
 // as New rounds them, samples split across workers.
 func newRecord(v vector.Sparse, p Params) *Sketch {
 	l := p.effectiveL(v.Dim())
-	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm(), variant: variantFast}
+	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm()}
 	idx, weights := Round(v, l)
 	if len(idx) == 0 {
 		s.empty = true
@@ -174,7 +190,7 @@ func newRecord(v vector.Sparse, p Params) *Sketch {
 // per sample that the record process is checked against statistically.
 func buildSampleMajor(v vector.Sparse, p Params, vr variant) *Sketch {
 	l := p.effectiveL(v.Dim())
-	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm(), variant: vr}
+	s := &Sketch{params: p, dim: v.Dim(), l: l, norm: v.Norm()}
 	if v.IsEmpty() {
 		s.empty = true
 		return s
@@ -242,9 +258,10 @@ func goldenVector() vector.Sparse {
 // TestRecordOracleRebuildsRetiredGoldens: the two golden sketches the
 // record process wrote when it was New's default construction — a
 // 64-word WMH budget at seed 12345, plain and quantized — are rebuilt bit
-// for bit by newRecord, so the oracle the dart construction is tested
-// against is the construction that shipped. The payload follows the
-// root package's 6-byte sketch envelope.
+// for bit by newRecord, once the encoding carries the variant byte they
+// shipped with, so the oracle the dart construction is tested against is
+// the construction that shipped. The payload follows the root package's
+// 6-byte sketch envelope.
 func TestRecordOracleRebuildsRetiredGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -261,6 +278,7 @@ func TestRecordOracleRebuildsRetiredGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		data[variantOffset] = byte(variantFast)
 		if !bytes.Equal(data, golden[6:]) {
 			t.Errorf("%s: the record oracle does not rebuild the retired payload (%d vs %d bytes)", tc.file, len(data), len(golden)-6)
 		}

@@ -10,7 +10,8 @@ import (
 )
 
 // MarshalBinary encodes the sketch. Layout: M, Seed, L(param), quantized,
-// L(resolved), dim, norm, empty, variant, hashes, vals.
+// L(resolved), dim, norm, empty, variant (always dartVariant), hashes,
+// vals.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.U64(uint64(s.params.M))
@@ -21,7 +22,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.U64(s.dim)
 	w.F64(s.norm)
 	w.Bool(s.empty)
-	w.Byte(byte(s.variant))
+	w.Byte(dartVariant)
 	w.F64s(s.hashes)
 	w.F64s(s.vals)
 	return w.Bytes(), nil
@@ -38,16 +39,16 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	dim := r.U64()
 	norm := r.F64()
 	empty := r.Bool()
-	vr := variant(r.Byte())
+	vr := r.Byte()
 	hashes := r.F64s()
 	vals := r.F64s()
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("wmh: decoding sketch: %w", err)
 	}
-	if vr == variantRemoved {
-		return errors.New("wmh: sketch variant 2: the FastLog variant was removed; re-sketch the source data")
+	if vr < dartVariant {
+		return fmt.Errorf("wmh: sketch variant %d is a retired construction; re-sketch the source data", vr)
 	}
-	if vr != variantFast && vr != variantNaive && vr != variantDartV3 && vr != variantDart {
+	if vr != dartVariant {
 		return fmt.Errorf("wmh: unknown sketch variant %d", vr)
 	}
 	p := Params{M: int(m), Seed: seed, L: lParam, QuantizeValues: quantized}
@@ -70,15 +71,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := sample.Check(hashes, vals, false); err != nil {
 		return fmt.Errorf("wmh: %w", err)
 	}
-	// Every construction stores minima in (0, 1] (a dart value or a unit
-	// hash; the retired dart variant 3 also 0, where its value formula
-	// cancels at large L) and Algorithm 4's values ±√(w/L),
-	// 1 ≤ w ≤ L ≤ 2⁵⁰. Minima of 0 make the union estimate infinite and
-	// one outside skews it; a value whose square is 0 divides a collision
-	// by q_i = 0. The stored norm may be 0: a vector whose squared norm
-	// underflows has one.
+	// The dart construction stores minima in (0, 1] (dart values) and
+	// Algorithm 4's values ±√(w/L), 1 ≤ w ≤ L ≤ 2⁵⁰. Minima of 0 make the
+	// union estimate infinite and one outside skews it; a value whose
+	// square is 0 divides a collision by q_i = 0. The stored norm may be
+	// 0: a vector whose squared norm underflows has one.
 	for i, h := range hashes {
-		if h > 1 || h < 0 || h == 0 && vr != variantDartV3 {
+		if h <= 0 || h > 1 {
 			return fmt.Errorf("wmh: stored minimum %v at %d outside (0, 1]", h, i)
 		}
 		if v := vals[i]; v*v == 0 || math.Abs(v) > 1 {
@@ -87,7 +86,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	*s = Sketch{
 		params: p, dim: dim, l: l, norm: norm,
-		empty: empty, variant: vr, hashes: hashes, vals: vals,
+		empty: empty, hashes: hashes, vals: vals,
 	}
 	return nil
 }

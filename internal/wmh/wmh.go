@@ -20,7 +20,7 @@
 // min over iid slot hashes. The paper's own construction, the active-index
 // record process of Gollapudi & Panigrahy (Section 5, O(|A|·m·log L)),
 // lives on in the package's tests as the reference the dart construction
-// is checked against; its sketches (variants 0 and 1) still decode.
+// is checked against; the decoder refuses the sketches it wrote.
 //
 // # Estimation
 //
@@ -51,7 +51,7 @@ import (
 )
 
 // Params configures sketch construction. Two sketches are comparable only
-// if built with identical Params by the same construction variant.
+// if built with identical Params.
 type Params struct {
 	// M is the number of MinHash samples (the sketch size).
 	M int
@@ -92,42 +92,26 @@ func (p Params) effectiveL(dim uint64) uint64 {
 	return p.L
 }
 
-// variant tags which construction produced a sketch; the variants use
-// different randomness and must not be mixed. New builds only variantDart;
-// the others are retired constructions whose sketches still decode (except
-// variantRemoved) but refuse comparison with variantDart. The values stay
-// reserved: dartBlockKey mixes variantDart into the stream key, so
-// renumbering would change every sketch.
-type variant uint8
-
-const (
-	// variantFast was the active-index record process.
-	variantFast variant = 0
-	// variantNaive hashed every active slot explicitly.
-	variantNaive variant = 1
-	// variantRemoved was a polynomial-log record process; UnmarshalBinary
-	// rejects it.
-	variantRemoved variant = 2
-	// variantDartV3 was the first dart construction. Its dart values were
-	// rounded to multiples of 2⁻⁵³, so at large L vectors with disjoint
-	// supports shared minima by accident.
-	variantDartV3 variant = 3
-	// variantDart is the one-pass dart-throwing construction (dart.go).
-	variantDart variant = 4
-)
+// dartVariant is the construction byte every sketch carries on the wire,
+// the dart construction's (dart.go); dartBlockKey mixes it into the
+// stream key. Bytes 0–3 belonged to retired constructions whose
+// randomness differs (the record process, explicit slot hashing, a
+// polynomial-log record process, and a first dart construction whose
+// dart values were rounded to multiples of 2⁻⁵³); the decoder refuses
+// them.
+const dartVariant = 4
 
 // Sketch is the output of Algorithm 3: per sample the minimum hash value
 // (W^hash) and the rounded normalized entry value at the argmin block
 // (W^val), plus the Euclidean norm of the original vector.
 type Sketch struct {
-	params  Params
-	dim     uint64
-	l       uint64 // resolved discretization parameter
-	norm    float64
-	empty   bool
-	variant variant
-	hashes  []float64 // per-sample minimum dart values in (0,1]; compared exactly
-	vals    []float64 // ã[j] = sign·sqrt(w_j/L) of the argmin block
+	params Params
+	dim    uint64
+	l      uint64 // resolved discretization parameter
+	norm   float64
+	empty  bool
+	hashes []float64 // per-sample minimum dart values in (0,1]; compared exactly
+	vals   []float64 // ã[j] = sign·sqrt(w_j/L) of the argmin block
 }
 
 // New sketches the vector v (paper Algorithm 3) with a one-off Builder.
@@ -223,11 +207,8 @@ func (s *Sketch) Signature() []uint64 {
 }
 
 // Compatible reports why two sketches cannot be compared (parameter,
-// seed, resolved-L, or construction-variant mismatch), or nil.
-func Compatible(a, b *Sketch) error { return compatible(a, b) }
-
-// compatible reports why two sketches cannot be compared, or nil.
-func compatible(a, b *Sketch) error {
+// seed, dimension, or resolved-L mismatch), or nil.
+func Compatible(a, b *Sketch) error {
 	if a.params != b.params {
 		return fmt.Errorf("wmh: incompatible params %+v vs %+v", a.params, b.params)
 	}
@@ -236,13 +217,6 @@ func compatible(a, b *Sketch) error {
 	}
 	if a.l != b.l {
 		return fmt.Errorf("wmh: discretization mismatch %d vs %d", a.l, b.l)
-	}
-	if a.variant != b.variant {
-		retired := a.variant
-		if retired == variantDart {
-			retired = b.variant
-		}
-		return fmt.Errorf("wmh: cannot mix sketches from different construction variants: variant %d is a retired construction; re-sketch the source data", retired)
 	}
 	return nil
 }
@@ -269,7 +243,7 @@ type Options struct {
 
 // Estimate implements Algorithm 5 with the paper's defaults.
 func Estimate(a, b *Sketch) (float64, error) {
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	return Score(a, b.hashes, b.vals, b.norm), nil
@@ -304,7 +278,7 @@ func EstimateWithOptions(a, b *Sketch, opt Options) (float64, error) {
 	default:
 		return 0, fmt.Errorf("wmh: unknown union estimator %d", opt.Union)
 	}
-	if err := compatible(a, b); err != nil {
+	if err := Compatible(a, b); err != nil {
 		return 0, err
 	}
 	if a.empty || b.empty {

@@ -76,7 +76,6 @@ func TestIncompatibleSketchesRejected(t *testing.T) {
 		"l":    mustSketch(t, v, Params{M: 16, Seed: 1, L: 1 << 17}),
 		"dim":  mustSketch(t, w, base),
 	}
-	cases["variant"] = buildSampleMajor(v, base, variantNaive)
 	for name, other := range cases {
 		if _, err := Estimate(a, other); err == nil {
 			t.Errorf("%s mismatch not rejected", name)

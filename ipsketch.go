@@ -61,7 +61,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/linear"
 	"repro/internal/vector"
 	"repro/internal/wmh"
 )
@@ -179,9 +178,6 @@ type Config struct {
 	// L is the WMH discretization parameter (0 = automatic). Ignored by
 	// other methods.
 	L uint64
-	// Reps is the CountSketch repetition count (0 = the paper's 5).
-	// Ignored by other methods.
-	Reps int
 	// Quantize stores sample values in 32 bits instead of 64 for methods
 	// that support it (currently WMH), lowering the per-sample cost from
 	// 1.5 words to 1 — i.e. 50% more samples in the same budget at a
@@ -194,16 +190,6 @@ type Config struct {
 	//
 	// Deprecated: setting it has no effect.
 	Dart bool
-}
-
-// countSketchReps resolves the CountSketch repetition count (the paper's 5
-// when Reps is zero). Both size derivation and construction go through
-// this single helper so the two can never drift.
-func (c Config) countSketchReps() int {
-	if c.Reps == 0 {
-		return linear.DefaultReps
-	}
-	return c.Reps
 }
 
 // wmhParams derives the WMH construction parameters for a sketcher of the

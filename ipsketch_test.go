@@ -95,9 +95,8 @@ func TestStorageAccounting(t *testing.T) {
 		wantSize int
 	}{
 		{Config{Method: MethodJL, StorageWords: 400}, 400},
-		{Config{Method: MethodCountSketch, StorageWords: 400}, 80},           // 400/5
-		{Config{Method: MethodCountSketch, StorageWords: 400, Reps: 4}, 100}, // 400/4
-		{Config{Method: MethodMH, StorageWords: 300}, 200},                   // 300/1.5
+		{Config{Method: MethodCountSketch, StorageWords: 400}, 80}, // 400/5
+		{Config{Method: MethodMH, StorageWords: 300}, 200},         // 300/1.5
 		{Config{Method: MethodKMV, StorageWords: 300}, 200},
 		{Config{Method: MethodWMH, StorageWords: 301}, 200}, // norm word charged
 		{Config{Method: MethodWMH, StorageWords: 301, Quantize: true}, 300},

@@ -23,9 +23,9 @@ import (
 // A retired method's golden file moves to testdata/retired, where the
 // retirement tests check that its bytes fail to decode with an error that
 // names the removal. A retired construction variant's golden file moves
-// there too: its bytes still decode, but refuse comparison with the
-// variant that replaced it (testdata/retired/wmh-record*.golden, the record
-// process's variant 0, and wmh-dart.golden, dart variant 3). WMH's cases
+// there too, and its bytes fail to decode with an error that says to
+// re-sketch (testdata/retired/wmh-record*.golden, the record process's
+// variant 0, and wmh-dart.golden, dart variant 3). WMH's cases
 // keep their names and read the current construction's files,
 // wmh-dart.golden and wmh-dart-quantize.golden.
 

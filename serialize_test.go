@@ -494,16 +494,9 @@ func retiredWMHBlob(tb testing.TB, name string, vr byte) []byte {
 
 // retiredRecordBlob is the golden WMH sketch of the record process, the
 // default construction before the dart construction replaced it: variant
-// 0, decode-only.
+// 0.
 func retiredRecordBlob(tb testing.TB) []byte {
 	return retiredWMHBlob(tb, "wmh-record.golden", 0)
-}
-
-// retiredDartBlob is the golden dart WMH sketch of the first dart
-// construction, variant 3, whose dart values were rounded to multiples of
-// 2⁻⁵³ (DESIGN.md §6).
-func retiredDartBlob(tb testing.TB) []byte {
-	return retiredWMHBlob(tb, "wmh-dart.golden", 3)
 }
 
 // retiredVariantBlob is a well-formed WMH encoding whose variant byte is
@@ -515,16 +508,46 @@ func retiredVariantBlob(tb testing.TB) []byte {
 	return data
 }
 
-// TestUnmarshalRejectsRetiredWMHVariant: blobs written by the removed
-// construction must fail to decode with an error that says so. The
-// variant byte this build writes is 4 whatever Config.Dart says, and the
-// retired record process's byte 0 keeps decoding. (The retired variants
-// refuse to mix; see TestRetiredRecordVariantDecodesButDoesNotMix and
-// TestRetiredDartVariantDecodesButDoesNotMix.)
+// retiredWMHBlobs are WMH sketches of the retired constructions, each
+// with the variant byte it shipped with: the record process's goldens
+// (variant 0, plain and quantized), the record golden relabeled as
+// explicit slot hashing (1) and as the removed polynomial-log record
+// process (2), the first dart construction's golden (variant 3, dart
+// values rounded to multiples of 2⁻⁵³, DESIGN.md §6), and that golden
+// with its 42 minima zeroed, which self-estimated +Inf while variant 3
+// still decoded.
+func retiredWMHBlobs(tb testing.TB) []corruptBlob {
+	tb.Helper()
+	slots := retiredRecordBlob(tb)
+	slots[wmhVariantOffset] = 1
+	dart := retiredWMHBlob(tb, "wmh-dart.golden", 3)
+	// The minima follow the variant byte: a u64 count, then m float64s.
+	zero := append([]byte(nil), dart...)
+	mins := wmhVariantOffset + 1
+	m := int(binary.LittleEndian.Uint64(zero[mins:]))
+	if m != 42 {
+		tb.Fatalf("wmh-dart.golden has %d minima, want 42", m)
+	}
+	clear(zero[mins+8 : mins+8+8*m])
+	return []corruptBlob{
+		{"record", retiredRecordBlob(tb)},
+		{"record-quantize", retiredWMHBlob(tb, "wmh-record-quantize.golden", 0)},
+		{"variant 1", slots},
+		{"variant 2", retiredVariantBlob(tb)},
+		{"dart variant 3", dart},
+		{"dart variant 3, minima 0", zero},
+	}
+}
+
+// TestUnmarshalRejectsRetiredWMHVariant: the variant byte this build
+// writes is 4 whatever Config.Dart says, and blobs written by the removed
+// polynomial-log construction (byte 2) fail to decode with an error that
+// says to re-sketch, as every retired construction's do
+// (TestRetiredWMHVariants).
 func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 	_, err := UnmarshalSketch(retiredVariantBlob(t))
-	if err == nil || !strings.Contains(err.Error(), "FastLog variant was removed") {
-		t.Fatalf("variant byte 2: err = %v, want the \"removed\" error", err)
+	if err == nil || !strings.Contains(err.Error(), "re-sketch") {
+		t.Fatalf("variant byte 2: err = %v, want an error saying to re-sketch", err)
 	}
 	fresh := marshalFixture(t, Config{Method: MethodWMH, StorageWords: 32, Seed: 7})
 	if fresh[wmhVariantOffset] != 4 {
@@ -533,72 +556,52 @@ func TestUnmarshalRejectsRetiredWMHVariant(t *testing.T) {
 	if dart := marshalFixture(t, Config{Method: MethodWMH, StorageWords: 32, Seed: 7, Dart: true}); !bytes.Equal(dart, fresh) {
 		t.Error("the deprecated Config.Dart changes the sketch bytes")
 	}
-	for _, data := range [][]byte{fresh, retiredRecordBlob(t)} {
-		if _, err := UnmarshalSketch(data); err != nil {
-			t.Errorf("variant byte %d: %v", data[wmhVariantOffset], err)
-		}
+	if _, err := UnmarshalSketch(fresh); err != nil {
+		t.Errorf("variant byte 4: %v", err)
 	}
 }
 
-// checkRetiredDoesNotMix: a retired-variant sketch still decodes and
-// re-encodes bit-exactly, and estimates against itself, but a sketch of
-// this build — the configuration of golden case cfgName, the same vector —
-// refuses it with the construction-variant error, which says to
-// re-sketch; so does a merge, in either order.
-func checkRetiredDoesNotMix(t *testing.T, blob []byte, cfgName string) {
-	t.Helper()
-	old, err := UnmarshalSketch(blob)
-	if err != nil {
-		t.Fatalf("no longer decodes: %v", err)
-	}
-	if re, err := old.MarshalBinary(); err != nil || !bytes.Equal(re, blob) {
-		t.Fatalf("does not re-encode bit-exactly (%v)", err)
-	}
-	if _, err := Estimate(old, old); err != nil {
-		t.Fatalf("self-estimate: %v", err)
-	}
-	var cfg Config
-	for _, tc := range goldenCases() {
-		if tc.name == cfgName {
-			cfg = tc.cfg
-		}
-	}
-	s, err := NewSketcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := s.Sketch(goldenVector(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]*Sketch{{old, fresh}, {fresh, old}} {
-		if _, err := Estimate(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "different construction variants") || !strings.Contains(err.Error(), "re-sketch") {
-			t.Fatalf("estimate against variant 4: err = %v, want the variant error saying to re-sketch", err)
-		}
-		if _, err := pair[0].Merge(pair[1]); err == nil || !strings.Contains(err.Error(), "re-sketch") {
-			t.Fatalf("merge with variant 4: err = %v, want the variant error saying to re-sketch", err)
-		}
-	}
+// retiredFrames wraps a sketch blob as the key frame of a one-column
+// table bundle, and that bundle as the one table of an index.
+func retiredFrames(blob []byte) (table, index []byte) {
+	var tbl wire.Writer
+	tbl.Raw(tableSketchMagic[:])
+	tbl.Byte(tableSketchVersion)
+	tbl.Str32("old")
+	tbl.U64(1 << 20)
+	tbl.U32(uint32(len(blob)))
+	tbl.Raw(blob)
+	tbl.U32(0)
+	var idx wire.Writer
+	idx.Raw(indexMagic[:])
+	idx.Byte(indexVersion)
+	idx.U64(1)
+	idx.U32(uint32(len(tbl.Bytes())))
+	idx.Raw(tbl.Bytes())
+	return tbl.Bytes(), idx.Bytes()
 }
 
-// TestRetiredRecordVariantDecodesButDoesNotMix: the record process's
-// golden sketches (variant 0, plain and quantized) decode but refuse to
-// mix with dart sketches of the same configuration.
-func TestRetiredRecordVariantDecodesButDoesNotMix(t *testing.T) {
-	for name, cfgName := range map[string]string{
-		"wmh-record.golden":          "wmh",
-		"wmh-record-quantize.golden": "wmh-quantize",
-	} {
-		t.Run(name, func(t *testing.T) {
-			checkRetiredDoesNotMix(t, retiredWMHBlob(t, name, 0), cfgName)
+// TestRetiredWMHVariants: WMH's decoder accepts only the dart
+// construction's variant byte, 4, so a sketch of a retired construction —
+// alone, as a table bundle's key frame, or inside an index — fails to
+// decode with an error that says to re-sketch.
+func TestRetiredWMHVariants(t *testing.T) {
+	for _, b := range retiredWMHBlobs(t) {
+		t.Run(b.name, func(t *testing.T) {
+			tbl, idx := retiredFrames(b.data)
+			_, errSk := UnmarshalSketch(b.data)
+			_, errTbl := UnmarshalTableSketch(tbl)
+			_, errIdx := DecodeIndex(bytes.NewReader(idx))
+			for _, dec := range []struct {
+				name string
+				err  error
+			}{{"UnmarshalSketch", errSk}, {"UnmarshalTableSketch", errTbl}, {"DecodeIndex", errIdx}} {
+				if dec.err == nil || !strings.Contains(dec.err.Error(), "re-sketch") {
+					t.Errorf("%s: err = %v, want an error saying to re-sketch", dec.name, dec.err)
+				}
+			}
 		})
 	}
-}
-
-// TestRetiredDartVariantDecodesButDoesNotMix: likewise the first dart
-// construction's golden sketch (variant 3).
-func TestRetiredDartVariantDecodesButDoesNotMix(t *testing.T) {
-	checkRetiredDoesNotMix(t, retiredDartBlob(t), "wmh")
 }
 
 // retiredICWSBlob is a sketch envelope with method byte 5, written by the
@@ -621,30 +624,17 @@ func retiredICWSBlob(tb testing.TB) []byte {
 // no longer parses.
 func TestRetiredICWSSlot(t *testing.T) {
 	blob := retiredICWSBlob(t)
-	var tbl wire.Writer
-	tbl.Raw(tableSketchMagic[:])
-	tbl.Byte(tableSketchVersion)
-	tbl.Str32("old")
-	tbl.U64(1 << 20)
-	tbl.U32(uint32(len(blob)))
-	tbl.Raw(blob)
-	tbl.U32(0)
-	var idx wire.Writer
-	idx.Raw(indexMagic[:])
-	idx.Byte(indexVersion)
-	idx.U64(1)
-	idx.U32(uint32(len(tbl.Bytes())))
-	idx.Raw(tbl.Bytes())
+	tbl, idx := retiredFrames(blob)
 
 	_, err := UnmarshalSketch(blob)
 	if !errors.Is(err, errICWSRemoved) {
 		t.Errorf("UnmarshalSketch: err = %v, want errICWSRemoved", err)
 	}
-	_, err = UnmarshalTableSketch(tbl.Bytes())
+	_, err = UnmarshalTableSketch(tbl)
 	if !errors.Is(err, errICWSRemoved) {
 		t.Errorf("UnmarshalTableSketch: err = %v, want errICWSRemoved", err)
 	}
-	_, err = DecodeIndex(bytes.NewReader(idx.Bytes()))
+	_, err = DecodeIndex(bytes.NewReader(idx))
 	if !errors.Is(err, errICWSRemoved) {
 		t.Errorf("DecodeIndex: err = %v, want errICWSRemoved", err)
 	}
