@@ -97,20 +97,29 @@ func TestBuilderScratchReuseAcrossVectors(t *testing.T) {
 func TestBuilderSketchAllocs(t *testing.T) {
 	vs := testVectors(t)
 	v := vs[len(vs)-1]
-	b, err := NewBuilder(Params{M: 64, Seed: 5, L: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Sketch(v); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := b.Sketch(v); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 3 {
-		t.Fatalf("warm Sketch allocates %v times per run, want 3", allocs)
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"dart", Params{M: 64, Seed: 5, L: 1 << 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := NewBuilder(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Sketch(v); err != nil { // warm-up
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := b.Sketch(v); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 3 {
+				t.Fatalf("warm Sketch allocates %v times per run, want 3", allocs)
+			}
+		})
 	}
 }
 
