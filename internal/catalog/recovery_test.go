@@ -293,13 +293,19 @@ func (o *countingObserver) Observe(float64) { o.n++ }
 // stripe count below — with MH sketches (any two merge exactly) of one or
 // two columns, plus a query sketch that overlaps them all.
 func restoreOps(t *testing.T, n int) (*ipsketch.TableSketch, []Mutation) {
+	return randomOps(t, ipsketch.MethodMH, 2024, n)
+}
+
+// randomOps is restoreOps under any method whose sketches merge pairwise
+// (MH, KMV, PS/TS) and any sequence seed.
+func randomOps(t *testing.T, method ipsketch.Method, seed uint64, n int) (*ipsketch.TableSketch, []Mutation) {
 	t.Helper()
 	ts, err := ipsketch.NewTableSketcher(
-		ipsketch.Config{Method: ipsketch.MethodMH, StorageWords: 120, Seed: 5}, fixtureKeySpace)
+		ipsketch.Config{Method: method, StorageWords: 120, Seed: 5}, fixtureKeySpace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := hashing.NewSplitMix64(2024)
+	rng := hashing.NewSplitMix64(seed)
 	sketch := func(name string, rows int) *ipsketch.TableSketch {
 		keys := make([]uint64, rows)
 		cols := map[string][]float64{"v": make([]float64, rows)}
