@@ -34,8 +34,9 @@ var kmvBackend = &backend{
 	joinSize: pair(kmv.JoinSizeEstimate),
 	// KMV has a joinSize estimator, so the size slot carries the
 	// threshold |A∩B| estimate, not the inner-product reduction.
-	packs: &packFamily[*kmv.Sketch, uint64]{
+	packs: &packFamily[kmv.Sketch, *kmv.Sketch, uint64]{
 		score:    kmv.Score,
 		joinSize: kmv.JoinSize,
+		view:     (*kmv.Sketch).View,
 	},
 }

@@ -34,7 +34,8 @@ var mhBackend = &backend{
 	signature: unary((*minhash.Sketch).Signature),
 	// MH has no dedicated join-size estimator (EstimateJoinSize reduces to
 	// Estimate), so the size is one more operand of the key-pack kernel.
-	packs: &packFamily[*minhash.Sketch, uint64]{
+	packs: &packFamily[minhash.Sketch, *minhash.Sketch, uint64]{
 		score: minhash.Score,
+		view:  (*minhash.Sketch).View,
 	},
 }

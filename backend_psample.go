@@ -46,8 +46,9 @@ func psampleBackend(mode psample.Mode, name string) *backend {
 		merge: merged(psample.Merge),
 		// Mode is part of Params, so one index (and so one pack) never
 		// mixes priority and threshold samples.
-		packs: &packFamily[*psample.Sketch, uint64]{
+		packs: &packFamily[psample.Sketch, *psample.Sketch, uint64]{
 			score: psample.Score,
+			view:  (*psample.Sketch).View,
 		},
 	}
 }

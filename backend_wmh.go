@@ -71,8 +71,9 @@ var wmhBackend = &backend{
 	// Params and resolved L pin through wmh.Compatible; a retired
 	// construction's sketch never decodes, so it never reaches an index
 	// (and so a pack).
-	packs: &packFamily[*wmh.Sketch, float64]{
+	packs: &packFamily[wmh.Sketch, *wmh.Sketch, float64]{
 		score: wmh.Score,
+		view:  (*wmh.Sketch).View,
 	},
 	quantize: true,
 }

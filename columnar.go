@@ -8,7 +8,9 @@ import "repro/internal/sample"
 // one aux word per sketch), and at search time the query bundle streams
 // those arrays with zero per-candidate decoding, map lookups, or interface
 // dispatch — the numba-kernel shape of the related sampling repos,
-// specialized per family behind the backend descriptor's packs field. A
+// specialized per family behind the backend descriptor's packs field. The
+// pack is then the one copy of the samples: every entry is replaced by a
+// bundle of views whose samples alias it (see BuildColumnar). A
 // view covers every entry of its index: the index pins one configuration,
 // so either every entry packs (a packed family) or none does (JL, CS and
 // SimHash scan decoded through EstimateJoinStats). Both paths run each
@@ -59,8 +61,8 @@ func planFor(by RankBy, k int) rankPlan {
 }
 
 // columnarView is the packed form of one index snapshot: packed table t is
-// index entry t. It is immutable after buildColumnarView returns;
-// concurrent searches share it freely.
+// index entry t, whose sketches are views of it. It is immutable after
+// buildColumnarView returns; concurrent searches share it freely.
 type columnarView struct {
 	pk columnarPack
 	// colOff is a len(entries)+1 prefix-sum: entry t's columns occupy
@@ -69,13 +71,16 @@ type columnarView struct {
 	colOff []int
 }
 
-// buildColumnarView packs entries into a fresh view, or returns nil when
-// there is nothing to pack (no entries, or a family without a pack). The
-// entries share one configuration (SketchIndex.Add pins it), so the family
-// of the first is that of all. One walk over the entries collects the
-// key, value and squared-value payloads; the family's pack then sizes each
-// of its arrays once, from those payloads, so a publish allocates the pack
-// at its final size instead of growing it.
+// buildColumnarView packs entries into a fresh view and replaces each
+// entries[t] with a new bundle of views over the pack, or returns nil and
+// leaves entries alone when there is nothing to pack (no entries, or a
+// family without a pack). The entries share one configuration
+// (SketchIndex.Add pins it), so the family of the first is that of all.
+// One walk over the entries collects the key, value and squared-value
+// payloads; the family's pack then sizes each of its arrays once, from
+// those payloads, so a publish allocates the pack at its final size
+// instead of growing it. The replaced bundles are not modified: a reader
+// of an older index still holding them keeps what it had.
 func buildColumnarView(entries []*TableSketch) *columnarView {
 	if len(entries) == 0 {
 		return nil
@@ -97,7 +102,26 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 		}
 		colOff = append(colOff, len(vals))
 	}
-	return &columnarView{pk: be.packs.pack(keys, vals, sqs), colOff: colOff}
+	v := &columnarView{pk: be.packs.pack(keys, vals, sqs), colOff: colOff}
+	// The new bundles and their sketches, one allocation per kind.
+	m := entries[0].key.method
+	ks, vs, ss := wrap(m, keys), wrap(m, vals), wrap(m, sqs)
+	bundles := make([]TableSketch, len(entries))
+	for t, e := range entries {
+		lo, hi := colOff[t], colOff[t+1]
+		bundles[t] = e.over(&ks[t], vs[lo:hi], ss[lo:hi])
+		entries[t] = &bundles[t]
+	}
+	return v
+}
+
+// wrap returns sketches of method m over ps, in one allocation.
+func wrap(m Method, ps []payload) []Sketch {
+	out := make([]Sketch, len(ps))
+	for i, p := range ps {
+		out[i] = Sketch{method: m, payload: p}
+	}
+	return out
 }
 
 // sampled is a packed family's decoded sketch: a payload whose stored
@@ -113,27 +137,37 @@ type scorer[S sampled[T], T sample.Tag] func(q S, tags []T, vals []float64, aux 
 
 // packFamily is everything family-specific about a columnar pack, and the
 // one columnarScorer: the backend descriptor of each packed family holds
-// one in its packs field. S is the decoded sketch, T its sample's tag.
-type packFamily[S sampled[T], T sample.Tag] struct {
+// one in its packs field. E is the decoded sketch type, S the pointer to
+// it that is the payload, T its sample's tag.
+type packFamily[E any, S interface {
+	*E
+	sampled[T]
+}, T sample.Tag] struct {
 	// score is the family's Score, the scorer its Estimate runs.
 	score scorer[S, T]
 	// joinSize, when set, is the family's dedicated |A∩B| scorer: the size
 	// slot carries its estimate instead of the inner-product reduction, as
 	// the decoded joinSize estimator does.
 	joinSize scorer[S, T]
+	// view is the family's View: a copy of a sketch's header over a
+	// sample equal to its own, here the copy in the pack.
+	view func(s S, tags []T, vals []float64) E
 }
 
 // pack is the one columnarPack implementation: three packed samples (key,
-// value and squared-value sketches) of one configuration.
+// value and squared-value sketches) of one configuration, and the
+// family's scorers.
 type pack[S sampled[T], T sample.Tag] struct {
-	fam             *packFamily[S, T]
+	score, joinSize scorer[S, T]
 	keys, vals, sqs sample.Cols[T]
 }
 
 // pack counts the pairs of each of the three packs, then sizes each
 // sample.Cols exactly and copies the samples in: the same bytes, in the
 // same order, as appending them one by one, in one allocation per array.
-func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
+// It then replaces every payload with its view over the pack
+// (sample.Cols.At caps each slice at its own pairs).
+func (f *packFamily[E, S, T]) pack(keys, vals, sqs []payload) columnarPack {
 	src := [3][]payload{keys, vals, sqs}
 	var pairs [3]int
 	for i, ps := range src {
@@ -142,11 +176,17 @@ func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
 			pairs[i] += len(tags)
 		}
 	}
-	pk := &pack[S, T]{fam: f}
+	pk := &pack[S, T]{score: f.score, joinSize: f.joinSize}
 	for i, c := range [3]*sample.Cols[T]{&pk.keys, &pk.vals, &pk.sqs} {
 		*c = sample.MakeCols[T](len(src[i]), pairs[i])
 		for _, p := range src[i] {
 			c.Append(p.(S).Sample())
+		}
+		views := make([]E, len(src[i]))
+		for j, p := range src[i] {
+			tags, vals, _ := c.At(j)
+			views[j] = f.view(p.(S), tags, vals)
+			src[i][j] = S(&views[j])
 		}
 	}
 	return pk
@@ -156,7 +196,7 @@ func (f *packFamily[S, T]) pack(keys, vals, sqs []payload) columnarPack {
 // with the consecutive query operands it needs, sliced from one bundle
 // asserted once per call.
 func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs, f := [3]S{q[0].(S), q[1].(S), q[2].(S)}, p.fam
+	qs, f := [3]S{q[0].(S), q[1].(S), q[2].(S)}, p
 	n := 1 // key-pack operands: the size, and under planAll ΣV_A and ΣV_A²
 	if pl == planAll {
 		n = 3
@@ -180,10 +220,15 @@ func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float6
 
 // BuildColumnar packs the index's entries into the columnar scan view and
 // returns the number of entries packed: all of them, or 0 when no view
-// was built (an empty index or a family without a pack). The catalog
-// calls this once per copy-on-write publish, so every reader scans packed;
-// library users call it after loading a static index. Add invalidates the
-// view (searches take the decoded scorer until the next build).
+// was built (an empty index or a family without a pack). The pack then
+// holds the index's one copy of the samples: each entry is replaced by a
+// new bundle whose sketches are views over it, so Get, merges, the fill
+// and the snapshot encoder read the pack too, and the bundles that were
+// added (which keep their own arrays) are left to their owners. The
+// catalog calls this once per copy-on-write publish, so every reader
+// scans packed; library users call it after loading a static index. Add
+// invalidates the view (searches take the decoded scorer until the next
+// build, and the next build packs from the views, copying).
 func (ix *SketchIndex) BuildColumnar() int {
 	ix.view = buildColumnarView(ix.entries)
 	if ix.view == nil {

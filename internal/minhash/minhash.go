@@ -216,6 +216,17 @@ func Estimate(a, b *Sketch) (float64, error) {
 // what an index packs into a sample.Cols and hands back to Score.
 func (s *Sketch) Sample() ([]uint64, []float64, float64) { return s.hashes, s.vals, 0 }
 
+// View returns a copy of s's header (parameters, dimension and
+// per-sketch words) over the given sample, which must equal s's own: the
+// index packs every sketch's sample into one array and keeps views over
+// the pack, so the pack is the one copy. The view shares the sample's
+// arrays; nothing writes through it.
+func (s *Sketch) View(hashes []uint64, vals []float64) Sketch {
+	v := *s
+	v.hashes, v.vals = hashes, vals
+	return v
+}
+
 // Score is Algorithm 2 of query q against another sketch's stored sample
 // (tags, vals; MH has no aux word), which must be of a sketch Compatible
 // with q: the per-pair scorer Estimate runs after its check and the index

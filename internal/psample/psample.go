@@ -359,6 +359,17 @@ func Estimate(a, b *Sketch) (float64, error) {
 // a sample.Cols and hands back to Score.
 func (s *Sketch) Sample() ([]uint64, []float64, float64) { return s.idx, s.vals, s.probFactor() }
 
+// View returns a copy of s's header (parameters, dimension and
+// per-sketch words) over the given sample, which must equal s's own: the
+// index packs every sketch's sample into one array and keeps views over
+// the pack, so the pack is the one copy. The view shares the sample's
+// arrays; nothing writes through it.
+func (s *Sketch) View(idx []uint64, vals []float64) Sketch {
+	v := *s
+	v.idx, v.vals = idx, vals
+	return v
+}
+
 // Score is the Horvitz–Thompson estimate of ⟨a, b⟩ of query q against
 // another sketch's stored sample (indices, values, inclusion factor),
 // which must be of a sketch Compatible with q, so q's mode is its own:

@@ -254,6 +254,17 @@ func Estimate(a, b *Sketch) (float64, error) {
 // hands back to Score.
 func (s *Sketch) Sample() ([]float64, []float64, float64) { return s.hashes, s.vals, s.norm }
 
+// View returns a copy of s's header (parameters, dimension and
+// per-sketch words) over the given sample, which must equal s's own: the
+// index packs every sketch's sample into one array and keeps views over
+// the pack, so the pack is the one copy. The view shares the sample's
+// arrays; nothing writes through it.
+func (s *Sketch) View(hashes, vals []float64) Sketch {
+	v := *s
+	v.hashes, v.vals = hashes, vals
+	return v
+}
+
 // Score is Algorithm 5 with the paper's FMUnion default, of query q
 // against another sketch's stored sample (minima, block values, norm),
 // which must be of a sketch Compatible with q, so q's M and resolved L

@@ -219,6 +219,24 @@ func (tsk *TableSketch) Merge(other *TableSketch) (*TableSketch, error) {
 	return out, nil
 }
 
+// over returns a bundle with tsk's name, key space and columns over other
+// sketches of its configuration: key for the key sketch, and vals[i],
+// sqs[i] for the value and squared-value sketches of Columns()[i].
+func (tsk *TableSketch) over(key *Sketch, vals, sqs []Sketch) TableSketch {
+	out := TableSketch{
+		Name:     tsk.Name,
+		keySpace: tsk.keySpace,
+		key:      key,
+		val:      make(map[string]*Sketch, len(tsk.cols)),
+		sqVal:    make(map[string]*Sketch, len(tsk.cols)),
+		cols:     tsk.cols,
+	}
+	for i, c := range tsk.cols {
+		out.val[c], out.sqVal[c] = &vals[i], &sqs[i]
+	}
+	return out
+}
+
 // Columns returns the sketched column names in sorted order (so catalog
 // scans and search tie-breaking are deterministic). The returned slice is
 // the bundle's cached copy; callers must not modify it.
