@@ -65,10 +65,13 @@ import (
 // darts. That prefix relation is the entire coordination argument.
 //
 // A dart's value is t = 1−e^{−ν} for its value-axis position ν, computed
-// as −expm1(−ν) from the round's cumulative measure. At L = 2⁵⁰ every ν
-// is of order 10⁻¹⁵; −expm1 keeps its full relative precision, where
-// 1−e^{−ν} would round every value to a multiple of 2⁻⁵³ and let
-// vectors with disjoint supports share minima by accident.
+// by DartValue as −expm1(−ν). At L = 2⁵⁰ every ν is of order 10⁻¹⁵;
+// −expm1 keeps its full relative precision, where 1−e^{−ν} would round
+// every value to a multiple of 2⁻⁵³ and let vectors with disjoint
+// supports share minima by accident. ThrowBlock returns the positions ν:
+// t is non-decreasing in ν, so a sketcher keeps its per-sample minima in
+// ν and converts each kept minimum once, instead of paying an expm1 per
+// dart.
 //
 // The per-sample minimum is only final once every sample has at least one
 // dart: a sample missed by round k (probability e^{−(2^{k+1}−1)τ} each) is
@@ -124,9 +127,9 @@ type DartProcess struct {
 	budget float64
 	rounds []dartRound
 	// scratch returned by ThrowBlock, overwritten per call
-	samples []int32
-	values  []float64
-	slots   []uint64
+	samples   []int32
+	positions []float64
+	slots     []uint64
 	// cells counts the cells ThrowBlock has walked; tests pin the walk's
 	// cost model with it.
 	cells int
@@ -203,25 +206,29 @@ func (p *DartProcess) round(k int) *dartRound {
 	return &p.rounds[k]
 }
 
+// DartValue is the value t = 1−e^{−ν} of the dart at value-axis position
+// ν, with full relative precision for tiny ν.
+func DartValue(nu float64) float64 { return -math.Expm1(-nu) }
+
 // ThrowBlock enumerates the darts of one block (stream key, weight w) in
 // the given round's value region, for every sample at once. It returns
-// parallel slices of sample indices, dart values and dart slots; all three
-// point into scratch owned by the process and are overwritten by the next
-// call. The values all lie inside round k's value region, so they are
-// strictly larger than every round-(k−1) dart and strictly smaller than
-// every round-(k+1) dart — a sample that has any dart after a full round
-// over the blocks is final. It panics if w is 0 or exceeds the slot
-// budget l.
+// parallel slices of sample indices, dart positions ν (DartValue gives a
+// dart's value) and dart slots; all three point into scratch owned by the
+// process and are overwritten by the next call. The positions all lie
+// inside round k's value region, so they are strictly larger than every
+// round-(k−1) dart's and strictly smaller than every round-(k+1) dart's —
+// a sample that has any dart after a full round over the blocks is final.
+// It panics if w is 0 or exceeds the slot budget l.
 //
 // The darts of a smaller weight w' ≤ w are exactly the returned darts with
 // slot ≤ w', in the same order, so one throw at the largest weight serves
 // every vector that holds the block.
-func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int32, values []float64, slots []uint64) {
+func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int32, positions []float64, slots []uint64) {
 	if w == 0 || w > p.l {
 		panic("hashing: ThrowBlock weight out of range")
 	}
 	rd := p.round(round)
-	samples, values, slots = p.samples[:0], p.values[:0], p.slots[:0]
+	samples, positions, slots = p.samples[:0], p.positions[:0], p.slots[:0]
 	// The base cell, then the dyadic cells up to the one holding slot w.
 	n := max(bits.Len64(w)-1-rd.base, 0) + 1
 	p.cells += n
@@ -237,11 +244,10 @@ func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int
 			for prod >= cell.expNegLam {
 				// One dart: slot, sample, then its position u inside the
 				// slice; the measure ν is uniform there. The draw sequence
-				// is fixed (stream alignment across parties), but the
-				// value is only computed for kept darts. The conversion to
-				// float64 rounds the product before the sum, so no
-				// platform fuses them and parties agree on ν to the last
-				// bit.
+				// is fixed (stream alignment across parties), but ν is
+				// only computed for kept darts. The conversion to float64
+				// rounds the product before the sum, so no platform fuses
+				// them and parties agree on ν to the last bit.
 				var slot uint64
 				if c == 0 {
 					slot = cell.lo + rng.Uint64n(cell.span)
@@ -253,13 +259,13 @@ func (p *DartProcess) ThrowBlock(key uint64, w uint64, round int) (samples []int
 				if slot <= w { // partial base or top cell: reject beyond-w slots
 					nu := rd.nuStart + float64((float64(s)+u)*cell.sliceNu)
 					samples = append(samples, int32(sample))
-					values = append(values, -math.Expm1(-nu))
+					positions = append(positions, nu)
 					slots = append(slots, slot)
 				}
 				prod *= rng.Float64()
 			}
 		}
 	}
-	p.samples, p.values, p.slots = samples, values, slots
-	return samples, values, slots
+	p.samples, p.positions, p.slots = samples, positions, slots
+	return samples, positions, slots
 }

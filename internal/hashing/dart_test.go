@@ -7,9 +7,9 @@ import (
 )
 
 // dartMins drives the dart process the way a sketcher does: throw every
-// block per round, keep per-sample minima, and stop once every sample has
-// at least one dart (rounds ascend the value axis, so any dart finalizes
-// its sample).
+// block per round, keep per-sample minimum positions, stop once every
+// sample has at least one dart (rounds ascend the value axis, so any dart
+// finalizes its sample), and return the minima as dart values.
 func dartMins(p *DartProcess, keys, ws []uint64) []float64 {
 	best := make([]float64, p.M())
 	for i := range best {
@@ -31,6 +31,9 @@ func dartMins(p *DartProcess, keys, ws []uint64) []float64 {
 				}
 			}
 		}
+	}
+	for i, nu := range best {
+		best[i] = DartValue(nu)
 	}
 	return best
 }

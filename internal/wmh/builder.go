@@ -39,7 +39,8 @@ type blocks struct {
 
 // fillJob is one sketch's share of a fill: the rounded blocks it samples,
 // its resolved L, and the sample arrays it fills (the queued sketch's
-// own). next and missing are the dart walk's per-vector state.
+// own; hashes holds dart positions until the fill converts them). next
+// and missing are the dart walk's per-vector state.
 type fillJob struct {
 	blocks
 	l             uint64

@@ -52,7 +52,9 @@ func dartBlockKey(seed uint64, block uint64) uint64 {
 // the running per-sample minima. Samples missed by a round (expected ~0.14
 // of M per sketch) are retried by the next round's doubled dart budget; a
 // round's darts are strictly smaller than the next round's, so any sample
-// holding a dart after a full round is final.
+// holding a dart after a full round is final. The minima are kept as dart
+// positions ν, which order the darts as their values t = 1−e^{−ν} do, and
+// each is converted to its value once, when the fill returns.
 //
 // The jobs share one walk. Each round merge-walks their sorted block
 // indices; a block is thrown once, at the largest weight among the jobs
@@ -83,19 +85,19 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) (throws int)
 			f.next = 0
 			live++
 		}
-		if live == 0 {
-			return throws
-		}
-		if round == dartMaxRounds {
-			// Unreachable in any physical run (see dartMaxRounds); fill
-			// with the supremum of the value range so termination is
+		if live == 0 || round == dartMaxRounds {
+			// Round dartMaxRounds is unreachable in any physical run (see
+			// dartMaxRounds); a sample still missing then takes the
+			// supremum of the value range, so termination is
 			// unconditional.
 			for j := range jobs {
 				f := &jobs[j]
-				for i := range f.hashes {
-					if math.IsInf(f.hashes[i], 1) {
+				for i, nu := range f.hashes {
+					if math.IsInf(nu, 1) {
 						f.hashes[i] = 1
 						f.vals[i] = f.bvals[0]
+					} else {
+						f.hashes[i] = hashing.DartValue(nu)
 					}
 				}
 			}
@@ -121,7 +123,7 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) (throws int)
 			if !found {
 				break
 			}
-			samples, values, slots := dp.ThrowBlock(dartBlockKey(seed, block), w, round)
+			samples, nus, slots := dp.ThrowBlock(dartBlockKey(seed, block), w, round)
 			throws++
 			for j := range jobs {
 				f := &jobs[j]
@@ -131,11 +133,11 @@ func fillDart(jobs []fillJob, seed uint64, dp *hashing.DartProcess) (throws int)
 				fw, bv := f.weights[f.next], f.bvals[f.next]
 				f.next++
 				for d, i := range samples {
-					if v := values[d]; slots[d] <= fw && v < f.hashes[i] {
+					if nu := nus[d]; slots[d] <= fw && nu < f.hashes[i] {
 						if math.IsInf(f.hashes[i], 1) {
 							f.missing--
 						}
-						f.hashes[i] = v
+						f.hashes[i] = nu
 						f.vals[i] = bv
 					}
 				}

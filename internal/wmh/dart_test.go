@@ -576,3 +576,149 @@ func TestDartJaccardAndUnionAgreeWithFast(t *testing.T) {
 		}
 	}
 }
+
+// fillDartValues is fillDart as it was before it kept its minima as dart
+// positions: every dart is converted to its value t = 1−e^{−ν} before
+// the comparison. TestFillDartMatchesValueLoop holds the fill to it.
+func fillDartValues(jobs []fillJob, seed uint64, dp *hashing.DartProcess) {
+	for j := range jobs {
+		f := &jobs[j]
+		for i := range f.hashes {
+			f.hashes[i] = math.Inf(1)
+			f.vals[i] = 0
+		}
+		f.missing = len(f.hashes)
+	}
+	for round := 0; ; round++ {
+		live := 0
+		for j := range jobs {
+			f := &jobs[j]
+			if f.missing == 0 {
+				f.next = len(f.idx)
+				continue
+			}
+			f.next = 0
+			live++
+		}
+		if live == 0 {
+			return
+		}
+		if round == dartMaxRounds {
+			for j := range jobs {
+				f := &jobs[j]
+				for i := range f.hashes {
+					if math.IsInf(f.hashes[i], 1) {
+						f.hashes[i] = 1
+						f.vals[i] = f.bvals[0]
+					}
+				}
+			}
+			return
+		}
+		for {
+			var block, w uint64
+			found := false
+			for j := range jobs {
+				f := &jobs[j]
+				if f.next == len(f.idx) {
+					continue
+				}
+				switch bi := f.idx[f.next]; {
+				case !found || bi < block:
+					block, w, found = bi, f.weights[f.next], true
+				case bi == block:
+					w = max(w, f.weights[f.next])
+				}
+			}
+			if !found {
+				break
+			}
+			samples, nus, slots := dp.ThrowBlock(dartBlockKey(seed, block), w, round)
+			for j := range jobs {
+				f := &jobs[j]
+				if f.next == len(f.idx) || f.idx[f.next] != block {
+					continue
+				}
+				fw, bv := f.weights[f.next], f.bvals[f.next]
+				f.next++
+				for d, i := range samples {
+					if v := hashing.DartValue(nus[d]); slots[d] <= fw && v < f.hashes[i] {
+						if math.IsInf(f.hashes[i], 1) {
+							f.missing--
+						}
+						f.hashes[i] = v
+						f.vals[i] = bv
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillDartMatchesValueLoop: keeping the minima as dart positions and
+// converting each once must give, bit for bit, the sketches of comparing
+// every dart's value, at the served (M, L) and at a small L, on table
+// bundles (so the shared walk's several jobs are covered) and under a
+// tiny dart budget whose fallback rounds reach the round cap.
+func TestFillDartMatchesValueLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      Params
+		dim    uint64
+		budget float64 // 0: the default dart budget
+	}{
+		{"served", Params{M: 266, Seed: 1}, 1 << 63, 0},
+		{"small L", Params{M: 60, Seed: 2, L: 1 << 8}, 1 << 20, 0},
+		{"round cap", Params{M: 40, Seed: 3, L: 1 << 12}, 1 << 20, 1e-3},
+	} {
+		b, err := NewBuilder(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewBuilder(tc.p)
+		rng := hashing.NewSplitMix64(uint64(len(tc.name)))
+		capped := 0 // samples the round cap filled
+		for i := 0; i < 100; i++ {
+			vs := bundleVectors(t, tc.dim, 1+rng.Intn(300), uint64(i))
+			want := make([]Sketch, len(vs))
+			for k, v := range vs {
+				want[k] = ref.round(k, v)
+				ref.queue(&want[k], k, 0, len(ref.vecs[k].idx))
+			}
+			l := want[0].l
+			dart := func() *hashing.DartProcess {
+				if tc.budget > 0 {
+					return hashing.NewDartProcessBudget(tc.p.M, l, tc.budget)
+				}
+				return hashing.NewDartProcess(tc.p.M, l)
+			}
+			fillDartValues(ref.jobs, tc.p.Seed, dart())
+			ref.jobs = ref.jobs[:0]
+			b.dart, b.dartL = dart(), l
+			got, err := b.SketchAll(vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range vs {
+				g, w := got[k], &want[k]
+				for j := range w.hashes {
+					if math.Float64bits(g.hashes[j]) != math.Float64bits(w.hashes[j]) || math.Float64bits(g.vals[j]) != math.Float64bits(w.vals[j]) {
+						t.Fatalf("%s bundle %d vector %d sample %d: (%v, %v), value loop (%v, %v)",
+							tc.name, i, k, j, g.hashes[j], g.vals[j], w.hashes[j], w.vals[j])
+					}
+				}
+				if len(g.hashes) != len(w.hashes) || g.empty != w.empty {
+					t.Fatalf("%s bundle %d vector %d: shape differs", tc.name, i, k)
+				}
+				for _, h := range g.hashes {
+					if h == 1 {
+						capped++
+					}
+				}
+			}
+		}
+		if (tc.budget > 0) != (capped > 0) {
+			t.Fatalf("%s: the round cap filled %d samples", tc.name, capped)
+		}
+	}
+}
