@@ -281,7 +281,12 @@ func (s *Server) logMutation(m catalog.Mutation) error {
 // ReplayWAL stages every logged mutation after the snapshot checkpoint in
 // one catalog restore — each touched shard is rebuilt and published once,
 // when the whole tail has been read — rebuilds the merge-dedupe state
-// from logged request IDs, then flips the server ready. Call once at
+// from logged request IDs, collects the garbage boot left, then flips
+// the server ready. Boot decodes the snapshot and the log into sketches
+// whose samples the published packs copy (the packs are the catalog's
+// one copy), so those decoded sketches are garbage about the size of the
+// catalog; collecting them here means a ready server's heap is its live
+// state, not what the collector happened to leave of boot. Call once at
 // boot, after any snapshot restore and before serving traffic. A torn or
 // corrupt log tail stops the replay cleanly (see the WAL's TornNote);
 // only an unappliable record — which indicates real state divergence —
@@ -325,6 +330,7 @@ func (s *Server) ReplayWAL() (int, error) {
 		return n, err
 	}
 	s.replayed.Store(int64(n))
+	runtime.GC()
 	s.ready.Store(true)
 	return n, nil
 }
