@@ -96,9 +96,9 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	)
 	for _, e := range entries {
 		keys = append(keys, e.key.payload)
-		for _, c := range e.Columns() {
-			vals = append(vals, e.val[c].payload)
-			sqs = append(sqs, e.sqVal[c].payload)
+		for i := range e.cols {
+			vals = append(vals, e.val[i].payload)
+			sqs = append(sqs, e.sqVal[i].payload)
 		}
 		colOff = append(colOff, len(vals))
 	}
@@ -109,17 +109,21 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	bundles := make([]TableSketch, len(entries))
 	for t, e := range entries {
 		lo, hi := colOff[t], colOff[t+1]
-		bundles[t] = e.over(&ks[t], vs[lo:hi], ss[lo:hi])
+		bundles[t] = TableSketch{Name: e.Name, keySpace: e.keySpace, key: ks[t],
+			cols: e.cols, val: vs[lo:hi:hi], sqVal: ss[lo:hi:hi]}
 		entries[t] = &bundles[t]
 	}
 	return v
 }
 
-// wrap returns sketches of method m over ps, in one allocation.
-func wrap(m Method, ps []payload) []Sketch {
-	out := make([]Sketch, len(ps))
+// wrap returns sketches of method m over ps: the pointers, and the
+// sketches they point to, each in one allocation.
+func wrap(m Method, ps []payload) []*Sketch {
+	sks := make([]Sketch, len(ps))
+	out := make([]*Sketch, len(ps))
 	for i, p := range ps {
-		out[i] = Sketch{method: m, payload: p}
+		sks[i] = Sketch{method: m, payload: p}
+		out[i] = &sks[i]
 	}
 	return out
 }

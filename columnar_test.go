@@ -538,9 +538,9 @@ func checkPackExact[S sampled[T], T sample.Tag](t *testing.T, p *pack[S, T], ent
 	var keys, vals, sqs []S
 	for _, e := range entries {
 		keys = append(keys, e.key.payload.(S))
-		for _, c := range e.Columns() {
-			vals = append(vals, e.val[c].payload.(S))
-			sqs = append(sqs, e.sqVal[c].payload.(S))
+		for i := range e.Columns() {
+			vals = append(vals, e.val[i].payload.(S))
+			sqs = append(sqs, e.sqVal[i].payload.(S))
 		}
 	}
 	for _, pc := range []struct {

@@ -485,7 +485,8 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 	default:
 		return nil, stats, fmt.Errorf("ipsketch: unknown ranking %d", int(q.RankBy))
 	}
-	if _, ok := q.Sketch.val[q.Column]; !ok {
+	qc, ok := q.Sketch.column(q.Column)
+	if !ok {
 		return nil, stats, fmt.Errorf("ipsketch: query table %q sketch has no column %q", q.Sketch.Name, q.Column)
 	}
 	for _, ix := range ixs {
@@ -505,7 +506,7 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 	s := searchers.Get().(*searcher)
 	defer s.release()
 	s.Query, s.rank = q, planFor(q.RankBy, q.K)
-	s.q = [3]payload{q.Sketch.key.payload, q.Sketch.val[q.Column].payload, q.Sketch.sqVal[q.Column].payload}
+	s.q = [3]payload{q.Sketch.key.payload, q.Sketch.val[qc].payload, q.Sketch.sqVal[qc].payload}
 
 	scanStart := time.Now()
 	if err := s.plan(ixs, &stats); err != nil {

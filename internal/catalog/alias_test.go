@@ -93,16 +93,22 @@ func requireAliasesPack(t *testing.T, label string, ix *ipsketch.SketchIndex, ol
 	for _, name := range ix.Tables() {
 		e, _ := ix.Get(name)
 		check(name+" key", e.KeySketch(), 0)
-		for _, col := range e.Columns() {
+		for i, col := range e.Columns() {
 			vs, err := e.ColumnSketch(col)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(name+"."+col, vs, 1)
-			sq := reflect.ValueOf(e).Elem().FieldByName("sqVal").MapIndex(reflect.ValueOf(col))
-			check(name+"."+col+"²", (*ipsketch.Sketch)(sq.UnsafePointer()), 2)
+			check(name+"."+col+"²", squaredSketch(e, i), 2)
 		}
 	}
+}
+
+// squaredSketch returns the x_{V²} sketch of a bundle's i-th column,
+// which the bundle does not export.
+func squaredSketch(e *ipsketch.TableSketch, i int) *ipsketch.Sketch {
+	sq := reflect.ValueOf(e).Elem().FieldByName("sqVal").Index(i)
+	return (*ipsketch.Sketch)(sq.UnsafePointer())
 }
 
 // aliasFixture sketches n tables of one or two columns under method.
@@ -261,12 +267,11 @@ func TestCatalogHeapHoldsOneCopy(t *testing.T) {
 			}
 		}
 	}
-	// The squared-value sketches are the size of the value sketches.
+	// And the squared-value sketches, read back from the catalog.
 	for j := 0; j < tables; j++ {
 		e, _ := c.Get(fmt.Sprintf("t%03d", j))
-		sq := reflect.ValueOf(e).Elem().FieldByName("sqVal")
-		for _, col := range []string{"v", "w"} {
-			for _, f := range sampleSlices((*ipsketch.Sketch)(sq.MapIndex(reflect.ValueOf(col)).UnsafePointer())) {
+		for i := range e.Columns() {
+			for _, f := range sampleSlices(squaredSketch(e, i)) {
 				packed += f.Len() * int(f.Type().Elem().Size())
 			}
 		}

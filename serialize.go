@@ -138,7 +138,7 @@ func (tsk *TableSketch) MarshalBinary() ([]byte, error) {
 	if len(tsk.Name) > MaxNameLen {
 		return nil, fmt.Errorf("ipsketch: table name of %d bytes exceeds MaxNameLen", len(tsk.Name))
 	}
-	for c := range tsk.val {
+	for _, c := range tsk.cols {
 		if len(c) > MaxNameLen {
 			return nil, fmt.Errorf("ipsketch: column name of %d bytes exceeds MaxNameLen", len(c))
 		}
@@ -160,14 +160,13 @@ func (tsk *TableSketch) MarshalBinary() ([]byte, error) {
 	if err := frame(tsk.key); err != nil {
 		return nil, err
 	}
-	cols := tsk.Columns()
-	w.U32(uint32(len(cols)))
-	for _, c := range cols {
+	w.U32(uint32(len(tsk.cols)))
+	for i, c := range tsk.cols {
 		w.Str32(c)
-		if err := frame(tsk.val[c]); err != nil {
+		if err := frame(tsk.val[i]); err != nil {
 			return nil, err
 		}
-		if err := frame(tsk.sqVal[c]); err != nil {
+		if err := frame(tsk.sqVal[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -217,20 +216,27 @@ func UnmarshalTableSketch(data []byte) (*TableSketch, error) {
 		Name:     name,
 		keySpace: keySpace,
 		key:      key,
-		val:      make(map[string]*Sketch, ncols),
-		sqVal:    make(map[string]*Sketch, ncols),
+		cols:     make([]string, 0, ncols),
+		val:      make([]*Sketch, 0, ncols),
+		sqVal:    make([]*Sketch, 0, ncols),
 	}
 	for i := 0; i < ncols; i++ {
 		col := r.Str32(maxNameLen)
 		if r.Err() == nil && col == "" {
 			return nil, errors.New("ipsketch: serialized table sketch has an empty column name")
 		}
-		if _, dup := out.val[col]; dup {
-			return nil, fmt.Errorf("ipsketch: duplicate serialized column %q", col)
+		// The encoder writes the columns in ascending order, so a name at
+		// or below its predecessor is a duplicate or out of order.
+		if i > 0 && r.Err() == nil && col <= out.cols[i-1] {
+			if col == out.cols[i-1] {
+				return nil, fmt.Errorf("ipsketch: duplicate serialized column %q", col)
+			}
+			return nil, fmt.Errorf("ipsketch: serialized column %q out of order after %q", col, out.cols[i-1])
 		}
 		val, err := frame()
+		var sq *Sketch
 		if err == nil {
-			out.sqVal[col], err = frame()
+			sq, err = frame()
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("ipsketch: decoding table sketch: %w", r.Err())
@@ -243,15 +249,14 @@ func UnmarshalTableSketch(data []byte) (*TableSketch, error) {
 		if err := Compatible(key, val); err != nil {
 			return nil, fmt.Errorf("ipsketch: column %q of table %q incompatible with key sketch: %w", col, name, err)
 		}
-		if err := Compatible(key, out.sqVal[col]); err != nil {
+		if err := Compatible(key, sq); err != nil {
 			return nil, fmt.Errorf("ipsketch: column %q of table %q incompatible with key sketch: %w", col, name, err)
 		}
-		out.val[col] = val
+		out.cols, out.val, out.sqVal = append(out.cols, col), append(out.val, val), append(out.sqVal, sq)
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("ipsketch: decoding table sketch: %w", err)
 	}
-	out.refreshColumns()
 	return out, nil
 }
 

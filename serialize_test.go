@@ -664,3 +664,66 @@ func TestRetiredICWSSlot(t *testing.T) {
 		t.Errorf("error %q does not list exactly the %d live methods", err, len(live))
 	}
 }
+
+// TestUnmarshalTableSketchRefusesUnorderedColumns: the encoder writes a
+// bundle's columns in ascending name order, and the decoder takes only
+// that order — a column at or below its predecessor is refused as a
+// duplicate or as out of order. SketchTable itself keeps one sketch per
+// distinct column, whatever order and repetition the caller names them in.
+func TestUnmarshalTableSketchRefusesUnorderedColumns(t *testing.T) {
+	ts, err := NewTableSketcher(Config{Method: MethodMH, StorageWords: 60, Seed: 3}, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable("t", []uint64{1, 5, 9}, map[string][]float64{"a": {1, 2, 3}, "b": {4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ts.SketchTable(tab, "b", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sk.Columns()); got != "[a b]" {
+		t.Fatalf("columns %s, want [a b]", got)
+	}
+	// encode writes sk's envelope with its column records in the given
+	// order (indexes into Columns()).
+	encode := func(order ...int) []byte {
+		var w wire.Writer
+		w.Raw(tableSketchMagic[:])
+		w.Byte(tableSketchVersion)
+		w.Str32(sk.Name)
+		w.U64(sk.keySpace)
+		frame := func(s *Sketch) {
+			b, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.U32(uint32(len(b)))
+			w.Raw(b)
+		}
+		frame(sk.key)
+		w.U32(uint32(len(order)))
+		for _, i := range order {
+			w.Str32(sk.cols[i])
+			frame(sk.val[i])
+			frame(sk.sqVal[i])
+		}
+		return w.Bytes()
+	}
+	want, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(0, 1), want) {
+		t.Fatal("the hand-built envelope differs from MarshalBinary's")
+	}
+	for _, tc := range []struct {
+		order []int
+		err   string
+	}{{[]int{1, 0}, "out of order"}, {[]int{0, 0}, "duplicate"}, {[]int{0, 1, 1}, "duplicate"}} {
+		if _, err := UnmarshalTableSketch(encode(tc.order...)); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("columns %v: got %v, want an error containing %q", tc.order, err, tc.err)
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tables"
 )
@@ -68,24 +68,18 @@ type TableSketch struct {
 	Name     string
 	keySpace uint64
 	key      *Sketch
-	val      map[string]*Sketch
-	sqVal    map[string]*Sketch
-	// cols caches the sorted column names. Bundles are immutable after
-	// construction, so every constructor fills this once and Columns()
-	// returns it without re-sorting — the search hot loop enumerates
-	// candidate columns per query and must not allocate per candidate.
-	cols []string
+	// cols are the sketched column names in ascending order, and val[i]
+	// and sqVal[i] the x_V and x_{V²} sketches of column cols[i]. Bundles
+	// are immutable after construction, so Columns() returns cols as it
+	// is — the search hot loop enumerates candidate columns per query and
+	// must not allocate per candidate.
+	cols       []string
+	val, sqVal []*Sketch
 }
 
-// refreshColumns (re)builds the sorted column-name cache; every
-// constructor calls it after the val map is final.
-func (tsk *TableSketch) refreshColumns() {
-	cols := make([]string, 0, len(tsk.val))
-	for c := range tsk.val {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	tsk.cols = cols
+// column returns the position of the named column in Columns().
+func (tsk *TableSketch) column(name string) (int, bool) {
+	return slices.BinarySearch(tsk.cols, name)
 }
 
 // SketchTable sketches the table's key set and the named value columns
@@ -111,6 +105,8 @@ func (ts *TableSketcher) sketchBundle(t *Table, cols []string, b builder) (*Tabl
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
+	// One sketch per distinct column, in the order Columns() reports.
+	cols = slices.Compact(slices.Sorted(slices.Values(cols)))
 	key, vals, sqs, err := t.Vectors(ts.keySpace, cols)
 	if err != nil {
 		return nil, err
@@ -124,19 +120,24 @@ func (ts *TableSketcher) sketchBundle(t *Table, cols []string, b builder) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	method := ts.s.cfg.Method
+	// The sketches, and the pointers to them, in one allocation each.
+	sks := make([]Sketch, len(ps))
+	for i, p := range ps {
+		sks[i] = Sketch{method: ts.s.cfg.Method, payload: p}
+	}
+	n := len(cols)
+	ptrs := make([]*Sketch, 2*n)
 	out := &TableSketch{
 		Name:     t.Name(),
 		keySpace: ts.keySpace,
-		key:      &Sketch{method: method, payload: ps[0]},
-		val:      make(map[string]*Sketch, len(cols)),
-		sqVal:    make(map[string]*Sketch, len(cols)),
+		key:      &sks[0],
+		cols:     cols,
+		val:      ptrs[:n:n],
+		sqVal:    ptrs[n:],
 	}
-	for i, c := range cols {
-		out.val[c] = &Sketch{method: method, payload: ps[1+2*i]}
-		out.sqVal[c] = &Sketch{method: method, payload: ps[2+2*i]}
+	for i := range cols {
+		out.val[i], out.sqVal[i] = &sks[1+2*i], &sks[2+2*i]
 	}
-	out.refreshColumns()
 	return out, nil
 }
 
@@ -190,51 +191,44 @@ func (tsk *TableSketch) Merge(other *TableSketch) (*TableSketch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipsketch: merging key sketches: %w", err)
 	}
+	n := len(tsk.cols) + len(other.cols)
 	out := &TableSketch{
 		Name:     tsk.Name,
 		keySpace: tsk.keySpace,
 		key:      key,
-		val:      make(map[string]*Sketch, len(tsk.val)+len(other.val)),
-		sqVal:    make(map[string]*Sketch, len(tsk.sqVal)+len(other.sqVal)),
+		cols:     make([]string, 0, n),
+		val:      make([]*Sketch, 0, n),
+		sqVal:    make([]*Sketch, 0, n),
 	}
-	for c, sk := range tsk.val {
-		o, ok := other.val[c]
-		if !ok {
-			out.val[c], out.sqVal[c] = sk, tsk.sqVal[c]
-			continue
-		}
-		if out.val[c], err = sk.Merge(o); err != nil {
-			return nil, fmt.Errorf("ipsketch: merging column %q: %w", c, err)
-		}
-		if out.sqVal[c], err = tsk.sqVal[c].Merge(other.sqVal[c]); err != nil {
-			return nil, fmt.Errorf("ipsketch: merging column %q squared values: %w", c, err)
+	add := func(c string, val, sq *Sketch) {
+		out.cols, out.val, out.sqVal = append(out.cols, c), append(out.val, val), append(out.sqVal, sq)
+	}
+	// Both column lists ascend: walk them together.
+	a, b := 0, 0
+	for a < len(tsk.cols) || b < len(other.cols) {
+		switch {
+		case b == len(other.cols) || a < len(tsk.cols) && tsk.cols[a] < other.cols[b]:
+			add(tsk.cols[a], tsk.val[a], tsk.sqVal[a])
+			a++
+		case a == len(tsk.cols) || other.cols[b] < tsk.cols[a]:
+			add(other.cols[b], other.val[b], other.sqVal[b])
+			b++
+		default:
+			c := tsk.cols[a]
+			val, err := tsk.val[a].Merge(other.val[b])
+			if err != nil {
+				return nil, fmt.Errorf("ipsketch: merging column %q: %w", c, err)
+			}
+			sq, err := tsk.sqVal[a].Merge(other.sqVal[b])
+			if err != nil {
+				return nil, fmt.Errorf("ipsketch: merging column %q squared values: %w", c, err)
+			}
+			add(c, val, sq)
+			a++
+			b++
 		}
 	}
-	for c, sk := range other.val {
-		if _, ok := tsk.val[c]; !ok {
-			out.val[c], out.sqVal[c] = sk, other.sqVal[c]
-		}
-	}
-	out.refreshColumns()
 	return out, nil
-}
-
-// over returns a bundle with tsk's name, key space and columns over other
-// sketches of its configuration: key for the key sketch, and vals[i],
-// sqs[i] for the value and squared-value sketches of Columns()[i].
-func (tsk *TableSketch) over(key *Sketch, vals, sqs []Sketch) TableSketch {
-	out := TableSketch{
-		Name:     tsk.Name,
-		keySpace: tsk.keySpace,
-		key:      key,
-		val:      make(map[string]*Sketch, len(tsk.cols)),
-		sqVal:    make(map[string]*Sketch, len(tsk.cols)),
-		cols:     tsk.cols,
-	}
-	for i, c := range tsk.cols {
-		out.val[c], out.sqVal[c] = &vals[i], &sqs[i]
-	}
-	return out
 }
 
 // Columns returns the sketched column names in sorted order (so catalog
@@ -297,15 +291,15 @@ func EstimateJoinStats(a *TableSketch, colA string, b *TableSketch, colB string)
 	if a.keySpace != b.keySpace {
 		return JoinStats{}, fmt.Errorf("ipsketch: key space mismatch %d vs %d", a.keySpace, b.keySpace)
 	}
-	va, ok := a.val[colA]
+	ia, ok := a.column(colA)
 	if !ok {
 		return JoinStats{}, fmt.Errorf("ipsketch: table %q sketch has no column %q", a.Name, colA)
 	}
-	vb, ok := b.val[colB]
+	ib, ok := b.column(colB)
 	if !ok {
 		return JoinStats{}, fmt.Errorf("ipsketch: table %q sketch has no column %q", b.Name, colB)
 	}
-	sqA, sqB := a.sqVal[colA], b.sqVal[colB]
+	va, vb, sqA, sqB := a.val[ia], b.val[ib], a.sqVal[ia], b.sqVal[ib]
 
 	size, err := EstimateJoinSize(a.key, b.key)
 	if err != nil {
@@ -400,11 +394,11 @@ var ErrNoSketchedColumn = errors.New("ipsketch: column not sketched")
 
 // ColumnSketch returns the x_V sketch for a sketched column.
 func (tsk *TableSketch) ColumnSketch(col string) (*Sketch, error) {
-	s, ok := tsk.val[col]
+	i, ok := tsk.column(col)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSketchedColumn, col)
 	}
-	return s, nil
+	return tsk.val[i], nil
 }
 
 // KeySketch returns the x_1[K] sketch.
