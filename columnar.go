@@ -200,25 +200,25 @@ func (f *packFamily[E, S, T]) pack(keys, vals, sqs []payload) columnarPack {
 // with the consecutive query operands it needs, sliced from one bundle
 // asserted once per call.
 func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float64, cLo, cHi int, col []float64) {
-	qs, f := [3]S{q[0].(S), q[1].(S), q[2].(S)}, p
+	qs := [3]S{q[0].(S), q[1].(S), q[2].(S)}
 	n := 1 // key-pack operands: the size, and under planAll ΣV_A and ΣV_A²
 	if pl == planAll {
 		n = 3
 	}
 	lo := 0
-	if f.joinSize != nil {
-		sample.Scan(&p.keys, qs[:1], tLo, tHi, tbl, rowWidth, slots[:1], f.joinSize)
+	if p.joinSize != nil {
+		sample.Scan(&p.keys, qs[:1], tLo, tHi, tbl, rowWidth, slots[:1], p.joinSize)
 		lo = 1
 	}
 	if lo < n {
-		sample.Scan(&p.keys, qs[lo:n], tLo, tHi, tbl, rowWidth, slots[lo:n], f.score)
+		sample.Scan(&p.keys, qs[lo:n], tLo, tHi, tbl, rowWidth, slots[lo:n], p.score)
 	}
 	switch pl {
 	case planSizeIP:
-		sample.Scan(&p.vals, qs[1:2], cLo, cHi, col, rowWidth, slots[slotIP:slotIP+1], f.score)
+		sample.Scan(&p.vals, qs[1:2], cLo, cHi, col, rowWidth, slots[slotIP:slotIP+1], p.score)
 	case planAll:
-		sample.Scan(&p.vals, qs[:2], cLo, cHi, col, rowWidth, slots[:2], f.score)
-		sample.Scan(&p.sqs, qs[:1], cLo, cHi, col, rowWidth, slots[slotSumSqB:], f.score)
+		sample.Scan(&p.vals, qs[:2], cLo, cHi, col, rowWidth, slots[:2], p.score)
+		sample.Scan(&p.sqs, qs[:1], cLo, cHi, col, rowWidth, slots[slotSumSqB:], p.score)
 	}
 }
 

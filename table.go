@@ -95,9 +95,9 @@ func (ts *TableSketcher) SketchTable(t *Table, cols ...string) (*TableSketch, er
 }
 
 // sketchBundle is the one body that builds a bundle: vectorize the table
-// once (Table.Vectors), hand the 1+2·|cols| vectors — x_1[K], then x_V and
-// x_{V²} per column — to one builder call, and assemble the sketches it
-// returns in that order. Every entry point differs only in where the
+// once (Table.Vectors), hand the 1+2·|cols| vectors — x_1[K], then x_V
+// per column, then x_{V²} per column — to one builder call, and assemble
+// the sketches it returns in that order. Every entry point differs only in where the
 // builder comes from. The vectors share one key set, which is what lets
 // the WMH dart construction fill them from one walk; every sketch is
 // identical to Sketcher.Sketch of its own vector.
@@ -111,34 +111,19 @@ func (ts *TableSketcher) sketchBundle(t *Table, cols []string, b builder) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	vecs := make([]Vector, 0, 1+2*len(cols))
-	vecs = append(vecs, key)
-	for i := range cols {
-		vecs = append(vecs, vals[i], sqs[i])
-	}
-	ps, err := b.sketchBundle(vecs)
+	ps, err := b.sketchBundle(slices.Concat([]Vector{key}, vals, sqs))
 	if err != nil {
 		return nil, err
 	}
-	// The sketches, and the pointers to them, in one allocation each.
-	sks := make([]Sketch, len(ps))
-	for i, p := range ps {
-		sks[i] = Sketch{method: ts.s.cfg.Method, payload: p}
-	}
-	n := len(cols)
-	ptrs := make([]*Sketch, 2*n)
-	out := &TableSketch{
+	sks, n := wrap(ts.s.cfg.Method, ps), len(cols)
+	return &TableSketch{
 		Name:     t.Name(),
 		keySpace: ts.keySpace,
-		key:      &sks[0],
+		key:      sks[0],
 		cols:     cols,
-		val:      ptrs[:n:n],
-		sqVal:    ptrs[n:],
-	}
-	for i := range cols {
-		out.val[i], out.sqVal[i] = &sks[1+2*i], &sks[2+2*i]
-	}
-	return out, nil
+		val:      sks[1 : 1+n : 1+n],
+		sqVal:    sks[1+n:],
+	}, nil
 }
 
 // TableSketchBuilder sketches tables one at a time with one builder's
