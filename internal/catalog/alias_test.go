@@ -244,7 +244,6 @@ func TestCatalogHeapHoldsOneCopy(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	base := heap()
-	packed := 0
 	for j := 0; j < tables; j++ {
 		for i := range keys {
 			keys[i] = uint64(j*rows/2 + i*3)
@@ -261,33 +260,33 @@ func TestCatalogHeapHoldsOneCopy(t *testing.T) {
 		if err := c.Put(sk); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*ipsketch.Sketch{sk.KeySketch(), must(sk.ColumnSketch("v")), must(sk.ColumnSketch("w"))} {
-			for _, f := range sampleSlices(s) {
-				packed += f.Len() * int(f.Type().Elem().Size())
-			}
-		}
-	}
-	// And the squared-value sketches, read back from the catalog.
-	for j := 0; j < tables; j++ {
-		e, _ := c.Get(fmt.Sprintf("t%03d", j))
-		for i := range e.Columns() {
-			for _, f := range sampleSlices(squaredSketch(e, i)) {
-				packed += f.Len() * int(f.Type().Elem().Size())
-			}
-		}
 	}
 	held := heap() - base
+	// The samples' bytes. A WMH sketch holds M pairs whatever its vector,
+	// so a column's squared-value sketch is the size of its value sketch.
+	bytesOf := func(sk *ipsketch.Sketch) int {
+		n := 0
+		for _, f := range sampleSlices(sk) {
+			n += f.Len() * int(f.Type().Elem().Size())
+		}
+		return n
+	}
+	packed := 0
+	for _, name := range c.Tables() {
+		e, _ := c.Get(name)
+		packed += bytesOf(e.KeySketch())
+		for _, col := range e.Columns() {
+			v, err := e.ColumnSketch(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed += 2 * bytesOf(v)
+		}
+	}
 	ratio := float64(held) / float64(packed)
 	t.Logf("catalog heap %.2f MB for %.2f MB of packed samples: %.2f×", float64(held)/1e6, float64(packed)/1e6, ratio)
 	if ratio > 1.35 {
 		t.Fatalf("catalog holds %.2f× its packed sample bytes, want ≤ 1.35×", ratio)
 	}
 	runtime.KeepAlive(c)
-}
-
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
