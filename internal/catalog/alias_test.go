@@ -193,13 +193,15 @@ func TestCatalogViewsAliasCurrentPack(t *testing.T) {
 			}
 			check("delete", c)
 			err := c.Restore(func(r *Restore) error {
-				if err := r.Put(sks[11]); err != nil {
-					return err
+				for _, mut := range []Mutation{
+					{Op: MutationPut, Name: sks[11].Name, Sketch: sks[11]},
+					{Op: MutationMerge, Name: sks[1].Name, Sketch: sks[1]},
+					{Op: MutationDelete, Name: sks[2].Name},
+				} {
+					if _, _, err := r.Apply(mut); err != nil {
+						return err
+					}
 				}
-				if _, _, err := r.Merge(sks[1]); err != nil {
-					return err
-				}
-				r.Delete(sks[2].Name)
 				return nil
 			})
 			if err != nil {

@@ -13,8 +13,9 @@
 // never block — queries never wait on sketching or index rebuilding. A
 // reader loads the pointer and works lock-free from there; what it holds
 // is a consistent shard state that concurrent ingest can never mutate.
-// Every published index is built by one function (publish), whether the
-// staged edits came from a live Put/Merge/Delete or from a Restore.
+// Every write is a Mutation, defined by one function (apply), and every
+// published index is built by one function (publish), whether the staged
+// edits came from a live Apply or from a Restore.
 //
 // # Search determinism
 //
@@ -54,7 +55,7 @@ type Observer interface {
 // stay large and search fan-out cheap.
 const DefaultShards = 16
 
-// MutationOp identifies a catalog mutation kind for OnMutate hooks.
+// MutationOp identifies a catalog mutation kind.
 type MutationOp int
 
 // The mutation kinds.
@@ -64,10 +65,11 @@ const (
 	MutationDelete                       // remove the named sketch
 )
 
-// Mutation describes one catalog mutation as seen by an OnMutate hook.
-// For MutationMerge, Sketch is the incoming PARTIAL (not the merged
-// result): re-applying the same partials in order reconverges exactly,
-// which is what makes the write-ahead log a sufficient durability record.
+// Mutation is one catalog write: what Apply and Restore.Apply take and the
+// OnMutate hook sees. Sketch must be named Name. For MutationMerge, Sketch
+// is the incoming PARTIAL (not the merged result): re-applying the same
+// partials in order reconverges exactly, which is what makes the
+// write-ahead log a sufficient durability record.
 type Mutation struct {
 	Op     MutationOp
 	Name   string
@@ -133,19 +135,35 @@ func (sh *shard) stage() staged {
 	return m
 }
 
-// merge folds ts into the staged table of its name, or registers it when
-// there is none, and returns the resulting table and whether a merge
-// happened.
-func (m staged) merge(ts *ipsketch.TableSketch) (*ipsketch.TableSketch, bool, error) {
-	prev, existed := m[ts.Name]
-	if existed {
-		merged, err := prev.Merge(ts)
-		if err != nil {
-			return nil, false, fmt.Errorf("catalog: merging into %q: %w", ts.Name, err)
+// apply admits mut's sketch and applies mut to m: the one place a put, a
+// merge or a delete is defined, for live mutations and restores alike. It
+// returns the table as the edit leaves it (nil after a delete) and whether
+// mut.Name was staged before. A failed mutation leaves m as it was.
+func (c *Catalog) apply(m staged, mut Mutation) (*ipsketch.TableSketch, bool, error) {
+	if mut.Op != MutationDelete {
+		if err := c.admit(mut); err != nil {
+			return nil, false, err
 		}
-		ts = merged
 	}
-	m[ts.Name] = ts
+	prev, existed := m[mut.Name]
+	ts := mut.Sketch
+	switch mut.Op {
+	case MutationPut: // ts replaces the staged table
+	case MutationMerge:
+		if existed {
+			merged, err := prev.Merge(ts)
+			if err != nil {
+				return nil, false, fmt.Errorf("catalog: merging into %q: %w", mut.Name, err)
+			}
+			ts = merged
+		}
+	case MutationDelete:
+		delete(m, mut.Name)
+		return nil, existed, nil
+	default:
+		return nil, false, fmt.Errorf("catalog: unknown mutation op %d", mut.Op)
+	}
+	m[mut.Name] = ts
 	return ts, existed, nil
 }
 
@@ -162,9 +180,9 @@ func (c *Catalog) publish(sh *shard, m staged, mut *Mutation) error {
 		return err
 	}
 	took := time.Since(start)
-	if mut != nil {
-		if err := c.hook(*mut); err != nil {
-			return err
+	if mut != nil && c.onMutate != nil {
+		if err := c.onMutate(*mut); err != nil {
+			return fmt.Errorf("catalog: mutation hook for %q: %w", mut.Name, err)
 		}
 	}
 	start = time.Now()
@@ -264,12 +282,16 @@ func (c *Catalog) checkPin(ts *ipsketch.TableSketch) error {
 }
 
 // admit runs the checks every sketch entering the catalog passes, live or
-// restored: a usable name, envelope serializability (so a catalog that
-// accepted a sketch can always be saved and restored), and the
-// configuration pin.
-func (c *Catalog) admit(ts *ipsketch.TableSketch) error {
+// restored: a sketch named after the mutation's table, a usable name,
+// envelope serializability (so a catalog that accepted a sketch can always
+// be saved and restored), and the configuration pin.
+func (c *Catalog) admit(mut Mutation) error {
+	ts := mut.Sketch
 	if ts == nil {
 		return errors.New("catalog: nil table sketch")
+	}
+	if ts.Name != mut.Name {
+		return fmt.Errorf("catalog: mutation of table %q carries a sketch of table %q", mut.Name, ts.Name)
 	}
 	if ts.Name == "" {
 		return errors.New("catalog: table sketch has an empty name")
@@ -285,82 +307,60 @@ func (c *Catalog) admit(ts *ipsketch.TableSketch) error {
 	return c.checkPin(ts)
 }
 
-// Put registers a table sketch, replacing any previous sketch of the same
-// name. Concurrent Puts never lose updates; concurrent readers keep their
-// snapshots.
-func (c *Catalog) Put(ts *ipsketch.TableSketch) error {
-	if err := c.admit(ts); err != nil {
-		return err
-	}
-	sh := c.shardFor(ts.Name)
+// Apply applies one mutation: it stages the target shard, applies mut,
+// and publishes the result through the OnMutate hook. It returns the table
+// as the mutation left it (nil after a delete) and whether mut.Name was
+// cataloged before. The stage-apply-publish sequence runs under the
+// shard's write mutex, so concurrent mutations of one table serialize and
+// never lose updates. A delete of an absent name publishes and logs
+// nothing, and a mutation that fails — admission, merge or index build —
+// never reaches the hook.
+func (c *Catalog) Apply(mut Mutation) (*ipsketch.TableSketch, bool, error) {
+	sh := c.shardFor(mut.Name)
 	sh.writeMu.Lock()
 	defer sh.writeMu.Unlock()
 	m := sh.stage()
-	m[ts.Name] = ts
-	return c.publish(sh, m, &Mutation{Op: MutationPut, Name: ts.Name, Sketch: ts})
+	out, existed, err := c.apply(m, mut)
+	if err != nil || (mut.Op == MutationDelete && !existed) {
+		return nil, false, err
+	}
+	if err := c.publish(sh, m, &mut); err != nil {
+		return nil, false, err
+	}
+	return out, existed, nil
 }
 
-// hook runs the OnMutate hook (the caller holds the shard write mutex).
-func (c *Catalog) hook(m Mutation) error {
-	if c.onMutate == nil {
-		return nil
+// mutation is the put or merge of ts under its own name.
+func mutation(op MutationOp, ts *ipsketch.TableSketch) Mutation {
+	mut := Mutation{Op: op, Sketch: ts}
+	if ts != nil {
+		mut.Name = ts.Name
 	}
-	if err := c.onMutate(m); err != nil {
-		return fmt.Errorf("catalog: mutation hook for %q: %w", m.Name, err)
-	}
-	return nil
+	return mut
+}
+
+// Put registers a table sketch, replacing any previous sketch of the same
+// name (Apply of a MutationPut).
+func (c *Catalog) Put(ts *ipsketch.TableSketch) error {
+	_, _, err := c.Apply(mutation(MutationPut, ts))
+	return err
 }
 
 // Merge folds a partial table sketch into the cataloged sketch of the
 // same name, creating the entry when absent, and reports whether a merge
-// happened (false means the partial became the first sketch under that
-// name). The read-merge-publish sequence runs under the shard's write
-// mutex, so concurrent partial pushes for one table serialize and never
-// lose updates — the property distributed producers rely on when each
-// pushes its partition's sketch independently.
+// happened (Apply of a MutationMerge). Concurrent partial pushes for one
+// table serialize and never lose updates — the property distributed
+// producers rely on when each pushes its partition's sketch independently.
 func (c *Catalog) Merge(ts *ipsketch.TableSketch) (bool, error) {
-	return c.MergeTagged(ts, "")
-}
-
-// MergeTagged is Merge carrying an idempotency tag through to the
-// OnMutate hook (the serving layer's client-supplied request ID, logged
-// so a replayed log can rebuild the dedupe state). The hook sees the
-// incoming partial, and only after the merge and the shard's index build
-// are known to succeed — a logged mutation always re-applies cleanly on
-// replay.
-func (c *Catalog) MergeTagged(ts *ipsketch.TableSketch, tag string) (bool, error) {
-	if err := c.admit(ts); err != nil {
-		return false, err
-	}
-	sh := c.shardFor(ts.Name)
-	sh.writeMu.Lock()
-	defer sh.writeMu.Unlock()
-	m := sh.stage()
-	_, existed, err := m.merge(ts)
-	if err != nil {
-		return false, err
-	}
-	if err := c.publish(sh, m, &Mutation{Op: MutationMerge, Name: ts.Name, Sketch: ts, Tag: tag}); err != nil {
-		return false, err
-	}
-	return existed, nil
+	_, merged, err := c.Apply(mutation(MutationMerge, ts))
+	return merged, err
 }
 
 // Delete deletes the table, reporting whether it was present and any
 // publish failure (in which case nothing was removed).
 func (c *Catalog) Delete(name string) (bool, error) {
-	sh := c.shardFor(name)
-	sh.writeMu.Lock()
-	defer sh.writeMu.Unlock()
-	if _, ok := sh.ix.Load().Get(name); !ok {
-		return false, nil
-	}
-	m := sh.stage()
-	delete(m, name)
-	if err := c.publish(sh, m, &Mutation{Op: MutationDelete, Name: name}); err != nil {
-		return false, err
-	}
-	return true, nil
+	_, removed, err := c.Apply(Mutation{Op: MutationDelete, Name: name})
+	return removed, err
 }
 
 // Restore stages mutations read back from durable storage — a snapshot's
@@ -380,7 +380,7 @@ type Restore struct {
 // built and published once; when fn fails nothing is published. Either
 // way the OnMutate hook never runs: what is restored is already durable.
 // The *Restore is valid only inside fn, and fn must not call the
-// catalog's own Put/Merge/Delete (the restore may hold their shard).
+// catalog's own Apply (the restore may hold its shard).
 func (c *Catalog) Restore(fn func(*Restore) error) error {
 	c.restoreMu.Lock()
 	defer c.restoreMu.Unlock()
@@ -417,32 +417,10 @@ func (r *Restore) set(name string) staged {
 	return r.sets[i]
 }
 
-// Put stages ts under its name, replacing any staged table of that name.
-func (r *Restore) Put(ts *ipsketch.TableSketch) error {
-	if err := r.c.admit(ts); err != nil {
-		return err
-	}
-	r.set(ts.Name)[ts.Name] = ts
-	return nil
-}
-
-// Merge stages the merge of ts into the staged table of its name (or
-// registers it when there is none) and returns the table as that leaves
-// it, with whether a merge happened.
-func (r *Restore) Merge(ts *ipsketch.TableSketch) (*ipsketch.TableSketch, bool, error) {
-	if err := r.c.admit(ts); err != nil {
-		return nil, false, err
-	}
-	return r.set(ts.Name).merge(ts)
-}
-
-// Delete drops the staged table of that name, reporting whether there
-// was one.
-func (r *Restore) Delete(name string) bool {
-	m := r.set(name)
-	_, ok := m[name]
-	delete(m, name)
-	return ok
+// Apply stages mut as Catalog.Apply applies it, with the same result:
+// the table as the edit leaves it and whether the name was staged before.
+func (r *Restore) Apply(mut Mutation) (*ipsketch.TableSketch, bool, error) {
+	return r.c.apply(r.set(mut.Name), mut)
 }
 
 // bareIndex registers the tables of m in name-sorted order, so the index's
@@ -645,7 +623,7 @@ func (c *Catalog) Load(path string) (int, error) {
 	err = c.Restore(func(r *Restore) error {
 		for _, name := range ix.Tables() {
 			ts, _ := ix.Get(name)
-			if err := r.Put(ts); err != nil {
+			if _, _, err := r.Apply(Mutation{Op: MutationPut, Name: name, Sketch: ts}); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -917,5 +918,110 @@ func TestCatalogFailedPublishRunsNoHook(t *testing.T) {
 		if hooked != 0 || c.Len() != 0 {
 			t.Fatalf("%s: hook ran %d times, catalog holds %d tables; want 0 and 0", tc.name, hooked, c.Len())
 		}
+	}
+}
+
+// TestCatalogApplyReturnsTheTableItLeaves: Apply, live or staged, returns
+// the table as the mutation left it — for a merge the bytes of
+// TableSketch.Merge(previous, partial), or the partial itself when the name
+// was absent — with whether the name was there before. A delete of an
+// absent name publishes and logs nothing.
+func TestCatalogApplyReturnsTheTableItLeaves(t *testing.T) {
+	_, partials, _ := mergeFixture(t, 2)
+	marshal := func(ts *ipsketch.TableSketch) string {
+		t.Helper()
+		b, err := ts.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	both, err := partials[0].Merge(partials[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		mut     Mutation
+		want    string // marshaled table Apply returns ("" for none)
+		existed bool
+	}{
+		{Mutation{Op: MutationMerge, Name: "t", Sketch: partials[0], Tag: "k0"}, marshal(partials[0]), false},
+		{Mutation{Op: MutationMerge, Name: "t", Sketch: partials[1], Tag: "k1"}, marshal(both), true},
+		{Mutation{Op: MutationPut, Name: "t", Sketch: partials[1]}, marshal(partials[1]), true},
+		{Mutation{Op: MutationDelete, Name: "t"}, "", true},
+		{Mutation{Op: MutationDelete, Name: "t"}, "", false},
+	}
+	check := func(label string, i int, out *ipsketch.TableSketch, existed bool, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s step %d: %v", label, i, err)
+		}
+		got := ""
+		if out != nil {
+			got = marshal(out)
+		}
+		if got != steps[i].want || existed != steps[i].existed {
+			t.Fatalf("%s step %d: returned %d bytes (existed %v), want %d bytes (existed %v)",
+				label, i, len(got), existed, len(steps[i].want), steps[i].existed)
+		}
+	}
+
+	var hooked []Mutation
+	var publishes countingObserver
+	live := New(Options{Shards: 2, PublishObserver: &publishes, OnMutate: func(m Mutation) error {
+		hooked = append(hooked, m)
+		return nil
+	}})
+	for i, step := range steps {
+		out, existed, err := live.Apply(step.mut)
+		check("live", i, out, existed, err)
+	}
+	if len(hooked) != 4 || publishes.n != 4 {
+		t.Fatalf("live: %d hooked and %d published, want 4 and 4 (the absent delete neither)", len(hooked), publishes.n)
+	}
+	for i, m := range hooked {
+		if m != steps[i].mut {
+			t.Fatalf("live: hook %d saw %+v, want the applied mutation", i, m)
+		}
+	}
+
+	staged := New(Options{Shards: 2})
+	err = staged.Restore(func(r *Restore) error {
+		for i, step := range steps {
+			out, existed, err := r.Apply(step.mut)
+			check("restore", i, out, existed, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatalogApplyRefusesMisnamedSketch: a put or merge whose Name is not
+// its sketch's table name is refused, live and staged alike, with an error
+// naming both, before the hook runs and without publishing.
+func TestCatalogApplyRefusesMisnamedSketch(t *testing.T) {
+	_, sks := fixtureSketches(t, 1)
+	hooked := 0
+	c := New(Options{Shards: 2, OnMutate: func(Mutation) error { hooked++; return nil }})
+	for _, op := range []MutationOp{MutationPut, MutationMerge} {
+		mut := Mutation{Op: op, Name: "a", Sketch: sks[0]}
+		requireNamesBoth := func(label string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), `"t000"`) {
+				t.Fatalf("%s op %d: err = %v, want one naming %q and %q", label, op, err, "a", "t000")
+			}
+		}
+		_, _, err := c.Apply(mut)
+		requireNamesBoth("live", err)
+		err = c.Restore(func(r *Restore) error {
+			_, _, err := r.Apply(mut)
+			return err
+		})
+		requireNamesBoth("restore", err)
+	}
+	if hooked != 0 || c.Len() != 0 {
+		t.Fatalf("hook ran %d times, catalog holds %d tables; want 0 and 0", hooked, c.Len())
 	}
 }

@@ -177,16 +177,7 @@ func runModel(t *testing.T, label string, method ipsketch.Method, opts Options, 
 	for i, op := range ops {
 		step := fmt.Sprintf("%s step %d (%v %s)", label, i, op.Op, op.Name)
 		want := model.apply(t, op)
-		var got bool
-		var err error
-		switch op.Op {
-		case MutationPut:
-			err, got = c.Put(op.Sketch), want
-		case MutationMerge:
-			got, err = c.Merge(op.Sketch)
-		case MutationDelete:
-			got, err = c.Delete(op.Name)
-		}
+		_, got, err := c.Apply(op)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}

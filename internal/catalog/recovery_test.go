@@ -174,7 +174,7 @@ func TestMutationHookOrderAndVeto(t *testing.T) {
 	if err := c.Put(sks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MergeTagged(sks[0], "req-9"); err != nil {
+	if _, _, err := c.Apply(Mutation{Op: MutationMerge, Name: sks[0].Name, Sketch: sks[0], Tag: "req-9"}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := c.Delete(sks[0].Name); err != nil || !ok {
@@ -209,7 +209,7 @@ func TestMutationHookOrderAndVeto(t *testing.T) {
 	if _, ok := c.Get(sks[1].Name); ok {
 		t.Fatal("vetoed put was published")
 	}
-	if _, err := c.MergeTagged(sks[2], ""); err == nil {
+	if _, err := c.Merge(sks[2]); err == nil {
 		t.Fatal("vetoed merge succeeded")
 	}
 	if err := c.Put(sks[3]); err == nil {
@@ -246,7 +246,7 @@ func TestMutationHookReplayReconstructs(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			if _, err := c.MergeTagged(sk, fmt.Sprintf("r%d", i)); err != nil {
+			if _, _, err := c.Apply(Mutation{Op: MutationMerge, Name: sk.Name, Sketch: sk, Tag: fmt.Sprintf("r%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,19 +257,8 @@ func TestMutationHookReplayReconstructs(t *testing.T) {
 
 	replayed := New(Options{Shards: 7})
 	for _, m := range log {
-		switch m.Op {
-		case MutationPut:
-			if err := replayed.Put(m.Sketch); err != nil {
-				t.Fatal(err)
-			}
-		case MutationMerge:
-			if _, err := replayed.Merge(m.Sketch); err != nil {
-				t.Fatal(err)
-			}
-		case MutationDelete:
-			if _, err := replayed.Delete(m.Name); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, err := replayed.Apply(m); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want, _, err := c.Search(ipsketch.Query{Sketch: qSk, Column: "v", RankBy: ipsketch.RankByAbsInnerProduct, K: -1})
@@ -364,19 +353,12 @@ func TestRestoreMatchesLive(t *testing.T) {
 				return nil
 			}})
 			for _, op := range ops {
-				var err error
-				switch op.Op {
-				case MutationPut:
-					err = live.Put(op.Sketch)
-				case MutationMerge:
-					var merged bool
-					merged, err = live.Merge(op.Sketch)
-					liveMerged = append(liveMerged, merged)
-				case MutationDelete:
-					_, err = live.Delete(op.Name)
-				}
+				_, existed, err := live.Apply(op)
 				if err != nil {
 					t.Fatalf("%s: live %v %s: %v", label, op.Op, op.Name, err)
+				}
+				if op.Op == MutationMerge {
+					liveMerged = append(liveMerged, existed)
 				}
 			}
 			deleted := slices.ContainsFunc(log, func(m Mutation) bool { return m.Op == MutationDelete })
@@ -395,24 +377,18 @@ func TestRestoreMatchesLive(t *testing.T) {
 			stage := func(log []Mutation) func(*Restore) error {
 				return func(r *Restore) error {
 					for _, m := range log {
-						switch m.Op {
-						case MutationPut:
-							if err := r.Put(m.Sketch); err != nil {
-								return err
-							}
-						case MutationMerge:
-							out, merged, err := r.Merge(m.Sketch)
-							if err != nil {
-								return err
-							}
+						out, existed, err := r.Apply(m)
+						if err != nil {
+							return err
+						}
+						if m.Op == MutationMerge {
 							if out.Name != m.Name {
 								return fmt.Errorf("staged merge returned table %q for %q", out.Name, m.Name)
 							}
-							restoredMerged = append(restoredMerged, merged)
-						case MutationDelete:
-							if !r.Delete(m.Name) {
-								return fmt.Errorf("logged delete of %q found nothing staged", m.Name)
-							}
+							restoredMerged = append(restoredMerged, existed)
+						}
+						if m.Op == MutationDelete && !existed {
+							return fmt.Errorf("logged delete of %q found nothing staged", m.Name)
 						}
 					}
 					return nil
@@ -441,11 +417,13 @@ func TestRestoreMatchesLive(t *testing.T) {
 			err := restored.Restore(func(r *Restore) error {
 				for _, op := range ops[:10] {
 					if op.Sketch != nil {
-						if err := r.Put(op.Sketch); err != nil {
+						if _, _, err := r.Apply(Mutation{Op: MutationPut, Name: op.Name, Sketch: op.Sketch}); err != nil {
 							return err
 						}
 					}
-					r.Delete(op.Name)
+					if _, _, err := r.Apply(Mutation{Op: MutationDelete, Name: op.Name}); err != nil {
+						return err
+					}
 				}
 				return boom
 			})

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	ipsketch "repro"
+	"repro/internal/catalog"
 	"repro/internal/hashing"
 	"repro/internal/wal"
 	"repro/service"
@@ -21,7 +22,7 @@ import (
 
 // TestServiceWALRestartMatchesModel runs seeded Put/Merge/Delete
 // sequences, with searches, snapshots and restarts in between, through a
-// WAL-backed server's catalog, so that the server's own hook logs every
+// WAL-backed server's Catalog().Apply, so that the server's own hook logs every
 // write. A restart closes the log, reopens it, and boots a new server from
 // the last snapshot plus the log tail. After every step the catalog must
 // hold exactly a plain name → bytes model's tables and rank exactly like a
@@ -115,12 +116,24 @@ func requireServerMatchesModel(t *testing.T, label string, srv *service.Server, 
 	}
 }
 
-// modelMergeResponse is the response a merge that left the model's table
-// name behind describes.
-func modelMergeResponse(t *testing.T, m serviceModel, name string, merged bool) service.MergeResponse {
+// apply applies one mutation to the model and reports whether its table
+// was there before.
+func (m serviceModel) apply(t *testing.T, mut catalog.Mutation) bool {
 	t.Helper()
-	ts := m.decode(t, name)
-	return service.MergeResponse{Table: name, Merged: merged, Columns: ts.Columns(), StorageWords: service.Float(ts.StorageWords())}
+	_, existed := m[mut.Name]
+	switch {
+	case mut.Op == catalog.MutationDelete:
+		delete(m, mut.Name)
+	case mut.Op == catalog.MutationMerge && existed:
+		merged, err := m.decode(t, mut.Name).Merge(mut.Sketch)
+		if err != nil {
+			t.Fatalf("model merge %s: %v", mut.Name, err)
+		}
+		m.put(t, merged)
+	default:
+		m.put(t, mut.Sketch)
+	}
+	return existed
 }
 
 // requireCachedMerge asks the server for key's merge with a body that
@@ -229,11 +242,11 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 	var restarts, snapshots, checked int
 	for i := 0; i < 60; i++ {
 		name := fmt.Sprintf("n%02d", rng.Intn(12))
-		_, existed := model[name]
-		var step string
+		step := fmt.Sprintf("%s step %d", label, i)
+		var mut *catalog.Mutation
 		switch r := rng.Intn(20); {
 		case r == 0:
-			step = fmt.Sprintf("%s step %d (snapshot)", label, i)
+			step += " (snapshot)"
 			if err := srv.SaveSnapshot(); err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
@@ -241,7 +254,7 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 			snapshots++
 			clear(tail)
 		case r <= 2:
-			step = fmt.Sprintf("%s step %d (restart)", label, i)
+			step += " (restart)"
 			hs.Close()
 			if err := log.Close(); err != nil {
 				t.Fatalf("%s: %v", step, err)
@@ -253,47 +266,36 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 				checked++
 			}
 		case r <= 6:
-			step = fmt.Sprintf("%s step %d (delete %s)", label, i, name)
-			delete(model, name)
-			removed, err := srv.Catalog().Delete(name)
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			if removed != existed {
-				t.Fatalf("%s: catalog reported %v, model %v", step, removed, existed)
-			}
+			mut = &catalog.Mutation{Op: catalog.MutationDelete, Name: name}
 		case r <= 11:
-			step = fmt.Sprintf("%s step %d (put %s)", label, i, name)
-			sk := sketch(name, 40+rng.Intn(60))
-			model.put(t, sk)
-			if err := srv.Catalog().Put(sk); err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
+			mut = &catalog.Mutation{Op: catalog.MutationPut, Name: name, Sketch: sketch(name, 40+rng.Intn(60))}
 		default:
-			sk := sketch(name, 40+rng.Intn(60))
-			tag := ""
+			mut = &catalog.Mutation{Op: catalog.MutationMerge, Name: name, Sketch: sketch(name, 40+rng.Intn(60))}
 			if rng.Intn(2) == 0 {
-				tag = fmt.Sprintf("key-%d-%d", seed, i)
+				mut.Tag = fmt.Sprintf("key-%d-%d", seed, i)
 			}
-			step = fmt.Sprintf("%s step %d (merge %s tag %q)", label, i, name, tag)
-			if existed {
-				merged, err := model.decode(t, name).Merge(sk)
-				if err != nil {
-					t.Fatalf("%s: model merge: %v", step, err)
-				}
-				model.put(t, merged)
-			} else {
-				model.put(t, sk)
-			}
-			merged, err := srv.Catalog().MergeTagged(sk, tag)
+		}
+		if mut != nil {
+			step += fmt.Sprintf(" (op %d %s tag %q)", mut.Op, name, mut.Tag)
+			want := model.apply(t, *mut)
+			out, got, err := srv.Catalog().Apply(*mut)
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
-			if merged != existed {
-				t.Fatalf("%s: catalog reported %v, model %v", step, merged, existed)
+			if got != want {
+				t.Fatalf("%s: catalog reported %v, model %v", step, got, want)
 			}
-			if tag != "" {
-				tail[tag] = modelMergeResponse(t, model, name, existed)
+			if mut.Tag != "" {
+				// The live response describes the table Apply returned,
+				// which must be the model's.
+				b, err := out.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, model[name]) {
+					t.Fatalf("%s: Apply returned a table other than the model's", step)
+				}
+				tail[mut.Tag] = service.MergeResponse{Table: out.Name, Merged: got, Columns: out.Columns(), StorageWords: service.Float(out.StorageWords())}
 			}
 		}
 		var extra *ipsketch.Query

@@ -256,26 +256,40 @@ const DefaultDedupeCap = 1024
 // which never runs the hook, so nothing the log already holds is
 // re-logged.
 func (s *Server) logMutation(m catalog.Mutation) error {
-	var op wal.Op
-	switch m.Op {
-	case catalog.MutationPut:
-		op = wal.OpPut
-	case catalog.MutationMerge:
-		op = wal.OpMerge
-	case catalog.MutationDelete:
-		op = wal.OpDelete
-	default:
-		return fmt.Errorf("service: unloggable mutation op %d", m.Op)
+	rec, err := walRecord(m)
+	if err != nil {
+		return err
 	}
-	var payload []byte
+	_, err = s.cfg.WAL.Append(rec.Op, rec.Name, rec.Tag, rec.Payload)
+	return err
+}
+
+// walRecord is the log record of a catalog mutation and mutationOf the
+// mutation a logged record re-applies: the one mapping between the two,
+// for logging and replay alike. The catalog's mutation kinds and the log's
+// ops share their numbering (put 1, merge 2, delete 3), so an op converts
+// as it is, and the catalog refuses any other; a sketch travels as its
+// MarshalBinary bundle.
+func walRecord(m catalog.Mutation) (wal.Record, error) {
+	rec := wal.Record{Op: wal.Op(m.Op), Name: m.Name, Tag: m.Tag}
 	if m.Sketch != nil {
 		var err error
-		if payload, err = m.Sketch.MarshalBinary(); err != nil {
-			return fmt.Errorf("service: encoding WAL payload: %w", err)
+		if rec.Payload, err = m.Sketch.MarshalBinary(); err != nil {
+			return rec, fmt.Errorf("service: encoding WAL payload: %w", err)
 		}
 	}
-	_, err := s.cfg.WAL.Append(op, m.Name, m.Tag, payload)
-	return err
+	return rec, nil
+}
+
+func mutationOf(rec wal.Record) (catalog.Mutation, error) {
+	m := catalog.Mutation{Op: catalog.MutationOp(rec.Op), Name: rec.Name, Tag: rec.Tag}
+	if len(rec.Payload) > 0 {
+		var err error
+		if m.Sketch, err = ipsketch.UnmarshalTableSketch(rec.Payload); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
 }
 
 // ReplayWAL stages every logged mutation after the snapshot checkpoint in
@@ -299,30 +313,17 @@ func (s *Server) ReplayWAL() (int, error) {
 	var n int
 	err := s.cat.Restore(func(r *catalog.Restore) (err error) {
 		n, err = w.Replay(func(rec wal.Record) error {
-			switch rec.Op {
-			case wal.OpPut:
-				tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
-				if err != nil {
-					return err
-				}
-				return r.Put(tsk)
-			case wal.OpMerge:
-				tsk, err := ipsketch.UnmarshalTableSketch(rec.Payload)
-				if err != nil {
-					return err
-				}
+			m, err := mutationOf(rec)
+			if err != nil {
+				return err
+			}
+			out, existed, err := r.Apply(m)
+			if err == nil && m.Op == catalog.MutationMerge && m.Tag != "" {
 				// The cached response describes the table as it stood
 				// right after this merge, not as the tail leaves it.
-				out, merged, err := r.Merge(tsk)
-				if err == nil && rec.Tag != "" {
-					s.dedupe.record(rec.Tag, mergeResponse(out, merged))
-				}
-				return err
-			case wal.OpDelete:
-				r.Delete(rec.Name)
-				return nil
+				s.dedupe.record(m.Tag, mergeResponse(out, existed))
 			}
-			return fmt.Errorf("service: unknown WAL op %v", rec.Op)
+			return err
 		})
 		return err
 	})
@@ -597,7 +598,7 @@ func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.snapMu.RLock()
-	err = s.cat.Put(tsk)
+	_, _, err = s.cat.Apply(catalog.Mutation{Op: catalog.MutationPut, Name: name, Sketch: tsk})
 	s.snapMu.RUnlock()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -655,7 +656,7 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.snapMu.RLock()
-	merged, err := s.cat.MergeTagged(tsk, id)
+	out, merged, err := s.cat.Apply(catalog.Mutation{Op: catalog.MutationMerge, Name: name, Sketch: tsk, Tag: id})
 	s.snapMu.RUnlock()
 	if err != nil {
 		if id != "" {
@@ -665,12 +666,8 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.merges.Add(1)
-	// Describe the cataloged sketch after the merge, falling back to what
-	// this request contributed if a racing DELETE already removed it.
-	out, ok := s.cat.Get(name)
-	if !ok {
-		out = tsk
-	}
+	// The response, and the cache entry a retry is answered from, describe
+	// the table this merge produced, whatever a racing write did since.
 	resp := mergeResponse(out, merged)
 	if id != "" {
 		s.dedupe.finish(id, &resp)
@@ -696,7 +693,7 @@ func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.ingestSem }()
 	s.snapMu.RLock()
-	removed, err := s.cat.Delete(name)
+	_, removed, err := s.cat.Apply(catalog.Mutation{Op: catalog.MutationDelete, Name: name})
 	s.snapMu.RUnlock()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -424,6 +425,107 @@ func TestMergeIdempotencyKey(t *testing.T) {
 	}
 	if fmt.Sprint(c3.Columns) != fmt.Sprint(c1.Columns) || float64(c3.StorageWords) != float64(c1.StorageWords) || c3.Merged != c1.Merged {
 		t.Fatalf("replayed first merge answered %+v, want the original %+v", c3, c1)
+	}
+}
+
+// TestWALReplayRefusesMisnamedRecord: a logged put or merge whose name
+// is not its payload's table name fails the replay with an error naming
+// both, publishes nothing, and leaves the server not ready.
+func TestWALReplayRefusesMisnamedRecord(t *testing.T) {
+	_, lake := lakePayloads(t, 1)
+	ts, err := ipsketch.NewTableSketcher(testSketchCfg, testKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ipsketch.NewTable("b", lake["t00"].Keys, lake["t00"].Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ts.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []wal.Op{wal.OpPut, wal.OpMerge} {
+		dir := t.TempDir()
+		log, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(op, "a", "", payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, _, cl := newWALServer(t, dir, service.Config{})
+		_, err = srv.ReplayWAL()
+		if err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), `"b"`) {
+			t.Fatalf("%v: replay returned %v, want an error naming %q and %q", op, err, "a", "b")
+		}
+		if n := srv.Catalog().Len(); n != 0 {
+			t.Fatalf("%v: failed replay published %d tables", op, n)
+		}
+		if err := cl.Ready(context.Background()); err == nil {
+			t.Fatalf("%v: server ready after a failed replay", op)
+		}
+	}
+}
+
+// TestWALRecordMapsMutation: every mutation kind maps to its log op and
+// back, name, tag and sketch bytes included.
+func TestWALRecordMapsMutation(t *testing.T) {
+	_, lake := lakePayloads(t, 1)
+	ts, err := ipsketch.NewTableSketcher(testSketchCfg, testKeySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ipsketch.NewTable("t00", lake["t00"].Keys, lake["t00"].Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ts.SketchTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mut catalog.Mutation
+		op  wal.Op
+	}{
+		{catalog.Mutation{Op: catalog.MutationPut, Name: "t00", Sketch: sk}, wal.OpPut},
+		{catalog.Mutation{Op: catalog.MutationMerge, Name: "t00", Sketch: sk, Tag: "k"}, wal.OpMerge},
+		{catalog.Mutation{Op: catalog.MutationDelete, Name: "t00"}, wal.OpDelete},
+	} {
+		rec, err := service.WALRecord(tc.mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op != tc.op || rec.Name != tc.mut.Name || rec.Tag != tc.mut.Tag || (tc.mut.Sketch != nil) != bytes.Equal(rec.Payload, payload) {
+			t.Fatalf("%v: record %v %q %q with %d payload bytes", tc.op, rec.Op, rec.Name, rec.Tag, len(rec.Payload))
+		}
+		back, err := service.MutationOf(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Op != tc.mut.Op || back.Name != tc.mut.Name || back.Tag != tc.mut.Tag || (back.Sketch != nil) != (tc.mut.Sketch != nil) {
+			t.Fatalf("%v: mapped back to %+v, want %+v", tc.op, back, tc.mut)
+		}
+		if back.Sketch != nil {
+			b, err := back.Sketch.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, payload) {
+				t.Fatalf("%v: sketch bytes changed through the record", tc.op)
+			}
+		}
 	}
 }
 
