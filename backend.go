@@ -140,19 +140,20 @@ type backend struct {
 // the decoded per-candidate scorer, bit-identically. The one
 // implementation is *packFamily (columnar.go).
 type columnarScorer interface {
-	// pack packs one index snapshot: keys holds each table's key-sketch
-	// payload, vals and sqs every table's value and squared-value
-	// payloads in table order and, within a table, sorted column order.
+	// pack packs one run of an index snapshot: keys holds each table's
+	// key-sketch payload, vals and sqs every table's value and
+	// squared-value payloads in table order and, within a table, sorted
+	// column order.
 	// Every payload is of this family and of one configuration (the
 	// index pins it).
 	pack(keys, vals, sqs []payload) columnarPack
 }
 
-// columnarPack is one index snapshot's bundles of one family packed into
-// flat arrays at index build time; it is read-only once built.
+// columnarPack is one run's bundles of one family packed into flat
+// arrays at index build time; it is read-only once built.
 type columnarPack interface {
 	// scan fills the estimates plan pl names for packed tables [tLo, tHi)
-	// into tbl and for packed columns [cLo, cHi) (pack-wide ordinals) into
+	// into tbl and for packed columns [cLo, cHi) (run-wide ordinals) into
 	// col, one rowWidth row each (the slot constants in columnar.go). q is
 	// the query column's key, value and squared-value payloads, of this
 	// family (the search checked the query against the index's

@@ -1,21 +1,26 @@
 package ipsketch
 
-import "repro/internal/sample"
+import (
+	"repro/internal/hashing"
+	"repro/internal/sample"
+)
 
 // This file is the structure-of-arrays scan path of SketchIndex: at build
-// time every entry's sketch bundle is copied into one family-specific
-// columnar pack (three internal/sample layouts: flat tag/value arrays plus
-// one aux word per sketch), and at search time the query bundle streams
-// those arrays with zero per-candidate decoding, map lookups, or interface
-// dispatch — the numba-kernel shape of the related sampling repos,
-// specialized per family behind the backend descriptor's packs field. The
-// pack is then the one copy of the samples: every entry is replaced by a
-// bundle of views whose samples alias it (see BuildColumnar). A
-// view covers every entry of its index: the index pins one configuration,
-// so either every entry packs (a packed family) or none does (JL, CS and
-// SimHash scan decoded through EstimateJoinStats). Both paths run each
-// family's one per-pair scorer and assemble JoinStats through the same
-// helper, so rankings are bit-identical either way.
+// time the entries are cut into runs of consecutive entries, and each
+// run's sketch bundles are copied into one family-specific columnar pack
+// (three internal/sample layouts: flat tag/value arrays plus one aux word
+// per sketch); at search time the query bundle streams those arrays, one
+// kernel call per run, with zero per-candidate decoding, map lookups, or
+// interface dispatch — the numba-kernel shape of the related sampling
+// repos, specialized per family behind the backend descriptor's packs
+// field. The packs are then the one copy of the samples: every entry is
+// replaced by a bundle of views whose samples alias its run's pack (see
+// BuildColumnar), and a rebuild re-packs only the runs whose entries
+// changed. A view covers every entry of its index: the index pins one
+// configuration, so either every entry packs (a packed family) or none
+// does (JL, CS and SimHash scan decoded through EstimateJoinStats). Both
+// paths run each family's one per-pair scorer and assemble JoinStats
+// through the same helper, so rankings are bit-identical either way.
 
 // The six raw pairwise estimates JoinStats is assembled from, on the
 // fixed three-slot rows the kernels fill: a table row holds the three
@@ -60,27 +65,97 @@ func planFor(by RankBy, k int) rankPlan {
 	}
 }
 
-// columnarView is the packed form of one index snapshot: packed table t is
-// index entry t, whose sketches are views of it. It is immutable after
-// buildColumnarView returns; concurrent searches share it freely.
+// columnarView is the packed form of one index snapshot: its entries cut
+// into runs, consecutive ranges packed apart, so that a rebuild copies
+// only the runs whose entries changed. Packed table t is index entry t,
+// whose sketches are views of its run's pack. The view is immutable after
+// buildColumnarView returns; concurrent searches share it freely, and an
+// unchanged run is shared by the views of successive snapshots.
 type columnarView struct {
-	pk columnarPack
-	// colOff is a len(entries)+1 prefix-sum: entry t's columns occupy
-	// pack-wide column ordinals [colOff[t], colOff[t+1]), in the entry's
-	// sorted Columns() order (none for a table without value columns).
-	colOff []int
+	runs []*packRun
+	// start is a len(runs)+1 prefix-sum: run r holds entries
+	// [start[r], start[r+1]).
+	start []int
 }
 
-// buildColumnarView packs entries into a fresh view and replaces each
-// entries[t] with a new bundle of views over the pack, or returns nil and
-// leaves entries alone when there is nothing to pack (no entries, or a
-// family without a pack). The entries share one configuration
+// packRun is one run: its entries' three packs and the bundles of views
+// over them that its build put in the index.
+type packRun struct {
+	pk columnarPack
+	// colOff is a len(bundles)+1 prefix-sum: the run's table t has the
+	// run-wide column ordinals [colOff[t], colOff[t+1]), in the entry's
+	// sorted Columns() order (none for a table without value columns).
+	colOff []int
+	// bundles are the entries as the build left them, in run order; each
+	// records this run, so a later build finds the run from its entries.
+	bundles []TableSketch
+}
+
+// runLen is the mean length of a run, in entries, and maxRun its cap: an
+// entry closes a run when a hash of its name hits 1 in runLen, or when
+// the run reaches maxRun entries. The boundaries therefore depend only on
+// the names, so inserting, replacing or removing one name moves only the
+// run it falls in (and its neighbour when the name closes a run, or the
+// runs up to the next hash boundary when its run was cut at the cap); the
+// cap bounds what one run holds. DESIGN.md §12.3 has the measurements that
+// chose runLen.
+const (
+	runLen = 8
+	maxRun = 4 * runLen
+)
+
+// closesRun reports whether name ends a run. The hash is a Mix chain
+// over the name's bytes, independent of the catalog's FNV shard stripe
+// (every name of a shard shares that hash's low bits).
+func closesRun(name string) bool {
+	h := hashing.Mix(uint64(len(name)))
+	for i := 0; i < len(name); i += 8 {
+		var w uint64
+		for j := i; j < min(i+8, len(name)); j++ {
+			w |= uint64(name[j]) << (8 * (j - i))
+		}
+		h = hashing.Extend(h, w)
+	}
+	return h%runLen == 0
+}
+
+// runEnd returns the end of the run the boundary rule cuts at entries[lo].
+func runEnd(entries []*TableSketch, lo int) int {
+	hi := lo + 1
+	for hi-lo < maxRun && hi < len(entries) && !closesRun(entries[hi-1].Name) {
+		hi++
+	}
+	return hi
+}
+
+// heads reports whether r is the run the boundary rule cuts at the head
+// of es: es begins with r's bundles, in order, and the rule ends the run
+// where r ends. The rule reads only the run's own names, none of which
+// closed it early when r was cut, so only its end needs checking: a run
+// cut short by the end of its entries no longer ends there once an entry
+// follows it.
+func (r *packRun) heads(es []*TableSketch) bool {
+	n := len(r.bundles)
+	if len(es) < n {
+		return false
+	}
+	for i := range r.bundles {
+		if es[i] != &r.bundles[i] {
+			return false
+		}
+	}
+	return n == len(es) || n == maxRun || closesRun(es[n-1].Name)
+}
+
+// buildColumnarView cuts entries into runs and returns a fresh view over
+// them, or returns nil and leaves entries alone when there is nothing to
+// pack (no entries, or a family without a pack). A run whose entries are
+// the bundles an earlier build made for it is shared as it is; every
+// other run is packed anew (packEntries), which replaces its entries with
+// bundles of views over its pack. The entries share one configuration
 // (SketchIndex.Add pins it), so the family of the first is that of all.
-// One walk over the entries collects the key, value and squared-value
-// payloads; the family's pack then sizes each of its arrays once, from
-// those payloads, so a publish allocates the pack at its final size
-// instead of growing it. The replaced bundles are not modified: a reader
-// of an older index still holding them keeps what it had.
+// The replaced bundles are not modified: a reader of an older index still
+// holding them keeps what it had.
 func buildColumnarView(entries []*TableSketch) *columnarView {
 	if len(entries) == 0 {
 		return nil
@@ -89,6 +164,25 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 	if err != nil || be.packs == nil {
 		return nil
 	}
+	v := &columnarView{start: []int{0}}
+	for lo := 0; lo < len(entries); {
+		r := entries[lo].run
+		if r == nil || !r.heads(entries[lo:]) {
+			r = packEntries(be.packs, entries[lo:runEnd(entries, lo)])
+		}
+		lo += len(r.bundles)
+		v.runs = append(v.runs, r)
+		v.start = append(v.start, lo)
+	}
+	return v
+}
+
+// packEntries packs entries into a new run and replaces each entries[t]
+// with the run's bundle t, of views over the pack. One walk over the
+// entries collects the key, value and squared-value payloads; the
+// family's pack then sizes each of its arrays once, from those payloads,
+// so a rebuild allocates the run at its final size instead of growing it.
+func packEntries(f columnarScorer, entries []*TableSketch) *packRun {
 	var (
 		keys      = make([]payload, 0, len(entries))
 		vals, sqs []payload
@@ -102,18 +196,17 @@ func buildColumnarView(entries []*TableSketch) *columnarView {
 		}
 		colOff = append(colOff, len(vals))
 	}
-	v := &columnarView{pk: be.packs.pack(keys, vals, sqs), colOff: colOff}
-	// The new bundles and their sketches, one allocation per kind.
+	r := &packRun{pk: f.pack(keys, vals, sqs), colOff: colOff, bundles: make([]TableSketch, len(entries))}
+	// The new bundles' sketches, one allocation per kind.
 	m := entries[0].key.method
 	ks, vs, ss := wrap(m, keys), wrap(m, vals), wrap(m, sqs)
-	bundles := make([]TableSketch, len(entries))
 	for t, e := range entries {
 		lo, hi := colOff[t], colOff[t+1]
-		bundles[t] = TableSketch{Name: e.Name, keySpace: e.keySpace, key: ks[t],
-			cols: e.cols, val: vs[lo:hi:hi], sqVal: ss[lo:hi:hi]}
-		entries[t] = &bundles[t]
+		r.bundles[t] = TableSketch{Name: e.Name, keySpace: e.keySpace, key: ks[t],
+			cols: e.cols, val: vs[lo:hi:hi], sqVal: ss[lo:hi:hi], run: r}
+		entries[t] = &r.bundles[t]
 	}
-	return v
+	return r
 }
 
 // wrap returns sketches of method m over ps: the pointers, and the
@@ -224,15 +317,17 @@ func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float6
 
 // BuildColumnar packs the index's entries into the columnar scan view and
 // returns the number of entries packed: all of them, or 0 when no view
-// was built (an empty index or a family without a pack). The pack then
-// holds the index's one copy of the samples: each entry is replaced by a
-// new bundle whose sketches are views over it, so Get, merges, the fill
-// and the snapshot encoder read the pack too, and the bundles that were
-// added (which keep their own arrays) are left to their owners. The
-// catalog calls this once per copy-on-write publish, so every reader
-// scans packed; library users call it after loading a static index. Add
-// invalidates the view (searches take the decoded scorer until the next
-// build, and the next build packs from the views, copying).
+// was built (an empty index or a family without a pack). The packs then
+// hold the index's one copy of the samples: each entry is replaced by a
+// new bundle whose sketches are views over its run's pack, so Get,
+// merges, the fill and the snapshot encoder read the packs too, and the
+// bundles that were added (which keep their own arrays) are left to their
+// owners. The catalog calls this once per copy-on-write publish, so every
+// reader scans packed; library users call it after loading a static
+// index. Add invalidates the view (searches take the decoded scorer until
+// the next build); the next build shares every run whose entries are the
+// bundles an earlier build made for it and packs the others from their
+// entries, copying.
 func (ix *SketchIndex) BuildColumnar() int {
 	ix.view = buildColumnarView(ix.entries)
 	if ix.view == nil {

@@ -461,10 +461,11 @@ func TestColumnarViewInvalidation(t *testing.T) {
 	}
 }
 
-// TestColumnarPackExactSize: a build sizes every array of the view once,
-// at its final length — each of the three sample.Cols and colOff end at
-// their last element, so no Append reallocated — and packs the same
-// samples, in the same order, as appending the sketches one by one. The
+// TestColumnarPackExactSize: a build sizes every array of each run once,
+// at its final length — each of the run's three sample.Cols and its
+// colOff end at their last element, so no Append reallocated — and packs
+// the run's samples, in the same order, as appending its sketches one by
+// one; the runs cover every entry. The
 // fixture mixes tables with zero, one and two columns, an empty table
 // (empty key, value and squared-value sketches) and an all-zero column.
 func TestColumnarPackExactSize(t *testing.T) {
@@ -511,20 +512,27 @@ func TestColumnarPackExactSize(t *testing.T) {
 			if got := ix.BuildColumnar(); got != ix.Len() {
 				t.Fatalf("packed %d of %d entries", got, ix.Len())
 			}
-			if c := ix.view.colOff; cap(c) != len(c) {
-				t.Errorf("colOff: capacity %d, length %d", cap(c), len(c))
+			v := ix.view
+			if n := v.start[len(v.runs)]; n != ix.Len() {
+				t.Fatalf("runs cover %d of %d entries", n, ix.Len())
 			}
-			switch pk := ix.view.pk.(type) {
-			case *pack[*minhash.Sketch, uint64]:
-				checkPackExact(t, pk, ix.entries)
-			case *pack[*wmh.Sketch, float64]:
-				checkPackExact(t, pk, ix.entries)
-			case *pack[*kmv.Sketch, uint64]:
-				checkPackExact(t, pk, ix.entries)
-			case *pack[*psample.Sketch, uint64]:
-				checkPackExact(t, pk, ix.entries)
-			default:
-				t.Fatalf("no check for pack type %T", pk)
+			for i, r := range v.runs {
+				entries := ix.entries[v.start[i]:v.start[i+1]]
+				if c := r.colOff; cap(c) != len(c) || len(c) != len(entries)+1 {
+					t.Errorf("run %d colOff: capacity %d, length %d for %d entries", i, cap(c), len(c), len(entries))
+				}
+				switch pk := r.pk.(type) {
+				case *pack[*minhash.Sketch, uint64]:
+					checkPackExact(t, pk, entries)
+				case *pack[*wmh.Sketch, float64]:
+					checkPackExact(t, pk, entries)
+				case *pack[*kmv.Sketch, uint64]:
+					checkPackExact(t, pk, entries)
+				case *pack[*psample.Sketch, uint64]:
+					checkPackExact(t, pk, entries)
+				default:
+					t.Fatalf("no check for pack type %T", pk)
+				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,11 @@ type SketchIndex struct {
 	// entries[0], once present, is the pinned configuration: every other
 	// entry is CompatibleWith it.
 	entries []*TableSketch
-	byName  map[string]int
+	// byName maps each name to its entry position once the entries are
+	// out of name order. While they are in order (always in the catalog,
+	// whose shards are name-sorted) it is nil and a lookup binary-searches
+	// the entries, so building a sorted index inserts into no map.
+	byName map[string]int
 	// view is the columnar (structure-of-arrays) scan pack built by
 	// BuildColumnar; nil means every search takes the decoded path.
 	// Mutation invalidates it — the catalog rebuilds at publish time.
@@ -51,7 +56,7 @@ type SketchIndex struct {
 
 // NewSketchIndex returns an empty index.
 func NewSketchIndex() *SketchIndex {
-	return &SketchIndex{byName: map[string]int{}}
+	return &SketchIndex{}
 }
 
 // NewStrictSketchIndex returns an empty index.
@@ -75,13 +80,35 @@ func (ix *SketchIndex) Add(ts *TableSketch) error {
 	// Both views index entry positions; any mutation stales them.
 	ix.view = nil
 	ix.lshView = nil
-	if pos, ok := ix.byName[ts.Name]; ok {
+	n := len(ix.entries)
+	if ix.byName == nil && (n == 0 || ix.entries[n-1].Name < ts.Name) {
+		ix.entries = append(ix.entries, ts) // in order, so not present
+		return nil
+	}
+	if pos, ok := ix.find(ts.Name); ok {
 		ix.entries[pos] = ts
 		return nil
 	}
-	ix.byName[ts.Name] = len(ix.entries)
+	if ix.byName == nil {
+		ix.byName = make(map[string]int, n+1)
+		for i, e := range ix.entries {
+			ix.byName[e.Name] = i
+		}
+	}
+	ix.byName[ts.Name] = n
 	ix.entries = append(ix.entries, ts)
 	return nil
+}
+
+// find returns the position of the entry named name.
+func (ix *SketchIndex) find(name string) (int, bool) {
+	if ix.byName != nil {
+		pos, ok := ix.byName[name]
+		return pos, ok
+	}
+	return slices.BinarySearchFunc(ix.entries, name, func(e *TableSketch, name string) int {
+		return strings.Compare(e.Name, name)
+	})
 }
 
 // Len returns the number of indexed tables.
@@ -99,7 +126,7 @@ func (ix *SketchIndex) Tables() []string {
 
 // Get returns the sketch registered under name.
 func (ix *SketchIndex) Get(name string) (*TableSketch, bool) {
-	pos, ok := ix.byName[name]
+	pos, ok := ix.find(name)
 	if !ok {
 		return nil, false
 	}
@@ -303,23 +330,37 @@ func (s *searcher) offer(w *rankWorker, c *scored) {
 }
 
 // rankPacked scores the entries [tLo, tHi) of packed source si: one kernel
-// call computes the rank plan's estimates for the whole range, then every
-// column is offered with what the plan computed.
+// call per run the range covers computes the rank plan's estimates for the
+// run's share of it, then every column is offered with what the plan
+// computed.
 func (s *searcher) rankPacked(w *rankWorker, si, tLo, tHi int) {
-	src := &s.srcs[si]
-	v := src.view
-	cLo, cHi := v.colOff[tLo], v.colOff[tHi]
+	v := s.srcs[si].view
+	// The run holding entry tLo: the last whose start is at most tLo.
+	ri, _ := slices.BinarySearch(v.start, tLo+1)
+	for ri--; tLo < tHi; ri++ {
+		base := v.start[ri]
+		hi := min(tHi, v.start[ri+1])
+		s.rankRun(w, si, v.runs[ri], base, tLo-base, hi-base)
+		tLo = hi
+	}
+}
+
+// rankRun scores the run's tables [tLo, tHi), run-local ordinals, of
+// packed source si, whose entry base is the run's table 0.
+func (s *searcher) rankRun(w *rankWorker, si int, r *packRun, base, tLo, tHi int) {
+	entries := s.srcs[si].ix.entries
+	cLo, cHi := r.colOff[tLo], r.colOff[tHi]
 	w.tbl = resize(w.tbl, rowWidth*(tHi-tLo))
 	w.col = resize(w.col, rowWidth*(cHi-cLo))
-	v.pk.scan(&s.q, s.rank, tLo, tHi, w.tbl, cLo, cHi, w.col)
+	r.pk.scan(&s.q, s.rank, tLo, tHi, w.tbl, cLo, cHi, w.col)
 	for t := tLo; t < tHi; t++ {
-		if src.ix.entries[t].Name == s.Sketch.Name {
+		if entries[base+t].Name == s.Sketch.Name {
 			continue
 		}
 		tr := w.tbl[rowWidth*(t-tLo):]
-		for c := v.colOff[t]; c < v.colOff[t+1]; c++ {
+		for c := r.colOff[t]; c < r.colOff[t+1]; c++ {
 			cr := w.col[rowWidth*(c-cLo):]
-			cand := scored{src: si, ent: t, col: c - v.colOff[t]}
+			cand := scored{src: si, ent: base + t, col: c - r.colOff[t]}
 			switch s.rank {
 			case planAll:
 				cand.st = assembleJoinStats(tr[slotSize], tr[slotSumA], cr[slotSumB], tr[slotSumSqA], cr[slotSumSqB], cr[slotIP])
@@ -379,9 +420,9 @@ func (s *searcher) rankUnit(w *rankWorker, u scanUnit) {
 	case src.ents == nil:
 		s.rankPacked(w, u.src, u.lo, u.hi)
 	default:
-		// Each candidate's estimates depend only on its own slice of the
-		// pack, so single-table kernel calls produce the same floats as
-		// the full range scan.
+		// Each candidate's estimates depend only on its own slice of its
+		// run's pack, so single-table kernel calls produce the same floats
+		// as the full range scan.
 		for _, ent := range src.ents[u.lo:u.hi] {
 			s.rankPacked(w, u.src, ent, ent+1)
 		}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	ipsketch "repro"
@@ -25,23 +26,38 @@ func (s span) holds(o span) bool { return s.lo <= o.lo && o.hi <= s.hi }
 
 func (s span) overlaps(o span) bool { return o.lo < s.hi && s.lo < o.hi }
 
-// packSpans returns the full tag and value arrays of an index's key,
-// value and squared-value packs (reflection reads what the index does
-// not export), or nil for an index without a pack.
-func packSpans(t *testing.T, ix *ipsketch.SketchIndex) []span {
+// packRun is one run of an index's columnar view, read by reflection
+// (the index exports none of it): the run object's address, the names of
+// the entries it holds, and the full tag and value arrays of its key,
+// value and squared-value packs.
+type packRun struct {
+	id    uintptr
+	names []string
+	spans []span
+}
+
+// packRuns returns the runs of ix's view in scan order, or nil for an
+// index without a view.
+func packRuns(t *testing.T, ix *ipsketch.SketchIndex) []packRun {
 	t.Helper()
 	v := reflect.ValueOf(ix).Elem().FieldByName("view")
 	if v.IsNil() {
 		return nil
 	}
-	pk := v.Elem().FieldByName("pk").Elem().Elem()
-	var out []span
-	for _, name := range []string{"keys", "vals", "sqs"} {
-		cols := pk.FieldByName(name)
-		for _, arr := range []string{"tags", "vals"} {
-			a := cols.FieldByName(arr)
-			lo := a.Pointer()
-			out = append(out, span{lo, lo + uintptr(a.Cap())*a.Type().Elem().Size()})
+	runs, start := v.Elem().FieldByName("runs"), v.Elem().FieldByName("start")
+	names := ix.Tables()
+	out := make([]packRun, runs.Len())
+	for i := range out {
+		r := runs.Index(i)
+		out[i] = packRun{id: r.Pointer(), names: names[start.Index(i).Int():start.Index(i+1).Int()]}
+		pk := r.Elem().FieldByName("pk").Elem().Elem()
+		for _, name := range []string{"keys", "vals", "sqs"} {
+			cols := pk.FieldByName(name)
+			for _, arr := range []string{"tags", "vals"} {
+				a := cols.FieldByName(arr)
+				lo := a.Pointer()
+				out[i].spans = append(out[i].spans, span{lo, lo + uintptr(a.Cap())*a.Type().Elem().Size()})
+			}
 		}
 	}
 	return out
@@ -61,14 +77,29 @@ func sampleSlices(sk *ipsketch.Sketch) []reflect.Value {
 }
 
 // requireAliasesPack checks every entry of ix: each of its sketches'
-// tag and value slices lies inside ix's own pack (the key, value or
-// squared-value pack as the sketch is), ends at its capacity, and touches
-// none of the older packs.
-func requireAliasesPack(t *testing.T, label string, ix *ipsketch.SketchIndex, older []span) {
+// tag and value slices lies inside the pack of one of ix's own runs (the
+// key, value or squared-value pack as the sketch is) and ends at its
+// capacity, and every run that is not one of the previous runs (run
+// objects of the indexes published before, which are immutable) touches
+// none of the older packs: a rebuilt run is a fresh copy, an untouched one
+// the previous object.
+func requireAliasesPack(t *testing.T, label string, ix *ipsketch.SketchIndex, previous map[uintptr]bool, older []span) {
 	t.Helper()
-	cur := packSpans(t, ix)
-	if ix.Len() > 0 && cur == nil {
+	runs := packRuns(t, ix)
+	if ix.Len() > 0 && runs == nil {
 		t.Fatalf("%s: a non-empty published index has no pack", label)
+	}
+	for i, r := range runs {
+		if previous[r.id] {
+			continue
+		}
+		for _, sp := range r.spans {
+			for _, o := range older {
+				if sp.hi > sp.lo && o.overlaps(sp) {
+					t.Fatalf("%s: run %d is new but aliases an older pack", label, i)
+				}
+			}
+		}
 	}
 	check := func(what string, sk *ipsketch.Sketch, pack int) {
 		ss := sampleSlices(sk)
@@ -80,13 +111,12 @@ func requireAliasesPack(t *testing.T, label string, ix *ipsketch.SketchIndex, ol
 			if !capped {
 				t.Fatalf("%s: %s slice %d has cap %d > len %d", label, what, i, s.Cap(), s.Len())
 			}
-			if !cur[2*pack+i].holds(sp) {
-				t.Fatalf("%s: %s slice %d does not lie in its shard's current pack", label, what, i)
+			in := false
+			for _, r := range runs {
+				in = in || r.spans[2*pack+i].holds(sp)
 			}
-			for _, o := range older {
-				if s.Len() > 0 && o.overlaps(sp) {
-					t.Fatalf("%s: %s slice %d aliases an older pack", label, what, i)
-				}
+			if !in {
+				t.Fatalf("%s: %s slice %d does not lie in a run of its shard's current view", label, what, i)
 			}
 		}
 	}
@@ -145,9 +175,11 @@ func aliasFixture(t *testing.T, method ipsketch.Method, n int) []*ipsketch.Table
 
 // TestCatalogViewsAliasCurrentPack: for every packed family, after Put,
 // Merge, Delete, Restore, Load and Snapshot, every published sketch's
-// sample is a capacity-capped view into its own shard's current pack —
-// the pack is the one in-memory copy — and none aliases an older pack,
-// which the catalog's later publishes must never re-point.
+// sample is a capacity-capped view into one of its own shard's current
+// runs — the packs are the one in-memory copy — and every run a publish
+// rebuilt is a fresh copy that aliases no older pack, which the
+// catalog's later publishes must never re-point; a run a publish did not
+// rebuild is the previous run object.
 func TestCatalogViewsAliasCurrentPack(t *testing.T) {
 	for _, method := range []ipsketch.Method{ipsketch.MethodWMH, ipsketch.MethodMH, ipsketch.MethodKMV, ipsketch.MethodPS, ipsketch.MethodTS} {
 		t.Run(method.String(), func(t *testing.T) {
@@ -157,19 +189,27 @@ func TestCatalogViewsAliasCurrentPack(t *testing.T) {
 			var held []*ipsketch.SketchIndex
 			check := func(step string, c *Catalog) {
 				t.Helper()
-				var older []span
-				cur := map[*ipsketch.SketchIndex]bool{}
+				cur := map[uintptr]bool{}
 				for i := range c.shards {
-					cur[c.shards[i].ix.Load()] = true
+					for _, r := range packRuns(t, c.shards[i].ix.Load()) {
+						cur[r.id] = true
+					}
 				}
+				// The runs published before, and the packs of those no
+				// current index holds.
+				previous := map[uintptr]bool{}
+				var older []span
 				for _, ix := range held {
-					if !cur[ix] {
-						older = append(older, packSpans(t, ix)...)
+					for _, r := range packRuns(t, ix) {
+						previous[r.id] = true
+						if !cur[r.id] {
+							older = append(older, r.spans...)
+						}
 					}
 				}
 				for i := range c.shards {
 					ix := c.shards[i].ix.Load()
-					requireAliasesPack(t, fmt.Sprintf("%s shard %d", step, i), ix, older)
+					requireAliasesPack(t, fmt.Sprintf("%s shard %d", step, i), ix, previous, older)
 					held = append(held, ix)
 				}
 			}
@@ -209,7 +249,7 @@ func TestCatalogViewsAliasCurrentPack(t *testing.T) {
 			}
 			check("restore", c)
 			snap := c.Snapshot()
-			requireAliasesPack(t, "snapshot", snap, nil)
+			requireAliasesPack(t, "snapshot", snap, nil, nil)
 			path := filepath.Join(t.TempDir(), "snap.ipsk")
 			if err := c.Save(path); err != nil {
 				t.Fatal(err)
@@ -220,6 +260,125 @@ func TestCatalogViewsAliasCurrentPack(t *testing.T) {
 			}
 			check("load", loaded)
 		})
+	}
+}
+
+// TestCatalogAliasReusesUntouchedRuns: a write re-packs the run that
+// holds its table, not the shard. In a one-shard catalog of 62 tables
+// under WMH, MH and KMV, a Put, a Merge and a Delete of one table and a
+// Put of a new name each rebuild the run that holds the name, and the
+// runs after it up to where the cut is as before (requireRunsReused), and
+// publish every other run as the same object as before; and after each
+// the catalog ranks Float64bits-identically with a fresh index of its
+// tables that packs nothing, under every RankBy.
+func TestCatalogAliasReusesUntouchedRuns(t *testing.T) {
+	for _, method := range []ipsketch.Method{ipsketch.MethodWMH, ipsketch.MethodMH, ipsketch.MethodKMV} {
+		t.Run(method.String(), func(t *testing.T) {
+			sks := aliasFixture(t, method, 63)
+			fresh := sks[62]
+			fresh.Name = "t30a" // a new name between t30 and t31
+			c := New(Options{Shards: 1})
+			for _, sk := range sks[:62] {
+				if err := c.Put(sk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, step := range []struct {
+				label string
+				mut   Mutation
+			}{
+				{"put", Mutation{Op: MutationPut, Name: sks[20].Name, Sketch: sks[20]}},
+				{"merge", Mutation{Op: MutationMerge, Name: sks[41].Name, Sketch: sks[41]}},
+				{"delete", Mutation{Op: MutationDelete, Name: sks[10].Name}},
+				{"put new", Mutation{Op: MutationPut, Name: fresh.Name, Sketch: fresh}},
+			} {
+				before := packRuns(t, c.shards[0].ix.Load())
+				if len(before) < 4 {
+					t.Fatalf("%s: %d runs in a 62-table shard, want several", step.label, len(before))
+				}
+				if _, _, err := c.Apply(step.mut); err != nil {
+					t.Fatal(err)
+				}
+				requireRunsReused(t, step.label, step.mut.Op, step.mut.Name, before, packRuns(t, c.shards[0].ix.Load()))
+				requireRanksAsUnpacked(t, step.label, c, sks[0])
+			}
+		})
+	}
+}
+
+// requireRunsReused checks a publish that applied op to name against the
+// runs before it: every run either is a run of before under the same
+// names, the same object, or is new (packed by this publish); a run of
+// before under the same names that does not hold name is never re-packed;
+// and the new runs are consecutive, the first holding name unless op
+// deleted it. The new
+// runs are the one the name falls in and the ones after it up to where
+// the boundary rule cuts as before: its neighbour when the name closes a
+// run, more only when a run was cut at its length cap.
+func requireRunsReused(t *testing.T, label string, op MutationOp, name string, before, after []packRun) {
+	t.Helper()
+	key := func(r packRun) string { return fmt.Sprint(r.names) }
+	was, old := map[string]uintptr{}, map[uintptr]bool{}
+	for _, r := range before {
+		was[key(r)], old[r.id] = r.id, true
+	}
+	first, last, holder := -1, -1, -1
+	for i, r := range after {
+		id, same := was[key(r)]
+		switch {
+		case old[r.id] && (!same || id != r.id):
+			t.Fatalf("%s: run %d %v is an old run under new names", label, i, r.names)
+		case old[r.id]:
+			continue
+		case same && !slices.Contains(r.names, name):
+			t.Fatalf("%s: run %d %v was re-packed although no table of it changed", label, i, r.names)
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+		if slices.Contains(r.names, name) {
+			holder = i
+		}
+	}
+	if first < 0 {
+		t.Fatalf("%s: no run was re-packed", label)
+	}
+	for _, r := range after[first : last+1] {
+		if old[r.id] {
+			t.Fatalf("%s: the re-packed runs %d..%d are not consecutive", label, first, last)
+		}
+	}
+	if op != MutationDelete && holder != first {
+		t.Fatalf("%s: %q is not in the first re-packed run", label, name)
+	}
+}
+
+// requireRanksAsUnpacked checks that c ranks query's column "v" exactly as
+// a fresh index of c's tables that packs nothing, under every RankBy.
+func requireRanksAsUnpacked(t *testing.T, label string, c *Catalog, query *ipsketch.TableSketch) {
+	t.Helper()
+	plain := ipsketch.NewSketchIndex()
+	for _, name := range c.Tables() {
+		e, _ := c.Get(name)
+		if err := plain.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, by := range []ipsketch.RankBy{ipsketch.RankByJoinSize, ipsketch.RankByAbsCorrelation, ipsketch.RankByAbsInnerProduct} {
+		q := ipsketch.Query{Sketch: query, Column: "v", RankBy: by, K: -1}
+		got, stats, err := c.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Fallback != 0 {
+			t.Fatalf("%s: the catalog scanned %d candidates decoded", label, stats.Fallback)
+		}
+		want, _, err := plain.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRanking(t, got, want, fmt.Sprintf("%s, rank %d", label, by))
 	}
 }
 

@@ -19,9 +19,9 @@ const (
 	servedRows   = 1000
 )
 
-// servedSketches sketches servedTables tables of servedRows rows and two
-// value columns, "v" and "w", with overlapping keys.
-func servedSketches(b *testing.B) []*ipsketch.TableSketch {
+// servedSketches sketches n tables of servedRows rows and two value
+// columns, "v" and "w", with overlapping keys.
+func servedSketches(b *testing.B, n int) []*ipsketch.TableSketch {
 	b.Helper()
 	ts, err := ipsketch.NewTableSketcher(
 		ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 7}, fixtureKeySpace)
@@ -29,7 +29,7 @@ func servedSketches(b *testing.B) []*ipsketch.TableSketch {
 		b.Fatal(err)
 	}
 	rng := hashing.NewSplitMix64(99)
-	sks := make([]*ipsketch.TableSketch, servedTables)
+	sks := make([]*ipsketch.TableSketch, n)
 	for j := range sks {
 		keys := make([]uint64, servedRows)
 		v := make([]float64, servedRows)
@@ -58,37 +58,44 @@ const vectorsPerTable = 5
 // serving layer's ingest hot path once sketches are built: replacements
 // against a populated catalog, each rebuilding its shard's published
 // index) at one core and at every core, reporting vectors/s under the
-// bundle accounting and the bytes each Put allocates.
+// bundle accounting and the bytes each Put allocates. The tables
+// dimension runs it at the served corpus and at four times it, whose
+// shards hold about 250 tables instead of 62: a Put re-packs one run of
+// its shard, so the two should cost about the same.
 func BenchmarkCatalogIngest(b *testing.B) {
-	sks := servedSketches(b)
+	sizes := []int{servedTables, 4 * servedTables}
+	all := servedSketches(b, sizes[len(sizes)-1])
 	configs := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		configs = append(configs, n)
 	}
 	for _, procs := range configs {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			c := New(Options{Shards: DefaultShards})
-			for _, sk := range sks {
-				if err := c.Put(sk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					sk := sks[next.Add(1)%uint64(len(sks))]
+		for _, n := range sizes {
+			sks := all[:n]
+			b.Run(fmt.Sprintf("procs=%d/tables=%d", procs, n), func(b *testing.B) {
+				prev := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(prev)
+				c := New(Options{Shards: DefaultShards})
+				for _, sk := range sks {
 					if err := c.Put(sk); err != nil {
 						b.Fatal(err)
 					}
 				}
+				var next atomic.Uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						sk := sks[next.Add(1)%uint64(len(sks))]
+						if err := c.Put(sk); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.StopTimer()
+				b.ReportMetric(float64(vectorsPerTable*b.N)/b.Elapsed().Seconds(), "vecs/s")
 			})
-			b.StopTimer()
-			b.ReportMetric(float64(vectorsPerTable*b.N)/b.Elapsed().Seconds(), "vecs/s")
-		})
+		}
 	}
 }
 
@@ -97,7 +104,7 @@ func BenchmarkCatalogIngest(b *testing.B) {
 // the cataloged tables, which excludes itself) for each ranking, at one
 // core and at every core, reporting the allocations of a search.
 func BenchmarkCatalogSearchTopK(b *testing.B) {
-	sks := servedSketches(b)
+	sks := servedSketches(b, servedTables)
 	c := New(Options{Shards: DefaultShards})
 	for _, sk := range sks {
 		if err := c.Put(sk); err != nil {

@@ -30,6 +30,7 @@
 package catalog
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -115,24 +116,28 @@ type shard struct {
 	ix      atomic.Pointer[ipsketch.SketchIndex]
 }
 
-// staged is a shard's table set under edit: the published entries plus
-// the edits applied so far. Only the holder of the shard's writeMu has
-// one; nothing is visible to readers until publish.
-type staged map[string]*ipsketch.TableSketch
-
-// absorb registers every entry of ix in m.
-func (m staged) absorb(ix *ipsketch.SketchIndex) {
-	for _, name := range ix.Tables() {
-		m[name], _ = ix.Get(name)
-	}
+// staged is a shard's table set under edit: the published index, base,
+// and the edits applied since, by name (a nil sketch deletes its name).
+// Staging copies nothing, so an edit costs the same in a shard of any
+// size. Only the holder of the shard's writeMu has one; nothing is
+// visible to readers until publish.
+type staged struct {
+	base  *ipsketch.SketchIndex
+	edits map[string]*ipsketch.TableSketch
 }
 
-// stage copies the shard's published table set (the caller holds writeMu).
+// get returns the staged table of that name.
+func (m staged) get(name string) (*ipsketch.TableSketch, bool) {
+	if ts, ok := m.edits[name]; ok {
+		return ts, ts != nil
+	}
+	return m.base.Get(name)
+}
+
+// stage starts an edit of the shard's published table set (the caller
+// holds writeMu).
 func (sh *shard) stage() staged {
-	ix := sh.ix.Load()
-	m := make(staged, ix.Len()+1)
-	m.absorb(ix)
-	return m
+	return staged{base: sh.ix.Load(), edits: map[string]*ipsketch.TableSketch{}}
 }
 
 // apply admits mut's sketch and applies mut to m: the one place a put, a
@@ -145,7 +150,7 @@ func (c *Catalog) apply(m staged, mut Mutation) (*ipsketch.TableSketch, bool, er
 			return nil, false, err
 		}
 	}
-	prev, existed := m[mut.Name]
+	prev, existed := m.get(mut.Name)
 	ts := mut.Sketch
 	switch mut.Op {
 	case MutationPut: // ts replaces the staged table
@@ -158,12 +163,12 @@ func (c *Catalog) apply(m staged, mut Mutation) (*ipsketch.TableSketch, bool, er
 			ts = merged
 		}
 	case MutationDelete:
-		delete(m, mut.Name)
+		m.edits[mut.Name] = nil
 		return nil, existed, nil
 	default:
 		return nil, false, fmt.Errorf("catalog: unknown mutation op %d", mut.Op)
 	}
-	m[mut.Name] = ts
+	m.edits[mut.Name] = ts
 	return ts, existed, nil
 }
 
@@ -368,7 +373,7 @@ func (c *Catalog) Delete(name string) (bool, error) {
 // Catalog.Restore.
 type Restore struct {
 	c    *Catalog
-	sets []staged // by shard; nil until the shard is first touched
+	sets []staged // by shard; the zero value until the shard is first touched
 }
 
 // Restore runs fn against a staging area over the catalog. Every sketch
@@ -387,7 +392,7 @@ func (c *Catalog) Restore(fn func(*Restore) error) error {
 	r := &Restore{c: c, sets: make([]staged, len(c.shards))}
 	defer func() {
 		for i, m := range r.sets {
-			if m != nil {
+			if m.base != nil {
 				c.shards[i].writeMu.Unlock()
 			}
 		}
@@ -396,7 +401,7 @@ func (c *Catalog) Restore(fn func(*Restore) error) error {
 		return err
 	}
 	for i, m := range r.sets {
-		if m == nil {
+		if m.base == nil {
 			continue
 		}
 		if err := c.publish(&c.shards[i], m, nil); err != nil {
@@ -410,7 +415,7 @@ func (c *Catalog) Restore(fn func(*Restore) error) error {
 // the shard on first touch.
 func (r *Restore) set(name string) staged {
 	i := r.c.shardOf(name)
-	if r.sets[i] == nil {
+	if r.sets[i].base == nil {
 		r.c.shards[i].writeMu.Lock()
 		r.sets[i] = r.c.shards[i].stage()
 	}
@@ -424,21 +429,40 @@ func (r *Restore) Apply(mut Mutation) (*ipsketch.TableSketch, bool, error) {
 }
 
 // bareIndex registers the tables of m in name-sorted order, so the index's
-// scan-order tiebreak is the catalog's canonical (table, column) order. It
-// packs no scan view: this is all the snapshot encoder reads.
+// scan-order tiebreak is the catalog's canonical (table, column) order: it
+// merges the sorted edited names into the base's, which are sorted
+// already. It packs no scan view: this is all the snapshot encoder reads.
 func bareIndex(m staged) *ipsketch.SketchIndex {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+	edited := make([]string, 0, len(m.edits))
+	for name := range m.edits {
+		edited = append(edited, name)
 	}
-	sort.Strings(names)
+	sort.Strings(edited)
 	ix := ipsketch.NewSketchIndex()
-	for _, name := range names {
-		if err := ix.Add(m[name]); err != nil {
+	add := func(ts *ipsketch.TableSketch) {
+		if err := ix.Add(ts); err != nil {
 			// Unreachable: admit lets into a staged set only sketches
 			// compatible with the catalog's pin, hence with each other.
-			panic(fmt.Sprintf("catalog: indexing %q: %v", name, err))
+			panic(fmt.Sprintf("catalog: indexing %q: %v", ts.Name, err))
 		}
+	}
+	base := m.base.Tables()
+	i := 0
+	for _, name := range edited {
+		for ; i < len(base) && base[i] < name; i++ {
+			ts, _ := m.base.Get(base[i])
+			add(ts)
+		}
+		if i < len(base) && base[i] == name {
+			i++
+		}
+		if ts := m.edits[name]; ts != nil {
+			add(ts)
+		}
+	}
+	for _, name := range base[i:] {
+		ts, _ := m.base.Get(name)
+		add(ts)
 	}
 	return ix
 }
@@ -495,9 +519,12 @@ func (c *Catalog) Tables() []string {
 
 // allTables returns one table set over every shard's published index.
 func (c *Catalog) allTables() staged {
-	merged := staged{}
+	merged := staged{base: ipsketch.NewSketchIndex(), edits: map[string]*ipsketch.TableSketch{}}
 	for i := range c.shards {
-		merged.absorb(c.shards[i].ix.Load())
+		ix := c.shards[i].ix.Load()
+		for _, name := range ix.Tables() {
+			merged.edits[name], _ = ix.Get(name)
+		}
 	}
 	return merged
 }
@@ -616,7 +643,7 @@ func (c *Catalog) Load(path string) (int, error) {
 		return 0, fmt.Errorf("catalog: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	ix, err := ipsketch.DecodeIndex(f)
+	ix, err := ipsketch.DecodeIndex(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
 		return 0, &SnapshotError{Path: path, Err: err}
 	}

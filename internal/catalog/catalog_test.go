@@ -359,7 +359,7 @@ func TestCatalogConcurrentIngestAndSearch(t *testing.T) {
 		if !ok {
 			t.Fatalf("table %s lost", sk.Name)
 		}
-		// Get returns a view over the shard's pack, never the put bundle
+		// Get returns a view over its run's pack, never the put bundle
 		// itself: it must hold the same sketch bytes.
 		gb, err := got.MarshalBinary()
 		if err != nil {

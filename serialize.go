@@ -1,11 +1,11 @@
 package ipsketch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -298,7 +298,8 @@ func EncodeIndex(w io.Writer, ix *SketchIndex) error {
 // decoded index preserves the encoded scan order, so search rankings are
 // bit-exact with the encoded index's. Truncated or hostile input fails
 // with an error, never a panic, and never a count-sized allocation up
-// front.
+// front. Every frame is read into one reused buffer; r is read as it is,
+// so a caller reading a file should buffer it.
 func DecodeIndex(r io.Reader) (*SketchIndex, error) {
 	hdr := make([]byte, 4+1+8)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -312,7 +313,10 @@ func DecodeIndex(r io.Reader) (*SketchIndex, error) {
 	}
 	count := binary.LittleEndian.Uint64(hdr[5:])
 	ix := NewSketchIndex()
-	var lenBuf [4]byte
+	var (
+		lenBuf [4]byte
+		frame  []byte // reused: every decoder copies what it keeps
+	)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("ipsketch: decoding index entry %d: %w", i, err)
@@ -321,15 +325,11 @@ func DecodeIndex(r io.Reader) (*SketchIndex, error) {
 		if n > maxFrameBytes {
 			return nil, fmt.Errorf("ipsketch: index entry %d frames %d bytes, above the frame limit", i, n)
 		}
-		// Grow the frame buffer only as bytes actually arrive (io.CopyN
-		// reads in chunks), so a hostile length prefix on a short stream
-		// fails after reading what exists instead of pre-allocating the
-		// claimed size.
-		var frame bytes.Buffer
-		if copied, err := io.CopyN(&frame, r, int64(n)); err != nil {
-			return nil, fmt.Errorf("ipsketch: decoding index entry %d (%d of %d frame bytes): %w", i, copied, n, err)
+		var err error
+		if frame, err = readFrame(r, frame, int(n)); err != nil {
+			return nil, fmt.Errorf("ipsketch: decoding index entry %d (%d of %d frame bytes): %w", i, len(frame), n, err)
 		}
-		tsk, err := UnmarshalTableSketch(frame.Bytes())
+		tsk, err := UnmarshalTableSketch(frame)
 		if err != nil {
 			return nil, fmt.Errorf("ipsketch: decoding index entry %d: %w", i, err)
 		}
@@ -341,4 +341,24 @@ func DecodeIndex(r io.Reader) (*SketchIndex, error) {
 		}
 	}
 	return ix, nil
+}
+
+// readFrame reads the next n bytes of r into buf's array and returns
+// them (or, on an error, what it read). It grows the array only as bytes
+// arrive, at most doubling what it has read, so a hostile length prefix
+// on a short stream fails after reading what exists instead of
+// allocating the claimed size; a buffer reused across frames stops
+// growing once it holds the largest.
+func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		end := min(n, max(cap(buf), 2*len(buf), 4096))
+		buf = slices.Grow(buf, end-len(buf))
+		got, err := io.ReadFull(r, buf[len(buf):end])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

@@ -75,6 +75,9 @@ type TableSketch struct {
 	// must not allocate per candidate.
 	cols       []string
 	val, sqVal []*Sketch
+	// run is the columnar run whose build made this bundle, a view over
+	// its pack (nil for a bundle that is not a view); see buildColumnarView.
+	run *packRun
 }
 
 // column returns the position of the named column in Columns().
