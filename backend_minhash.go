@@ -31,7 +31,7 @@ var mhBackend = &backend{
 	// The per-sample minima, whose entries collide across sketches with
 	// probability equal to the support Jaccard similarity. Empty sketches
 	// yield nil.
-	signature: unary((*minhash.Sketch).Signature),
+	signature: appending((*minhash.Sketch).AppendSignature),
 	// MH has no dedicated join-size estimator (EstimateJoinSize reduces to
 	// Estimate), so the size is one more operand of the key-pack kernel.
 	packs: &packFamily[minhash.Sketch, *minhash.Sketch, uint64]{

@@ -67,7 +67,7 @@ var wmhBackend = &backend{
 	// The per-sample minima (float bits), whose entries collide across
 	// sketches with probability equal to the weighted Jaccard similarity.
 	// Empty sketches yield nil.
-	signature: unary((*wmh.Sketch).Signature),
+	signature: appending((*wmh.Sketch).AppendSignature),
 	// Params and resolved L pin through wmh.Compatible; a retired
 	// construction's sketch never decodes, so it never reaches an index
 	// (and so a pack).

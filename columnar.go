@@ -2,6 +2,7 @@ package ipsketch
 
 import (
 	"repro/internal/hashing"
+	"repro/internal/lsh"
 	"repro/internal/sample"
 )
 
@@ -78,8 +79,8 @@ type columnarView struct {
 	start []int
 }
 
-// packRun is one run: its entries' three packs and the bundles of views
-// over them that its build put in the index.
+// packRun is one run: its entries' three packs, the bundles of views
+// over them that its build put in the index, and its bands.
 type packRun struct {
 	pk columnarPack
 	// colOff is a len(bundles)+1 prefix-sum: the run's table t has the
@@ -89,6 +90,11 @@ type packRun struct {
 	// bundles are the entries as the build left them, in run order; each
 	// records this run, so a later build finds the run from its entries.
 	bundles []TableSketch
+	// bands is the run's banded view (BuildLSH), keyed by run-local entry
+	// ordinal, or nil for a run packed without banding. Like the pack it
+	// is built with the run and never changes, so an index that shares the
+	// run shares its bands.
+	bands *lsh.Index
 }
 
 // runLen is the mean length of a run, in entries, and maxRun its cap: an
@@ -152,29 +158,37 @@ func (r *packRun) heads(es []*TableSketch) bool {
 // pack (no entries, or a family without a pack). A run whose entries are
 // the bundles an earlier build made for it is shared as it is; every
 // other run is packed anew (packEntries), which replaces its entries with
-// bundles of views over its pack. The entries share one configuration
-// (SketchIndex.Add pins it), so the family of the first is that of all.
-// The replaced bundles are not modified: a reader of an older index still
-// holding them keeps what it had.
-func buildColumnarView(entries []*TableSketch) *columnarView {
+// bundles of views over its pack. With p set, every run is banded under
+// p too: a run is shared only when it was banded under p, and a run
+// packed anew is banded as it is packed. The entries share one
+// configuration (SketchIndex.Add pins it), so the family of the first is
+// that of all. The replaced bundles are not modified: a reader of an
+// older index still holding them keeps what it had.
+func buildColumnarView(entries []*TableSketch, p *lsh.Params) (*columnarView, error) {
 	if len(entries) == 0 {
-		return nil
+		return nil, nil
 	}
 	be, err := backendFor(entries[0].key.method)
 	if err != nil || be.packs == nil {
-		return nil
+		return nil, nil
 	}
 	v := &columnarView{start: []int{0}}
 	for lo := 0; lo < len(entries); {
 		r := entries[lo].run
-		if r == nil || !r.heads(entries[lo:]) {
-			r = packEntries(be.packs, entries[lo:runEnd(entries, lo)])
+		if r == nil || !r.heads(entries[lo:]) || p != nil && (r.bands == nil || r.bands.Params() != *p) {
+			run := entries[lo:runEnd(entries, lo)]
+			bands, err := bandEntries(run, p)
+			if err != nil {
+				return nil, err
+			}
+			r = packEntries(be.packs, run)
+			r.bands = bands
 		}
 		lo += len(r.bundles)
 		v.runs = append(v.runs, r)
 		v.start = append(v.start, lo)
 	}
-	return v
+	return v, nil
 }
 
 // packEntries packs entries into a new run and replaces each entries[t]
@@ -329,7 +343,9 @@ func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float6
 // bundles an earlier build made for it and packs the others from their
 // entries, copying.
 func (ix *SketchIndex) BuildColumnar() int {
-	ix.view = buildColumnarView(ix.entries)
+	// A banded index stays banded. That cannot fail: Add drops the
+	// banding, so these entries banded under it before.
+	ix.view, _ = buildColumnarView(ix.entries, ix.bands)
 	if ix.view == nil {
 		return 0
 	}

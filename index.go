@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/hashing"
+	"repro/internal/lsh"
 )
 
 // SketchIndex is an in-memory dataset-search catalog: a collection of
@@ -48,10 +49,10 @@ type SketchIndex struct {
 	// BuildColumnar; nil means every search takes the decoded path.
 	// Mutation invalidates it — the catalog rebuilds at publish time.
 	view *columnarView
-	// lshView is the banded candidate index built by BuildLSH; nil means
-	// lsh-mode searches fail with ErrNoLSHIndex. Mutation invalidates it —
-	// the catalog rebuilds at publish time alongside view.
-	lshView *lshView
+	// bands are the banding parameters of view's runs, set by BuildLSH;
+	// nil means lsh-mode searches fail with ErrNoLSHIndex. Mutation
+	// invalidates them with view.
+	bands *lsh.Params
 }
 
 // NewSketchIndex returns an empty index.
@@ -79,7 +80,7 @@ func (ix *SketchIndex) Add(ts *TableSketch) error {
 	}
 	// Both views index entry positions; any mutation stales them.
 	ix.view = nil
-	ix.lshView = nil
+	ix.bands = nil
 	n := len(ix.entries)
 	if ix.byName == nil && (n == 0 || ix.entries[n-1].Name < ts.Name) {
 		ix.entries = append(ix.entries, ts) // in order, so not present
@@ -214,8 +215,10 @@ type searcher struct {
 	q    [3]payload
 	rank rankPlan
 
-	srcs    []searchSource
-	units   []scanUnit
+	srcs  []searchSource
+	units []scanUnit
+	// cands holds every source's lsh scan list, back to back.
+	cands   []int
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	workers []rankWorker
@@ -408,11 +411,8 @@ func (s *searcher) rankUnit(w *rankWorker, u scanUnit) {
 	start := time.Now()
 	switch {
 	case src.view == nil:
-		for i := u.lo; i < u.hi; i++ {
-			ent := i
-			if src.ents != nil {
-				ent = src.ents[i]
-			}
+		// A full scan: an lsh source is packed (BuildLSH packs), or empty.
+		for ent := u.lo; ent < u.hi; ent++ {
 			s.rankDecoded(w, u.src, ent)
 		}
 		w.stats.FallbackNanos += time.Since(start).Nanoseconds()
@@ -531,7 +531,7 @@ func SearchIndexes(ixs []*SketchIndex, q Query) ([]SearchResult, ScanStats, erro
 		return nil, stats, fmt.Errorf("ipsketch: query table %q sketch has no column %q", q.Sketch.Name, q.Column)
 	}
 	for _, ix := range ixs {
-		if q.LSH && ix.lshView == nil {
+		if q.LSH && ix.bands == nil {
 			return nil, stats, ErrNoLSHIndex
 		}
 		if len(ix.entries) > 0 {
@@ -627,13 +627,13 @@ func (s *searcher) plan(ixs []*SketchIndex, stats *ScanStats) error {
 			return fmt.Errorf("ipsketch: lsh search: %w", err)
 		}
 	}
-	s.srcs = resize(s.srcs, len(ixs))
+	s.srcs, s.cands = resize(s.srcs, len(ixs)), s.cands[:0]
 	total := 0
 	for i, ix := range ixs {
 		src := &s.srcs[i]
 		src.ix, src.n, src.view = ix, len(ix.entries), ix.view
 		if s.LSH {
-			if err := src.gather(qsig, s.Probes, stats); err != nil {
+			if err := s.gather(src, qsig, stats); err != nil {
 				return err
 			}
 		}

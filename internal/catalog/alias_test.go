@@ -28,12 +28,14 @@ func (s span) overlaps(o span) bool { return o.lo < s.hi && s.lo < o.hi }
 
 // packRun is one run of an index's columnar view, read by reflection
 // (the index exports none of it): the run object's address, the names of
-// the entries it holds, and the full tag and value arrays of its key,
-// value and squared-value packs.
+// the entries it holds, the full tag and value arrays of its key, value
+// and squared-value packs, and the addresses of its bands and of their
+// key and id arrays (none for a run without bands).
 type packRun struct {
 	id    uintptr
 	names []string
 	spans []span
+	bands []uintptr
 }
 
 // packRuns returns the runs of ix's view in scan order, or nil for an
@@ -57,6 +59,14 @@ func packRuns(t *testing.T, ix *ipsketch.SketchIndex) []packRun {
 				a := cols.FieldByName(arr)
 				lo := a.Pointer()
 				out[i].spans = append(out[i].spans, span{lo, lo + uintptr(a.Cap())*a.Type().Elem().Size()})
+			}
+		}
+		if b := r.Elem().FieldByName("bands"); !b.IsNil() {
+			out[i].bands = append(out[i].bands, b.Pointer())
+			for _, arr := range []string{"keys", "ids"} {
+				for j, per := 0, b.Elem().FieldByName(arr); j < per.Len(); j++ {
+					out[i].bands = append(out[i].bands, per.Index(j).Pointer())
+				}
 			}
 		}
 	}

@@ -54,14 +54,20 @@ func servedSketches(b *testing.B, n int) []*ipsketch.TableSketch {
 // the two columns.
 const vectorsPerTable = 5
 
+// servedLSH is the banding sketchd serves mode=lsh with in the benchmark
+// workloads: 16 bands of 2 rows.
+var servedLSH = ipsketch.LSHParams{Bands: 16, Rows: 2}
+
 // BenchmarkCatalogIngest measures catalog Put at the served shape (the
 // serving layer's ingest hot path once sketches are built: replacements
 // against a populated catalog, each rebuilding its shard's published
 // index) at one core and at every core, reporting vectors/s under the
-// bundle accounting and the bytes each Put allocates. The tables
+// bundle accounting and the bytes and allocations of each Put. The tables
 // dimension runs it at the served corpus and at four times it, whose
 // shards hold about 250 tables instead of 62: a Put re-packs one run of
-// its shard, so the two should cost about the same.
+// its shard, so the two should cost about the same. The lsh dimension runs
+// it without banding and with servedLSH: a Put bands only the run it
+// re-packs, so banding should add little.
 func BenchmarkCatalogIngest(b *testing.B) {
 	sizes := []int{servedTables, 4 * servedTables}
 	all := servedSketches(b, sizes[len(sizes)-1])
@@ -69,34 +75,45 @@ func BenchmarkCatalogIngest(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		configs = append(configs, n)
 	}
+	bandings := []struct {
+		name string
+		p    *ipsketch.LSHParams
+	}{{"off", nil}, {fmt.Sprintf("%dx%d", servedLSH.Bands, servedLSH.Rows), &servedLSH}}
 	for _, procs := range configs {
 		for _, n := range sizes {
-			sks := all[:n]
-			b.Run(fmt.Sprintf("procs=%d/tables=%d", procs, n), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				c := New(Options{Shards: DefaultShards})
-				for _, sk := range sks {
-					if err := c.Put(sk); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var next atomic.Uint64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						sk := sks[next.Add(1)%uint64(len(sks))]
-						if err := c.Put(sk); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.StopTimer()
-				b.ReportMetric(float64(vectorsPerTable*b.N)/b.Elapsed().Seconds(), "vecs/s")
-			})
+			for _, lsh := range bandings {
+				benchIngest(b, fmt.Sprintf("procs=%d/tables=%d/lsh=%s", procs, n, lsh.name), procs, all[:n], lsh.p)
+			}
 		}
 	}
+}
+
+// benchIngest is one BenchmarkCatalogIngest point: Puts of sks into a
+// catalog that holds them all, banded under lshp when it is set.
+func benchIngest(b *testing.B, name string, procs int, sks []*ipsketch.TableSketch, lshp *ipsketch.LSHParams) {
+	b.Run(name, func(b *testing.B) {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		c := New(Options{Shards: DefaultShards, LSH: lshp})
+		for _, sk := range sks {
+			if err := c.Put(sk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var next atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				sk := sks[next.Add(1)%uint64(len(sks))]
+				if err := c.Put(sk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.StopTimer()
+		b.ReportMetric(float64(vectorsPerTable*b.N)/b.Elapsed().Seconds(), "vecs/s")
+	})
 }
 
 // BenchmarkCatalogSearchTopK measures the sharded top-10 search at the

@@ -102,10 +102,11 @@ type Options struct {
 	// mutation publishes once; a Restore publishes once per shard it
 	// touched, however many tables it staged.
 	PublishObserver Observer
-	// LSH, when set, maintains a banded candidate index alongside every
-	// published shard index (rebuilt at publish time exactly like the
-	// columnar views, so readers never observe a stale candidate set) and
-	// enables lsh-mode Search. Invalid parameters fail the first mutation.
+	// LSH, when set, bands every published shard index for lsh-mode
+	// Search: the bands live with each run of the columnar view, so a
+	// publish bands exactly the runs it packs and shares the others' bands
+	// with the index it replaces, and readers never observe a stale
+	// candidate set. Invalid parameters fail the first mutation.
 	LSH *ipsketch.LSHParams
 }
 
@@ -470,16 +471,16 @@ func bareIndex(m staged) *ipsketch.SketchIndex {
 // sortedIndex builds the published per-shard index: bareIndex plus the
 // columnar scan view, packed here, at copy-on-write publish time, so every
 // reader of the published index scans structure-of-arrays for free and no
-// search ever pays the pack cost. When lshp is set the banded candidate
-// index is built the same way — a build failure (invalid banding
-// parameters) fails the publish.
+// search ever pays the pack cost. When lshp is set BuildLSH packs the view
+// and bands its runs in one pass — a build failure (invalid banding
+// parameters) fails the publish. Either way only the runs whose entries
+// changed are built; the others are the published index's.
 func sortedIndex(m staged, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
 	ix := bareIndex(m)
-	ix.BuildColumnar()
-	if lshp != nil {
-		if _, err := ix.BuildLSH(*lshp); err != nil {
-			return nil, err
-		}
+	if lshp == nil {
+		ix.BuildColumnar()
+	} else if _, err := ix.BuildLSH(*lshp); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }

@@ -60,9 +60,9 @@ func (m catalogModel) apply(t *testing.T, mut Mutation) bool {
 	return existed
 }
 
-// index is a fresh, unpacked index over the model's tables: every entry
-// decoded from its bytes and owning its arrays, so its searches take the
-// decoded scorer. With lshp it carries bands as well (still unpacked).
+// index is a fresh index over the model's tables: every entry decoded
+// from its bytes, so its searches take the decoded scorer. With lshp it
+// is banded as well, which packs it (BuildLSH packs what it bands).
 func (m catalogModel) index(t *testing.T, lshp *ipsketch.LSHParams) *ipsketch.SketchIndex {
 	t.Helper()
 	names := make([]string, 0, len(m))

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hashing"
 )
@@ -70,27 +71,29 @@ func (p Params) ClampProbes(probes int) int {
 	return probes
 }
 
-// Index is a banded LSH index over int-identified items. It is not safe
-// for concurrent mutation, but is safe for concurrent reads (Candidates,
-// Querier queries) once construction is done.
+// Index is a banded LSH index over int-identified items: per band, the
+// (band key, id) pairs sorted by key, then id, so a key that collides
+// across bands never matches and a lookup is a binary search. An insert
+// costs O(items). It is safe for concurrent reads once built.
 type Index struct {
-	params  Params
-	buckets []map[uint64][]int // one bucket map per band: band hash → ids
-	items   map[int][]uint64   // id → signature (for re-banding and dedup)
+	params Params
+	keys   [][]uint64 // per band: the items' band keys, ascending
+	ids    [][]int    // per band: the id of each key
 }
 
 // New returns an empty index.
-func New(p Params) (*Index, error) {
+func New(p Params) (*Index, error) { return NewSized(p, 0) }
+
+// NewSized returns an empty index with room for n items in one key and
+// one id array.
+func NewSized(p Params, n int) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		params:  p,
-		buckets: make([]map[uint64][]int, p.Bands),
-		items:   make(map[int][]uint64),
-	}
-	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint64][]int)
+	ix := &Index{params: p, keys: make([][]uint64, p.Bands), ids: make([][]int, p.Bands)}
+	keys, ids := make([]uint64, p.Bands*n), make([]int, p.Bands*n)
+	for b := range p.Bands {
+		ix.keys[b], ix.ids[b] = keys[b*n:b*n:(b+1)*n], ids[b*n:b*n:(b+1)*n]
 	}
 	return ix, nil
 }
@@ -99,15 +102,14 @@ func New(p Params) (*Index, error) {
 func (ix *Index) Params() Params { return ix.params }
 
 // Len returns the number of indexed items.
-func (ix *Index) Len() int { return len(ix.items) }
+func (ix *Index) Len() int { return len(ix.ids[0]) }
 
-// bandKey hashes one band of the signature to a bucket key. It is an
-// incremental Mix chain — Mix(band, sig[lo:hi]...) without materializing
-// the parts slice — so the query path performs zero allocations per band.
-func (ix *Index) bandKey(band int, sig []uint64) uint64 {
-	lo := band * ix.params.Rows
+// Key hashes one band of the signature to its key: Mix(band, sig[lo:hi]...)
+// chained incrementally, so the query path allocates nothing.
+func (p Params) Key(band int, sig []uint64) uint64 {
+	lo := band * p.Rows
 	h := hashing.Mix(uint64(band))
-	for _, v := range sig[lo : lo+ix.params.Rows] {
+	for _, v := range sig[lo : lo+p.Rows] {
 		h = hashing.Extend(h, v)
 	}
 	return h
@@ -117,73 +119,63 @@ func (ix *Index) bandKey(band int, sig []uint64) uint64 {
 // intentionally unsupported: LSH catalogs are rebuild-oriented).
 func (ix *Index) Insert(id int, signature []uint64) error {
 	if len(signature) != ix.params.SignatureLen() {
-		return fmt.Errorf("lsh: signature length %d, want %d", len(signature), ix.params.SignatureLen())
+		return fmt.Errorf("lsh: signature has %d entries, banding needs %d", len(signature), ix.params.SignatureLen())
 	}
-	if _, dup := ix.items[id]; dup {
+	if slices.Contains(ix.ids[0], id) {
 		return fmt.Errorf("lsh: id %d already indexed", id)
 	}
-	sig := append([]uint64(nil), signature...)
-	ix.items[id] = sig
-	for b := 0; b < ix.params.Bands; b++ {
-		k := ix.bandKey(b, sig)
-		ix.buckets[b][k] = append(ix.buckets[b][k], id)
+	for b := range ix.keys {
+		k := ix.params.Key(b, signature)
+		keys, ids := append(ix.keys[b], k), append(ix.ids[b], id)
+		i := len(keys) - 1
+		for ; i > 0 && (keys[i-1] > k || keys[i-1] == k && ids[i-1] > id); i-- {
+			keys[i], ids[i] = keys[i-1], ids[i-1]
+		}
+		keys[i], ids[i] = k, id
+		ix.keys[b], ix.ids[b] = keys, ids
 	}
 	return nil
 }
 
-// Candidates returns the ids sharing at least one band with the query
-// signature, deduplicated, in unspecified order. It allocates its result;
-// hot query paths reuse a Querier instead.
-func (ix *Index) Candidates(signature []uint64) ([]int, error) {
-	cands, err := ix.NewQuerier().Candidates(signature, 0)
-	if err != nil {
-		return nil, err
-	}
-	if cands == nil {
-		return nil, nil
-	}
-	return append([]int(nil), cands...), nil
-}
-
-// Querier owns the scratch of a candidate lookup — the dedup set and the
-// output slice — so repeated queries against an index allocate nothing in
-// the steady state. A Querier is single-goroutine; concurrent searchers
-// each hold their own.
-type Querier struct {
-	ix *Index
-	// seen stamps each id with the generation of the query that last
-	// produced it; comparing stamps replaces per-query map clearing.
-	seen map[int]uint64
-	gen  uint64
-	out  []int
-}
-
-// NewQuerier returns a reusable candidate-lookup scratch bound to the
-// index.
-func (ix *Index) NewQuerier() *Querier {
-	return &Querier{ix: ix, seen: make(map[int]uint64)}
-}
-
-// Candidates returns the ids sharing at least one of the first probes
-// bands with the query signature (probes ≤ 0 or > Bands probes every
-// band), deduplicated, in unspecified order. The returned slice is owned
-// by the Querier and valid until its next query.
-func (q *Querier) Candidates(signature []uint64, probes int) ([]int, error) {
-	ix := q.ix
-	if len(signature) != ix.params.SignatureLen() {
-		return nil, fmt.Errorf("lsh: signature length %d, want %d", len(signature), ix.params.SignatureLen())
-	}
-	probes = ix.params.ClampProbes(probes)
-	q.gen++
-	q.out = q.out[:0]
-	for b := 0; b < probes; b++ {
-		for _, id := range ix.buckets[b][ix.bandKey(b, signature)] {
-			if q.seen[id] == q.gen {
-				continue
-			}
-			q.seen[id] = q.gen
-			q.out = append(q.out, id)
+// Probe calls hit with the id of each item sharing one of the first probes
+// bands (≤ 0 or > Bands: every band) with the signature, once per band.
+func (ix *Index) Probe(signature []uint64, probes int, hit func(id int)) {
+	for b := range ix.params.ClampProbes(probes) {
+		k, keys := ix.params.Key(b, signature), ix.keys[b]
+		for i, _ := slices.BinarySearch(keys, k); i < len(keys) && keys[i] == k; i++ {
+			hit(ix.ids[b][i])
 		}
 	}
+}
+
+// Candidates returns the ids sharing at least one band with the query
+// signature, ascending and deduplicated. It allocates its result; hot
+// query paths reuse a Querier instead.
+func (ix *Index) Candidates(signature []uint64) ([]int, error) {
+	return ix.NewQuerier().Candidates(signature, 0)
+}
+
+// Querier owns the output slice of a candidate lookup, so repeated
+// queries against an index allocate nothing in the steady state. A
+// Querier is single-goroutine; concurrent searchers each hold their own.
+type Querier struct {
+	ix  *Index
+	out []int
+}
+
+// NewQuerier returns a reusable lookup scratch bound to the index.
+func (ix *Index) NewQuerier() *Querier { return &Querier{ix: ix} }
+
+// Candidates returns the ids sharing at least one of the first probes
+// bands (≤ 0 or > Bands: every band) with the query signature, ascending
+// and deduplicated, in a slice the Querier reuses at its next query.
+func (q *Querier) Candidates(signature []uint64, probes int) ([]int, error) {
+	if n := q.ix.params.SignatureLen(); len(signature) != n {
+		return nil, fmt.Errorf("lsh: signature length %d, want %d", len(signature), n)
+	}
+	q.out = q.out[:0]
+	q.ix.Probe(signature, probes, func(id int) { q.out = append(q.out, id) })
+	slices.Sort(q.out)
+	q.out = slices.Compact(q.out)
 	return q.out, nil
 }

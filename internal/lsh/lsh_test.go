@@ -219,7 +219,6 @@ func TestEmptyMHSignatureNil(t *testing.T) {
 // bucket layout (and persisted expectations about co-bucketing hold).
 func TestBandKeyMatchesMix(t *testing.T) {
 	p := Params{Bands: 5, Rows: 3}
-	ix, _ := New(p)
 	rng := hashing.NewSplitMix64(42)
 	sig := make([]uint64, p.SignatureLen())
 	for i := range sig {
@@ -228,8 +227,8 @@ func TestBandKeyMatchesMix(t *testing.T) {
 	for b := 0; b < p.Bands; b++ {
 		lo := b * p.Rows
 		parts := append([]uint64{uint64(b)}, sig[lo:lo+p.Rows]...)
-		if got, want := ix.bandKey(b, sig), hashing.Mix(parts...); got != want {
-			t.Fatalf("band %d: bandKey = %#x, Mix = %#x", b, got, want)
+		if got, want := p.Key(b, sig), hashing.Mix(parts...); got != want {
+			t.Fatalf("band %d: Key = %#x, Mix = %#x", b, got, want)
 		}
 	}
 }

@@ -185,11 +185,15 @@ func (s *Sketch) StorageWords() float64 {
 // with probability equal to the Jaccard similarity of the supports. Empty
 // sketches return nil — an all-empty column has no support to band, and a
 // sentinel signature would collide with every other empty column's.
-func (s *Sketch) Signature() []uint64 {
+func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil) }
+
+// AppendSignature appends the signature to dst (nothing for an empty
+// sketch), so a caller banding many sketches reuses one buffer.
+func (s *Sketch) AppendSignature(dst []uint64) []uint64 {
 	if s.empty {
-		return nil
+		return dst
 	}
-	return append([]uint64(nil), s.hashes...)
+	return append(dst, s.hashes...)
 }
 
 // Compatible reports why two sketches cannot be compared, or nil.

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vector"
 )
@@ -195,15 +196,19 @@ func (s *Sketch) StorageWords() float64 {
 // same Params collide with probability equal to the *weighted* Jaccard
 // similarity of the squared normalized vectors (Fact 5). Empty sketches
 // return nil.
-func (s *Sketch) Signature() []uint64 {
+func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil) }
+
+// AppendSignature appends the signature to dst (nothing for an empty
+// sketch), so a caller banding many sketches reuses one buffer.
+func (s *Sketch) AppendSignature(dst []uint64) []uint64 {
 	if s.empty {
-		return nil
+		return dst
 	}
-	out := make([]uint64, len(s.hashes))
-	for i, h := range s.hashes {
-		out[i] = math.Float64bits(h)
+	dst = slices.Grow(dst, len(s.hashes))
+	for _, h := range s.hashes {
+		dst = append(dst, math.Float64bits(h))
 	}
-	return out
+	return dst
 }
 
 // Compatible reports why two sketches cannot be compared (parameter,

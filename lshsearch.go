@@ -3,21 +3,21 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/lsh"
 )
 
 // This file is the sublinear candidate path of SketchIndex: BuildLSH
-// bands every entry's key-sketch signature into an internal/lsh index at
-// the same time the columnar view is built (the catalog does both per
-// copy-on-write publish), and a Query with LSH set gathers band candidates
-// for the query and runs SearchIndexes' scoring routine over only those
-// entries — the same kernels, heap, and (score, ent, col) tie-break order
-// as the full scan. Whenever the candidate set contains the true top k
-// (recall@k = 1) the ranking is therefore bit-identical to the full scan —
-// approximation only ever drops candidates, it never perturbs a score. An
-// empty query sketch yields zero band candidates.
+// bands each run's key-sketch signatures into internal/lsh bands packed
+// with the run (a publish bands only the runs it packs), and a Query with
+// LSH set gathers band candidates for the query and runs SearchIndexes'
+// scoring routine over only those entries — the same kernels, heap, and
+// (score, ent, col) tie-break order as the full scan. Whenever the
+// candidate set contains the true top k (recall@k = 1) the ranking is
+// therefore bit-identical to the full scan — approximation only ever
+// drops candidates, it never perturbs a score. An empty query sketch
+// yields zero band candidates.
 
 // LSHParams configures the banded candidate index: signatures of length
 // Bands×Rows are split into Bands bands of Rows entries, and two columns
@@ -61,86 +61,91 @@ var ErrNoSignature = errors.New("ipsketch: method has no LSH signature")
 // contract of internal/lsh. Supported by MethodMH and MethodWMH (all
 // variants). An empty sketch returns (nil, nil) — empty columns cannot be
 // banded and must be skipped by indexers, not treated as wildcards.
-func (sk *Sketch) LSHSignature() ([]uint64, error) {
+func (sk *Sketch) LSHSignature() ([]uint64, error) { return sk.appendLSHSignature(nil) }
+
+// appendLSHSignature appends the signature to dst (nothing for an empty
+// sketch), so that banding reuses one buffer.
+func (sk *Sketch) appendLSHSignature(dst []uint64) ([]uint64, error) {
 	if sk == nil {
-		return nil, errNilSketch
+		return dst, errNilSketch
 	}
 	be, err := backendFor(sk.method)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if be.signature == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoSignature, sk.method)
+		return dst, fmt.Errorf("%w: %v", ErrNoSignature, sk.method)
 	}
-	return be.signature(sk.payload)
+	return be.signature(dst, sk.payload)
 }
 
 // ErrNoLSHIndex reports an lsh-mode search against an index that has no
 // banded view (BuildLSH was never run, or mutation invalidated it).
 var ErrNoLSHIndex = errors.New("ipsketch: index has no LSH view")
 
-// lshView is the banded candidate index of one snapshot, keyed by entry
-// position. Immutable after buildLSHView; concurrent searches share it,
-// each holding its own lsh.Querier.
-type lshView struct {
-	params lsh.Params
-	index  *lsh.Index
-}
-
 // BuildLSH bands the index's entries into an LSH candidate view and
-// returns the number of entries indexed. The catalog calls this at every
-// copy-on-write publish, right after BuildColumnar; Add invalidates the
-// view (lsh-mode searches fail with ErrNoLSHIndex until the next build).
-// The index holds one configuration, so either every entry can be banded
-// or none can: BuildLSH fails when the method has no signature or its
-// signatures are shorter than p.SignatureLen(). Entries with empty key
-// sketches are skipped: an empty key column joins nothing and must not
-// wildcard-match every query.
+// returns the number of entries indexed. The bands live with the runs of
+// the columnar view, which BuildLSH builds: a run banded under p is
+// shared, and every other run is packed and banded anew. The catalog
+// calls this at every copy-on-write publish; Add invalidates the view.
+// The index holds one configuration, so BuildLSH fails when the method
+// has no signature or its signatures are shorter than p.SignatureLen().
+// Entries with empty key sketches are skipped: an empty key column joins
+// nothing and must not wildcard-match every query.
 func (ix *SketchIndex) BuildLSH(p LSHParams) (int, error) {
-	lv, err := buildLSHView(ix.entries, p.internal())
+	lp := p.internal()
+	if err := lp.Validate(); err != nil {
+		return 0, err
+	}
+	v, err := buildColumnarView(ix.entries, &lp)
 	if err != nil {
 		return 0, err
 	}
-	ix.lshView = lv
-	return lv.index.Len(), nil
+	if v == nil && len(ix.entries) > 0 { // every family with a signature packs
+		return 0, fmt.Errorf("ipsketch: banding: %w: %v", ErrNoSignature, ix.entries[0].key.method)
+	}
+	ix.view, ix.bands = v, &lp
+	n := 0
+	for i := 0; v != nil && i < len(v.runs); i++ {
+		n += v.runs[i].bands.Len()
+	}
+	return n, nil
 }
 
 // HasLSH reports whether the index currently holds a banded view.
-func (ix *SketchIndex) HasLSH() bool { return ix.lshView != nil }
+func (ix *SketchIndex) HasLSH() bool { return ix.bands != nil }
 
 // LSHParams returns the banding parameters of the current view, if any.
 func (ix *SketchIndex) LSHParams() (LSHParams, bool) {
-	if ix.lshView == nil {
+	if ix.bands == nil {
 		return LSHParams{}, false
 	}
-	return LSHParams{Bands: ix.lshView.params.Bands, Rows: ix.lshView.params.Rows}, true
+	return LSHParams{Bands: ix.bands.Bands, Rows: ix.bands.Rows}, true
 }
 
-func buildLSHView(entries []*TableSketch, p lsh.Params) (*lshView, error) {
-	index, err := lsh.New(p)
+// bandEntries bands one run's entries under p, keyed by their ordinal in
+// the run, or returns nil when p is nil.
+func bandEntries(entries []*TableSketch, p *lsh.Params) (*lsh.Index, error) {
+	if p == nil {
+		return nil, nil
+	}
+	bands, err := lsh.NewSized(*p, len(entries))
 	if err != nil {
 		return nil, err
 	}
-	lv := &lshView{params: p, index: index}
-	sigLen := p.SignatureLen()
-	for ent, e := range entries {
-		sig, err := e.key.LSHSignature()
-		if err != nil {
+	var sig []uint64
+	for t, e := range entries {
+		if sig, err = e.key.appendLSHSignature(sig[:0]); err != nil {
 			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)
 		}
-		if sig == nil {
-			// Empty key sketch: joins nothing, bands nothing. Skipped, per
-			// the empty-signature contract.
-			continue
+		if len(sig) == 0 {
+			continue // an empty key sketch bands nothing
 		}
-		if len(sig) < sigLen {
-			return nil, fmt.Errorf("ipsketch: banding %s: signature has %d entries, banding needs %d", e.Name, len(sig), sigLen)
-		}
-		if err := index.Insert(ent, sig[:sigLen]); err != nil {
-			return nil, fmt.Errorf("ipsketch: banding entry %d (%s): %w", ent, e.Name, err)
+		if err := bands.Insert(t, sig[:min(len(sig), p.SignatureLen())]); err != nil {
+			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)
 		}
 	}
-	return lv, nil
+	return bands, nil
 }
 
 // SearchTopKLSHStats is Search of an lsh-mode query.
@@ -151,27 +156,30 @@ func (ix *SketchIndex) SearchTopKLSHStats(query *TableSketch, queryCol string, b
 	return ix.Search(Query{Sketch: query, Column: queryCol, RankBy: by, MinJoinSize: minJoinSize, K: k, LSH: true, Probes: probes})
 }
 
-// gather builds the source's lsh scan list: the band candidates of qsig,
-// ascending, so unit cuts and tie-breaking see entry positions in
-// full-scan order. A nil signature (empty key sketch) matches nothing.
-func (src *searchSource) gather(qsig []uint64, probes int, stats *ScanStats) error {
+const _ uint = 64 - maxRun // a run's ordinals fit one uint64 mask of hits
+
+// gather builds the source's lsh scan list: the entries sharing one of the
+// probed bands with qsig, ascending (full-scan order), from a mask of hits
+// per run. A nil signature (empty key sketch) matches nothing.
+func (s *searcher) gather(src *searchSource, qsig []uint64, stats *ScanStats) error {
+	src.ents, src.n = nil, 0
 	if qsig == nil {
-		src.ents, src.n = nil, 0
 		return nil
 	}
-	lv := src.ix.lshView
-	sigLen := lv.params.SignatureLen()
-	stats.LSHProbes += int64(lv.params.ClampProbes(probes))
-	if len(qsig) < sigLen {
-		return fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), sigLen)
+	p := *src.ix.bands
+	stats.LSHProbes += int64(p.ClampProbes(s.Probes))
+	if len(qsig) < p.SignatureLen() {
+		return fmt.Errorf("ipsketch: lsh search: query signature has %d entries, banding needs %d", len(qsig), p.SignatureLen())
 	}
-	cands, err := lv.index.NewQuerier().Candidates(qsig[:sigLen], probes)
-	if err != nil {
-		return fmt.Errorf("ipsketch: lsh search: %w", err)
+	lo, v := len(s.cands), src.view
+	for ri := 0; v != nil && ri < len(v.runs); ri++ {
+		var hits uint64
+		v.runs[ri].bands.Probe(qsig, s.Probes, func(t int) { hits |= 1 << t })
+		for ; hits != 0; hits &= hits - 1 {
+			s.cands = append(s.cands, v.start[ri]+bits.TrailingZeros64(hits))
+		}
 	}
-	// Owned: the Querier is local and issues no further queries.
-	sort.Ints(cands)
-	stats.LSHCandidates += int64(len(cands))
-	src.ents, src.n = cands, len(cands)
+	src.ents, src.n = s.cands[lo:len(s.cands):len(s.cands)], len(s.cands)-lo
+	stats.LSHCandidates += int64(src.n)
 	return nil
 }

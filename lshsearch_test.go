@@ -3,7 +3,10 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,7 +35,8 @@ func searchKeySet(res []SearchResult) map[string]bool {
 // TestLSHSearchBitExactAtRecallOne: with full probes and aggressive
 // banding the candidate set contains the true top k, and the lsh-mode
 // ranking must be bit-identical (Float64bits, via resultsIdentical) to
-// the full scan — on both the columnar and the decoded rescore path.
+// the full scan — whether BuildLSH packs the index itself (columnar=false
+// drops the view first) or bands the runs of a view packed before.
 func TestLSHSearchBitExactAtRecallOne(t *testing.T) {
 	for _, fam := range lshFamilies {
 		fam := fam
@@ -93,13 +97,57 @@ func TestLSHSearchBitExactAtRecallOne(t *testing.T) {
 	}
 }
 
+// bandOracle returns the names of ix's entries that share one of the
+// first probes bands (≤ 0: all) of p with the query's key sketch, row for
+// row, comparing signatures with no hashing: the entries an lsh-mode
+// search must gather. Entries with empty key sketches match nothing.
+func bandOracle(t testing.TB, ix *SketchIndex, q *TableSketch, p LSHParams, probes int) []string {
+	t.Helper()
+	qsig, err := q.KeySketch().LSHSignature()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probes <= 0 || probes > p.Bands {
+		probes = p.Bands
+	}
+	var out []string
+	for _, name := range ix.Tables() {
+		e, _ := ix.Get(name)
+		sig, err := e.KeySketch().LSHSignature()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < probes && sig != nil && qsig != nil; b++ {
+			if slices.Equal(sig[b*p.Rows:(b+1)*p.Rows], qsig[b*p.Rows:(b+1)*p.Rows]) {
+				out = append(out, name)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// decodedSubset returns a fresh index of the named entries of ix that
+// packs nothing, so its searches take the decoded scorer.
+func decodedSubset(t testing.TB, ix *SketchIndex, names []string) *SketchIndex {
+	t.Helper()
+	sub := NewSketchIndex()
+	for _, name := range names {
+		e, _ := ix.Get(name)
+		if err := sub.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sub
+}
+
 // TestLSHSearchTieHeavyEquivalence: on a corpus built to tie, the packed
-// lsh rescore (rank over the candidates, fill the final k) must match the
-// decoded lsh rescore bit for bit — results and scan counters — for
-// every RankBy, k shape and minJoinSize around the tie value; and with
-// aggressive banding and a positive minJoinSize (so the full scan's
-// size ≤ 0 tail, which banding never retrieves, is pruned there too) it
-// must match the full scan.
+// lsh rescore (rank over the candidates, fill the final k) must match a
+// decoded full scan of exactly the band oracle's candidates bit for bit —
+// results and scan counters — for every RankBy, k shape and minJoinSize
+// around the tie value; and with aggressive banding and a positive
+// minJoinSize (so the full scan's size ≤ 0 tail, which banding never
+// retrieves, is pruned there too) it must match the full scan.
 func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 	for _, fam := range lshFamilies {
 		fam := fam
@@ -110,32 +158,32 @@ func TestLSHSearchTieHeavyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := ix.BuildLSH(strongLSH); err != nil {
+				t.Fatal(err)
+			}
+			cands := bandOracle(t, ix, qSk, strongLSH, 0)
+			ref := decodedSubset(t, ix, cands)
 			n := len(all)
 			for _, by := range []RankBy{RankByJoinSize, RankByAbsCorrelation, RankByAbsInnerProduct} {
 				for _, minJoin := range tieMinJoins(all) {
 					for _, k := range []int{1, 7, n, n + 5, -1} {
 						label := fmt.Sprintf("by=%d minJoin=%v k=%d", by, minJoin, k)
-						ix.view = nil
-						if _, err := ix.BuildLSH(strongLSH); err != nil {
-							t.Fatal(err)
-						}
-						want, dStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
+						want, dStats, err := ref.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if dStats.Columnar != 0 {
-							t.Fatalf("%s: decoded rescore claims columnar scoring: %+v", label, dStats)
+							t.Fatalf("%s: decoded reference claims columnar scoring: %+v", label, dStats)
 						}
-						ix.BuildColumnar()
 						got, cStats, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k, LSH: true})
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireSameSearch(t, "lsh packed vs decoded "+label, got, want)
+						requireSameSearch(t, "lsh packed vs decoded candidates "+label, got, want)
 						if cStats.Fallback != 0 || cStats.Columnar != cStats.Candidates ||
 							cStats.Candidates != dStats.Candidates || cStats.Pruned != dStats.Pruned ||
-							cStats.LSHCandidates != dStats.LSHCandidates || cStats.LSHProbes != dStats.LSHProbes {
-							t.Fatalf("%s: counters diverge: packed %+v decoded %+v", label, cStats, dStats)
+							cStats.LSHCandidates != int64(len(cands)) || cStats.LSHProbes != int64(strongLSH.Bands) {
+							t.Fatalf("%s: counters diverge: packed %+v decoded %+v, %d oracle candidates", label, cStats, dStats, len(cands))
 						}
 						if minJoin > 0 {
 							full, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: by, MinJoinSize: minJoin, K: k})
@@ -351,4 +399,111 @@ func TestBuildLSHRefusesMethodWithoutSignature(t *testing.T) {
 	if _, _, err := empty.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: -1, LSH: true}); !errors.Is(err, ErrNoSignature) {
 		t.Fatalf("JL query: err = %v, want ErrNoSignature", err)
 	}
+}
+
+// requireOracleCandidates checks that an lsh-mode search of ix under
+// banding p and the probe budget gathers exactly bandOracle's entries:
+// the tables of its unbounded, unfiltered ranking and its LSHCandidates
+// count.
+func requireOracleCandidates(t *testing.T, label string, ix *SketchIndex, q *TableSketch, p LSHParams, probes int) {
+	t.Helper()
+	want := bandOracle(t, ix, q, p, probes)
+	res, stats, err := ix.Search(Query{Sketch: q, Column: "v", RankBy: RankByJoinSize, MinJoinSize: math.Inf(-1), K: -1, LSH: true, Probes: probes})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var got []string
+	for _, r := range res {
+		got = append(got, r.Table)
+	}
+	slices.Sort(got)
+	got = slices.Compact(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) || stats.LSHCandidates != int64(len(want)) {
+		t.Fatalf("%s: gathered %v (%d), the band oracle %v", label, got, stats.LSHCandidates, want)
+	}
+}
+
+// TestLSHSharedRunsBandOnceUnderSearch: indexes over one packed index's
+// entries share its runs. Banded concurrently — two under the same
+// parameters, one under others — each packs and bands its own runs, since
+// the shared ones carry no bands; indexes over a banded index's entries,
+// banded while that index and its siblings are searched, share its runs
+// and their bands under its parameters and pack their own under others.
+// Every index gathers exactly its band oracle's candidates for probes 1,
+// 4 and all. Under -race this shows that banding never writes to a run
+// another index reads.
+func TestLSHSharedRunsBandOnceUnderSearch(t *testing.T) {
+	cfg := Config{Method: MethodWMH, StorageWords: 300, Seed: 23}
+	qSk, base := buildColumnarFixture(t, cfg, 2300, 64)
+	if base.BuildColumnar() == 0 {
+		t.Fatal("nothing packed")
+	}
+	other := LSHParams{Bands: 16, Rows: 2}
+	clone := func(of *SketchIndex) *SketchIndex {
+		ix := NewSketchIndex()
+		for _, name := range of.Tables() {
+			e, _ := of.Get(name)
+			if err := ix.Add(e); err != nil {
+				t.Error(err)
+			}
+		}
+		return ix
+	}
+	build := func(ixs []*SketchIndex, ps []LSHParams) {
+		var wg sync.WaitGroup
+		for i := range ixs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := ixs[i].BuildLSH(ps[i]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	// check checks every run of each index against its sharing: the same
+	// run as shares' run of that position, or one of its own, banded under
+	// its parameters.
+	check := func(label string, ixs []*SketchIndex, ps []LSHParams, shares []*SketchIndex) {
+		for i, ix := range ixs {
+			for j, r := range ix.view.runs {
+				if r.bands == nil || r.bands.Params() != ps[i].internal() {
+					t.Fatalf("%s: index %d run %d banded %+v, want %+v", label, i, j, r.bands, ps[i])
+				}
+				shp, _ := shares[i].LSHParams()
+				if shared := r == shares[i].view.runs[j]; shared != (ps[i] == shp) {
+					t.Fatalf("%s: index %d run %d shared %v with an index banded %+v", label, i, j, shared, shp)
+				}
+			}
+			for _, probes := range []int{1, 4, 0} {
+				requireOracleCandidates(t, fmt.Sprintf("%s: index %d probes=%d", label, i, probes), ix, qSk, ps[i], probes)
+			}
+		}
+	}
+
+	first, firstParams := []*SketchIndex{clone(base), clone(base), clone(base)}, []LSHParams{strongLSH, strongLSH, other}
+	build(first, firstParams)
+	check("banded at once", first, firstParams, []*SketchIndex{base, base, base})
+
+	later, laterParams := []*SketchIndex{clone(first[0]), clone(first[0])}, []LSHParams{strongLSH, other}
+	var wg sync.WaitGroup
+	for _, ix := range first {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if _, _, err := ix.Search(Query{Sketch: qSk, Column: "v", RankBy: RankByJoinSize, K: 5, LSH: true, Probes: 4}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	build(later, laterParams)
+	wg.Wait()
+	check("banded while searched", later, laterParams, []*SketchIndex{first[0], first[0]})
 }
