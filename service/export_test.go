@@ -5,6 +5,7 @@ var (
 	BenchBodies      = benchBodies
 	DecodeSearchBody = decodeSearchRequest
 	DecodeTableBody  = decodeTablePayload
+	KeysSuffix       = keysSuffix
 	MutationOf       = mutationOf
 	WALRecord        = walRecord
 )

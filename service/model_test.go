@@ -22,13 +22,15 @@ import (
 
 // TestServiceWALRestartMatchesModel runs seeded Put/Merge/Delete
 // sequences, with searches, snapshots and restarts in between, through a
-// WAL-backed server's Catalog().Apply, so that the server's own hook logs every
-// write. A restart closes the log, reopens it, and boots a new server from
-// the last snapshot plus the log tail. After every step the catalog must
-// hold exactly a plain name → bytes model's tables and rank exactly like a
-// fresh decoded index over it, and after every restart each tagged merge
-// of the replayed tail must answer its key with the response its live
-// application described.
+// WAL-backed server — Catalog().Apply, and the merge endpoint for a tagged
+// merge — so that the server's own hook logs every write. A restart closes
+// the log, reopens it, and boots a new server from the last snapshot plus
+// the log tail. After every step the catalog must hold exactly a plain
+// name → bytes model's tables and rank exactly like a fresh decoded index
+// over it, and after every restart each tagged merge so far, in the
+// replayed tail or checkpointed by a snapshot, must answer its key with
+// the response its live application described. Each sequence ends with a
+// tagged merge, a snapshot and a restart.
 func TestServiceWALRestartMatchesModel(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		for _, seed := range []uint64{1, 2} {
@@ -136,6 +138,35 @@ func (m serviceModel) apply(t *testing.T, mut catalog.Mutation) bool {
 	return existed
 }
 
+// postMerge applies a tagged merge through the server's merge endpoint
+// and returns its response, which must be a fresh application.
+func postMerge(t *testing.T, label, base string, mut catalog.Mutation) service.MergeResponse {
+	t.Helper()
+	body, err := mut.Sketch.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/tables/"+mut.Name+"/merge", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set(service.HeaderIdempotencyKey, mut.Tag)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(service.HeaderIdempotentReplay) != "" {
+		t.Fatalf("%s: merge answered %d (replay %q), want a fresh application", label, resp.StatusCode, resp.Header.Get(service.HeaderIdempotentReplay))
+	}
+	var got service.MergeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // requireCachedMerge asks the server for key's merge with a body that
 // cannot decode, so only an answer from the dedupe cache succeeds, and
 // checks that answer against want.
@@ -236,10 +267,46 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 	}()
 
 	model := serviceModel{}
-	// tail holds the live response of every tagged merge the log replays
-	// at the next boot: those logged since the last snapshot.
-	tail := map[string]service.MergeResponse{}
+	// tagged holds the live response of every tagged merge.
+	tagged := map[string]service.MergeResponse{}
 	var restarts, snapshots, checked int
+	restart := func(step string) {
+		t.Helper()
+		hs.Close()
+		if err := log.Close(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		boot(step)
+		restarts++
+		for key, want := range tagged {
+			requireCachedMerge(t, step, hs.URL, key, want)
+			checked++
+		}
+	}
+	// apply applies mut to the model and to the server: a tagged merge
+	// through the merge endpoint, every other write through Apply.
+	apply := func(step string, mut catalog.Mutation) {
+		t.Helper()
+		want := model.apply(t, mut)
+		if mut.Tag != "" {
+			got := postMerge(t, step, hs.URL, mut)
+			// The response describes the model's table.
+			sk := model.decode(t, mut.Name)
+			if got.Table != mut.Name || got.Merged != want || !slices.Equal(got.Columns, sk.Columns()) ||
+				math.Float64bits(float64(got.StorageWords)) != math.Float64bits(sk.StorageWords()) {
+				t.Fatalf("%s: merge answered %+v, model table %v merged=%v", step, got, sk.Columns(), want)
+			}
+			tagged[mut.Tag] = got
+			return
+		}
+		_, got, err := srv.Catalog().Apply(mut)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got != want {
+			t.Fatalf("%s: catalog reported %v, model %v", step, got, want)
+		}
+	}
 	for i := 0; i < 60; i++ {
 		name := fmt.Sprintf("n%02d", rng.Intn(12))
 		step := fmt.Sprintf("%s step %d", label, i)
@@ -252,19 +319,9 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 			}
 			saved = true
 			snapshots++
-			clear(tail)
 		case r <= 2:
 			step += " (restart)"
-			hs.Close()
-			if err := log.Close(); err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			boot(step)
-			restarts++
-			for key, want := range tail {
-				requireCachedMerge(t, step, hs.URL, key, want)
-				checked++
-			}
+			restart(step)
 		case r <= 6:
 			mut = &catalog.Mutation{Op: catalog.MutationDelete, Name: name}
 		case r <= 11:
@@ -277,26 +334,7 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 		}
 		if mut != nil {
 			step += fmt.Sprintf(" (op %d %s tag %q)", mut.Op, name, mut.Tag)
-			want := model.apply(t, *mut)
-			out, got, err := srv.Catalog().Apply(*mut)
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			if got != want {
-				t.Fatalf("%s: catalog reported %v, model %v", step, got, want)
-			}
-			if mut.Tag != "" {
-				// The live response describes the table Apply returned,
-				// which must be the model's.
-				b, err := out.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(b, model[name]) {
-					t.Fatalf("%s: Apply returned a table other than the model's", step)
-				}
-				tail[mut.Tag] = service.MergeResponse{Table: out.Name, Merged: got, Columns: out.Columns(), StorageWords: service.Float(out.StorageWords())}
-			}
+			apply(step, *mut)
 		}
 		var extra *ipsketch.Query
 		if rng.Intn(3) == 0 {
@@ -306,6 +344,18 @@ func runServiceModel(t *testing.T, label string, shards int, seed uint64) {
 		}
 		requireServerMatchesModel(t, step, srv, model, query, extra)
 	}
+	// A tagged merge that a snapshot checkpoints away from the log: after
+	// the restart its retry is answered from the cache, and the table is
+	// the model's.
+	name := model.names()[0]
+	step := fmt.Sprintf("%s final merge of %s", label, name)
+	apply(step, catalog.Mutation{Op: catalog.MutationMerge, Name: name, Sketch: sketch(name, 50), Tag: fmt.Sprintf("key-%d-final", seed)})
+	if err := srv.SaveSnapshot(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	saved = true
+	restart(step + ", snapshot and restart")
+	requireServerMatchesModel(t, step, srv, model, query, nil)
 	if restarts == 0 || snapshots == 0 || checked == 0 || len(model) < 4 {
 		t.Fatalf("%s: sequence exercises too little: %d restarts, %d snapshots, %d cached merges checked, %d tables",
 			label, restarts, snapshots, checked, len(model))

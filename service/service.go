@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	ipsketch "repro"
 	"repro/internal/catalog"
+	"repro/internal/fsx"
 	"repro/internal/tables"
 	"repro/internal/wal"
 )
@@ -337,12 +340,14 @@ func (s *Server) ReplayWAL() (int, error) {
 }
 
 // SaveSnapshot persists the catalog to the configured snapshot path. The
-// catalog's entries and (with a WAL) the log position are captured
-// together under the snapshot barrier — only the name-sorted entry list,
-// all the encoder reads, so mutations stall for a map walk and not for an
-// encode — and after the snapshot is durable the WAL is checkpointed:
-// replayed-on-boot records ≤ the captured LSN are skipped and
-// fully-covered segments deleted.
+// catalog's entries, the merge idempotency keys and (with a WAL) the log
+// position are captured together under the snapshot barrier — only the
+// name-sorted entry list, all the encoder reads, so mutations stall for a
+// map walk and not for an encode. The keys are written first, to a
+// sidecar next to the snapshot (keysSuffix), so a snapshot on disk never
+// has older keys than tables; after the snapshot is durable the WAL is
+// checkpointed: replayed-on-boot records ≤ the captured LSN are skipped
+// and fully-covered segments deleted.
 func (s *Server) SaveSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return errors.New("service: no snapshot path configured")
@@ -352,10 +357,14 @@ func (s *Server) SaveSnapshot() error {
 	var lsn uint64
 	s.snapMu.Lock()
 	ix := s.cat.Capture()
+	keys := s.dedupe.completed()
 	if w != nil {
 		lsn = w.LSN()
 	}
 	s.snapMu.Unlock()
+	if err := saveKeys(s.cfg.SnapshotPath+keysSuffix, keys); err != nil {
+		return err
+	}
 	if err := catalog.SaveIndex(ix, s.cfg.SnapshotPath); err != nil {
 		return err
 	}
@@ -370,13 +379,94 @@ func (s *Server) SaveSnapshot() error {
 }
 
 // LoadSnapshot restores the catalog from the configured snapshot path,
-// returning the number of tables loaded.
+// returning the number of tables loaded, and seeds the merge idempotency
+// keys from the snapshot's sidecar, so a retry of a merge at or below the
+// checkpoint is answered from the cache after a restart. A missing
+// sidecar seeds nothing; a malformed one fails the load with a *KeysError
+// before any table is restored.
 func (s *Server) LoadSnapshot() (int, error) {
 	if s.cfg.SnapshotPath == "" {
 		return 0, errors.New("service: no snapshot path configured")
 	}
 	defer s.metrics.snapshotLoad.ObserveSince(time.Now())
-	return s.cat.Load(s.cfg.SnapshotPath)
+	keys, err := loadKeys(s.cfg.SnapshotPath + keysSuffix)
+	if err != nil {
+		return 0, err
+	}
+	n, err := s.cat.Load(s.cfg.SnapshotPath)
+	if err != nil {
+		return n, err
+	}
+	for _, k := range keys {
+		s.dedupe.record(k.Key, k.Response)
+	}
+	return n, nil
+}
+
+// keysSuffix names a snapshot's idempotency-key sidecar: the snapshot's
+// path plus the suffix.
+const keysSuffix = ".keys"
+
+// keyEntry is one completed merge in the sidecar: its idempotency key and
+// the response a retry with the key is answered with.
+type keyEntry struct {
+	Key      string        `json:"key"`
+	Response MergeResponse `json:"response"`
+}
+
+// KeysError is the typed failure of loading a snapshot's idempotency-key
+// sidecar: the file exists but cannot be read or decoded. Boot refuses
+// it, because forgetting the keys would let a retry apply its merge twice.
+type KeysError struct {
+	Path string
+	Err  error
+}
+
+// Error implements error.
+func (e *KeysError) Error() string {
+	return fmt.Sprintf("service: idempotency keys %s are unreadable: %v", e.Path, e.Err)
+}
+
+// Unwrap exposes the read or decode failure.
+func (e *KeysError) Unwrap() error { return e.Err }
+
+// saveKeys writes the completed keys, oldest first, atomically and
+// durably to path. With no keys it writes nothing and removes what an
+// earlier snapshot left there.
+func saveKeys(path string, keys []keyEntry) error {
+	if len(keys) == 0 {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("service: removing idempotency keys: %w", err)
+		}
+		return nil
+	}
+	err := fsx.AtomicWrite(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(keys) })
+	if err != nil {
+		return fmt.Errorf("service: writing idempotency keys: %w", err)
+	}
+	return nil
+}
+
+// loadKeys reads the keys saveKeys wrote to path: none when the file does
+// not exist, a *KeysError when it does not decode to entries with keys.
+func loadKeys(path string) ([]keyEntry, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	var keys []keyEntry
+	if err == nil {
+		err = json.Unmarshal(data, &keys)
+	}
+	for i := 0; err == nil && i < len(keys); i++ {
+		if keys[i].Key == "" {
+			err = fmt.Errorf("entry %d has an empty key", i)
+		}
+	}
+	if err != nil {
+		return nil, &KeysError{Path: path, Err: err}
+	}
+	return keys, nil
 }
 
 // pinSketch builds the reference sketch carrying the server's
@@ -449,11 +539,22 @@ func (d *dedupe) finish(id string, resp *MergeResponse) {
 	d.mu.Unlock()
 }
 
-// record caches a completed id directly (the boot-replay path).
+// record caches a completed id directly (the boot path).
 func (d *dedupe) record(id string, resp MergeResponse) {
 	d.mu.Lock()
 	d.insertLocked(id, resp)
 	d.mu.Unlock()
+}
+
+// completed returns the cached responses, oldest first.
+func (d *dedupe) completed() []keyEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]keyEntry, len(d.order))
+	for i, id := range d.order {
+		out[i] = keyEntry{Key: id, Response: d.done[id]}
+	}
+	return out
 }
 
 func (d *dedupe) insertLocked(id string, resp MergeResponse) {
@@ -657,6 +758,17 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 	}
 	s.snapMu.RLock()
 	out, merged, err := s.cat.Apply(catalog.Mutation{Op: catalog.MutationMerge, Name: name, Sketch: tsk, Tag: id})
+	var resp MergeResponse
+	if err == nil {
+		// The response, and the cache entry a retry is answered from,
+		// describe the table this merge produced, whatever a racing write
+		// did since. The entry is cached under the snapshot barrier, so a
+		// snapshot that covers the merge's log record also holds its key.
+		resp = mergeResponse(out, merged)
+		if id != "" {
+			s.dedupe.finish(id, &resp)
+		}
+	}
 	s.snapMu.RUnlock()
 	if err != nil {
 		if id != "" {
@@ -666,12 +778,6 @@ func (s *Server) handleMergeTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.merges.Add(1)
-	// The response, and the cache entry a retry is answered from, describe
-	// the table this merge produced, whatever a racing write did since.
-	resp := mergeResponse(out, merged)
-	if id != "" {
-		s.dedupe.finish(id, &resp)
-	}
 	s.writeJSON(w, resp)
 }
 

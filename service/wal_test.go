@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -543,5 +544,100 @@ func TestDrainingReadyz(t *testing.T) {
 	}
 	if _, err := cl.Health(ctx); err != nil {
 		t.Fatalf("healthz died during drain: %v", err)
+	}
+}
+
+// TestMergeIdempotencyKeysSurviveSnapshot: a keyed merge that a snapshot
+// checkpoints away from the log is still answered from the dedupe cache
+// after a restart, because the snapshot's key sidecar seeds it; a
+// malformed sidecar fails the snapshot load with a *KeysError before any
+// table is restored, a missing one loads the tables alone, and a snapshot
+// taken with no keys removes a stale sidecar.
+func TestMergeIdempotencyKeysSurviveSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, lake := lakePayloads(t, 2)
+	cfg := service.Config{Sketch: mergeSketchCfg, KeySpace: testKeySpace, SnapshotPath: filepath.Join(dir, "cat.ipsx")}
+	keysPath := cfg.SnapshotPath + service.KeysSuffix
+
+	srv, log, cl := newWALServer(t, filepath.Join(dir, "wal"), cfg)
+	if _, err := srv.ReplayWAL(); err != nil {
+		t.Fatal(err)
+	}
+	r1, err := cl.MergeTableTagged(ctx, "tbl", lake["t00"], "snap-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(keysPath); err != nil {
+		t.Fatalf("snapshot wrote no key sidecar: %v", err)
+	}
+	lsn := log.LSN()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: the checkpoint skips the merge's record, the sidecar keeps
+	// its key.
+	srv2, log2, cl2 := newWALServer(t, filepath.Join(dir, "wal"), cfg)
+	if _, err := srv2.LoadSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv2.ReplayWAL(); err != nil || n != 0 {
+		t.Fatalf("replayed %d records past the checkpoint (err %v), want 0", n, err)
+	}
+	r2, err := cl2.MergeTableTagged(ctx, "tbl", lake["t00"], "snap-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Merged != r1.Merged || r2.Table != r1.Table || float64(r2.StorageWords) != float64(r1.StorageWords) {
+		t.Fatalf("retry after restart answered %+v, first merge %+v", r2, r1)
+	}
+	if log2.LSN() != lsn {
+		t.Fatalf("retry after restart logged a record: LSN %d, was %d", log2.LSN(), lsn)
+	}
+	if err := log2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A malformed sidecar is refused before any table loads.
+	for _, bad := range []string{"not json", `[{"key":"","response":{"table":"tbl"}}]`, `{"key":"k"}`} {
+		if err := os.WriteFile(keysPath, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv3, err := service.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ke *service.KeysError
+		if _, err := srv3.LoadSnapshot(); !errors.As(err, &ke) || ke.Path != keysPath {
+			t.Fatalf("sidecar %q: load err = %v, want a *KeysError for %s", bad, err, keysPath)
+		}
+		if srv3.Catalog().Len() != 0 {
+			t.Fatalf("sidecar %q: a refused load restored %d tables", bad, srv3.Catalog().Len())
+		}
+	}
+
+	// A missing sidecar is no error; a snapshot without keys leaves none.
+	if err := os.Remove(keysPath); err != nil {
+		t.Fatal(err)
+	}
+	srv4, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv4.LoadSnapshot(); err != nil || n != 1 {
+		t.Fatalf("load without a sidecar: %d tables, err %v", n, err)
+	}
+	if err := os.WriteFile(keysPath, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv4.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(keysPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a snapshot with no keys left a sidecar: %v", err)
 	}
 }
