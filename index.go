@@ -46,7 +46,8 @@ type SketchIndex struct {
 	// the entries, so building a sorted index inserts into no map.
 	byName map[string]int
 	// view is the columnar (structure-of-arrays) scan pack built by
-	// BuildColumnar; nil means every search takes the decoded path.
+	// BuildColumnar or BuildLSH; nil means every search takes the decoded
+	// path.
 	// Mutation invalidates it — the catalog rebuilds at publish time.
 	view *columnarView
 	// bands are the banding parameters of view's runs, set by BuildLSH;
@@ -215,14 +216,14 @@ type searcher struct {
 	q    [3]payload
 	rank rankPlan
 
-	srcs  []searchSource
-	units []scanUnit
-	// cands holds every source's lsh scan list, back to back.
-	cands   []int
+	srcs    []searchSource
+	units   []scanUnit
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	workers []rankWorker
 	merged  []scored
+	// cands holds every source's lsh scan list, back to back.
+	cands []int
 }
 
 var searchers = sync.Pool{New: func() any { return new(searcher) }}
