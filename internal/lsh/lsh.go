@@ -171,7 +171,7 @@ func (ix *Index) NewQuerier() *Querier { return &Querier{ix: ix} }
 // and deduplicated, in a slice the Querier reuses at its next query.
 func (q *Querier) Candidates(signature []uint64, probes int) ([]int, error) {
 	if n := q.ix.params.SignatureLen(); len(signature) != n {
-		return nil, fmt.Errorf("lsh: signature length %d, want %d", len(signature), n)
+		return nil, fmt.Errorf("lsh: signature has %d entries, banding needs %d", len(signature), n)
 	}
 	q.out = q.out[:0]
 	q.ix.Probe(signature, probes, func(id int) { q.out = append(q.out, id) })

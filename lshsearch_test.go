@@ -424,7 +424,7 @@ func requireOracleCandidates(t *testing.T, label string, ix *SketchIndex, q *Tab
 	}
 }
 
-// TestLSHSharedRunsBandOnceUnderSearch: indexes over one packed index's
+// TestLSHSharedRunsBandedWhileSearched: indexes over one packed index's
 // entries share its runs. Banded concurrently — two under the same
 // parameters, one under others — each packs and bands its own runs, since
 // the shared ones carry no bands; indexes over a banded index's entries,
@@ -433,7 +433,7 @@ func requireOracleCandidates(t *testing.T, label string, ix *SketchIndex, q *Tab
 // Every index gathers exactly its band oracle's candidates for probes 1,
 // 4 and all. Under -race this shows that banding never writes to a run
 // another index reads.
-func TestLSHSharedRunsBandOnceUnderSearch(t *testing.T) {
+func TestLSHSharedRunsBandedWhileSearched(t *testing.T) {
 	cfg := Config{Method: MethodWMH, StorageWords: 300, Seed: 23}
 	qSk, base := buildColumnarFixture(t, cfg, 2300, 64)
 	if base.BuildColumnar() == 0 {
@@ -466,9 +466,9 @@ func TestLSHSharedRunsBandOnceUnderSearch(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	// check checks every run of each index against its sharing: the same
-	// run as shares' run of that position, or one of its own, banded under
-	// its parameters.
+	// check checks that every run of index i is banded under ps[i], and is
+	// shares[i]'s run at that position exactly when shares[i] is banded
+	// under ps[i] too; and that each index gathers its oracle's entries.
 	check := func(label string, ixs []*SketchIndex, ps []LSHParams, shares []*SketchIndex) {
 		for i, ix := range ixs {
 			for j, r := range ix.view.runs {
