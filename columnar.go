@@ -336,9 +336,9 @@ func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float6
 // new bundle whose sketches are views over its run's pack, so Get,
 // merges, the fill and the snapshot encoder read the packs too, and the
 // bundles that were added (which keep their own arrays) are left to their
-// owners. The catalog calls this once per copy-on-write publish, so every
-// reader scans packed; library users call it after loading a static
-// index. Add invalidates the view (searches take the decoded scorer until
+// owners. The catalog calls this (or BuildLSH, which packs as well) once
+// per copy-on-write publish, so every reader scans packed; library users
+// call it after loading a static index. Add invalidates the view (searches take the decoded scorer until
 // the next build); the next build shares every run whose entries are the
 // bundles an earlier build made for it and packs the others from their
 // entries, copying.
