@@ -6,8 +6,8 @@ import "testing"
 // signatures and checks the structural invariants: wrong-length
 // signatures are rejected, duplicate ids are rejected, every inserted
 // item is its own candidate, candidate lists are duplicate-free and
-// contain only inserted ids, and the Querier path agrees with the
-// allocating Candidates path.
+// contain only inserted ids, and a reused Querier agrees with a fresh
+// one.
 func FuzzInsertCandidates(f *testing.F) {
 	f.Add(uint8(4), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), uint8(1), []byte{0xff})
@@ -46,7 +46,7 @@ func FuzzInsertCandidates(f *testing.F) {
 		}
 		q := ix.NewQuerier()
 		for id, sig := range sigs {
-			cands, err := ix.Candidates(sig)
+			cands, err := ix.NewQuerier().Candidates(sig, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,17 +67,17 @@ func FuzzInsertCandidates(f *testing.F) {
 			if !self {
 				t.Fatalf("item %d is not a candidate for its own signature", id)
 			}
-			// The zero-alloc Querier must return the same candidate set.
+			// The reused, zero-alloc Querier must return the same set.
 			qc, err := q.Candidates(sig, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(qc) != len(cands) {
-				t.Fatalf("Querier returned %d candidates, Candidates %d", len(qc), len(cands))
+				t.Fatalf("reused Querier returned %d candidates, a fresh one %d", len(qc), len(cands))
 			}
 			for _, c := range qc {
 				if !seen[c] {
-					t.Fatalf("Querier candidate %d missing from Candidates", c)
+					t.Fatalf("reused Querier candidate %d missing from a fresh one's", c)
 				}
 			}
 			// A reduced probe budget returns a subset.
@@ -93,7 +93,7 @@ func FuzzInsertCandidates(f *testing.F) {
 		}
 		// Wrong-length queries error on both paths.
 		bad := make([]uint64, sigLen+1)
-		if _, err := ix.Candidates(bad); err == nil {
+		if _, err := ix.NewQuerier().Candidates(bad, 0); err == nil {
 			t.Fatal("long query signature accepted")
 		}
 		if _, err := q.Candidates(bad, 0); err == nil {

@@ -79,6 +79,10 @@ type Index struct {
 	params Params
 	keys   [][]uint64 // per band: the items' band keys, ascending
 	ids    [][]int    // per band: the id of each key
+	// first holds, per band, bit Mix(v)%64 of every item's first entry v
+	// of the band: a probe whose first entry's bit is clear matches no
+	// item in the band, and is turned away before its key is hashed.
+	first []uint64
 }
 
 // New returns an empty index.
@@ -90,7 +94,7 @@ func NewSized(p Params, n int) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ix := &Index{params: p, keys: make([][]uint64, p.Bands), ids: make([][]int, p.Bands)}
+	ix := &Index{params: p, keys: make([][]uint64, p.Bands), ids: make([][]int, p.Bands), first: make([]uint64, p.Bands)}
 	keys, ids := make([]uint64, p.Bands*n), make([]int, p.Bands*n)
 	for b := range p.Bands {
 		ix.keys[b], ix.ids[b] = keys[b*n:b*n:(b+1)*n], ids[b*n:b*n:(b+1)*n]
@@ -133,6 +137,7 @@ func (ix *Index) Insert(id int, signature []uint64) error {
 		}
 		keys[i], ids[i] = k, id
 		ix.keys[b], ix.ids[b] = keys, ids
+		ix.first[b] |= 1 << (hashing.Mix(signature[b*ix.params.Rows]) % 64)
 	}
 	return nil
 }
@@ -141,18 +146,14 @@ func (ix *Index) Insert(id int, signature []uint64) error {
 // bands (≤ 0 or > Bands: every band) with the signature, once per band.
 func (ix *Index) Probe(signature []uint64, probes int, hit func(id int)) {
 	for b := range ix.params.ClampProbes(probes) {
+		if ix.first[b]&(1<<(hashing.Mix(signature[b*ix.params.Rows])%64)) == 0 {
+			continue
+		}
 		k, keys := ix.params.Key(b, signature), ix.keys[b]
 		for i, _ := slices.BinarySearch(keys, k); i < len(keys) && keys[i] == k; i++ {
 			hit(ix.ids[b][i])
 		}
 	}
-}
-
-// Candidates returns the ids sharing at least one band with the query
-// signature, ascending and deduplicated. It allocates its result; hot
-// query paths reuse a Querier instead.
-func (ix *Index) Candidates(signature []uint64) ([]int, error) {
-	return ix.NewQuerier().Candidates(signature, 0)
 }
 
 // Querier owns the output slice of a candidate lookup, so repeated

@@ -42,10 +42,10 @@ func TestInsertAndCandidatesBasics(t *testing.T) {
 	if err := ix.Insert(2, sig[:4]); err == nil {
 		t.Fatal("short signature accepted")
 	}
-	if _, err := ix.Candidates(sig[:4]); err == nil {
+	if _, err := ix.NewQuerier().Candidates(sig[:4], 0); err == nil {
 		t.Fatal("short query accepted")
 	}
-	got, err := ix.Candidates(sig)
+	got, err := ix.NewQuerier().Candidates(sig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestIdenticalSignaturesAlwaysCandidates(t *testing.T) {
 	ix, _ := New(Params{Bands: 2, Rows: 4})
 	sig := []uint64{9, 9, 9, 9, 9, 9, 9, 9}
 	ix.Insert(7, sig)
-	got, _ := ix.Candidates(sig)
+	got, _ := ix.NewQuerier().Candidates(sig, 0)
 	if len(got) != 1 {
 		t.Fatal("identical signature not retrieved")
 	}
@@ -76,7 +76,7 @@ func TestDisjointSignaturesNotCandidates(t *testing.T) {
 		b[i] = uint64(1000 + i)
 	}
 	ix.Insert(1, a)
-	got, _ := ix.Candidates(b)
+	got, _ := ix.NewQuerier().Candidates(b, 0)
 	if len(got) != 0 {
 		t.Fatalf("disjoint signature retrieved: %v", got)
 	}
@@ -87,7 +87,7 @@ func TestInsertCopiesSignature(t *testing.T) {
 	sig := []uint64{1, 2}
 	ix.Insert(1, sig)
 	sig[0] = 99
-	got, _ := ix.Candidates([]uint64{1, 2})
+	got, _ := ix.NewQuerier().Candidates([]uint64{1, 2}, 0)
 	if len(got) != 1 {
 		t.Fatal("index aliased caller signature")
 	}
@@ -123,7 +123,7 @@ func TestSCurveWithMinHash(t *testing.T) {
 		for name, shift := range map[string]uint64{"high": 25, "low": 240} {
 			q := mk(shift, 300+shift)
 			sq, _ := minhash.New(q, p)
-			cands, err := ix.Candidates(sq.Signature())
+			cands, err := ix.NewQuerier().Candidates(sq.Signature(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestWeightedRetrievalWithWMH(t *testing.T) {
 		}
 		ix.Insert(0, sa.Signature())
 		sb, _ := wmh.New(b, p)
-		cands, _ := ix.Candidates(sb.Signature())
+		cands, _ := ix.NewQuerier().Candidates(sb.Signature(), 0)
 		if len(cands) > 0 {
 			retrieved++
 		}
@@ -344,7 +344,7 @@ func TestSCurveRetrievalRate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cands, err := ix.Candidates(query)
+		cands, err := ix.NewQuerier().Candidates(query, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

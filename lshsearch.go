@@ -135,13 +135,11 @@ func bandEntries(entries []*TableSketch, p *lsh.Params) (*lsh.Index, error) {
 	}
 	var sig []uint64
 	for t, e := range entries {
-		if sig, err = e.key.appendLSHSignature(sig[:0]); err != nil {
-			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)
+		// An empty key sketch has no signature: it bands nothing.
+		if sig, err = e.key.appendLSHSignature(sig[:0]); err == nil && len(sig) > 0 {
+			err = bands.Insert(t, sig[:min(len(sig), p.SignatureLen())])
 		}
-		if len(sig) == 0 {
-			continue // an empty key sketch bands nothing
-		}
-		if err := bands.Insert(t, sig[:min(len(sig), p.SignatureLen())]); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)
 		}
 	}
