@@ -116,13 +116,13 @@ type backend struct {
 	// inner-product reduction (KMV's threshold estimator). It checks
 	// compatibility itself, as estimate does.
 	joinSize func(a, b payload) (float64, error)
-	// signature appends the samples to dst as an LSH signature: entries
-	// of two signatures built under the same Config collide with
-	// probability equal to the (weighted) Jaccard similarity of the
-	// sketched vectors, making them bandable by internal/lsh. An empty
-	// sketch appends nothing — empty columns are unbandable, not wildcard
-	// matches.
-	signature func(dst []uint64, p payload) ([]uint64, error)
+	// signature appends the first n entries of the LSH signature (all of
+	// them when n exceeds the sample count) to dst: entries of two
+	// signatures built under the same Config collide with probability
+	// equal to the (weighted) Jaccard similarity of the sketched vectors,
+	// making them bandable by internal/lsh. An empty sketch appends
+	// nothing — empty columns are unbandable, not wildcard matches.
+	signature func(dst []uint64, p payload, n int) ([]uint64, error)
 	// withBound returns the estimate together with its own data-driven
 	// error scale, for sketches that carry enough information for one.
 	withBound func(a, b payload) (estimate, errScale float64, err error)
@@ -258,13 +258,13 @@ func check[T payload](f func(a, b T) error) func(a, b payload) error {
 }
 
 // appending lifts an infallible typed appender (signatures).
-func appending[T payload](f func(T, []uint64) []uint64) func([]uint64, payload) ([]uint64, error) {
-	return func(dst []uint64, p payload) ([]uint64, error) {
+func appending[T payload](f func(T, []uint64, int) []uint64) func([]uint64, payload, int) ([]uint64, error) {
+	return func(dst []uint64, p payload, n int) ([]uint64, error) {
 		t, err := payloadAs[T](p)
 		if err != nil {
 			return dst, err
 		}
-		return f(t, dst), nil
+		return f(t, dst, n), nil
 	}
 }
 

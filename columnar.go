@@ -154,25 +154,29 @@ func (r *packRun) heads(es []*TableSketch) bool {
 }
 
 // buildColumnarView cuts entries into runs and returns a fresh view over
-// them, or returns nil and leaves entries alone when there is nothing to
-// pack (no entries, or a family without a pack). A run whose entries are
-// the bundles an earlier build made for it is shared as it is; every
-// other run is packed anew (packEntries), which replaces its entries with
-// bundles of views over its pack. With p set, every run is banded under
-// p too: a run is shared only when it was banded under p, and a run
-// packed anew is banded as it is packed. The entries share one
-// configuration (SketchIndex.Add pins it), so the family of the first is
-// that of all. The replaced bundles are not modified: a reader of an
-// older index still holding them keeps what it had.
-func buildColumnarView(entries []*TableSketch, p *lsh.Params) (*columnarView, error) {
-	if len(entries) == 0 {
-		return nil, nil
+// them with room for runs runs, or nil when there is nothing to pack (no
+// entries, or a family without a pack). A run whose entries are the
+// bundles an earlier build made for it is shared as it is; every other
+// run is packed anew (packEntries), which replaces its entries with
+// bundles of views over its pack and leaves the bundles it replaces as
+// they were. With p set, every run is banded under p: a run is shared
+// only when banded under p, and a build under invalid parameters or of a
+// family without signatures fails. The entries share one configuration,
+// so the family of the first is that of all.
+func buildColumnarView(entries []*TableSketch, p *lsh.Params, runs int) (*columnarView, error) {
+	var f columnarScorer
+	if len(entries) > 0 {
+		if be, err := backendFor(entries[0].key.method); err == nil {
+			f = be.packs
+		}
 	}
-	be, err := backendFor(entries[0].key.method)
-	if err != nil || be.packs == nil {
-		return nil, nil
+	if f == nil {
+		// Nothing to pack. Banding what there is still refuses invalid
+		// parameters, and a family without a pack, which has no signature.
+		_, err := bandEntries(entries, p)
+		return nil, err
 	}
-	v := &columnarView{start: []int{0}}
+	v := &columnarView{runs: make([]*packRun, 0, runs), start: make([]int, 1, runs+1)}
 	for lo := 0; lo < len(entries); {
 		r := entries[lo].run
 		if r == nil || !r.heads(entries[lo:]) || p != nil && (r.bands == nil || r.bands.Params() != *p) {
@@ -181,7 +185,7 @@ func buildColumnarView(entries []*TableSketch, p *lsh.Params) (*columnarView, er
 			if err != nil {
 				return nil, err
 			}
-			r = packEntries(be.packs, run)
+			r = packEntries(f, run)
 			r.bands = bands
 		}
 		lo += len(r.bundles)
@@ -329,23 +333,18 @@ func (p *pack[S, T]) scan(q *[3]payload, pl rankPlan, tLo, tHi int, tbl []float6
 	}
 }
 
-// BuildColumnar packs the index's entries into the columnar scan view and
-// returns the number of entries packed: all of them, or 0 when no view
-// was built (an empty index or a family without a pack). The packs then
-// hold the index's one copy of the samples: each entry is replaced by a
-// new bundle whose sketches are views over its run's pack, so Get,
-// merges, the fill and the snapshot encoder read the packs too, and the
-// bundles that were added (which keep their own arrays) are left to their
-// owners. The catalog calls this (or BuildLSH, which packs as well) once
-// per copy-on-write publish, so every reader scans packed; library users
-// call it after loading a static index. Add invalidates the view (searches take the decoded scorer until
-// the next build); the next build shares every run whose entries are the
-// bundles an earlier build made for it and packs the others from their
-// entries, copying.
+// BuildColumnar packs the index's entries into the columnar scan view, as
+// Derive packs the index it derives, and returns the number of entries
+// packed: all of them, or 0 when no view was built (an empty index or a
+// family without a pack). Each entry is then replaced by a bundle of views
+// over its run's pack, which holds the index's one copy of the samples;
+// the bundles that were added keep their own arrays. Add invalidates the
+// view; the next build shares every run whose entries are the bundles an
+// earlier build made for it and packs the others, copying.
 func (ix *SketchIndex) BuildColumnar() int {
 	// A banded index stays banded. That cannot fail: Add drops the
 	// banding, so these entries banded under it before.
-	ix.view, _ = buildColumnarView(ix.entries, ix.bands)
+	ix.view, _ = buildColumnarView(ix.entries, ix.bands, 0)
 	if ix.view == nil {
 		return 0
 	}

@@ -46,12 +46,11 @@ type SketchIndex struct {
 	// the entries, so building a sorted index inserts into no map.
 	byName map[string]int
 	// view is the columnar (structure-of-arrays) scan pack built by
-	// BuildColumnar or BuildLSH; nil means every search takes the decoded
-	// path.
-	// Mutation invalidates it — the catalog rebuilds at publish time.
+	// BuildColumnar, BuildLSH or Derive; nil means every search takes the
+	// decoded path. Add invalidates it.
 	view *columnarView
-	// bands are the banding parameters of view's runs, set by BuildLSH;
-	// nil means lsh-mode searches fail with ErrNoLSHIndex. Mutation
+	// bands are the banding parameters of view's runs, set by BuildLSH or
+	// Derive; nil means lsh-mode searches fail with ErrNoLSHIndex. Add
 	// invalidates them with view.
 	bands *lsh.Params
 }
@@ -100,6 +99,68 @@ func (ix *SketchIndex) Add(ts *TableSketch) error {
 	ix.byName[ts.Name] = n
 	ix.entries = append(ix.entries, ts)
 	return nil
+}
+
+// Derive returns the index that follows ix after edits, in name order:
+// each edit puts its sketch under its name, or deletes the name when the
+// sketch is nil. The result is packed as BuildColumnar packs, or banded
+// under bands as BuildLSH bands, sharing each run of ix that the edits
+// leave in place. Every put must be named after its key and share ix's
+// configuration (the first put's when ix is empty), and ix must be in name
+// order, as an index that Derive made or that Add filled in order is.
+// Derive fails on any of those or on what BuildLSH refuses; it never
+// changes ix.
+func (ix *SketchIndex) Derive(edits map[string]*TableSketch, bands *LSHParams) (*SketchIndex, error) {
+	if ix.byName != nil {
+		return nil, errors.New("ipsketch: deriving from an index out of name order")
+	}
+	names := make([]string, 0, len(edits))
+	n, pin := len(ix.entries), ix.entries // pin[0]: the configuration every put shares
+	for name, ts := range edits {
+		names = append(names, name)
+		if _, found := ix.find(name); found {
+			n--
+		}
+		if ts == nil {
+			continue
+		}
+		if ts.Name != name {
+			return nil, fmt.Errorf("ipsketch: the edit of %q carries a sketch of table %q", name, ts.Name)
+		}
+		if len(pin) == 0 { // an empty parent takes the first put's
+			pin = []*TableSketch{ts}
+		}
+		if err := ts.CompatibleWith(pin[0]); err != nil {
+			return nil, fmt.Errorf("ipsketch: deriving %q: %w", name, err)
+		}
+		n++
+	}
+	slices.Sort(names)
+	next := &SketchIndex{entries: make([]*TableSketch, 0, n)}
+	lo := 0
+	for _, name := range names {
+		pos, found := ix.find(name)
+		next.entries = append(next.entries, ix.entries[lo:pos]...)
+		if lo = pos; found {
+			lo++
+		}
+		if ts := edits[name]; ts != nil {
+			next.entries = append(next.entries, ts)
+		}
+	}
+	next.entries = append(next.entries, ix.entries[lo:]...)
+	if bands != nil {
+		next.bands = &lsh.Params{Bands: bands.Bands, Rows: bands.Rows}
+	}
+	runs := len(names) + 1 // an edit cuts at most one run more
+	if ix.view != nil {
+		runs += len(ix.view.runs)
+	}
+	var err error
+	if next.view, err = buildColumnarView(next.entries, next.bands, min(runs, n)); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // find returns the position of the entry named name.

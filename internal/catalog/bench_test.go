@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,21 +14,22 @@ import (
 
 // The served shape: the bench corpus of search_sketch and ingest_mixed
 // (1000 tables of two value columns, WMH at 400 words, built by the dart
-// construction) over DefaultShards shards, so a Put rebuilds a shard of
-// about 62 tables, as a sketchd write does.
+// construction) over DefaultShards shards, so a Put re-packs a run of a
+// shard of about 62 tables, as a sketchd write does.
 const (
 	servedTables = 1000
 	servedRows   = 1000
 )
 
-// servedSketches sketches n tables of servedRows rows and two value
-// columns, "v" and "w", with overlapping keys.
-func servedSketches(b *testing.B, n int) []*ipsketch.TableSketch {
-	b.Helper()
+// sketchServed sketches n tables of servedRows rows and two value
+// columns, "v" and "w", with overlapping keys. Table j reads the j-th
+// stretch of one SplitMix64 stream, so a shorter corpus is a prefix of a
+// longer one, byte for byte.
+func sketchServed(n int) ([]*ipsketch.TableSketch, error) {
 	ts, err := ipsketch.NewTableSketcher(
 		ipsketch.Config{Method: ipsketch.MethodWMH, StorageWords: 400, Seed: 7}, fixtureKeySpace)
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	rng := hashing.NewSplitMix64(99)
 	sks := make([]*ipsketch.TableSketch, n)
@@ -40,13 +43,78 @@ func servedSketches(b *testing.B, n int) []*ipsketch.TableSketch {
 		}
 		tab, err := ipsketch.NewTable(fmt.Sprintf("t%04d", j), keys, map[string][]float64{"v": v, "w": w})
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
 		if sks[j], err = ts.SketchTable(tab); err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
 	}
-	return sks
+	return sks, nil
+}
+
+// served is the largest corpus the benchmarks read, 4×servedTables
+// tables, sketched once per test binary; a benchmark of n tables reads
+// its first n.
+var served struct {
+	once sync.Once
+	sks  []*ipsketch.TableSketch
+	err  error
+}
+
+// servedSketches returns the first n tables of the served corpus.
+func servedSketches(b *testing.B, n int) []*ipsketch.TableSketch {
+	b.Helper()
+	served.once.Do(func() { served.sks, served.err = sketchServed(4 * servedTables) })
+	if served.err != nil {
+		b.Fatal(served.err)
+	}
+	return served.sks[:n]
+}
+
+// TestServedSketchesArePrefixes: the benchmarks share one sketched corpus
+// and read prefixes of it, which stands for sketching each size alone only
+// if a shorter corpus is a byte-identical prefix of a longer one.
+func TestServedSketchesArePrefixes(t *testing.T) {
+	short, err := sketchServed(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := sketchServed(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sk := range short {
+		a, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := long[i].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("table %d of a 3-table corpus differs from table %d of a 6-table one", i, i)
+		}
+	}
+}
+
+// servedCatalog returns a catalog of sks, each shard published once
+// through one Restore.
+func servedCatalog(b *testing.B, sks []*ipsketch.TableSketch, lshp *ipsketch.LSHParams) *Catalog {
+	b.Helper()
+	c := New(Options{Shards: DefaultShards, LSH: lshp})
+	err := c.Restore(func(r *Restore) error {
+		for _, sk := range sks {
+			if _, _, err := r.Apply(mutation(MutationPut, sk)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
 }
 
 // vectorsPerTable is the sketch-bundle fan-out of the served tables: the
@@ -60,7 +128,7 @@ var servedLSH = ipsketch.LSHParams{Bands: 16, Rows: 2}
 
 // BenchmarkCatalogIngest measures catalog Put at the served shape (the
 // serving layer's ingest hot path once sketches are built: replacements
-// against a populated catalog, each rebuilding its shard's published
+// against a populated catalog, each deriving its shard's next published
 // index) at one core and at every core, reporting vectors/s under the
 // bundle accounting and the bytes and allocations of each Put. The tables
 // dimension runs it at the served corpus and at four times it, whose
@@ -70,7 +138,6 @@ var servedLSH = ipsketch.LSHParams{Bands: 16, Rows: 2}
 // re-packs, so banding should add little.
 func BenchmarkCatalogIngest(b *testing.B) {
 	sizes := []int{servedTables, 4 * servedTables}
-	all := servedSketches(b, sizes[len(sizes)-1])
 	configs := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		configs = append(configs, n)
@@ -82,24 +149,23 @@ func BenchmarkCatalogIngest(b *testing.B) {
 	for _, procs := range configs {
 		for _, n := range sizes {
 			for _, lsh := range bandings {
-				benchIngest(b, fmt.Sprintf("procs=%d/tables=%d/lsh=%s", procs, n, lsh.name), procs, all[:n], lsh.p)
+				benchIngest(b, fmt.Sprintf("procs=%d/tables=%d/lsh=%s", procs, n, lsh.name), procs, servedSketches(b, n), lsh.p)
 			}
 		}
 	}
 }
 
 // benchIngest is one BenchmarkCatalogIngest point: Puts of sks into a
-// catalog that holds them all, banded under lshp when it is set.
+// catalog that holds them all, banded under lshp when it is set. The
+// catalog is filled by one Restore; its runs are cut as Puts would have
+// cut them, because the cut is a function of the names. A collection
+// then retires the fill's garbage, so the timed Puts do not pay for it.
 func benchIngest(b *testing.B, name string, procs int, sks []*ipsketch.TableSketch, lshp *ipsketch.LSHParams) {
 	b.Run(name, func(b *testing.B) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		c := New(Options{Shards: DefaultShards, LSH: lshp})
-		for _, sk := range sks {
-			if err := c.Put(sk); err != nil {
-				b.Fatal(err)
-			}
-		}
+		c := servedCatalog(b, sks, lshp)
+		runtime.GC()
 		var next atomic.Uint64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -122,12 +188,7 @@ func benchIngest(b *testing.B, name string, procs int, sks []*ipsketch.TableSket
 // core and at every core, reporting the allocations of a search.
 func BenchmarkCatalogSearchTopK(b *testing.B) {
 	sks := servedSketches(b, servedTables)
-	c := New(Options{Shards: DefaultShards})
-	for _, sk := range sks {
-		if err := c.Put(sk); err != nil {
-			b.Fatal(err)
-		}
-	}
+	c := servedCatalog(b, sks, nil)
 	procs := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		procs = append(procs, n)

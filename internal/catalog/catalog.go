@@ -9,13 +9,13 @@
 // publishes ONE immutable object — a name-sorted SketchIndex, packed for
 // the columnar scan and banded for LSH — behind an atomic pointer:
 // writers serialize on the shard's mutex, stage the shard's table set,
-// edit it, build the replacement index and store the pointer, so readers
-// never block — queries never wait on sketching or index rebuilding. A
+// edit it, derive the replacement index and store the pointer, so readers
+// never block — queries never wait on sketching or index derivation. A
 // reader loads the pointer and works lock-free from there; what it holds
 // is a consistent shard state that concurrent ingest can never mutate.
 // Every write is a Mutation, defined by one function (apply), and every
-// published index is built by one function (publish), whether the staged
-// edits came from a live Apply or from a Restore.
+// published index is derived by one (publish, through SketchIndex.Derive),
+// whether the staged edits came from a live Apply or from a Restore.
 //
 // # Search determinism
 //
@@ -96,11 +96,11 @@ type Options struct {
 	// hooked mutations reconstructs the catalog.
 	OnMutate func(Mutation) error
 	// PublishObserver, when set, receives the seconds each publish spent
-	// rebuilding a shard's copy-on-write state (index rebuild + columnar
-	// pack + pointer store; the hook in between is not counted) — the
-	// write-side latency a reader never sees but every ingest pays. A live
-	// mutation publishes once; a Restore publishes once per shard it
-	// touched, however many tables it staged.
+	// replacing a shard's copy-on-write state (index derivation + pointer
+	// store; the hook in between is not counted) — the write-side latency
+	// a reader never sees but every ingest pays. A live mutation publishes
+	// once; a Restore once per shard it touched, however many tables it
+	// staged.
 	PublishObserver Observer
 	// LSH, when set, bands every published shard index for lsh-mode
 	// Search: the bands live with each run of the columnar view, so a
@@ -173,15 +173,15 @@ func (c *Catalog) apply(m staged, mut Mutation) (*ipsketch.TableSketch, bool, er
 	return ts, existed, nil
 }
 
-// publish builds the index over m, runs the OnMutate hook for a live
-// mutation (mut non-nil), and makes the index the shard's published state
-// — the one place that state is derived. A build or hook failure publishes
-// nothing, and a failed build never reaches the hook, so the write-ahead
-// log holds only mutations that published. The caller holds the shard's
-// writeMu.
+// publish derives the next index from m (SketchIndex.Derive), runs the
+// OnMutate hook for a live mutation (mut non-nil), and makes the index the
+// shard's published state — the one place that state is derived. A build
+// or hook failure publishes nothing, and a failed build never reaches the
+// hook, so the write-ahead log holds only mutations that published. The
+// caller holds the shard's writeMu.
 func (c *Catalog) publish(sh *shard, m staged, mut *Mutation) error {
 	start := time.Now()
-	ix, err := sortedIndex(m, c.lsh)
+	ix, err := m.base.Derive(m.edits, c.lsh)
 	if err != nil {
 		return err
 	}
@@ -225,12 +225,12 @@ func New(opts Options) *Catalog {
 	}
 	c := &Catalog{shards: make([]shard, n), onMutate: opts.OnMutate, publishObs: opts.PublishObserver, lsh: opts.LSH}
 	for i := range c.shards {
+		// Empty shards must answer lsh-mode searches too. Invalid banding
+		// parameters are reported by the first mutation instead (New has
+		// no error return).
 		ix := ipsketch.NewSketchIndex()
-		if c.lsh != nil {
-			// Empty shards must answer lsh-mode searches too. Invalid
-			// banding parameters are reported by the first mutation
-			// instead (New has no error return).
-			_, _ = ix.BuildLSH(*c.lsh)
+		if banded, err := ix.Derive(nil, c.lsh); err == nil {
+			ix = banded
 		}
 		c.shards[i].ix.Store(ix)
 	}
@@ -429,62 +429,6 @@ func (r *Restore) Apply(mut Mutation) (*ipsketch.TableSketch, bool, error) {
 	return r.c.apply(r.set(mut.Name), mut)
 }
 
-// bareIndex registers the tables of m in name-sorted order, so the index's
-// scan-order tiebreak is the catalog's canonical (table, column) order: it
-// merges the sorted edited names into the base's, which are sorted
-// already. It packs no scan view: this is all the snapshot encoder reads.
-func bareIndex(m staged) *ipsketch.SketchIndex {
-	edited := make([]string, 0, len(m.edits))
-	for name := range m.edits {
-		edited = append(edited, name)
-	}
-	sort.Strings(edited)
-	ix := ipsketch.NewSketchIndex()
-	add := func(ts *ipsketch.TableSketch) {
-		if err := ix.Add(ts); err != nil {
-			// Unreachable: admit lets into a staged set only sketches
-			// compatible with the catalog's pin, hence with each other.
-			panic(fmt.Sprintf("catalog: indexing %q: %v", ts.Name, err))
-		}
-	}
-	base := m.base.Tables()
-	i := 0
-	for _, name := range edited {
-		for ; i < len(base) && base[i] < name; i++ {
-			ts, _ := m.base.Get(base[i])
-			add(ts)
-		}
-		if i < len(base) && base[i] == name {
-			i++
-		}
-		if ts := m.edits[name]; ts != nil {
-			add(ts)
-		}
-	}
-	for _, name := range base[i:] {
-		ts, _ := m.base.Get(name)
-		add(ts)
-	}
-	return ix
-}
-
-// sortedIndex builds the published per-shard index: bareIndex plus the
-// columnar scan view, packed here, at copy-on-write publish time, so every
-// reader of the published index scans structure-of-arrays for free and no
-// search ever pays the pack cost. When lshp is set BuildLSH packs the view
-// and bands its runs in one pass — a build failure (invalid banding
-// parameters) fails the publish. Either way only the runs whose entries
-// changed are built; the others are the published index's.
-func sortedIndex(m staged, lshp *ipsketch.LSHParams) (*ipsketch.SketchIndex, error) {
-	ix := bareIndex(m)
-	if lshp == nil {
-		ix.BuildColumnar()
-	} else if _, err := ix.BuildLSH(*lshp); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
 // Get returns the sketch registered under name.
 func (c *Catalog) Get(name string) (*ipsketch.TableSketch, bool) {
 	return c.shardFor(name).ix.Load().Get(name)
@@ -509,39 +453,37 @@ func (c *Catalog) ShardSizes() []int {
 }
 
 // Tables returns every cataloged table name in sorted order.
-func (c *Catalog) Tables() []string {
-	var out []string
-	for i := range c.shards {
-		out = append(out, c.shards[i].ix.Load().Tables()...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// allTables returns one table set over every shard's published index.
-func (c *Catalog) allTables() staged {
-	merged := staged{base: ipsketch.NewSketchIndex(), edits: map[string]*ipsketch.TableSketch{}}
-	for i := range c.shards {
-		ix := c.shards[i].ix.Load()
-		for _, name := range ix.Tables() {
-			merged.edits[name], _ = ix.Get(name)
-		}
-	}
-	return merged
-}
+func (c *Catalog) Tables() []string { return c.Capture().Tables() }
 
 // Capture returns the bare name-sorted index over every shard's published
-// entries — what a snapshot encodes. It packs no scan view, so it is cheap
-// enough to take under a barrier that stalls mutations; the slow encode
-// (SaveIndex) can then run outside it.
-func (c *Catalog) Capture() *ipsketch.SketchIndex { return bareIndex(c.allTables()) }
+// entries, one load of each shard's pointer — what a snapshot encodes. It
+// packs nothing, so it is cheap enough to take under a barrier that stalls
+// mutations; the slow encode (SaveIndex) can then run outside it.
+func (c *Catalog) Capture() *ipsketch.SketchIndex {
+	ixs := make([]*ipsketch.SketchIndex, len(c.shards))
+	var names []string
+	for i := range c.shards {
+		ixs[i] = c.shards[i].ix.Load()
+		names = append(names, ixs[i].Tables()...)
+	}
+	sort.Strings(names)
+	ix := ipsketch.NewSketchIndex()
+	for _, name := range names {
+		ts, _ := ixs[c.shardOf(name)].Get(name)
+		if err := ix.Add(ts); err != nil {
+			// Unreachable: every cataloged sketch passed the pin.
+			panic(fmt.Sprintf("catalog: capturing %q: %v", name, err))
+		}
+	}
+	return ix
+}
 
 // Snapshot returns a single name-sorted SketchIndex over a copy-on-read
-// snapshot of the whole catalog. The result is immutable with respect to
-// later catalog mutations and ranks searches exactly like the sharded
-// Search.
+// snapshot of the whole catalog, derived from Capture as a publish
+// derives a shard's index. The result is immutable with respect to later
+// catalog mutations and ranks searches exactly like the sharded Search.
 func (c *Catalog) Snapshot() *ipsketch.SketchIndex {
-	ix, err := sortedIndex(c.allTables(), c.lsh)
+	ix, err := c.Capture().Derive(nil, c.lsh)
 	if err != nil {
 		panic(fmt.Sprintf("catalog: building snapshot index: %v", err))
 	}

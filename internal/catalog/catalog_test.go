@@ -715,6 +715,48 @@ func TestCatalogSearchAllocsFlatInShards(t *testing.T) {
 	}
 }
 
+// TestCatalogPublishAllocsFlatInShardSize pins the cost of a publish to
+// its edit: a warm Put into a shard of 256 tables allocates exactly as
+// often as one into a shard of 64, with and without banding, because the
+// next index is spliced from the published one and only the run that
+// holds the table is re-packed. The Puts cycle through tables whose runs
+// are cut alike at both sizes (the cut is a function of the names, and
+// the first 48 names are far from the end of either shard).
+func TestCatalogPublishAllocsFlatInShardSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	_, sks := fixtureSketches(t, 256)
+	for _, lsh := range []*ipsketch.LSHParams{nil, &strongLSH} {
+		banded := lsh != nil
+		allocs := func(n int) float64 {
+			c := New(Options{Shards: 1, LSH: lsh})
+			if err := c.Restore(func(r *Restore) error {
+				for _, sk := range sks[:n] {
+					if _, _, err := r.Apply(mutation(MutationPut, sk)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			return testing.AllocsPerRun(96, func() {
+				if err := c.Put(sks[i%48]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+		}
+		small, large := allocs(64), allocs(256)
+		t.Logf("banded=%v: allocs per Put: 64 tables %.1f, 256 tables %.1f", banded, small, large)
+		if small != large {
+			t.Fatalf("banded=%v: allocations per Put grow with the shard: %.1f at 64 tables, %.1f at 256", banded, small, large)
+		}
+	}
+}
+
 // tieSketches sketches a corpus built to tie: groups of tables share one
 // key set each, so all their columns have bit-equal join-size estimates
 // and the k boundary under RankByJoinSize cuts through tables, tie groups

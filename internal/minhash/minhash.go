@@ -185,15 +185,16 @@ func (s *Sketch) StorageWords() float64 {
 // with probability equal to the Jaccard similarity of the supports. Empty
 // sketches return nil — an all-empty column has no support to band, and a
 // sentinel signature would collide with every other empty column's.
-func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil) }
+func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil, len(s.hashes)) }
 
-// AppendSignature appends the signature to dst (nothing for an empty
-// sketch), so a caller banding many sketches reuses one buffer.
-func (s *Sketch) AppendSignature(dst []uint64) []uint64 {
+// AppendSignature appends the first n entries of the signature (all of
+// them when n exceeds its length) to dst, nothing for an empty sketch, so
+// a caller banding many sketches reuses one buffer.
+func (s *Sketch) AppendSignature(dst []uint64, n int) []uint64 {
 	if s.empty {
 		return dst
 	}
-	return append(dst, s.hashes...)
+	return append(dst, s.hashes[:min(n, len(s.hashes))]...)
 }
 
 // Compatible reports why two sketches cannot be compared, or nil.

@@ -196,16 +196,19 @@ func (s *Sketch) StorageWords() float64 {
 // same Params collide with probability equal to the *weighted* Jaccard
 // similarity of the squared normalized vectors (Fact 5). Empty sketches
 // return nil.
-func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil) }
+func (s *Sketch) Signature() []uint64 { return s.AppendSignature(nil, len(s.hashes)) }
 
-// AppendSignature appends the signature to dst (nothing for an empty
-// sketch), so a caller banding many sketches reuses one buffer.
-func (s *Sketch) AppendSignature(dst []uint64) []uint64 {
+// AppendSignature appends the first n entries of the signature (all of
+// them when n exceeds its length) to dst, nothing for an empty sketch, so
+// a caller banding many sketches reuses one buffer and converts only the
+// entries its bands read.
+func (s *Sketch) AppendSignature(dst []uint64, n int) []uint64 {
 	if s.empty {
 		return dst
 	}
-	dst = slices.Grow(dst, len(s.hashes))
-	for _, h := range s.hashes {
+	hs := s.hashes[:min(n, len(s.hashes))]
+	dst = slices.Grow(dst, len(hs))
+	for _, h := range hs {
 		dst = append(dst, math.Float64bits(h))
 	}
 	return dst

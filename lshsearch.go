@@ -3,6 +3,7 @@ package ipsketch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/lsh"
@@ -33,8 +34,8 @@ func (p LSHParams) Validate() error { return p.internal().Validate() }
 
 // SignatureLen returns the required signature length Bands×Rows. The
 // sketch's sample count M must be at least this for its columns to be
-// banded (longer signatures are truncated to the first Bands×Rows
-// entries).
+// banded (banding reads only the first Bands×Rows entries of a longer
+// one).
 func (p LSHParams) SignatureLen() int { return p.internal().SignatureLen() }
 
 // Threshold returns the approximate Jaccard threshold of the banding
@@ -61,11 +62,12 @@ var ErrNoSignature = errors.New("ipsketch: method has no LSH signature")
 // contract of internal/lsh. Supported by MethodMH and MethodWMH (all
 // variants). An empty sketch returns (nil, nil) — empty columns cannot be
 // banded and must be skipped by indexers, not treated as wildcards.
-func (sk *Sketch) LSHSignature() ([]uint64, error) { return sk.appendLSHSignature(nil) }
+func (sk *Sketch) LSHSignature() ([]uint64, error) { return sk.appendLSHSignature(nil, math.MaxInt) }
 
-// appendLSHSignature appends the signature to dst (nothing for an empty
-// sketch), so that banding reuses one buffer.
-func (sk *Sketch) appendLSHSignature(dst []uint64) ([]uint64, error) {
+// appendLSHSignature appends the first n entries of the signature (all of
+// them when n exceeds its length; nothing for an empty sketch) to dst, so
+// that banding reuses one buffer and converts only what its bands read.
+func (sk *Sketch) appendLSHSignature(dst []uint64, n int) ([]uint64, error) {
 	if sk == nil {
 		return dst, errNilSketch
 	}
@@ -76,7 +78,7 @@ func (sk *Sketch) appendLSHSignature(dst []uint64) ([]uint64, error) {
 	if be.signature == nil {
 		return dst, fmt.Errorf("%w: %v", ErrNoSignature, sk.method)
 	}
-	return be.signature(dst, sk.payload)
+	return be.signature(dst, sk.payload, n)
 }
 
 // ErrNoLSHIndex reports an lsh-mode search against an index that has no
@@ -86,23 +88,17 @@ var ErrNoLSHIndex = errors.New("ipsketch: index has no LSH view")
 // BuildLSH bands the index's entries into an LSH candidate view and
 // returns the number of entries indexed. The bands live with the runs of
 // the columnar view, which BuildLSH builds: a run banded under p is
-// shared, and every other run is packed and banded anew. The catalog
-// calls this at every copy-on-write publish; Add invalidates the view.
-// The index holds one configuration, so BuildLSH fails when the method
-// has no signature or its signatures are shorter than p.SignatureLen().
-// Entries with empty key sketches are skipped: an empty key column joins
-// nothing and must not wildcard-match every query.
+// shared, and every other run is packed and banded anew. Add invalidates
+// the view; Derive bands the index it derives the same way. The index
+// holds one configuration, so BuildLSH fails when the parameters are
+// invalid, the method has no signature, or its signatures are shorter
+// than p.SignatureLen(). Entries with empty key sketches are skipped: an
+// empty key column joins nothing and must not wildcard-match every query.
 func (ix *SketchIndex) BuildLSH(p LSHParams) (int, error) {
 	lp := p.internal()
-	if err := lp.Validate(); err != nil {
-		return 0, err
-	}
-	v, err := buildColumnarView(ix.entries, &lp)
+	v, err := buildColumnarView(ix.entries, &lp, 0)
 	if err != nil {
 		return 0, err
-	}
-	if v == nil && len(ix.entries) > 0 { // every family with a signature packs
-		return 0, fmt.Errorf("ipsketch: banding: %w: %v", ErrNoSignature, ix.entries[0].key.method)
 	}
 	ix.view, ix.bands = v, &lp
 	n := 0
@@ -136,8 +132,8 @@ func bandEntries(entries []*TableSketch, p *lsh.Params) (*lsh.Index, error) {
 	var sig []uint64
 	for t, e := range entries {
 		// An empty key sketch has no signature: it bands nothing.
-		if sig, err = e.key.appendLSHSignature(sig[:0]); err == nil && len(sig) > 0 {
-			err = bands.Insert(t, sig[:min(len(sig), p.SignatureLen())])
+		if sig, err = e.key.appendLSHSignature(sig[:0], p.SignatureLen()); err == nil && len(sig) > 0 {
+			err = bands.Insert(t, sig)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ipsketch: banding %s: %w", e.Name, err)

@@ -112,7 +112,7 @@ func (s *Server) initMetrics() {
 	m.walFsync = reg.Histogram("sketchd_wal_fsync_seconds",
 		"WAL fsync latency, whatever triggered the sync.", nil)
 	m.catalogPublish = reg.Histogram("sketchd_catalog_publish_seconds",
-		"Copy-on-write publish latency per mutation: index rebuild, columnar pack, pointer swap.", nil)
+		"Copy-on-write publish latency per mutation: index derivation (re-packing the runs it touches), pointer swap.", nil)
 	m.snapshotSave = reg.Histogram("sketchd_snapshot_save_seconds",
 		"Catalog snapshot save latency (capture, encode, atomic write, WAL checkpoint).", nil)
 	m.snapshotLoad = reg.Histogram("sketchd_snapshot_load_seconds",
